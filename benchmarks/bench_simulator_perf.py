@@ -51,7 +51,7 @@ def run_traced_ddp_training(iterations: int = 10) -> Environment:
     itself must not move (CI's perf-smoke job runs once with
     ``REPRO_OBS=0`` to prove it).
     """
-    from repro.obs import flags as obs
+    from repro import flags
     from repro.sim import Tracer
 
     spec = WorkloadSpec(name="PERFTRACE", model="GPT2-S", node_spec=V100_NODE,
@@ -62,7 +62,7 @@ def run_traced_ddp_training(iterations: int = 10) -> Environment:
     job = TrainingJob(spec, tracer=tracer)
     losses = job.run_training(iterations)
     assert len(losses[0]) == iterations
-    if obs.enabled():    # REPRO_OBS=0 runs measure the disabled fast path
+    if flags.obs:    # REPRO_OBS=0 runs measure the disabled fast path
         assert tracer.spans, "observability on: iteration spans expected"
     return job.env
 
@@ -75,7 +75,7 @@ def run_metrics_ddp_training(iterations: int = 10) -> Environment:
     ``docs/performance.md`` quotes; with ``REPRO_OBS=0`` the registry is
     never installed and this measures the disabled fast path.
     """
-    from repro.obs import flags as obs
+    from repro import flags
     from repro.obs import metrics
     from repro.obs.metrics.instrument import attach_run_metrics
     from repro.sim import Tracer
@@ -87,11 +87,11 @@ def run_metrics_ddp_training(iterations: int = 10) -> Environment:
     tracer = Tracer(enabled=True)
     job = TrainingJob(spec, tracer=tracer)
     with metrics.collecting(scrape_interval=0.5) as reg:
-        if obs.enabled():
+        if flags.obs:
             attach_run_metrics(job.env, reg)
         losses = job.run_training(iterations)
     assert len(losses[0]) == iterations
-    if obs.enabled():    # REPRO_OBS=0 runs measure the disabled fast path
+    if flags.obs:    # REPRO_OBS=0 runs measure the disabled fast path
         assert reg.collect(), "metrics on: registry families expected"
         assert reg.timeseries is not None and len(reg.timeseries) > 0
     return job.env

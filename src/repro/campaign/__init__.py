@@ -9,8 +9,11 @@ pattern into infrastructure:
   :class:`~repro.campaign.spec.CampaignSpec` — a declarative, content-
   hashable grid of scenarios;
 * :class:`~repro.campaign.runner.CampaignRunner` — fans scenarios out
-  over a ``ProcessPoolExecutor`` and serves unchanged scenarios from a
+  over a ``ProcessPoolExecutor`` (results return through its pickle
+  channel) and serves unchanged scenarios from a
   :class:`~repro.campaign.cache.ResultCache` for free;
+* :mod:`~repro.campaign.prefix` — optional prefix-fork scheduling that
+  simulates a grid's shared failure-free prefix once per group;
 * :mod:`~repro.campaign.aggregate` — deterministic mean/p50/p99
   aggregation into the columns the paper tables need.
 
@@ -18,7 +21,6 @@ See ``docs/performance.md`` for the design and determinism guarantees.
 """
 
 from repro.campaign.aggregate import (
-    StreamingAggregator,
     aggregate_results,
     canonical_json,
     percentile,
@@ -30,7 +32,6 @@ from repro.campaign.runner import (
     ScenarioOutcome,
     execute_scenario,
 )
-from repro.campaign.shmstore import ShmResultStore
 from repro.campaign.spec import (
     DEFAULT_CAMPAIGN_MIX,
     CampaignSpec,
@@ -46,8 +47,6 @@ __all__ = [
     "ResultCache",
     "ScenarioOutcome",
     "ScenarioSpec",
-    "ShmResultStore",
-    "StreamingAggregator",
     "aggregate_results",
     "canonical_json",
     "code_fingerprint",

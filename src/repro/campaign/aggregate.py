@@ -93,68 +93,3 @@ def canonical_json(aggregated: list[dict]) -> str:
     """Byte-stable serialisation of an aggregate (the determinism anchor)."""
     return json.dumps(aggregated, sort_keys=True, separators=(",", ":"))
 
-
-class StreamingAggregator:
-    """Incremental :func:`aggregate_results` over out-of-order arrivals.
-
-    The campaign runner streams scenario results as workers finish, i.e.
-    in arbitrary order.  ``add(index, row)`` folds each result into
-    per-group accumulators keyed by the row's campaign *index*, and
-    ``result()`` emits output byte-identical to
-    ``aggregate_results(rows_in_campaign_order)``: groups ordered by
-    first campaign index, means summed in campaign order, percentiles
-    over sorted values.  Only the aggregated columns are retained, not
-    the full result dicts — constant-size state per scenario regardless
-    of how much telemetry each result carries.
-    """
-
-    def __init__(self):
-        self._groups: dict[tuple, dict] = {}
-
-    def add(self, index: int, row: dict) -> None:
-        scenario = row["scenario"]
-        metrics = row["metrics"]
-        if scenario["kind"] == "analytic":
-            key = (scenario["workload"], "analytic", scenario["n_gpus"])
-            group = self._groups.setdefault(
-                key, {"first": index, "count": 0, "metrics": None})
-            group["count"] += 1
-            if group["metrics"] is None or index <= group["first"]:
-                group["metrics"] = dict(metrics)
-            group["first"] = min(group["first"], index)
-            return
-        key = (scenario["workload"], scenario["policy"])
-        group = self._groups.setdefault(
-            key, {"first": index, "count": 0, "completed": True,
-                  "failures": 0, "digests": set(),
-                  "values": {metric: [] for metric in CAMPAIGN_METRICS}})
-        group["first"] = min(group["first"], index)
-        group["count"] += 1
-        group["completed"] = group["completed"] and bool(metrics["completed"])
-        group["failures"] += metrics["failures"]
-        group["digests"].add(metrics["losses_digest"])
-        for metric in CAMPAIGN_METRICS:
-            group["values"][metric].append((index, float(metrics[metric])))
-
-    def result(self) -> list[dict]:
-        out = []
-        for key, group in sorted(self._groups.items(),
-                                 key=lambda item: item[1]["first"]):
-            if len(key) == 3:  # analytic passthrough
-                entry = {"workload": key[0], "policy": "analytic",
-                         "n_gpus": key[2], "scenarios": group["count"]}
-                entry.update(group["metrics"])
-                out.append(entry)
-                continue
-            entry = {"workload": key[0], "policy": key[1],
-                     "scenarios": group["count"],
-                     "completed": group["completed"],
-                     "failures": group["failures"]}
-            for metric in CAMPAIGN_METRICS:
-                ordered = [v for _i, v in sorted(group["values"][metric])]
-                entry[metric] = summarize(ordered)
-            digests = set(group["digests"])
-            entry["losses_digest"] = (digests.pop() if len(digests) == 1
-                                      else "DIVERGED")
-            out.append(entry)
-        return out

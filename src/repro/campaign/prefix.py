@@ -95,15 +95,11 @@ def execute_prefix_group(specs: list[ScenarioSpec],
     if not HAVE_FORK or len(specs) < 2:
         return [execute_scenario(spec) for spec in specs]
 
-    from repro.campaign.runner import (_campaign_result, _losses_digest,
-                                       _periodic_interval_iterations,
+    from repro.campaign.runner import (_build_managed_runner,
+                                       _campaign_result, _losses_digest,
                                        _resolve_workload)
-    from repro.cluster.worker import InitCosts
-    from repro.core import UserLevelJitRunner
-    from repro.core.periodic import CheckpointMode, PeriodicPolicy, PeriodicRunner
     from repro.failures import FailureInjector
     from repro.sim import Environment
-    from repro.storage import SharedObjectStore
     from repro.workloads import TrainingJob
 
     lead = specs[0]
@@ -119,24 +115,7 @@ def execute_prefix_group(specs: list[ScenarioSpec],
 
     # Shared managed run whose prefix every scenario reuses.
     env = Environment()
-    store = SharedObjectStore(env, bandwidth=lead.store_bandwidth)
-    init_costs = (InitCosts(*lead.init_costs)
-                  if lead.init_costs is not None else None)
-    interval_iterations: Optional[int] = None
-    if lead.policy == "periodic":
-        interval_iterations = _periodic_interval_iterations(workload, lead)
-        runner = PeriodicRunner(
-            env, workload, store,
-            target_iterations=lead.target_iterations,
-            policy=PeriodicPolicy(CheckpointMode.PC_MEM, interval_iterations),
-            init_costs=init_costs,
-            progress_timeout=lead.progress_timeout)
-    else:
-        runner = UserLevelJitRunner(
-            env, workload, store,
-            target_iterations=lead.target_iterations,
-            init_costs=init_costs,
-            progress_timeout=lead.progress_timeout)
+    runner, interval_iterations = _build_managed_runner(lead, workload, env)
     proc = runner.start()
 
     # Failure schedules are drawn against the launch topology, which the

@@ -24,12 +24,11 @@ import hashlib
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
 from repro.campaign.cache import ResultCache
-from repro.campaign.shmstore import DEFAULT_SLOT_BYTES, HAVE_SHM, ShmResultStore
 from repro.campaign.spec import (KIND_ANALYTIC, KIND_ORACLE, ORACLE_WORKLOAD,
                                  CampaignSpec, ScenarioSpec)
 from repro.core.telemetry import CampaignPerf
@@ -80,13 +79,37 @@ def _periodic_interval_iterations(workload, spec: ScenarioSpec) -> int:
     return max(1, int(round(1 / c_star / workload.minibatch_time)))
 
 
-def _execute_campaign_scenario(spec: ScenarioSpec) -> dict:
+def _build_managed_runner(spec: ScenarioSpec, workload, env):
+    """The store and managed runner a campaign scenario trains under.
+
+    Returns ``(runner, interval_iterations)``: a :class:`PeriodicRunner`
+    at the analytically optimal interval for the ``periodic`` policy, a
+    :class:`UserLevelJitRunner` (interval ``None``) otherwise.  Shared by
+    from-scratch execution and prefix-fork groups
+    (:mod:`repro.campaign.prefix`), so both build the same run.
+    """
     from repro.cluster.worker import InitCosts
     from repro.core import UserLevelJitRunner
     from repro.core.periodic import CheckpointMode, PeriodicPolicy, PeriodicRunner
+    from repro.storage import SharedObjectStore
+
+    store = SharedObjectStore(env, bandwidth=spec.store_bandwidth)
+    init_costs = (InitCosts(*spec.init_costs)
+                  if spec.init_costs is not None else None)
+    common = dict(target_iterations=spec.target_iterations,
+                  init_costs=init_costs,
+                  progress_timeout=spec.progress_timeout)
+    if spec.policy == "periodic":
+        interval_iterations = _periodic_interval_iterations(workload, spec)
+        policy = PeriodicPolicy(CheckpointMode.PC_MEM, interval_iterations)
+        return (PeriodicRunner(env, workload, store, policy=policy, **common),
+                interval_iterations)
+    return UserLevelJitRunner(env, workload, store, **common), None
+
+
+def _execute_campaign_scenario(spec: ScenarioSpec) -> dict:
     from repro.failures import FailureInjector, PoissonSchedule
     from repro.sim import Environment
-    from repro.storage import SharedObjectStore
     from repro.workloads import TrainingJob
 
     workload = _resolve_workload(spec)
@@ -100,24 +123,7 @@ def _execute_campaign_scenario(spec: ScenarioSpec) -> dict:
     reference_events = reference_job.env.events_processed
 
     env = Environment()
-    store = SharedObjectStore(env, bandwidth=spec.store_bandwidth)
-    init_costs = (InitCosts(*spec.init_costs)
-                  if spec.init_costs is not None else None)
-    interval_iterations: Optional[int] = None
-    if spec.policy == "periodic":
-        interval_iterations = _periodic_interval_iterations(workload, spec)
-        runner = PeriodicRunner(
-            env, workload, store,
-            target_iterations=spec.target_iterations,
-            policy=PeriodicPolicy(CheckpointMode.PC_MEM, interval_iterations),
-            init_costs=init_costs,
-            progress_timeout=spec.progress_timeout)
-    else:
-        runner = UserLevelJitRunner(
-            env, workload, store,
-            target_iterations=spec.target_iterations,
-            init_costs=init_costs,
-            progress_timeout=spec.progress_timeout)
+    runner, interval_iterations = _build_managed_runner(spec, workload, env)
 
     schedule = PoissonSchedule(
         runner.manager.cluster, spec.failure_rate, horizon=spec.horizon,
@@ -271,37 +277,13 @@ def execute_scenario(spec: ScenarioSpec) -> dict:
     return _execute_campaign_scenario(spec)
 
 
-def _execute_scenario_slot(args) -> tuple[int, Optional[dict]]:
-    """Pool entry point: run a scenario, publish its result via shared memory.
+def _execute_unit(items: list[tuple[int, ScenarioSpec]], is_group: bool,
+                  max_live: int) -> list[tuple[int, dict]]:
+    """Run one dispatch unit (a scenario or a prefix group).
 
-    Returns ``(position, None)`` when the result landed in its shm slot —
-    the parent reads it from the segment, so only two small ints travel
-    through the pool's pickle channel — or ``(position, result)`` when no
-    segment is available or the result overflowed its slot.
+    Returns ``(position, result)`` per scenario; module-level so the pool
+    can pickle it, and the serial path calls it directly.
     """
-    spec, shm_name, position, slots, slot_bytes = args
-    result = execute_scenario(spec)
-    if shm_name is not None and HAVE_SHM:
-        try:
-            store = ShmResultStore.attach(shm_name, slots, slot_bytes)
-        except Exception:
-            return position, result
-        try:
-            if store.write(position, result):
-                return position, None
-        finally:
-            store.close()
-    return position, result
-
-
-def _execute_unit_slot(args) -> list[tuple[int, Optional[dict]]]:
-    """Pool entry point for one dispatch unit (scenario or prefix group).
-
-    Returns ``(position, None)`` per scenario whose result landed in its
-    shm slot, ``(position, result)`` for those that fell back to the
-    pickle channel (no segment, attach failure, or slot overflow).
-    """
-    items, is_group, shm_name, slots, slot_bytes, max_live = args
     if is_group:
         from repro.campaign.prefix import execute_prefix_group
 
@@ -309,23 +291,8 @@ def _execute_unit_slot(args) -> list[tuple[int, Optional[dict]]]:
                                        max_live=max_live)
     else:
         results = [execute_scenario(spec) for _pos, spec in items]
-    store = None
-    if shm_name is not None and HAVE_SHM:
-        try:
-            store = ShmResultStore.attach(shm_name, slots, slot_bytes)
-        except Exception:
-            store = None
-    out: list[tuple[int, Optional[dict]]] = []
-    try:
-        for (position, _spec), result in zip(items, results):
-            if store is not None and store.write(position, result):
-                out.append((position, None))
-            else:
-                out.append((position, result))
-    finally:
-        if store is not None:
-            store.close()
-    return out
+    return [(position, result)
+            for (position, _spec), result in zip(items, results)]
 
 
 @dataclass
@@ -376,26 +343,16 @@ class CampaignRunner:
     deterministic functions of their spec; only dispatch order varies with
     the worker count, and outcomes are always reassembled in campaign
     order.
-
-    With ``use_shm`` (the default where ``multiprocessing.shared_memory``
-    works), workers publish results through a fixed-slot shared-memory
-    segment and return only their slot index, keeping per-scenario pickle
-    round-trips off the pool's result queue; see
-    :mod:`repro.campaign.shmstore`.  Oversized results degrade to the
-    pickle path per scenario, never to an error.
     """
 
     def __init__(self, cache: Optional[ResultCache] = None,
-                 workers: Optional[int] = None, use_shm: bool = True,
-                 slot_bytes: int = DEFAULT_SLOT_BYTES,
+                 workers: Optional[int] = None,
                  prefix_fork: bool = False, fork_max_live: int = 4):
         import os
 
         self.cache = cache
         self.workers = max(_MIN_WORKERS, workers if workers is not None
                            else (os.cpu_count() or 1))
-        self.use_shm = use_shm and HAVE_SHM
-        self.slot_bytes = slot_bytes
         #: Group campaign scenarios by failure-free prefix and fork each
         #: scenario's divergent tail from a shared copy-on-write snapshot
         #: (:mod:`repro.campaign.prefix`).  Metrics are byte-identical to
@@ -404,76 +361,43 @@ class CampaignRunner:
         self.prefix_fork = prefix_fork
         self.fork_max_live = fork_max_live
 
-    def run(self, campaign: CampaignSpec,
-            on_outcome: Optional[Callable[[int, "ScenarioOutcome"], None]]
-            = None) -> CampaignResult:
-        """Run the campaign; ``on_outcome(index, outcome)`` streams results.
-
-        The callback fires once per scenario as its result becomes
-        available — cache hits immediately, fresh results in worker
-        completion order — so a streaming consumer (e.g.
-        :class:`~repro.campaign.aggregate.StreamingAggregator`) never
-        waits for the full grid.  ``CampaignResult.outcomes`` is always
-        reassembled in campaign order regardless.
-        """
+    def run(self, campaign: CampaignSpec) -> CampaignResult:
+        """Run the campaign; outcomes come back in campaign order."""
         start = time.perf_counter()
         perf = CampaignPerf()
-        results: dict[int, dict] = {}
-        cached: dict[int, bool] = {}
+        outcomes: list[Optional[ScenarioOutcome]] = [None] * len(campaign)
         pending: list[tuple[int, ScenarioSpec]] = []
 
         for index, spec in enumerate(campaign.scenarios):
             hit = (self.cache.get(spec.content_hash())
                    if self.cache is not None else None)
             if hit is not None:
-                results[index] = hit
-                cached[index] = True
+                outcomes[index] = ScenarioOutcome(spec, hit, True)
                 perf.cache_hits += 1
-                if on_outcome is not None:
-                    on_outcome(index, ScenarioOutcome(spec, hit, True))
             else:
                 pending.append((index, spec))
 
-        if pending:
-            perf.cache_misses = len(pending)
-
-            def publish(position: int, result: dict) -> None:
-                index, spec = pending[position]
-                results[index] = result
-                cached[index] = False
-                perf.record_run(spec.scenario_id,
-                                result["perf"]["events"],
-                                result["perf"]["wall_seconds"])
-                if self.cache is not None:
-                    self.cache.put(spec.content_hash(), result)
-                if on_outcome is not None:
-                    on_outcome(index, ScenarioOutcome(spec, result, False))
-
-            self._execute(pending, publish)
+        perf.cache_misses = len(pending)
+        for position, result in self._execute(pending):
+            index, spec = pending[position]
+            outcomes[index] = ScenarioOutcome(spec, result, False)
+            perf.record_run(spec.scenario_id, result["perf"]["events"],
+                            result["perf"]["wall_seconds"])
+            if self.cache is not None:
+                self.cache.put(spec.content_hash(), result)
 
         perf.wall_seconds = time.perf_counter() - start
         reg = _metrics.active()
         if reg is not None:
             busy = sum(run.wall_seconds for run in perf.runs)
             _instrument.record_campaign_perf(reg, perf, self.workers, busy)
-        outcomes = [ScenarioOutcome(spec, results[i], cached[i])
-                    for i, spec in enumerate(campaign.scenarios)]
         return CampaignResult(campaign=campaign, outcomes=outcomes, perf=perf)
 
     def run_aggregated(self, campaign: CampaignSpec
                        ) -> tuple[CampaignResult, list[dict]]:
-        """Run the campaign with results streamed into the aggregator.
-
-        Equivalent to ``(result, result.aggregate())`` but the aggregation
-        consumes each scenario result as it arrives instead of a second
-        pass over the materialised row list.
-        """
-        from repro.campaign.aggregate import StreamingAggregator
-
-        aggregator = StreamingAggregator()
-        result = self.run(campaign, on_outcome=lambda index, outcome:
-                          aggregator.add(index, outcome.result))
-        return result, aggregator.result()
+        """Run the campaign; returns ``(result, result.aggregate())``."""
+        result = self.run(campaign)
+        return result, result.aggregate()
 
     # -- dispatch ------------------------------------------------------------
 
@@ -502,56 +426,20 @@ class CampaignRunner:
                      for position, spec in enumerate(specs)]
         return units
 
-    def _execute(self, pending: list[tuple[int, ScenarioSpec]],
-                 publish: Callable[[int, dict], None]) -> None:
-        """Execute scenarios, calling ``publish(position, result)`` as each
-        finishes (positions index into *pending*)."""
-        specs = [spec for _index, spec in pending]
-        units = self._dispatch_units(specs)
-        if self.workers == 1 or len(units) == 1:
+    def _execute(self, pending: list[tuple[int, ScenarioSpec]]
+                 ) -> Iterator[tuple[int, dict]]:
+        """Yield ``(position, result)`` as scenarios finish (positions
+        index into *pending*); inline for one worker or one unit, else
+        through a process pool."""
+        units = self._dispatch_units([spec for _index, spec in pending])
+        if self.workers == 1 or len(units) <= 1:
             for items, is_group in units:
-                if is_group:
-                    from repro.campaign.prefix import execute_prefix_group
-
-                    results = execute_prefix_group(
-                        [spec for _pos, spec in items],
-                        max_live=self.fork_max_live)
-                    for (position, _spec), result in zip(items, results):
-                        publish(position, result)
-                else:
-                    for position, spec in items:
-                        publish(position, execute_scenario(spec))
+                yield from _execute_unit(items, is_group, self.fork_max_live)
             return
-        max_workers = min(self.workers, len(units))
-        store: Optional[ShmResultStore] = None
-        if self.use_shm:
-            try:
-                store = ShmResultStore.create(len(specs), self.slot_bytes)
-            except Exception:
-                store = None  # no /dev/shm (or exhausted): plain pickles
-        shm_name = store.name if store is not None else None
-        slot_bytes = store.slot_bytes if store is not None else 0
-        try:
-            with ProcessPoolExecutor(max_workers=max_workers) as pool:
-                futures = [
-                    pool.submit(_execute_unit_slot,
-                                (items, is_group, shm_name, len(specs),
-                                 slot_bytes, self.fork_max_live))
-                    for items, is_group in units]
-                for future in as_completed(futures):
-                    for position, inline in future.result():
-                        if inline is not None:
-                            result = inline
-                        else:
-                            result = store.read(position)
-                            if result is None:
-                                # Slot lost (e.g. segment torn down under
-                                # memory pressure).  Results are pure
-                                # functions of the spec: recompute inline
-                                # rather than failing the whole campaign.
-                                result = execute_scenario(specs[position])
-                        publish(position, result)
-        finally:
-            if store is not None:
-                store.close()
-                store.unlink()
+        with ProcessPoolExecutor(
+                max_workers=min(self.workers, len(units))) as pool:
+            futures = [pool.submit(_execute_unit, items, is_group,
+                                   self.fork_max_live)
+                       for items, is_group in units]
+            for future in as_completed(futures):
+                yield from future.result()

@@ -22,41 +22,32 @@ from pathlib import Path
 from typing import Iterable, Optional
 
 import repro
-
-#: Package subtrees whose source feeds :func:`code_fingerprint` — the
-#: layers that determine simulated event streams and timing.  A change
-#: anywhere here (e.g. macro-event coalescing, rendezvous batching)
-#: must invalidate cached scenario results even when ``__version__``
-#: wasn't bumped, or warm caches silently mix result dicts produced by
-#: different simulator kernels.
-_FINGERPRINT_SUBTREES = ("sim", "cuda", "nccl", "hardware")
+from repro import flags
 
 
 @lru_cache(maxsize=1)
 def _source_fingerprint() -> str:
     digest = hashlib.sha256(repro.__version__.encode())
     root = Path(repro.__file__).parent
-    for subtree in _FINGERPRINT_SUBTREES:
-        for path in sorted((root / subtree).rglob("*.py")):
-            digest.update(str(path.relative_to(root)).encode())
-            digest.update(path.read_bytes())
+    for path in sorted(root.rglob("*.py")):
+        digest.update(path.relative_to(root).as_posix().encode())
+        digest.update(path.read_bytes())
     return digest.hexdigest()[:16]
 
 
 def code_fingerprint() -> str:
-    """Package version + kernel-layer source hash + fast-path state.
+    """Package version + package source hash + fast-path state.
 
-    Folded into every :meth:`ScenarioSpec.content_hash`, so editing the
-    simulator kernel, the CUDA/stream layer or the NCCL layer — or
-    toggling ``REPRO_FAST_PATH`` — starts campaigns from a cold cache
-    instead of serving results recorded under different event semantics.
-    The source hash is computed once per process; the fast-path bit is
-    read per call because tests flip it at runtime.
+    Folded into every :meth:`ScenarioSpec.content_hash`, so editing any
+    module of the ``repro`` package — the simulator kernel, a recovery
+    strategy, the checkpoint store, the training math — or toggling
+    ``REPRO_FAST_PATH`` starts campaigns from a cold cache instead of
+    serving results recorded by different code.  The source hash is
+    computed once per process; the fast-path bit is read per call
+    because tests flip it at runtime (:func:`repro.flags.override`).
     """
-    from repro.sim import fastpath
+    return _source_fingerprint() + ("+fast" if flags.fast_path else "+slow")
 
-    suffix = "+fast" if fastpath.enabled() else "+slow"
-    return _source_fingerprint() + suffix
 
 #: Default failure mix for campaign scenarios: the recoverable single-GPU
 #: classes (whole-node crashes need the JIT+periodic combo and replica
@@ -190,10 +181,10 @@ class ScenarioSpec:
     def content_hash(self) -> str:
         """Cache key: scenario configuration plus the code fingerprint.
 
-        The fingerprint covers ``repro.__version__``, the kernel-layer
-        source (:func:`code_fingerprint`), and the fast-path toggle, so
-        both version bumps *and* unreleased simulator edits invalidate
-        every cached result.
+        The fingerprint covers ``repro.__version__``, the package source
+        (:func:`code_fingerprint`), and the fast-path toggle, so both
+        version bumps *and* unreleased code edits invalidate every
+        cached result.
         """
         payload = json.dumps({"scenario": self.config(),
                               "fingerprint": code_fingerprint()},

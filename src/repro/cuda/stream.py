@@ -12,7 +12,7 @@ Execution semantics reproduced from real CUDA:
 
 Macro-event fast path
 ---------------------
-When `repro.sim.fastpath` is enabled and the stream is untraced, the
+When `repro.flags.fast_path` is on and the stream is untraced, the
 executor coalesces a maximal run of consecutive ``KernelOp``s (and
 PCIe-free ``MemcpyOp``s) at the queue head into one *macro chain*: a
 single simulator timeout spans the whole run, and on wake every op's
@@ -33,13 +33,13 @@ import itertools
 from collections import deque
 from typing import Any, Callable, Optional
 
+from repro import flags
 from repro.cuda.errors import CudaApiError, CudaError
 from repro.cuda.event import CudaEvent
 from repro.hardware.gpu import Gpu, GpuHealth
 from repro.obs.metrics import instrument as _instrument
 from repro.obs.metrics import registry as _metrics
 from repro.sim import Environment, Event, Process, Resource, Tracer
-from repro.sim import fastpath
 from repro.sim.core import _PENDING as _EVENT_PENDING
 
 _stream_ids = itertools.count()
@@ -419,7 +419,7 @@ class CudaStream:
             kind = type(op)
 
             if ((kind is KernelOp or (kind is MemcpyOp and op.pcie is None))
-                    and fastpath.enabled()):
+                    and flags.fast_path):
                 if not self._gpu_ok():
                     yield from self._park()
                 chain = self._collect_chain()

@@ -34,18 +34,17 @@ so post-recovery re-convergence can re-share via :meth:`ReplicaArena.readmit`.
 
 The contract is bitwise equivalence: losses, simulated clocks, and
 logical event counts match dedup-off exactly, including mid-iteration
-failure settlement.  The switch is process-global (``REPRO_DEDUP=0`` to
-disable) so campaign pool workers inherit it without plumbing, mirroring
-:mod:`repro.sim.fastpath`.
+failure settlement.  The switch is :data:`repro.flags.dedup`
+(``REPRO_DEDUP=0`` to disable), read when a job is built.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from typing import Optional
 
 import numpy as np
+
+from repro import flags
 
 try:
     # Same C kernel np.einsum dispatches to, minus its Python-level
@@ -53,31 +52,6 @@ try:
     from numpy._core.multiarray import c_einsum as _einsum
 except ImportError:  # pragma: no cover - older numpy layouts
     _einsum = np.einsum
-
-_ENABLED = os.environ.get("REPRO_DEDUP", "1").lower() not in (
-    "0", "false", "off", "no")
-
-
-def enabled() -> bool:
-    """Is replica deduplication currently active for new jobs?"""
-    return _ENABLED
-
-
-def set_enabled(value: bool) -> None:
-    global _ENABLED
-    _ENABLED = bool(value)
-
-
-@contextmanager
-def dedup(value: bool):
-    """Temporarily force dedup on or off (used by equivalence tests)."""
-    global _ENABLED
-    previous = _ENABLED
-    _ENABLED = bool(value)
-    try:
-        yield
-    finally:
-        _ENABLED = previous
 
 
 def attach_job(job) -> list["ReplicaArena"]:
@@ -93,7 +67,7 @@ def attach_job(job) -> list["ReplicaArena"]:
     dropout draws a per-rank RNG stream, so replicas stop being bitwise
     copies of one another below the all-reduce.
     """
-    if not enabled():
+    if not flags.dedup:
         return []
     from repro.parallel.deviceapi import DeviceApi
 

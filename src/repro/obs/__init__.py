@@ -15,12 +15,11 @@ diagnostics:
   registry sampled in simulated time, with OpenMetrics/JSON export and a
   bitwise bridge from the goodput ledger.
 
-Instrumentation hooks are gated on :func:`enabled` (process-global,
-``REPRO_OBS=0`` to disable) *and* the run's tracer being enabled, so
-untraced runs pay nothing.
+Instrumentation hooks are gated on :data:`repro.flags.obs` (process-global,
+``REPRO_OBS=0`` to disable; scoped with ``flags.override(obs=...)``) *and*
+the run's tracer being enabled, so untraced runs pay nothing.
 """
 
-from repro.obs.flags import enabled, observability, set_enabled
 from repro.obs.ledger import (BUCKETS, GoodputLedger, build_strategy_ledger,
                               merge_buckets)
 from repro.obs.chrome import (chrome_trace, chrome_trace_events,
@@ -38,12 +37,9 @@ __all__ = [
     "chrome_trace",
     "chrome_trace_events",
     "default_capacity",
-    "enabled",
     "flight_dump",
     "merge_buckets",
     "metrics",
-    "observability",
-    "set_enabled",
     "timeline_diff",
     "write_chrome_trace",
 ]

@@ -10,19 +10,19 @@ The ring is a plain ``collections.deque(maxlen=...)``: capturing a long
 run costs O(len) formatting once, at dump time, never during simulation.
 
 The default window is 120 records; set ``REPRO_FLIGHT_RECORDS`` to grow
-it when a divergence needs more history (campaign workers inherit it,
-like ``REPRO_OBS``).  The variable is read per capture, not at import,
-so a test harness can vary it without reloading modules; values that are
-not positive integers fall back to the default.
+it when a divergence needs more history.  :func:`repro.flags.flight_records`
+reads the variable per capture, not at import, so a test harness can
+vary it without reloading modules; values that are not positive
+integers fall back to the default.
 """
 
 from __future__ import annotations
 
 import difflib
-import os
 from collections import deque
 from typing import Iterable, Optional
 
+from repro import flags
 from repro.sim.trace import Tracer
 
 DEFAULT_CAPACITY = 120
@@ -30,14 +30,7 @@ DEFAULT_CAPACITY = 120
 
 def default_capacity() -> int:
     """Ring size from ``REPRO_FLIGHT_RECORDS``, else :data:`DEFAULT_CAPACITY`."""
-    raw = os.environ.get("REPRO_FLIGHT_RECORDS")
-    if raw is None:
-        return DEFAULT_CAPACITY
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_CAPACITY
-    return value if value > 0 else DEFAULT_CAPACITY
+    return flags.flight_records(DEFAULT_CAPACITY)
 
 
 def _timeline(tracer: Tracer, telemetry: Optional[object] = None) -> list[str]:

@@ -4,7 +4,7 @@ Layering (light to heavy):
 
 * :mod:`~repro.obs.metrics.registry` — Counter/Gauge/Histogram families,
   the module-level *active registry* and the :func:`collecting` context
-  manager (honours ``REPRO_OBS``);
+  manager (honours :data:`repro.flags.obs`);
 * :mod:`~repro.obs.metrics.store` — in-memory time series plus the
   deterministic :class:`SimScraper` simulation process;
 * :mod:`~repro.obs.metrics.instrument` — one helper per instrumentation
@@ -16,10 +16,10 @@ Layering (light to heavy):
 
 Typical use::
 
-    from repro.obs import observability
+    from repro import flags
     from repro.obs import metrics
 
-    with observability(True), metrics.collecting() as reg:
+    with flags.override(obs=True), metrics.collecting() as reg:
         run = run_strategy("periodic", spec, schedule)
     print(metrics.openmetrics_text(reg))
 """

@@ -32,7 +32,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from repro.obs import flags
+from repro import flags
 
 Number = Union[int, float, Fraction]
 
@@ -352,16 +352,16 @@ def collecting(scrape_interval: Optional[float] = None,
                registry: Optional[MetricsRegistry] = None):
     """Install a registry for the duration of the block and yield it.
 
-    Honours the process-global ``REPRO_OBS`` switch: when observability
-    is disabled the registry is still yielded (callers can hold it) but
-    **not** installed, so instrumentation stays on the no-op path and the
-    block records nothing.
+    Honours the process-global :data:`repro.flags.obs` switch: when
+    observability is disabled the registry is still yielded (callers can
+    hold it) but **not** installed, so instrumentation stays on the no-op
+    path and the block records nothing.
     """
     reg = registry if registry is not None \
         else MetricsRegistry(scrape_interval=scrape_interval)
     if scrape_interval is not None:
         reg.scrape_interval = scrape_interval
-    previous = set_active(reg) if flags.enabled() else _ACTIVE
+    previous = set_active(reg) if flags.obs else _ACTIVE
     try:
         yield reg
     finally:

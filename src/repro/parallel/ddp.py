@@ -15,6 +15,7 @@ from typing import Generator, Optional
 
 import numpy as np
 
+from repro import flags
 from repro.cuda.memory import BufferKind, HostBuffer
 from repro.framework.costmodel import TrainingCostModel
 from repro.framework.data import SyntheticDataset
@@ -27,7 +28,6 @@ from repro.nccl.rendezvous import ReduceOp
 from repro.parallel.base import BaseEngine
 from repro.parallel.buffers import allocate_group
 from repro.parallel.deviceapi import DeviceApi
-from repro.sim import fastpath
 
 
 class DataParallelEngine(BaseEngine):
@@ -226,7 +226,7 @@ class DataParallelEngine(BaseEngine):
             ready = api.create_event(f"grads_ready:{tag}#{iteration}")
             api.event_record(ready, self.compute_stream)
             api.stream_wait_event(self.comm_stream, ready)
-            if fastpath.enabled() and len(names) > 1:
+            if flags.fast_path and len(names) > 1:
                 # One rendezvous for the whole layer group's buckets; same
                 # per-bucket timing and data movement, far fewer simulator
                 # events.

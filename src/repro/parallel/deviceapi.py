@@ -22,6 +22,7 @@ from typing import Generator, Optional
 
 import numpy as np
 
+from repro import flags
 from repro.cuda.errors import CudaError
 from repro.cuda.event import CudaEvent
 from repro.cuda.memory import BufferKind, DeviceBuffer, HostBuffer
@@ -29,7 +30,6 @@ from repro.cuda.runtime import CudaContext
 from repro.cuda.stream import CudaStream, StreamOp
 from repro.nccl.communicator import NcclCommunicator
 from repro.nccl.rendezvous import ReduceOp
-from repro.obs import flags as obs
 
 
 class DeviceApi:
@@ -54,7 +54,7 @@ class DeviceApi:
 
     def minibatch_begin(self, iteration: int) -> None:
         tracer = self.ctx.tracer
-        if obs.enabled() and tracer.enabled:
+        if flags.obs and tracer.enabled:
             self._iteration_span = tracer.begin_span(
                 self.ctx.env.now, f"rank{self.rank}", "iteration",
                 iteration=iteration)

@@ -20,6 +20,7 @@ from typing import Generator, Optional
 
 import numpy as np
 
+from repro import flags
 from repro.cuda.memory import BufferKind, HostBuffer
 from repro.framework.costmodel import TrainingCostModel
 from repro.framework.data import SyntheticDataset
@@ -31,7 +32,6 @@ from repro.nccl.rendezvous import ReduceOp
 from repro.parallel.base import BaseEngine
 from repro.parallel.buffers import allocate_group
 from repro.parallel.deviceapi import DeviceApi
-from repro.sim import fastpath
 
 
 def flatten_arrays(arrays: list[np.ndarray]) -> np.ndarray:
@@ -233,7 +233,7 @@ class FsdpEngine(BaseEngine):
             api.reduce_scatter(self.shard_comm, full_grad, shard_grad,
                                self.compute_stream, op=ReduceOp.MEAN)
             if self.replica_comm is not None and self.replica_comm.nranks > 1:
-                if fastpath.enabled():
+                if flags.fast_path:
                     deferred_replica_bufs.append(shard_grad)
                 else:
                     api.all_reduce(self.replica_comm, shard_grad,

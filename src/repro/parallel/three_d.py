@@ -21,6 +21,7 @@ from typing import Generator, Optional
 
 import numpy as np
 
+from repro import flags
 from repro.cuda.memory import BufferKind, HostBuffer
 from repro.framework.costmodel import TrainingCostModel
 from repro.framework.data import SyntheticDataset
@@ -33,7 +34,6 @@ from repro.parallel.base import BaseEngine
 from repro.parallel.buffers import allocate_group
 from repro.parallel.deviceapi import DeviceApi
 from repro.parallel.topology import ParallelLayout
-from repro.sim import fastpath
 
 
 class ThreeDEngine(BaseEngine):
@@ -302,7 +302,7 @@ class ThreeDEngine(BaseEngine):
             ready = api.create_event(f"grads_ready#{iteration}")
             api.event_record(ready, self.compute_stream)
             api.stream_wait_event(self.comm_stream, ready)
-            if fastpath.enabled() and len(grad_buffers) > 1:
+            if flags.fast_path and len(grad_buffers) > 1:
                 # The whole iteration's dp gradient buckets share one
                 # rendezvous (same per-bucket timing and data movement).
                 api.all_reduce_batch(self.dp_comm, list(grad_buffers.values()),

@@ -41,7 +41,7 @@ from typing import Any, Generator, Optional
 
 import numpy as np
 
-from repro.obs import flags as obs
+from repro import flags
 from repro.obs.metrics import instrument as _instrument
 from repro.obs.metrics import registry as _metrics
 from repro.sim import Environment, Resource, Tracer
@@ -214,7 +214,7 @@ class _BaseStore:
         obj.install(staged)
         obj.created_at = self.env.now
         self.stats["writes_completed"] += 1
-        if obs.enabled() and self.tracer.enabled:
+        if flags.obs and self.tracer.enabled:
             self.tracer.record(self.env.now, self.name, "store_write",
                                path=path, nbytes=int(nbytes), started=start)
         reg = _metrics.active()
@@ -234,7 +234,7 @@ class _BaseStore:
             yield from self._resource.use(self.transfer_time(obj.nbytes))
         else:
             yield self.env.timeout(self.transfer_time(obj.nbytes))
-        if obs.enabled() and self.tracer.enabled:
+        if flags.obs and self.tracer.enabled:
             self.tracer.record(self.env.now, self.name, "store_read",
                                path=path, nbytes=int(obj.nbytes),
                                started=start)
@@ -258,7 +258,7 @@ class _BaseStore:
         obj.path = dst
         self._objects[dst] = obj
         self.stats["renames"] += 1
-        if obs.enabled() and self.tracer.enabled:
+        if flags.obs and self.tracer.enabled:
             self.tracer.record(self.env.now, self.name, "store_commit",
                                src=src, dst=dst)
         reg = _metrics.active()
@@ -350,7 +350,7 @@ class _BaseStore:
         self._objects[qpath] = obj
         self.quarantine_log.append(qpath)
         self.stats["quarantined"] += 1
-        if obs.enabled() and self.tracer.enabled:
+        if flags.obs and self.tracer.enabled:
             self.tracer.record(self.env.now, self.name, "store_quarantine",
                                path=path, quarantine=qpath)
         reg = _metrics.active()

@@ -380,7 +380,8 @@ def report_metrics(json_mode: bool = False, check: Optional[str] = None,
     (``--dashboard``), a regression baseline (``--write-baseline``), or
     compares against one (``--check``, nonzero exit on regression).
     """
-    from repro.obs import metrics, observability
+    from repro import flags
+    from repro.obs import metrics
     from repro.obs.metrics import bridge
     from repro.obs.metrics.dashboard import (filter_snapshot, snapshot,
                                              write_dashboard)
@@ -398,7 +399,8 @@ def report_metrics(json_mode: bool = False, check: Optional[str] = None,
     schedule = FailureSchedule(
         points=(FailurePoint(4, "GPU_HARD", 1, offset=0.3),))
     rows = []
-    with observability(True), metrics.collecting(scrape_interval=0.5) as reg:
+    with flags.override(obs=True), \
+            metrics.collecting(scrape_interval=0.5) as reg:
         for strategy in oracle.strategies:
             run = oracle.run(schedule, strategy)
             detector = detect_stragglers(

@@ -7,6 +7,7 @@ and the warm rerun executes zero scenarios.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -203,94 +204,14 @@ def test_analytic_scenario_executes_standalone():
     assert metrics["transparent"] < metrics["user_jit"]
 
 
-# -- shared-memory result streaming ----------------------------------------------------
+# -- aggregated runs -------------------------------------------------------------------
 
 
-def test_shm_result_store_roundtrip_and_overflow():
-    from repro.campaign import ShmResultStore
-
-    with ShmResultStore.create(slots=3, slot_bytes=256) as store:
-        assert store.read(0) is None
-        payload = {"metrics": {"restarts": 1}, "scenario_id": "x"}
-        assert store.write(0, payload)
-        assert store.read(0) == payload
-        # Writers and readers agree across an attach (same process here;
-        # the pool path exercises cross-process).
-        other = ShmResultStore.attach(store.name, 3, 256)
-        try:
-            assert other.read(0) == payload
-            assert other.write(2, {"k": "v"})
-        finally:
-            other.close()
-        assert store.read(2) == {"k": "v"}
-        # A result bigger than the slot is refused, not truncated.
-        assert not store.write(1, {"blob": "z" * 512})
-        assert store.read(1) is None
-        with pytest.raises(IndexError):
-            store.read(3)
-
-
-def test_streaming_run_matches_batch_aggregate(tmp_path):
-    from repro.campaign import StreamingAggregator
-
+def test_streaming_run_matches_batch_aggregate():
     campaign = small_campaign("streaming")
     runner = CampaignRunner(cache=None, workers=4)
     result, streamed = runner.run_aggregated(campaign)
     assert canonical_json(streamed) == canonical_json(result.aggregate())
-
-    # Tiny slots force every scenario through the pickle fallback; the
-    # outcome must be byte-identical.
-    cramped = CampaignRunner(cache=None, workers=4, slot_bytes=32)
-    _result2, streamed2 = cramped.run_aggregated(campaign)
-    assert canonical_json(streamed2) == canonical_json(streamed)
-
-    # Warm-cache streaming: every outcome arrives via the callback without
-    # touching a pool.
-    cache = ResultCache(tmp_path / "cache")
-    CampaignRunner(cache=cache, workers=2).run(campaign)
-    seen = []
-    warm = CampaignRunner(cache=cache, workers=2).run(
-        campaign, on_outcome=lambda i, o: seen.append((i, o.from_cache)))
-    assert warm.executed == 0
-    assert sorted(i for i, _ in seen) == list(range(len(campaign)))
-    assert all(from_cache for _, from_cache in seen)
-
-
-def test_streaming_aggregator_is_order_independent():
-    from repro.campaign import StreamingAggregator
-
-    def row(policy, seed, restarts):
-        return {
-            "scenario": {"kind": "campaign", "workload": "GPT2-S",
-                         "policy": policy, "seed": seed},
-            "metrics": {"completed": True, "failures": 1,
-                        "restarts": float(restarts), "wasted_time": 1.0,
-                        "wasted_fraction": 0.1, "goodput": 0.9,
-                        "losses_digest": "aaaa"},
-        }
-
-    rows = [row("user_jit", s, r) for s, r in enumerate((0, 2, 4))]
-    rows += [row("periodic", s, 1) for s in range(2)]
-    batch = aggregate_results(rows)
-    for order in ([0, 1, 2, 3, 4], [4, 2, 0, 3, 1], [3, 4, 0, 1, 2]):
-        agg = StreamingAggregator()
-        for index in order:
-            agg.add(index, rows[index])
-        assert canonical_json(agg.result()) == canonical_json(batch)
-
-
-def test_streaming_aggregator_analytic_passthrough():
-    from repro.campaign import StreamingAggregator
-
-    rows = [{
-        "scenario": {"kind": "analytic", "workload": "BERT-L-PT",
-                     "n_gpus": n},
-        "metrics": {"n": n, "periodic": 0.1 * i},
-    } for i, n in enumerate((1024, 2048))]
-    agg = StreamingAggregator()
-    agg.add(1, rows[1])
-    agg.add(0, rows[0])
-    assert canonical_json(agg.result()) == canonical_json(aggregate_results(rows))
 
 
 # -- code fingerprint --------------------------------------------------------------
@@ -311,13 +232,43 @@ def test_content_hash_covers_code_fingerprint(monkeypatch):
 
 
 def test_content_hash_covers_fastpath_toggle(monkeypatch):
-    from repro.sim import fastpath
+    from repro import flags
 
     spec = ScenarioSpec(seed=5)
-    monkeypatch.setattr(fastpath, "enabled", lambda: True)
+    monkeypatch.setattr(flags, "fast_path", True)
     fast = spec.content_hash()
-    monkeypatch.setattr(fastpath, "enabled", lambda: False)
+    monkeypatch.setattr(flags, "fast_path", False)
     assert spec.content_hash() != fast
+
+
+def test_source_edit_outside_kernel_misses_cache(tmp_path, monkeypatch):
+    """Editing any package module — here a recovery strategy in ``core/``,
+    not a simulator-kernel layer — must change every content hash, so a
+    warm cache misses instead of serving results from the old code."""
+    import shutil
+
+    import repro
+    from repro.campaign import spec as spec_mod
+
+    package = tmp_path / "repro"
+    shutil.copytree(Path(repro.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(repro, "__file__", str(package / "__init__.py"))
+    spec_mod._source_fingerprint.cache_clear()
+    try:
+        spec = ScenarioSpec(seed=5)
+        cache = ResultCache(tmp_path / "cache")
+        before = spec.content_hash()
+        cache.put(before, {"metrics": {"restarts": 1}})
+        assert cache.get(spec.content_hash()) is not None
+
+        with (package / "core" / "user_level.py").open("a") as handle:
+            handle.write("\n# edited\n")
+        spec_mod._source_fingerprint.cache_clear()
+        assert spec.content_hash() != before
+        assert cache.get(spec.content_hash()) is None
+    finally:
+        spec_mod._source_fingerprint.cache_clear()
 
 
 # -- prefix-fork scheduling ------------------------------------------------------------
@@ -399,17 +350,6 @@ def test_prefix_fork_runner_aggregate_is_byte_identical(tmp_path):
             [s.scenario_id for s in campaign.scenarios]
 
 
-def test_shm_slot_overflow_falls_back_to_inline_recompute():
-    """A result too large for its shared-memory slot must degrade to the
-    parent recomputing the scenario inline — never a hard failure (the
-    pre-fix behaviour raised RuntimeError on the empty slot)."""
-    campaign = small_campaign("shm-overflow")
-    # 64-byte slots: every result overflows its slot.
-    tiny = CampaignRunner(cache=None, workers=2, slot_bytes=64).run(campaign)
-    plain = CampaignRunner(cache=None, workers=1).run(campaign)
-    assert canonical_json(tiny.aggregate()) == canonical_json(plain.aggregate())
-
-
 def test_oracle_scenario_storage_shapes():
     from repro.campaign.runner import execute_scenario
     from repro.campaign.spec import KIND_ORACLE, ORACLE_WORKLOAD, ScenarioSpec
@@ -445,11 +385,12 @@ def test_oracle_scenario_include_storage_changes_hash():
 def test_campaign_runner_feeds_metrics_registry(tmp_path):
     """With a registry collecting, a campaign run lands its perf counters
     (cache hits/misses, scenario count) and utilization gauges."""
-    from repro.obs import metrics, observability
+    from repro import flags
+    from repro.obs import metrics
 
     campaign = small_campaign("metrics")
     cache = ResultCache(tmp_path / "cache")
-    with observability(True), metrics.collecting() as reg:
+    with flags.override(obs=True), metrics.collecting() as reg:
         CampaignRunner(cache=cache, workers=1).run(campaign)
         CampaignRunner(cache=cache, workers=1).run(campaign)
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.obs import observability
+from repro import flags
 from repro.obs.metrics import (MetricsRegistry, SimScraper, TimeSeriesStore,
                                active, collecting, openmetrics_text,
                                registry_json, sample_registry)
@@ -111,11 +111,11 @@ def test_labelless_family_requires_no_labels():
 # --- gating --------------------------------------------------------------
 
 def test_collecting_installs_only_when_observability_enabled():
-    with observability(False):
+    with flags.override(obs=False):
         with collecting() as reg:
             assert active() is None
             assert reg.collect() == []
-    with observability(True):
+    with flags.override(obs=True):
         with collecting(scrape_interval=2.0) as reg:
             assert active() is reg
             assert reg.scrape_interval == 2.0
@@ -123,7 +123,7 @@ def test_collecting_installs_only_when_observability_enabled():
 
 
 def test_collecting_restores_previous_registry():
-    with observability(True):
+    with flags.override(obs=True):
         with collecting() as outer:
             with collecting() as inner:
                 assert active() is inner

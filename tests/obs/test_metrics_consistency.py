@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from repro.obs import observability
+from repro import flags
 from repro.obs.ledger import build_strategy_ledger
 from repro.obs.metrics import bridge, collecting
 from repro.oracle import (FailurePoint, FailureSchedule, RecoveryOracle,
@@ -39,7 +39,7 @@ def oracle():
 @pytest.fixture(scope="module", params=sorted(STRATEGIES))
 def strategy_run(request, oracle):
     strategy = request.param
-    with observability(True), collecting(scrape_interval=1.0) as registry:
+    with flags.override(obs=True), collecting(scrape_interval=1.0) as registry:
         run = oracle.run(MULTI, strategy)
     return strategy, run, registry
 

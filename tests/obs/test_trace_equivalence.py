@@ -11,10 +11,9 @@ import re
 
 import numpy as np
 
-from repro.obs import flags as obs
-from repro.obs.flags import observability
+from repro import flags
 from repro.parallel.topology import ParallelLayout
-from repro.sim import Tracer, fastpath
+from repro.sim import Tracer
 from repro.workloads import TrainingJob
 from tests.conftest import make_spec
 
@@ -30,7 +29,7 @@ _CTX = re.compile(r"ctx\d+")
 
 
 def _traced_run(fast: bool, iterations: int = 3):
-    with fastpath.fast_path(fast):
+    with flags.override(fast_path=fast):
         tracer = Tracer(enabled=True)
         job = TrainingJob(make_spec(layout=ParallelLayout(dp=2)),
                           tracer=tracer)
@@ -90,8 +89,8 @@ def test_per_actor_op_order_is_preserved_under_chaining():
 
 
 def test_observability_off_skips_span_recording():
-    with observability(False):
-        assert not obs.enabled()
+    with flags.override(obs=False):
+        assert not flags.obs
         tracer = Tracer(enabled=True)
         job = TrainingJob(make_spec(layout=ParallelLayout(dp=2)),
                           tracer=tracer)
@@ -103,7 +102,7 @@ def test_observability_off_skips_span_recording():
 
 
 def test_observability_flag_restores():
-    before = obs.enabled()
-    with observability(not before):
-        assert obs.enabled() is (not before)
-    assert obs.enabled() is before
+    before = flags.obs
+    with flags.override(obs=not before):
+        assert flags.obs is (not before)
+    assert flags.obs is before

@@ -303,13 +303,13 @@ def test_condition_failure_still_raises_into_live_waiter():
 
 
 # -- macro-event fast-path equivalence -------------------------------------------------
-# The coalescing fast path (repro.sim.fastpath) must be invisible to every
+# The coalescing fast path (repro.flags.fast_path) must be invisible to every
 # observable: loss streams bit for bit, simulated clock, recovery verdicts,
 # and the events_processed counter (kept comparable via credit_events).
 
 import numpy as np
 
-from repro.sim import fastpath
+from repro import flags
 
 
 def _train(engine, layout_kwargs, iterations, **spec_kwargs):
@@ -333,9 +333,9 @@ def _train(engine, layout_kwargs, iterations, **spec_kwargs):
 ])
 def test_fast_path_losses_clock_and_event_counts_identical(
         engine, layout, iterations):
-    with fastpath.fast_path(True):
+    with flags.override(fast_path=True):
         fast_losses, fast_env = _train(engine, layout, iterations)
-    with fastpath.fast_path(False):
+    with flags.override(fast_path=False):
         slow_losses, slow_env = _train(engine, layout, iterations)
     fast_bytes = [np.asarray(rank, dtype=np.float64).tobytes()
                   for rank in fast_losses]
@@ -350,7 +350,7 @@ def _mid_chain_failure_run(fast):
     from repro.cuda import CudaContext
     from repro.hardware import Cluster, ClusterSpec, GpuHealth
 
-    with fastpath.fast_path(fast):
+    with flags.override(fast_path=fast):
         env = Environment()
         cluster = Cluster(env, ClusterSpec(num_nodes=1))
         node = cluster.nodes[0]
@@ -394,7 +394,7 @@ def test_oracle_grid_exact_for_all_strategies_fast_on_and_off():
         FailurePoint(2, "GPU_HARD", 1, offset=0.4),))
     goldens = {}
     for fast in (True, False):
-        with fastpath.fast_path(fast):
+        with flags.override(fast_path=fast):
             oracle = RecoveryOracle(iterations=8)
             for strategy in STRATEGIES:
                 verdict = oracle.check(schedule, strategy)
@@ -411,8 +411,6 @@ def test_oracle_grid_exact_for_all_strategies_fast_on_and_off():
 # the simulated clock, the logical event count, and the final model state
 # must match a dedup-off run bit for bit.
 
-from repro.framework import dedup as dedup_mod
-
 
 def _dedup_train(on, engine, layout, iterations, num_nodes=1,
                  fail_member=None, fail_at=None, horizon=None):
@@ -421,7 +419,7 @@ def _dedup_train(on, engine, layout, iterations, num_nodes=1,
     from repro.parallel.topology import ParallelLayout
     from repro.workloads import TrainingJob, WorkloadSpec
 
-    with dedup_mod.dedup(on):
+    with flags.override(dedup=on):
         spec = WorkloadSpec(name="DEDUPEQ", model="GPT2-S",
                             node_spec=V100_NODE, num_nodes=num_nodes,
                             layout=ParallelLayout(**layout), engine=engine,
@@ -503,7 +501,7 @@ def test_dedup_diverge_then_readmit_round_trip():
     from repro.parallel.topology import ParallelLayout
     from repro.workloads import TrainingJob, WorkloadSpec
 
-    with dedup_mod.dedup(True):
+    with flags.override(dedup=True):
         spec = WorkloadSpec(name="DEDUPRT", model="GPT2-S",
                             node_spec=V100_NODE, num_nodes=1,
                             layout=ParallelLayout(dp=4), engine="ddp",
@@ -549,7 +547,7 @@ def test_gpu_failure_triggers_cow_divergence():
     from repro.parallel.topology import ParallelLayout
     from repro.workloads import TrainingJob, WorkloadSpec
 
-    with dedup_mod.dedup(True):
+    with flags.override(dedup=True):
         spec = WorkloadSpec(name="DEDUPFAIL", model="GPT2-S",
                             node_spec=V100_NODE, num_nodes=1,
                             layout=ParallelLayout(dp=4), engine="ddp",
@@ -580,7 +578,7 @@ def test_oracle_grid_identical_with_dedup_on_and_off():
         FailurePoint(2, "GPU_HARD", 1, offset=0.4),))
     goldens = {}
     for on in (True, False):
-        with dedup_mod.dedup(on):
+        with flags.override(dedup=on):
             oracle = RecoveryOracle(iterations=8)
             for strategy in STRATEGIES:
                 verdict = oracle.check(schedule, strategy)
