@@ -132,8 +132,10 @@ def run_checkpoint_store(epochs: int = 40, ranks: int = 4) -> Environment:
 
     Measures the real (wall-clock) overhead of the sha256 manifest
     machinery on top of the simulated transfers: every write digests its
-    payload, every plan re-validates candidates, and periodic rot keeps
-    the quarantine path warm.
+    payload, every plan validates its candidates, and periodic rot keeps
+    the quarantine path warm.  Each plan and each GC must list the store
+    exactly once; a return to per-lookup listing fails the assertion
+    below on any host, however noisy its timings.
     """
     import numpy as np
 
@@ -144,6 +146,14 @@ def run_checkpoint_store(epochs: int = 40, ranks: int = 4) -> Environment:
     store = SharedObjectStore(env, bandwidth=1e9, latency=0.0)
     registry = CheckpointRegistry(store, job_id="bench",
                                   retention=RetentionPolicy(keep_last=3))
+    listings = []
+    store_list = store.list
+
+    def counting_list(prefix=""):
+        listings.append(prefix)
+        return store_list(prefix)
+
+    store.list = counting_list
     state = {"weights": np.arange(4096.0), "moments": np.arange(4096.0),
              "step": 0}
 
@@ -163,6 +173,7 @@ def run_checkpoint_store(epochs: int = 40, ranks: int = 4) -> Environment:
     env.run(until=env.process(trainer()))
     assert store.stats["quarantined"] > 0
     assert store.stats["writes_completed"] >= epochs * ranks * 2
+    assert len(listings) == 2 * (epochs // 5), len(listings)
     return env
 
 

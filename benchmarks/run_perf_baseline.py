@@ -62,9 +62,11 @@ BENCH_THRESHOLDS = {
     "bench_metrics_overhead_throughput": 0.30,
     "bench_3d_training_throughput": 0.30,
     "bench_fsdp_training_throughput": 0.30,
-    # Dominated by real sha256 digesting of payloads (manifest writes and
-    # validated plans), so wall clock tracks CPU hashing throughput.
-    "bench_checkpoint_store_throughput": 0.30,
+    # Real sha256 digesting of payloads (manifest writes and validated
+    # plans).  Listing the store once per lookup instead of once per plan
+    # or GC costs ~17% here, so the limit sits below that; the scenario
+    # also asserts the listing count, which no host noise can hide.
+    "bench_checkpoint_store_throughput": 0.15,
 }
 DEFAULT_THRESHOLD = 0.25
 

@@ -19,6 +19,12 @@ Implements the Section 3.2/3.3 scheme, hardened to ckptkit grade:
   newest checkpoint that still validates;
 * retention GC consults the validator so it never collects the last
   valid restore point.
+
+Every discovery, planning and GC call works on one :class:`_Scan`: a
+single listing of the job's checkpoints in which each key is validated
+at most once.  A scan lives for one synchronous call only.  Rot at rest
+is silent, so a verdict from an earlier call could be stale; the next
+call lists and hashes again.
 """
 
 from __future__ import annotations
@@ -51,6 +57,102 @@ class CheckpointKey:
     def meta_path(self) -> str:
         return (f"ckpt/{self.kind}/epoch{self.epoch}/{self.shard_id}/"
                 f"rank{self.rank}/meta")
+
+
+#: Discoverable checkpoint kinds, in listing order: a JIT checkpoint is
+#: listed before a periodic one, so it wins exact ties.
+_KINDS = ("jit", "periodic")
+
+
+class _Scan:
+    """One call's view of a job's complete checkpoints.
+
+    Built from one ``store.list``; keys are grouped by shard in listing
+    order.  :meth:`valid_at` validates a key at most once per scan and
+    condemns one that fails, then drops every entry the quarantine took
+    away, so the scan keeps matching what a fresh listing would return.
+    Build a new scan for every call: rot at rest is silent, so no
+    verdict may be trusted once simulated time has passed.
+    """
+
+    def __init__(self, registry: "CheckpointRegistry"):
+        self._registry = registry
+        store = registry.store
+        prefix = registry._prefix("ckpt/")
+        #: shard_id -> [(listed meta path, key)], in listing order.
+        self._entries: dict[str, list[tuple[str, CheckpointKey]]] = {}
+        self._valid: set[CheckpointKey] = set()
+        for meta_path in store.list(prefix):
+            if (not meta_path.endswith("/meta")
+                    or meta_path[len(prefix):].split("/", 1)[0] not in _KINDS):
+                continue
+            meta = store.stat(meta_path).peek()
+            try:
+                key = CheckpointKey(kind=meta["kind"], epoch=meta["epoch"],
+                                    shard_id=meta["shard_id"],
+                                    rank=meta["rank"],
+                                    iteration=meta["iteration"])
+            except (KeyError, TypeError):
+                continue    # malformed/rotted meta record: not discoverable
+            # Metadata implies the data object committed first, but verify:
+            # a crash between data-complete and meta-complete is benign,
+            # the reverse would be a torn checkpoint.
+            if store.exists(registry._prefix(key.data_path)):
+                self._entries.setdefault(key.shard_id, []).append(
+                    (meta_path, key))
+
+    def keys(self, shard_id: str) -> list[CheckpointKey]:
+        return [key for _, key in self._entries.get(shard_id, ())]
+
+    def candidates(self, shard_id: str, iteration: int) -> list[CheckpointKey]:
+        """Keys of *shard_id* at *iteration*, best (newest epoch, lowest
+        rank) first; equal keys keep listing order."""
+        return sorted(
+            (k for k in self.keys(shard_id) if k.iteration == iteration),
+            key=lambda k: (k.epoch, -k.rank), reverse=True)
+
+    def valid_at(self, shard_id: str,
+                 iteration: int) -> Optional[CheckpointKey]:
+        """Best candidate at *iteration* that validates, condemning every
+        better one that fails; None when none validates."""
+        registry = self._registry
+        for key in self.candidates(shard_id, iteration):
+            if key in self._valid:
+                return key
+            data_path = registry._prefix(key.data_path)
+            meta_path = registry._prefix(key.meta_path)
+            result = registry.validator.validate_at_rest(data_path, meta_path)
+            if result.ok:
+                self._valid.add(key)
+                return key
+            registry.validator.condemn(data_path, meta_path, result.detail)
+            self._prune()
+        return None
+
+    def latest_valid(self, shard_ids: Iterable[str],
+                     bound: Optional[int] = None) -> Optional[int]:
+        """Newest iteration below *bound* (any, if None) at which every
+        shard has a checkpoint that validates."""
+        shards = sorted(set(shard_ids))
+        common = None
+        for shard_id in shards:
+            iterations = {k.iteration for k in self.keys(shard_id)
+                          if bound is None or k.iteration < bound}
+            common = iterations if common is None else common & iterations
+            if not common:
+                return None
+        for iteration in sorted(common or (), reverse=True):
+            if all(self.valid_at(s, iteration) is not None for s in shards):
+                return iteration
+        return None
+
+    def _prune(self) -> None:
+        """Drop entries whose meta or data object has left the store."""
+        exists, prefix = self._registry.store.exists, self._registry._prefix
+        for entries in self._entries.values():
+            entries[:] = [
+                (meta_path, key) for meta_path, key in entries
+                if exists(meta_path) and exists(prefix(key.data_path))]
 
 
 class CheckpointRegistry:
@@ -89,32 +191,9 @@ class CheckpointRegistry:
 
     # -- discovery -------------------------------------------------------------------
 
-    def _complete_keys(self, kind: str, shard_id: str) -> list[CheckpointKey]:
-        prefix = self._prefix(f"ckpt/{kind}/")
-        keys = []
-        for meta_path in self.store.list(prefix):
-            if not meta_path.endswith("/meta"):
-                continue
-            meta = self.store.stat(meta_path).peek()
-            try:
-                if meta["shard_id"] != shard_id:
-                    continue
-                key = CheckpointKey(kind=meta["kind"], epoch=meta["epoch"],
-                                    shard_id=meta["shard_id"],
-                                    rank=meta["rank"],
-                                    iteration=meta["iteration"])
-            except (KeyError, TypeError):
-                continue    # malformed/rotted meta record: not discoverable
-            # Metadata implies the data object committed first, but verify:
-            # a crash between data-complete and meta-complete is benign,
-            # the reverse would be a torn checkpoint.
-            if self.store.exists(self._prefix(key.data_path)):
-                keys.append(key)
-        return keys
-
-    def _all_keys(self, shard_id: str) -> list[CheckpointKey]:
-        return (self._complete_keys("jit", shard_id)
-                + self._complete_keys("periodic", shard_id))
+    def scan(self) -> _Scan:
+        """A fresh listing for one synchronous call; never keep it."""
+        return _Scan(self)
 
     def jit_get_checkpoint_path(self, shard_id: str) -> Optional[CheckpointKey]:
         """The library call of Section 3.3: best checkpoint for a shard.
@@ -122,20 +201,21 @@ class CheckpointRegistry:
         Any data-parallel replica's checkpoint is acceptable; newest
         iteration wins, JIT and periodic considered together.
         """
-        candidates = self._all_keys(shard_id)
+        candidates = self.scan().keys(shard_id)
         if not candidates:
             return None
         return max(candidates, key=lambda k: (k.iteration, k.epoch, -k.rank))
 
     def iterations_for(self, shard_id: str) -> set[int]:
         """All iterations with a discoverable checkpoint for *shard_id*."""
-        return {k.iteration for k in self._all_keys(shard_id)}
+        return {k.iteration for k in self.scan().keys(shard_id)}
 
     def latest_consistent_iteration(self, shard_ids: list[str]) -> Optional[int]:
         """Largest iteration for which *every* shard has a checkpoint."""
+        scan = self.scan()
         per_shard = []
         for shard_id in set(shard_ids):
-            iterations = self.iterations_for(shard_id)
+            iterations = {k.iteration for k in scan.keys(shard_id)}
             if not iterations:
                 return None
             per_shard.append(iterations)
@@ -147,11 +227,8 @@ class CheckpointRegistry:
     def checkpoint_at(self, shard_id: str,
                       iteration: int) -> Optional[CheckpointKey]:
         """A complete checkpoint of *shard_id* at exactly *iteration*."""
-        candidates = [k for k in self._all_keys(shard_id)
-                      if k.iteration == iteration]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda k: (k.epoch, -k.rank))
+        candidates = self.scan().candidates(shard_id, iteration)
+        return candidates[0] if candidates else None
 
     def valid_checkpoint_at(self, shard_id: str,
                             iteration: int) -> Optional[CheckpointKey]:
@@ -161,17 +238,7 @@ class CheckpointRegistry:
         the spot; the best surviving one is returned, or None when every
         replica at this iteration is corrupt.
         """
-        candidates = sorted(
-            (k for k in self._all_keys(shard_id) if k.iteration == iteration),
-            key=lambda k: (k.epoch, -k.rank), reverse=True)
-        for key in candidates:
-            result = self.validator.validate_at_rest(
-                self._prefix(key.data_path), self._prefix(key.meta_path))
-            if result.ok:
-                return key
-            self.validator.condemn(self._prefix(key.data_path),
-                                   self._prefix(key.meta_path), result.detail)
-        return None
+        return self.scan().valid_at(shard_id, iteration)
 
     def read(self, key: CheckpointKey) -> Generator:
         """Timed read of a checkpoint's data payload (unvalidated)."""
@@ -202,26 +269,12 @@ class CheckpointRegistry:
 
     def latest_valid_iteration(self, shard_id: str) -> Optional[int]:
         """Newest iteration with a checkpoint that passes validation."""
-        for iteration in sorted(self.iterations_for(shard_id), reverse=True):
-            if self.valid_checkpoint_at(shard_id, iteration) is not None:
-                return iteration
-        return None
+        return self.scan().latest_valid([shard_id])
 
     def latest_valid_consistent_iteration(
             self, shard_ids: Iterable[str]) -> Optional[int]:
         """Largest iteration every shard can restore *with integrity*."""
-        shards = sorted(set(shard_ids))
-        common = None
-        for shard_id in shards:
-            iterations = self.iterations_for(shard_id)
-            common = iterations if common is None else common & iterations
-            if not common:
-                return None
-        for iteration in sorted(common, reverse=True):
-            if all(self.valid_checkpoint_at(s, iteration) is not None
-                   for s in shards):
-                return iteration
-        return None
+        return self.scan().latest_valid(shard_ids)
 
     # -- garbage collection --------------------------------------------------------------
 
@@ -234,19 +287,22 @@ class CheckpointRegistry:
         Consults the validator: the newest *valid* mutually-consistent
         iteration and each shard's newest valid iteration are always
         retained, so GC can never collect the last valid restore point
-        even when everything newer is corrupt.
+        even when everything newer is corrupt.  One scan serves the
+        whole call, so each shard's newest valid iteration reuses the
+        verdicts behind the protected one.
         """
         policy = (retention or self.retention
                   or RetentionPolicy(keep_last=keep_iterations))
         shards = set(shard_ids)
-        protected = self.latest_valid_consistent_iteration(shards)
+        scan = self.scan()
+        protected = scan.latest_valid(shards)
         removed = 0
         for shard_id in shards:
-            keys = self._all_keys(shard_id)
+            keys = scan.keys(shard_id)
             keep = policy.kept(k.iteration for k in keys)
             if protected is not None:
                 keep.add(protected)
-            newest_valid = self.latest_valid_iteration(shard_id)
+            newest_valid = scan.latest_valid([shard_id])
             if newest_valid is not None:
                 keep.add(newest_valid)
             for key in keys:

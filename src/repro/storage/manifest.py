@@ -19,6 +19,7 @@ a rotted manifest is just as detectable as a rotted payload.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -34,36 +35,79 @@ PART_SUFFIX = ".part"
 MANIFEST_NBYTES = 4096
 
 
-def _hash_value(h, value: Any) -> None:
-    """Feed one payload value into a hash, canonically."""
+@functools.lru_cache(maxsize=1024)
+def _array_header(dtype: str, shape: tuple) -> bytes:
+    return b"nd:" + dtype.encode() + repr(shape).encode()
+
+
+def _encode_array(value: np.ndarray, out: list) -> None:
+    out.append(_array_header(value.dtype.str, value.shape))
+    out.append(value.tobytes())    # C order, whatever the strides
+
+
+def _encode_array_subclass(value: np.ndarray, out: list) -> None:
+    # A subclass may override tobytes (a masked array fills its masked
+    # slots), so hash the raw buffer through a base-class array.
+    out.append(_array_header(value.dtype.str, value.shape))
+    out.append(np.ascontiguousarray(value).tobytes())
+
+
+def _encode_dict(value: dict, out: list) -> None:
+    out.append(b"d{")
+    for key in sorted(value, key=str):
+        out.append(repr(key).encode())
+        _encode(value[key], out)
+    out.append(b"}")
+
+
+def _encode_sequence(value, out: list) -> None:
+    out.append(b"l[")
+    for item in value:
+        _encode(item, out)
+    out.append(b"]")
+
+
+def _encode_bytes(value: bytes, out: list) -> None:
+    out.append(b"b:")
+    out.append(value)
+
+
+def _encode_repr(value: Any, out: list) -> None:
+    out.append(repr(value).encode())
+
+
+#: Encoder per exact payload type.  Anything else (subclasses such as
+#: numpy scalars or an OrderedDict) goes through :func:`_encoder_for`.
+_ENCODERS = {
+    np.ndarray: _encode_array, dict: _encode_dict, list: _encode_sequence,
+    tuple: _encode_sequence, bytes: _encode_bytes, str: _encode_repr,
+    int: _encode_repr, float: _encode_repr, bool: _encode_repr,
+    type(None): _encode_repr,
+}
+
+
+def _encoder_for(value: Any):
     if isinstance(value, np.ndarray):
-        h.update(b"nd:")
-        h.update(value.dtype.str.encode())
-        h.update(repr(value.shape).encode())
-        h.update(np.ascontiguousarray(value).tobytes())
-    elif isinstance(value, dict):
-        h.update(b"d{")
-        for key in sorted(value, key=str):
-            h.update(repr(key).encode())
-            _hash_value(h, value[key])
-        h.update(b"}")
-    elif isinstance(value, (list, tuple)):
-        h.update(b"l[")
-        for item in value:
-            _hash_value(h, item)
-        h.update(b"]")
-    elif isinstance(value, bytes):
-        h.update(b"b:")
-        h.update(value)
-    else:
-        h.update(repr(value).encode())
+        return _encode_array_subclass
+    if isinstance(value, dict):
+        return _encode_dict
+    if isinstance(value, (list, tuple)):
+        return _encode_sequence
+    if isinstance(value, bytes):
+        return _encode_bytes
+    return _encode_repr
+
+
+def _encode(value: Any, out: list) -> None:
+    """Append one payload value's canonical byte stream to *out*."""
+    (_ENCODERS.get(type(value)) or _encoder_for(value))(value, out)
 
 
 def value_digest(value: Any) -> str:
     """Canonical sha256 of one payload entry."""
-    h = hashlib.sha256()
-    _hash_value(h, value)
-    return h.hexdigest()
+    out: list = []
+    _encode(value, out)
+    return hashlib.sha256(b"".join(out)).hexdigest()
 
 
 def entry_digests(payload: Mapping[str, Any]) -> dict[str, str]:

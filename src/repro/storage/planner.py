@@ -14,7 +14,8 @@ Policies:
     that passes manifest validation.  The default.
 ``last_known_good``
     The newest iteration a previous plan verified, re-validated now; if
-    it no longer holds (rot since), falls back to ``latest_valid``.
+    it no longer holds (rot since), the newest valid iteration below it,
+    and failing that ``latest_valid``.
 ``newest_before``
     Newest valid consistent iteration strictly below a given bound —
     the "roll back before the bad update" escape hatch.
@@ -91,31 +92,27 @@ class ResumePlanner:
 
         Every key in the returned decision passed manifest validation at
         plan time; invalid candidates encountered along the way were
-        quarantined.  ``iteration is None`` means cold start.
+        quarantined.  ``iteration is None`` means cold start.  The whole
+        call runs on one registry scan, so the returned keys are the ones
+        the search already validated.
         """
         policy = policy or self.policy
         if policy not in PLAN_POLICIES:
             raise ValueError(f"unknown plan policy {policy!r}")
         shards = sorted(set(shard_ids))
         rejected_before = len(self.registry.validator.quarantined)
-        bound = before_iteration
+        scan = self.registry.scan()
         iteration = None
         if policy == "last_known_good":
             remembered = self._known_good.get(frozenset(shards))
             if remembered is not None:
-                iteration = self._resolve(shards, remembered + 1)
-                if iteration is not None and iteration > remembered:
-                    iteration = self._resolve_exact(shards, remembered)
+                iteration = scan.latest_valid(shards, bound=remembered + 1)
         if iteration is None:
-            iteration = self._resolve(shards, bound)
+            iteration = scan.latest_valid(shards, bound=before_iteration)
         keys = {}
         if iteration is not None:
-            for shard in shards:
-                key = self.registry.valid_checkpoint_at(shard, iteration)
-                if key is None:    # rot raced the scan: replan lower
-                    return self.plan(shards, policy=policy,
-                                     before_iteration=iteration)
-                keys[shard] = key
+            keys = {shard: scan.valid_at(shard, iteration)
+                    for shard in shards}
             self._known_good[frozenset(shards)] = iteration
         rejected = tuple(
             rec.data_path for rec in
@@ -130,29 +127,3 @@ class ResumePlanner:
         """Another valid replica of *shard_id* at *iteration* (read-time
         corruption fallback), or None."""
         return self.registry.valid_checkpoint_at(shard_id, iteration)
-
-    # -- internals --------------------------------------------------------------------
-
-    def _resolve(self, shards: list[str],
-                 bound: Optional[int]) -> Optional[int]:
-        """Newest iteration < *bound* (or any) valid across all shards."""
-        common = None
-        for shard in shards:
-            iterations = {
-                i for i in self.registry.iterations_for(shard)
-                if bound is None or i < bound}
-            common = iterations if common is None else common & iterations
-            if not common:
-                return None
-        for iteration in sorted(common, reverse=True):
-            if all(self.registry.valid_checkpoint_at(s, iteration) is not None
-                   for s in shards):
-                return iteration
-        return None
-
-    def _resolve_exact(self, shards: list[str],
-                       iteration: int) -> Optional[int]:
-        if all(self.registry.valid_checkpoint_at(s, iteration) is not None
-               for s in shards):
-            return iteration
-        return None

@@ -146,6 +146,28 @@ def test_entry_digests_are_order_insensitive_and_value_sensitive():
     assert a["x"] == c["x"] and a["y"] != c["y"]
 
 
+def test_value_digest_is_pinned():
+    """The canonical byte stream is part of the on-store format: a faster
+    encoder must reproduce the original digests bit for bit (including a
+    non-contiguous array and every container and scalar kind)."""
+    value = {"w": np.arange(6.0).reshape(2, 3).T, "step": 7,
+             "hist": [0.5, (1, "a")], "raw": b"zz", "none": None}
+    assert value_digest(value) == (
+        "c7cba715ced9c4cceddb21aada50bb44f10e733c3e57ec569bd38c19b1c823f8")
+
+
+def test_value_digest_of_subclasses_matches_base_types():
+    from collections import OrderedDict
+
+    assert (value_digest(OrderedDict(b=1, a=2))
+            == value_digest({"a": 2, "b": 1}))
+    class Tagged(np.ndarray):
+        pass
+
+    tagged = np.arange(6.0).reshape(2, 3).T.view(Tagged)
+    assert value_digest(tagged) == value_digest(np.asarray(tagged))
+
+
 def test_value_digest_distinguishes_dtype_and_shape():
     assert (value_digest(np.zeros(4, dtype=np.float32))
             != value_digest(np.zeros(4, dtype=np.float64)))

@@ -175,6 +175,91 @@ def test_gc_never_collects_last_valid_checkpoint(env, registry):
     assert plan.iteration == 2
 
 
+# -- work per call and scan freshness --------------------------------------------------
+
+
+SHARDS = [f"shard{i}" for i in range(8)]
+
+
+def count_work(registry):
+    """Count store listings and at-rest validations (by data path)."""
+    lists, validated = [], []
+    store_list = registry.store.list
+    validate = registry.validator.validate_at_rest
+
+    def counting_list(prefix=""):
+        lists.append(prefix)
+        return store_list(prefix)
+
+    def counting_validate(data_path, meta_path):
+        validated.append(data_path)
+        return validate(data_path, meta_path)
+
+    registry.store.list = counting_list
+    registry.validator.validate_at_rest = counting_validate
+    return lists, validated
+
+
+def write_grid(env, registry):
+    """8 shards x iterations 1-3; shard5's newest checkpoint is rotted."""
+    keys = {(shard, it): write_ckpt(env, registry, it, shard=shard)
+            for shard in SHARDS for it in (1, 2, 3)}
+    rot(registry, keys["shard5", 3])
+    return keys
+
+
+def test_plan_lists_once_and_validates_each_key_at_most_once(env, registry):
+    write_grid(env, registry)
+    lists, validated = count_work(registry)
+    plan = registry.planner.plan(SHARDS)
+    assert plan.iteration == 2
+    assert len(lists) == 1
+    assert len(validated) == len(set(validated))
+    # Iteration 3 up to the rotted shard5, then all eight at iteration 2.
+    assert len(validated) == 6 + 8
+
+
+def test_gc_lists_once_and_validates_each_key_at_most_once(env, registry):
+    write_grid(env, registry)
+    lists, validated = count_work(registry)
+    removed = registry.garbage_collect(SHARDS, keep_iterations=1)
+    assert len(lists) == 1
+    assert len(validated) == len(set(validated))
+    # Finding the protected point condemned shard5's rotted iteration 3;
+    # every shard then keeps iteration 2 and its newest valid one.
+    assert removed == len(SHARDS)              # every iteration 1
+    assert registry.latest_valid_consistent_iteration(SHARDS) == 2
+    assert registry.iterations_for("shard0") == {2, 3}
+    assert registry.iterations_for("shard5") == {2}
+
+
+def test_no_verdict_survives_across_calls(env, registry):
+    """A checkpoint that validated in one plan and rotted afterwards must
+    be hashed again, caught and quarantined by the next plan."""
+    for it in (2, 4):
+        write_ckpt(env, registry, it)
+    first = registry.planner.plan(["full"])
+    assert first.iteration == 4
+    rot(registry, first.keys["full"])
+    second = registry.planner.plan(["full"])
+    assert second.iteration == 2
+    assert second.rejected == (
+        registry._prefix(first.keys["full"].data_path),)
+    assert registry.iterations_for("full") == {2}
+
+
+def test_meta_rotted_to_another_shard_stays_undiscoverable(env, registry):
+    write_ckpt(env, registry, 2, shard="shard0")
+    moved = write_ckpt(env, registry, 4, shard="shard0")
+    meta = registry.store.stat(registry._prefix(moved.meta_path)).peek()
+    meta["shard_id"] = "shard1"
+    assert registry.iterations_for("shard0") == {2}
+    assert registry.jit_get_checkpoint_path("shard0").iteration == 2
+    # The rotted record names shard1, but shard1 has no such data object.
+    assert registry.iterations_for("shard1") == set()
+    assert registry.planner.plan(["shard0"]).iteration == 2
+
+
 # -- quarantine is append-only -------------------------------------------------------
 
 

@@ -220,7 +220,7 @@ def test_mid_write_kill_through_registry_never_readable_wrong(env):
     assert not store.exists(data)                       # never published
     assert not store.exists(registry._prefix(key.meta_path))
     assert store.stat(data + ".part").payload is None   # partial unreadable
-    assert registry._all_keys("full") == []             # not discoverable
+    assert registry.jit_get_checkpoint_path("full") is None  # not discoverable
     assert registry.planner.plan(["full"]).iteration is None
 
 
