@@ -134,9 +134,13 @@ def run_checkpoint_store(epochs: int = 40, ranks: int = 4) -> Environment:
     machinery on top of the simulated transfers: every write digests its
     payload, every plan validates its candidates, and periodic rot keeps
     the quarantine path warm.  Each plan and each GC must list the store
-    exactly once; a return to per-lookup listing fails the assertion
-    below on any host, however noisy its timings.
+    exactly once, and no payload may go through ``copy.deepcopy`` (the
+    store freezes each payload once, in one typed walk); a return to
+    per-lookup listing or to deep copies fails the assertions below on
+    any host, however noisy its timings.
     """
+    import copy
+
     import numpy as np
 
     from repro.core.checkpoints import CheckpointKey, CheckpointRegistry
@@ -170,10 +174,22 @@ def run_checkpoint_store(epochs: int = 40, ranks: int = 4) -> Environment:
                 assert plan.iteration is not None
                 registry.garbage_collect(["full"])
 
-    env.run(until=env.process(trainer()))
+    deepcopies = []
+    deepcopy = copy.deepcopy
+
+    def counting_deepcopy(*args, **kwargs):
+        deepcopies.append(args[0])
+        return deepcopy(*args, **kwargs)
+
+    copy.deepcopy = counting_deepcopy
+    try:
+        env.run(until=env.process(trainer()))
+    finally:
+        copy.deepcopy = deepcopy
     assert store.stats["quarantined"] > 0
     assert store.stats["writes_completed"] >= epochs * ranks * 2
     assert len(listings) == 2 * (epochs // 5), len(listings)
+    assert not deepcopies, f"{len(deepcopies)} deep copies"
     return env
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Generator, Iterable, Optional
 
-from repro.storage.manifest import MANIFEST_NBYTES, Manifest, write_atomic
+from repro.storage.manifest import write_with_manifest
 from repro.storage.planner import ResumePlanner, RetentionPolicy
 from repro.storage.stores import SharedObjectStore
 from repro.storage.validate import CheckpointValidator, CorruptCheckpointError
@@ -129,19 +129,25 @@ class _Scan:
             self._prune()
         return None
 
+    def common(self, shard_ids: Iterable[str],
+               bound: Optional[int] = None) -> set[int]:
+        """Iterations below *bound* (any, if None) at which every shard
+        has a checkpoint, validated or not."""
+        common: Optional[set[int]] = None
+        for shard_id in sorted(set(shard_ids)):
+            iterations = {k.iteration for k in self.keys(shard_id)
+                          if bound is None or k.iteration < bound}
+            common = iterations if common is None else common & iterations
+            if not common:
+                return set()
+        return common or set()
+
     def latest_valid(self, shard_ids: Iterable[str],
                      bound: Optional[int] = None) -> Optional[int]:
         """Newest iteration below *bound* (any, if None) at which every
         shard has a checkpoint that validates."""
         shards = sorted(set(shard_ids))
-        common = None
-        for shard_id in shards:
-            iterations = {k.iteration for k in self.keys(shard_id)
-                          if bound is None or k.iteration < bound}
-            common = iterations if common is None else common & iterations
-            if not common:
-                return None
-        for iteration in sorted(common or (), reverse=True):
+        for iteration in sorted(self.common(shards, bound), reverse=True):
             if all(self.valid_at(s, iteration) is not None for s in shards):
                 return iteration
         return None
@@ -178,16 +184,14 @@ class CheckpointRegistry:
         leaves at most a partial ``.part`` object and never a published
         manifest, so readers cannot observe a half-written checkpoint.
         Raises :class:`~repro.storage.stores.TornWriteError` if the store
-        tears the transfer.
+        tears the transfer.  The state is frozen once, and the manifest
+        is hashed from that snapshot.
         """
-        data_path = self._prefix(key.data_path)
-        manifest = Manifest.for_payload(
-            data_path, state, nbytes,
+        yield from write_with_manifest(
+            self.store, self._prefix(key.data_path),
+            self._prefix(key.meta_path), state, nbytes,
             meta={"iteration": key.iteration, "shard_id": key.shard_id,
                   "rank": key.rank, "kind": key.kind, "epoch": key.epoch})
-        yield from write_atomic(self.store, data_path, state, nbytes)
-        yield from write_atomic(self.store, self._prefix(key.meta_path),
-                                manifest.to_payload(), MANIFEST_NBYTES)
 
     # -- discovery -------------------------------------------------------------------
 
@@ -212,14 +216,7 @@ class CheckpointRegistry:
 
     def latest_consistent_iteration(self, shard_ids: list[str]) -> Optional[int]:
         """Largest iteration for which *every* shard has a checkpoint."""
-        scan = self.scan()
-        per_shard = []
-        for shard_id in set(shard_ids):
-            iterations = {k.iteration for k in scan.keys(shard_id)}
-            if not iterations:
-                return None
-            per_shard.append(iterations)
-        common = set.intersection(*per_shard)
+        common = self.scan().common(shard_ids)
         return max(common) if common else None
 
     # -- reading -----------------------------------------------------------------------
@@ -250,17 +247,17 @@ class CheckpointRegistry:
 
         Corruption condemns the checkpoint and raises
         :class:`~repro.storage.validate.CorruptCheckpointError` so the
-        caller can fall back to another replica.
+        caller can fall back to another replica.  The digests are taken
+        over the very copy returned.
         """
-        state = yield from self.store.read(self._prefix(key.data_path))
-        result = self.validator.verify_read(state, self._prefix(key.meta_path),
-                                            self._prefix(key.data_path))
+        data_path = self._prefix(key.data_path)
+        meta_path = self._prefix(key.meta_path)
+        state = yield from self.store.read_framed(data_path)
+        result = self.validator.verify_read(state, meta_path, data_path)
         if not result.ok:
-            self.validator.condemn(self._prefix(key.data_path),
-                                   self._prefix(key.meta_path), result.detail)
-            raise CorruptCheckpointError(self._prefix(key.data_path),
-                                         result.detail)
-        return state
+            self.validator.condemn(data_path, meta_path, result.detail)
+            raise CorruptCheckpointError(data_path, result.detail)
+        return state.value
 
     def shard_has_checkpoint(self, shard_id: str) -> bool:
         return self.jit_get_checkpoint_path(shard_id) is not None
@@ -287,19 +284,23 @@ class CheckpointRegistry:
         Consults the validator: the newest *valid* mutually-consistent
         iteration and each shard's newest valid iteration are always
         retained, so GC can never collect the last valid restore point
-        even when everything newer is corrupt.  One scan serves the
-        whole call, so each shard's newest valid iteration reuses the
-        verdicts behind the protected one.
+        even when everything newer is corrupt.  The policy applies to the
+        iterations every shard shares as well as to each shard's own:
+        torn writes on different shards would otherwise leave the shards
+        one consistent restore point between them, which a single bit rot
+        destroys.  One scan serves the whole call, so each shard's newest
+        valid iteration reuses the verdicts behind the protected one.
         """
         policy = (retention or self.retention
                   or RetentionPolicy(keep_last=keep_iterations))
         shards = set(shard_ids)
         scan = self.scan()
         protected = scan.latest_valid(shards)
+        shared = policy.kept(scan.common(shards))
         removed = 0
         for shard_id in shards:
             keys = scan.keys(shard_id)
-            keep = policy.kept(k.iteration for k in keys)
+            keep = policy.kept(k.iteration for k in keys) | shared
             if protected is not None:
                 keep.add(protected)
             newest_valid = scan.latest_valid([shard_id])

@@ -20,20 +20,22 @@ already holds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Generator, Optional
+from typing import Any, Generator, Optional
 
 from repro.cluster.manager import JobManager, RunReport
 from repro.cluster.worker import InitCosts
 from repro.sim import Environment, Tracer
-from repro.storage.manifest import value_digest
-from repro.storage.stores import _flip_leaf, match_fragment
+from repro.storage.frozen import Framed, freeze
+from repro.storage.stores import _rot_leaf, match_fragment
 from repro.workloads.catalog import WorkloadSpec
 
 
 @dataclass
 class _RamEntry:
     iteration: int
-    state: dict
+    #: In a slot, the frozen snapshot (a Framed); in what ``get`` returns,
+    #: the caller's writable copy of the state.
+    state: Any
     nbytes: int
     #: Digest of the state at put time; buddy-RAM's one-entry manifest.
     digest: str = ""
@@ -49,7 +51,10 @@ class PeerRamStore:
     torn-write trap makes the next matching RDMA copy into buddy RAM
     vanish (puts are atomic slot swaps, so nothing partial is visible),
     and bit rot flips a leaf of an at-rest entry — caught at restore
-    time because every entry carries a digest taken at put time.
+    time because every entry carries a digest taken at put time.  Slots
+    hold frozen snapshots (:mod:`repro.storage.frozen`), like the object
+    stores: a put freezes once, a get thaws a fresh copy and hashes that
+    copy through its frames.
     """
 
     def __init__(self, env: Environment):
@@ -81,8 +86,7 @@ class PeerRamStore:
         if entries:
             entries.sort(key=lambda t: (t[0], t[1]))
             _, _, victim = entries[-1]
-            if _flip_leaf(victim.state, salt) is not None:
-                self.stats["bit_rot_injected"] += 1
+            self._rot(victim, salt)
             return True
         self._rot_traps.append(fragment)
         return False
@@ -94,42 +98,51 @@ class PeerRamStore:
                 return True
         return False
 
+    def _rot(self, entry: _RamEntry, salt: int) -> None:
+        entry.state, leaf = _rot_leaf(entry.state, salt)
+        if leaf is not None:
+            self.stats["bit_rot_injected"] += 1
+
     # -- slots ------------------------------------------------------------------
 
     def put(self, node_name: str, key: str, iteration: int, state: dict,
             nbytes: int) -> bool:
-        import copy
-
         if self._consume_trap(self._torn_traps, key):
             self.stats["writes_torn"] += 1
             return False  # the copy tore; the old slot (if any) survives
-        entry = _RamEntry(iteration, copy.deepcopy(state), nbytes,
-                          digest=value_digest(state))
+        frozen = freeze(state)
+        entry = _RamEntry(iteration, frozen, nbytes, digest=frozen.digest())
         if self._consume_trap(self._rot_traps, key):
-            if _flip_leaf(entry.state, salt=iteration) is not None:
-                self.stats["bit_rot_injected"] += 1
+            self._rot(entry, salt=iteration)
         self._slots[node_name][key] = entry
         self.stats["puts"] += 1
         return True
 
-    def get(self, node_name: str, key: str) -> Optional[_RamEntry]:
+    def _read(self, node_name: str,
+              key: str) -> Optional[tuple[_RamEntry, Framed]]:
+        """A slot's entry over a fresh copy of its state, and that copy's
+        frames; None when the slot or its node is gone."""
         node = self._nodes.get(node_name)
         if node is None or not node.alive:
             return None  # the RAM died with the node
         entry = self._slots.get(node_name, {}).get(key)
         if entry is None:
             return None
-        import copy
+        copy = entry.state.thaw()
+        return (_RamEntry(entry.iteration, copy.value, entry.nbytes,
+                          digest=entry.digest), copy)
 
-        return _RamEntry(entry.iteration, copy.deepcopy(entry.state),
-                         entry.nbytes, digest=entry.digest)
+    def get(self, node_name: str, key: str) -> Optional[_RamEntry]:
+        found = self._read(node_name, key)
+        return None if found is None else found[0]
 
     def get_validated(self, node_name: str, key: str) -> Optional[_RamEntry]:
         """Like :meth:`get`, but a digest mismatch drops the slot."""
-        entry = self.get(node_name, key)
-        if entry is None:
+        found = self._read(node_name, key)
+        if found is None:
             return None
-        if entry.digest and value_digest(entry.state) != entry.digest:
+        entry, copy = found
+        if entry.digest and copy.digest() != entry.digest:
             del self._slots[node_name][key]
             self.quarantine_log.append(f"{node_name}/{key}")
             self.stats["quarantined"] += 1

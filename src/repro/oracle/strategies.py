@@ -218,7 +218,7 @@ def _audit_validator(validator, audits: list) -> None:
 
 def _audit_ram(ram, audits: list) -> None:
     """Same pristine re-check for Gemini's buddy-RAM slots."""
-    from repro.storage.manifest import value_digest
+    from repro.storage import value_digest
 
     current = ram.get_validated
 

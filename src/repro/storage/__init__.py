@@ -12,12 +12,11 @@ checkpoints are quarantined and the resume planner falls back to the
 newest checkpoint that still validates.
 """
 
+from repro.storage.frozen import entry_digests, value_digest
 from repro.storage.manifest import (
     MANIFEST_NBYTES,
     Manifest,
-    entry_digests,
     manifest_path,
-    value_digest,
     write_atomic,
     write_with_manifest,
 )

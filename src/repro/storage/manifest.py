@@ -15,105 +15,25 @@ properties the recovery paths assume:
 
 Manifests carry a digest *of their own entry table* (``self_digest``) so
 a rotted manifest is just as detectable as a rotted payload.
+
+An entry's digest is :func:`~repro.storage.frozen.value_digest` of its
+value; a save computes it from the frozen snapshot the store installs.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
 from typing import Any, Generator, Mapping, Optional
 
-import numpy as np
-
+from repro.storage.frozen import Framed, freeze
 from repro.storage.stores import _BaseStore
 
 #: Suffix for the in-flight temp object of an atomic write.
 PART_SUFFIX = ".part"
 #: Manifest object size: a small metadata record (one store IO).
 MANIFEST_NBYTES = 4096
-
-
-@functools.lru_cache(maxsize=1024)
-def _array_header(dtype: str, shape: tuple) -> bytes:
-    return b"nd:" + dtype.encode() + repr(shape).encode()
-
-
-def _encode_array(value: np.ndarray, out: list) -> None:
-    out.append(_array_header(value.dtype.str, value.shape))
-    out.append(value.tobytes())    # C order, whatever the strides
-
-
-def _encode_array_subclass(value: np.ndarray, out: list) -> None:
-    # A subclass may override tobytes (a masked array fills its masked
-    # slots), so hash the raw buffer through a base-class array.
-    out.append(_array_header(value.dtype.str, value.shape))
-    out.append(np.ascontiguousarray(value).tobytes())
-
-
-def _encode_dict(value: dict, out: list) -> None:
-    out.append(b"d{")
-    for key in sorted(value, key=str):
-        out.append(repr(key).encode())
-        _encode(value[key], out)
-    out.append(b"}")
-
-
-def _encode_sequence(value, out: list) -> None:
-    out.append(b"l[")
-    for item in value:
-        _encode(item, out)
-    out.append(b"]")
-
-
-def _encode_bytes(value: bytes, out: list) -> None:
-    out.append(b"b:")
-    out.append(value)
-
-
-def _encode_repr(value: Any, out: list) -> None:
-    out.append(repr(value).encode())
-
-
-#: Encoder per exact payload type.  Anything else (subclasses such as
-#: numpy scalars or an OrderedDict) goes through :func:`_encoder_for`.
-_ENCODERS = {
-    np.ndarray: _encode_array, dict: _encode_dict, list: _encode_sequence,
-    tuple: _encode_sequence, bytes: _encode_bytes, str: _encode_repr,
-    int: _encode_repr, float: _encode_repr, bool: _encode_repr,
-    type(None): _encode_repr,
-}
-
-
-def _encoder_for(value: Any):
-    if isinstance(value, np.ndarray):
-        return _encode_array_subclass
-    if isinstance(value, dict):
-        return _encode_dict
-    if isinstance(value, (list, tuple)):
-        return _encode_sequence
-    if isinstance(value, bytes):
-        return _encode_bytes
-    return _encode_repr
-
-
-def _encode(value: Any, out: list) -> None:
-    """Append one payload value's canonical byte stream to *out*."""
-    (_ENCODERS.get(type(value)) or _encoder_for(value))(value, out)
-
-
-def value_digest(value: Any) -> str:
-    """Canonical sha256 of one payload entry."""
-    out: list = []
-    _encode(value, out)
-    return hashlib.sha256(b"".join(out)).hexdigest()
-
-
-def entry_digests(payload: Mapping[str, Any]) -> dict[str, str]:
-    """Per-entry digests of a checkpoint state dict (sorted keys)."""
-    return {str(key): value_digest(payload[key])
-            for key in sorted(payload, key=str)}
 
 
 def manifest_fingerprint(data_path: str, nbytes: int,
@@ -144,12 +64,14 @@ class Manifest:
     meta: dict = field(default_factory=dict)
 
     @classmethod
-    def for_payload(cls, data_path: str, payload: Mapping[str, Any],
-                    nbytes: int, meta: Optional[dict] = None) -> "Manifest":
-        if not isinstance(payload, Mapping):
-            # Non-dict payloads (e.g. CRIU images) get one synthetic entry.
-            payload = {"__payload__": payload}
-        entries = entry_digests(payload)
+    def for_payload(cls, data_path: str, payload: Any, nbytes: int,
+                    meta: Optional[dict] = None) -> "Manifest":
+        """The manifest of *payload*, hashed through its frames (a plain
+        payload is frozen first).  A non-dict payload (e.g. a CRIU image)
+        gets one synthetic entry, ``__payload__``."""
+        if not isinstance(payload, Framed):
+            payload = freeze(payload)
+        entries = payload.entry_digests()
         meta = dict(meta or {})
         return cls(data_path=data_path, nbytes=int(nbytes), entries=entries,
                    self_digest=manifest_fingerprint(data_path, nbytes,
@@ -213,9 +135,12 @@ def write_with_manifest(store: _BaseStore, data_path: str,
 
     Returns the :class:`Manifest`.  A tear during either transfer leaves
     no published manifest, so readers can never trust a torn checkpoint.
+    The payload is frozen once: the manifest hashes the snapshot the
+    store then installs.
     """
-    manifest = Manifest.for_payload(data_path, payload, nbytes, meta=meta)
-    yield from write_atomic(store, data_path, payload, nbytes)
+    frozen = freeze(payload)
+    manifest = Manifest.for_payload(data_path, frozen, nbytes, meta=meta)
+    yield from write_atomic(store, data_path, frozen, nbytes)
     yield from write_atomic(store, manifest_path_, manifest.to_payload(),
                             MANIFEST_NBYTES)
     return manifest

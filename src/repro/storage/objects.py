@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Optional
+
+from repro.storage.frozen import Framed
 
 
 class StoredObject:
@@ -15,14 +16,20 @@ class StoredObject:
     transfer got, and reads fail.  This models real torn writes: a partial
     object can be *seen* (``stat``) but never *read*, so a mid-write kill
     can never yield a readable-but-wrong checkpoint.
+
+    The payload is held frozen (:mod:`repro.storage.frozen`): a
+    store-private copy in read-only containers, with the frames that hash
+    it.  At rest only its array bytes can change, in place; anything
+    else goes through the store, which installs a new snapshot.
     """
 
-    __slots__ = ("path", "_payload", "nbytes", "complete", "created_at",
+    __slots__ = ("path", "frozen", "nbytes", "complete", "created_at",
                  "written_bytes", "rotted")
 
-    def __init__(self, path: str, payload: Any, nbytes: int):
+    def __init__(self, path: str, frozen: Optional[Framed], nbytes: int):
         self.path = path
-        self._payload = None
+        #: The frozen payload; None until a completed write installs it.
+        self.frozen: Optional[Framed] = None
         self.nbytes = int(nbytes)
         self.complete = False
         self.created_at: Optional[float] = None
@@ -32,31 +39,35 @@ class StoredObject:
         #: systems have no such flag — nothing in the read/validate path
         #: may consult it; only tests and the tracer do.
         self.rotted = False
-        if payload is not None:
-            self.install(payload)
+        if frozen is not None:
+            self.install(frozen)
 
-    def install(self, payload: Any) -> None:
-        """Publish the payload (write completed)."""
-        self._payload = payload
+    def install(self, frozen: Framed) -> None:
+        """Publish a frozen payload (write completed)."""
+        self.frozen = frozen
         self.complete = True
         self.written_bytes = self.nbytes
 
     @property
-    def payload(self) -> Any:
-        """A defensive deep copy; readers must not alias store internals.
+    def payload(self) -> Optional[Framed]:
+        """What a read hands out: a fresh, writable copy of the payload
+        with its frames (``.value`` is the payload itself).
 
         Partial objects have no readable payload (``None``): the bytes on
         the medium are torn and must never deserialise into a checkpoint.
         """
         if not self.complete:
             return None
-        return copy.deepcopy(self._payload)
+        return self.frozen.thaw()
 
     def peek(self) -> Any:
-        """The raw stored payload, no copy — integrity checks only."""
+        """The stored payload itself, no copy — integrity checks only.
+
+        Its containers are read-only; its arrays are the store's own.
+        """
         if not self.complete:
             return None
-        return self._payload
+        return self.frozen.value
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "complete" if self.complete else (

@@ -10,10 +10,12 @@ All three expose the same generator API:
   path, rename into place, and there is never a moment where the final
   path names a partial object.
 
-Payloads are deep-copied on write (at write *start*, so a checkpoint
-snapshots the state of the moment the write was issued) and on read: a
-checkpoint must not alias live training arrays, otherwise later optimizer
-steps would corrupt history.
+Payloads are frozen on write (at write *start*, so a checkpoint
+snapshots the state of the moment the write was issued) and thawed into
+a fresh copy on read (:mod:`repro.storage.frozen`): a checkpoint must not
+alias live training arrays, otherwise later optimizer steps would corrupt
+history.  ``read_framed`` returns that copy with its frames, so a caller
+can verify the bytes it got without walking them again.
 
 Stores also model their *own* failure classes, driven by the failure
 injector:
@@ -26,7 +28,9 @@ injector:
 * **bit rot** (``inject_bit_rot``) — silent at-rest corruption: one
   element of a stored payload is bit-flipped.  The store keeps serving
   the object as if nothing happened; only manifest validation
-  (:mod:`repro.storage.validate`) can tell.
+  (:mod:`repro.storage.validate`) can tell.  Array bytes flip in place;
+  a payload without arrays has a scalar flipped, which the store applies
+  by installing a new snapshot.
 
 Objects under the ``quarantine/`` namespace are append-only: the
 validator moves corrupt checkpoints there, and the store refuses (and
@@ -36,7 +40,6 @@ them — the forensic record must survive the run.
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Generator, Optional
 
 import numpy as np
@@ -45,6 +48,7 @@ from repro import flags
 from repro.obs.metrics import instrument as _instrument
 from repro.obs.metrics import registry as _metrics
 from repro.sim import Environment, Resource, Tracer
+from repro.storage.frozen import Framed, freeze
 from repro.storage.objects import StoredObject
 
 #: Namespace prefix for quarantined (corrupt, preserved) objects.
@@ -96,16 +100,11 @@ def _flip_array_element(arr: np.ndarray, salt: int) -> bool:
     return True
 
 
-def _flip_leaf(container: Any, salt: int) -> Optional[str]:
-    """Bit-flip one leaf of a nested payload; returns the leaf's name.
-
-    Deterministic: leaves are enumerated in sorted-key order and *salt*
-    selects the victim.  Arrays are preferred (payload corruption); if
-    the payload holds none — e.g. a manifest — a scalar leaf is flipped
-    instead (metadata corruption).
-    """
+def _leaves(container: Any) -> tuple[list, list]:
+    """``(arrays, scalars)`` of a nested payload, in sorted-key order:
+    ``(name, array)`` and ``(name, parent, key)`` entries."""
     arrays: list[tuple[str, np.ndarray]] = []
-    scalars: list[tuple[str, Any, Any]] = []  # (name, parent, key)
+    scalars: list[tuple[str, Any, Any]] = []
 
     def walk(obj: Any, parent: Any, key: Any, name: str) -> None:
         if isinstance(obj, np.ndarray):
@@ -120,9 +119,11 @@ def _flip_leaf(container: Any, salt: int) -> Optional[str]:
             scalars.append((name, parent, key))
 
     walk(container, None, None, "")
-    if arrays:
-        name, arr = arrays[salt % len(arrays)]
-        return name if _flip_array_element(arr, salt) else None
+    return arrays, scalars
+
+
+def _flip_scalar(scalars: list, salt: int) -> Optional[str]:
+    """Flip one scalar leaf held by a dict or list; returns its name."""
     mutable = [(n, p, k) for n, p, k in scalars if isinstance(p, (dict, list))]
     if not mutable:
         return None
@@ -136,6 +137,27 @@ def _flip_leaf(container: Any, salt: int) -> Optional[str]:
         flipped = value + 1
     parent[key] = flipped
     return name
+
+
+def _rot_leaf(frozen: Framed, salt: int) -> tuple[Framed, Optional[str]]:
+    """Bit-flip one leaf of a frozen payload; returns the payload to keep
+    and the leaf's name (None when nothing could flip).
+
+    Deterministic: leaves are enumerated in sorted-key order and *salt*
+    selects the victim.  Arrays are preferred (payload corruption) and
+    flip in place, where the frames read them live.  If the payload
+    holds none — e.g. a manifest — a scalar leaf is flipped instead
+    (metadata corruption).  Frozen containers refuse that, so the flip
+    lands in a thawed copy and the copy is frozen again: the returned
+    snapshot's frames describe the rotted bytes.
+    """
+    arrays, _ = _leaves(frozen.value)
+    if arrays:
+        name, arr = arrays[salt % len(arrays)]
+        return frozen, (name if _flip_array_element(arr, salt) else None)
+    payload = frozen.thaw().value
+    leaf = _flip_scalar(_leaves(payload)[1], salt)
+    return (frozen if leaf is None else freeze(payload)), leaf
 
 
 class _BaseStore:
@@ -180,16 +202,19 @@ class _BaseStore:
     def write(self, path: str, payload: Any, nbytes: int) -> Generator:
         """Write *payload* under *path*; completes only if uninterrupted.
 
-        The payload is snapshotted (deep copy) at call time but only
-        *installed* when the transfer finishes: a writer killed mid-way
-        leaves a partial object whose payload can never be read, and a
-        torn-write trap makes the write itself die half-way with
-        :class:`TornWriteError`.
+        The payload is frozen (:func:`~repro.storage.frozen.freeze`) at
+        call time but only *installed* when the transfer finishes: a
+        writer killed mid-way leaves a partial object whose payload can
+        never be read, and a torn-write trap makes the write itself die
+        half-way with :class:`TornWriteError`.  A payload already frozen
+        by the caller (a :class:`~repro.storage.frozen.Framed` fresh from
+        ``freeze``, e.g. one a manifest was just computed from) is
+        adopted as is: it must not be handed to another write.
         """
         if self._guard_quarantine(path, "write"):
             raise TornWriteError(path)
         self.stats["writes_started"] += 1
-        staged = copy.deepcopy(payload)
+        staged = payload if isinstance(payload, Framed) else freeze(payload)
         obj = StoredObject(path, None, nbytes)
         self._objects[path] = obj   # visible immediately, but incomplete
         duration = self.transfer_time(nbytes)
@@ -225,6 +250,14 @@ class _BaseStore:
             self._rot(obj, salt=self.stats["writes_completed"])
 
     def read(self, path: str) -> Generator:
+        """Timed read; returns a fresh, writable copy of the payload."""
+        copy = yield from self.read_framed(path)
+        return copy.value
+
+    def read_framed(self, path: str) -> Generator:
+        """Timed read; returns the copy with its frames
+        (:class:`~repro.storage.frozen.Framed`), so the caller can verify
+        exactly the bytes it got without walking them again."""
         obj = self._objects.get(path)
         if obj is None or not obj.complete:
             raise FileNotFoundError(f"{self.name}:{path}")
@@ -317,7 +350,7 @@ class _BaseStore:
         return False
 
     def _rot(self, obj: StoredObject, salt: int) -> None:
-        leaf = _flip_leaf(obj.peek(), salt)
+        obj.frozen, leaf = _rot_leaf(obj.frozen, salt)
         if leaf is not None:
             obj.rotted = True
             self.stats["bit_rot_injected"] += 1

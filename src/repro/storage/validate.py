@@ -16,17 +16,21 @@ Two validation flavours:
 * :meth:`CheckpointValidator.verify_read` — applied to a payload already
   paid for by a timed read (the belt-and-braces check restore performs).
 
-``verify_payload`` is a module-level pure function so oracle audits can
-re-verify decisions independently of a (possibly deliberately broken)
-validator instance — the mutation-testing hook.
+The validator hashes stored snapshots and read copies through their
+frames (:mod:`repro.storage.frozen`): every byte, one sha256 per entry,
+no tree walk.  ``verify_payload`` is a module-level pure function that
+walks the tree instead, so oracle audits can re-verify decisions
+independently of a (possibly deliberately broken) validator instance —
+the mutation-testing hook.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
-from repro.storage.manifest import Manifest, entry_digests
+from repro.storage.frozen import Framed, entry_digests
+from repro.storage.manifest import Manifest
 from repro.storage.stores import _BaseStore
 
 
@@ -53,15 +57,29 @@ class ValidationResult:
 
 def verify_payload(payload: Any, manifest: Optional[Manifest],
                    path: str = "?") -> ValidationResult:
-    """Pure manifest-vs-payload check; no store access, no quarantine."""
+    """Pure manifest-vs-payload check; no store access, no quarantine.
+
+    Walks the payload's tree (a :class:`~repro.storage.frozen.Framed`'s
+    value; its frames are ignored): the reference the framed check in
+    :meth:`CheckpointValidator.verify` is audited against.
+    """
+    if isinstance(payload, Framed):
+        payload = payload.value
+    if not isinstance(payload, Mapping):
+        payload = {"__payload__": payload}
+    return _verdict(lambda: entry_digests(payload), manifest, path)
+
+
+def _verdict(digests: Callable[[], dict], manifest: Optional[Manifest],
+             path: str) -> ValidationResult:
+    """Compare *digests()* against *manifest* (hashed only if it is
+    intact)."""
     if manifest is None:
         return ValidationResult(path, False, detail="no manifest")
     if not manifest.intact:
         return ValidationResult(path, False,
                                 detail="manifest failed its self-digest")
-    if not isinstance(payload, Mapping):
-        payload = {"__payload__": payload}
-    got = entry_digests(payload)
+    got = digests()
     if got == manifest.entries:
         return ValidationResult(path, True)
     bad = sorted(set(manifest.entries) ^ set(got)
@@ -91,11 +109,14 @@ class CheckpointValidator:
 
     # -- checks ---------------------------------------------------------------
 
-    def verify(self, payload: Any, manifest: Optional[Manifest],
+    def verify(self, payload: Framed, manifest: Optional[Manifest],
                path: str = "?") -> ValidationResult:
-        """Instance-level check — the hook mutation tests break."""
+        """Instance-level check — the hook mutation tests break.
+
+        Hashes the payload through its frames: every byte, no walk.
+        """
         self.checks += 1
-        return verify_payload(payload, manifest, path=path)
+        return _verdict(payload.entry_digests, manifest, path)
 
     def manifest_at(self, meta_path: str) -> Optional[Manifest]:
         obj = self.store.stat(meta_path)
@@ -113,12 +134,12 @@ class CheckpointValidator:
         obj = self.store.stat(data_path)
         if obj is None or not obj.complete:
             return ValidationResult(data_path, False, detail="no data object")
-        return self.verify(obj.peek(), self.manifest_at(meta_path),
+        return self.verify(obj.frozen, self.manifest_at(meta_path),
                            path=data_path)
 
-    def verify_read(self, payload: Any, meta_path: str,
+    def verify_read(self, payload: Framed, meta_path: str,
                     data_path: str) -> ValidationResult:
-        """Check a payload returned by a timed read."""
+        """Check the copy a timed ``read_framed`` returned."""
         return self.verify(payload, self.manifest_at(meta_path),
                            path=data_path)
 

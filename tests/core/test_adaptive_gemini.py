@@ -1,5 +1,6 @@
 """Tests for the CheckFreq-style adaptive tuner and the Gemini baseline."""
 
+import numpy as np
 import pytest
 
 from repro.core.adaptive import AdaptiveIntervalTuner, ProfileStats
@@ -8,7 +9,7 @@ from repro.core.periodic import CheckpointMode, PeriodicPolicy, PeriodicRunner
 from repro.failures import FailureEvent, FailureInjector, FailureType
 from repro.parallel.topology import ParallelLayout
 from repro.sim import Environment
-from repro.storage import SharedObjectStore
+from repro.storage import SharedObjectStore, value_digest
 from repro.workloads import TrainingJob
 
 from tests.conftest import make_spec
@@ -100,6 +101,57 @@ def test_peer_ram_store_dies_with_node():
     assert ram.get("node1", "full/rank0").iteration == 5
     cluster.nodes[1].kill()
     assert ram.get("node1", "full/rank0") is None
+
+
+def _ram(num_nodes=1):
+    from repro.hardware import Cluster, ClusterSpec
+
+    env = Environment()
+    ram = PeerRamStore(env)
+    for node in Cluster(env, ClusterSpec(num_nodes=num_nodes)).nodes:
+        ram.register_node(node)
+    return ram
+
+
+def test_peer_ram_digest_is_the_whole_state_value_digest():
+    """A slot's one-entry manifest is ``value_digest`` of the whole state,
+    taken once through the frozen snapshot's frames: the same bytes the
+    tree walk hashes, pinned to the value the walk computed before slots
+    were frozen."""
+    ram = _ram()
+    state = {"params": {"w": np.arange(6.0).reshape(2, 3),
+                        "b": np.zeros(3, dtype=np.float32)},
+             "optimizer": {"step_count": 4, "lr": 0.01,
+                           "m": {"w": np.ones((2, 3))}},
+             "iteration": 4, "shard_id": "full"}
+    ram.put("node0", "full/rank0", 4, state, 100)
+    entry = ram.get_validated("node0", "full/rank0")
+    assert entry.digest == value_digest(state) == (
+        "3e373f7e3f7ec1ca8dc20958eb7d9372a19a71e22a9db89a59158a460a8d6bd3")
+    assert value_digest(entry.state) == entry.digest
+    # The caller's copy is writable and shares nothing with the slot.
+    entry.state["params"]["w"][0, 0] = 99.0
+    entry.state["optimizer"]["step_count"] = 5
+    assert ram.get_validated("node0", "full/rank0").state["params"]["w"][
+        0, 0] == 0.0
+
+
+@pytest.mark.parametrize("state", [{"w": np.arange(4.0), "step": 3},
+                                   {"step": 3, "name": "full"}],
+                         ids=["array", "scalars-only"])
+def test_peer_ram_rot_at_rest_and_on_landing_is_caught(state):
+    ram = _ram()
+    ram.put("node0", "full/rank0", 3, state, 100)
+    assert ram.inject_bit_rot("rank0", salt=1)
+    assert ram.stats["bit_rot_injected"] == 1
+    assert ram.get("node0", "full/rank0") is not None   # served unchecked
+    assert ram.get_validated("node0", "full/rank0") is None
+    assert ram.quarantine_log == ["node0/full/rank0"]
+
+    assert not ram.inject_bit_rot("rank1", salt=1)      # armed: rots on put
+    ram.put("node0", "full/rank1", 4, state, 100)
+    assert ram.stats["bit_rot_injected"] == 2
+    assert ram.get_validated("node0", "full/rank1") is None
 
 
 def run_gemini(spec, failures=(), iters=40, policy=None):

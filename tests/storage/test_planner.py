@@ -14,6 +14,7 @@ from repro.core.checkpoints import CheckpointKey, CheckpointRegistry
 from repro.sim import Environment
 from repro.storage import (QUARANTINE_PREFIX, RetentionPolicy,
                            SharedObjectStore)
+from repro.storage.frozen import freeze
 
 
 @pytest.fixture
@@ -162,6 +163,31 @@ def test_gc_honours_retention_policy(env, registry):
     assert registry.iterations_for("full") == {4, 8}
 
 
+def test_gc_keeps_the_newest_iterations_every_shard_shares(env, registry):
+    """Torn writes on alternating shards leave each shard's newest
+    iterations disjoint.  Keep-last per shard alone then holds a single
+    consistent restore point, and one bit rot on it leaves nothing to
+    resume from; GC must also keep the newest iterations all shards
+    share."""
+    shards = ["shard0", "shard1"]
+    policy = RetentionPolicy(keep_last=2)
+    keys = {}
+    for it, torn in ((1, None), (2, None), (3, "shard0"), (4, "shard1")):
+        for rank, shard in enumerate(shards):
+            if shard != torn:
+                keys[shard, it] = write_ckpt(env, registry, it, rank=rank,
+                                             shard=shard)
+        registry.garbage_collect(shards, retention=policy)
+    assert registry.latest_consistent_iteration(shards) == 2
+
+    rot(registry, keys["shard0", 2])
+    plan = registry.planner.plan(shards)
+    assert plan.iteration == 1      # keep-last per shard alone: None
+    assert plan.rejected == (registry._prefix(keys["shard0", 2].data_path),)
+    assert registry.iterations_for("shard0") == {1, 4}
+    assert registry.iterations_for("shard1") == {1, 2, 3}
+
+
 def test_gc_never_collects_last_valid_checkpoint(env, registry):
     """Everything newer than iteration 2 is corrupt: keep-last-1 would
     blindly keep only corrupt iteration 6 — the validator-aware GC must
@@ -251,8 +277,11 @@ def test_no_verdict_survives_across_calls(env, registry):
 def test_meta_rotted_to_another_shard_stays_undiscoverable(env, registry):
     write_ckpt(env, registry, 2, shard="shard0")
     moved = write_ckpt(env, registry, 4, shard="shard0")
-    meta = registry.store.stat(registry._prefix(moved.meta_path)).peek()
+    # Metadata rot is structural: it lands as a new snapshot of the record.
+    obj = registry.store.stat(registry._prefix(moved.meta_path))
+    meta = obj.payload.value
     meta["shard_id"] = "shard1"
+    obj.install(freeze(meta))
     assert registry.iterations_for("shard0") == {2}
     assert registry.jit_get_checkpoint_path("shard0").iteration == 2
     # The rotted record names shard1, but shard1 has no such data object.
