@@ -25,8 +25,11 @@ child's simulation runs the same float sequence as a from-scratch
 execution: the ``metrics`` sections aggregate byte-identically.  Only
 ``perf`` (wall clock, per-process event counts) differs.
 
-The shared failure-free *reference* run — the wasted-time baseline each
-scenario recomputes from scratch — is likewise executed once per group.
+The failure-free *reference* run — the wasted-time and loss-digest
+baseline — is not simulated here either:
+:class:`~repro.campaign.runner.CampaignRunner` runs it once per campaign
+for each :func:`~repro.campaign.runner.reference_key` and hands it to
+every group that shares the key.
 """
 
 from __future__ import annotations
@@ -34,7 +37,12 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro.campaign.spec import KIND_CAMPAIGN, ScenarioSpec
+from repro.campaign.runner import (Reference, _build_managed_runner,
+                                   _campaign_result,
+                                   _execute_campaign_scenario,
+                                   _reference_run, _resolve_workload,
+                                   _type_mix, reference_key)
+from repro.campaign.spec import ScenarioSpec
 from repro.sim.snapshot import HAVE_FORK, ForkBranch
 
 #: Default cap on concurrently-running forked children per group.
@@ -48,16 +56,11 @@ def prefix_key(spec: ScenarioSpec) -> tuple:
     their first injected failure: same workload and overrides, same
     runner/policy, same store and init costs.  ``failure_rate`` joins the
     key only under the periodic policy, where it feeds the analytic
-    checkpoint interval and therefore the prefix trajectory itself.
+    checkpoint interval and therefore the prefix trajectory itself.  The
+    key extends :func:`~repro.campaign.runner.reference_key`, so a group
+    shares one reference run.
     """
-    if spec.kind != KIND_CAMPAIGN:
-        raise ValueError(f"prefix grouping applies to campaign scenarios, "
-                         f"not {spec.kind!r}")
-    return (
-        spec.workload,
-        spec.node,
-        spec.minibatch_time,
-        spec.target_iterations,
+    return reference_key(spec) + (
         spec.store_bandwidth,
         tuple(spec.init_costs) if spec.init_costs is not None else None,
         spec.progress_timeout,
@@ -76,7 +79,6 @@ def group_by_prefix(specs: list[tuple[int, ScenarioSpec]]
 
 
 def _draw_schedule(spec: ScenarioSpec, cluster) -> list:
-    from repro.campaign.runner import _type_mix
     from repro.failures import PoissonSchedule
 
     return PoissonSchedule(cluster, spec.failure_rate, horizon=spec.horizon,
@@ -84,38 +86,30 @@ def _draw_schedule(spec: ScenarioSpec, cluster) -> list:
 
 
 def execute_prefix_group(specs: list[ScenarioSpec],
-                         max_live: int = DEFAULT_MAX_LIVE) -> list[dict]:
+                         max_live: int = DEFAULT_MAX_LIVE,
+                         reference: Optional[Reference] = None) -> list[dict]:
     """Run one prefix group; returns result dicts in *specs* order.
 
-    Falls back to from-scratch execution when ``os.fork`` is unavailable
-    or the group is a singleton (nothing to share).
+    *reference* is the group's failure-free reference run; it is computed
+    here when not given.  Falls back to from-scratch execution when
+    ``os.fork`` is unavailable or the group is a singleton (nothing to
+    share).
     """
-    from repro.campaign.runner import execute_scenario
-
+    if reference is None:
+        reference = _reference_run(specs[0])
     if not HAVE_FORK or len(specs) < 2:
-        return [execute_scenario(spec) for spec in specs]
+        return [_execute_campaign_scenario(spec, reference) for spec in specs]
 
-    from repro.campaign.runner import (_build_managed_runner,
-                                       _campaign_result, _losses_digest,
-                                       _resolve_workload)
     from repro.failures import FailureInjector
     from repro.sim import Environment
-    from repro.workloads import TrainingJob
 
     lead = specs[0]
-    workload = _resolve_workload(lead)
     group_start = time.perf_counter()
-
-    # Shared failure-free reference run (wasted-time / loss-digest baseline).
-    reference_job = TrainingJob(workload)
-    reference_losses = reference_job.run_training(lead.target_iterations)[0]
-    ideal_time = reference_job.env.now
-    reference_events = reference_job.env.events_processed
-    reference_digest = _losses_digest(reference_losses)
 
     # Shared managed run whose prefix every scenario reuses.
     env = Environment()
-    runner, interval_iterations = _build_managed_runner(lead, workload, env)
+    runner, interval_iterations = _build_managed_runner(
+        lead, _resolve_workload(lead), env)
     proc = runner.start()
 
     # Failure schedules are drawn against the launch topology, which the
@@ -132,10 +126,9 @@ def execute_prefix_group(specs: list[ScenarioSpec],
         FailureInjector(env, runner.manager.cluster).arm(events)
         report = env.run(until=proc)
         return _campaign_result(
-            spec, report, ideal_time=ideal_time,
-            reference_digest=reference_digest,
+            spec, report, reference,
             interval_iterations=interval_iterations,
-            events=reference_events + env.events_processed,
+            events=env.events_processed,
             wall=time.perf_counter() - child_start)
 
     results: list[Optional[dict]] = [None] * len(specs)
@@ -158,13 +151,11 @@ def execute_prefix_group(specs: list[ScenarioSpec],
         # Finish the shared run in the parent and reuse its report for
         # every failure-free scenario (one simulation, N identical rows).
         report = env.run(until=proc)
-        parent_events = reference_events + env.events_processed
         wall = time.perf_counter() - group_start
         for index in tail_indices:
             results[index] = _campaign_result(
-                specs[index], report, ideal_time=ideal_time,
-                reference_digest=reference_digest,
+                specs[index], report, reference,
                 interval_iterations=interval_iterations,
-                events=parent_events, wall=wall)
+                events=env.events_processed, wall=wall)
 
     return results  # type: ignore[return-value]

@@ -29,11 +29,12 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.campaign.cache import ResultCache
-from repro.campaign.spec import (KIND_ANALYTIC, KIND_ORACLE, ORACLE_WORKLOAD,
-                                 CampaignSpec, ScenarioSpec)
+from repro.campaign.spec import (KIND_ANALYTIC, KIND_CAMPAIGN, KIND_ORACLE,
+                                 ORACLE_WORKLOAD, CampaignSpec, ScenarioSpec)
 from repro.core.telemetry import CampaignPerf
 from repro.obs.metrics import instrument as _instrument
 from repro.obs.metrics import registry as _metrics
+from repro.workloads import TrainingJob
 
 #: Hard floor on scenario workers (``workers=None`` means "all cores").
 _MIN_WORKERS = 1
@@ -107,23 +108,53 @@ def _build_managed_runner(spec: ScenarioSpec, workload, env):
     return UserLevelJitRunner(env, workload, store, **common), None
 
 
-def _execute_campaign_scenario(spec: ScenarioSpec) -> dict:
+def reference_key(spec: ScenarioSpec) -> tuple:
+    """Everything that shapes a campaign scenario's failure-free reference.
+
+    The reference is a plain :class:`TrainingJob` of the resolved workload
+    run for ``target_iterations``: policy, store, restart costs and the
+    failure draw never touch it.  Scenarios with equal keys share one
+    reference run per campaign; :func:`repro.campaign.prefix.prefix_key`
+    extends this key.
+    """
+    if spec.kind != KIND_CAMPAIGN:
+        raise ValueError(f"reference runs apply to campaign scenarios, "
+                         f"not {spec.kind!r}")
+    return (spec.workload, spec.node, spec.minibatch_time,
+            spec.target_iterations)
+
+
+@dataclass(frozen=True)
+class Reference:
+    """A campaign scenario's failure-free reference run, as results use it."""
+
+    #: Simulated duration: the wall-time baseline of wasted-time accounting.
+    ideal_time: float
+    #: Events the reference dispatched (counted into each scenario's perf).
+    events: int
+    #: Digest of the loss stream every managed run must reproduce.
+    digest: str
+
+
+def _reference_run(spec: ScenarioSpec) -> Reference:
+    job = TrainingJob(_resolve_workload(spec))
+    losses = job.run_training(spec.target_iterations)[0]
+    return Reference(ideal_time=job.env.now, events=job.env.events_processed,
+                     digest=_losses_digest(losses))
+
+
+def _execute_campaign_scenario(spec: ScenarioSpec,
+                               reference: Optional[Reference] = None) -> dict:
+    """One campaign scenario from scratch; computes *reference* if None."""
     from repro.failures import FailureInjector, PoissonSchedule
     from repro.sim import Environment
-    from repro.workloads import TrainingJob
 
-    workload = _resolve_workload(spec)
     start = time.perf_counter()
-
-    # Ideal failure-free reference: wall-time baseline for wasted-time
-    # accounting plus the loss stream the managed run must reproduce.
-    reference_job = TrainingJob(workload)
-    reference_losses = reference_job.run_training(spec.target_iterations)[0]
-    ideal_time = reference_job.env.now
-    reference_events = reference_job.env.events_processed
-
+    if reference is None:
+        reference = _reference_run(spec)
     env = Environment()
-    runner, interval_iterations = _build_managed_runner(spec, workload, env)
+    runner, interval_iterations = _build_managed_runner(
+        spec, _resolve_workload(spec), env)
 
     schedule = PoissonSchedule(
         runner.manager.cluster, spec.failure_rate, horizon=spec.horizon,
@@ -131,15 +162,12 @@ def _execute_campaign_scenario(spec: ScenarioSpec) -> dict:
     FailureInjector(env, runner.manager.cluster).arm(schedule)
     report = runner.execute()
     wall = time.perf_counter() - start
-    return _campaign_result(
-        spec, report, ideal_time=ideal_time,
-        reference_digest=_losses_digest(reference_losses),
-        interval_iterations=interval_iterations,
-        events=reference_events + env.events_processed, wall=wall)
+    return _campaign_result(spec, report, reference,
+                            interval_iterations=interval_iterations,
+                            events=env.events_processed, wall=wall)
 
 
-def _campaign_result(spec: ScenarioSpec, report, *, ideal_time: float,
-                     reference_digest: str,
+def _campaign_result(spec: ScenarioSpec, report, reference: Reference, *,
                      interval_iterations: Optional[int],
                      events: int, wall: float) -> dict:
     """Assemble one campaign scenario's result dict.
@@ -147,8 +175,11 @@ def _campaign_result(spec: ScenarioSpec, report, *, ideal_time: float,
     Shared by from-scratch execution above and prefix-fork children
     (:mod:`repro.campaign.prefix`), so the ``metrics`` section — the only
     part aggregation reads — is byte-identical between the two schedulers.
-    ``perf`` is wall-clock telemetry and legitimately differs.
+    ``perf`` is wall-clock telemetry and legitimately differs; its event
+    count is the managed run's *events* plus the reference's.
     """
+    ideal_time = reference.ideal_time
+    events += reference.events
     total = report.total_time
     wasted = total - ideal_time
     return {
@@ -164,7 +195,7 @@ def _campaign_result(spec: ScenarioSpec, report, *, ideal_time: float,
             "restarts": report.restarts,
             "failures": report.failures_observed,
             "losses_digest": _losses_digest(report.final_losses),
-            "reference_digest": reference_digest,
+            "reference_digest": reference.digest,
             "interval_iterations": interval_iterations,
         },
         "perf": {
@@ -278,19 +309,26 @@ def execute_scenario(spec: ScenarioSpec) -> dict:
 
 
 def _execute_unit(items: list[tuple[int, ScenarioSpec]], is_group: bool,
-                  max_live: int) -> list[tuple[int, dict]]:
+                  max_live: int, reference: Optional[Reference]
+                  ) -> list[tuple[int, dict]]:
     """Run one dispatch unit (a scenario or a prefix group).
 
-    Returns ``(position, result)`` per scenario; module-level so the pool
-    can pickle it, and the serial path calls it directly.
+    *reference* is the unit's shared failure-free reference (campaign
+    scenarios; ``None`` for other kinds).  Returns ``(position, result)``
+    per scenario; module-level so the pool can pickle it, and the serial
+    path calls it directly.
     """
+    specs = [spec for _pos, spec in items]
     if is_group:
         from repro.campaign.prefix import execute_prefix_group
 
-        results = execute_prefix_group([spec for _pos, spec in items],
-                                       max_live=max_live)
+        results = execute_prefix_group(specs, max_live=max_live,
+                                       reference=reference)
+    elif reference is not None:
+        results = [_execute_campaign_scenario(spec, reference)
+                   for spec in specs]
     else:
-        results = [execute_scenario(spec) for _pos, spec in items]
+        results = [execute_scenario(spec) for spec in specs]
     return [(position, result)
             for (position, _spec), result in zip(items, results)]
 
@@ -412,7 +450,6 @@ class CampaignRunner:
         units: list[tuple[list[tuple[int, ScenarioSpec]], bool]] = []
         if self.prefix_fork:
             from repro.campaign.prefix import group_by_prefix
-            from repro.campaign.spec import KIND_CAMPAIGN
 
             groupable = [(position, spec) for position, spec in enumerate(specs)
                          if spec.kind == KIND_CAMPAIGN]
@@ -430,16 +467,33 @@ class CampaignRunner:
                  ) -> Iterator[tuple[int, dict]]:
         """Yield ``(position, result)`` as scenarios finish (positions
         index into *pending*); inline for one worker or one unit, else
-        through a process pool."""
-        units = self._dispatch_units([spec for _index, spec in pending])
-        if self.workers == 1 or len(units) <= 1:
-            for items, is_group in units:
-                yield from _execute_unit(items, is_group, self.fork_max_live)
+        through a process pool.
+
+        Each distinct failure-free reference (:func:`reference_key`) of
+        the pending campaign scenarios is run once, here in the calling
+        process, before any unit is dispatched, and travels with every
+        unit that needs it (a unit's scenarios share one key: prefix
+        groups extend it).  The references live only as long as this
+        call, so none can go stale, and a fully cached campaign runs none.
+        """
+        references: dict[tuple, Reference] = {}
+        work = []
+        for items, is_group in self._dispatch_units(
+                [spec for _index, spec in pending]):
+            lead = items[0][1]
+            reference = None
+            if lead.kind == KIND_CAMPAIGN:
+                key = reference_key(lead)
+                if key not in references:
+                    references[key] = _reference_run(lead)
+                reference = references[key]
+            work.append((items, is_group, self.fork_max_live, reference))
+        if self.workers == 1 or len(work) <= 1:
+            for args in work:
+                yield from _execute_unit(*args)
             return
         with ProcessPoolExecutor(
-                max_workers=min(self.workers, len(units))) as pool:
-            futures = [pool.submit(_execute_unit, items, is_group,
-                                   self.fork_max_live)
-                       for items, is_group in units]
+                max_workers=min(self.workers, len(work))) as pool:
+            futures = [pool.submit(_execute_unit, *args) for args in work]
             for future in as_completed(futures):
                 yield from future.result()

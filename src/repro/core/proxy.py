@@ -47,6 +47,8 @@ from repro.parallel.deviceapi import DeviceApi
 class DeviceProxyApi(DeviceApi):
     """The per-rank device proxy."""
 
+    keeps_replay_log = True
+
     def __init__(self, ctx: CudaContext, rank: int, config: JitConfig,
                  coordinator, watchdog_timeout: Optional[float] = None):
         super().__init__(ctx, rank)

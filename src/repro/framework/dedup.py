@@ -57,11 +57,15 @@ except ImportError:  # pragma: no cover - older numpy layouts
 def attach_job(job) -> list["ReplicaArena"]:
     """Share replica arenas across *job*'s data-parallel groups.
 
-    No-op (returns ``[]``) when dedup is disabled, when any rank sits
-    behind an interception API (managed JIT/periodic runs intercept the
-    very device calls the memo elides — their per-rank replay logs must
-    stay materialised), or when no group has two or more members (pure
-    model-parallel or fully-sharded jobs have no redundancy to exploit).
+    No-op (returns ``[]``) when dedup is disabled, when any rank's API
+    keeps a per-rank replay log (``keeps_replay_log``: the transparent
+    family's device proxy logs the very device calls the memo elides and
+    replays them rank by rank, so those logs must stay materialised), or
+    when no group has two or more members (pure model-parallel or
+    fully-sharded jobs have no redundancy to exploit).  Interception
+    layers without a replay log — the user-level JIT shim, which only
+    registers collective-ordered events with its watchdog — share arenas
+    like the plain passthrough API.
 
     Group math additionally requires pure DDP without stochastic ops:
     dropout draws a per-rank RNG stream, so replicas stop being bitwise
@@ -69,9 +73,7 @@ def attach_job(job) -> list["ReplicaArena"]:
     """
     if not flags.dedup:
         return []
-    from repro.parallel.deviceapi import DeviceApi
-
-    if any(type(api) is not DeviceApi for api in job.apis):
+    if any(api.keeps_replay_log for api in job.apis):
         return []
     arenas = []
     for ranks, group_math in job.dedup_groups():
@@ -303,8 +305,6 @@ class ReplicaArena:
         opt_state = (self._undo_opt_state() if lagging
                      else self.optimizer.state_dict())
         private = {name: np.array(array) for name, array in source.items()}
-        for name, array in private.items():
-            engine._rebind_param(name, array)
         from repro.framework.optim import make_optimizer
 
         optimizer = make_optimizer(engine.optimizer_kind, private,
@@ -313,7 +313,13 @@ class ReplicaArena:
         proxy = engine.optimizer
         if isinstance(proxy, MemberOptimizer):
             proxy._materialized = optimizer
+        # Install the private optimizer *before* rebinding: the proxy's
+        # ``params`` is the canonical optimizer's dict, and rebinding
+        # through it would point the group's optimizer at this member's
+        # private arrays.
         engine.optimizer = optimizer
+        for name, array in private.items():
+            engine._rebind_param(name, array)
         self._bind_moments(engine, optimizer)
         self.active[member] = False
         self.dedup_epoch += 1

@@ -35,6 +35,12 @@ from repro.nccl.rendezvous import ReduceOp
 class DeviceApi:
     """Passthrough device API bound to one rank's CUDA context."""
 
+    #: True for layers that log every call into a per-rank replay log and
+    #: re-execute it rank by rank (the transparent family's device proxy).
+    #: Replica dedup elides exactly those calls, so
+    #: :func:`repro.framework.dedup.attach_job` leaves such jobs private.
+    keeps_replay_log = False
+
     def __init__(self, ctx: CudaContext, rank: int):
         self.ctx = ctx
         self.rank = rank

@@ -350,6 +350,125 @@ def test_prefix_fork_runner_aggregate_is_byte_identical(tmp_path):
             [s.scenario_id for s in campaign.scenarios]
 
 
+# -- shared reference runs -------------------------------------------------------------
+# A campaign runs each distinct failure-free reference (ideal time, events,
+# loss digest) once, in the calling process, before dispatching any unit.
+
+
+def reference_campaign(name="references"):
+    """user_jit and periodic x 2 failure rates x 3 seeds: 12 scenarios,
+    three prefix groups (periodic splits by rate), one reference key."""
+    scenarios = ()
+    for rate in (1.0 / 25.0, 1.0 / 40.0):
+        scenarios += CampaignSpec.grid(
+            name, workloads=["GPT2-S"], policies=["user_jit", "periodic"],
+            seeds=[0, 1, 2], target_iterations=6, failure_rate=rate,
+            horizon=60.0, minibatch_time=0.1, init_costs=(0.5, 0.25, 0.25),
+            progress_timeout=10.0).scenarios
+    return CampaignSpec(name=name, scenarios=scenarios)
+
+
+@pytest.fixture
+def reference_jobs(monkeypatch):
+    """Workload specs of the reference jobs the campaign runner builds.
+
+    Fails any reference built outside this process (a pool worker or a
+    forked prefix-group child), which the parent could not count."""
+    import os
+
+    from repro.campaign import runner as runner_mod
+
+    built, parent = [], os.getpid()
+
+    class CountingJob(runner_mod.TrainingJob):
+        def __init__(self, spec, *args, **kwargs):
+            assert os.getpid() == parent, "reference run outside the runner"
+            built.append(spec)
+            super().__init__(spec, *args, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "TrainingJob", CountingJob)
+    return built
+
+
+@pytest.fixture(scope="module")
+def scratch_rows():
+    """From-scratch results of :func:`reference_campaign`, in order."""
+    return [execute_scenario(spec)
+            for spec in reference_campaign().scenarios]
+
+
+def test_execute_scenario_computes_its_own_reference(reference_jobs):
+    spec = reference_campaign().scenarios[0]
+    execute_scenario(spec)
+    assert len(reference_jobs) == 1
+    execute_scenario(spec)
+    assert len(reference_jobs) == 2
+
+
+@pytest.mark.parametrize("prefix_fork", [False, True])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_one_reference_run_per_reference_key(reference_jobs, scratch_rows,
+                                             prefix_fork, workers, tmp_path):
+    from repro.campaign.prefix import prefix_key
+    from repro.campaign.runner import reference_key
+    from repro.sim.snapshot import HAVE_FORK
+
+    if prefix_fork and not HAVE_FORK:
+        pytest.skip("os.fork unavailable")
+    campaign = reference_campaign()
+    assert len(campaign) == 12
+    assert len({prefix_key(spec) for spec in campaign.scenarios}) == 3
+    keys = {reference_key(spec) for spec in campaign.scenarios}
+    assert len(keys) == 1
+
+    cache = ResultCache(tmp_path / "cache")
+    runner = CampaignRunner(cache=cache, workers=workers,
+                            prefix_fork=prefix_fork)
+    result = runner.run(campaign)
+    assert len(reference_jobs) == len(keys)
+    assert result.executed == 12
+
+    # Same results as from-scratch execution, where every scenario runs
+    # its own reference.
+    assert canonical_json(result.aggregate()) == \
+        canonical_json(aggregate_results(scratch_rows))
+    assert [canonical_json(_strip_perf(row)) for row in result.rows()] == \
+        [canonical_json(_strip_perf(row)) for row in scratch_rows]
+    assert any(row["metrics"]["failures"] > 0 for row in scratch_rows)
+
+    # A fully cached rerun computes no reference at all.
+    del reference_jobs[:]
+    warm = runner.run(campaign)
+    assert warm.executed == 0
+    assert reference_jobs == []
+    assert canonical_json(warm.aggregate()) == \
+        canonical_json(result.aggregate())
+
+
+def test_reference_key_is_a_projection_of_prefix_key():
+    from repro.campaign.prefix import prefix_key
+    from repro.campaign.runner import reference_key
+
+    specs = [ScenarioSpec(seed=seed, policy=policy, failure_rate=rate,
+                          target_iterations=iterations,
+                          minibatch_time=minibatch_time)
+             for seed in (0, 1) for policy in ("user_jit", "periodic")
+             for rate in (1.0 / 25.0, 1.0 / 80.0) for iterations in (6, 8)
+             for minibatch_time in (None, 0.1)]
+    by_prefix: dict[tuple, set] = {}
+    for spec in specs:
+        key = reference_key(spec)
+        assert prefix_key(spec)[:len(key)] == key
+        by_prefix.setdefault(prefix_key(spec), set()).add(key)
+    # Equal prefixes imply equal references, never the other way round:
+    # policy and (periodic) failure rate split prefixes, not references.
+    assert all(len(keys) == 1 for keys in by_prefix.values())
+    assert len({reference_key(spec) for spec in specs}) == 4
+    assert len(by_prefix) == 4 * 3
+    with pytest.raises(ValueError):
+        reference_key(ScenarioSpec(kind="analytic", n_gpus=8))
+
+
 def test_oracle_scenario_storage_shapes():
     from repro.campaign.runner import execute_scenario
     from repro.campaign.spec import KIND_ORACLE, ORACLE_WORKLOAD, ScenarioSpec

@@ -1,24 +1,29 @@
-"""Pinned reproducers for the ROADMAP timing-edge divergences.
+"""Reproducers for the five timing-edge divergences, now fixed.
 
-The widened fuzz rotation surfaced pre-existing exactness failures (they
-reproduce on the seed commit; see ROADMAP.md "Timing edges exposed by
-widening the fuzz rotation").  Each is pinned here as a
-``xfail(strict=True)`` regression test: the suite stays green while the
-bugs are open, and the moment a fix lands the strict xfail flips to
-XPASS-as-failure, forcing the reproducer to be promoted to a plain
-passing test (and the CI seed matrix widened, per the roadmap).
+A widened fuzz rotation surfaced five exactness failures on gemini,
+periodic and adaptive.  They shared one root cause in replica dedup
+(:mod:`repro.framework.dedup`): ``ReplicaArena.diverge`` rebound the
+diverging member's parameters while its optimizer was still the
+member's proxy, whose ``params`` is the canonical optimizer's dict.  The
+group's canonical optimizer was thereby pointed at the diverged member's
+private arrays, so every later canonical step updated that private copy
+and left the rest of the group's arrays stale.  Each schedule below
+diverges a member of a shared arena at a moment where that corruption
+reaches the loss stream.  ``diverge`` now installs the private optimizer
+before rebinding, and every reproducer passes with dedup on (they always
+passed with ``REPRO_DEDUP=0``).
 
 The schedules are the shrunk forms from the fuzz campaign:
 
 * ``single`` seed 2110000 — GPU_STICKY at iteration 11 + 0.04 s on
-  rank 1; gemini diverges.
+  rank 1 (gemini).
 * ``during_recovery`` seed 2020003 — GPU_STICKY at iteration 10 +
   0.10 s on rank 2, then GPU_DRIVER_CORRUPT lands mid-recovery at
-  iteration 10 + 2.76 s on rank 3; gemini diverges at 16 iterations,
-  periodic needs the 20-iteration horizon.
+  iteration 10 + 2.76 s on rank 3 (gemini at 16 iterations, periodic at
+  the 20-iteration horizon).
 * ``back_to_back_hard`` seed 70002 — GPU_HARD at iteration 2 + 0.04 s
-  on rank 1, then GPU_HARD at iteration 3 + 0.42 s on rank 2;
-  adaptive and gemini diverge at 16 iterations.
+  on rank 1, then GPU_HARD at iteration 3 + 0.42 s on rank 2 (adaptive
+  and gemini at 16 iterations).
 """
 
 import pytest
@@ -47,44 +52,26 @@ def oracle20():
     return RecoveryOracle(iterations=20)
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="known timing edge: gemini diverges on "
-                          "single#2110000 (ROADMAP)")
 def test_gemini_single_sticky_late(oracle16):
     verdict = oracle16.check(SINGLE_2110000, "gemini")
     assert verdict.passed, verdict.describe()
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="known timing edge: gemini diverges when a "
-                          "second failure lands mid-recovery "
-                          "(during_recovery#2020003, ROADMAP)")
 def test_gemini_failure_during_recovery(oracle16):
     verdict = oracle16.check(DURING_RECOVERY_2020003, "gemini")
     assert verdict.passed, verdict.describe()
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="known timing edge: periodic diverges when a "
-                          "second failure lands mid-recovery at the "
-                          "20-iteration horizon (during_recovery#2020003, "
-                          "ROADMAP)")
 def test_periodic_failure_during_recovery(oracle20):
     verdict = oracle20.check(DURING_RECOVERY_2020003, "periodic")
     assert verdict.passed, verdict.describe()
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="known timing edge: adaptive diverges on "
-                          "back_to_back_hard#70002 (ROADMAP)")
 def test_adaptive_back_to_back_hard(oracle16):
     verdict = oracle16.check(BACK_TO_BACK_70002, "adaptive")
     assert verdict.passed, verdict.describe()
 
 
-@pytest.mark.xfail(strict=True,
-                   reason="known timing edge: gemini diverges on "
-                          "back_to_back_hard#70002 (ROADMAP)")
 def test_gemini_back_to_back_hard(oracle16):
     verdict = oracle16.check(BACK_TO_BACK_70002, "gemini")
     assert verdict.passed, verdict.describe()

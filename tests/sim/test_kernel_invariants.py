@@ -538,6 +538,45 @@ def test_dedup_diverge_then_readmit_round_trip():
         assert not arena.member_active(2)
 
 
+def _diverge_mid_run(on):
+    from repro.hardware.specs import V100_NODE
+    from repro.parallel.topology import ParallelLayout
+    from repro.workloads import TrainingJob, WorkloadSpec
+
+    with flags.override(dedup=on):
+        spec = WorkloadSpec(name="DEDUPDIV", model="GPT2-S",
+                            node_spec=V100_NODE, num_nodes=1,
+                            layout=ParallelLayout(dp=4), engine="ddp",
+                            framework="equivalence", minibatch_time=0.05,
+                            dropout=0.1)
+        job = TrainingJob(spec)
+        env = job.env
+
+        def first_leg(engine):
+            yield from engine.setup()
+            yield from engine.train(3)
+
+        env.run(until=env.all_of([env.process(first_leg(engine))
+                                  for engine in job.engines]))
+        if on:
+            arena, = job.dedup_arenas
+            assert not arena.group_math    # dropout: shared storage only
+            arena.diverge(1)
+        env.run(until=env.all_of([env.process(engine.train(2))
+                                  for engine in job.engines]))
+        losses = [list(engine.loss_history) for engine in job.engines]
+        state = [engine.state_dict() for engine in job.engines]
+        return losses, env.now, env.events_processed, state
+
+
+def test_diverged_member_leaves_the_group_optimizer_alone():
+    """Diverging one member of a shared arena (no group math) and training
+    on: every rank's losses and parameters stay bitwise equal to a
+    dedup-off run.  The group's canonical optimizer must keep updating the
+    canonical arrays, not the diverged member's private copy."""
+    _assert_bitwise_equal(_diverge_mid_run(True), _diverge_mid_run(False))
+
+
 def test_gpu_failure_triggers_cow_divergence():
     """A GPU epoch transition (failure) is the copy-on-write trigger: the
     member detaches with a private, bitwise-equal copy of the canonical
@@ -567,22 +606,81 @@ def test_gpu_failure_triggers_cow_divergence():
             assert np.array_equal(buf.array, canonical[name]), name
 
 
-def test_oracle_grid_identical_with_dedup_on_and_off():
-    """Managed (interception-API) runs materialise per-rank replay logs, so
-    attach_job must refuse to dedup them: the oracle grid passes and its
-    goldens are identical whichever way the dedup switch points."""
+def _oracle_grid(on, monkeypatch):
+    """Verdict outcomes, loss streams and arena counts of every strategy on
+    every grid schedule, with dedup *on* or off."""
+    from repro.framework import dedup
     from repro.oracle import (FailurePoint, FailureSchedule, RecoveryOracle,
                               STRATEGIES)
+    from repro.oracle.strategies import TRANSPARENT_FAMILY
+    from tests.oracle.test_timing_edges import (BACK_TO_BACK_70002,
+                                                DURING_RECOVERY_2020003,
+                                                SINGLE_2110000)
 
-    schedule = FailureSchedule(points=(
-        FailurePoint(2, "GPU_HARD", 1, offset=0.4),))
-    goldens = {}
-    for on in (True, False):
-        with flags.override(dedup=on):
-            oracle = RecoveryOracle(iterations=8)
-            for strategy in STRATEGIES:
+    # One schedule over all six strategies, then the timing-edge schedules,
+    # each at the horizon that exposed it, over the strategies dedup can
+    # reach (the transparent family never dedups, so re-running it there
+    # would compare a run with itself).
+    managed = tuple(s for s in STRATEGIES if s not in TRANSPARENT_FAMILY)
+    schedules = [
+        (FailureSchedule(points=(FailurePoint(2, "GPU_HARD", 1, offset=0.4),)),
+         8, STRATEGIES),
+        (SINGLE_2110000, 16, managed),
+        (DURING_RECOVERY_2020003, 20, managed),
+        (BACK_TO_BACK_70002, 16, managed),
+    ]
+    # Arenas attached to the jobs each strategy's runs build (goldens
+    # excluded: they are plain failure-free jobs), and the runs themselves.
+    arenas: dict[str, list[int]] = {strategy: [] for strategy in STRATEGIES}
+    current, runs = [], []
+    attach, run_strategy = dedup.attach_job, RecoveryOracle.run
+
+    def counting_attach(job):
+        attached = attach(job)
+        if current:
+            arenas[current[-1]].append(len(attached))
+        return attached
+
+    def recording_run(oracle, schedule, strategy):
+        current.append(strategy)
+        try:
+            runs.append(run_strategy(oracle, schedule, strategy))
+        finally:
+            current.pop()
+        return runs[-1]
+
+    monkeypatch.setattr(dedup, "attach_job", counting_attach)
+    monkeypatch.setattr(RecoveryOracle, "run", recording_run)
+    results, goldens = {}, {}
+    with flags.override(dedup=on):
+        for schedule, iterations, strategies in schedules:
+            oracle = RecoveryOracle(iterations=iterations)
+            for strategy in strategies:
                 verdict = oracle.check(schedule, strategy)
                 assert verdict.passed, (on, verdict.describe())
-            goldens[on] = {strategy: oracle.golden(strategy)
-                           for strategy in STRATEGIES}
-    assert goldens[True] == goldens[False]
+                results[schedule, iterations, strategy] = (
+                    verdict.outcome, runs[-1].losses)
+                goldens[iterations, strategy] = oracle.golden(strategy)
+    monkeypatch.undo()
+    return results, goldens, arenas
+
+
+def test_oracle_grid_identical_with_dedup_on_and_off(monkeypatch):
+    """Dedup is armed for every strategy whose device API keeps no replay
+    log — the user-level shim and the plain API of periodic, adaptive and
+    gemini — and off for the transparent family's device proxy.  Across
+    the timing-edge schedules every verdict passes and every outcome, loss
+    stream and golden is identical whichever way the dedup switch points."""
+    from repro.oracle.strategies import TRANSPARENT_FAMILY
+
+    on = _oracle_grid(True, monkeypatch)
+    off = _oracle_grid(False, monkeypatch)
+    assert on[0] == off[0]
+    assert on[1] == off[1]
+    for strategy, counts in on[2].items():
+        assert counts, strategy
+        if strategy in TRANSPARENT_FAMILY:
+            assert set(counts) == {0}, strategy
+        else:
+            assert 0 not in counts, (strategy, counts)
+    assert all(set(counts) == {0} for counts in off[2].values())
