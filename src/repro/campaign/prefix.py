@@ -16,8 +16,9 @@ sorted by first-failure time, and executed as:
 2. it forks a copy-on-write child (:class:`repro.sim.snapshot.ForkBranch`)
    which arms that scenario's full failure schedule and runs the divergent
    tail to completion;
-3. scenarios whose schedule never fires inside the horizon reuse the
-   parent's own completed run directly — no fork at all.
+3. scenarios whose first failure would land only after the shared run
+   has completed (or never, inside the horizon) reuse the parent's own
+   completed run directly — no fork at all.
 
 Because :meth:`run_until_before` never advances the clock past dispatched
 events and the injector schedules with ulp-exact absolute timeouts, every
@@ -140,6 +141,12 @@ def execute_prefix_group(specs: list[ScenarioSpec],
             tail_indices.append(index)
             continue
         env.run_until_before(first_failure[index])
+        if proc.triggered:
+            # The job finished before this scenario's first failure, so
+            # none of its failures ever fires either (from scratch,
+            # ``env.run(until=proc)`` stops first): no tail to fork.
+            tail_indices.append(index)
+            continue
         if len(live) >= max_live:
             done_index, branch = live.pop(0)
             results[done_index] = branch.result()
@@ -149,7 +156,7 @@ def execute_prefix_group(specs: list[ScenarioSpec],
 
     if tail_indices:
         # Finish the shared run in the parent and reuse its report for
-        # every failure-free scenario (one simulation, N identical rows).
+        # every scenario no failure reached (one simulation, N rows).
         report = env.run(until=proc)
         wall = time.perf_counter() - group_start
         for index in tail_indices:

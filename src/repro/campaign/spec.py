@@ -170,7 +170,9 @@ class ScenarioSpec:
 
     def config(self) -> dict:
         """Canonical JSON-ready description of this scenario."""
-        out = dataclasses.asdict(self)
+        # Every field is immutable, so a shallow read suffices;
+        # ``dataclasses.asdict`` would deep-copy each of them.
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         out["type_mix"] = [list(pair) for pair in self.type_mix]
         if self.init_costs is not None:
             out["init_costs"] = list(self.init_costs)

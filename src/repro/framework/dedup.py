@@ -29,8 +29,19 @@ Two sharing levels:
 Sharing is *copy-on-write*: the moment a rank diverges — its GPU bumps
 its epoch (failure, driver reset), or state is loaded into it — the
 member materialises a private copy of everything at the version it
-witnessed and leaves the group; ``dedup_epoch`` counts these transitions
-so post-recovery re-convergence can re-share via :meth:`ReplicaArena.readmit`.
+witnessed and leaves the group; ``dedup_epoch`` counts these transitions.
+
+Recovery makes replicas identical again: every member of a restarted
+generation loads the same checkpoint (the paper's Section 3 restore).
+Each load still diverges its member first, so the write stays private,
+and then reports the restore to the arena.  Once every member of a
+never-stepped arena has restored, the arena *re-seats* its canonical
+state on member 0's restored arrays and optimizer and calls
+:meth:`ReplicaArena.readmit` for the rest, which re-shares each one whose
+state matches bitwise and leaves any other private.  Storage sharing
+resumes at once; group math resumes from the first iteration no member
+has enqueued yet, because it must be uniform across the group within an
+iteration.
 
 The contract is bitwise equivalence: losses, simulated clocks, and
 logical event counts match dedup-off exactly, including mid-iteration
@@ -94,6 +105,12 @@ def _copy_opt_state(state: dict) -> dict:
         else:
             out[key] = value
     return out
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Bitwise equality; ``np.array_equal`` equates 0.0 with -0.0."""
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and a.tobytes() == b.tobytes())
 
 
 class MemberOptimizer:
@@ -167,8 +184,8 @@ class ReplicaArena:
             raise ValueError("a replica arena needs at least two members")
         self.engines = list(engines)
         self.group_math = bool(group_math)
-        #: Bumped on every diverge *and* readmit, so observers can tell
-        #: whether the sharing set changed since they last looked.
+        #: Bumped on every diverge, re-seat and readmit, so observers can
+        #: tell whether the sharing set changed since they last looked.
         self.dedup_epoch = 0
         leader = self.engines[0]
         self.optimizer = leader.optimizer
@@ -192,6 +209,12 @@ class ReplicaArena:
         #: kept live (the CPU runs at most one iteration ahead of the
         #: device — the all-reduce rendezvous is a per-iteration barrier).
         self._memo: dict[int, dict] = {}
+        #: Members that loaded checkpoint state into a never-stepped arena.
+        self._restored: set[int] = set()
+        #: First iteration whose math the group shares (group-math mode).
+        self._math_from = 0
+        #: One past the newest iteration any member has enqueued.
+        self._enqueued = 0
         for member, engine in enumerate(self.engines):
             engine._dedup_arena = self
             engine._dedup_member = member
@@ -201,7 +224,7 @@ class ReplicaArena:
             # Any epoch transition on the member's GPU (failure, driver
             # reset) is the copy-on-write trigger.
             engine.api.ctx.gpu.on_epoch.append(
-                lambda m=member: self.diverge(m))
+                lambda m=member: self._device_epoch(m))
 
     # -- membership --------------------------------------------------------
 
@@ -222,6 +245,21 @@ class ReplicaArena:
 
     def member_active(self, member: int) -> bool:
         return self.active[member]
+
+    def shares_math(self, member: int, iteration: int) -> bool:
+        """Does *member* enqueue *iteration* on the group's shared math?
+
+        Asked once per iteration, at enqueue time, so asking also records
+        that *iteration* has been enqueued.  Group math must be
+        uniform across the group within an iteration: a member that runs
+        it writes the *reduced* gradient into the shared arena, so mixing
+        it with private members in one all-reduce would average the wrong
+        values.  After a re-seat it therefore resumes only from the first
+        iteration no member had enqueued yet.
+        """
+        self._enqueued = max(self._enqueued, iteration + 1)
+        return (self.group_math and self.active[member]
+                and iteration >= self._math_from)
 
     def member_steps(self, member: int) -> int:
         return self.witnessed[member]
@@ -295,6 +333,49 @@ class ReplicaArena:
 
     # -- copy-on-write -----------------------------------------------------
 
+    def _device_epoch(self, member: int) -> None:
+        # A device transition after a restore voids it as a re-seat
+        # witness: the member's generation is failing, not converging.
+        self._restored.discard(member)
+        self.diverge(member)
+
+    def member_restored(self, member: int) -> None:
+        """Record that *member* loaded checkpoint state; re-share if all did.
+
+        Only a never-stepped arena (a fresh generation) re-seats: then
+        nothing but the restores has written the members' state.
+        """
+        if self.steps_applied:
+            return
+        self._restored.add(member)
+        if len(self._restored) == len(self.engines) and not any(self.active):
+            self._reseat()
+
+    def _reseat(self) -> None:
+        """Make member 0's restored state canonical and readmit the rest.
+
+        Every member has diverged by now, so the canonical arrays still
+        hold the generation's freshly initialised weights and ``readmit``
+        alone would refuse everyone.  The undo snapshot and the memo
+        describe that discarded state and are dropped with it.
+        """
+        leader = self.engines[0]
+        self.optimizer = leader.optimizer
+        self.params = {name: buf.array
+                       for name, buf in leader.param_buffers.items()}
+        self.steps_applied = self.optimizer.step_count
+        self.witnessed = [self.steps_applied] * len(self.engines)
+        self._undo = None
+        self._memo.clear()
+        leader.optimizer = MemberOptimizer(self, 0)
+        self.active[0] = True
+        self.dedup_epoch += 1
+        readmitted = [self.readmit(member)
+                      for member in range(1, len(self.engines))]
+        # A member that restored early may already have enqueued an
+        # iteration privately; a refused one stays private for good.
+        self._math_from = self._enqueued if all(readmitted) else float("inf")
+
     def diverge(self, member: int) -> None:
         """Materialise a private copy for *member* and detach it."""
         if not self.active[member]:
@@ -332,8 +413,9 @@ class ReplicaArena:
         """Re-share a diverged member whose state re-converged bitwise.
 
         Returns False (and leaves the member private) if any parameter,
-        moment, or the step count differs from the canonical arena — the
-        caller decides whether to retry after further re-convergence.
+        moment, or the step count differs from the canonical arena.  After
+        a restart the re-seat (:meth:`member_restored`) calls this for
+        every member but the one it seated on.
         """
         if self.active[member]:
             return True
@@ -344,13 +426,13 @@ class ReplicaArena:
         if optimizer is None or optimizer.step_count != self.steps_applied:
             return False
         for name, array in self.params.items():
-            if not np.array_equal(optimizer.params[name], array):
+            if not _same_bits(optimizer.params[name], array):
                 return False
         for attr in ("m", "v", "velocity"):
             canon = getattr(self.optimizer, attr, {})
             mine = getattr(optimizer, attr, {})
             for name, array in canon.items():
-                if not np.array_equal(mine[name], array):
+                if not _same_bits(mine[name], array):
                     return False
         self._bind_member(engine)
         proxy = MemberOptimizer(self, member)

@@ -249,6 +249,10 @@ class BaseEngine:
             self.rng.set_state(state["rng"])
             self._rng_snapshot = state["rng"]
             self._rng_snapshot_iteration = self.iteration
+        if self._dedup_arena is not None:
+            # Replicas that restored the same checkpoint are bitwise
+            # copies again; the arena re-shares them once all have.
+            self._dedup_arena.member_restored(self._dedup_member)
 
     @property
     def state_bytes(self) -> int:

@@ -116,14 +116,14 @@ class DataParallelEngine(BaseEngine):
 
         # Replica-dedup fast path: when every rank of the group shares the
         # canonical arena, model math is memoised once per group and each
-        # thunk here degenerates to a lookup.  The decision is made at
-        # enqueue time; a rank that diverges mid-flight never executes its
-        # already-enqueued thunks (the GPU epoch bump hangs them), so the
-        # group memo can never observe a stale member.
+        # thunk here degenerates to a lookup.  The decision is made per
+        # iteration at enqueue time; a rank that diverges mid-flight never
+        # executes its already-enqueued thunks (the GPU epoch bump hangs
+        # them), so the group memo can never observe a stale member.
         arena = self._dedup_arena
         member = self._dedup_member
-        group_math = (arena is not None and arena.group_math
-                      and arena.member_active(member))
+        group_math = (arena is not None
+                      and arena.shares_math(member, iteration))
 
         if group_math:
             x, labels = arena.member_shard(iteration, member, self.dataset)

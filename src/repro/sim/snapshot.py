@@ -18,6 +18,7 @@ purely a wall-clock optimisation).
 
 from __future__ import annotations
 
+import gc
 import io
 import os
 import pickle
@@ -71,6 +72,12 @@ class ForkBranch:
         read_fd, write_fd = os.pipe()
         pid = os.fork()
         if pid == 0:  # child
+            # Move the inherited heap into the permanent generation: the
+            # child's cyclic GC then never walks it, and never writes to
+            # (and so copies) the parent's pages.  Only the child freezes:
+            # in the parent, freezing holds cyclic garbage out of
+            # collection and raises peak RSS.
+            gc.freeze()
             os.close(read_fd)
             code = 0
             try:

@@ -308,6 +308,57 @@ def test_prefix_fork_group_matches_from_scratch_byte_identically():
     assert any(r["metrics"]["failures"] > 0 for r in forked)
 
 
+def test_prefix_fork_skips_tails_no_failure_reaches(monkeypatch):
+    """Seed 0 fails inside the job; seeds 3 and 5 draw failures inside the
+    horizon but only after their job has finished, so their rows reuse
+    the shared run: one fork per prefix group.  Every path computes the
+    same rows and aggregate as from-scratch execution."""
+    from repro.campaign import prefix
+    from repro.campaign.runner import _build_managed_runner, _resolve_workload
+    from repro.sim import Environment
+    from repro.sim.snapshot import HAVE_FORK, ForkBranch
+
+    if not HAVE_FORK:
+        pytest.skip("os.fork unavailable")
+    campaign = CampaignSpec.grid(
+        "late-failures", workloads=["GPT2-S"],
+        policies=["user_jit", "periodic"], seeds=[0, 3, 5],
+        target_iterations=8, failure_rate=1.0 / 30.0, horizon=60.0,
+        minibatch_time=0.1, init_costs=(0.5, 0.25, 0.25),
+        progress_timeout=10.0)
+    scratch = [execute_scenario(spec) for spec in campaign.scenarios]
+    lead = campaign.scenarios[0]
+    cluster = _build_managed_runner(lead, _resolve_workload(lead),
+                                    Environment())[0].manager.cluster
+    for spec, row in zip(campaign.scenarios, scratch):
+        first = prefix._draw_schedule(spec, cluster)[0].time
+        assert (row["metrics"]["failures"] > 0) is (spec.seed == 0)
+        if spec.seed != 0:
+            assert row["metrics"]["total_time"] < first < spec.horizon
+
+    forks = []
+
+    class CountingBranch(ForkBranch):
+        def __init__(self, fn):
+            forks.append(fn)
+            super().__init__(fn)
+
+    monkeypatch.setattr(prefix, "ForkBranch", CountingBranch)
+    expected = [canonical_json(_strip_perf(row)) for row in scratch]
+    for prefix_fork in (False, True):
+        for workers in (1, 2):
+            del forks[:]
+            result = CampaignRunner(cache=None, workers=workers,
+                                    prefix_fork=prefix_fork).run(campaign)
+            if workers == 1:
+                # Pool workers fork in their own processes, uncounted here.
+                assert len(forks) == (2 if prefix_fork else 0)
+            assert [canonical_json(_strip_perf(row))
+                    for row in result.rows()] == expected
+            assert canonical_json(result.aggregate()) == \
+                canonical_json(aggregate_results(scratch))
+
+
 def test_prefix_key_separates_trajectory_shaping_config():
     from repro.campaign.prefix import prefix_key
     from repro.campaign.spec import KIND_ANALYTIC

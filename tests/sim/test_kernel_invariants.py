@@ -684,3 +684,197 @@ def test_oracle_grid_identical_with_dedup_on_and_off(monkeypatch):
         else:
             assert 0 not in counts, (strategy, counts)
     assert all(set(counts) == {0} for counts in off[2].values())
+
+
+# -- restore re-share ------------------------------------------------------------------
+# Every replica of a restarted generation loads the same checkpoint, so the
+# arena re-seats on one member's restored state and readmits the others
+# (ReplicaArena.member_restored).  The restarted generation then runs
+# shared again, and must stay bitwise what a dedup-off run computes.
+
+_RESHARE_LAYOUTS = {
+    "ddp": dict(layout=dict(dp=4)),
+    "ddp-dropout": dict(layout=dict(dp=4), dropout=0.1),
+    "3d": dict(layout=dict(dp=2, pp=2, tp=2), engine="3d"),
+    "fsdp": dict(layout=dict(dp=16), engine="fsdp", num_nodes=2),
+}
+
+
+def _reshare_run(on, strategy, layout, monkeypatch, perturb_rank=None):
+    """One hard GPU failure mid-run under *strategy*; returns the
+    observables, the run, and the arenas of the job that finished it."""
+    from repro.framework import dedup
+    from repro.hardware.specs import V100_NODE
+    from repro.oracle import FailurePoint, FailureSchedule, strategies
+    from repro.parallel.base import BaseEngine
+    from repro.parallel.topology import ParallelLayout
+    from repro.workloads import WorkloadSpec
+
+    options = dict(_RESHARE_LAYOUTS[layout])
+    spec = WorkloadSpec(name="RESHARE", model="GPT2-S", node_spec=V100_NODE,
+                        num_nodes=options.pop("num_nodes", 1),
+                        layout=ParallelLayout(**options.pop("layout")),
+                        engine=options.pop("engine", "ddp"),
+                        framework="equivalence", minibatch_time=0.05,
+                        seed=7, **options)
+    runners, arenas = [], {}
+    build, attach = strategies._build_managed_runner, dedup.attach_job
+    load = BaseEngine.load_state_dict
+
+    def recording_build(*args):
+        runners.append(build(*args))
+        return runners[-1]
+
+    def recording_attach(job):
+        arenas[id(job)] = attach(job)
+        return arenas[id(job)]
+
+    def perturbed_load(engine, state):
+        if engine.api.rank == perturb_rank:
+            state = dict(state, params=dict(state["params"]))
+            name = next(iter(state["params"]))
+            state["params"][name] = state["params"][name] + 1e-3
+        load(engine, state)
+
+    monkeypatch.setattr(strategies, "_build_managed_runner", recording_build)
+    monkeypatch.setattr(dedup, "attach_job", recording_attach)
+    monkeypatch.setattr(BaseEngine, "load_state_dict", perturbed_load)
+    schedule = FailureSchedule(points=(
+        FailurePoint(3, "GPU_HARD", 1, offset=0.4),))
+    try:
+        with flags.override(dedup=on):
+            run = strategies.run_strategy(strategy, spec, schedule, 6)
+    finally:
+        monkeypatch.undo()
+    assert run.completed and len(run.generations) == 2, run.detail
+    job = runners[0].manager.current_job
+    state = [engine.state_dict() for engine in job.engines]
+    return ((run.losses, run.wall_time, run.events, state), run,
+            arenas[id(job)])
+
+
+@pytest.mark.parametrize("layout", list(_RESHARE_LAYOUTS))
+@pytest.mark.parametrize("strategy", ["user_level", "periodic", "gemini"])
+def test_restarted_generation_reshares_bitwise(strategy, layout, monkeypatch):
+    """Dedup on and off agree bitwise on losses, final clock, logical
+    event count and every rank's final parameters, and with dedup on the
+    restarted generation re-shared every arena: each member diverged to
+    load its checkpoint, one re-seat made member 0's restored state
+    canonical, every other member was readmitted, and none left again."""
+    on, run, arenas = _reshare_run(True, strategy, layout, monkeypatch)
+    off, _, _ = _reshare_run(False, strategy, layout, monkeypatch)
+    _assert_bitwise_equal(on, off)
+    resumed = run.resume_points[1]
+    assert resumed > 0, "the restarted generation must restore"
+    assert arenas
+    for arena in arenas:
+        members = len(arena.engines)
+        assert all(arena.active), arena.active
+        assert arena.dedup_epoch == 2 * members
+        # Group math (pure DDP) is shared again from the first
+        # post-restore iteration.
+        assert arena.shares_math(0, resumed) is arena.group_math
+
+
+@pytest.mark.parametrize("layout,rank,member", [("ddp", 2, 2), ("3d", 5, 1)])
+def test_perturbed_restore_stays_private(layout, rank, member, monkeypatch):
+    """A member whose restored state differs from member 0's is refused
+    readmission and stays private; group math stays off for the whole
+    group; the run still matches dedup off bitwise."""
+    on, _, arenas = _reshare_run(True, "user_level", layout, monkeypatch,
+                                 perturb_rank=rank)
+    off, _, _ = _reshare_run(False, "user_level", layout, monkeypatch,
+                             perturb_rank=rank)
+    _assert_bitwise_equal(on, off)
+    arena, = [a for a in arenas
+              if any(e.api.rank == rank for e in a.engines)]
+    assert arena.engines[member].api.rank == rank
+    assert not arena.active[member]
+    assert sum(arena.active) == len(arena.engines) - 1
+    assert not arena.shares_math(0, 10 ** 6)
+
+
+def _reseat_spec():
+    from repro.hardware.specs import V100_NODE
+    from repro.parallel.topology import ParallelLayout
+    from repro.workloads import WorkloadSpec
+
+    return WorkloadSpec(name="RESEAT", model="GPT2-S", node_spec=V100_NODE,
+                        num_nodes=1, layout=ParallelLayout(dp=4),
+                        engine="ddp", framework="equivalence",
+                        minibatch_time=0.05)
+
+
+def _staggered_restore(on, late):
+    """Restore a fresh dp=4 generation from iteration 3 and train on.
+
+    With *late*, members 0-2 restore and start iteration 3 (enqueueing it
+    privately) before member 3 restores; otherwise all four restore before
+    anyone trains.  Returns the observables and the dedup_epoch right
+    before and right after the last restore."""
+    from repro.workloads import TrainingJob
+
+    with flags.override(dedup=on):
+        first = TrainingJob(_reseat_spec())
+        first.run_training(3)
+        states = [engine.state_dict() for engine in first.engines]
+        job = TrainingJob(_reseat_spec())
+        env = job.env
+        env.run(until=env.all_of([env.process(engine.setup())
+                                  for engine in job.engines]))
+        epochs = []
+
+        def restore(rank):
+            arena = job.engines[rank]._dedup_arena
+            epochs.append(arena.dedup_epoch if arena else None)
+            job.engines[rank].load_state_dict(states[rank])
+            epochs.append(arena.dedup_epoch if arena else None)
+
+        def worker(rank, engine):
+            if late and rank == 3:
+                yield env.timeout(0.01)
+                restore(rank)
+            yield from engine.train(3)
+
+        for rank in range(4):
+            if not (late and rank == 3):
+                restore(rank)
+        env.run(until=env.all_of([env.process(worker(rank, engine))
+                                  for rank, engine in enumerate(job.engines)]))
+        losses = [list(engine.loss_history) for engine in job.engines]
+        state = [engine.state_dict() for engine in job.engines]
+        return (losses, env.now, env.events_processed, state), job, epochs[-2:]
+
+
+@pytest.mark.parametrize("late", [False, True])
+def test_reseat_resumes_group_math_after_every_private_enqueue(late):
+    """Members restoring at different simulated times: an early member
+    may already have enqueued the resume iteration r privately, so group
+    math resumes at r + 1 for everyone (at r when all restored first).
+    The last restore moves dedup_epoch once for its own divergence, once
+    for the re-seat and once per readmitted member."""
+    on, job, (before, after) = _staggered_restore(True, late)
+    off, _, _ = _staggered_restore(False, late)
+    _assert_bitwise_equal(on, off)
+    arena, = job.dedup_arenas
+    assert all(arena.active)
+    assert arena.shares_math(0, 3) is not late
+    assert arena.shares_math(0, 4)
+    assert (before, after) == (3, 3 + 1 + 1 + 3)
+
+
+def test_cold_start_and_stepped_arenas_never_reseat():
+    """No restore, no re-seat; and an arena that has stepped is no fresh
+    generation, so loading state into every member leaves all private."""
+    from repro.workloads import TrainingJob
+
+    with flags.override(dedup=True):
+        job = TrainingJob(_reseat_spec())
+        job.run_training(3)
+        arena, = job.dedup_arenas
+        assert all(arena.active) and arena.dedup_epoch == 0
+        states = [engine.state_dict() for engine in job.engines]
+        for engine, state in zip(job.engines, states):
+            engine.load_state_dict(state)
+        assert not any(arena.active)
+        assert arena.dedup_epoch == 4
