@@ -53,6 +53,16 @@ class UserLevelInterceptApi(DeviceApi):
         if stream.saw_collective:
             self.client.watch(event)
 
+    def follow_records(self, events) -> None:
+        # The events this rank would have recorded are the leader's,
+        # watched exactly as if recorded here.
+        for event in events:
+            if event.recorded_on.saw_collective:
+                self.client.watch(event)
+
+    def follow_retarget(self, copies: dict) -> None:
+        self.client.retarget(copies)
+
 
 class JitRankClient:
     """Per-rank user-level JIT library instance."""
@@ -91,6 +101,10 @@ class JitRankClient:
     def watch(self, event) -> None:
         if self._watchdog is not None:
             self._watchdog.watch(event)
+
+    def retarget(self, copies: dict) -> None:
+        if self._watchdog is not None:
+            self._watchdog.retarget(copies)
 
     def stop(self) -> None:
         if self._watchdog is not None:

@@ -55,6 +55,11 @@ class EventWatchdog:
         if self._process is None:
             self._process = self.env.process(self._run(), name=self.name)
 
+    def retarget(self, copies: dict) -> None:
+        """Watch ``copies[e]`` in place of each watched event ``e``."""
+        for watched in self._watch:
+            watched.event = copies.get(watched.event, watched.event)
+
     @property
     def pending(self) -> int:
         return len(self._watch)

@@ -57,6 +57,21 @@ class CudaEvent:
         self._completion = self.env.event()
         return self._completion
 
+    def adopt_trigger(self, stream, trigger_time: float) -> None:
+        """Take the triggered state of a replica's identical event.
+
+        The completion is marked already processed: its dispatch was
+        accounted to the replica's event, and a waiter resumes at once.
+        """
+        self.state = EventState.TRIGGERED
+        self.recorded_on = stream
+        self.trigger_time = trigger_time
+        done = self.env.event()
+        done._ok = True
+        done._value = self
+        done.callbacks = None
+        self._completion = done
+
     def trigger(self) -> None:
         """Called by the stream executor when the record point is reached."""
         self.state = EventState.TRIGGERED

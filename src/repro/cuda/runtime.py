@@ -46,9 +46,15 @@ class CudaContext:
         self.context_id = next(_context_ids)
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.streams: list[CudaStream] = []
-        self.events: list[CudaEvent] = []
+        #: Events created so far: the ordinal in traced event names.
+        self._event_ordinal = 0
         self.buffers: dict[int, DeviceBuffer] = {}
         self._sticky_error: Optional[CudaError] = None
+        #: Called before a caller other than the owner's training step
+        #: observes or tears down this context's streams, or copies its
+        #: memory out: replicas riding a shared timeline materialise
+        #: first (set by :class:`repro.framework.dedup.ReplicaArena`).
+        self.follow_hook = None
         #: The implicit stream every unqualified call lands on.
         self.default_stream = self.create_stream(name_hint="default")
 
@@ -74,7 +80,13 @@ class CudaContext:
 
     # -- streams & events ------------------------------------------------------------
 
+    def _observed(self) -> None:
+        hook = self.follow_hook
+        if hook is not None:
+            hook()
+
     def create_stream(self, name_hint: str = "") -> CudaStream:
+        self._observed()
         name = f"ctx{self.context_id}:{name_hint or 'stream'}{len(self.streams)}"
         stream = CudaStream(self.env, self.gpu, name=name, tracer=self.tracer)
         self.streams.append(stream)
@@ -83,11 +95,10 @@ class CudaContext:
     def create_event(self, name_hint: str = "") -> CudaEvent:
         # Compose the ctx-qualified name only when someone will read it;
         # the hint alone (or the event's lazy default) serves repr/debug.
-        name = (f"ctx{self.context_id}:{name_hint or 'ev'}{len(self.events)}"
+        name = (f"ctx{self.context_id}:{name_hint or 'ev'}{self._event_ordinal}"
                 if self.tracer.enabled else name_hint)
-        event = CudaEvent(self.env, name=name)
-        self.events.append(event)
-        return event
+        self._event_ordinal += 1
+        return CudaEvent(self.env, name=name)
 
     def event_record(self, event: CudaEvent, stream: Optional[CudaStream] = None) -> None:
         """``cudaEventRecord``."""
@@ -124,11 +135,13 @@ class CudaContext:
             yield completion
 
     def stream_synchronize(self, stream: Optional[CudaStream] = None) -> Generator:
+        self._observed()
         self._guard()
         stream = stream or self.default_stream
         yield stream.sync_marker()
 
     def device_synchronize(self) -> Generator:
+        self._observed()
         self._guard()
         markers = [s.sync_marker() for s in self.streams
                    if not s.destroyed and not s.aborted]
@@ -211,6 +224,7 @@ class CudaContext:
         fresh stream, exactly like the paper's side-stream ``cudaMemcpy``
         fix in Section 3.2.
         """
+        self._observed()
         if not self.gpu.is_accessible:
             raise CudaApiError(CudaError.DEVICE_LOST,
                                f"{self.gpu.gpu_id} memory inaccessible")
@@ -219,6 +233,7 @@ class CudaContext:
     # -- teardown / reset ---------------------------------------------------------------
 
     def abort_all_streams(self, error: CudaError = CudaError.STICKY) -> None:
+        self._observed()
         for stream in self.streams:
             if not stream.destroyed:
                 stream.abort(error)
@@ -229,7 +244,7 @@ class CudaContext:
         for buf in list(self.buffers.values()):
             self.free(buf)
         self.streams.clear()
-        self.events.clear()
+        self._event_ordinal = 0
         self._sticky_error = CudaError.INVALID_HANDLE
 
     def live_buffers(self, kind: Optional[BufferKind] = None) -> list[DeviceBuffer]:

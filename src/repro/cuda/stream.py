@@ -25,6 +25,15 @@ epoch change mid-chain, `_settle_chain` completes exactly the prefix of
 ops that finished before the first failure transition and hangs/fails
 the rest — bit-identical recovery behaviour to the one-event-per-op
 path.
+
+Replica timelines
+-----------------
+Ops enqueued while a stream has an open replica batch carry it
+(``op.batch``).  Its *riders* are data-parallel replicas that enqueue
+no copies of those ops (:mod:`repro.framework.dedup`): the stream
+arrives at collectives for them and credits each the logical events its
+copy would have dispatched.  :meth:`CudaStream.adopt` hands a rider its
+own copies, in the leader's exact executor state, when it materialises.
 """
 
 from __future__ import annotations
@@ -41,6 +50,7 @@ from repro.obs.metrics import instrument as _instrument
 from repro.obs.metrics import registry as _metrics
 from repro.sim import Environment, Event, Process, Resource, Tracer
 from repro.sim.core import _PENDING as _EVENT_PENDING
+from repro.sim.core import Timeout
 
 _stream_ids = itertools.count()
 _op_ids = itertools.count()
@@ -69,7 +79,7 @@ class StreamOp:
     """
 
     __slots__ = ("op_id", "name", "_env", "_done", "started_at",
-                 "finished_at")
+                 "finished_at", "batch")
 
     def __init__(self, name: str):
         self.op_id = next(_op_ids)
@@ -78,6 +88,9 @@ class StreamOp:
         self._done: Optional[Event] = None
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
+        #: Replica timeline this op belongs to (set on enqueue from the
+        #: stream's open batch; see :mod:`repro.framework.dedup`).
+        self.batch = None
 
     def bind(self, env: Environment) -> None:
         self._env = env
@@ -166,6 +179,20 @@ class CollectiveKernelOp(StreamOp):
         self.thunk = thunk
 
 
+def _rider_events(op: StreamOp, kind: type) -> int:
+    """Logical events one rider's copy of *op* dispatches on completion.
+
+    Its done credit; a timed kernel or copy's timeout; a recorded event's
+    completion.  (A PCIe copy's slot acquisition is credited when the
+    leader acquires its own; a collective's arrival event is shared.)
+    """
+    if kind is RecordEventOp:
+        return 2
+    if kind is KernelOp or kind is MemcpyOp:
+        return 2 if op.duration > 0 else 1
+    return 1
+
+
 class CudaStream:
     """One stream: a FIFO of :class:`StreamOp` driven by an executor."""
 
@@ -186,8 +213,17 @@ class CudaStream:
         #: abort()/destroy() can settle the completed prefix first.
         self._active_chain: Optional[tuple[list[StreamOp], float, list[float]]] = None
         self._executor: Process = env.process(self._run(), name=f"exec:{self.name}")
-        #: Completed op names in order (used by tests and figure traces).
-        self.completed_ops: list[str] = []
+        #: Replica timeline stamped on every op enqueued while it is set.
+        #: A timeline's *riders* are replicas whose identical copies of
+        #: its ops are not enqueued anywhere: this stream dispatches the
+        #: ops once and credits each rider the logical events its own
+        #: copy would have dispatched.
+        self._batch = None
+        #: Called before anything but the owner's training step observes
+        #: or tears down this stream (riders must materialise first).
+        self.follow_hook: Optional[Callable[[], None]] = None
+        #: In-flight phase handed over by :meth:`adopt`, resumed on wakeup.
+        self._resume: Optional[tuple] = None
         #: True once a collective kernel has been enqueued here; the
         #: interception layer uses this to identify the NCCL stream, like
         #: the paper identifies it from intercepted NCCL APIs.
@@ -202,12 +238,17 @@ class CudaStream:
         if self.destroyed:
             raise CudaApiError(CudaError.INVALID_HANDLE, f"{self.name} destroyed")
         op._env = self.env  # inlined op.bind()
+        batch = op.batch = self._batch
         if not self.saw_collective and isinstance(op, CollectiveKernelOp):
             self.saw_collective = True
         self._queue.append(op)
         wakeup = self._wakeup
         if wakeup is not None and wakeup._value is _EVENT_PENDING:
             wakeup.succeed()
+            if batch is not None:
+                batch.woken.append(self)
+        if batch is not None:
+            batch.remaining += 1
         return op
 
     @property
@@ -228,9 +269,20 @@ class CudaStream:
         """Tear the stream down during recovery: fail all pending ops."""
         if self.aborted:
             return
+        hook = self.follow_hook
+        if hook is not None:
+            hook()
         self.aborted = True
         self.error = self.error or error
         self._executor.kill()
+        resume = self._resume
+        if resume is not None:
+            # Killed before resuming an adopted copy: give back the PCIe
+            # slot the copy held (the executor's ``finally`` would have).
+            self._resume = None
+            op = resume[1]
+            if type(op) is MemcpyOp and op.pcie is not None:
+                op.pcie.release()
         if self._active_chain is not None:
             # Ops of the coalesced chain that already finished before the
             # abort (or before the GPU's failure transition) completed in
@@ -328,16 +380,23 @@ class CudaStream:
         elided = 0
         previous_end = start
         trace = self.tracer.enabled
-        completed = self.completed_ops
         queue = self._queue
         for index in range(count):
             op = chain[index]
+            end = ends[index]
             op.started_at = previous_end
-            op.finished_at = ends[index]
-            previous_end = ends[index]
+            op.finished_at = end
+            batch = op.batch
+            if batch is not None:
+                batch.remaining -= 1
+                if batch.riders:
+                    # Each rider's copy: its done credit, plus one timeout
+                    # if the op is timed.
+                    elided += len(batch.riders) * (
+                        2 if end > previous_end else 1)
+            previous_end = end
             if op.thunk is not None:
                 op.thunk()
-            completed.append(op.name)
             queue.popleft()
             done = op._done
             if done is None:
@@ -360,22 +419,31 @@ class CudaStream:
         if elided:
             env.credit_events(elided)
 
-    def _run_chain(self, chain: list[StreamOp]):
+    def _run_chain(self, chain: list[StreamOp], start: Optional[float] = None,
+                   ends: Optional[list[float]] = None):
         env = self.env
-        start = env.now
-        # Absolute per-op end times, accumulated one addition per timed op
-        # exactly as the per-op path's now + d sequence would: summing the
-        # durations first and adding once rounds differently in the last
-        # ulp, and the equivalence oracle compares clocks bit for bit.
-        ends: list[float] = []
-        finish = start
-        timed_ops = 0
-        for op in chain:
-            duration = op.duration
-            if duration > 0:
-                finish = finish + duration
-                timed_ops += 1
-            ends.append(finish)
+        if ends is None:
+            start = env.now
+            # Absolute per-op end times, accumulated one addition per
+            # timed op exactly as the per-op path's now + d sequence
+            # would: summing the durations first and adding once rounds
+            # differently in the last ulp, and the equivalence oracle
+            # compares clocks bit for bit.
+            ends = []
+            finish = start
+            timed_ops = 0
+            for op in chain:
+                duration = op.duration
+                if duration > 0:
+                    finish = finish + duration
+                    timed_ops += 1
+                ends.append(finish)
+        else:
+            # A chain adopted mid-flight (see adopt), woken by its own
+            # timeout at the same end time.
+            finish = start
+            timed_ops = sum(1 for index, end in enumerate(ends)
+                            if end > (ends[index - 1] if index else start))
         self._active_chain = (chain, start, ends)
         if finish > start:
             yield env.timeout_at(finish)
@@ -404,6 +472,145 @@ class CudaStream:
         self._complete_chain(chain, start, ends, count)
         yield from self._park()
 
+    # -- replica timelines ---------------------------------------------------------
+
+    def adopt(self, copies: list[StreamOp], leader: "CudaStream",
+              ridden: list[StreamOp], wakeup: Optional[Event] = None) -> None:
+        """Take over *ridden*, ops still queued on *leader*, as *copies*.
+
+        Materialises a rider (see :mod:`repro.framework.dedup`): *copies*
+        are this stream's own versions of the leader's ops the rider never
+        enqueued, in queue order.  Queued behind ops of this stream's own,
+        they simply wait their turn.  *wakeup* is the event that stood in
+        for this stream's wakeup when the rider joined; while it is still
+        pending the private executor would not have woken yet, and waits
+        on it.  Otherwise the executor takes over the phase the leader's
+        executor is in: the same macro chain or op in flight (its own
+        timeout at the same end time, a held PCIe slot) or the same wait,
+        so the heap holds what the private stream's would.  Where the
+        private executor would have nothing pending, a wakeup resumes it;
+        that dispatch is credited back.
+        """
+        queue = self._queue
+        busy = bool(queue)
+        queue.extend(copies)
+        if busy:
+            return
+        if wakeup is not None and wakeup.callbacks is not None:
+            self._wakeup = None
+            self._executor.retarget(wakeup)
+            return
+        env = self.env
+        phase = waiting = None
+        head = leader._queue[0] if leader._queue else None
+        if head is ridden[0]:
+            chain = leader._active_chain
+            if chain is not None:
+                ops, start, ends = chain
+                count = 0
+                while (count < len(ops) and count < len(ridden)
+                       and ops[count] is ridden[count]):
+                    count += 1
+                self._active_chain = (copies[:count], start, ends[:count])
+                phase = ("chain", copies[:count], start, ends[:count])
+                waiting = env.timeout_at(ends[count - 1])
+            elif head.started_at is not None:
+                copy = copies[0]
+                copy.started_at = head.started_at
+                kind = type(head)
+                if kind is WaitEventOp:
+                    phase = ("wait", copy)
+                    completion = copy.event.completion
+                    if not completion.triggered:
+                        waiting = completion
+                elif kind is CollectiveKernelOp:
+                    phase = ("collective", copy)
+                    arrival = head.rendezvous._arrival
+                    if arrival is not None and arrival.callbacks is not None:
+                        waiting = arrival
+                else:
+                    if kind is MemcpyOp and copy.pcie is not None:
+                        copy.pcie.take()
+                    # In its timeout already, or about to start it once
+                    # its PCIe acquisition dispatches.
+                    timed = type(leader._executor.target) is Timeout
+                    phase = ("op", copy, timed)
+                    if timed:
+                        waiting = env.timeout_at(copy.started_at
+                                                 + copy.duration)
+        self._resume = phase
+        if waiting is not None:
+            self._wakeup = None
+            self._executor.retarget(waiting)
+        else:
+            self._wakeup.succeed()
+            env.credit_events(-1)
+
+    def _resume_phase(self, phase: tuple):
+        """Finish the in-flight op or chain handed over by :meth:`adopt`.
+
+        Returns True when the stream was torn down and the executor must
+        stop (the leader's collective failed).
+        """
+        env = self.env
+        tag, op = phase[0], phase[1]
+        if tag == "chain":
+            yield from self._run_chain(op, phase[2], phase[3])
+            return False
+        if tag == "wait":
+            completion = op.event.completion
+            if not completion.triggered:
+                yield completion
+        elif tag == "collective":
+            rendezvous = op.rendezvous
+            arrival = rendezvous._arrival
+            try:
+                yield (arrival if arrival is not None
+                       else rendezvous.arrive(op.rank))
+            except CudaApiError as exc:
+                self._collective_failed(op, exc)
+                return True
+            if not self._gpu_ok():
+                yield from self._park()
+            if op.thunk is not None:
+                op.thunk()
+        else:
+            pcie = op.pcie if type(op) is MemcpyOp else None
+            try:
+                if not phase[2] and op.duration > 0:
+                    yield env.timeout(op.duration)
+            finally:
+                if pcie is not None:
+                    pcie.release()
+            if not self._gpu_ok():
+                yield from self._park()
+            if op.thunk is not None:
+                op.thunk()
+        op.finished_at = env.now
+        self._queue.popleft()
+        done = op._done
+        if done is None:
+            env.credit_events(1)
+        elif not done.triggered:
+            done.succeed(op)
+        if self.tracer.enabled:
+            self.tracer.record(env.now, self.name, "op_done", op=op.name,
+                               started=op.started_at)
+        return False
+
+    def _collective_failed(self, op: StreamOp, exc: CudaApiError) -> None:
+        # Collective aborted during recovery: poison the stream and fail
+        # everything queued behind it so blocked CPU threads wake with an
+        # error the interception layer can catch.  Riders materialise
+        # while the failed op still heads the queue.
+        hook = self.follow_hook
+        if hook is not None:
+            hook()
+        self.error = self.error or exc.code
+        _fail_defused(op.done, exc)
+        self._queue.popleft()
+        self.abort(exc.code)
+
     # -- main loop ---------------------------------------------------------------
 
     def _run(self):
@@ -414,6 +621,11 @@ class CudaStream:
                 self._wakeup = env.event(name=wakeup_name)
                 yield self._wakeup
                 self._wakeup = None
+                phase = self._resume
+                if phase is not None:
+                    self._resume = None
+                    if (yield from self._resume_phase(phase)):
+                        return
                 continue
             op = self._queue[0]
             kind = type(op)
@@ -428,6 +640,7 @@ class CudaStream:
                     continue
 
             op.started_at = env.now
+            batch = op.batch
 
             # Identity dispatch: the op hierarchy is closed (no subclasses),
             # so ``kind is`` replaces the isinstance ladder.
@@ -442,18 +655,17 @@ class CudaStream:
             elif kind is CollectiveKernelOp:
                 if not self._gpu_ok():
                     yield from self._park()
-                arrival = op.rendezvous.arrive(op.rank)
+                rendezvous = op.rendezvous
+                if batch is not None:
+                    # A rider's copy reaches the head of its stream at this
+                    # same instant: it arrives with the leader.
+                    for rider in batch.riders:
+                        rendezvous.arrive(rider.rank)
+                arrival = rendezvous.arrive(op.rank)
                 try:
                     yield arrival
                 except CudaApiError as exc:
-                    # Collective aborted during recovery: poison the stream
-                    # and fail everything queued behind it so blocked CPU
-                    # threads wake with an error the interception layer can
-                    # catch.
-                    self.error = self.error or exc.code
-                    _fail_defused(op.done, exc)
-                    self._queue.popleft()
-                    self.abort(exc.code)
+                    self._collective_failed(op, exc)
                     return
                 if not self._gpu_ok():
                     yield from self._park()
@@ -464,6 +676,9 @@ class CudaStream:
                     yield from self._park()
                 pcie = op.pcie if kind is MemcpyOp else None
                 if pcie is not None:
+                    if batch is not None and batch.riders:
+                        # Each rider's copy acquires its own GPU's link.
+                        env.credit_events(len(batch.riders))
                     yield pcie.acquire()
                 try:
                     if op.duration > 0:
@@ -479,13 +694,16 @@ class CudaStream:
                     op.thunk()
 
             op.finished_at = env.now
-            self.completed_ops.append(op.name)
             self._queue.popleft()
             done = op._done
             if done is None:
                 env.credit_events(1)
             elif not done.triggered:
                 done.succeed(op)
+            if batch is not None:
+                batch.remaining -= 1
+                if batch.riders:
+                    env.credit_events(len(batch.riders) * _rider_events(op, kind))
             if self.tracer.enabled:
                 self.tracer.record(env.now, self.name, "op_done", op=op.name,
                                    started=op.started_at)

@@ -10,7 +10,7 @@ a DP group reference one canonical parameter/gradient/moment arena, and
 the replicated numpy math executes once per group instead of once per
 rank.
 
-Two sharing levels:
+Three sharing levels:
 
 * **Arena sharing** (all engines): parameters and optimizer moments are
   one canonical allocation; the optimizer step — whose inputs are bitwise
@@ -25,6 +25,11 @@ Two sharing levels:
   gradient arena, which turns the simulated all-reduce's data application
   into an object-identity no-op (timing is untouched — the rendezvous
   still pays every simulated nanosecond).
+* **Followers** (group math, untraced): the first member to enqueue an
+  iteration leads it; members whose streams are in the leader's state
+  ride its op timeline instead of enqueueing copies, and materialise
+  their own streams, in the leader's exact state, before anything else
+  observes them (:meth:`ReplicaArena.enter`).
 
 Sharing is *copy-on-write*: the moment a rank diverges — its GPU bumps
 its epoch (failure, driver reset), or state is loaded into it — the
@@ -56,6 +61,10 @@ from typing import Optional
 import numpy as np
 
 from repro import flags
+from repro.cuda.event import EventState
+from repro.cuda.stream import (CollectiveKernelOp, KernelOp, MemcpyOp,
+                               RecordEventOp, WaitEventOp)
+from repro.obs.metrics import registry as _metrics
 
 try:
     # Same C kernel np.einsum dispatches to, minus its Python-level
@@ -176,6 +185,90 @@ class MemberOptimizer:
         self._materialized.load_state_dict(state)
 
 
+class FollowBatch:
+    """One leader's run of enqueued ops that group members may ride.
+
+    A batch is what one member (the *leader*) enqueues for one phase of
+    one iteration: the whole forward/backward/all-reduce timeline, or the
+    optimizer kernel.  Its state at open time is what a member must match
+    to ride it instead of enqueueing its own copies.
+    """
+
+    __slots__ = ("leader", "iteration", "lr", "time", "riders", "remaining",
+                 "woken", "events", "collectives", "nbytes", "bwd_done",
+                 "optimizer", "followable", "pending", "shape", "seq", "saw")
+
+    def __init__(self, leader: "_Follower", iteration: int, lr: float,
+                 time: float):
+        self.leader = leader
+        self.iteration = iteration
+        self.lr = lr
+        self.time = time
+        #: Followers riding this batch (their copies are not enqueued).
+        self.riders: list[_Follower] = []
+        #: Ops of the batch not yet retired (maintained by the streams).
+        self.remaining = 0
+        #: Leader streams its enqueue woke, in order.
+        self.woken: list = []
+        #: Every CudaEvent the leader created for the batch, in order.
+        self.events: list = []
+        #: Collective instances the leader joined, in sequence order.
+        self.collectives: list = []
+        #: Logical device bytes the leader allocated for the batch.
+        self.nbytes = 0
+        self.bwd_done = None
+        #: The same iteration's optimizer batch, once the leader opened it.
+        self.optimizer: Optional[FollowBatch] = None
+        self.followable = False
+        #: Batches of the ops queued on the leader's streams at open time.
+        self.pending = frozenset()
+        #: Structural state of the leader's streams at open time.
+        self.shape = None
+        #: The leader's next collective sequence number at open time.
+        self.seq = None
+        self.saw = None
+
+
+class _Follower:
+    """Per-member follow state: the batches it rides and its CPU."""
+
+    __slots__ = ("engine", "rank", "rides", "cpu", "wakeups")
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.rank = engine.api.rank
+        self.rides: list[FollowBatch] = []
+        self.cpu = None
+        #: Own stream -> event dispatched in place of the wakeup its
+        #: private enqueue would have triggered (see ``ReplicaArena._join``).
+        self.wakeups: dict = {}
+
+    def streams(self) -> tuple:
+        return (self.engine.compute_stream, self.engine.comm_stream)
+
+
+#: Shape of an idle, empty stream.
+_IDLE = (0, None, ())
+
+
+def _shape(stream):
+    """Comparable state of *stream*'s executor and queue, or None.
+
+    Only queues of plain kernels compare: their progress depends on
+    nothing but their start times and durations.
+    """
+    wakeup = stream._wakeup
+    state = 2 if wakeup is None else int(wakeup.triggered)
+    chain = stream._active_chain
+    ops = []
+    for op in stream._queue:
+        if type(op) is not KernelOp:
+            return None
+        ops.append((op.name, op.duration, op.started_at, op._done is None))
+    return (state, None if chain is None else (chain[1], tuple(chain[2])),
+            tuple(ops))
+
+
 class ReplicaArena:
     """One canonical parameter/gradient/moment arena for a DP group."""
 
@@ -225,6 +318,17 @@ class ReplicaArena:
             # reset) is the copy-on-write trigger.
             engine.api.ctx.gpu.on_epoch.append(
                 lambda m=member: self._device_epoch(m))
+        #: Follower state per member, riders, and open batches by
+        #: iteration (group-math mode only: see "Followers" below).
+        self._followers = [_Follower(engine) for engine in self.engines]
+        self._riding: list[_Follower] = []
+        self._batches: dict[int, FollowBatch] = {}
+        if self.group_math:
+            for engine in self.engines:
+                ctx = engine.api.ctx
+                ctx.follow_hook = self.materialize_all
+                for stream in ctx.streams:
+                    stream.follow_hook = self.materialize_all
 
     # -- membership --------------------------------------------------------
 
@@ -334,6 +438,7 @@ class ReplicaArena:
     # -- copy-on-write -----------------------------------------------------
 
     def _device_epoch(self, member: int) -> None:
+        self.materialize_all()
         # A device transition after a restore voids it as a re-seat
         # witness: the member's generation is failing, not converging.
         self._restored.discard(member)
@@ -441,6 +546,198 @@ class ReplicaArena:
         self.witnessed[member] = self.steps_applied
         self.dedup_epoch += 1
         return True
+
+    # -- followers (group math) ---------------------------------------------
+    #
+    # Under group math every member's iteration is the same op timeline
+    # over the same memo.  The first member to enqueue an iteration leads
+    # it; a member whose streams are in the state the leader's were in
+    # then *rides* the leader's batch instead of enqueueing copies.  The
+    # leader's streams dispatch each op once, arrive at collectives for
+    # riders and credit each rider the logical events its copy would have
+    # dispatched.  Before anything but a rider's own training step would
+    # observe its streams (see ``follow_hook``), it *materialises*: it
+    # gets its own copies of the ops still queued, in the exact state the
+    # leader's are in, and runs privately from then on.
+
+    def enter(self, engine, iteration: int, lr: float) -> Optional[FollowBatch]:
+        """Lead or ride *iteration* for *engine*, or run it privately.
+
+        Returns the batch *engine* leads (``batch.leader.engine is
+        engine``) or rides; None when it enqueues privately.  Either way a
+        member that rides an older batch has materialised unless it rides
+        again.
+        """
+        follower = self._followers[engine._dedup_member]
+        batch = self._batches.get(iteration)
+        if batch is None:
+            self._materialize(follower)
+            batch = self._open(follower, iteration, lr)
+            self._batches[iteration] = batch
+            self._batches.pop(iteration - 2, None)
+            return batch
+        if self._can_join(follower, batch):
+            self._join(follower, batch)
+            return batch
+        self._materialize(follower)
+        return None
+
+    def enter_optimizer(self, engine, batch: FollowBatch,
+                        lr: float) -> Optional[FollowBatch]:
+        """The optimizer batch of *batch*'s iteration, as :meth:`enter`."""
+        follower = self._followers[engine._dedup_member]
+        if batch.leader is follower:
+            if not batch.riders:
+                return None
+            batch.optimizer = self._open(follower, batch.iteration, lr)
+            return batch.optimizer
+        optimizer = batch.optimizer
+        if (optimizer is not None and follower in batch.riders
+                and self._can_join(follower, optimizer)):
+            self._join(follower, optimizer)
+            return optimizer
+        self._materialize(follower)
+        return None
+
+    @staticmethod
+    def _may_follow(engine) -> bool:
+        """Untraced, unpoisoned, healthy streams and an idle PCIe link."""
+        ctx = engine.api.ctx
+        if (ctx.tracer.enabled or _metrics.active() is not None
+                or ctx.poisoned):
+            return False
+        for stream in (engine.compute_stream, engine.comm_stream):
+            if (stream.aborted or stream.error is not None
+                    or not stream._gpu_ok()):
+                return False
+        pcie = ctx.node.pcie_for(ctx.gpu)
+        return not pcie.in_use and not pcie.queued
+
+    def _open(self, follower: _Follower, iteration: int,
+              lr: float) -> FollowBatch:
+        engine = follower.engine
+        batch = FollowBatch(follower, iteration, lr, engine.api.env.now)
+        batch.followable = self._may_follow(engine)
+        if batch.followable:
+            streams = follower.streams()
+            batch.pending = frozenset(op.batch for stream in streams
+                                      for op in stream._queue)
+            batch.shape = tuple(_shape(stream) for stream in streams)
+            batch.saw = tuple(stream.saw_collective for stream in streams)
+            batch.seq = engine.comm.next_seq(follower.rank)
+        return batch
+
+    def _can_join(self, follower: _Follower, batch: FollowBatch) -> bool:
+        engine = follower.engine
+        if (not batch.followable or batch.time != engine.api.env.now
+                or not self._may_follow(engine)):
+            return False
+        for stream in batch.leader.streams():
+            if stream.aborted or not stream._gpu_ok():
+                return False
+        streams = follower.streams()
+        if tuple(stream.saw_collective for stream in streams) != batch.saw:
+            return False
+        if engine.comm.next_seq(follower.rank) != batch.seq:
+            return False
+        riding = [ridden for ridden in follower.rides if ridden.remaining]
+        if riding:
+            # Still riding: the leader's queues must hold exactly the
+            # batches this member rides, and its own nothing.
+            return (frozenset(riding) == batch.pending
+                    and all(_shape(stream) == _IDLE for stream in streams))
+        return (None not in batch.shape
+                and tuple(_shape(stream) for stream in streams) == batch.shape)
+
+    def _join(self, follower: _Follower, batch: FollowBatch) -> None:
+        engine = follower.engine
+        env = engine.api.env
+        batch.riders.append(follower)
+        if not follower.rides:
+            self._riding.append(follower)
+        follower.rides = [ridden for ridden in follower.rides
+                          if ridden.remaining] + [batch]
+        follower.cpu = env.active_process
+        # A private enqueue would wake the same streams, dispatching their
+        # wakeups behind everything already scheduled at this instant.
+        streams = dict(zip(batch.leader.streams(), follower.streams()))
+        for stream in batch.woken:
+            wakeup = follower.wakeups[streams[stream]] = env.event()
+            wakeup.succeed()
+        if batch.collectives:
+            engine.comm.follow(follower.rank, batch.collectives,
+                               batch.leader.rank, engine.comm_stream._gpu_ok)
+            engine.comm_stream.saw_collective = True
+        if batch.events:
+            engine.api.follow_records(batch.events)
+
+    def materialize_all(self) -> None:
+        """Materialise every rider of this arena (see ``follow_hook``)."""
+        for follower in list(self._riding):
+            self._materialize(follower)
+
+    def _materialize(self, follower: _Follower) -> None:
+        rides = follower.rides
+        if not rides:
+            return
+        follower.rides = []
+        wakeups, follower.wakeups = follower.wakeups, {}
+        self._riding.remove(follower)
+        for batch in rides:
+            if follower in batch.riders:
+                batch.riders.remove(follower)
+        pending = [batch for batch in rides if batch.remaining]
+        if not pending:
+            return
+        engine = follower.engine
+        streams = dict(zip(pending[0].leader.streams(), follower.streams()))
+        ctx = engine.api.ctx
+        copies = {}
+        for batch in pending:
+            for event in batch.events:
+                copy = copies[event] = ctx.create_event()
+                stream = streams[event.recorded_on]
+                if event.state is EventState.TRIGGERED:
+                    copy.adopt_trigger(stream, event.trigger_time)
+                else:
+                    copy.mark_recorded(stream)
+        ridden_batches = set(pending)
+        for source, stream in streams.items():
+            ridden = [op for op in source._queue if op.batch in ridden_batches]
+            if ridden:
+                stream.adopt([self._copy_op(engine, op, copies)
+                              for op in ridden], source, ridden,
+                             wakeups.get(stream))
+        cpu = follower.cpu
+        if cpu is not None and cpu.is_alive:
+            for event, copy in copies.items():
+                completion = event.completion
+                if cpu.target is completion and not completion.triggered:
+                    cpu.retarget(copy.completion)
+                    break
+        engine.api.follow_retarget(copies)
+
+    @staticmethod
+    def _copy_op(engine, op, events: dict):
+        """*engine*'s own copy of the leader's queued *op*."""
+        kind = type(op)
+        if kind is KernelOp:
+            copy = KernelOp(op.name, op.duration,
+                            engine._follow_thunk(op.name, op.batch))
+        elif kind is MemcpyOp:
+            ctx = engine.api.ctx
+            copy = MemcpyOp(op.name, op.nbytes, op.bandwidth,
+                            None if op.pcie is None
+                            else ctx.node.pcie_for(ctx.gpu))
+        elif kind is WaitEventOp:
+            copy = WaitEventOp(events.get(op.event, op.event))
+        elif kind is RecordEventOp:
+            event = events[op.event]
+            copy = RecordEventOp(event, event.completion)
+        else:
+            copy = CollectiveKernelOp(op.name, op.rendezvous, engine.api.rank)
+        copy._env = op._env
+        return copy
 
     # -- group math (pure DDP) --------------------------------------------
 

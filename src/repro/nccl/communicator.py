@@ -220,6 +220,29 @@ class NcclCommunicator:
         instance.register(rank, send=None, recv=None, nbytes=0)
         return self._enqueue(rank, instance, stream)
 
+    def next_seq(self, rank: int) -> int:
+        """Sequence number *rank*'s next collective will take."""
+        return self._seq[rank]
+
+    def follow(self, rank: int, instances: list, leader: int,
+               ok_fn=None) -> None:
+        """Issue *rank*'s copies of collectives *leader* already issued.
+
+        A replica whose buffers are the leader's (replica dedup's shared
+        gradient arena) registers the leader's payloads and consumes the
+        same sequence numbers, without enqueueing kernels: the leader's
+        stream arrives for it (see :mod:`repro.framework.dedup`).
+        """
+        self._check_alive()
+        seq = self._seq[rank]
+        for offset, instance in enumerate(instances):
+            if self._instances.get(seq + offset) is not instance:
+                raise NcclOpMismatch(
+                    f"{self.name} seq {seq + offset}: rank {rank} follows "
+                    f"rank {leader} out of sequence")
+            instance.register_like(rank, leader, ok_fn)
+        self._seq[rank] = seq + len(instances)
+
     # -- point to point -----------------------------------------------------------------
 
     def _p2p_instance(self, src: int, dst: int, seq: int) -> CollectiveInstance:

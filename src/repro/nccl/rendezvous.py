@@ -92,6 +92,11 @@ class CollectiveInstance:
             raise NcclOpMismatch(f"rank {rank} registered twice for {self.name}")
         self._registrations[rank] = _Registration(send, recv, nbytes, root)
 
+    def register_like(self, rank: int, leader: int, ok_fn=None) -> None:
+        """Register *rank* with *leader*'s payload (a bitwise replica)."""
+        reg = self._registrations[leader]
+        self.register(rank, reg.send, reg.recv, reg.nbytes, reg.root)
+
     # -- device side ------------------------------------------------------------
 
     def arrive(self, rank: int) -> Event:
@@ -328,6 +333,16 @@ class BatchedCollectiveInstance:
         self._ok_fns[rank] = ok_fn if ok_fn is not None else (lambda: True)
         for index, (send, recv, nbytes) in enumerate(payloads):
             self._segment_regs[index][rank] = _Registration(send, recv, nbytes)
+
+    def register_like(self, rank: int, leader: int, ok_fn=None) -> None:
+        """Register *rank* with *leader*'s payloads (a bitwise replica).
+
+        *ok_fn* is the replica's own stream gate, as in
+        :meth:`register_batch`.
+        """
+        self.register_batch(
+            rank, [(regs[leader].send, regs[leader].recv, regs[leader].nbytes)
+                   for regs in self._segment_regs], ok_fn=ok_fn)
 
     # -- device side ------------------------------------------------------------
 

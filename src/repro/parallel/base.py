@@ -193,6 +193,9 @@ class BaseEngine:
         honestly claims the version its arrays hold, so checkpoint
         assembly can prefer a replica that got further.
         """
+        if self._dedup_arena is not None:
+            # Observing any member's state ends every ride in its group.
+            self._dedup_arena.materialize_all()
         applied = self.applied_iteration
         history = list(self.loss_history)
         behind = self.iteration - applied
@@ -221,6 +224,8 @@ class BaseEngine:
         }
 
     def load_state_dict(self, state: dict) -> None:
+        if self._dedup_arena is not None:
+            self._dedup_arena.materialize_all()
         if (self._dedup_arena is not None
                 and self._dedup_arena.member_active(self._dedup_member)):
             # Loading foreign state into one member of a shared arena is

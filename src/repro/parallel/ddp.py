@@ -30,6 +30,10 @@ from repro.parallel.buffers import allocate_group
 from repro.parallel.deviceapi import DeviceApi
 
 
+#: Contents of a follower's stand-in allocation (never read).
+_FOLLOW_SCRATCH = np.zeros(1)
+
+
 class DataParallelEngine(BaseEngine):
     """One rank of a pure data-parallel (``ND``) job."""
 
@@ -110,7 +114,6 @@ class DataParallelEngine(BaseEngine):
             self._snapshot_rng(iteration)
             api.launch_kernel(self.compute_stream, f"rng_reseed#{iteration}",
                               0.0, lambda it=iteration: self.rng.reseed(it))
-        gpu = self.gpu_spec
         lr = self.scheduler.lr_at(iteration)
         self.scheduler.iteration = iteration + 1
 
@@ -124,7 +127,49 @@ class DataParallelEngine(BaseEngine):
         member = self._dedup_member
         group_math = (arena is not None
                       and arena.shares_math(member, iteration))
+        # Under group math the first member to get here leads the
+        # iteration; a member in the same state rides the leader's
+        # timeline instead of enqueueing copies of it (dedup "Followers").
+        batch = arena.enter(self, iteration, lr) if group_math else None
+        if batch is not None and batch.leader.engine is not self:
+            return (yield from self._follow_step(iteration, lr, batch))
+        streams = (self.compute_stream, self.comm_stream)
+        for stream in streams:
+            stream._batch = batch
+        try:
+            bwd_done, loss_buf, grad_buffers, step_bufs = \
+                self._enqueue_iteration(iteration, group_math, batch)
+        finally:
+            for stream in streams:
+                stream._batch = None
+        yield from api.event_synchronize(bwd_done)
+        loss = float(loss_buf.array[0])
 
+        api.optimizer_step_begin(iteration)
+        optimizer = (arena.enter_optimizer(self, batch, lr)
+                     if batch is not None else None)
+        self._launch_optimizer(lr, {name: buf.array for name, buf
+                                    in grad_buffers.items()}, optimizer)
+        api.optimizer_step_end(iteration)
+
+        self.loss_history.append(loss)
+        # Step buffers stay alive until the (asynchronous) optimizer has
+        # consumed the gradients; the next iteration frees them.
+        self._deferred_frees.append(step_bufs)
+        api.minibatch_end(iteration)
+        self.iteration = iteration + 1
+        return loss
+
+    def _enqueue_iteration(self, iteration: int, group_math: bool, batch):
+        """Enqueue forward, backward and all-reduces up to ``bwd_done``.
+
+        A leader (*batch* not None) also notes in *batch* what riders
+        need: its events, collectives and allocated bytes.
+        """
+        api = self.api
+        gpu = self.gpu_spec
+        arena = self._dedup_arena
+        member = self._dedup_member
         if group_math:
             x, labels = arena.member_shard(iteration, member, self.dataset)
         else:
@@ -230,16 +275,19 @@ class DataParallelEngine(BaseEngine):
                 # One rendezvous for the whole layer group's buckets; same
                 # per-bucket timing and data movement, far fewer simulator
                 # events.
-                api.all_reduce_batch(self.comm,
-                                     [grad_buffers[name] for name in names],
-                                     self.comm_stream, op=ReduceOp.MEAN)
+                ops = [api.all_reduce_batch(
+                    self.comm, [grad_buffers[name] for name in names],
+                    self.comm_stream, op=ReduceOp.MEAN)]
             else:
-                for name in names:
-                    api.all_reduce(self.comm, grad_buffers[name],
-                                   self.comm_stream, op=ReduceOp.MEAN)
+                ops = [api.all_reduce(self.comm, grad_buffers[name],
+                                      self.comm_stream, op=ReduceOp.MEAN)
+                       for name in names]
             done = api.create_event(f"ar_done:{tag}#{iteration}")
             api.event_record(done, self.comm_stream)
             ar_done_events.append(done)
+            if batch is not None:
+                batch.events += (ready, done)
+                batch.collectives += [op.rendezvous for op in ops]
 
         if group_math:
             def head_bwd_thunk():
@@ -286,26 +334,71 @@ class DataParallelEngine(BaseEngine):
             api.stream_wait_event(self.compute_stream, event)
         bwd_done = api.create_event(f"bwd_done#{iteration}")
         api.event_record(bwd_done, self.compute_stream)
-        yield from api.event_synchronize(bwd_done)
-        loss = float(loss_buf.array[0])
+        if batch is not None:
+            batch.events.append(bwd_done)
+            batch.bwd_done = bwd_done
+            batch.nbytes = sum(buf.logical_nbytes for buf in step_bufs)
+        return bwd_done, loss_buf, grad_buffers, step_bufs
 
-        api.optimizer_step_begin(iteration)
-
+    def _launch_optimizer(self, lr: float, grads, batch) -> None:
+        """Enqueue the optimizer kernel; a leader's also steps its riders."""
         def opt_thunk():
-            grads = {name: buf.array for name, buf in grad_buffers.items()}
             self.optimizer.step(grads, lr=lr)
+            if batch is not None:
+                for rider in batch.riders:
+                    rider.engine.optimizer.step(grads, lr=lr)
 
-        api.launch_kernel(self.compute_stream, "optimizer",
-                          self.cost.optimizer_step_time(gpu), opt_thunk)
+        stream = self.compute_stream
+        stream._batch = batch
+        try:
+            self.api.launch_kernel(stream, "optimizer",
+                                   self.cost.optimizer_step_time(self.gpu_spec),
+                                   opt_thunk)
+        finally:
+            stream._batch = None
+
+    def _follow_step(self, iteration: int, lr: float, batch) -> Generator:
+        """CPU side of an iteration ridden on *batch* (see ``train_step``).
+
+        The device memory the private copies would hold is one allocation
+        of the same logical size; the CPU blocks on the leader's
+        ``bwd_done`` and takes its loss from the shared memo.
+        """
+        api = self.api
+        arena = self._dedup_arena
+        held = api.malloc(_FOLLOW_SCRATCH, BufferKind.ACTIVATION,
+                          logical_nbytes=batch.nbytes,
+                          label=f"follow#{iteration}")
+        yield from api.event_synchronize(batch.bwd_done)
+        loss = arena.group_head_loss(iteration, self._dedup_member,
+                                     self.head, len(self.blocks))
+        api.optimizer_step_begin(iteration)
+        if arena.enter_optimizer(self, batch, lr) is None:
+            self._launch_optimizer(lr, arena.grad_arrays, None)
         api.optimizer_step_end(iteration)
-
         self.loss_history.append(loss)
-        # Step buffers stay alive until the (asynchronous) optimizer has
-        # consumed the gradients; the next iteration frees them.
-        self._deferred_frees.append(step_bufs)
+        self._deferred_frees.append([held])
         api.minibatch_end(iteration)
         self.iteration = iteration + 1
         return loss
+
+    def _follow_thunk(self, name: str, batch):
+        """This rank's thunk for a group-math kernel of a ridden *batch*."""
+        arena, iteration = self._dedup_arena, batch.iteration
+        n_blocks = len(self.blocks)
+        if name == "optimizer":
+            return lambda: self.optimizer.step(arena.grad_arrays, lr=batch.lr)
+        if name == "fwd_head":
+            return lambda: arena.group_head_loss(
+                iteration, self._dedup_member, self.head, n_blocks)
+        if name == "bwd_head":
+            return lambda: arena.group_head_backward(iteration, self.head,
+                                                     n_blocks)
+        index = int(name[3:])
+        block = self.blocks[index]
+        if name.startswith("fwd"):
+            return lambda: arena.group_forward(iteration, index, block)
+        return lambda: arena.group_block_backward(iteration, index, block)
 
     def train(self, num_iterations: int) -> Generator:
         """Run *num_iterations* minibatches; returns the loss history."""

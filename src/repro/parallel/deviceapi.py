@@ -83,6 +83,18 @@ class DeviceApi:
         (transparent JIT; no-op without interception)."""
         pass
 
+    # -- replica followers (see repro.framework.dedup) ---------------------------
+
+    def follow_records(self, events) -> None:
+        """The leader's *events*, recorded for this rank's engine too.
+
+        Called when this rank follows a replica's timeline instead of
+        recording its own copies; the passthrough has nothing to note.
+        """
+
+    def follow_retarget(self, copies: dict) -> None:
+        """Replace followed leader events by this rank's *copies*."""
+
     # -- streams & events -------------------------------------------------------------
 
     def create_stream(self, name_hint: str = ""):

@@ -199,6 +199,16 @@ class Process(Event):
         """The event this process is currently waiting on (None if running)."""
         return self._target
 
+    def retarget(self, event: Event) -> None:
+        """Wait on the pending *event* instead of the current target.
+
+        A state handover, not a wakeup: used when the event a process is
+        blocked on is replaced by another that fires in its stead.
+        """
+        self._detach_from_target()
+        event.callbacks.append(self._resume_cb)
+        self._target = event
+
     def interrupt(self, cause: Any = None) -> None:
         """Throw :class:`Interrupt` into the process at its current yield."""
         if self._value is not _PENDING:

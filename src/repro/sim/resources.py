@@ -45,6 +45,16 @@ class Resource:
             self._waiters.append(event)
         return event
 
+    def take(self) -> None:
+        """Hold a free slot at once, without an event.
+
+        For handing over a slot some other holder's state says is held
+        (replica materialisation); the slot must be free and unclaimed.
+        """
+        if self._in_use >= self.capacity or self._waiters:
+            raise RuntimeError(f"take of a busy resource {self.name!r}")
+        self._in_use += 1
+
     def release(self) -> None:
         if self._in_use <= 0:
             raise RuntimeError(f"release of unheld resource {self.name!r}")

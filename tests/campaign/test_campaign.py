@@ -576,3 +576,123 @@ def test_campaign_runner_feeds_metrics_registry(tmp_path):
     assert hit_rate == 1.0                # gauge shows the latest run
     utilization = reg.get("repro_campaign_worker_utilization").value
     assert 0.0 <= utilization <= 1.0
+
+
+# -- replica dedup on/off -----------------------------------------------------------------
+# Campaign scenarios train untraced, so replica followers engage: DDP
+# members ride one leader's op timeline between restarts and periodic
+# checkpoints.  Every row must be what dedup off computes.
+
+FOLLOW_GRID = dict(workloads=["GPT2-S"], policies=["user_jit", "periodic"],
+                   target_iterations=8, failure_rate=1.0 / 30.0,
+                   horizon=60.0, minibatch_time=0.1,
+                   init_costs=(0.5, 0.25, 0.25), progress_timeout=10.0)
+
+
+def _dedup_rows(seeds, dedup):
+    from repro import flags
+
+    with flags.override(dedup=dedup):
+        runner = CampaignRunner(workers=1, prefix_fork=True, fork_max_live=1)
+        result, _ = runner.run_aggregated(
+            CampaignSpec.grid("dedup-eq", seeds=seeds, **FOLLOW_GRID))
+    return [(row["scenario_id"], row["metrics"], row["perf"]["events"])
+            for row in result.rows()]
+
+
+def _strata(seeds, rows):
+    """Failures each seed draws inside its job's failure-free window:
+    ``none``, ``one-early``/``one-late`` (first or second half) or
+    ``several``."""
+    from repro.failures import FailureType, PoissonSchedule
+    from repro.hardware import Cluster, ClusterSpec
+    from repro.sim import Environment
+    from repro.workloads import WORKLOADS
+
+    spec = CampaignSpec.grid("strata", seeds=[0], **FOLLOW_GRID).scenarios[0]
+    catalog = WORKLOADS[spec.workload]
+    cluster = Cluster(Environment(), ClusterSpec(
+        node_spec=catalog.node_spec, num_nodes=catalog.num_nodes))
+    mix = tuple((FailureType[name], weight) for name, weight in spec.type_mix)
+    window = rows[0][1]["ideal_time"] + sum(FOLLOW_GRID["init_costs"])
+    strata = []
+    for seed in seeds:
+        times = [event.time for event in PoissonSchedule(
+            cluster, FOLLOW_GRID["failure_rate"],
+            horizon=FOLLOW_GRID["horizon"], seed=seed,
+            type_mix=mix).events() if event.time < window]
+        strata.append("none" if not times else "several" if len(times) > 1
+                      else "one-early" if times[0] < window / 2
+                      else "one-late")
+    return strata
+
+
+def test_campaign_rows_identical_with_dedup_on_and_off():
+    """user_jit and periodic over a failure-free seed and one seed per
+    failing stratum, prefix fork on: metrics (loss digest and wasted time
+    included) and logical event counts match dedup off row by row."""
+    from repro.sim.snapshot import HAVE_FORK
+
+    if not HAVE_FORK:
+        pytest.skip("os.fork unavailable")
+    seeds = [2, 0, 11, 4]
+    off = _dedup_rows(seeds, False)
+    assert _strata(seeds, off) == ["none", "one-early", "one-late",
+                                   "several"]
+    assert _dedup_rows(seeds, True) == off
+
+
+@pytest.mark.fuzz
+@pytest.mark.parametrize("first", [100, 200, 300])
+def test_campaign_rows_identical_with_dedup_on_and_off_fuzz(first):
+    from repro.sim.snapshot import HAVE_FORK
+
+    if not HAVE_FORK:
+        pytest.skip("os.fork unavailable")
+    seeds = list(range(first, first + 30))
+    off = _dedup_rows(seeds, False)
+    assert "none" in _strata(seeds, off)
+    assert _dedup_rows(seeds, True) == off
+
+
+def test_network_transient_checkpoint_materialises_followers(monkeypatch):
+    """A network transient stalls collectives without a GPU epoch bump;
+    the JIT watchdog then checkpoints through rescue copies, which must
+    materialise the riders first: some rescue copy finds riders with ops
+    still queued, and none leaves any.  Rows match dedup off."""
+    from repro import flags
+    from repro.cuda.runtime import CudaContext
+
+    riding = []
+    rescue = CudaContext.rescue_copy_d2h
+
+    def spy(self, device):
+        hook = self.follow_hook
+        if hook is None:
+            return rescue(self, device)
+
+        def queued():
+            return any(batch.remaining for follower in hook.__self__._riding
+                       for batch in follower.rides)
+
+        before = queued()
+        result = rescue(self, device)
+        riding.append((before, queued()))
+        return result
+
+    monkeypatch.setattr(CudaContext, "rescue_copy_d2h", spy)
+    specs = CampaignSpec.grid(
+        "net", seeds=[11, 18], **dict(
+            FOLLOW_GRID, policies=["user_jit"], failure_rate=1.0 / 10.0,
+            type_mix=(("NETWORK_TRANSIENT", 0.5), ("GPU_DRIVER_CORRUPT", 0.2),
+                      ("GPU_HARD", 0.2), ("NODE_CRASH", 0.1)))).scenarios
+
+    def rows(dedup):
+        with flags.override(dedup=dedup):
+            return [(row["metrics"], row["perf"]["events"])
+                    for row in map(execute_scenario, specs)]
+
+    on = rows(True)
+    assert any(before for before, _after in riding)
+    assert not any(after for _before, after in riding)
+    assert on == rows(False)

@@ -413,7 +413,8 @@ def test_oracle_grid_exact_for_all_strategies_fast_on_and_off():
 
 
 def _dedup_train(on, engine, layout, iterations, num_nodes=1,
-                 fail_member=None, fail_at=None, horizon=None):
+                 fail_member=None, fail_at=None, horizon=None,
+                 fail_kind="dead"):
     from repro.hardware import GpuHealth
     from repro.hardware.specs import V100_NODE
     from repro.parallel.topology import ParallelLayout
@@ -437,8 +438,16 @@ def _dedup_train(on, engine, layout, iterations, num_nodes=1,
             victim = job.engines[fail_member]
 
             def failer():
-                yield env.timeout(fail_at)
-                victim.api.ctx.gpu.fail(GpuHealth.DEAD)
+                if isinstance(fail_at, tuple):
+                    # ("enqueued", k): right after member 0 enqueued
+                    # iteration k, at the same instant.
+                    yield job.engines[0].iteration_reached(fail_at[1])
+                else:
+                    yield env.timeout(fail_at)
+                if fail_kind == "dead":
+                    victim.api.ctx.gpu.fail(GpuHealth.DEAD)
+                else:
+                    victim.api.ctx.gpu.reset_driver()
 
             env.process(failer(), name="failer")
             env.run(until=horizon)
@@ -491,6 +500,117 @@ def test_dedup_mid_iteration_failure_stays_bitwise(
     off = _dedup_train(False, engine, layout, 6, num_nodes,
                        fail_member=member, fail_at=0.07, horizon=1.0)
     _assert_bitwise_equal(on, off)
+
+
+# -- followers: memoised DDP members ride the leader's timeline --------------------
+
+
+def _ddp_failure_offsets():
+    """Failure times inside iteration 1 of a dp=4 DDP run, by phase.
+
+    Read from rank 0's op records in a traced dedup-off run: the middle of
+    a kernel inside the forward macro chain, the middle of a batched
+    all-reduce transfer, the instant the compute stream starts its last
+    wait before ``bwd_done`` (the CPU is blocked on it), and the middle of
+    the optimizer kernel.  ``enqueued`` fails at the instant member 0 has
+    enqueued iteration 2, before its streams woke for it.
+    """
+    from repro.hardware.specs import V100_NODE
+    from repro.parallel.topology import ParallelLayout
+    from repro.sim import Tracer
+    from repro.workloads import TrainingJob, WorkloadSpec
+
+    with flags.override(dedup=False):
+        spec = WorkloadSpec(name="DEDUPEQ", model="GPT2-S",
+                            node_spec=V100_NODE, num_nodes=1,
+                            layout=ParallelLayout(dp=4), engine="ddp",
+                            framework="equivalence", minibatch_time=0.05)
+        tracer = Tracer(enabled=True)
+        job = TrainingJob(spec, tracer=tracer)
+        job.run_training(3)
+    engine = job.engines[0]
+
+    def ops(stream):
+        return [(event.detail["op"], event.detail["started"], event.time)
+                for event in tracer.filter(actor=stream.name,
+                                           action="op_done")]
+
+    compute, comm = ops(engine.compute_stream), ops(engine.comm_stream)
+
+    def second(records, match):
+        return [r for r in records if match(r[0])][1]
+
+    def middle(record):
+        return (record[1] + record[2]) / 2
+
+    reduces = [r for r in comm if "all_reduce_batch" in r[0]]
+    per_iteration = len(reduces) // 3
+    waits = [r for r in compute
+             if r[0].startswith("wait:") and "ar_done" in r[0]]
+    return {
+        "macro_chain": middle(second(compute, lambda n: n == "fwd1")),
+        "all_reduce": middle(reduces[per_iteration + per_iteration // 2]),
+        "cpu_blocked": waits[2 * len(waits) // 3 - 1][1],
+        "optimizer": middle(second(compute, lambda n: n == "optimizer")),
+        "enqueued": ("enqueued", 2),
+    }
+
+
+@pytest.fixture(scope="module")
+def ddp_failure_offsets():
+    return _ddp_failure_offsets()
+
+
+@pytest.mark.parametrize("phase", ["macro_chain", "all_reduce",
+                                   "cpu_blocked", "optimizer", "enqueued"])
+@pytest.mark.parametrize("fail_kind", ["dead", "reset_driver"])
+@pytest.mark.parametrize("member", [0, 2], ids=["leader", "follower"])
+def test_follower_failure_stays_bitwise(ddp_failure_offsets, phase,
+                                        fail_kind, member):
+    """A failure on the leader (member 0, first to enqueue) or on a
+    follower, landing in each phase of a followed iteration: the GPU epoch
+    bump materialises every follower in the leader's exact state, and the
+    run matches dedup off bit for bit."""
+    offset = ddp_failure_offsets[phase]
+    horizon = ddp_failure_offsets["optimizer"] + 1.0
+    on = _dedup_train(True, "ddp", {"dp": 4}, 6, fail_member=member,
+                      fail_at=offset, horizon=horizon, fail_kind=fail_kind)
+    off = _dedup_train(False, "ddp", {"dp": 4}, 6, fail_member=member,
+                       fail_at=offset, horizon=horizon, fail_kind=fail_kind)
+    _assert_bitwise_equal(on, off)
+
+
+def test_followers_ride_the_leaders_timeline(monkeypatch):
+    """Engagement: in a failure-free dp=4 run the three followers enqueue
+    almost nothing (their end-of-run sync markers), so a silent fallback
+    to private execution fails here instead of passing the grids."""
+    from repro.cuda import stream as stream_mod
+
+    counts = {}
+    enqueue = stream_mod.CudaStream.enqueue
+
+    def counting(self, op):
+        counts[self] = counts.get(self, 0) + 1
+        return enqueue(self, op)
+
+    monkeypatch.setattr(stream_mod.CudaStream, "enqueue", counting)
+    import repro.workloads.builder as builder
+
+    jobs = []
+    build = builder.TrainingJob.__init__
+
+    def keep(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        jobs.append(self)
+
+    monkeypatch.setattr(builder.TrainingJob, "__init__", keep)
+    on = _dedup_train(True, "ddp", {"dp": 4}, 6)
+    per_rank = [sum(counts.get(stream, 0) for stream in engine.api.ctx.streams)
+                for engine in jobs[0].engines]
+    assert per_rank[0] > 200
+    assert all(10 * count < per_rank[0] for count in per_rank[1:]), per_rank
+    monkeypatch.setattr(stream_mod.CudaStream, "enqueue", enqueue)
+    _assert_bitwise_equal(on, _dedup_train(False, "ddp", {"dp": 4}, 6))
 
 
 def test_dedup_diverge_then_readmit_round_trip():
