@@ -7,8 +7,9 @@ is a deterministic failure-free run of the same managed job.  From-scratch
 execution re-simulates that prefix once per scenario.
 
 This module simulates it once per *group*.  Scenarios are grouped by the
-configuration that shapes the failure-free trajectory (:func:`prefix_key`),
-sorted by first-failure time, and executed as:
+configuration that shapes the failure-free trajectory
+(:func:`~repro.campaign.runner.prefix_key`), sorted by first-failure
+time, and executed as:
 
 1. the parent builds the managed runner and advances the event loop with
    :meth:`~repro.sim.Environment.run_until_before` up to (but excluding)
@@ -16,9 +17,15 @@ sorted by first-failure time, and executed as:
 2. it forks a copy-on-write child (:class:`repro.sim.snapshot.ForkBranch`)
    which arms that scenario's full failure schedule and runs the divergent
    tail to completion;
-3. scenarios whose first failure would land only after the shared run
-   has completed (or never, inside the horizon) reuse the parent's own
-   completed run directly — no fork at all.
+3. the parent never simulates a failure.  Once the shared, failure-free
+   run completes before a scenario's first failure (or the scenario
+   draws none inside the horizon), it finishes the run and returns it as
+   a :class:`~repro.campaign.runner.FailureFree` entry: that scenario's
+   row, and every later one's, *is* the run
+   (:meth:`~repro.campaign.runner.FailureFree.row`).  The
+   :class:`~repro.campaign.runner.CampaignRunner` keeps the entry and
+   answers such scenarios of later campaigns itself, with the same
+   method, so only failing scenarios reach a group again.
 
 Because :meth:`run_until_before` never advances the clock past dispatched
 events and the injector schedules with ulp-exact absolute timeouts, every
@@ -28,7 +35,7 @@ execution: the ``metrics`` sections aggregate byte-identically.  Only
 
 The failure-free *reference* run — the wasted-time and loss-digest
 baseline — is not simulated here either:
-:class:`~repro.campaign.runner.CampaignRunner` runs it once per campaign
+:class:`~repro.campaign.runner.CampaignRunner` runs it once per runner
 for each :func:`~repro.campaign.runner.reference_key` and hands it to
 every group that shares the key.
 """
@@ -38,36 +45,16 @@ from __future__ import annotations
 import time
 from typing import Optional
 
-from repro.campaign.runner import (Reference, _build_managed_runner,
-                                   _campaign_result,
-                                   _execute_campaign_scenario,
-                                   _reference_run, _resolve_workload,
-                                   _type_mix, reference_key)
+from repro.campaign.runner import (FailureFree, Reference, RunSummary,
+                                   _build_managed_runner, _campaign_result,
+                                   _draw_schedule, _execute_campaign_scenario,
+                                   _first_failure, _reference_run,
+                                   _resolve_workload, prefix_key)
 from repro.campaign.spec import ScenarioSpec
 from repro.sim.snapshot import HAVE_FORK, ForkBranch
 
 #: Default cap on concurrently-running forked children per group.
 DEFAULT_MAX_LIVE = 4
-
-
-def prefix_key(spec: ScenarioSpec) -> tuple:
-    """Everything that shapes a campaign scenario's failure-free prefix.
-
-    Two scenarios with equal keys run bit-identical simulations until
-    their first injected failure: same workload and overrides, same
-    runner/policy, same store and init costs.  ``failure_rate`` joins the
-    key only under the periodic policy, where it feeds the analytic
-    checkpoint interval and therefore the prefix trajectory itself.  The
-    key extends :func:`~repro.campaign.runner.reference_key`, so a group
-    shares one reference run.
-    """
-    return reference_key(spec) + (
-        spec.store_bandwidth,
-        tuple(spec.init_costs) if spec.init_costs is not None else None,
-        spec.progress_timeout,
-        spec.policy,
-        spec.failure_rate if spec.policy == "periodic" else None,
-    )
 
 
 def group_by_prefix(specs: list[tuple[int, ScenarioSpec]]
@@ -79,27 +66,23 @@ def group_by_prefix(specs: list[tuple[int, ScenarioSpec]]
     return list(groups.values())
 
 
-def _draw_schedule(spec: ScenarioSpec, cluster) -> list:
-    from repro.failures import PoissonSchedule
-
-    return PoissonSchedule(cluster, spec.failure_rate, horizon=spec.horizon,
-                           seed=spec.seed, type_mix=_type_mix(spec)).events()
-
-
-def execute_prefix_group(specs: list[ScenarioSpec],
-                         max_live: int = DEFAULT_MAX_LIVE,
-                         reference: Optional[Reference] = None) -> list[dict]:
-    """Run one prefix group; returns result dicts in *specs* order.
+def run_prefix_group(specs: list[ScenarioSpec],
+                     max_live: int = DEFAULT_MAX_LIVE,
+                     reference: Optional[Reference] = None
+                     ) -> tuple[list[dict], Optional[FailureFree]]:
+    """Run one prefix group: ``(results in *specs* order, failure-free)``.
 
     *reference* is the group's failure-free reference run; it is computed
-    here when not given.  Falls back to from-scratch execution when
-    ``os.fork`` is unavailable or the group is a singleton (nothing to
-    share).
+    here when not given.  The group's failure-free managed run comes back
+    only when the parent finished it, because some scenario's failures
+    never fire before the run completes.  Falls back to from-scratch
+    execution (and no failure-free run) when ``os.fork`` is unavailable.
     """
     if reference is None:
         reference = _reference_run(specs[0])
-    if not HAVE_FORK or len(specs) < 2:
-        return [_execute_campaign_scenario(spec, reference) for spec in specs]
+    if not HAVE_FORK:
+        return ([_execute_campaign_scenario(spec, reference)
+                 for spec in specs], None)
 
     from repro.failures import FailureInjector
     from repro.sim import Environment
@@ -117,8 +100,7 @@ def execute_prefix_group(specs: list[ScenarioSpec],
     # failure-free parent never mutates — identical to from-scratch draws.
     schedules = [_draw_schedule(spec, runner.manager.cluster)
                  for spec in specs]
-    first_failure = [events[0].time if events else float("inf")
-                     for events in schedules]
+    first_failure = [_first_failure(events) for events in schedules]
     order = sorted(range(len(specs)), key=lambda i: (first_failure[i], i))
 
     def child(index: int):
@@ -127,26 +109,20 @@ def execute_prefix_group(specs: list[ScenarioSpec],
         FailureInjector(env, runner.manager.cluster).arm(events)
         report = env.run(until=proc)
         return _campaign_result(
-            spec, report, reference,
+            spec, RunSummary.of(report), reference,
             interval_iterations=interval_iterations,
             events=env.events_processed,
             wall=time.perf_counter() - child_start)
 
     results: list[Optional[dict]] = [None] * len(specs)
     live: list[tuple[int, ForkBranch]] = []
-    tail_indices: list[int] = []
     for index in order:
-        if first_failure[index] == float("inf"):
-            # No failure ever fires: the scenario IS the shared trajectory.
-            tail_indices.append(index)
-            continue
-        env.run_until_before(first_failure[index])
+        # Never dispatches past the run's completion, so a finished run
+        # keeps the event count and completion instant of an
+        # uninterrupted failure-free run.
+        env.run_until_before(first_failure[index], until=proc)
         if proc.triggered:
-            # The job finished before this scenario's first failure, so
-            # none of its failures ever fires either (from scratch,
-            # ``env.run(until=proc)`` stops first): no tail to fork.
-            tail_indices.append(index)
-            continue
+            break  # No failure of this or any later scenario fires.
         if len(live) >= max_live:
             done_index, branch = live.pop(0)
             results[done_index] = branch.result()
@@ -154,15 +130,13 @@ def execute_prefix_group(specs: list[ScenarioSpec],
     for done_index, branch in live:
         results[done_index] = branch.result()
 
-    if tail_indices:
-        # Finish the shared run in the parent and reuse its report for
-        # every scenario no failure reached (one simulation, N rows).
-        report = env.run(until=proc)
-        wall = time.perf_counter() - group_start
-        for index in tail_indices:
-            results[index] = _campaign_result(
-                specs[index], report, reference,
-                interval_iterations=interval_iterations,
-                events=env.events_processed, wall=wall)
-
-    return results  # type: ignore[return-value]
+    if not proc.triggered:
+        return results, None  # type: ignore[return-value]
+    report = env.run(until=proc)
+    failure_free = FailureFree(
+        summary=RunSummary.of(report), events=env.events_processed,
+        interval_iterations=interval_iterations, completion=env.now)
+    wall = time.perf_counter() - group_start
+    return [row if row is not None else failure_free.row(spec, reference,
+                                                         wall)
+            for spec, row in zip(specs, results)], failure_free

@@ -67,6 +67,32 @@ def _type_mix(spec: ScenarioSpec):
     return tuple((FailureType[name], weight) for name, weight in spec.type_mix)
 
 
+def _draw_schedule(spec: ScenarioSpec, cluster=None) -> list:
+    """*spec*'s failure events, drawn on *cluster*.
+
+    The default is the launch topology: a bare cluster of the workload's
+    nodes.  A draw reads only the active GPUs and their nodes, which a
+    :class:`~repro.cluster.manager.JobManager` builds the same way (its
+    spare pool never enters a draw), so this equals the draw on the
+    managed runner's own cluster.
+    """
+    from repro.failures import PoissonSchedule
+
+    if cluster is None:
+        from repro.hardware import Cluster, ClusterSpec
+        from repro.sim import Environment
+
+        workload = _resolve_workload(spec)
+        cluster = Cluster(Environment(), ClusterSpec(
+            node_spec=workload.node_spec, num_nodes=workload.num_nodes))
+    return PoissonSchedule(cluster, spec.failure_rate, horizon=spec.horizon,
+                           seed=spec.seed, type_mix=_type_mix(spec)).events()
+
+
+def _first_failure(events: list) -> float:
+    return events[0].time if events else float("inf")
+
+
 def _periodic_interval_iterations(workload, spec: ScenarioSpec) -> int:
     """Analytically optimal periodic interval (Section 5, equation 3)."""
     from repro.analysis import CalibratedParameters, optimal_checkpoint_frequency
@@ -114,14 +140,33 @@ def reference_key(spec: ScenarioSpec) -> tuple:
     The reference is a plain :class:`TrainingJob` of the resolved workload
     run for ``target_iterations``: policy, store, restart costs and the
     failure draw never touch it.  Scenarios with equal keys share one
-    reference run per campaign; :func:`repro.campaign.prefix.prefix_key`
-    extends this key.
+    reference run per runner; :func:`prefix_key` extends this key.
     """
     if spec.kind != KIND_CAMPAIGN:
         raise ValueError(f"reference runs apply to campaign scenarios, "
                          f"not {spec.kind!r}")
     return (spec.workload, spec.node, spec.minibatch_time,
             spec.target_iterations)
+
+
+def prefix_key(spec: ScenarioSpec) -> tuple:
+    """Everything that shapes a campaign scenario's failure-free prefix.
+
+    Two scenarios with equal keys run bit-identical simulations until
+    their first injected failure: same workload and overrides, same
+    runner/policy, same store and init costs.  ``failure_rate`` joins the
+    key only under the periodic policy, where it feeds the analytic
+    checkpoint interval and therefore the prefix trajectory itself.  The
+    key extends :func:`reference_key`, so a prefix group
+    (:mod:`repro.campaign.prefix`) shares one reference run.
+    """
+    return reference_key(spec) + (
+        spec.store_bandwidth,
+        tuple(spec.init_costs) if spec.init_costs is not None else None,
+        spec.progress_timeout,
+        spec.policy,
+        spec.failure_rate if spec.policy == "periodic" else None,
+    )
 
 
 @dataclass(frozen=True)
@@ -136,6 +181,52 @@ class Reference:
     digest: str
 
 
+@dataclass(frozen=True)
+class RunSummary:
+    """The fields of a managed run's :class:`RunReport` that rows read."""
+
+    completed: bool
+    total_time: float
+    restarts: int
+    failures_observed: int
+    losses_digest: str
+
+    @classmethod
+    def of(cls, report) -> "RunSummary":
+        return cls(completed=report.completed, total_time=report.total_time,
+                   restarts=report.restarts,
+                   failures_observed=report.failures_observed,
+                   losses_digest=_losses_digest(report.final_losses))
+
+
+@dataclass(frozen=True)
+class FailureFree:
+    """A prefix key's failure-free managed run, as campaign rows use it.
+
+    Every scenario of the key whose first failure lands strictly after
+    :attr:`completion` computes exactly this run: from scratch,
+    ``env.run(until=proc)`` stops before that failure can fire.
+    """
+
+    summary: RunSummary
+    #: Events dispatched when the run's process completed (drained).
+    events: int
+    interval_iterations: Optional[int]
+    #: Simulated instant the run's process completed.
+    completion: float
+
+    def serves(self, events: list) -> bool:
+        """Whether a scenario drawing *events* computes this run."""
+        return _first_failure(events) > self.completion
+
+    def row(self, spec: ScenarioSpec, reference: "Reference",
+            wall: float = 0.0) -> dict:
+        """*spec*'s result dict when it computes this run."""
+        return _campaign_result(spec, self.summary, reference,
+                                interval_iterations=self.interval_iterations,
+                                events=self.events, wall=wall)
+
+
 def _reference_run(spec: ScenarioSpec) -> Reference:
     job = TrainingJob(_resolve_workload(spec))
     losses = job.run_training(spec.target_iterations)[0]
@@ -146,7 +237,7 @@ def _reference_run(spec: ScenarioSpec) -> Reference:
 def _execute_campaign_scenario(spec: ScenarioSpec,
                                reference: Optional[Reference] = None) -> dict:
     """One campaign scenario from scratch; computes *reference* if None."""
-    from repro.failures import FailureInjector, PoissonSchedule
+    from repro.failures import FailureInjector
     from repro.sim import Environment
 
     start = time.perf_counter()
@@ -156,45 +247,45 @@ def _execute_campaign_scenario(spec: ScenarioSpec,
     runner, interval_iterations = _build_managed_runner(
         spec, _resolve_workload(spec), env)
 
-    schedule = PoissonSchedule(
-        runner.manager.cluster, spec.failure_rate, horizon=spec.horizon,
-        seed=spec.seed, type_mix=_type_mix(spec))
-    FailureInjector(env, runner.manager.cluster).arm(schedule)
+    cluster = runner.manager.cluster
+    FailureInjector(env, cluster).arm(_draw_schedule(spec, cluster))
     report = runner.execute()
     wall = time.perf_counter() - start
-    return _campaign_result(spec, report, reference,
+    return _campaign_result(spec, RunSummary.of(report), reference,
                             interval_iterations=interval_iterations,
                             events=env.events_processed, wall=wall)
 
 
-def _campaign_result(spec: ScenarioSpec, report, reference: Reference, *,
+def _campaign_result(spec: ScenarioSpec, run: RunSummary,
+                     reference: Reference, *,
                      interval_iterations: Optional[int],
                      events: int, wall: float) -> dict:
     """Assemble one campaign scenario's result dict.
 
-    Shared by from-scratch execution above and prefix-fork children
-    (:mod:`repro.campaign.prefix`), so the ``metrics`` section — the only
-    part aggregation reads — is byte-identical between the two schedulers.
+    Shared by from-scratch execution above, prefix-fork children
+    (:mod:`repro.campaign.prefix`) and rows the runner serves from its
+    failure-free memo, so the ``metrics`` section — the only part
+    aggregation reads — is byte-identical between the schedulers.
     ``perf`` is wall-clock telemetry and legitimately differs; its event
     count is the managed run's *events* plus the reference's.
     """
     ideal_time = reference.ideal_time
     events += reference.events
-    total = report.total_time
+    total = run.total_time
     wasted = total - ideal_time
     return {
         "scenario": spec.config(),
         "scenario_id": spec.scenario_id,
         "metrics": {
-            "completed": report.completed,
+            "completed": run.completed,
             "total_time": total,
             "ideal_time": ideal_time,
             "wasted_time": wasted,
             "wasted_fraction": wasted / total if total else 0.0,
             "goodput": ideal_time / total if total else 0.0,
-            "restarts": report.restarts,
-            "failures": report.failures_observed,
-            "losses_digest": _losses_digest(report.final_losses),
+            "restarts": run.restarts,
+            "failures": run.failures_observed,
+            "losses_digest": run.losses_digest,
             "reference_digest": reference.digest,
             "interval_iterations": interval_iterations,
         },
@@ -310,27 +401,30 @@ def execute_scenario(spec: ScenarioSpec) -> dict:
 
 def _execute_unit(items: list[tuple[int, ScenarioSpec]], is_group: bool,
                   max_live: int, reference: Optional[Reference]
-                  ) -> list[tuple[int, dict]]:
+                  ) -> tuple[list[tuple[int, dict]], Optional[FailureFree]]:
     """Run one dispatch unit (a scenario or a prefix group).
 
     *reference* is the unit's shared failure-free reference (campaign
     scenarios; ``None`` for other kinds).  Returns ``(position, result)``
-    per scenario; module-level so the pool can pickle it, and the serial
-    path calls it directly.
+    per scenario and the prefix group's failure-free run when the group
+    finished it (else ``None``); module-level so the pool can pickle it,
+    and the serial path calls it directly.
     """
     specs = [spec for _pos, spec in items]
+    failure_free = None
     if is_group:
-        from repro.campaign.prefix import execute_prefix_group
+        from repro.campaign.prefix import run_prefix_group
 
-        results = execute_prefix_group(specs, max_live=max_live,
-                                       reference=reference)
+        results, failure_free = run_prefix_group(
+            specs, max_live=max_live, reference=reference)
     elif reference is not None:
         results = [_execute_campaign_scenario(spec, reference)
                    for spec in specs]
     else:
         results = [execute_scenario(spec) for spec in specs]
-    return [(position, result)
-            for (position, _spec), result in zip(items, results)]
+    return ([(position, result)
+             for (position, _spec), result in zip(items, results)],
+            failure_free)
 
 
 @dataclass
@@ -381,6 +475,11 @@ class CampaignRunner:
     deterministic functions of their spec; only dispatch order varies with
     the worker count, and outcomes are always reassembled in campaign
     order.
+
+    A runner pays for each failure-free run once over its lifetime, not
+    once per :meth:`run`: the reference per :func:`reference_key` and,
+    under prefix fork, the failure-free managed run per
+    :func:`prefix_key` (see :meth:`_execute`).
     """
 
     def __init__(self, cache: Optional[ResultCache] = None,
@@ -398,6 +497,11 @@ class CampaignRunner:
         #: seed/rate sweeps.  Non-campaign kinds always run from scratch.
         self.prefix_fork = prefix_fork
         self.fork_max_live = fork_max_live
+        #: The failure-free memo: plain values keyed by everything that
+        #: shapes each run, so no entry can go stale while the code that
+        #: computed it is loaded.
+        self._references: dict[tuple, Reference] = {}
+        self._failure_free: dict[tuple, FailureFree] = {}
 
     def run(self, campaign: CampaignSpec) -> CampaignResult:
         """Run the campaign; outcomes come back in campaign order."""
@@ -416,11 +520,14 @@ class CampaignRunner:
                 pending.append((index, spec))
 
         perf.cache_misses = len(pending)
-        for position, result in self._execute(pending):
+        for position, result, simulated in self._execute(pending):
             index, spec = pending[position]
             outcomes[index] = ScenarioOutcome(spec, result, False)
-            perf.record_run(spec.scenario_id, result["perf"]["events"],
-                            result["perf"]["wall_seconds"])
+            if simulated:
+                perf.record_run(spec.scenario_id, result["perf"]["events"],
+                                result["perf"]["wall_seconds"])
+            else:
+                perf.reused += 1
             if self.cache is not None:
                 self.cache.put(spec.content_hash(), result)
 
@@ -439,61 +546,88 @@ class CampaignRunner:
 
     # -- dispatch ------------------------------------------------------------
 
+    def _reference(self, spec: ScenarioSpec) -> Reference:
+        key = reference_key(spec)
+        if key not in self._references:
+            self._references[key] = _reference_run(spec)
+        return self._references[key]
+
     def _dispatch_units(self, specs: list[ScenarioSpec]
-                        ) -> list[tuple[list[tuple[int, ScenarioSpec]], bool]]:
-        """Partition scenarios into dispatch units: ``(items, is_group)``.
+                        ) -> tuple[list[tuple[int, FailureFree]],
+                                   list[tuple[list[tuple[int, ScenarioSpec]],
+                                              bool]]]:
+        """Partition scenarios into memo-served rows and dispatch units.
 
-        With :attr:`prefix_fork`, campaign-kind scenarios sharing a
-        failure-free prefix become one multi-scenario unit; everything
-        else (and singleton groups) stays a from-scratch unit.
+        Returns ``(served, units)``.  *served* pairs each position the
+        failure-free memo answers with its entry; a unit is ``(items,
+        is_group)``.  With :attr:`prefix_fork`, the remaining campaign
+        scenarios sharing a prefix key become one multi-scenario group;
+        everything else (and singleton groups) runs from scratch.
         """
-        units: list[tuple[list[tuple[int, ScenarioSpec]], bool]] = []
-        if self.prefix_fork:
-            from repro.campaign.prefix import group_by_prefix
+        if not self.prefix_fork:
+            return [], [([(position, spec)], False)
+                        for position, spec in enumerate(specs)]
+        from repro.campaign.prefix import group_by_prefix
 
-            groupable = [(position, spec) for position, spec in enumerate(specs)
-                         if spec.kind == KIND_CAMPAIGN]
-            for group in group_by_prefix(groupable):
-                units.append((group, len(group) > 1))
-            for position, spec in enumerate(specs):
-                if spec.kind != KIND_CAMPAIGN:
-                    units.append(([(position, spec)], False))
-        else:
-            units = [([(position, spec)], False)
-                     for position, spec in enumerate(specs)]
-        return units
+        served: list[tuple[int, FailureFree]] = []
+        groupable, others = [], []
+        for position, spec in enumerate(specs):
+            if spec.kind != KIND_CAMPAIGN:
+                others.append(([(position, spec)], False))
+                continue
+            entry = self._failure_free.get(prefix_key(spec))
+            if entry is not None and entry.serves(_draw_schedule(spec)):
+                served.append((position, entry))
+            else:
+                groupable.append((position, spec))
+        units = [(group, len(group) > 1)
+                 for group in group_by_prefix(groupable)]
+        return served, units + others
 
     def _execute(self, pending: list[tuple[int, ScenarioSpec]]
-                 ) -> Iterator[tuple[int, dict]]:
-        """Yield ``(position, result)`` as scenarios finish (positions
-        index into *pending*); inline for one worker or one unit, else
-        through a process pool.
+                 ) -> Iterator[tuple[int, dict, bool]]:
+        """Yield ``(position, result, simulated)`` as scenarios finish
+        (positions index into *pending*); inline for one worker or one
+        unit, else through a process pool.
 
-        Each distinct failure-free reference (:func:`reference_key`) of
-        the pending campaign scenarios is run once, here in the calling
-        process, before any unit is dispatched, and travels with every
-        unit that needs it (a unit's scenarios share one key: prefix
-        groups extend it).  The references live only as long as this
-        call, so none can go stale, and a fully cached campaign runs none.
+        Failure-free work comes from the runner's memo.  The reference of
+        a campaign scenario (:func:`reference_key`) runs here, in the
+        calling process, the first time the runner needs it, and travels
+        with every unit that needs it (a unit's scenarios share one key:
+        prefix groups extend it).  Under prefix fork, a prefix group that
+        finishes its failure-free run (some scenario's failures never
+        fire) fills the memo entry of its :func:`prefix_key`; from then
+        on, a scenario whose first failure that run never reaches is
+        answered here from the entry (``simulated`` false, no wall time).
+        A fully cached campaign neither reads nor fills the memo.
         """
-        references: dict[tuple, Reference] = {}
+        specs = [spec for _index, spec in pending]
+        served, units = self._dispatch_units(specs)
+        for position, entry in served:
+            spec = specs[position]
+            yield position, entry.row(spec, self._reference(spec)), False
+
         work = []
-        for items, is_group in self._dispatch_units(
-                [spec for _index, spec in pending]):
+        for items, is_group in units:
             lead = items[0][1]
-            reference = None
-            if lead.kind == KIND_CAMPAIGN:
-                key = reference_key(lead)
-                if key not in references:
-                    references[key] = _reference_run(lead)
-                reference = references[key]
+            reference = (self._reference(lead)
+                         if lead.kind == KIND_CAMPAIGN else None)
             work.append((items, is_group, self.fork_max_live, reference))
+
+        def finished(args, rows, failure_free):
+            if failure_free is not None:
+                self._failure_free.setdefault(prefix_key(args[0][0][1]),
+                                              failure_free)
+            for position, result in rows:
+                yield position, result, True
+
         if self.workers == 1 or len(work) <= 1:
             for args in work:
-                yield from _execute_unit(*args)
+                yield from finished(args, *_execute_unit(*args))
             return
         with ProcessPoolExecutor(
                 max_workers=min(self.workers, len(work))) as pool:
-            futures = [pool.submit(_execute_unit, *args) for args in work]
+            futures = {pool.submit(_execute_unit, *args): args
+                       for args in work}
             for future in as_completed(futures):
-                yield from future.result()
+                yield from finished(futures[future], *future.result())

@@ -102,12 +102,15 @@ class CampaignPerf:
 
     ``runs`` holds one :class:`SimThroughput` per scenario actually
     executed; cache hits contribute to the hit-rate but not to throughput
-    (no simulation ran for them).
+    (no simulation ran for them).  Neither do ``reused`` rows: cache
+    misses the runner answered from its failure-free memo, without
+    simulating.
     """
 
     runs: list[SimThroughput] = field(default_factory=list)
     cache_hits: int = 0
     cache_misses: int = 0
+    reused: int = 0
     wall_seconds: float = 0.0
 
     def record_run(self, label: str, events: int, wall_seconds: float) -> None:
@@ -131,7 +134,8 @@ class CampaignPerf:
 
     def describe(self) -> str:
         executed = len(self.runs)
-        return (f"{executed} executed / {self.cache_hits} cached "
+        return (f"{executed} executed / {self.reused} reused / "
+                f"{self.cache_hits} cached "
                 f"({100 * self.cache_hit_rate:.0f}% hit rate), "
                 f"{self.mean_events_per_sec:,.0f} events/s mean per run")
 

@@ -148,13 +148,17 @@ def record_campaign_perf(registry: MetricsRegistry, perf, workers: int,
                          busy_seconds: float) -> None:
     """Post-campaign rollup from :class:`repro.core.telemetry.CampaignPerf`."""
     registry.counter("repro_campaign_cache_hits",
-                     "scenario results served from the prefix cache"
-                     ).inc(perf.cache_hits)
+                     "scenario results served from the content-hash "
+                     "result cache").inc(perf.cache_hits)
     registry.counter("repro_campaign_cache_misses",
-                     "scenario results simulated from scratch"
+                     "scenario results the result cache did not hold"
                      ).inc(perf.cache_misses)
+    registry.counter("repro_campaign_reused",
+                     "cache misses answered from the runner's "
+                     "failure-free memo, without simulating"
+                     ).inc(perf.reused)
     registry.gauge("repro_campaign_cache_hit_rate",
-                   "prefix-cache hit fraction for the last campaign"
+                   "result-cache hit fraction for the last campaign"
                    ).set(perf.cache_hit_rate)
     registry.gauge("repro_campaign_workers",
                    "worker slots the campaign ran with").set(workers)
@@ -167,4 +171,4 @@ def record_campaign_perf(registry: MetricsRegistry, perf, workers: int,
     registry.gauge("repro_campaign_wall_seconds",
                    "real seconds the last campaign took").set(wall)
     registry.counter("repro_campaign_scenarios",
-                     "scenario runs completed").inc(len(perf.runs))
+                     "scenario runs simulated").inc(len(perf.runs))

@@ -515,7 +515,7 @@ class Environment:
             self._now = max(self._now, deadline)
         return None
 
-    def run_until_before(self, when: float) -> None:
+    def run_until_before(self, when: float, until: Event) -> None:
         """Dispatch every event scheduled strictly before *when*.
 
         Unlike ``run(until=t)`` this never advances the clock to *when*:
@@ -525,12 +525,17 @@ class Environment:
         parent-side primitive of prefix-fork campaign scheduling: simulate
         the failure-free prefix shared by a scenario group, then fork a
         child per scenario to arm its schedule and run the divergent tail.
+
+        Dispatch also stops as soon as *until* (the run's process)
+        triggers, exactly where ``run(until=until)`` would stop before
+        draining it.
         """
         queue = self._queue
         pool = self._timeout_pool
         processed = self._processed
         try:
-            while queue and queue[0][0] < when:
+            while (queue and queue[0][0] < when
+                   and until._value is _PENDING):
                 time, _priority, _seq, event = heappop(queue)
                 self._now = time
                 callbacks = event.callbacks

@@ -182,22 +182,27 @@ def report_perf(json_mode: bool = False) -> dict:
 
     campaign = CampaignSpec.grid(
         "report-perf", workloads=["GPT2-S"], policies=["user_jit"],
-        seeds=[0, 1], target_iterations=12, failure_rate=1.0 / 30.0,
+        seeds=[0, 1, 2], target_iterations=12, failure_rate=1.0 / 30.0,
         horizon=100.0, minibatch_time=0.1, init_costs=(0.5, 0.25, 0.25),
         progress_timeout=10.0)
     with tempfile.TemporaryDirectory() as cache_dir:
         runner = CampaignRunner(cache=ResultCache(cache_dir), workers=1)
         cold = runner.run(campaign)
         warm = runner.run(campaign)
+    # No result cache, prefix fork on: the second pass answers every
+    # scenario no failure reaches from the runner's failure-free memo.
+    memo_runner = CampaignRunner(workers=1, prefix_fork=True)
+    memo_runner.run(campaign)
+    memo = memo_runner.run(campaign)
     data = {
         "kernel": {"events": env.events_processed, "wall_seconds": wall,
                    "events_per_sec": env.events_processed / wall},
-        "campaign_cold": {"cache_hits": cold.perf.cache_hits,
-                          "executed": cold.perf.cache_misses,
-                          "wall_seconds": cold.perf.wall_seconds},
-        "campaign_warm": {"cache_hits": warm.perf.cache_hits,
-                          "executed": warm.perf.cache_misses,
-                          "wall_seconds": warm.perf.wall_seconds},
+        **{f"campaign_{name}": {"cache_hits": run.perf.cache_hits,
+                                "executed": len(run.perf.runs),
+                                "reused": run.perf.reused,
+                                "wall_seconds": run.perf.wall_seconds}
+           for name, run in (("cold", cold), ("warm", warm),
+                             ("memo", memo))},
     }
     if not json_mode:
         print("\nSimulator performance — kernel events/sec and campaign "
@@ -208,6 +213,7 @@ def report_perf(json_mode: bool = False) -> dict:
               f"{env.events_processed / wall:,.0f} events/s")
         print(f"campaign engine (cold): {cold.perf.describe()}")
         print(f"campaign engine (warm): {warm.perf.describe()}")
+        print(f"campaign engine (memo): {memo.perf.describe()}")
         print("(see BENCH_simulator.json for the tracked per-bench baseline; "
               "refresh with benchmarks/run_perf_baseline.py)")
     return data

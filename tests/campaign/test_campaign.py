@@ -285,8 +285,8 @@ def _strip_perf(result):
 
 
 def test_prefix_fork_group_matches_from_scratch_byte_identically():
-    from repro.campaign.prefix import (execute_prefix_group, group_by_prefix,
-                                       prefix_key)
+    from repro.campaign.prefix import group_by_prefix, run_prefix_group
+    from repro.campaign.runner import prefix_key
     from repro.sim.snapshot import HAVE_FORK
 
     if not HAVE_FORK:
@@ -299,7 +299,7 @@ def test_prefix_fork_group_matches_from_scratch_byte_identically():
     groups = group_by_prefix(list(enumerate(specs)))
     assert [position for position, _ in groups[0]] == [0, 1, 2, 3]
 
-    forked = execute_prefix_group(specs)
+    forked = run_prefix_group(specs)[0]
     scratch = [execute_scenario(spec) for spec in specs]
     assert [canonical_json(_strip_perf(r)) for r in forked] == \
         [canonical_json(_strip_perf(r)) for r in scratch]
@@ -314,7 +314,8 @@ def test_prefix_fork_skips_tails_no_failure_reaches(monkeypatch):
     the shared run: one fork per prefix group.  Every path computes the
     same rows and aggregate as from-scratch execution."""
     from repro.campaign import prefix
-    from repro.campaign.runner import _build_managed_runner, _resolve_workload
+    from repro.campaign.runner import (_build_managed_runner, _draw_schedule,
+                                       _resolve_workload)
     from repro.sim import Environment
     from repro.sim.snapshot import HAVE_FORK, ForkBranch
 
@@ -331,7 +332,7 @@ def test_prefix_fork_skips_tails_no_failure_reaches(monkeypatch):
     cluster = _build_managed_runner(lead, _resolve_workload(lead),
                                     Environment())[0].manager.cluster
     for spec, row in zip(campaign.scenarios, scratch):
-        first = prefix._draw_schedule(spec, cluster)[0].time
+        first = _draw_schedule(spec, cluster)[0].time
         assert (row["metrics"]["failures"] > 0) is (spec.seed == 0)
         if spec.seed != 0:
             assert row["metrics"]["total_time"] < first < spec.horizon
@@ -360,7 +361,7 @@ def test_prefix_fork_skips_tails_no_failure_reaches(monkeypatch):
 
 
 def test_prefix_key_separates_trajectory_shaping_config():
-    from repro.campaign.prefix import prefix_key
+    from repro.campaign.runner import prefix_key
     from repro.campaign.spec import KIND_ANALYTIC
 
     base = ScenarioSpec(seed=0, policy="user_jit")
@@ -460,8 +461,7 @@ def test_execute_scenario_computes_its_own_reference(reference_jobs):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_one_reference_run_per_reference_key(reference_jobs, scratch_rows,
                                              prefix_fork, workers, tmp_path):
-    from repro.campaign.prefix import prefix_key
-    from repro.campaign.runner import reference_key
+    from repro.campaign.runner import prefix_key, reference_key
     from repro.sim.snapshot import HAVE_FORK
 
     if prefix_fork and not HAVE_FORK:
@@ -497,8 +497,7 @@ def test_one_reference_run_per_reference_key(reference_jobs, scratch_rows,
 
 
 def test_reference_key_is_a_projection_of_prefix_key():
-    from repro.campaign.prefix import prefix_key
-    from repro.campaign.runner import reference_key
+    from repro.campaign.runner import prefix_key, reference_key
 
     specs = [ScenarioSpec(seed=seed, policy=policy, failure_rate=rate,
                           target_iterations=iterations,
@@ -600,7 +599,7 @@ def _dedup_rows(seeds, dedup):
             for row in result.rows()]
 
 
-def _strata(seeds, rows):
+def _strata(seeds, ideal_time, grid=FOLLOW_GRID):
     """Failures each seed draws inside its job's failure-free window:
     ``none``, ``one-early``/``one-late`` (first or second half) or
     ``several``."""
@@ -609,18 +608,17 @@ def _strata(seeds, rows):
     from repro.sim import Environment
     from repro.workloads import WORKLOADS
 
-    spec = CampaignSpec.grid("strata", seeds=[0], **FOLLOW_GRID).scenarios[0]
+    spec = CampaignSpec.grid("strata", seeds=[0], **grid).scenarios[0]
     catalog = WORKLOADS[spec.workload]
     cluster = Cluster(Environment(), ClusterSpec(
         node_spec=catalog.node_spec, num_nodes=catalog.num_nodes))
     mix = tuple((FailureType[name], weight) for name, weight in spec.type_mix)
-    window = rows[0][1]["ideal_time"] + sum(FOLLOW_GRID["init_costs"])
+    window = ideal_time + sum(grid["init_costs"])
     strata = []
     for seed in seeds:
         times = [event.time for event in PoissonSchedule(
-            cluster, FOLLOW_GRID["failure_rate"],
-            horizon=FOLLOW_GRID["horizon"], seed=seed,
-            type_mix=mix).events() if event.time < window]
+            cluster, grid["failure_rate"], horizon=grid["horizon"],
+            seed=seed, type_mix=mix).events() if event.time < window]
         strata.append("none" if not times else "several" if len(times) > 1
                       else "one-early" if times[0] < window / 2
                       else "one-late")
@@ -637,8 +635,8 @@ def test_campaign_rows_identical_with_dedup_on_and_off():
         pytest.skip("os.fork unavailable")
     seeds = [2, 0, 11, 4]
     off = _dedup_rows(seeds, False)
-    assert _strata(seeds, off) == ["none", "one-early", "one-late",
-                                   "several"]
+    assert _strata(seeds, off[0][1]["ideal_time"]) == [
+        "none", "one-early", "one-late", "several"]
     assert _dedup_rows(seeds, True) == off
 
 
@@ -651,7 +649,7 @@ def test_campaign_rows_identical_with_dedup_on_and_off_fuzz(first):
         pytest.skip("os.fork unavailable")
     seeds = list(range(first, first + 30))
     off = _dedup_rows(seeds, False)
-    assert "none" in _strata(seeds, off)
+    assert "none" in _strata(seeds, off[0][1]["ideal_time"])
     assert _dedup_rows(seeds, True) == off
 
 
@@ -696,3 +694,270 @@ def test_network_transient_checkpoint_materialises_followers(monkeypatch):
     assert any(before for before, _after in riding)
     assert not any(after for _before, after in riding)
     assert on == rows(False)
+
+
+# -- the runner's failure-free memo -------------------------------------------------------
+# A runner keeps each reference run for its lifetime and, under prefix
+# fork, the failure-free managed run of every prefix group that finished
+# it because one of its scenarios draws no failure the job reaches.  A
+# later campaign answers every such scenario from the memo; the others
+# still run in prefix groups, or from scratch when alone.
+
+MEMO_GRID = dict(FOLLOW_GRID, target_iterations=6)
+
+
+def _stratified_grids(first, count):
+    """*count* grids over consecutive seeds from *first*, stratified like
+    the benchmark's: each pairs a seed that draws no failure inside the
+    job window with one that does, the failing strata in rotation."""
+    from repro.campaign.runner import _reference_run
+
+    lead = CampaignSpec.grid("memo", seeds=[first], **MEMO_GRID).scenarios[0]
+    ideal_time = _reference_run(lead).ideal_time
+    seeds = list(range(first, first + 25 * count))
+    pools: dict[str, list[int]] = {}
+    for seed, stratum in zip(seeds, _strata(seeds, ideal_time, MEMO_GRID)):
+        pools.setdefault(stratum, []).append(seed)
+    failing = ("one-early", "one-late", "several")
+    return [CampaignSpec.grid(
+        f"memo-{first}-{index}",
+        seeds=[pools["none"].pop(0), pools[failing[index % 3]].pop(0)],
+        **MEMO_GRID) for index in range(count)]
+
+
+def _scratch(grids):
+    return [[execute_scenario(spec) for spec in grid.scenarios]
+            for grid in grids]
+
+
+@pytest.fixture(scope="module")
+def memo_grids():
+    """Six stratified grids and their from-scratch rows."""
+    grids = _stratified_grids(0, 6)
+    return grids, _scratch(grids)
+
+
+@pytest.fixture
+def finished_runs(monkeypatch, tmp_path):
+    """Counts the failure-free managed runs prefix groups finish, in any
+    process (a pool worker or the calling one)."""
+    import os
+
+    from repro.campaign import prefix
+
+    log = tmp_path / "finished"
+    log.touch()
+    memo_entry = prefix.FailureFree
+
+    def counting(**fields):
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return memo_entry(**fields)
+
+    monkeypatch.setattr(prefix, "FailureFree", counting)
+    return lambda: len(log.read_text().split())
+
+
+@pytest.fixture
+def parent_arms(monkeypatch):
+    """Failure injectors armed in this process (forked children append to
+    their own copy of the list)."""
+    from repro.failures import FailureInjector
+
+    armed = []
+    arm = FailureInjector.arm
+
+    def spy(self, schedule):
+        armed.append(schedule)
+        return arm(self, schedule)
+
+    monkeypatch.setattr(FailureInjector, "arm", spy)
+    return armed
+
+
+def _assert_rows_match(result, table, rows):
+    assert [canonical_json(_strip_perf(row)) for row in result.rows()] == \
+        [canonical_json(_strip_perf(row)) for row in rows]
+    assert canonical_json(table) == canonical_json(aggregate_results(rows))
+
+
+@pytest.mark.parametrize("prefix_fork", [False, True])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_runner_memo_pays_each_failure_free_run_once(
+        memo_grids, reference_jobs, finished_runs, parent_arms,
+        prefix_fork, workers):
+    """One runner over six consecutive grids: every row and aggregate is
+    what from-scratch execution computes; the reference and each prefix
+    key's failure-free run are simulated for the first grid only (its
+    failure-free seed makes both groups finish the run); later grids
+    answer their failure-free seeds from the memo, which leaves each
+    failing seed alone in its group, so it runs from scratch."""
+    from repro.campaign.runner import prefix_key
+    from repro.sim.snapshot import HAVE_FORK
+
+    if prefix_fork and not HAVE_FORK:
+        pytest.skip("os.fork unavailable")
+    grids, scratch = memo_grids
+    assert len({prefix_key(spec) for grid in grids
+                for spec in grid.scenarios}) == 2
+    runner = CampaignRunner(workers=workers, prefix_fork=prefix_fork,
+                            fork_max_live=1)
+    reused = 0
+    for index, (grid, rows) in enumerate(zip(grids, scratch)):
+        armed = len(parent_arms)
+        result, table = runner.run_aggregated(grid)
+        _assert_rows_match(result, table, rows)
+        assert result.executed == len(grid)
+        assert len(result.perf.runs) + result.perf.reused == len(grid)
+        if index == 0:
+            assert result.perf.reused == 0
+        reused += result.perf.reused
+        assert len(reference_jobs) == 1
+        assert finished_runs() == (2 if prefix_fork else 0)
+        if prefix_fork and workers == 1:
+            # First grid: each group forks its failing tail.  Later grids:
+            # each failing seed is a singleton, run here from scratch.
+            assert len(parent_arms) - armed == \
+                (0 if index == 0 else len(result.perf.runs))
+    if prefix_fork:
+        # Each later grid's failure-free seed, under both policies.
+        assert reused == 2 * (len(grids) - 1)
+    else:
+        assert reused == 0
+        if workers == 1:
+            assert len(parent_arms) == sum(len(grid) for grid in grids)
+
+
+def test_first_failure_at_the_completion_instant_is_simulated(monkeypatch):
+    """A failure at exactly the memo's completion instant may still fire
+    (from scratch, it is queued at the instant the job ends), so the
+    scenario is simulated; one ulp later it can never fire and the row
+    comes from the memo.  Both match from-scratch execution."""
+    import dataclasses
+    import math
+
+    from repro.campaign import prefix
+    from repro.campaign import runner as runner_mod
+    from repro.sim.snapshot import HAVE_FORK
+
+    if not HAVE_FORK:
+        pytest.skip("os.fork unavailable")
+    grid = dict(MEMO_GRID, policies=["user_jit"])
+    runner = CampaignRunner(workers=1, prefix_fork=True)
+    # Seeds 0-3 include one the job never reaches, so the group finishes
+    # its failure-free run and the memo gets the entry.
+    runner.run(CampaignSpec.grid("fill", seeds=[0, 1, 2, 3], **grid))
+    (entry,) = runner._failure_free.values()
+
+    draw = runner_mod._draw_schedule
+    late = [seed for seed in range(40)
+            if draw(CampaignSpec.grid("late", seeds=[seed], **grid)
+                    .scenarios[0])[:1]
+            and draw(CampaignSpec.grid("late", seeds=[seed], **grid)
+                     .scenarios[0])[0].time > entry.completion][:2]
+    first = {late[0]: entry.completion,
+             late[1]: math.nextafter(entry.completion, math.inf)}
+
+    def pinned(spec, cluster=None):
+        events = draw(spec, cluster)
+        return [dataclasses.replace(events[0], time=first[spec.seed])] + \
+            events[1:]
+
+    monkeypatch.setattr(runner_mod, "_draw_schedule", pinned)
+    monkeypatch.setattr(prefix, "_draw_schedule", pinned)
+    campaign = CampaignSpec.grid("at-completion", seeds=late, **grid)
+    rows = [execute_scenario(spec) for spec in campaign.scenarios]
+    result, table = runner.run_aggregated(campaign)
+    _assert_rows_match(result, table, rows)
+    assert [run.label for run in result.perf.runs] == \
+        [campaign.scenarios[0].scenario_id]
+    assert result.perf.reused == 1
+
+
+def test_periodic_failure_rates_never_share_a_memo_entry():
+    """The periodic interval follows the failure rate, so each rate keeps
+    its own failure-free run; serving one rate's rows from the other's
+    would change their metrics."""
+    from repro.sim.snapshot import HAVE_FORK
+
+    if not HAVE_FORK:
+        pytest.skip("os.fork unavailable")
+    runner = CampaignRunner(workers=1, prefix_fork=True)
+    for rate in (1.0 / 25.0, 1.0 / 40.0, 1.0 / 25.0):
+        campaign = CampaignSpec.grid(
+            "periodic-rates", seeds=[0, 1, 2],
+            **dict(MEMO_GRID, policies=["periodic"], failure_rate=rate))
+        rows = [execute_scenario(spec) for spec in campaign.scenarios]
+        _assert_rows_match(*runner.run_aggregated(campaign), rows)
+    entries = list(runner._failure_free.values())
+    assert len(entries) == 2
+    assert entries[0].interval_iterations != entries[1].interval_iterations
+
+
+@pytest.mark.parametrize("workload", ["GPT2-S", "T5-3B", "GPT2-18B"])
+def test_launch_topology_draw_matches_the_managed_cluster(workload):
+    """The runner draws schedules on a bare launch cluster; every draw
+    (node-level failures included) equals the draw on the cluster the
+    scenario's managed runner builds."""
+    from repro.campaign.runner import (_build_managed_runner, _draw_schedule,
+                                       _resolve_workload)
+    from repro.sim import Environment
+
+    mix = (("GPU_HARD", 0.4), ("NODE_CRASH", 0.3),
+           ("NETWORK_TRANSIENT", 0.3))
+    for seed in range(4):
+        spec = ScenarioSpec(workload=workload, seed=seed, policy="periodic",
+                            failure_rate=1.0 / 30.0, horizon=300.0,
+                            type_mix=mix)
+        runner, _ = _build_managed_runner(spec, _resolve_workload(spec),
+                                          Environment())
+        events = _draw_schedule(spec)
+        assert events, seed
+        assert events == _draw_schedule(spec, runner.manager.cluster)
+
+
+def test_reused_rows_are_reported_apart_from_runs():
+    """Memo-served rows ran no simulation: they count as ``reused``, not
+    as ``runs``, in ``describe()``, the metrics rollup and the report's
+    perf section."""
+    from repro import flags
+    from repro.obs import metrics
+    from repro.sim.snapshot import HAVE_FORK
+    from repro.tools.report import report_perf
+
+    if not HAVE_FORK:
+        pytest.skip("os.fork unavailable")
+    campaign = CampaignSpec.grid("reused", seeds=[0, 1, 2, 3],
+                                 **dict(MEMO_GRID, policies=["user_jit"]))
+    runner = CampaignRunner(workers=1, prefix_fork=True)
+    with flags.override(obs=True), metrics.collecting() as reg:
+        runner.run(campaign)
+        warm = runner.run(campaign)
+    assert warm.perf.reused >= 1
+    assert len(warm.perf.runs) + warm.perf.reused == len(campaign)
+    assert f" / {warm.perf.reused} reused / " in warm.perf.describe()
+
+    def counted(name):
+        return sum(child.exact for _, child in reg.get(name).children())
+
+    assert counted("repro_campaign_reused") == warm.perf.reused
+    assert counted("repro_campaign_scenarios") == \
+        len(campaign) + len(warm.perf.runs)
+    memo = report_perf(json_mode=True)["campaign_memo"]
+    assert memo["reused"] >= 1
+    assert memo["executed"] + memo["reused"] == 3
+
+
+@pytest.mark.fuzz
+@pytest.mark.parametrize("first", [1000, 2000, 3000])
+def test_runner_memo_pays_each_failure_free_run_once_fuzz(first,
+                                                          finished_runs):
+    from repro.sim.snapshot import HAVE_FORK
+
+    if not HAVE_FORK:
+        pytest.skip("os.fork unavailable")
+    grids = _stratified_grids(first, 12)
+    runner = CampaignRunner(workers=1, prefix_fork=True, fork_max_live=1)
+    for grid, rows in zip(grids, _scratch(grids)):
+        _assert_rows_match(*runner.run_aggregated(grid), rows)
+    assert finished_runs() == 2
