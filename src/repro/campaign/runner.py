@@ -32,7 +32,7 @@ from repro.campaign.cache import ResultCache
 from repro.campaign.spec import (KIND_ANALYTIC, KIND_CAMPAIGN, KIND_ORACLE,
                                  ORACLE_WORKLOAD, CampaignSpec, ScenarioSpec)
 from repro.core.telemetry import CampaignPerf
-from repro.obs.metrics import instrument as _instrument
+from repro.obs.metrics import bridge as _metrics_bridge
 from repro.obs.metrics import registry as _metrics
 from repro.workloads import TrainingJob
 
@@ -534,8 +534,7 @@ class CampaignRunner:
         perf.wall_seconds = time.perf_counter() - start
         reg = _metrics.active()
         if reg is not None:
-            busy = sum(run.wall_seconds for run in perf.runs)
-            _instrument.record_campaign_perf(reg, perf, self.workers, busy)
+            _metrics_bridge.record_campaign_perf(reg, perf, self.workers)
         return CampaignResult(campaign=campaign, outcomes=outcomes, perf=perf)
 
     def run_aggregated(self, campaign: CampaignSpec

@@ -46,8 +46,6 @@ from repro import flags
 from repro.cuda.errors import CudaApiError, CudaError
 from repro.cuda.event import CudaEvent
 from repro.hardware.gpu import Gpu, GpuHealth
-from repro.obs.metrics import instrument as _instrument
-from repro.obs.metrics import registry as _metrics
 from repro.sim import Environment, Event, Process, Resource, Tracer
 from repro.sim.core import _PENDING as _EVENT_PENDING
 from repro.sim.core import Timeout
@@ -228,9 +226,6 @@ class CudaStream:
         #: interception layer uses this to identify the NCCL stream, like
         #: the paper identifies it from intercepted NCCL APIs.
         self.saw_collective = False
-        reg = _metrics.active()
-        if reg is not None:
-            _instrument.attach_stream_gauge(reg, self)
 
     # -- queue management ------------------------------------------------------
 

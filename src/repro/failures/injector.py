@@ -8,8 +8,6 @@ from repro.failures.types import FailureEvent, FailureType
 from repro.hardware.cluster import Cluster
 from repro.hardware.gpu import GpuHealth
 from repro.hardware.network import LinkHealth
-from repro.obs.metrics import instrument as _instrument
-from repro.obs.metrics import registry as _metrics
 from repro.sim import Environment, Tracer
 
 
@@ -143,6 +141,3 @@ class FailureInjector:
         self.injected.append(event)
         self.tracer.record(self.env.now, "injector", "failure",
                            kind=kind.value, target=event.target)
-        reg = _metrics.active()
-        if reg is not None:
-            _instrument.record_failure(reg, kind.value, event.target)

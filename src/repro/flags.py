@@ -12,9 +12,11 @@ instrumentation on or off) without changing any simulated result:
     Copy-on-write replica deduplication (:mod:`repro.framework.dedup`),
     bitwise-equivalent to per-rank math; read when a job is built.
 ``obs`` (``REPRO_OBS``)
-    The observability layer's span/commit records and metrics registry.
-    Records are only taken when this is on *and* the run's tracer is
-    enabled.
+    The observability layer's span, storage and collective-launch
+    records, and whether :func:`repro.obs.metrics.collecting` installs
+    its registry.  Records are only taken when this is on *and* the
+    run's tracer is enabled; metric families are derived from them
+    after the run, so nothing is observed live.
 
 All three default to on and are read once, at import, so campaign pool
 workers inherit them from the environment without plumbing.  Accepted

@@ -64,7 +64,6 @@ from repro import flags
 from repro.cuda.event import EventState
 from repro.cuda.stream import (CollectiveKernelOp, KernelOp, MemcpyOp,
                                RecordEventOp, WaitEventOp)
-from repro.obs.metrics import registry as _metrics
 
 try:
     # Same C kernel np.einsum dispatches to, minus its Python-level
@@ -603,8 +602,7 @@ class ReplicaArena:
     def _may_follow(engine) -> bool:
         """Untraced, unpoisoned, healthy streams and an idle PCIe link."""
         ctx = engine.api.ctx
-        if (ctx.tracer.enabled or _metrics.active() is not None
-                or ctx.poisoned):
+        if ctx.tracer.enabled or ctx.poisoned:
             return False
         for stream in (engine.compute_stream, engine.comm_stream):
             if (stream.aborted or stream.error is not None

@@ -108,7 +108,8 @@ class NcclCommunicator:
                 self.env, "init", frozenset(self.handles),
                 duration_fn=lambda _nbytes, d=duration: d,
                 fabric=self.fabric, node_names=self.node_names,
-                name=f"{self.name}:init:g{self.generation}")
+                name=f"{self.name}:init:g{self.generation}",
+                tracer=self.tracer)
         yield self._init_instance.arrive(rank)
         self._initialized = True
         self.tracer.record(self.env.now, self.name, "comm_init_done", rank=rank)
@@ -133,7 +134,8 @@ class NcclCommunicator:
                 self.env, kind, frozenset(self.handles), duration_fn,
                 fabric=self.fabric, node_names=self.node_names,
                 reduce_op=reduce_op,
-                name=f"{self.name}:{kind}#{seq}:g{self.generation}")
+                name=f"{self.name}:{kind}#{seq}:g{self.generation}",
+                tracer=self.tracer)
             self._instances[seq] = instance
         elif instance.kind != kind:
             raise NcclOpMismatch(
@@ -181,7 +183,8 @@ class NcclCommunicator:
                 fabric=self.fabric, node_names=self.node_names,
                 reduce_op=op,
                 name=f"{self.name}:all_reduce_batch[{len(bufs)}]"
-                     f"#{seq}:g{self.generation}")
+                     f"#{seq}:g{self.generation}",
+                tracer=self.tracer)
             self._instances[seq] = instance
         expected = f"all_reduce_batch[{len(bufs)}]"
         if instance.kind != expected:
@@ -256,7 +259,8 @@ class NcclCommunicator:
                 self.env, "send_recv", frozenset({src, dst}),
                 duration_fn=self.cost.send_recv,
                 fabric=self.fabric, node_names={src_node, dst_node},
-                name=f"{self.name}:p2p:{src}->{dst}#{seq}:g{self.generation}")
+                name=f"{self.name}:p2p:{src}->{dst}#{seq}:g{self.generation}",
+                tracer=self.tracer)
             self._p2p_instances[instance_key] = instance
         return instance
 

@@ -26,11 +26,10 @@ from typing import Any, Optional
 
 import numpy as np
 
+from repro import flags
 from repro.cuda.errors import CudaApiError, CudaError
 from repro.nccl.errors import NcclError, NcclOpMismatch
-from repro.obs.metrics import instrument as _instrument
-from repro.obs.metrics import registry as _metrics
-from repro.sim import Environment, Event
+from repro.sim import Environment, Event, Tracer
 
 
 class ReduceOp(enum.Enum):
@@ -62,7 +61,8 @@ class CollectiveInstance:
 
     def __init__(self, env: Environment, kind: str, participants: frozenset[int],
                  duration_fn, fabric=None, node_names: Optional[set[str]] = None,
-                 reduce_op: ReduceOp = ReduceOp.SUM, name: str = ""):
+                 reduce_op: ReduceOp = ReduceOp.SUM, name: str = "",
+                 tracer: Optional[Tracer] = None):
         self.env = env
         self.kind = kind
         self.participants = participants
@@ -73,8 +73,9 @@ class CollectiveInstance:
         self._node_names = node_names or set()
         self._registrations: dict[int, _Registration] = {}
         self._arrival: Optional[Event] = None
-        self._arrived: set[int] = set()
-        self._metric_arrivals: dict[int, float] = {}
+        #: rank -> simulated instant its kernel reached the stream head.
+        self._arrived: dict[int, float] = {}
+        self._tracer = tracer
         self._launched = False
         self._duration = 0.0
         self.completed = False
@@ -108,16 +109,10 @@ class CollectiveInstance:
             return failed
         if self._arrival is None:
             self._arrival = self.env.event(name=f"collective:{self.name}")
-        self._arrived.add(rank)
-        reg = _metrics.active()
-        if reg is not None:
-            self._metric_arrivals[rank] = self.env.now
-        if self._arrived == self.participants and not self._launched:
+        self._arrived[rank] = self.env.now
+        if self._arrived.keys() == self.participants and not self._launched:
             self._launched = True
-            if reg is not None and self._metric_arrivals:
-                _instrument.observe_rendezvous(
-                    reg, self.kind, self.env.now,
-                    self._metric_arrivals.values())
+            _record_launch(self)
             total_nbytes = max((r.nbytes for r in self._registrations.values()),
                                default=0)
             self._duration = self._duration_fn(total_nbytes)
@@ -126,7 +121,7 @@ class CollectiveInstance:
 
     @property
     def missing_ranks(self) -> set[int]:
-        return set(self.participants) - self._arrived
+        return set(self.participants) - self._arrived.keys()
 
     # -- transfer -----------------------------------------------------------------
 
@@ -191,6 +186,17 @@ class CollectiveInstance:
             self._arrival.fail(CudaApiError(
                 CudaError.STICKY, f"{self.name} aborted: {reason}"))
             self._arrival.defuse()
+
+
+def _record_launch(instance) -> None:
+    """Trace the rendezvous: each rank's wait from arrival to launch."""
+    tracer = instance._tracer
+    if flags.obs and tracer is not None and tracer.enabled:
+        now = instance.env.now
+        tracer.record(now, instance.name, "collective_launch",
+                      kind=instance.kind,
+                      waits={rank: now - arrived
+                             for rank, arrived in instance._arrived.items()})
 
 
 def _apply_collective(kind: str, reduce_op: ReduceOp,
@@ -284,7 +290,8 @@ class BatchedCollectiveInstance:
     def __init__(self, env: Environment, kind: str, segments: int,
                  participants: frozenset[int], duration_fn, fabric=None,
                  node_names: Optional[set[str]] = None,
-                 reduce_op: ReduceOp = ReduceOp.SUM, name: str = ""):
+                 reduce_op: ReduceOp = ReduceOp.SUM, name: str = "",
+                 tracer: Optional[Tracer] = None):
         self.env = env
         self.base_kind = kind
         #: Composite kind, compared across ranks for mismatch detection —
@@ -302,8 +309,9 @@ class BatchedCollectiveInstance:
             {} for _ in range(segments)]
         self._ok_fns: dict[int, Any] = {}
         self._arrival: Optional[Event] = None
-        self._arrived: set[int] = set()
-        self._metric_arrivals: dict[int, float] = {}
+        #: rank -> simulated instant its kernel reached the stream head.
+        self._arrived: dict[int, float] = {}
+        self._tracer = tracer
         self._launched = False
         self._process = None
         self.completed = False
@@ -355,23 +363,17 @@ class BatchedCollectiveInstance:
             return failed
         if self._arrival is None:
             self._arrival = self.env.event(name=f"collective:{self.name}")
-        self._arrived.add(rank)
-        reg = _metrics.active()
-        if reg is not None:
-            self._metric_arrivals[rank] = self.env.now
-        if self._arrived == self.participants and not self._launched:
+        self._arrived[rank] = self.env.now
+        if self._arrived.keys() == self.participants and not self._launched:
             self._launched = True
-            if reg is not None and self._metric_arrivals:
-                _instrument.observe_rendezvous(
-                    reg, self.kind, self.env.now,
-                    self._metric_arrivals.values())
+            _record_launch(self)
             self._process = self.env.process(self._transfer(),
                                              name=f"xfer:{self.name}")
         return self._arrival
 
     @property
     def missing_ranks(self) -> set[int]:
-        return set(self.participants) - self._arrived
+        return set(self.participants) - self._arrived.keys()
 
     # -- transfer -----------------------------------------------------------------
 

@@ -12,12 +12,14 @@ diagnostics:
 * :mod:`repro.obs.flight` — bounded flight-recorder ring + failing-vs-
   golden timeline diff, dumped by the oracle on invariant failures;
 * :mod:`repro.obs.metrics` — Prometheus-style Counter/Gauge/Histogram
-  registry sampled in simulated time, with OpenMetrics/JSON export and a
-  bitwise bridge from the goodput ledger.
+  registry projected from finished runs (trace records, the goodput
+  ledger, campaign perf) and sampled over the recorded timeline, with
+  OpenMetrics/JSON export.
 
-Instrumentation hooks are gated on :data:`repro.flags.obs` (process-global,
+Trace records are gated on :data:`repro.flags.obs` (process-global,
 ``REPRO_OBS=0`` to disable; scoped with ``flags.override(obs=...)``) *and*
-the run's tracer being enabled, so untraced runs pay nothing.
+the run's tracer being enabled, so untraced runs pay nothing.  Nothing
+here runs inside the simulation: every view is built after the run.
 """
 
 from repro.obs.ledger import (BUCKETS, GoodputLedger, build_strategy_ledger,

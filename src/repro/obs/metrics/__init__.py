@@ -1,18 +1,20 @@
-"""Prometheus-style metrics sampled in simulated time.
+"""Prometheus-style metrics projected from finished runs.
+
+Nothing in the simulator feeds these families while it runs: they are
+read off the run's trace, goodput ledger and campaign perf afterwards,
+so collecting metrics never changes a run.
 
 Layering (light to heavy):
 
 * :mod:`~repro.obs.metrics.registry` — Counter/Gauge/Histogram families,
   the module-level *active registry* and the :func:`collecting` context
   manager (honours :data:`repro.flags.obs`);
-* :mod:`~repro.obs.metrics.store` — in-memory time series plus the
-  deterministic :class:`SimScraper` simulation process;
-* :mod:`~repro.obs.metrics.instrument` — one helper per instrumentation
-  site across the stack (kernel, storage, NCCL, streams, campaign);
+* :mod:`~repro.obs.metrics.store` — in-memory time series sampled in
+  simulated time;
 * :mod:`~repro.obs.metrics.export` — OpenMetrics text and JSON;
-* :mod:`~repro.obs.metrics.bridge` — strategy runs into the registry via
-  the goodput ledger's own classification (import explicitly: it pulls
-  in the ledger).
+* :mod:`~repro.obs.metrics.bridge` — the post-run projections: trace
+  records, the goodput ledger's classification and campaign perf into
+  the registry (import explicitly: it pulls in the ledger).
 
 Typical use::
 
@@ -28,9 +30,7 @@ from repro.obs.metrics.registry import (Counter, Gauge, Histogram,
                                         MetricsRegistry, active, collecting,
                                         set_active)
 from repro.obs.metrics.store import (DEFAULT_SCRAPE_INTERVAL, Series,
-                                     SimScraper, TimeSeriesStore,
-                                     sample_registry)
-from repro.obs.metrics.instrument import attach_run_metrics
+                                     TimeSeriesStore, sample_registry)
 from repro.obs.metrics.export import (openmetrics_text, registry_json,
                                       timeseries_json, write_openmetrics)
 
@@ -41,10 +41,8 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "Series",
-    "SimScraper",
     "TimeSeriesStore",
     "active",
-    "attach_run_metrics",
     "collecting",
     "openmetrics_text",
     "registry_json",

@@ -1,4 +1,18 @@
-"""Ledger ↔ metrics bridge: strategy runs into registry families.
+"""Post-run projections: strategy runs into registry families.
+
+Nothing in the simulator feeds a registry while it runs.  Every family
+is projected here, after the run, from artefacts the run already
+produced, so collecting metrics can never change a run's events, losses
+or clock:
+
+* storage latency/bytes/commits/quarantines, failure counts and
+  rendezvous skew come from the run's :class:`~repro.sim.Tracer`
+  records (:func:`record_trace`), replayed in time order and sampled at
+  each multiple of the registry's interval;
+* goodput and recovery-phase families come from the goodput ledger's own
+  classification (:func:`record_strategy_run`);
+* campaign cache and utilization families come from
+  :class:`~repro.core.telemetry.CampaignPerf` (:func:`record_campaign_perf`).
 
 The goodput ledger and the metrics layer must *agree* — a dashboard
 whose detection-latency panel disagrees with the ledger's detection
@@ -26,11 +40,12 @@ transparent-family recovery by design.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
-from repro.obs.ledger import BUCKETS, RunClassification, classify_run
+from repro.obs.ledger import BUCKETS, classify_run
 from repro.obs.metrics.registry import Histogram, MetricsRegistry
-from repro.obs.metrics.store import TimeSeriesStore
+from repro.obs.metrics.store import (DEFAULT_SCRAPE_INTERVAL,
+                                     TimeSeriesStore, sample_registry)
+from repro.sim.trace import TraceEvent, Tracer
 
 #: Label used when a segment carries no failure-type attribution.
 UNATTRIBUTED = "unattributed"
@@ -48,6 +63,124 @@ ITERATION_BUCKETS = (0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
 
 #: The ledger buckets each phase histogram must reconcile with.
 PHASE_TO_BUCKET = {"detection": "detection", "restart": "restart"}
+
+#: Storage latency bounds: object writes/reads span sub-millisecond
+#: manifest blobs to multi-second checkpoint shards.
+STORAGE_BUCKETS = (0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1,
+                   0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 30.0)
+
+#: Rendezvous skew bounds: per-rank waits are usually well under one
+#: iteration, but a hung peer shows up as the +Inf bucket.
+RENDEZVOUS_BUCKETS = (0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1,
+                      0.25, 0.5, 1.0, 2.5, 5.0, 10.0)
+
+
+# -- trace records ------------------------------------------------------------
+
+#: Timed storage transfers: trace action -> (latency histogram, bytes
+#: counter), each as ``(name, help)``.
+_STORE_TRANSFERS = {
+    "store_write": (("repro_storage_write_seconds",
+                     "completed object-write latency"),
+                    ("repro_storage_written_bytes",
+                     "payload bytes of completed writes")),
+    "store_read": (("repro_storage_read_seconds", "object-read latency"),
+                   ("repro_storage_read_bytes",
+                    "payload bytes of completed reads")),
+}
+
+#: Counted storage events: trace action -> ``(name, help)``.
+_STORE_COUNTS = {
+    "store_commit": ("repro_storage_commits", "atomic rename publishes"),
+    "store_quarantine": ("repro_storage_quarantined",
+                         "objects moved to the quarantine namespace"),
+}
+
+_STORE_LABELS = ("strategy", "store")
+
+
+def _observed(event: TraceEvent) -> bool:
+    action = event.action
+    return (action in _STORE_TRANSFERS or action in _STORE_COUNTS
+            or action == "collective_launch"
+            or (action == "failure" and event.actor == "injector"))
+
+
+def _observe(registry: MetricsRegistry, strategy: str,
+             event: TraceEvent) -> None:
+    """Feed one trace record into the family it derives."""
+    action, detail = event.action, event.detail
+    if action in _STORE_TRANSFERS:
+        latency, size = _STORE_TRANSFERS[action]
+        labels = (strategy, event.actor)
+        registry.histogram(*latency, _STORE_LABELS, buckets=STORAGE_BUCKETS
+                           ).labels(*labels).observe(
+            event.time - detail["started"])
+        registry.counter(*size, _STORE_LABELS).labels(*labels).inc(
+            detail["nbytes"])
+    elif action in _STORE_COUNTS:
+        registry.counter(*_STORE_COUNTS[action], _STORE_LABELS).labels(
+            strategy, event.actor).inc()
+    elif action == "failure":
+        registry.counter("repro_failures_injected",
+                         "failures applied by the injector",
+                         ("strategy", "kind", "target")).labels(
+            strategy, detail["kind"], detail["target"]).inc()
+    else:   # collective_launch: one wait per rank, then the launch
+        waits = registry.histogram(
+            "repro_nccl_rendezvous_wait_seconds",
+            "per-rank wait at collective rendezvous", ("strategy", "kind"),
+            buckets=RENDEZVOUS_BUCKETS).labels(strategy, detail["kind"])
+        for wait in detail["waits"].values():
+            waits.observe(wait)
+        registry.counter("repro_nccl_collectives_launched",
+                         "collectives whose rendezvous completed",
+                         ("strategy", "kind")).labels(
+            strategy, detail["kind"]).inc()
+
+
+def record_trace(registry: MetricsRegistry, tracer: Tracer, strategy: str,
+                 until: float) -> TimeSeriesStore:
+    """Derive the storage, failure and rendezvous families from *tracer*.
+
+    Records replay in time order.  Before the first record later than
+    each multiple of the registry's interval, and at every multiple
+    still below *until*, one :func:`sample_registry` snapshot lands in
+    ``registry.timeseries`` at that instant (a sample at *t* sees every
+    record up to and including *t*).  The caller adds its own post-run
+    families and then takes the closing sample at *until*.
+    """
+    store = registry.timeseries
+    if store is None:
+        store = registry.timeseries = TimeSeriesStore()
+    interval = registry.scrape_interval
+    if not interval or interval <= 0:
+        interval = DEFAULT_SCRAPE_INTERVAL
+    observed = sorted(filter(_observed, tracer.events),
+                      key=lambda event: event.time)
+    tick = 0
+    for event in observed:
+        while tick * interval < event.time:
+            sample_registry(registry, store, tick * interval)
+            tick += 1
+        _observe(registry, strategy, event)
+    while tick * interval < until:
+        sample_registry(registry, store, tick * interval)
+        tick += 1
+    return store
+
+
+def record_run(registry: MetricsRegistry, run, ranks: int) -> None:
+    """Every family of one strategy run, sampled over its timeline.
+
+    The trace-derived families replay first; the ledger and kernel-total
+    families exist only once the run is over, so they land at its end,
+    just before the closing sample at ``run.wall_time``.
+    """
+    store = record_trace(registry, run.tracer, run.strategy, run.wall_time)
+    record_strategy_run(registry, run, ranks)
+    record_run_environment(registry, run)
+    sample_registry(registry, store, run.wall_time)
 
 
 def _phase_histograms(registry: MetricsRegistry) -> dict[str, Histogram]:
@@ -68,17 +201,9 @@ def _phase_histograms(registry: MetricsRegistry) -> dict[str, Histogram]:
     }
 
 
-def record_strategy_run(registry: MetricsRegistry, run, ranks: int,
-                        wall_time: Optional[float] = None,
-                        classification: Optional[RunClassification] = None,
-                        ) -> RunClassification:
-    """Feed one strategy run's classification into *registry*.
-
-    Returns the classification so callers can also build the ledger from
-    it without re-partitioning.
-    """
-    cls = classification if classification is not None \
-        else classify_run(run, ranks, wall_time=wall_time)
+def record_strategy_run(registry: MetricsRegistry, run, ranks: int) -> None:
+    """Feed one strategy run's ledger classification into *registry*."""
+    cls = classify_run(run, ranks)
     strategy = cls.strategy
 
     goodput = registry.counter(
@@ -131,17 +256,10 @@ def record_strategy_run(registry: MetricsRegistry, run, ranks: int,
 
     wall.labels(strategy=strategy).inc(Fraction(cls.wall_time) * ranks)
     runs.labels(strategy=strategy, outcome=run.outcome).inc()
-    return cls
 
 
-def record_run_environment(registry: MetricsRegistry, env,
-                           strategy: str) -> None:
-    """Post-run kernel totals: dispatched vs fast-path-credited events.
-
-    ``Environment.run`` caches its dispatch counter in a local, so these
-    totals are only correct once the run has returned — which is why
-    they are counters fed here rather than scrape-time gauges.
-    """
+def record_run_environment(registry: MetricsRegistry, run) -> None:
+    """Kernel totals of one strategy run: dispatched vs credited events."""
     processed = registry.counter(
         "repro_sim_events_dispatched", "real heap dispatches",
         ("strategy",))
@@ -149,8 +267,40 @@ def record_run_environment(registry: MetricsRegistry, env,
         "repro_sim_events_credited",
         "logical events elided by the macro-event fast path",
         ("strategy",))
-    processed.labels(strategy=strategy).inc(env._processed)
-    credited.labels(strategy=strategy).inc(env._credited)
+    processed.labels(strategy=run.strategy).inc(
+        run.events - run.events_credited)
+    credited.labels(strategy=run.strategy).inc(run.events_credited)
+
+
+def record_campaign_perf(registry: MetricsRegistry, perf,
+                         workers: int) -> None:
+    """Campaign rollup from :class:`repro.core.telemetry.CampaignPerf`."""
+    registry.counter("repro_campaign_cache_hits",
+                     "scenario results served from the content-hash "
+                     "result cache").inc(perf.cache_hits)
+    registry.counter("repro_campaign_cache_misses",
+                     "scenario results the result cache did not hold"
+                     ).inc(perf.cache_misses)
+    registry.counter("repro_campaign_reused",
+                     "cache misses answered from the runner's "
+                     "failure-free memo, without simulating"
+                     ).inc(perf.reused)
+    registry.gauge("repro_campaign_cache_hit_rate",
+                   "result-cache hit fraction for the last campaign"
+                   ).set(perf.cache_hit_rate)
+    registry.gauge("repro_campaign_workers",
+                   "worker slots the campaign ran with").set(workers)
+    wall = perf.wall_seconds
+    busy = sum(run.wall_seconds for run in perf.runs)
+    utilization = (busy / (workers * wall)
+                   if workers > 0 and wall > 0 else 0.0)
+    registry.gauge("repro_campaign_worker_utilization",
+                   "scenario-busy fraction of worker*wall capacity"
+                   ).set(min(1.0, utilization))
+    registry.gauge("repro_campaign_wall_seconds",
+                   "real seconds the last campaign took").set(wall)
+    registry.counter("repro_campaign_scenarios",
+                     "scenario runs simulated").inc(len(perf.runs))
 
 
 def goodput_buckets_from_registry(registry: MetricsRegistry,
@@ -169,7 +319,7 @@ def goodput_buckets_from_registry(registry: MetricsRegistry,
 
 def goodput_buckets_from_store(store: TimeSeriesStore,
                                strategy: str) -> dict[str, Fraction]:
-    """Reconstruct ledger buckets from a scraped time-series store.
+    """Reconstruct ledger buckets from a sampled time-series store.
 
     Counters are cumulative, so the *last* sample of each
     ``repro_goodput_seconds`` series is its total; values stay exact

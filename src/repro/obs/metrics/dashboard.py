@@ -15,8 +15,7 @@ Panels:
 * stacked goodput bars — the five ledger buckets per snapshot, scaled to
   each snapshot's total rank-seconds;
 * phase histograms — detection and restart latency distributions per
-  snapshot, drawn from the exported cumulative buckets;
-* straggler panel — alert counts per rank, when any alerts fired.
+  snapshot, drawn from the exported cumulative buckets.
 """
 
 from __future__ import annotations
@@ -60,7 +59,7 @@ thead th { border-bottom: 2px solid #888; }
 def snapshot(name: str, registry: MetricsRegistry,
              meta: Optional[dict] = None,
              include_timeseries: bool = True) -> dict:
-    """Package one registry (and its scraped series) for the dashboard."""
+    """Package one registry (and its sampled series) for the dashboard."""
     data = {"name": name, "meta": dict(meta or {}),
             "metrics": registry_json(registry)}
     store = getattr(registry, "timeseries", None)
@@ -149,8 +148,8 @@ def filter_snapshot(name: str, snap: dict, label: str,
 
     Keeps only families carrying *label* and only their samples matching
     *value* — the per-strategy view of a registry that collected several
-    strategy runs.  Families without the label (global gauges like
-    queue depth) are dropped rather than duplicated into every slice.
+    strategy runs.  Families without the label (campaign-wide rollups)
+    are dropped rather than duplicated into every slice.
     """
     families = []
     for family in _families(snap):
@@ -284,23 +283,6 @@ def _phase_section(snapshots: list[dict]) -> str:
             "<tbody>" + "".join(rows) + "</tbody></table>")
 
 
-def _straggler_section(snapshots: list[dict]) -> str:
-    rows = []
-    for snap in snapshots:
-        family = _family(snap, "repro_straggler_alerts")
-        if family is None:
-            continue
-        for sample in family["samples"]:
-            rows.append(f"<tr><td>{html.escape(str(snap.get('name', '?')))}"
-                        f"</td><td>{html.escape(str(sample['labels'].get('rank', '?')))}"
-                        f"</td><td>{int(sample['value'])}</td></tr>")
-    if not rows:
-        return '<p class="note">no straggler alerts fired</p>'
-    return ("<table><thead><tr><th>snapshot</th><th>rank</th>"
-            "<th>alerts</th></tr></thead><tbody>"
-            + "".join(rows) + "</tbody></table>")
-
-
 def build_dashboard(snapshots: Iterable[dict],
                     title: str = "repro metrics dashboard") -> str:
     snaps = list(snapshots)
@@ -320,8 +302,6 @@ seconds unless noted. Hover bars for exact numbers.</p>
 {_goodput_section(snaps)}
 <h2>Recovery phase latencies</h2>
 {_phase_section(snaps)}
-<h2>Straggler alerts</h2>
-{_straggler_section(snaps)}
 </body></html>
 """
 

@@ -101,7 +101,7 @@ def registry_json(registry: MetricsRegistry) -> dict:
 
 
 def timeseries_json(store: TimeSeriesStore) -> dict:
-    """The scraper's series as plain JSON (values become floats)."""
+    """The sampled series as plain JSON (values become floats)."""
     series = []
     for entry in store.all_series():
         series.append({

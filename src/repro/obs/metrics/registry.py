@@ -13,15 +13,13 @@ wire-format-first clients:
   ledger↔metrics consistency tests demand the same of any metric
   derived from it — exactness has to survive the registry, not just the
   ledger.
-* **Gauges may be callbacks** (:meth:`Gauge.set_function`): the value is
-  computed at collect/scrape time, so live state (simulator queue depth,
-  stream backlogs) costs nothing on the hot path — no per-event
-  increment anywhere in the kernel.
-
-Instrumentation sites gate on the module-level *active registry*
-(:func:`active`, set by the :func:`collecting` context manager): when no
-registry is installed — the default, and always under ``REPRO_OBS=0`` —
-every hook is a single ``is None`` check.
+* **Nothing feeds a registry while a simulation runs.**  The module-level
+  *active registry* (:func:`active`, set by the :func:`collecting`
+  context manager) is read only by post-run entry points — the oracle's
+  ``run_strategy`` and ``CampaignRunner.run`` — which project finished
+  runs into it through :mod:`repro.obs.metrics.bridge`.  When no
+  registry is installed (the default, and always under
+  ``REPRO_OBS=0``) that is one ``is None`` check per run.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import re
 from bisect import bisect_left
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from repro import flags
 
@@ -82,15 +80,13 @@ class CounterChild(_Child):
 
 
 class GaugeChild(_Child):
-    __slots__ = ("_value", "_fn")
+    __slots__ = ("_value",)
 
     def __init__(self, labels: tuple[str, ...]):
         super().__init__(labels)
         self._value = 0.0
-        self._fn: Optional[Callable[[], float]] = None
 
     def set(self, value: Number) -> None:
-        self._fn = None
         self._value = float(value)
 
     def inc(self, amount: Number = 1) -> None:
@@ -99,14 +95,8 @@ class GaugeChild(_Child):
     def dec(self, amount: Number = 1) -> None:
         self._value -= float(amount)
 
-    def set_function(self, fn: Callable[[], float]) -> None:
-        """Read the value lazily at collect/scrape time (zero hot-path cost)."""
-        self._fn = fn
-
     @property
     def value(self) -> float:
-        if self._fn is not None:
-            return float(self._fn())
         return self._value
 
 
@@ -249,9 +239,6 @@ class Gauge(MetricFamily):
     def dec(self, amount: Number = 1) -> None:
         self._solo().dec(amount)
 
-    def set_function(self, fn: Callable[[], float]) -> None:
-        self._solo().set_function(fn)
-
     @property
     def value(self) -> float:
         return self._solo().value
@@ -280,16 +267,16 @@ class Histogram(MetricFamily):
 class MetricsRegistry:
     """Named metric families with get-or-create accessors.
 
-    ``scrape_interval`` is advisory: instrumentation helpers that attach a
-    :class:`~repro.obs.metrics.store.SimScraper` to a run read it to pace
-    sampling in simulated time.
+    ``scrape_interval`` paces sampling: the post-run projection
+    (:func:`repro.obs.metrics.bridge.record_trace`) samples the registry
+    at each multiple of it in simulated time.
     """
 
     def __init__(self, scrape_interval: Optional[float] = None):
         self.scrape_interval = scrape_interval
-        #: Filled in by the first :class:`~repro.obs.metrics.store.SimScraper`
-        #: attached to a run (the scraped series live with the registry so
-        #: report/dashboard consumers find them).
+        #: The :class:`~repro.obs.metrics.store.TimeSeriesStore` the first
+        #: projected run creates (the sampled series live with the
+        #: registry so report/dashboard consumers find them).
         self.timeseries = None
         self._families: dict[str, MetricFamily] = {}
 
@@ -329,18 +316,18 @@ class MetricsRegistry:
         return [self._families[name] for name in sorted(self._families)]
 
 
-#: The installed registry instrumentation sites feed.  ``None`` (the
-#: default) means every hook across the stack is one ``is None`` check.
+#: The installed registry finished runs are projected into.  ``None``
+#: (the default) means nothing is projected.
 _ACTIVE: Optional[MetricsRegistry] = None
 
 
 def active() -> Optional[MetricsRegistry]:
-    """The registry instrumentation currently feeds, if any."""
+    """The registry finished runs are projected into, if any."""
     return _ACTIVE
 
 
 def set_active(registry: Optional[MetricsRegistry]) -> Optional[MetricsRegistry]:
-    """Install *registry* as the instrumentation target; returns the old one."""
+    """Install *registry* as the projection target; returns the old one."""
     global _ACTIVE
     previous = _ACTIVE
     _ACTIVE = registry
@@ -354,8 +341,8 @@ def collecting(scrape_interval: Optional[float] = None,
 
     Honours the process-global :data:`repro.flags.obs` switch: when
     observability is disabled the registry is still yielded (callers can
-    hold it) but **not** installed, so instrumentation stays on the no-op
-    path and the block records nothing.
+    hold it) but **not** installed, so no run is projected into it and
+    the block records nothing.
     """
     reg = registry if registry is not None \
         else MetricsRegistry(scrape_interval=scrape_interval)

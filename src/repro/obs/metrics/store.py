@@ -1,24 +1,15 @@
-"""In-memory time series and the deterministic sim-clock scraper.
+"""In-memory time series sampled over a run's recorded timeline.
 
-Prometheus pulls metrics on a wall-clock schedule; here the scraper is a
-*simulation process*, so samples land at exact simulated timestamps and
-two runs of the same scenario produce byte-identical series.  The store
-keeps whatever value objects the registry holds — counter samples stay
-exact :class:`fractions.Fraction`, so series-derived totals reconcile
-bitwise with the goodput ledger.
-
-The scraper is strictly opt-in: it schedules timeout events on the run's
-:class:`~repro.sim.core.Environment`, which perturbs ``events_processed``
-and therefore must never be attached implicitly (the oracle's
-event-count equivalence checks would see it).  It stops itself when its
-wake-up finds the event queue otherwise empty, so a run that would have
-drained still terminates.
-
-One kernel caveat: ``Environment.run`` caches its dispatch counter in a
-local for speed and writes it back only when the loop exits, so
-``events_processed`` is stale *mid-run*.  Scrape-time gauges therefore
-sample live structures only (queue depths, clocks, stream backlogs);
-event totals are finalised post-run by the instrumentation helpers.
+Prometheus pulls metrics on a wall-clock schedule; here samples are
+taken *after* the run, while :func:`repro.obs.metrics.bridge.record_trace`
+replays the run's trace records in time order: one
+:func:`sample_registry` snapshot at each multiple of the registry's
+interval, and a closing one at the run's end.  Nothing is scheduled on
+the simulation, so collecting never changes a run, samples land at exact
+simulated timestamps, and two runs of the same scenario produce
+identical series.  The store keeps whatever value objects the registry
+holds — counter samples stay exact :class:`fractions.Fraction`, so
+series-derived totals reconcile bitwise with the goodput ledger.
 """
 
 from __future__ import annotations
@@ -32,7 +23,7 @@ from repro.obs.metrics.registry import (Counter, Gauge, Histogram,
 
 Value = Union[int, float, Fraction]
 
-#: Simulated seconds between scrapes when the registry does not say.
+#: Simulated seconds between samples when the registry does not say.
 DEFAULT_SCRAPE_INTERVAL = 1.0
 
 
@@ -100,12 +91,11 @@ class TimeSeriesStore:
 
 def sample_registry(registry: MetricsRegistry, store: TimeSeriesStore,
                     time: float) -> None:
-    """Append one scrape of *registry* to *store* at simulated *time*.
+    """Append one sample of *registry* to *store* at simulated *time*.
 
-    Counters keep their exact ``Fraction`` values; gauges are read (and
-    callback gauges invoked) now; histograms land as two series,
-    ``<name>_count`` and ``<name>_sum`` (the sum exact), which is what
-    the dashboard's rate panels need.
+    Counters keep their exact ``Fraction`` values; gauges are read now;
+    histograms land as two series, ``<name>_count`` and ``<name>_sum``
+    (the sum exact), which is what the dashboard's rate panels need.
     """
     for family in registry.collect():
         for labels, child in family.children():
@@ -120,46 +110,3 @@ def sample_registry(registry: MetricsRegistry, store: TimeSeriesStore,
                              family.labelnames, "histogram", child.count)
                 store.append(time, f"{family.name}_sum", labels,
                              family.labelnames, "histogram", child.exact_sum)
-
-
-class SimScraper:
-    """Samples the active registry on a fixed simulated-time cadence."""
-
-    def __init__(self, env, registry: MetricsRegistry,
-                 store: Optional[TimeSeriesStore] = None,
-                 interval: Optional[float] = None):
-        self.env = env
-        self.registry = registry
-        if store is None:
-            store = getattr(registry, "timeseries", None)
-        if store is None:
-            store = TimeSeriesStore()
-        if getattr(registry, "timeseries", None) is None:
-            registry.timeseries = store
-        self.store = store
-        if interval is None:
-            interval = registry.scrape_interval
-        self.interval = (interval if interval and interval > 0
-                         else DEFAULT_SCRAPE_INTERVAL)
-        self.scrapes = 0
-        self._started = False
-
-    def sample(self) -> None:
-        sample_registry(self.registry, self.store, self.env.now)
-        self.scrapes += 1
-
-    def start(self) -> "SimScraper":
-        if not self._started:
-            self._started = True
-            self.env.process(self._loop(), name="metrics-scraper")
-        return self
-
-    def _loop(self):
-        while True:
-            self.sample()
-            # The wake-up that finds nothing else scheduled is the run
-            # draining: take the final sample above and bow out, or the
-            # scraper alone would keep the simulation alive forever.
-            if not self.env._queue:
-                return
-            yield self.env.timeout(self.interval)

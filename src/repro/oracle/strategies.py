@@ -33,8 +33,6 @@ from repro.failures.injector import FailureInjector
 from repro.failures.types import FailureType
 from repro.obs.metrics import bridge as _metrics_bridge
 from repro.obs.metrics import registry as _metrics
-from repro.obs.metrics.instrument import attach_run_metrics
-from repro.obs.metrics.store import sample_registry
 from repro.oracle.schedule import FailureSchedule
 from repro.sim import Environment, Tracer
 from repro.storage import SharedObjectStore
@@ -70,8 +68,10 @@ class StrategyRun:
     generations: list = field(default_factory=list)
     #: GC-deleted-live-checkpoint observations (collected while running).
     gc_violations: list = field(default_factory=list)
-    #: Simulator events the run dispatched (perf telemetry).
+    #: Logical events the run processed (perf telemetry).
     events: int = 0
+    #: Of ``events``, those the macro-event fast path elided.
+    events_credited: int = 0
     #: ``env.now`` when the run ended (goodput-ledger wall clock).
     wall_time: float = 0.0
     #: The shared checkpoint store (quarantine invariant evidence).
@@ -240,9 +240,6 @@ def _run_transparent_family(strategy: str, spec: WorkloadSpec,
                             mutations: Sequence[str]) -> StrategyRun:
     env = Environment()
     tracer = Tracer()
-    metrics_registry = _metrics.active()
-    if metrics_registry is not None:
-        attach_run_metrics(env, metrics_registry)
     store = SharedObjectStore(env, bandwidth=_STORE_BANDWIDTH)
     store.tracer = tracer
     cls = SwiftJitSystem if strategy == "swift" else TransparentJitSystem
@@ -267,24 +264,23 @@ def _run_transparent_family(strategy: str, spec: WorkloadSpec,
     except RuntimeError as exc:
         run.outcome = "unrecoverable"
         run.detail = str(exc)
-        run.events = env.events_processed
-        run.wall_time = env.now
+        _finish(run, env)
         # Close anything the abort left open so report paths (breakdowns,
         # ledger, flight dumps) see finished spans with aborted marks.
         system.telemetry.close_open(at=env.now)
         tracer.close_open_spans(env.now)
-        if metrics_registry is not None:
-            _metrics_bridge.record_run_environment(metrics_registry, env,
-                                                   strategy)
         return run
     run.losses = list(losses[0])
     run.completed = True
-    run.events = env.events_processed
-    run.wall_time = env.now
-    if metrics_registry is not None:
-        _metrics_bridge.record_run_environment(metrics_registry, env,
-                                               strategy)
+    _finish(run, env)
     return run
+
+
+def _finish(run: StrategyRun, env: Environment) -> None:
+    """Copy the kernel's end-of-run totals onto *run*."""
+    run.events = env.events_processed
+    run.events_credited = env._credited
+    run.wall_time = env.now
 
 
 # -- managed family (restart-based runners) -------------------------------------------
@@ -408,9 +404,6 @@ def _run_managed(strategy: str, spec: WorkloadSpec,
                  mutations: Sequence[str]) -> StrategyRun:
     env = Environment()
     tracer = Tracer()
-    metrics_registry = _metrics.active()
-    if metrics_registry is not None:
-        attach_run_metrics(env, metrics_registry)
     store = SharedObjectStore(env, bandwidth=_STORE_BANDWIDTH)
     store.tracer = tracer
     runner = _build_managed_runner(strategy, env, spec, store, iterations,
@@ -438,8 +431,7 @@ def _run_managed(strategy: str, spec: WorkloadSpec,
     run.losses = list(report.final_losses)
     run.completed = report.completed
     run.generations = list(report.generations)
-    run.events = env.events_processed
-    run.wall_time = env.now
+    _finish(run, env)
     if not report.completed:
         run.outcome = "unrecoverable"
         run.detail = (report.generations[-1].detail
@@ -447,9 +439,6 @@ def _run_managed(strategy: str, spec: WorkloadSpec,
         if run.telemetry is not None:
             run.telemetry.close_open(at=env.now)
         tracer.close_open_spans(env.now)
-    if metrics_registry is not None:
-        _metrics_bridge.record_run_environment(metrics_registry, env,
-                                               strategy)
     return run
 
 
@@ -481,11 +470,5 @@ def run_strategy(strategy: str, spec: WorkloadSpec,
                            mutations)
     registry = _metrics.active()
     if registry is not None:
-        _metrics_bridge.record_strategy_run(registry, run,
-                                            variant.world_size)
-        # Post-run families (goodput buckets, phase histograms, kernel
-        # totals) land after the in-sim scraper's final sample; append
-        # one closing scrape at wall time so the series see them too.
-        if registry.timeseries is not None:
-            sample_registry(registry, registry.timeseries, run.wall_time)
+        _metrics_bridge.record_run(registry, run, variant.world_size)
     return run

@@ -45,8 +45,6 @@ from typing import Any, Generator, Optional
 import numpy as np
 
 from repro import flags
-from repro.obs.metrics import instrument as _instrument
-from repro.obs.metrics import registry as _metrics
 from repro.sim import Environment, Resource, Tracer
 from repro.storage.frozen import Framed, freeze
 from repro.storage.objects import StoredObject
@@ -242,10 +240,6 @@ class _BaseStore:
         if flags.obs and self.tracer.enabled:
             self.tracer.record(self.env.now, self.name, "store_write",
                                path=path, nbytes=int(nbytes), started=start)
-        reg = _metrics.active()
-        if reg is not None:
-            _instrument.observe_store_write(reg, self.name,
-                                            self.env.now - start, int(nbytes))
         if self._consume_trap(self._rot_traps, path):
             self._rot(obj, salt=self.stats["writes_completed"])
 
@@ -271,11 +265,6 @@ class _BaseStore:
             self.tracer.record(self.env.now, self.name, "store_read",
                                path=path, nbytes=int(obj.nbytes),
                                started=start)
-        reg = _metrics.active()
-        if reg is not None:
-            _instrument.observe_store_read(reg, self.name,
-                                           self.env.now - start,
-                                           int(obj.nbytes))
         return obj.payload
 
     def rename(self, src: str, dst: str) -> None:
@@ -294,9 +283,6 @@ class _BaseStore:
         if flags.obs and self.tracer.enabled:
             self.tracer.record(self.env.now, self.name, "store_commit",
                                src=src, dst=dst)
-        reg = _metrics.active()
-        if reg is not None:
-            _instrument.record_store_commit(reg, self.name)
 
     # -- metadata ------------------------------------------------------------------
 
@@ -386,9 +372,6 @@ class _BaseStore:
         if flags.obs and self.tracer.enabled:
             self.tracer.record(self.env.now, self.name, "store_quarantine",
                                path=path, quarantine=qpath)
-        reg = _metrics.active()
-        if reg is not None:
-            _instrument.record_quarantine(reg, self.name)
         return qpath
 
     def _guard_quarantine(self, path: str, action: str) -> bool:

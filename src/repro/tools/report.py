@@ -376,7 +376,7 @@ def report_metrics(json_mode: bool = False, check: Optional[str] = None,
                    write_baseline: Optional[str] = None,
                    dashboard: Optional[str] = None,
                    metrics_out: Optional[str] = None) -> dict:
-    """Metrics pipeline end to end: registry, scraper, phase analytics.
+    """Metrics pipeline end to end: registry, sampled series, phase analytics.
 
     Runs the recovery-bearing oracle scenario under every strategy with
     the metrics registry collecting, then reports the Table-7 phase
@@ -392,7 +392,6 @@ def report_metrics(json_mode: bool = False, check: Optional[str] = None,
     from repro.obs.metrics.dashboard import (filter_snapshot, snapshot,
                                              write_dashboard)
     from repro.obs.metrics.export import write_openmetrics
-    from repro.obs.metrics.straggler import detect_stragglers
     from repro.oracle.oracle import RecoveryOracle
     from repro.oracle.schedule import FailurePoint, FailureSchedule
 
@@ -409,8 +408,6 @@ def report_metrics(json_mode: bool = False, check: Optional[str] = None,
             metrics.collecting(scrape_interval=0.5) as reg:
         for strategy in oracle.strategies:
             run = oracle.run(schedule, strategy)
-            detector = detect_stragglers(
-                run, registry=reg, extra_labels={"strategy": strategy})
             buckets = bridge.goodput_buckets_from_registry(reg, strategy)
             total = sum(buckets.values())
             rows.append({
@@ -428,7 +425,6 @@ def report_metrics(json_mode: bool = False, check: Optional[str] = None,
                     "repro_sim_events_dispatched",
                     labelnames=("strategy",)).labels(
                         strategy=strategy).value),
-                "straggler_alerts": len(detector.alerts),
             })
     full = snapshot("all-strategies", reg)
     data: dict = {"rows": rows, "schedule": schedule.describe(),
@@ -486,16 +482,15 @@ def report_metrics(json_mode: bool = False, check: Optional[str] = None,
         _rule()
         print(f"{'Strategy':<12} {'outcome':>8} {'productive':>11} "
               f"{'detect s':>9} {'restart s':>10} {'resume s':>9} "
-              f"{'events':>9} {'stragglers':>11}")
+              f"{'events':>9}")
         for row in rows:
             print(f"{row['strategy']:<12} {row['outcome']:>8} "
                   f"{100 * row['productive_fraction']:>10.2f}% "
                   f"{row['detection_seconds']:>9.3f} "
                   f"{row['restart_seconds']:>10.3f} "
                   f"{row['resume_seconds']:>9.3f} "
-                  f"{row['events_dispatched']:>9} "
-                  f"{row['straggler_alerts']:>11}")
-        print(f"\n{data['scrapes']} time series scraped at 0.5 s sim "
+                  f"{row['events_dispatched']:>9}")
+        print(f"\n{data['scrapes']} time series sampled at 0.5 s sim "
               f"cadence; schedule {schedule.describe()}")
         for key in ("metrics_out", "dashboard", "baseline_written"):
             if key in data:

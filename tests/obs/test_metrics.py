@@ -2,9 +2,9 @@
 
 Covers the registry primitives (label handling, exactness, conflict
 detection), the ``collecting``/``active`` gating under ``REPRO_OBS``,
-the simulated-time scraper's determinism and self-stop, the OpenMetrics
-and JSON exporters, the rolling z-score straggler detector, and the
-static dashboard builder.
+the time-series store, the OpenMetrics and JSON exporters, and the
+static dashboard builder.  Families projected from real runs are
+covered by ``test_metrics_consistency.py``.
 """
 
 import json
@@ -14,13 +14,11 @@ from fractions import Fraction
 import pytest
 
 from repro import flags
-from repro.obs.metrics import (MetricsRegistry, SimScraper, TimeSeriesStore,
-                               active, collecting, openmetrics_text,
-                               registry_json, sample_registry)
+from repro.obs.metrics import (MetricsRegistry, TimeSeriesStore, active,
+                               collecting, openmetrics_text, registry_json,
+                               sample_registry)
 from repro.obs.metrics.dashboard import (build_dashboard, counter_total,
                                          filter_snapshot, snapshot)
-from repro.obs.metrics.straggler import RollingStats, StragglerDetector
-from repro.sim import Environment
 
 
 # --- registry primitives -------------------------------------------------
@@ -37,16 +35,14 @@ def test_counter_is_exact_and_monotonic():
         child.inc(-1)
 
 
-def test_gauge_set_inc_dec_and_callback():
+def test_gauge_set_inc_dec():
     reg = MetricsRegistry()
     g = reg.gauge("repro_test_depth", "t")
     g.set(4)
     g.dec(1)
     g.inc(2)
     assert g.value == 5.0
-    backing = [7.0]
-    g.set_function(lambda: backing[0])
-    backing[0] = 9.0
+    g.set(9)
     assert g.value == 9.0
 
 
@@ -130,50 +126,7 @@ def test_collecting_restores_previous_registry():
             assert active() is outer
 
 
-# --- scraper + store -----------------------------------------------------
-
-def _ticking_env(reg, duration=5):
-    env = Environment()
-
-    def workload():
-        c = reg.counter("repro_test_ticks", "t")
-        for _ in range(duration):
-            yield env.timeout(1.0)
-            c.inc()
-    env.process(workload(), name="workload")
-    return env
-
-
-def test_sim_scraper_samples_on_cadence_and_self_stops():
-    reg = MetricsRegistry()
-    env = _ticking_env(reg)
-    scraper = SimScraper(env, reg, interval=1.0).start()
-    env.run()
-    # The scraper must not keep the simulation alive past the workload:
-    # it bows out at the first wake-up that finds nothing else scheduled,
-    # so the overshoot is bounded by one scrape interval.
-    assert env.now <= 5.0 + scraper.interval
-    series = reg.timeseries.series("repro_test_ticks")
-    assert len(series) == 1
-    # Cumulative counter samples are monotone non-decreasing.
-    values = [value for _, value in series[0].samples]
-    assert values == sorted(values)
-    # The family is created mid-run, so it can have fewer samples than
-    # the scraper took in total — never more.
-    assert len(series[0].samples) <= scraper.scrapes
-    assert series[0].last == Fraction(5)
-
-
-def test_sim_scraper_is_deterministic():
-    def run_once():
-        reg = MetricsRegistry()
-        env = _ticking_env(reg)
-        SimScraper(env, reg, interval=0.5).start()
-        env.run()
-        return [(s.key.name, s.key.labels, tuple(s.samples))
-                for s in reg.timeseries.all_series()]
-    assert run_once() == run_once()
-
+# --- store ---------------------------------------------------------------
 
 def test_sample_registry_records_histogram_count_and_sum():
     reg = MetricsRegistry()
@@ -220,47 +173,6 @@ def test_registry_json_roundtrips_through_json():
     lat = families["repro_test_lat"]["samples"][0]
     assert lat["count"] == 1 and lat["sum"] == 0.5
     assert lat["buckets"][-1]["le"] == "+Inf"
-
-
-# --- straggler detector --------------------------------------------------
-
-def test_rolling_stats_window_evicts():
-    stats = RollingStats(window=3)
-    for v in (1.0, 1.0, 1.0, 10.0):
-        stats.push(v)
-    assert stats.count == 3
-    assert stats.mean == pytest.approx(4.0)
-
-
-def test_straggler_detector_flags_slow_rank_once_per_excursion():
-    det = StragglerDetector(window=8, threshold=3.0, min_samples=3)
-    alerts = []
-    # Three healthy peers, one rank that degrades then recovers.
-    for step in range(20):
-        for rank in ("0", "1", "2"):
-            det.observe(rank, 1.0 + 0.001 * int(rank), time=float(step))
-        slow = 5.0 if 8 <= step < 14 else 1.0
-        alert = det.observe("3", slow, time=float(step))
-        if alert is not None:
-            alerts.append(alert)
-    assert len(alerts) == 1
-    assert alerts[0].rank == "3"
-    assert alerts[0].zscore >= 3.0
-    assert "straggling" in alerts[0].describe()
-
-
-def test_straggler_detector_feeds_registry_counter():
-    reg = MetricsRegistry()
-    det = StragglerDetector(window=4, threshold=2.0, min_samples=2,
-                            registry=reg, extra_labels={"strategy": "t"})
-    for step in range(6):
-        for rank in ("0", "1", "2"):
-            det.observe(rank, 1.0, time=float(step))
-        det.observe("3", 8.0, time=float(step))
-    family = reg.get("repro_straggler_alerts")
-    assert family is not None
-    total = sum(child.exact for _, child in family.children())
-    assert total == len(det.alerts) >= 1
 
 
 # --- dashboard -----------------------------------------------------------

@@ -1094,13 +1094,87 @@ def test_metrics_registry_keeps_losses_clock_and_verdicts(obs_grids):
         _without_events(obs_grids[False, False])
 
 
-@pytest.mark.xfail(strict=True, reason=(
-    "SimScraper (repro.obs.metrics.store) schedules real timeouts on the "
-    "simulated clock while a registry collects, so each run dispatches "
-    "more events"))
 def test_metrics_registry_keeps_events_processed(obs_grids):
     collected = obs_grids[True, True]
     assert {strategy: row["events_processed"]
             for strategy, row in collected.items()} == \
         {strategy: row["events_processed"]
          for strategy, row in obs_grids[False, False].items()}
+
+
+@pytest.mark.fuzz
+@pytest.mark.parametrize("seed", [11, 23, 31, 43])
+def test_obs_on_off_grid_fuzz(seed):
+    """The obs on/off grid on more fuzzed schedules, at 20 iterations:
+    off, on and on under a collecting registry agree on every field."""
+    off = _obs_grid(False, False, seed=seed, iterations=20)
+    assert all(row["outcome"] == "exact" for row in off.values()), off
+    assert _obs_grid(True, False, seed=seed, iterations=20) == off
+    assert _obs_grid(True, True, seed=seed, iterations=20) == off
+
+
+def _traced_ddp(collect, iterations=4):
+    from repro.hardware.specs import V100_NODE
+    from repro.obs import metrics
+    from repro.obs.metrics import bridge
+    from repro.parallel.topology import ParallelLayout
+    from repro.sim import Tracer
+    from repro.workloads import TrainingJob, WorkloadSpec
+
+    spec = WorkloadSpec(name="OBSDDP", model="GPT2-S", node_spec=V100_NODE,
+                        num_nodes=1, layout=ParallelLayout(dp=4),
+                        engine="ddp", framework="equivalence",
+                        minibatch_time=0.05)
+    with flags.override(obs=True):
+        tracer = Tracer()
+        job = TrainingJob(spec, tracer=tracer)
+        if collect:
+            with metrics.collecting(scrape_interval=0.05) as reg:
+                losses = job.run_training(iterations)
+            bridge.record_trace(reg, tracer, "ddp", job.env.now)
+            launched = reg.get("repro_nccl_collectives_launched")
+            assert launched is not None and launched.children()
+        else:
+            losses = job.run_training(iterations)
+    return losses, job.env.now.hex(), job.env.events_processed
+
+
+def test_traced_job_under_collecting_registry_is_unchanged():
+    """A traced DDP job run while a registry collects dispatches the same
+    events and ends with the same losses and clock as one run without a
+    registry; its families are projected from the trace afterwards."""
+    assert _traced_ddp(True) == _traced_ddp(False)
+
+
+def test_followers_engage_under_collecting_registry(monkeypatch):
+    """An untraced DDP job under ``collecting()`` still lets followers ride
+    the leader's timeline, and matches the registry-free run bitwise."""
+    from repro.cuda import stream as stream_mod
+    from repro.obs import metrics
+    import repro.workloads.builder as builder
+
+    counts = {}
+    enqueue = stream_mod.CudaStream.enqueue
+
+    def counting(self, op):
+        counts[self] = counts.get(self, 0) + 1
+        return enqueue(self, op)
+
+    jobs = []
+    build = builder.TrainingJob.__init__
+
+    def keep(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        jobs.append(self)
+
+    monkeypatch.setattr(stream_mod.CudaStream, "enqueue", counting)
+    monkeypatch.setattr(builder.TrainingJob, "__init__", keep)
+    with flags.override(obs=True), metrics.collecting() as reg:
+        assert metrics.active() is reg
+        collected = _dedup_train(True, "ddp", {"dp": 4}, 6)
+    per_rank = [sum(counts.get(stream, 0) for stream in engine.api.ctx.streams)
+                for engine in jobs[0].engines]
+    assert per_rank[0] > 200
+    assert all(10 * count < per_rank[0] for count in per_rank[1:]), per_rank
+    monkeypatch.setattr(stream_mod.CudaStream, "enqueue", enqueue)
+    _assert_bitwise_equal(collected, _dedup_train(True, "ddp", {"dp": 4}, 6))

@@ -8,6 +8,7 @@ proven both ways: a self-baseline passes, an impossibly rosy baseline
 """
 
 import json
+import re
 
 import pytest
 
@@ -83,3 +84,18 @@ def test_check_flags_injected_regression(metrics_artifacts, tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "BASELINE CHECK FAILED" in out
+
+
+def test_dashboard_counts_each_strategys_failure(metrics_artifacts):
+    """Every strategy's summary row counts the schedule's one injected
+    failure: the failure family carries the ``strategy`` label, so the
+    per-strategy slices keep it."""
+    _, paths = metrics_artifacts
+    with open(paths["dashboard"], encoding="utf-8") as handle:
+        html = handle.read()
+    summary = html.split("<h2>Summary</h2>", 1)[1].split("</table>", 1)[0]
+    failures = {name: int(cells[5]) for name, cells in (
+        (match[0], re.findall(r"<td>([^<]*)</td>", match[1]))
+        for match in re.findall(r"<tr><td>(\w+)</td>((?:<td>[^<]*</td>)+)"
+                                r"</tr>", summary))}
+    assert failures == {strategy: 1 for strategy in STRATEGIES}
