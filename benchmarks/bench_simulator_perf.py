@@ -68,14 +68,14 @@ def run_traced_ddp_training(iterations: int = 10) -> Environment:
 
 
 def run_metrics_ddp_training(iterations: int = 10) -> Environment:
-    """The traced DDP scenario with the metrics registry collecting too:
-    after the run, the storage, failure and rendezvous families are
-    projected from the trace and sampled every 0.5 simulated seconds.
-    Collecting schedules nothing, so the run dispatches exactly the
-    events of ``run_traced_ddp_training``; the wall-clock gap to it is
-    the projection's cost, which ``docs/performance.md`` quotes.  With
-    ``REPRO_OBS=0`` the registry is never installed and this measures
-    the disabled fast path.
+    """The traced DDP scenario projected into a metrics registry: after
+    the run, the storage, failure and rendezvous families are projected
+    from the trace and sampled every 0.5 simulated seconds.  Projection
+    schedules nothing, so the run dispatches exactly the events of
+    ``run_traced_ddp_training``; the wall-clock gap to it is the
+    projection's cost, which ``docs/performance.md`` quotes.  With
+    ``REPRO_OBS=0`` the trace holds none of the records the families
+    are read from, so the registry stays empty.
     """
     from repro import flags
     from repro.obs import metrics
@@ -88,11 +88,10 @@ def run_metrics_ddp_training(iterations: int = 10) -> Environment:
                         framework="bench", minibatch_time=0.05)
     tracer = Tracer(enabled=True)
     job = TrainingJob(spec, tracer=tracer)
-    with metrics.collecting(scrape_interval=0.5) as reg:
-        losses = job.run_training(iterations)
-        if metrics.active() is reg:
-            store = bridge.record_trace(reg, tracer, "ddp", job.env.now)
-            metrics.sample_registry(reg, store, job.env.now)
+    losses = job.run_training(iterations)
+    reg = metrics.MetricsRegistry(scrape_interval=0.5)
+    store = bridge.record_trace(reg, tracer, "ddp", job.env.now)
+    metrics.sample_registry(reg, store, job.env.now)
     assert len(losses[0]) == iterations
     if flags.obs:    # REPRO_OBS=0 runs measure the disabled fast path
         assert reg.collect(), "metrics on: registry families expected"

@@ -11,8 +11,10 @@ times and keeps the best wall-clock per bench.  Two modes:
 * ``--check`` — measure, compare events/sec against the committed
   baseline without writing anything, and exit non-zero when any bench
   regresses past its own threshold (``BENCH_THRESHOLDS``; ``--threshold``
-  overrides all of them).  CI's perf-smoke job runs this with ``--quick``
-  (fewer rounds).
+  overrides all of them) or dispatches a different number of logical
+  events than its committed entry (counts are deterministic, so any
+  difference is a behaviour change, not noise).  CI's perf-smoke job
+  runs this with ``--quick`` (fewer rounds).
 * ``--profile`` — additionally run each bench once under ``cProfile`` and
   print the top 25 functions by cumulative time (hotspot triage).
 
@@ -135,11 +137,12 @@ def load_existing(output: Path) -> dict:
 
 def check_regressions(benches: dict, existing: dict,
                       threshold: float | None = None) -> int:
-    """Compare events/sec to the committed baseline; returns the exit code.
+    """Compare against the committed baseline; returns the exit code.
 
-    Each bench is held to its own ``BENCH_THRESHOLDS`` entry (falling back
-    to ``DEFAULT_THRESHOLD``); an explicit *threshold* overrides all of
-    them uniformly.
+    Each bench's events/sec is held to its own ``BENCH_THRESHOLDS`` entry
+    (falling back to ``DEFAULT_THRESHOLD``); an explicit *threshold*
+    overrides all of them uniformly.  Its logical event count must equal
+    the committed one exactly.
     """
     committed = existing.get("benches", {})
     if not committed:
@@ -156,10 +159,14 @@ def check_regressions(benches: dict, existing: dict,
         baseline_rate = base["events_per_sec"]
         rate = result["events_per_sec"]
         delta = (rate - baseline_rate) / baseline_rate
-        status = "ok"
+        problems = []
         if delta < -allowed:
-            status = f"REGRESSION (>{allowed:.0%} below baseline)"
-            failures += 1
+            problems.append(f"REGRESSION (>{allowed:.0%} below baseline)")
+        if result["events"] != base["events"]:
+            problems.append(f"EVENTS CHANGED ({result['events']} vs "
+                            f"committed {base['events']})")
+        failures += bool(problems)
+        status = "; ".join(problems) or "ok"
         print(f"{name:<34} {rate:>10,} ev/s vs {baseline_rate:>10,} "
               f"({delta:+.1%}, allowed -{allowed:.0%})  {status}")
     return 1 if failures else 0

@@ -32,8 +32,6 @@ from repro.campaign.cache import ResultCache
 from repro.campaign.spec import (KIND_ANALYTIC, KIND_CAMPAIGN, KIND_ORACLE,
                                  ORACLE_WORKLOAD, CampaignSpec, ScenarioSpec)
 from repro.core.telemetry import CampaignPerf
-from repro.obs.metrics import bridge as _metrics_bridge
-from repro.obs.metrics import registry as _metrics
 from repro.workloads import TrainingJob
 
 #: Hard floor on scenario workers (``workers=None`` means "all cores").
@@ -532,9 +530,6 @@ class CampaignRunner:
                 self.cache.put(spec.content_hash(), result)
 
         perf.wall_seconds = time.perf_counter() - start
-        reg = _metrics.active()
-        if reg is not None:
-            _metrics_bridge.record_campaign_perf(reg, perf, self.workers)
         return CampaignResult(campaign=campaign, outcomes=outcomes, perf=perf)
 
     def run_aggregated(self, campaign: CampaignSpec

@@ -172,7 +172,7 @@ class PeriodicRunner:
         self.make_tuner = make_tuner
         self.config = config or JitConfig()
         self.registry = CheckpointRegistry(store, self.config.job_id)
-        self.telemetry = RecoveryTelemetry(env)
+        self.telemetry = RecoveryTelemetry(env, tracer)
         self.manager = JobManager(env, spec, target_iterations,
                                   init_costs=init_costs, tracer=tracer,
                                   progress_timeout=progress_timeout)

@@ -1,8 +1,15 @@
 """Recovery telemetry: the measurements behind Tables 4-7.
 
-Every recovery (user-level or transparent) appends a
-:class:`RecoveryRecord`; per-phase timings use ``begin``/``end`` marks so
-benchmarks can reproduce the paper's step breakdown (Table 7).
+Every recovery (user-level or transparent) is one episode on a
+:class:`~repro.sim.trace.Tracer`: a span named by its kind (``transient``,
+``hard``, ``user_level``, ...) with one nested span per phase, so the
+paper's step breakdown (Table 7) is read off the same timeline as every
+observability view.  :class:`RecoveryRecord` is the episode's handle.
+Episodes go to the run's tracer when it is enabled, else to an enabled
+one of the telemetry's own, so untraced runs measure the same numbers.
+Each episode has an actor of its own (``recovery/rank<r>#<n>``), so
+closing one never closes another's spans, and all its spans carry
+``episode=n``.
 
 This module also carries the *simulator's own* performance telemetry:
 :class:`SimThroughput` (events dispatched per wall-clock second of one
@@ -13,63 +20,48 @@ run) and :class:`CampaignPerf` (throughput plus cache hit-rate across a
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
 
 from repro.sim import Environment
-
-
-@dataclass
-class PhaseSpan:
-    name: str
-    start: float
-    end: Optional[float] = None
-    #: True when the span was force-closed at dump time because the run
-    #: aborted mid-phase (see :meth:`RecoveryRecord.close_open`).
-    aborted: bool = False
-
-    @property
-    def duration(self) -> float:
-        if self.end is None:
-            raise ValueError(f"phase {self.name!r} still open")
-        return self.end - self.start
+from repro.sim.trace import TraceSpan, Tracer
 
 
 @dataclass
 class RecoveryRecord:
-    """One failure-to-recovery episode."""
+    """One failure-to-recovery episode, read off its tracer spans."""
 
     kind: str                       # "user_level" | "transient" | "hard" | ...
-    rank: Optional[int] = None
-    detected_at: float = 0.0
-    finished_at: Optional[float] = None
-    phases: list[PhaseSpan] = field(default_factory=list)
+    rank: Optional[int]
+    #: The episode span's open handle (its ``closed`` span once finished).
+    episode: Any = field(repr=False)
     notes: dict = field(default_factory=dict)
+    #: Phase span handles, in begin order.
+    handles: list = field(default_factory=list, repr=False)
+
+    @property
+    def detected_at(self) -> float:
+        return self.episode.start
+
+    @property
+    def finished_at(self) -> Optional[float]:
+        closed = self.episode.closed
+        return None if closed is None else closed.end
+
+    @property
+    def phases(self) -> list[TraceSpan]:
+        """Finished phase spans in begin order."""
+        spans = []
+        for handle in self.handles:
+            if handle.closed is None:
+                raise ValueError(f"phase {handle.name!r} still open")
+            spans.append(handle.closed)
+        return spans
 
     @property
     def recovery_time(self) -> float:
         if self.finished_at is None:
             raise ValueError("recovery still in progress")
         return self.finished_at - self.detected_at
-
-    def close_open(self, at: float) -> bool:
-        """Close still-open phases (and the record) at *at*.
-
-        A run that dies mid-recovery leaves the episode open; reports and
-        the goodput ledger close it at dump time with an ``aborted=True``
-        note instead of crashing on ``duration``/``recovery_time``.
-        Returns True when anything was closed.
-        """
-        closed = False
-        for span in self.phases:
-            if span.end is None:
-                span.end = max(at, span.start)
-                span.aborted = True
-                closed = True
-        if self.finished_at is None:
-            self.finished_at = max(at, self.detected_at)
-            self.notes["aborted"] = True
-            closed = True
-        return closed
 
     def phase_duration(self, name: str) -> float:
         return sum(span.duration for span in self.phases if span.name == name)
@@ -141,37 +133,38 @@ class CampaignPerf:
 
 
 class RecoveryTelemetry:
-    """Collects recovery records for one system instance."""
+    """Records one system's recovery episodes as tracer spans (episodes
+    are numbered per telemetry: one telemetry per tracer)."""
 
-    def __init__(self, env: Environment):
+    def __init__(self, env: Environment, tracer: Optional[Tracer] = None):
         self.env = env
+        self.tracer = (tracer if tracer is not None and tracer.enabled
+                       else Tracer())
         self.records: list[RecoveryRecord] = []
-        self._open: dict[int, list[PhaseSpan]] = {}
 
     def start(self, kind: str, rank: Optional[int] = None) -> RecoveryRecord:
-        record = RecoveryRecord(kind=kind, rank=rank, detected_at=self.env.now)
+        episode = len(self.records)
+        actor = (f"recovery#{episode}" if rank is None
+                 else f"recovery/rank{rank}#{episode}")
+        handle = self.tracer.begin_span(self.env.now, actor, kind,
+                                        episode=episode)
+        record = RecoveryRecord(kind, rank, handle)
         self.records.append(record)
         return record
 
-    def begin(self, record: RecoveryRecord, phase: str) -> PhaseSpan:
-        span = PhaseSpan(phase, self.env.now)
-        record.phases.append(span)
-        return span
+    def begin(self, record: RecoveryRecord, phase: str):
+        """Open a *phase* span under *record*; returns its handle."""
+        episode = record.episode
+        handle = self.tracer.begin_span(self.env.now, episode.actor, phase,
+                                        episode=episode.detail["episode"])
+        record.handles.append(handle)
+        return handle
 
-    def end(self, span: PhaseSpan) -> None:
-        span.end = self.env.now
+    def end(self, handle) -> None:
+        self.tracer.end_span(handle, self.env.now)
 
     def finish(self, record: RecoveryRecord) -> None:
-        record.finished_at = self.env.now
-
-    def close_open(self, at: Optional[float] = None) -> int:
-        """Close every still-open record/phase with ``aborted`` marks.
-
-        Dump-time repair for runs that ended mid-recovery; returns the
-        number of records touched.
-        """
-        when = self.env.now if at is None else at
-        return sum(1 for record in self.records if record.close_open(when))
+        self.tracer.end_span(record.episode, self.env.now, **record.notes)
 
     # -- aggregation ----------------------------------------------------------------
 

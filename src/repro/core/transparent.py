@@ -516,7 +516,7 @@ class TransparentJitSystem:
         self.spec = spec
         self.config = config or JitConfig()
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
-        self.telemetry = RecoveryTelemetry(env)
+        self.telemetry = RecoveryTelemetry(env, self.tracer)
         registry = CheckpointRegistry(store, self.config.job_id) if store else None
         criu = CriuManager(env, store) if store else None
         self.coordinator = RecoveryCoordinator(

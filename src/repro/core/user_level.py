@@ -245,7 +245,7 @@ class UserLevelJitRunner:
         #: catastrophes that wipe every replica of a shard.
         self.periodic_policy = periodic_policy
         self.registry = CheckpointRegistry(store, self.config.job_id)
-        self.telemetry = RecoveryTelemetry(env)
+        self.telemetry = RecoveryTelemetry(env, tracer)
         self.manager = JobManager(env, spec, target_iterations,
                                   init_costs=init_costs, tracer=tracer,
                                   progress_timeout=progress_timeout)
@@ -318,8 +318,8 @@ class UserLevelJitRunner:
             h2d_time = ctx.gpu.pcie_time(engine.state_bytes)
             yield from ctx.node.pcie_for(ctx.gpu).use(h2d_time)
             self.telemetry.end(span)
-            self.telemetry.finish(record)
             record.notes["iteration"] = engine.iteration
+            self.telemetry.finish(record)
 
         return restore
 

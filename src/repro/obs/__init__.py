@@ -1,9 +1,9 @@
 """Unified observability: goodput ledger, trace export, flight recorder.
 
-``repro.obs`` turns the fragments the stack already records — recovery
-phase marks (`repro.core.telemetry`), trace events (`repro.sim.trace`),
-generation boundaries (`repro.cluster`) — into three first-class
-diagnostics:
+``repro.obs`` turns one timeline — the run's `repro.sim.trace.Tracer`
+records: trace events, iteration spans, and the recovery episode and
+phase spans `repro.core.telemetry` writes — plus the generation
+boundaries of `repro.cluster` into first-class diagnostics:
 
 * :mod:`repro.obs.ledger` — the GoodPut/BadPut ledger: every simulated
   second of every rank classified into productive / detection / rework /
@@ -12,14 +12,17 @@ diagnostics:
 * :mod:`repro.obs.flight` — bounded flight-recorder ring + failing-vs-
   golden timeline diff, dumped by the oracle on invariant failures;
 * :mod:`repro.obs.metrics` — Prometheus-style Counter/Gauge/Histogram
-  registry projected from finished runs (trace records, the goodput
-  ledger, campaign perf) and sampled over the recorded timeline, with
-  OpenMetrics/JSON export.
+  families that a caller projects finished runs into (trace records,
+  the goodput ledger, campaign perf), sampled over the recorded
+  timeline, with OpenMetrics/JSON export.
 
-Trace records are gated on :data:`repro.flags.obs` (process-global,
-``REPRO_OBS=0`` to disable; scoped with ``flags.override(obs=...)``) *and*
-the run's tracer being enabled, so untraced runs pay nothing.  Nothing
-here runs inside the simulation: every view is built after the run.
+Span, storage and collective-launch records are gated on
+:data:`repro.flags.obs` (process-global, ``REPRO_OBS=0`` to disable;
+scoped with ``flags.override(obs=...)``) *and* the run's tracer being
+enabled, so untraced runs pay nothing.  Recovery episodes and the
+injector's ``failure`` records are not gated: the ledger reads them
+either way.  Nothing here runs inside the simulation: every view is
+built after the run.
 """
 
 from repro.obs.ledger import (BUCKETS, GoodputLedger, build_strategy_ledger,

@@ -1,10 +1,10 @@
 """Chrome trace-event JSON export (Perfetto / chrome://tracing loadable).
 
 Converts a run's :class:`~repro.sim.trace.Tracer` records — point events,
-spans, and the interval-shaped point events the stream executor emits
+spans (recovery episodes and their phases included), and the
+interval-shaped point events the stream executor emits
 (``op_done``/``macro_chain`` carry their ``started`` time in the detail)
-— plus optional :class:`~repro.core.telemetry.RecoveryTelemetry` records
-into the Trace Event Format:
+— into the Trace Event Format:
 
 * intervals become ``"X"`` (complete) events with ``ts``/``dur`` in
   microseconds;
@@ -20,7 +20,7 @@ so two exports of the same run are byte-identical.
 from __future__ import annotations
 
 import json
-from typing import Any, Optional
+from typing import Any
 
 from repro.sim.trace import Tracer
 
@@ -43,8 +43,7 @@ def _scrub(detail: dict[str, Any]) -> dict[str, Any]:
     return out
 
 
-def chrome_trace_events(tracer: Tracer,
-                        telemetry: Optional[object] = None) -> list[dict]:
+def chrome_trace_events(tracer: Tracer) -> list[dict]:
     """The ``traceEvents`` list for one run."""
     tids: dict[str, int] = {}
     events: list[dict] = []
@@ -85,29 +84,6 @@ def chrome_trace_events(tracer: Tracer,
                 "args": _scrub(detail),
             })
 
-    if telemetry is not None:
-        for index, record in enumerate(telemetry.records):
-            actor = (f"recovery/rank{record.rank}"
-                     if record.rank is not None else "recovery")
-            finished = (record.finished_at if record.finished_at is not None
-                        else record.detected_at)
-            events.append({
-                "ph": "X", "pid": 1, "tid": tid_of(actor),
-                "name": record.kind, "cat": "recovery",
-                "ts": record.detected_at * _US,
-                "dur": (finished - record.detected_at) * _US,
-                "args": _scrub(dict(record.notes, episode=index)),
-            })
-            for phase in record.phases:
-                end = phase.end if phase.end is not None else finished
-                events.append({
-                    "ph": "X", "pid": 1, "tid": tid_of(actor),
-                    "name": phase.name, "cat": "recovery-phase",
-                    "ts": phase.start * _US,
-                    "dur": (end - phase.start) * _US,
-                    "args": {"episode": index, "aborted": phase.aborted},
-                })
-
     # Deterministic order: metadata first, then by timestamp (stable).
     meta = [e for e in events if e["ph"] == "M"]
     rest = [e for e in events if e["ph"] != "M"]
@@ -115,21 +91,18 @@ def chrome_trace_events(tracer: Tracer,
     return meta + rest
 
 
-def chrome_trace(tracer: Tracer, telemetry: Optional[object] = None,
-                 label: str = "repro") -> dict:
+def chrome_trace(tracer: Tracer, label: str = "repro") -> dict:
     """A complete Chrome trace-event JSON object for one run."""
     return {
-        "traceEvents": chrome_trace_events(tracer, telemetry),
+        "traceEvents": chrome_trace_events(tracer),
         "displayTimeUnit": "ms",
         "otherData": {"label": label, "format": "repro.obs.chrome"},
     }
 
 
-def write_chrome_trace(path, tracer: Tracer,
-                       telemetry: Optional[object] = None,
-                       label: str = "repro") -> dict:
+def write_chrome_trace(path, tracer: Tracer, label: str = "repro") -> dict:
     """Serialise :func:`chrome_trace` to *path*; returns the object."""
-    trace = chrome_trace(tracer, telemetry, label=label)
+    trace = chrome_trace(tracer, label=label)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(trace, fh, indent=None, separators=(",", ":"))
         fh.write("\n")

@@ -33,23 +33,17 @@ def default_capacity() -> int:
     return flags.flight_records(DEFAULT_CAPACITY)
 
 
-def _timeline(tracer: Tracer, telemetry: Optional[object] = None) -> list[str]:
+def _timeline(tracer: Tracer) -> list[str]:
     """One line per record, merged events + spans in time order."""
     entries: list[tuple[float, int, str]] = []
     for index, event in enumerate(tracer.events):
         entries.append((event.time, index, str(event)))
     base = len(entries)
-    for index, span in enumerate(tracer.spans):
+    # Outer spans first when a nested span starts at the same instant
+    # (a recovery episode and its first phase).
+    spans = sorted(tracer.spans, key=lambda span: (span.start, span.depth))
+    for index, span in enumerate(spans):
         entries.append((span.start, base + index, str(span)))
-    if telemetry is not None:
-        base = len(entries)
-        for index, record in enumerate(telemetry.records):
-            finished = ("open" if record.finished_at is None
-                        else f"{record.finished_at:.6f}")
-            entries.append((record.detected_at, base + index,
-                            f"[{record.detected_at:12.6f}] recovery-record"
-                            f"{'' if record.rank is None else f' rank{record.rank}'}"
-                            f" {record.kind} -> {finished}"))
     entries.sort(key=lambda e: (e[0], e[1]))
     return [line for _, _, line in entries]
 
@@ -68,11 +62,10 @@ class FlightRecorder:
     def extend(self, lines: Iterable[str]) -> None:
         self._ring.extend(lines)
 
-    def capture(self, tracer: Tracer,
-                telemetry: Optional[object] = None) -> None:
+    def capture(self, tracer: Tracer) -> None:
         """Replace the ring contents with *tracer*'s timeline tail."""
         self._ring.clear()
-        self._ring.extend(_timeline(tracer, telemetry))
+        self._ring.extend(_timeline(tracer))
 
     @property
     def lines(self) -> list[str]:
@@ -87,8 +80,6 @@ class FlightRecorder:
 
 
 def timeline_diff(failing: Tracer, golden: Tracer,
-                  failing_telemetry: Optional[object] = None,
-                  golden_telemetry: Optional[object] = None,
                   capacity: Optional[int] = None,
                   context: int = 3) -> str:
     """Unified diff between a failing run's timeline tail and the golden's.
@@ -98,8 +89,8 @@ def timeline_diff(failing: Tracer, golden: Tracer,
     """
     if capacity is None:
         capacity = default_capacity()
-    failing_lines = _timeline(failing, failing_telemetry)[-capacity:]
-    golden_lines = _timeline(golden, golden_telemetry)[-capacity:]
+    failing_lines = _timeline(failing)[-capacity:]
+    golden_lines = _timeline(golden)[-capacity:]
     diff = list(difflib.unified_diff(golden_lines, failing_lines,
                                      fromfile="golden", tofile="failing",
                                      n=context, lineterm=""))
@@ -109,16 +100,12 @@ def timeline_diff(failing: Tracer, golden: Tracer,
 
 
 def flight_dump(failing: Tracer, golden: Optional[Tracer] = None,
-                failing_telemetry: Optional[object] = None,
-                golden_telemetry: Optional[object] = None,
                 capacity: Optional[int] = None) -> str:
     """The full dump the oracle attaches to a failing verdict."""
     recorder = FlightRecorder(capacity)
-    recorder.capture(failing, failing_telemetry)
+    recorder.capture(failing)
     sections = [recorder.dump("flight recorder: failing run")]
     if golden is not None:
         sections.append("=== timeline diff (golden vs failing) ===")
-        sections.append(timeline_diff(failing, golden,
-                                      failing_telemetry, golden_telemetry,
-                                      capacity=capacity))
+        sections.append(timeline_diff(failing, golden, capacity=capacity))
     return "\n".join(sections)

@@ -36,9 +36,11 @@ the hot path):
 
 * iteration spans per rank (``Tracer.begin_span``/``end_span`` from the
   device-API minibatch hooks);
-* :class:`~repro.core.telemetry.RecoveryRecord` phase marks (transparent
-  family and user-level checkpoints) — ``replay`` phases are rework,
-  every other phase is restart, the unphased remainder is detection;
+* recovery episode spans and their phase spans (transparent family and
+  user-level checkpoints, recorded by
+  :class:`~repro.core.telemetry.RecoveryTelemetry` whether or not the
+  ``obs`` switch is on) — ``replay`` phases are rework, every other
+  phase is restart, the unphased remainder is detection;
 * the failure injector's trace events (detection onset);
 * :class:`~repro.cluster.manager.GenerationRecord` boundaries (managed
   restarts).
@@ -147,7 +149,7 @@ class _Segment:
         self.priority = priority
         self.order = order
         self.bucket = bucket
-        #: Failure-type attribution (injector event kind / telemetry record
+        #: Failure-type attribution (injector event kind / recovery episode
         #: kind) for the metrics bridge; ``None`` for iteration segments.
         self.kind = kind
 
@@ -196,35 +198,54 @@ def _iteration_segments(spans_by_rank: dict[str, list],
     return segments
 
 
-def _recovery_segments(run, wall: float, order: _Counter) -> list[_Segment]:
-    """Telemetry episodes: phases (rework/restart) over a detection base.
+def _recovery_episodes(tracer) -> list[tuple]:
+    """``(episode span, its phase spans)`` per recovery episode, in start order.
+
+    :class:`~repro.core.telemetry.RecoveryTelemetry` numbers its episodes
+    in every span's ``episode`` detail and gives each an actor of its
+    own: the episode span at depth 0, its phases nested below, closed in
+    begin order.
+    """
+    episodes: dict[int, object] = {}
+    phases: dict[int, list] = {}
+    for span in tracer.spans:
+        number = span.detail.get("episode")
+        if number is None:
+            continue
+        if span.depth == 0:
+            episodes[number] = span
+        else:
+            phases.setdefault(number, []).append(span)
+    return [(episodes[number], phases.get(number, []))
+            for number in sorted(episodes)]
+
+
+def _recovery_segments(episodes: list[tuple],
+                       order: _Counter) -> list[_Segment]:
+    """Recovery episodes: phases (rework/restart) over a detection base.
 
     Recovery blocks the whole job (the coordinator quiesces every rank;
     a user-level hang stalls every replica at the collective), so these
     segments apply to all ranks.
     """
-    telemetry = run.telemetry
-    if telemetry is None:
-        return []
     segments: list[_Segment] = []
-    for record in telemetry.records:
-        finish = record.finished_at if record.finished_at is not None else wall
-        segments.append(_Segment(record.detected_at, finish,
+    for episode, phases in episodes:
+        segments.append(_Segment(episode.start, episode.end,
                                  _P_RECOVERY_EPISODE, order.next(),
-                                 "detection", kind=record.kind))
-        for phase in record.phases:
-            end = phase.end if phase.end is not None else finish
+                                 "detection", kind=episode.name))
+        for phase in phases:
             bucket = ("rework" if phase.name in _REWORK_PHASES else "restart")
-            segments.append(_Segment(phase.start, end, _P_RECOVERY_PHASE,
-                                     order.next(), bucket, kind=record.kind))
+            segments.append(_Segment(phase.start, phase.end,
+                                     _P_RECOVERY_PHASE, order.next(), bucket,
+                                     kind=episode.name))
     return segments
 
 
-def _detection_segments(run, wall: float, order: _Counter) -> list[_Segment]:
+def _detection_segments(run, episodes: list[tuple], wall: float,
+                        order: _Counter) -> list[_Segment]:
     """Failure injection → machinery engagement: the detection window."""
     segments: list[_Segment] = []
-    detected_ats = sorted(r.detected_at for r in run.telemetry.records) \
-        if run.telemetry is not None else []
+    detected_ats = sorted(episode.start for episode, _ in episodes)
     generations = list(getattr(run, "generations", ()) or ())
     for event in run.tracer.filter(actor="injector", action="failure"):
         onset = event.time
@@ -401,23 +422,19 @@ def _next_iteration_gap(spans: list, at: float, wall: float) -> Fraction:
     return Fraction(wall) - Fraction(at) if wall > at else Fraction(0)
 
 
-def _resume_gaps(run, ranks: int, wall: float,
+def _resume_gaps(run, episodes: list[tuple], ranks: int, wall: float,
                  spans_by_rank: dict[str, list]) -> list[ResumeGap]:
     """Per-episode, per-rank restart→resume gaps (never clipped: this is
     the one Table 7 phase the bucket partition has no dedicated bucket
     for — the time lands in idle/productive — so it is measured from the
     same episode sources instead)."""
     gaps: list[ResumeGap] = []
-    telemetry = run.telemetry
-    if telemetry is not None:
-        for record in telemetry.records:
-            finish = (record.finished_at if record.finished_at is not None
-                      else wall)
-            for rank in range(ranks):
-                spans = spans_by_rank.get(f"rank{rank}", [])
-                gaps.append(ResumeGap(record.kind, rank, finish,
-                                      _next_iteration_gap(spans, finish,
-                                                          wall)))
+    for episode, _ in episodes:
+        for rank in range(ranks):
+            spans = spans_by_rank.get(f"rank{rank}", [])
+            gaps.append(ResumeGap(episode.name, rank, episode.end,
+                                  _next_iteration_gap(spans, episode.end,
+                                                      wall)))
     generations = list(getattr(run, "generations", ()) or ())
     if len(generations) >= 2:
         failures = run.tracer.filter(actor="injector", action="failure")
@@ -443,14 +460,13 @@ def classify_run(run, ranks: int,
     interval's failure-kind attribution and segment identity.
     """
     wall = wall_time if wall_time is not None else getattr(run, "wall_time", 0.0)
-    if run.telemetry is not None:
-        run.telemetry.close_open(at=wall)
     run.tracer.close_open_spans(wall)
+    episodes = _recovery_episodes(run.tracer)
 
     order = _Counter()
     shared: list[_Segment] = []     # apply to every rank (cluster-wide)
-    shared += _recovery_segments(run, wall, order)
-    shared += _detection_segments(run, wall, order)
+    shared += _recovery_segments(episodes, order)
+    shared += _detection_segments(run, episodes, wall, order)
 
     spans_by_rank = _iteration_spans_by_rank(run)
     restart_by_rank = _restart_segments(run, ranks, wall, order, spans_by_rank)
@@ -466,7 +482,7 @@ def classify_run(run, ranks: int,
     return RunClassification(
         strategy=run.strategy, ranks=ranks, wall_time=wall,
         rank_intervals=rank_intervals,
-        resume_gaps=_resume_gaps(run, ranks, wall, spans_by_rank))
+        resume_gaps=_resume_gaps(run, episodes, ranks, wall, spans_by_rank))
 
 
 def build_strategy_ledger(run, ranks: int,
@@ -475,8 +491,8 @@ def build_strategy_ledger(run, ranks: int,
 
     *ranks* is the workload's world size; *wall_time* defaults to the
     run's recorded ``wall_time`` (``env.now`` when the run ended).  Open
-    telemetry records and trace spans (a run that aborted mid-recovery)
-    are closed at the wall with ``aborted`` marks before classification.
+    trace spans (a run that aborted mid-recovery) are closed at the wall
+    with ``aborted`` marks before classification.
     """
     classification = classify_run(run, ranks, wall_time=wall_time)
     return GoodputLedger(strategy=run.strategy, ranks=ranks,

@@ -6,9 +6,8 @@ so collecting metrics never changes a run.
 
 Layering (light to heavy):
 
-* :mod:`~repro.obs.metrics.registry` — Counter/Gauge/Histogram families,
-  the module-level *active registry* and the :func:`collecting` context
-  manager (honours :data:`repro.flags.obs`);
+* :mod:`~repro.obs.metrics.registry` — Counter/Gauge/Histogram families
+  in a caller-owned :class:`MetricsRegistry` (there is no ambient one);
 * :mod:`~repro.obs.metrics.store` — in-memory time series sampled in
   simulated time;
 * :mod:`~repro.obs.metrics.export` — OpenMetrics text and JSON;
@@ -16,19 +15,22 @@ Layering (light to heavy):
   records, the goodput ledger's classification and campaign perf into
   the registry (import explicitly: it pulls in the ledger).
 
-Typical use::
+Typical use — the caller owns the registry and projects each finished
+run into it::
 
     from repro import flags
     from repro.obs import metrics
+    from repro.obs.metrics import bridge
 
-    with flags.override(obs=True), metrics.collecting() as reg:
-        run = run_strategy("periodic", spec, schedule)
+    reg = metrics.MetricsRegistry(scrape_interval=0.5)
+    with flags.override(obs=True):
+        run = run_strategy("periodic", spec, schedule, iterations)
+    bridge.record_run(reg, run, spec.world_size)
     print(metrics.openmetrics_text(reg))
 """
 
 from repro.obs.metrics.registry import (Counter, Gauge, Histogram,
-                                        MetricsRegistry, active, collecting,
-                                        set_active)
+                                        MetricsRegistry)
 from repro.obs.metrics.store import (DEFAULT_SCRAPE_INTERVAL, Series,
                                      TimeSeriesStore, sample_registry)
 from repro.obs.metrics.export import (openmetrics_text, registry_json,
@@ -42,12 +44,9 @@ __all__ = [
     "MetricsRegistry",
     "Series",
     "TimeSeriesStore",
-    "active",
-    "collecting",
     "openmetrics_text",
     "registry_json",
     "sample_registry",
-    "set_active",
     "timeseries_json",
     "write_openmetrics",
 ]

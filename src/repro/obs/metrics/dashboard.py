@@ -1,9 +1,8 @@
 """Static-HTML campaign dashboard over metric snapshots.
 
 One snapshot per strategy (or per scenario-grid cell) — the plain-dict
-shape :func:`snapshot` produces from a registry, which is also exactly
-what ``json.load`` gives back from a saved snapshot file, so dashboards
-can be rebuilt offline from artifacts.  The page is a single
+shape :func:`snapshot` produces from a registry (JSON-serialisable, so a
+saved snapshot renders the same).  The page is a single
 self-contained HTML file (inline CSS + SVG, no JavaScript, no external
 assets): it renders from ``file://``, inside CI artifact viewers, and in
 anything that can display HTML.
@@ -21,7 +20,6 @@ Panels:
 from __future__ import annotations
 
 import html
-import json
 import math
 from typing import Iterable, Optional
 
@@ -312,15 +310,3 @@ def write_dashboard(path: str, snapshots: Iterable[dict],
         handle.write(build_dashboard(snapshots, title=title))
     return path
 
-
-def write_snapshots(path: str, snapshots: Iterable[dict]) -> str:
-    """Persist snapshots as JSON (the dashboard's offline input format)."""
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump({"snapshots": list(snapshots)}, handle, indent=2,
-                  sort_keys=True)
-    return path
-
-
-def load_snapshots(path: str) -> list[dict]:
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)["snapshots"]

@@ -13,24 +13,18 @@ wire-format-first clients:
   ledger↔metrics consistency tests demand the same of any metric
   derived from it — exactness has to survive the registry, not just the
   ledger.
-* **Nothing feeds a registry while a simulation runs.**  The module-level
-  *active registry* (:func:`active`, set by the :func:`collecting`
-  context manager) is read only by post-run entry points — the oracle's
-  ``run_strategy`` and ``CampaignRunner.run`` — which project finished
-  runs into it through :mod:`repro.obs.metrics.bridge`.  When no
-  registry is installed (the default, and always under
-  ``REPRO_OBS=0``) that is one ``is None`` check per run.
+* **Nothing feeds a registry while a simulation runs, and there is no
+  ambient registry.**  A caller builds its own registry and projects
+  finished runs into it through :mod:`repro.obs.metrics.bridge`
+  (``record_run``, ``record_campaign_perf``).
 """
 
 from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
-
-from repro import flags
 
 Number = Union[int, float, Fraction]
 
@@ -314,42 +308,3 @@ class MetricsRegistry:
     def collect(self) -> list[MetricFamily]:
         """Families in deterministic (sorted name) order."""
         return [self._families[name] for name in sorted(self._families)]
-
-
-#: The installed registry finished runs are projected into.  ``None``
-#: (the default) means nothing is projected.
-_ACTIVE: Optional[MetricsRegistry] = None
-
-
-def active() -> Optional[MetricsRegistry]:
-    """The registry finished runs are projected into, if any."""
-    return _ACTIVE
-
-
-def set_active(registry: Optional[MetricsRegistry]) -> Optional[MetricsRegistry]:
-    """Install *registry* as the projection target; returns the old one."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = registry
-    return previous
-
-
-@contextmanager
-def collecting(scrape_interval: Optional[float] = None,
-               registry: Optional[MetricsRegistry] = None):
-    """Install a registry for the duration of the block and yield it.
-
-    Honours the process-global :data:`repro.flags.obs` switch: when
-    observability is disabled the registry is still yielded (callers can
-    hold it) but **not** installed, so no run is projected into it and
-    the block records nothing.
-    """
-    reg = registry if registry is not None \
-        else MetricsRegistry(scrape_interval=scrape_interval)
-    if scrape_interval is not None:
-        reg.scrape_interval = scrape_interval
-    previous = set_active(reg) if flags.obs else _ACTIVE
-    try:
-        yield reg
-    finally:
-        set_active(previous)

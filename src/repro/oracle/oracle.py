@@ -166,8 +166,7 @@ class RecoveryOracle:
             outcome = "violation"
         dump = None
         if violations:
-            dump = flight_dump(run.tracer, self.golden_tracer(strategy),
-                               failing_telemetry=run.telemetry)
+            dump = flight_dump(run.tracer, self.golden_tracer(strategy))
         return Verdict(strategy=strategy, schedule=schedule,
                        outcome=outcome, violations=violations,
                        flight_dump=dump, ledger=ledger)

@@ -14,9 +14,9 @@ The oracle compares six strategies through one interface:
 Each adapter arms the schedule's failure points at their target
 iterations (offsets scaled by the workload's minibatch time), runs to
 completion, and returns a :class:`StrategyRun` carrying everything the
-invariant checkers need: the loss stream, recovery telemetry, trace,
-device proxies, checkpoint-GC observations and per-generation resume
-points.
+invariant checkers need: the loss stream, the trace (recovery episodes
+included), recovery notes, device proxies, checkpoint-GC observations and
+per-generation resume points.
 
 ``MUTATIONS`` deliberately breaks a strategy (e.g. skipping the RNG
 rewind before replay) so tests can prove the oracle catches real bugs.
@@ -31,8 +31,6 @@ from typing import Callable, Optional, Sequence
 from repro.core import JitConfig, SwiftJitSystem, TransparentJitSystem
 from repro.failures.injector import FailureInjector
 from repro.failures.types import FailureType
-from repro.obs.metrics import bridge as _metrics_bridge
-from repro.obs.metrics import registry as _metrics
 from repro.oracle.schedule import FailureSchedule
 from repro.sim import Environment, Tracer
 from repro.storage import SharedObjectStore
@@ -60,6 +58,9 @@ class StrategyRun:
     #: Max minibatches a single recovery may replay (None = unbounded,
     #: e.g. periodic baselines replay up to a whole interval by design).
     rework_bound: Optional[int] = None
+    #: The system's :class:`~repro.core.telemetry.RecoveryTelemetry`; its
+    #: records' notes feed the bounded-rework check (their spans are on
+    #: ``tracer``).
     telemetry: Optional[object] = None
     tracer: Tracer = field(default_factory=lambda: Tracer(enabled=False))
     proxies: list = field(default_factory=list)
@@ -265,9 +266,8 @@ def _run_transparent_family(strategy: str, spec: WorkloadSpec,
         run.outcome = "unrecoverable"
         run.detail = str(exc)
         _finish(run, env)
-        # Close anything the abort left open so report paths (breakdowns,
-        # ledger, flight dumps) see finished spans with aborted marks.
-        system.telemetry.close_open(at=env.now)
+        # Close anything the abort left open (recovery episodes included)
+        # so report paths see finished spans with aborted marks.
         tracer.close_open_spans(env.now)
         return run
     run.losses = list(losses[0])
@@ -436,8 +436,6 @@ def _run_managed(strategy: str, spec: WorkloadSpec,
         run.outcome = "unrecoverable"
         run.detail = (report.generations[-1].detail
                       if report.generations else "did not complete")
-        if run.telemetry is not None:
-            run.telemetry.close_open(at=env.now)
         tracer.close_open_spans(env.now)
     return run
 
@@ -463,12 +461,6 @@ def run_strategy(strategy: str, spec: WorkloadSpec,
                 f"(families: {MUTATION_FAMILIES[name]})")
     variant = spec_variant(spec, strategy)
     if strategy in TRANSPARENT_FAMILY:
-        run = _run_transparent_family(strategy, variant, schedule,
-                                      iterations, mutations)
-    else:
-        run = _run_managed(strategy, variant, schedule, iterations,
-                           mutations)
-    registry = _metrics.active()
-    if registry is not None:
-        _metrics_bridge.record_run(registry, run, variant.world_size)
-    return run
+        return _run_transparent_family(strategy, variant, schedule,
+                                       iterations, mutations)
+    return _run_managed(strategy, variant, schedule, iterations, mutations)

@@ -12,7 +12,7 @@ Two record kinds coexist:
 * :class:`TraceSpan` — an interval record (``begin_span``/``end_span``):
   `actor` spent `[start, end]` doing `name`.  Spans of the same actor
   nest (``depth`` is the open-span stack depth at begin time), giving the
-  iteration → kernel-chain → recovery-phase hierarchy that
+  iteration and recovery-episode → recovery-phase hierarchies that
   `repro.obs.chrome` exports as a Chrome trace-event timeline and
   `repro.obs.ledger` classifies into goodput buckets.
 
@@ -66,9 +66,13 @@ class TraceSpan:
 
 
 class _OpenSpan:
-    """Handle returned by ``begin_span``; mutable until ``end_span``."""
+    """Handle returned by ``begin_span``; mutable until ``end_span``.
 
-    __slots__ = ("actor", "name", "start", "depth", "detail")
+    ``closed`` is the finished :class:`TraceSpan` once the handle has been
+    closed (by ``end_span`` or ``close_open_spans``), else None.
+    """
+
+    __slots__ = ("actor", "name", "start", "depth", "detail", "closed")
 
     def __init__(self, actor: str, name: str, start: float, depth: int,
                  detail: dict[str, Any]):
@@ -77,6 +81,7 @@ class _OpenSpan:
         self.start = start
         self.depth = depth
         self.detail = detail
+        self.closed: Optional[TraceSpan] = None
 
 
 class Tracer:
@@ -122,11 +127,12 @@ class Tracer:
             extra = dict(inner.detail)
             if inner is handle:
                 extra.update(detail)
-            self._spans.append(TraceSpan(inner.actor, inner.name, inner.start,
-                                         time, inner.depth, extra))
+            inner.closed = TraceSpan(inner.actor, inner.name, inner.start,
+                                     time, inner.depth, extra)
+            self._spans.append(inner.closed)
             if inner is handle:
                 break
-        return self._spans[-1]
+        return handle.closed
 
     def close_open_spans(self, time: float) -> list[TraceSpan]:
         """Close every still-open span at *time* with ``aborted=True``.
@@ -142,10 +148,11 @@ class Tracer:
                 inner = stack.pop()
                 detail = dict(inner.detail)
                 detail["aborted"] = True
-                span = TraceSpan(inner.actor, inner.name, inner.start,
-                                 max(time, inner.start), inner.depth, detail)
-                self._spans.append(span)
-                closed.append(span)
+                inner.closed = TraceSpan(inner.actor, inner.name, inner.start,
+                                         max(time, inner.start), inner.depth,
+                                         detail)
+                self._spans.append(inner.closed)
+                closed.append(inner.closed)
         return closed
 
     @property

@@ -347,9 +347,8 @@ def report_trace(json_mode: bool = False,
     schedule = FailureSchedule(
         points=(FailurePoint(4, "GPU_HARD", 1, offset=0.3),))
     run = oracle.run(schedule, "transparent")
-    events = chrome_trace_events(run.tracer, run.telemetry)
-    write_chrome_trace(out, run.tracer, run.telemetry,
-                       label="transparent GPU_HARD@it4")
+    events = chrome_trace_events(run.tracer)
+    write_chrome_trace(out, run.tracer, label="transparent GPU_HARD@it4")
     data = {"out": out, "trace_events": len(events),
             "spans": len(run.tracer.spans),
             "strategy": "transparent",
@@ -378,10 +377,10 @@ def report_metrics(json_mode: bool = False, check: Optional[str] = None,
                    metrics_out: Optional[str] = None) -> dict:
     """Metrics pipeline end to end: registry, sampled series, phase analytics.
 
-    Runs the recovery-bearing oracle scenario under every strategy with
-    the metrics registry collecting, then reports the Table-7 phase
-    latencies (failure→detection, detection→restart, restart→resume) and
-    the ledger-reconciled goodput split per strategy.  Optionally writes
+    Runs the recovery-bearing oracle scenario under every strategy,
+    projects each finished run into one registry, then reports the
+    Table-7 phase latencies (failure→detection, detection→restart,
+    restart→resume) and the ledger-reconciled goodput split per strategy.  Optionally writes
     an OpenMetrics export (``--metrics-out``), a static HTML dashboard
     (``--dashboard``), a regression baseline (``--write-baseline``), or
     compares against one (``--check``, nonzero exit on regression).
@@ -404,10 +403,11 @@ def report_metrics(json_mode: bool = False, check: Optional[str] = None,
     schedule = FailureSchedule(
         points=(FailurePoint(4, "GPU_HARD", 1, offset=0.3),))
     rows = []
-    with flags.override(obs=True), \
-            metrics.collecting(scrape_interval=0.5) as reg:
+    reg = metrics.MetricsRegistry(scrape_interval=0.5)
+    with flags.override(obs=True):
         for strategy in oracle.strategies:
             run = oracle.run(schedule, strategy)
+            bridge.record_run(reg, run, oracle.spec.world_size)
             buckets = bridge.goodput_buckets_from_registry(reg, strategy)
             total = sum(buckets.values())
             rows.append({

@@ -552,16 +552,18 @@ def test_oracle_scenario_include_storage_changes_hash():
 
 
 def test_campaign_runner_feeds_metrics_registry(tmp_path):
-    """With a registry collecting, a campaign run lands its perf counters
-    (cache hits/misses, scenario count) and utilization gauges."""
-    from repro import flags
+    """Projecting each campaign run's perf into a registry lands its perf
+    counters (cache hits/misses, scenario count) and utilization gauges."""
     from repro.obs import metrics
+    from repro.obs.metrics import bridge
 
     campaign = small_campaign("metrics")
     cache = ResultCache(tmp_path / "cache")
-    with flags.override(obs=True), metrics.collecting() as reg:
-        CampaignRunner(cache=cache, workers=1).run(campaign)
-        CampaignRunner(cache=cache, workers=1).run(campaign)
+    reg = metrics.MetricsRegistry()
+    for _ in range(2):
+        runner = CampaignRunner(cache=cache, workers=1)
+        result = runner.run(campaign)
+        bridge.record_campaign_perf(reg, result.perf, runner.workers)
 
     scenarios = reg.get("repro_campaign_scenarios")
     assert scenarios is not None
@@ -920,8 +922,8 @@ def test_reused_rows_are_reported_apart_from_runs():
     """Memo-served rows ran no simulation: they count as ``reused``, not
     as ``runs``, in ``describe()``, the metrics rollup and the report's
     perf section."""
-    from repro import flags
     from repro.obs import metrics
+    from repro.obs.metrics import bridge
     from repro.sim.snapshot import HAVE_FORK
     from repro.tools.report import report_perf
 
@@ -930,9 +932,10 @@ def test_reused_rows_are_reported_apart_from_runs():
     campaign = CampaignSpec.grid("reused", seeds=[0, 1, 2, 3],
                                  **dict(MEMO_GRID, policies=["user_jit"]))
     runner = CampaignRunner(workers=1, prefix_fork=True)
-    with flags.override(obs=True), metrics.collecting() as reg:
-        runner.run(campaign)
+    reg = metrics.MetricsRegistry()
+    for _ in range(2):
         warm = runner.run(campaign)
+        bridge.record_campaign_perf(reg, warm.perf, runner.workers)
     assert warm.perf.reused >= 1
     assert len(warm.perf.runs) + warm.perf.reused == len(campaign)
     assert f" / {warm.perf.reused} reused / " in warm.perf.describe()

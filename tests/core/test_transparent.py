@@ -6,7 +6,7 @@ import pytest
 from repro.core import JitConfig, TransparentJitSystem
 from repro.failures import FailureEvent, FailureInjector, FailureType
 from repro.parallel.topology import ParallelLayout
-from repro.sim import Environment
+from repro.sim import Environment, Tracer
 from repro.storage import SharedObjectStore
 from repro.workloads import TrainingJob
 
@@ -25,11 +25,11 @@ def plain_losses(spec, iters=ITERS):
     return TrainingJob(spec).run_training(iters)
 
 
-def run_transparent(spec, failures, iters=ITERS, config=None):
+def run_transparent(spec, failures, iters=ITERS, config=None, tracer=None):
     env = Environment()
     store = SharedObjectStore(env, bandwidth=1.5e9)
     system = TransparentJitSystem(env, spec, store=store,
-                                  config=config or JitConfig())
+                                  config=config or JitConfig(), tracer=tracer)
     job = system.build_job()
     injector = FailureInjector(env, job.cluster)
     injector.arm(failures)
@@ -152,6 +152,32 @@ def test_hard_error_migrates_to_replacement_gpu():
     moved = system.proxies[1].ctx.gpu
     assert moved.gpu_id != "node0/gpu1"
     assert moved.is_usable
+
+
+def test_recovery_records_match_with_tracing_on_and_off():
+    """Episodes land on the system's tracer when it is enabled and on the
+    telemetry's own tracer when it is not; breakdowns and recovery times
+    are the same bits either way."""
+    spec = ddp_spec()
+    failure = FailureEvent(2.0, FailureType.GPU_HARD, "node0/gpu1")
+    tracer = Tracer(enabled=True)
+    traced, _, traced_losses = run_transparent(spec, [failure], tracer=tracer)
+    plain, _, plain_losses_ = run_transparent(spec, [failure])
+    assert traced.telemetry.tracer is tracer
+    assert plain.telemetry.tracer is not plain.tracer
+    assert not plain.tracer.enabled and plain.telemetry.tracer.enabled
+    assert traced_losses == plain_losses_
+    assert [r.kind for r in traced.telemetry.records] == \
+        [r.kind for r in plain.telemetry.records]
+    assert "hard" in [r.kind for r in traced.telemetry.records]
+    for on, off in zip(traced.telemetry.records, plain.telemetry.records):
+        assert on.breakdown() == off.breakdown()
+        assert list(on.breakdown()) == list(off.breakdown())
+        assert on.recovery_time.hex() == off.recovery_time.hex()
+    episodes = [span for span in tracer.spans
+                if span.actor.startswith("recovery") and span.depth == 0]
+    assert [span.name for span in episodes] == \
+        [r.kind for r in traced.telemetry.records]
 
 
 def test_hard_error_recovery_slower_than_transient():

@@ -80,21 +80,35 @@ def test_recovery_run_exports_valid_trace(tmp_path):
     schedule = FailureSchedule(points=(
         FailurePoint(3, "GPU_HARD", 1, offset=0.4),))
     run = oracle.run(schedule, "transparent")
-    events = chrome_trace_events(run.tracer, run.telemetry)
+    events = chrome_trace_events(run.tracer)
     _check_schema(events)
-    cats = {e.get("cat") for e in events}
-    assert "recovery" in cats and "recovery-phase" in cats
+    # The hard-error episode and its phases are spans on the recovery track.
+    tracks = {e["args"]["name"]: e["tid"] for e in events if e["ph"] == "M"}
+    recovery = [e for e in events
+                if e["ph"] == "X" and e["tid"] == tracks["recovery/rank1#0"]]
+    assert all(e["cat"] == "span" for e in recovery)
+    (episode,) = [e for e in recovery if e["name"] == "hard"]
+    phases = [e["name"] for e in recovery if e is not episode]
+    assert phases == ["delete_comms_handles", "jit_checkpoint",
+                      "criu_checkpoint", "migrate", "restore",
+                      "recreate_comms", "recreate_handles", "replay"]
+    # Phases nest under the episode (depth 1, inside its interval).
+    (outer,) = run.tracer.filter_spans(actor="recovery/rank1#0", name="hard")
+    for span in run.tracer.filter_spans(actor="recovery/rank1#0"):
+        if span is not outer:
+            assert span.depth == outer.depth + 1
+            assert outer.start <= span.start <= span.end <= outer.end
     assert any(e.get("cat") == "event" and e["name"] == "failure"
                for e in events)
 
     # Round-trip through the file writer: valid JSON with the envelope.
     path = tmp_path / "run.json"
-    write_chrome_trace(path, run.tracer, run.telemetry, label="test")
+    write_chrome_trace(path, run.tracer, label="test")
     loaded = json.loads(path.read_text(encoding="utf-8"))
     assert loaded["displayTimeUnit"] == "ms"
     assert loaded["otherData"]["label"] == "test"
     assert loaded["traceEvents"] == json.loads(
-        json.dumps(chrome_trace_events(run.tracer, run.telemetry)))
+        json.dumps(chrome_trace_events(run.tracer)))
 
 
 def test_export_is_deterministic():

@@ -45,37 +45,49 @@ def test_timeline_merges_spans_and_telemetry():
     tracer = Tracer(enabled=True)
     handle = tracer.begin_span(0.5, "rank0", "iteration", iteration=0)
     tracer.end_span(handle, 1.5)
-    telemetry = RecoveryTelemetry(env)
+    telemetry = RecoveryTelemetry(env, tracer)
+    assert telemetry.tracer is tracer
     record = telemetry.start("hard", rank=0)
     telemetry.finish(record)
     recorder = FlightRecorder()
-    recorder.capture(tracer, telemetry)
+    recorder.capture(tracer)
     text = recorder.dump()
-    assert "iteration" in text and "recovery-record" in text
+    assert "iteration" in text
+    assert "recovery/rank0#0" in text and " hard " in text
 
 
 def test_open_records_render_without_crashing():
     env = Environment()
-    telemetry = RecoveryTelemetry(env)
+    tracer = Tracer(enabled=True)
+    telemetry = RecoveryTelemetry(env, tracer)
     record = telemetry.start("hard", rank=1)
     telemetry.begin(record, "replay")        # never ended: run aborted
-    tracer = Tracer(enabled=True)
     tracer.begin_span(0.0, "rank1", "iteration", iteration=3)
-    dump = flight_dump(tracer, failing_telemetry=telemetry)
-    assert "open" in dump
+    assert record.finished_at is None
+    tracer.close_open_spans(2.0)
+    dump = flight_dump(tracer)
+    episode = next(line for line in dump.splitlines() if " hard " in line)
+    phase = next(line for line in dump.splitlines() if " replay " in line)
+    assert "recovery/rank1#0" in episode and "recovery/rank1#0" in phase
+    assert "aborted=True" in episode and "aborted=True" in phase
 
 
 def test_telemetry_close_open_marks_aborted():
     env = Environment()
-    telemetry = RecoveryTelemetry(env)
+    tracer = Tracer(enabled=True)
+    telemetry = RecoveryTelemetry(env, tracer)
     record = telemetry.start("hard", rank=0)
-    span = telemetry.begin(record, "replay")
-    assert telemetry.close_open(at=5.0) == 1
-    assert span.end == 5.0 and span.aborted
-    assert record.finished_at == 5.0 and record.notes["aborted"]
+    telemetry.begin(record, "replay")
+    (phase, episode) = tracer.close_open_spans(5.0)
+    assert (phase.name, episode.name) == ("replay", "hard")
+    assert phase.end == 5.0 and phase.detail["aborted"]
+    assert episode.end == 5.0 and episode.detail["aborted"]
+    assert record.finished_at == 5.0
     assert record.recovery_time == 5.0 - record.detected_at
+    assert record.breakdown() == {"replay": 5.0 - record.detected_at}
     # Idempotent: nothing left open on a second pass.
-    assert telemetry.close_open(at=9.0) == 0
+    assert tracer.close_open_spans(9.0) == []
+    assert record.finished_at == 5.0
 
 
 def test_oracle_attaches_flight_dump_on_mutation_failure():

@@ -1,10 +1,9 @@
 """Unit tests for the Prometheus-style metrics pipeline.
 
 Covers the registry primitives (label handling, exactness, conflict
-detection), the ``collecting``/``active`` gating under ``REPRO_OBS``,
-the time-series store, the OpenMetrics and JSON exporters, and the
-static dashboard builder.  Families projected from real runs are
-covered by ``test_metrics_consistency.py``.
+detection), the time-series store, the OpenMetrics and JSON exporters,
+and the static dashboard builder.  Families projected from real runs
+are covered by ``test_metrics_consistency.py``.
 """
 
 import json
@@ -13,9 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from repro import flags
-from repro.obs.metrics import (MetricsRegistry, TimeSeriesStore, active,
-                               collecting, openmetrics_text, registry_json,
+from repro.obs.metrics import (MetricsRegistry, TimeSeriesStore,
+                               openmetrics_text, registry_json,
                                sample_registry)
 from repro.obs.metrics.dashboard import (build_dashboard, counter_total,
                                          filter_snapshot, snapshot)
@@ -102,28 +100,6 @@ def test_labelless_family_requires_no_labels():
     labelled = reg.counter("repro_test_kinds", "t", ("kind",))
     with pytest.raises(ValueError, match="requires labels"):
         labelled.inc()
-
-
-# --- gating --------------------------------------------------------------
-
-def test_collecting_installs_only_when_observability_enabled():
-    with flags.override(obs=False):
-        with collecting() as reg:
-            assert active() is None
-            assert reg.collect() == []
-    with flags.override(obs=True):
-        with collecting(scrape_interval=2.0) as reg:
-            assert active() is reg
-            assert reg.scrape_interval == 2.0
-        assert active() is None
-
-
-def test_collecting_restores_previous_registry():
-    with flags.override(obs=True):
-        with collecting() as outer:
-            with collecting() as inner:
-                assert active() is inner
-            assert active() is outer
 
 
 # --- store ---------------------------------------------------------------

@@ -21,7 +21,7 @@ import pytest
 
 from repro import flags
 from repro.obs.ledger import build_strategy_ledger
-from repro.obs.metrics import bridge, collecting
+from repro.obs.metrics import MetricsRegistry, bridge
 from repro.obs.metrics.dashboard import counter_total, filter_snapshot, snapshot
 from repro.oracle import (FailurePoint, FailureSchedule, RecoveryOracle,
                           STRATEGIES)
@@ -45,8 +45,10 @@ def oracle():
 @pytest.fixture(scope="module", params=sorted(STRATEGIES))
 def strategy_run(request, oracle):
     strategy = request.param
-    with flags.override(obs=True), collecting(scrape_interval=1.0) as registry:
+    registry = MetricsRegistry(scrape_interval=1.0)
+    with flags.override(obs=True):
         run = oracle.run(MULTI, strategy)
+    bridge.record_run(registry, run, oracle.spec.world_size)
     return strategy, run, registry
 
 
@@ -101,9 +103,10 @@ def projected(request, oracle):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(strategies_mod, "FailureInjector", Keeping)
         for _ in range(2):
-            with flags.override(obs=True), \
-                    collecting(scrape_interval=1.0) as registry:
+            registry = MetricsRegistry(scrape_interval=1.0)
+            with flags.override(obs=True):
                 run = oracle.run(MULTI, strategy)
+            bridge.record_run(registry, run, oracle.spec.world_size)
             registries.append(registry)
     return strategy, run, injectors[-1], registries
 

@@ -1036,19 +1036,24 @@ def test_cold_start_and_stepped_arenas_never_reseat():
 
 # -- observability on/off equivalence ----------------------------------------------------
 # Observing a run must not change it.  One fuzzed schedule per strategy
-# runs with the obs switch off, on, and on under a collecting metrics
-# registry; losses, the final clock, the logical event count and the
-# verdict outcome are compared bit for bit.  Ledger buckets are not: with
-# obs off no spans are recorded.
+# runs with the obs switch off, on, and on with every run projected into
+# a metrics registry after it finishes (before the verdict); losses, the
+# final clock, the logical event count and the verdict outcome are
+# compared bit for bit.  Ledger buckets are not: with obs off no
+# iteration spans are recorded.
 
 
-def _obs_grid(obs, collecting, seed=7, iterations=12):
-    from repro.obs import metrics
+def _obs_grid(obs, projected, seed=7, iterations=12):
+    from repro.obs.metrics import MetricsRegistry, bridge
     from repro.oracle import STRATEGIES, RecoveryOracle
+
+    registry = MetricsRegistry()
 
     class Recording(RecoveryOracle):
         def run(self, schedule, strategy):
             self.last = super().run(schedule, strategy)
+            if projected:
+                bridge.record_run(registry, self.last, self.spec.world_size)
             return self.last
 
     grid = {}
@@ -1056,11 +1061,7 @@ def _obs_grid(obs, collecting, seed=7, iterations=12):
         oracle = Recording(iterations=iterations)
         schedules = oracle.fuzzer(seed).schedules(len(STRATEGIES))
         for strategy, schedule in zip(STRATEGIES, schedules):
-            if collecting:
-                with metrics.collecting():
-                    verdict = oracle.check(schedule, strategy)
-            else:
-                verdict = oracle.check(schedule, strategy)
+            verdict = oracle.check(schedule, strategy)
             run = oracle.last
             grid[strategy] = {
                 "losses": np.asarray(run.losses, dtype=np.float64).tobytes(),
@@ -1106,17 +1107,17 @@ def test_metrics_registry_keeps_events_processed(obs_grids):
 @pytest.mark.parametrize("seed", [11, 23, 31, 43])
 def test_obs_on_off_grid_fuzz(seed):
     """The obs on/off grid on more fuzzed schedules, at 20 iterations:
-    off, on and on under a collecting registry agree on every field."""
+    off, on and on with runs projected into a registry agree on every
+    field."""
     off = _obs_grid(False, False, seed=seed, iterations=20)
     assert all(row["outcome"] == "exact" for row in off.values()), off
     assert _obs_grid(True, False, seed=seed, iterations=20) == off
     assert _obs_grid(True, True, seed=seed, iterations=20) == off
 
 
-def _traced_ddp(collect, iterations=4):
+def _traced_ddp(project, iterations=4):
     from repro.hardware.specs import V100_NODE
-    from repro.obs import metrics
-    from repro.obs.metrics import bridge
+    from repro.obs.metrics import MetricsRegistry, bridge
     from repro.parallel.topology import ParallelLayout
     from repro.sim import Tracer
     from repro.workloads import TrainingJob, WorkloadSpec
@@ -1128,53 +1129,17 @@ def _traced_ddp(collect, iterations=4):
     with flags.override(obs=True):
         tracer = Tracer()
         job = TrainingJob(spec, tracer=tracer)
-        if collect:
-            with metrics.collecting(scrape_interval=0.05) as reg:
-                losses = job.run_training(iterations)
+        losses = job.run_training(iterations)
+        if project:
+            reg = MetricsRegistry(scrape_interval=0.05)
             bridge.record_trace(reg, tracer, "ddp", job.env.now)
             launched = reg.get("repro_nccl_collectives_launched")
             assert launched is not None and launched.children()
-        else:
-            losses = job.run_training(iterations)
     return losses, job.env.now.hex(), job.env.events_processed
 
 
 def test_traced_job_under_collecting_registry_is_unchanged():
-    """A traced DDP job run while a registry collects dispatches the same
-    events and ends with the same losses and clock as one run without a
-    registry; its families are projected from the trace afterwards."""
+    """A traced DDP job whose trace is projected into a registry
+    dispatches the same events and ends with the same losses and clock
+    as one that is not projected."""
     assert _traced_ddp(True) == _traced_ddp(False)
-
-
-def test_followers_engage_under_collecting_registry(monkeypatch):
-    """An untraced DDP job under ``collecting()`` still lets followers ride
-    the leader's timeline, and matches the registry-free run bitwise."""
-    from repro.cuda import stream as stream_mod
-    from repro.obs import metrics
-    import repro.workloads.builder as builder
-
-    counts = {}
-    enqueue = stream_mod.CudaStream.enqueue
-
-    def counting(self, op):
-        counts[self] = counts.get(self, 0) + 1
-        return enqueue(self, op)
-
-    jobs = []
-    build = builder.TrainingJob.__init__
-
-    def keep(self, *args, **kwargs):
-        build(self, *args, **kwargs)
-        jobs.append(self)
-
-    monkeypatch.setattr(stream_mod.CudaStream, "enqueue", counting)
-    monkeypatch.setattr(builder.TrainingJob, "__init__", keep)
-    with flags.override(obs=True), metrics.collecting() as reg:
-        assert metrics.active() is reg
-        collected = _dedup_train(True, "ddp", {"dp": 4}, 6)
-    per_rank = [sum(counts.get(stream, 0) for stream in engine.api.ctx.streams)
-                for engine in jobs[0].engines]
-    assert per_rank[0] > 200
-    assert all(10 * count < per_rank[0] for count in per_rank[1:]), per_rank
-    monkeypatch.setattr(stream_mod.CudaStream, "enqueue", enqueue)
-    _assert_bitwise_equal(collected, _dedup_train(True, "ddp", {"dp": 4}, 6))

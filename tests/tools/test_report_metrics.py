@@ -1,7 +1,7 @@
 """End-to-end tests for ``python -m repro.tools.report metrics``.
 
-One full metrics section run (all six strategies, registry collecting)
-is shared across the module; the artifact, baseline-write and
+One full metrics section run (all six strategies projected into one
+registry) is shared across the module; the artifact, baseline-write and
 regression-check paths are asserted against it.  The regression gate is
 proven both ways: a self-baseline passes, an impossibly rosy baseline
 (injected regression) makes ``main`` exit nonzero.
