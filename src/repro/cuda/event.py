@@ -27,13 +27,16 @@ class EventState(enum.Enum):
 class CudaEvent:
     """One CUDA event; re-recordable like the real API."""
 
-    __slots__ = ("env", "event_id", "_name", "state", "destroyed",
+    __slots__ = ("env", "event_id", "_name", "hint", "state", "destroyed",
                  "_completion", "trigger_time", "recorded_on")
 
-    def __init__(self, env: Environment, name: str = ""):
+    def __init__(self, env: Environment, name: str = "", hint: str = ""):
         self.env = env
         self.event_id = next(_event_ids)
         self._name = name
+        #: The creator's name hint, from which its context composed
+        #: ``name``; a replica's copy of the event is named from it.
+        self.hint = hint
         self.state = EventState.CREATED
         self.destroyed = False
         #: Sim event that fires when the recorded occurrence triggers.

@@ -93,12 +93,23 @@ class CudaContext:
         return stream
 
     def create_event(self, name_hint: str = "") -> CudaEvent:
+        return CudaEvent(self.env, name=self.next_event_name(name_hint),
+                         hint=name_hint)
+
+    def next_event_name(self, name_hint: str) -> str:
+        """Name of the next event created here; advances the ordinal.
+
+        A replica riding another's timeline (:mod:`repro.framework.dedup`)
+        takes the names of the events it does not create, so its traced
+        records, and its copies of the events once it materialises, carry
+        the names a private run would have given them.
+        """
         # Compose the ctx-qualified name only when someone will read it;
         # the hint alone (or the event's lazy default) serves repr/debug.
         name = (f"ctx{self.context_id}:{name_hint or 'ev'}{self._event_ordinal}"
                 if self.tracer.enabled else name_hint)
         self._event_ordinal += 1
-        return CudaEvent(self.env, name=name)
+        return name
 
     def event_record(self, event: CudaEvent, stream: Optional[CudaStream] = None) -> None:
         """``cudaEventRecord``."""

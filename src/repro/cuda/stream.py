@@ -12,7 +12,7 @@ Execution semantics reproduced from real CUDA:
 
 Macro-event fast path
 ---------------------
-When `repro.flags.fast_path` is on and the stream is untraced, the
+When `repro.flags.fast_path` is on, traced or not, the
 executor coalesces a maximal run of consecutive ``KernelOp``s (and
 PCIe-free ``MemcpyOp``s) at the queue head into one *macro chain*: a
 single simulator timeout spans the whole run, and on wake every op's
@@ -31,9 +31,11 @@ Replica timelines
 Ops enqueued while a stream has an open replica batch carry it
 (``op.batch``).  Its *riders* are data-parallel replicas that enqueue
 no copies of those ops (:mod:`repro.framework.dedup`): the stream
-arrives at collectives for them and credits each the logical events its
-copy would have dispatched.  :meth:`CudaStream.adopt` hands a rider its
-own copies, in the leader's exact executor state, when it materialises.
+arrives at collectives for them, credits each the logical events its
+copy would have dispatched and, when traced, writes the records its
+copy's stream would have written.  :meth:`CudaStream.adopt` hands a
+rider its own copies, in the leader's exact executor state, when it
+materialises.
 """
 
 from __future__ import annotations
@@ -399,8 +401,10 @@ class CudaStream:
             elif not done.triggered:
                 done.succeed(op)
             if trace:
-                self.tracer.record(op.finished_at, self.name, "op_done",
+                self.tracer.record(end, self.name, "op_done",
                                    op=op.name, started=op.started_at)
+                if batch is not None and batch.riders:
+                    self._trace_riders(batch.riders, op)
         if count < len(chain):
             # The next op was in flight when the GPU failed; it started but
             # never finishes, as in the one-event-per-op path.
@@ -408,9 +412,17 @@ class CudaStream:
         if trace and count > 1:
             # One chain-level record so traces of coalesced runs show the
             # macro event itself (and its per-op credit) alongside the
-            # back-filled op_done records above.
+            # back-filled op_done records above.  A chain never spans two
+            # replica batches: each opens with a PCIe copy or a wait and
+            # ends with an event record or a lone optimizer kernel.
             self.tracer.record(previous_end, self.name, "macro_chain",
                                ops=count, started=start)
+            batch = chain[0].batch
+            if batch is not None:
+                for rider in batch.riders:
+                    self.tracer.record(previous_end, rider.twins[self].name,
+                                       "macro_chain", ops=count,
+                                       started=start)
         if elided:
             env.credit_events(elided)
 
@@ -468,6 +480,23 @@ class CudaStream:
         yield from self._park()
 
     # -- replica timelines ---------------------------------------------------------
+
+    def _trace_riders(self, riders: list, op: StreamOp) -> None:
+        """Write the ``op_done`` each rider's own copy of *op* would have.
+
+        A rider's copy runs on its stream of the same role, and an event
+        op names the rider's own copy of the event.
+        """
+        kind = type(op)
+        for rider in riders:
+            if kind is RecordEventOp:
+                name = "record:" + rider.event_names[op.event]
+            elif kind is WaitEventOp:
+                name = "wait:" + rider.event_names[op.event]
+            else:
+                name = op.name
+            self.tracer.record(op.finished_at, rider.twins[self].name,
+                               "op_done", op=name, started=op.started_at)
 
     def adopt(self, copies: list[StreamOp], leader: "CudaStream",
               ridden: list[StreamOp], wakeup: Optional[Event] = None) -> None:
@@ -702,6 +731,8 @@ class CudaStream:
             if self.tracer.enabled:
                 self.tracer.record(env.now, self.name, "op_done", op=op.name,
                                    started=op.started_at)
+                if batch is not None and batch.riders:
+                    self._trace_riders(batch.riders, op)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<CudaStream {self.name} on {self.gpu.gpu_id} pending={self.pending}>"

@@ -25,11 +25,12 @@ Three sharing levels:
   gradient arena, which turns the simulated all-reduce's data application
   into an object-identity no-op (timing is untouched — the rendezvous
   still pays every simulated nanosecond).
-* **Followers** (group math, untraced): the first member to enqueue an
-  iteration leads it; members whose streams are in the leader's state
-  ride its op timeline instead of enqueueing copies, and materialise
-  their own streams, in the leader's exact state, before anything else
-  observes them (:meth:`ReplicaArena.enter`).
+* **Followers** (group math): the first member to enqueue an iteration
+  leads it; members whose streams are in the leader's state ride its op
+  timeline instead of enqueueing copies, and materialise their own
+  streams, in the leader's exact state, before anything else observes
+  them (:meth:`ReplicaArena.enter`).  In a traced run the leader's
+  streams also write each rider's trace records.
 
 Sharing is *copy-on-write*: the moment a rank diverges — its GPU bumps
 its epoch (failure, driver reset), or state is loaded into it — the
@@ -61,7 +62,7 @@ from typing import Optional
 import numpy as np
 
 from repro import flags
-from repro.cuda.event import EventState
+from repro.cuda.event import CudaEvent, EventState
 from repro.cuda.stream import (CollectiveKernelOp, KernelOp, MemcpyOp,
                                RecordEventOp, WaitEventOp)
 
@@ -231,7 +232,8 @@ class FollowBatch:
 class _Follower:
     """Per-member follow state: the batches it rides and its CPU."""
 
-    __slots__ = ("engine", "rank", "rides", "cpu", "wakeups")
+    __slots__ = ("engine", "rank", "rides", "cpu", "wakeups", "twins",
+                 "event_names")
 
     def __init__(self, engine):
         self.engine = engine
@@ -241,6 +243,11 @@ class _Follower:
         #: Own stream -> event dispatched in place of the wakeup its
         #: private enqueue would have triggered (see ``ReplicaArena._join``).
         self.wakeups: dict = {}
+        #: Leader stream -> this member's stream of the same role.
+        self.twins: dict = {}
+        #: Leader event of a ridden batch -> the name this member's own
+        #: copy has (a traced run's records and materialised copies).
+        self.event_names: dict = {}
 
     def streams(self) -> tuple:
         return (self.engine.compute_stream, self.engine.comm_stream)
@@ -313,10 +320,13 @@ class ReplicaArena:
             if member > 0:
                 self._bind_member(engine)
             engine.optimizer = MemberOptimizer(self, member)
-            # Any epoch transition on the member's GPU (failure, driver
-            # reset) is the copy-on-write trigger.
-            engine.api.ctx.gpu.on_epoch.append(
-                lambda m=member: self._device_epoch(m))
+        #: Any epoch transition on a member's GPU (failure, driver reset)
+        #: is the copy-on-write trigger; see :meth:`detach`.
+        self._epoch_hooks = [
+            (engine.api.ctx.gpu, lambda m=member: self._device_epoch(m))
+            for member, engine in enumerate(self.engines)]
+        for gpu, hook in self._epoch_hooks:
+            gpu.on_epoch.append(hook)
         #: Follower state per member, riders, and open batches by
         #: iteration (group-math mode only: see "Followers" below).
         self._followers = [_Follower(engine) for engine in self.engines]
@@ -345,6 +355,18 @@ class ReplicaArena:
                 buf = engine.opt_buffers.get(key)
                 if buf is not None:
                     buf.array = array
+
+    def detach(self) -> None:
+        """Unhook from the members' GPUs once the job is torn down.
+
+        The hardware outlives the job: a restarted generation runs on the
+        same GPUs, whose epoch transitions must no longer reach this
+        arena, and whose hook lists would otherwise keep every torn-down
+        generation's arrays alive until the run ends.
+        """
+        for gpu, hook in self._epoch_hooks:
+            gpu.on_epoch.remove(hook)
+        self._epoch_hooks = []
 
     def member_active(self, member: int) -> bool:
         return self.active[member]
@@ -600,9 +622,9 @@ class ReplicaArena:
 
     @staticmethod
     def _may_follow(engine) -> bool:
-        """Untraced, unpoisoned, healthy streams and an idle PCIe link."""
+        """Unpoisoned, healthy streams and an idle PCIe link."""
         ctx = engine.api.ctx
-        if ctx.tracer.enabled or ctx.poisoned:
+        if ctx.poisoned:
             return False
         for stream in (engine.compute_stream, engine.comm_stream):
             if (stream.aborted or stream.error is not None
@@ -653,12 +675,19 @@ class ReplicaArena:
         batch.riders.append(follower)
         if not follower.rides:
             self._riding.append(follower)
-        follower.rides = [ridden for ridden in follower.rides
-                          if ridden.remaining] + [batch]
+        rides = [ridden for ridden in follower.rides if ridden.remaining]
+        names = {event: follower.event_names[event] for ridden in rides
+                 for event in ridden.events}
+        # The events this member would have created take its own ordinals.
+        next_name = engine.api.ctx.next_event_name
+        names.update((event, next_name(event.hint)) for event in batch.events)
+        follower.event_names = names
+        follower.rides = rides + [batch]
         follower.cpu = env.active_process
         # A private enqueue would wake the same streams, dispatching their
         # wakeups behind everything already scheduled at this instant.
-        streams = dict(zip(batch.leader.streams(), follower.streams()))
+        streams = follower.twins = dict(zip(batch.leader.streams(),
+                                            follower.streams()))
         for stream in batch.woken:
             wakeup = follower.wakeups[streams[stream]] = env.event()
             wakeup.succeed()
@@ -680,6 +709,8 @@ class ReplicaArena:
             return
         follower.rides = []
         wakeups, follower.wakeups = follower.wakeups, {}
+        names, follower.event_names = follower.event_names, {}
+        streams, follower.twins = follower.twins, {}
         self._riding.remove(follower)
         for batch in rides:
             if follower in batch.riders:
@@ -688,12 +719,12 @@ class ReplicaArena:
         if not pending:
             return
         engine = follower.engine
-        streams = dict(zip(pending[0].leader.streams(), follower.streams()))
-        ctx = engine.api.ctx
+        env = engine.api.env
         copies = {}
         for batch in pending:
             for event in batch.events:
-                copy = copies[event] = ctx.create_event()
+                copy = copies[event] = CudaEvent(env, name=names[event],
+                                                 hint=event.hint)
                 stream = streams[event.recorded_on]
                 if event.state is EventState.TRIGGERED:
                     copy.adopt_trigger(stream, event.trigger_time)

@@ -174,6 +174,7 @@ class CollectiveInstance:
     def _apply(self) -> None:
         _apply_collective(self.kind, self.reduce_op, self._registrations,
                           self.participants)
+        _release(self._registrations)
 
     # -- teardown -----------------------------------------------------------------------
 
@@ -197,6 +198,12 @@ def _record_launch(instance) -> None:
                       kind=instance.kind,
                       waits={rank: now - arrived
                              for rank, arrived in instance._arrived.items()})
+
+
+def _release(regs: dict[int, _Registration]) -> None:
+    """Drop applied payloads: the communicator keeps every instance."""
+    for reg in regs.values():
+        reg.send = reg.recv = None
 
 
 def _apply_collective(kind: str, reduce_op: ReduceOp,
@@ -404,6 +411,7 @@ class BatchedCollectiveInstance:
                 return
             _apply_collective(self.base_kind, self.reduce_op, regs,
                               self.participants)
+            _release(regs)
             # Events the per-instance path dispatches that the batch does
             # not: per segment, n arrivals, a transfer-process init and
             # exit, and n per-op completion credits (2n + 3 with the

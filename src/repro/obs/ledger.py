@@ -325,35 +325,42 @@ class ClassifiedInterval:
 
 
 def _partition_rank(segments: list[_Segment],
-                    wall: Fraction) -> list[ClassifiedInterval]:
-    """Partition [0, wall] by strongest covering segment; gaps are idle."""
+                    wall: float) -> list[ClassifiedInterval]:
+    """Partition [0, wall] by strongest covering segment; gaps are idle.
+
+    Clipping, sorting and the covering tests run on the floats the
+    segments already are: ``Fraction(x)`` is exact for a float and keeps
+    order, so every comparison decides as it would on Fractions.  Only
+    the output boundaries are converted.
+    """
     if wall <= 0:
         return []
     clipped = []
-    points = {Fraction(0), wall}
+    points = {0.0, wall}
     for seg in segments:
-        start = max(Fraction(0), min(Fraction(seg.start), wall))
-        end = max(Fraction(0), min(Fraction(seg.end), wall))
+        start = max(0.0, min(seg.start, wall))
+        end = max(0.0, min(seg.end, wall))
         if end <= start:
             continue
-        clipped.append((start, end, seg.priority, seg.order, seg))
+        clipped.append((start, end, seg))
         points.add(start)
         points.add(end)
+    # Strongest first: the first covering segment wins.
+    clipped.sort(key=lambda item: (item[2].priority, -item[2].order))
     boundaries = sorted(points)
+    exact = [Fraction(point) for point in boundaries]
     intervals: list[ClassifiedInterval] = []
-    for left, right in zip(boundaries, boundaries[1:]):
-        winner = None
-        for start, end, priority, seg_order, seg in clipped:
+    for index in range(len(boundaries) - 1):
+        left, right = boundaries[index], boundaries[index + 1]
+        for start, end, seg in clipped:
             if start <= left and end >= right:
-                key = (priority, -seg_order)
-                if winner is None or key < winner[0]:
-                    winner = (key, seg)
-        if winner is None:
-            intervals.append(ClassifiedInterval(left, right, "idle", None, 0))
+                intervals.append(ClassifiedInterval(
+                    exact[index], exact[index + 1], seg.bucket, seg.kind,
+                    seg.order))
+                break
         else:
-            seg = winner[1]
-            intervals.append(ClassifiedInterval(left, right, seg.bucket,
-                                                seg.kind, seg.order))
+            intervals.append(ClassifiedInterval(exact[index], exact[index + 1],
+                                                "idle", None, 0))
     return intervals
 
 
@@ -472,13 +479,12 @@ def classify_run(run, ranks: int,
     restart_by_rank = _restart_segments(run, ranks, wall, order, spans_by_rank)
     iteration_by_rank = _iteration_segments(spans_by_rank, order)
 
-    wall_fraction = Fraction(wall)
     rank_intervals: dict[int, list[ClassifiedInterval]] = {}
     for rank in range(ranks):
         segments = list(shared)
         segments += restart_by_rank.get(rank, [])
         segments += iteration_by_rank.get(f"rank{rank}", [])
-        rank_intervals[rank] = _partition_rank(segments, wall_fraction)
+        rank_intervals[rank] = _partition_rank(segments, wall)
     return RunClassification(
         strategy=run.strategy, ranks=ranks, wall_time=wall,
         rank_intervals=rank_intervals,

@@ -366,18 +366,32 @@ def _arm_managed(env, runner, injector, spec, schedule: FailureSchedule):
     """Fire each point once the (current generation's) engines reach it.
 
     The job is re-created on every restart, so targets are re-resolved and
-    iteration progress re-read from ``manager.current_job`` each wait
-    round; engines expose iteration-reached conditions, with a
-    minibatch-scale timeout as the cross-generation fallback.
+    iteration progress re-read from ``manager.current_job`` whenever a
+    lagging engine reaches the point's iteration or a new generation
+    starts.  Nothing else wakes the armer.
     """
     minibatch = spec.minibatch_time
+    next_generation = env.event()
+    make_restore_fn = runner._make_restore_fn
+
+    def announce(number, rank, job):
+        # The manager builds every rank's restore function just before it
+        # publishes the generation's job as ``current_job``; the armer
+        # resumes after that.
+        nonlocal next_generation
+        if rank == 0:
+            started, next_generation = next_generation, env.event()
+            started.succeed()
+        return make_restore_fn(number, rank, job)
+
+    runner._make_restore_fn = announce
 
     def armer():
         for point in schedule.points:
             while True:
                 job = runner.manager.current_job
                 if job is None:
-                    yield env.timeout(minibatch)
+                    yield next_generation
                     continue
                 lagging = [e for e in job.engines
                            if e.iteration < point.iteration]
@@ -385,7 +399,7 @@ def _arm_managed(env, runner, injector, spec, schedule: FailureSchedule):
                     break
                 waits = [e.iteration_reached(point.iteration)
                          for e in lagging]
-                yield env.any_of(waits + [env.timeout(max(minibatch, 0.05))])
+                yield env.any_of(waits + [next_generation])
             if point.offset:
                 yield env.timeout(point.offset * minibatch)
             job = runner.manager.current_job

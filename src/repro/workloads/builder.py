@@ -250,6 +250,8 @@ class TrainingJob:
         self.nccl_world.abort_all("job teardown")
         for ctx in self.contexts:
             ctx.destroy()
+        for arena in self.dedup_arenas:
+            arena.detach()
 
     # -- drivers -----------------------------------------------------------------------
 

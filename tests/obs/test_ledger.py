@@ -12,8 +12,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import BUCKETS, GoodputLedger, build_strategy_ledger, merge_buckets
+from repro.obs.ledger import ClassifiedInterval, _partition_rank, _Segment
 from repro.oracle.oracle import default_oracle_spec
 from repro.oracle.schedule import FailurePoint, FailureSchedule
 from repro.oracle.strategies import STRATEGIES, run_strategy
@@ -97,3 +100,66 @@ def test_describe_flags_identity():
     text = ledger_for("swift", "single").describe()
     assert "identity exact" in text
     assert "swift" in text
+
+
+def _partition_rank_on_fractions(segments, wall: Fraction):
+    """The partition computed on Fractions throughout: the reference."""
+    if wall <= 0:
+        return []
+    clipped = []
+    points = {Fraction(0), wall}
+    for seg in segments:
+        start = max(Fraction(0), min(Fraction(seg.start), wall))
+        end = max(Fraction(0), min(Fraction(seg.end), wall))
+        if end <= start:
+            continue
+        clipped.append((start, end, seg.priority, seg.order, seg))
+        points.add(start)
+        points.add(end)
+    boundaries = sorted(points)
+    intervals = []
+    for left, right in zip(boundaries, boundaries[1:]):
+        winner = None
+        for start, end, priority, seg_order, seg in clipped:
+            if start <= left and end >= right:
+                key = (priority, -seg_order)
+                if winner is None or key < winner[0]:
+                    winner = (key, seg)
+        if winner is None:
+            intervals.append(ClassifiedInterval(left, right, "idle", None, 0))
+        else:
+            seg = winner[1]
+            intervals.append(ClassifiedInterval(left, right, seg.bucket,
+                                                seg.kind, seg.order))
+    return intervals
+
+
+#: Shared endpoints make equal, touching and zero-length segments common;
+#: negative and beyond-wall values exercise the clip.
+_ANCHORS = (-1.5, -0.0, 0.0, 0.1, 0.30000000000000004, 1.0, 2.5, 7.0, 7.5,
+            1e9)
+_endpoint = st.one_of(st.sampled_from(_ANCHORS),
+                      st.floats(min_value=-3.0, max_value=12.0,
+                                allow_nan=False))
+_segment = st.tuples(_endpoint, _endpoint, st.integers(0, 4),
+                     st.sampled_from(("productive", "rework", "restart",
+                                      "detection")),
+                     st.sampled_from((None, "gpu_hard", "hang")))
+
+
+@given(wall=st.one_of(st.sampled_from((0.0, 1.0, 7.0, 7.5)),
+                      st.floats(min_value=-1.0, max_value=10.0,
+                                allow_nan=False)),
+       raw=st.lists(_segment, max_size=12))
+@settings(max_examples=300, deadline=None)
+def test_partition_on_floats_matches_fractions(wall, raw):
+    segments = [_Segment(start, end, priority, order, bucket, kind)
+                for order, (start, end, priority, bucket, kind)
+                in enumerate(raw, start=1)]
+    got = _partition_rank(segments, wall)
+    want = _partition_rank_on_fractions(segments, Fraction(wall))
+    assert ([(c.start, c.end, c.bucket, c.kind, c.segment_id) for c in got]
+            == [(c.start, c.end, c.bucket, c.kind, c.segment_id)
+                for c in want])
+    assert all(type(c.start) is Fraction and type(c.end) is Fraction
+               for c in got)

@@ -5,13 +5,24 @@ back-fill per-op ``op_done`` records at settlement and emit one
 ``macro_chain`` record carrying the coalesced count.  Per-op records
 must be identical to eager (slow-path) execution; the chain records are
 the only addition.
+
+Replica followers run under tracing too: a leader's streams write each
+rider's records, so a traced run records the same multiset with dedup
+on as with it off.
 """
 
 import re
+from collections import Counter
 
 import numpy as np
+import pytest
 
 from repro import flags
+from repro.cuda.runtime import CudaContext
+from repro.framework.dedup import ReplicaArena
+from repro.oracle import RecoveryOracle, default_oracle_spec
+from repro.oracle.schedule import FailureSchedule
+from repro.oracle.strategies import run_strategy
 from repro.parallel.topology import ParallelLayout
 from repro.sim import Tracer
 from repro.workloads import TrainingJob
@@ -106,3 +117,81 @@ def test_observability_flag_restores():
     with flags.override(obs=not before):
         assert flags.obs is (not before)
     assert flags.obs is before
+
+
+# -- replica followers under tracing -----------------------------------------------
+
+#: Restart-based strategies whose DDP jobs follow (see repro.framework.dedup).
+_FOLLOWING = ("user_level", "periodic", "gemini")
+_CTX_ID = re.compile(r"ctx(\d+):")
+
+
+def _follower_schedules():
+    fuzzer = RecoveryOracle(iterations=10).fuzzer(11)
+    return [FailureSchedule(())] + [fuzzer.draw() for _ in range(3)]
+
+
+def _by_value(value, ranks: dict):
+    """*value* with context ids renamed to ranks, hashable, compared by value."""
+    if isinstance(value, str):
+        return _CTX_ID.sub(lambda m: f"{ranks[int(m.group(1))]}:", value)
+    if isinstance(value, dict):
+        return tuple(sorted((_by_value(k, ranks), _by_value(v, ranks))
+                            for k, v in value.items()))
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return tuple(_by_value(v, ranks) for v in value)
+    return value
+
+
+def _traced_records(strategy: str, schedule, dedup: bool, monkeypatch):
+    """The run's trace as a multiset, plus the ``(iteration, rank)`` joins."""
+    spec = default_oracle_spec()
+    created, joins = [], []
+    init, join = CudaContext.__init__, ReplicaArena._join
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        created.append(self.context_id)
+
+    def counting_join(self, follower, batch):
+        joins.append((batch.iteration, follower.rank))
+        join(self, follower, batch)
+
+    monkeypatch.setattr(CudaContext, "__init__", counting_init)
+    monkeypatch.setattr(ReplicaArena, "_join", counting_join)
+    with flags.override(dedup=dedup):
+        run = run_strategy(strategy, spec, schedule, 10)
+    monkeypatch.undo()
+    # Every generation builds one context per rank, in rank order.
+    world = spec.world_size
+    ranks = {ctx: f"gen{index // world}.rank{index % world}"
+             for index, ctx in enumerate(created)}
+    records = Counter(
+        (event.time, _by_value(event.actor, ranks), event.action,
+         _by_value(event.detail, ranks)) for event in run.tracer.events)
+    records.update(
+        (span.start, span.end, _by_value(span.actor, ranks), span.name,
+         span.depth, _by_value(span.detail, ranks))
+        for span in run.tracer.spans)
+    return run, records, joins
+
+
+@pytest.mark.parametrize("strategy", _FOLLOWING)
+@pytest.mark.parametrize("draw", range(4))
+def test_traced_followers_record_what_private_ranks_record(strategy, draw,
+                                                           monkeypatch):
+    schedule = _follower_schedules()[draw]
+    on, records_on, joins = _traced_records(strategy, schedule, True,
+                                            monkeypatch)
+    off, records_off, _ = _traced_records(strategy, schedule, False,
+                                          monkeypatch)
+    assert on.losses == off.losses and on.events == off.events
+    assert sum(records_on.values()) == sum(records_off.values())
+    assert records_on == records_off
+    if not schedule.points:
+        # Followers engage: at least two ranks ride every iteration (under
+        # periodic, rank 0 stalls to checkpoint and another rank leads).
+        riders = {iteration: set() for iteration in range(10)}
+        for iteration, rank in joins:
+            riders[iteration].add(rank)
+        assert all(len(ranks) >= 2 for ranks in riders.values()), riders

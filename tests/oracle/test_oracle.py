@@ -38,6 +38,33 @@ def test_multi_failure_exact_for_jit_strategies(oracle):
         assert verdict.passed, verdict.describe()
 
 
+@pytest.mark.parametrize("strategy", ["user_level", "periodic", "gemini"])
+def test_managed_armer_waits_on_events_not_a_clock(strategy, monkeypatch):
+    """The failure armer sleeps only for a point's sub-minibatch offset.
+
+    It wakes when a lagging engine reaches the point's iteration or a new
+    generation starts (MULTI's hard failure restarts the job), never on a
+    polling timeout.
+    """
+    from repro.sim import Environment
+
+    armer_delays = []
+    timeout = Environment.timeout
+
+    def recording_timeout(env, delay, value=None):
+        process = env.active_process
+        if process is not None and process.name == "oracle-armer":
+            armer_delays.append(delay)
+        return timeout(env, delay, value)
+
+    monkeypatch.setattr(Environment, "timeout", recording_timeout)
+    run = run_strategy(strategy, default_oracle_spec(), MULTI, ITERS)
+    assert run.completed and len(run.generations) > 1
+    minibatch = default_oracle_spec().minibatch_time
+    assert armer_delays == [point.offset * minibatch
+                            for point in MULTI.points]
+
+
 def test_swift_golden_uses_invertible_optimizer(oracle):
     assert oracle.golden("swift") != oracle.golden("transparent")
     assert oracle.golden("transparent") == oracle.golden("periodic")
