@@ -17,10 +17,20 @@ framework and the device.  It
 Blocking calls (`*_synchronize`) retry transparently: if they fail or are
 aborted, they park on the recovery-done event and retry on the remapped
 handles, so the framework only ever observes a delay (Section 4.2).
+
+Replica deduplication (:mod:`repro.framework.dedup`) shares the proxy's
+data-parallel ranks too.  A rank that *rides* a replica's timeline issues
+none of the iteration's calls: its log gets one lazy entry per ridden
+iteration, which the first read of the log (replay, validation,
+``recreate_handles``) expands into the records the rank's own calls
+would have logged, through the engine's private enqueue run in a
+log-only mode.  Until its own events exist, the rank's handles for them
+are bound to the replica's, and its watchdog watches those.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Generator, Optional
 
 import numpy as np
@@ -28,6 +38,7 @@ import numpy as np
 from repro.core.config import JitConfig
 from repro.core.replay_log import (
     ApiRecord,
+    LazyRecords,
     Phase,
     ReplayLog,
     restore_contents,
@@ -36,18 +47,52 @@ from repro.core.replay_log import (
 from repro.core.virtual_handles import VirtualBuffer, VirtualEvent, VirtualStream
 from repro.core.watchdog import EventWatchdog, WatchedEvent
 from repro.cuda.errors import CudaApiError, CudaError
+from repro.cuda.event import CudaEvent
 from repro.cuda.memory import BufferKind, DeviceBuffer, HostBuffer
 from repro.cuda.runtime import CudaContext
+from repro.framework.dedup import GroupThunk
 from repro.nccl.communicator import NcclCommunicator
 from repro.nccl.errors import NcclError
 from repro.nccl.rendezvous import ReduceOp
-from repro.parallel.deviceapi import DeviceApi
+from repro.parallel.deviceapi import _RIDE_SCRATCH, DeviceApi
+
+
+class _Ride:
+    """One iteration this rank rode on a replica's timeline."""
+
+    __slots__ = ("step", "minibatch", "events", "optimizer", "records",
+                 "step_bufs", "freed")
+
+    def __init__(self, step, minibatch: int, events: list):
+        #: The engine's handle on the iteration (``expand``, ``replayed``).
+        self.step = step
+        self.minibatch = minibatch
+        #: This rank's handles for the ridden batch's events, in order.
+        self.events = events
+        #: Whether the rank rode the iteration's optimizer batch too.
+        self.optimizer = False
+        #: Expanded forward/backward (and ridden optimizer) records.
+        self.records: Optional[list] = None
+        self.step_bufs: list = []
+        self.freed = False
+
+
+class _Capture:
+    """Stand-in log that collects a ride's expanded records."""
+
+    def __init__(self, log: ReplayLog, minibatch: int):
+        self.log = log
+        self.minibatch = minibatch
+        self.records: list[ApiRecord] = []
+
+    def append(self, record: ApiRecord) -> None:
+        record.minibatch = self.minibatch
+        self.log.total_logged += 1
+        self.records.append(record)
 
 
 class DeviceProxyApi(DeviceApi):
     """The per-rank device proxy."""
-
-    keeps_replay_log = True
 
     def __init__(self, ctx: CudaContext, rank: int, config: JitConfig,
                  coordinator, watchdog_timeout: Optional[float] = None):
@@ -82,6 +127,18 @@ class DeviceProxyApi(DeviceApi):
             poll_interval=config.watchdog_poll,
             name=f"proxy-watchdog:rank{rank}")
         self.validation_results: list[bool] = []
+        #: The ride being expanded (log-only mode), and the handles its
+        #: ``create_event`` calls take, in order.
+        self._expanding: Optional[_Ride] = None
+        self._expanding_events = None
+        #: Handles for the events of the batch this rank just joined.
+        self._followed: list = []
+        #: Set by a validation until the step after it executes.
+        self._validated = False
+        #: minibatch -> ride, for the rides still in the log.
+        self._rides: dict[int, _Ride] = {}
+        #: Stand-in buffer id -> its ride.
+        self._held: dict[int, _Ride] = {}
         coordinator.register(self)
 
     # -- watchdog plumbing ------------------------------------------------------------
@@ -117,6 +174,10 @@ class DeviceProxyApi(DeviceApi):
         super().minibatch_begin(iteration)   # observability iteration span
         self.current_minibatch = iteration
         self.log.begin_minibatch(iteration)
+        if self._rides:
+            self._rides = {minibatch: ride
+                           for minibatch, ride in self._rides.items()
+                           if minibatch >= iteration - 1}
         if self._rng_get is not None:
             self._rng_snapshot_prev = self._rng_snapshot
             self._rng_snapshot = self._rng_get()
@@ -128,20 +189,153 @@ class DeviceProxyApi(DeviceApi):
 
     def optimizer_step_begin(self, iteration: int) -> None:
         if self._should_validate(iteration):
+            self.coordinator.isolate_replicas(self.completed_steps)
+            self._validated = True
             self._run_validation()
         self.phase = Phase.OPTIMIZER
 
     def optimizer_step_end(self, iteration: int) -> None:
         # Inject the post-optimizer marker: its completion on-device tells
-        # the proxy this rank's parameters reached the next version.
-        stream = self._last_phase_stream
-        if stream is not None:
-            self.launch_kernel(stream, f"opt_done_marker#{iteration}", 0.0,
-                               self._bump_completed_steps)
+        # the proxy this rank's parameters reached the next version.  A
+        # rank riding the optimizer batch has none: the leader's marker
+        # steps it.
+        ride = self._rides.get(iteration)
+        if ride is not None and ride.optimizer:
+            if ride.records is not None:
+                for record in self._expand_optimizer(ride):
+                    self.log.append(record)
+        else:
+            self._launch_marker(iteration)
         self.phase = Phase.POST_OPTIMIZER
 
-    def _bump_completed_steps(self) -> None:
+    def _launch_marker(self, iteration: int) -> None:
+        stream = self._last_phase_stream
+        if stream is None:
+            return
+        batch = (stream.physical._batch
+                 if self._expanding is None and stream.bound else None)
+        thunk = (self.step_completed if batch is None
+                 else partial(self._step_completed_with, batch))
+        self.launch_kernel(stream, f"opt_done_marker#{iteration}", 0.0, thunk)
+
+    def step_completed(self) -> None:
+        """The device finished this rank's optimizer step."""
         self.completed_steps += 1
+        if self._validated:
+            self._validated = False
+            self.coordinator.validated_step_completed()
+
+    def _step_completed_with(self, batch) -> None:
+        # A leader's marker also steps the ranks riding its optimizer
+        # batch (none are left by the time a replay re-executes it).
+        self.step_completed()
+        for rider in batch.riders:
+            rider.engine.api.step_completed()
+
+    def validates(self, iteration: int) -> bool:
+        start = self.config.validation_start_iteration
+        interval = self.config.validation_interval
+        return iteration == start or (
+            interval > 0 and iteration > start
+            and (iteration - start) % interval == 0)
+
+    # -- handles / replica followers ------------------------------------------------
+
+    def physical(self, handle):
+        return handle.physical
+
+    def live_comm(self, comm: NcclCommunicator) -> NcclCommunicator:
+        return self._live_comm(comm)
+
+    def follow(self, batch, names: dict, twins: dict) -> None:
+        if batch.bwd_done is None:
+            # The iteration's optimizer batch.
+            self._rides[batch.iteration].optimizer = True
+            return
+        own = {vstream.physical: vstream for vstream in self.vstreams
+               if vstream.bound}
+        for leader, stream in twins.items():
+            if leader.saw_collective:
+                own[stream].saw_collective = True
+        followed = self._followed = []
+        for event in batch.events:
+            vevent = VirtualEvent(event.hint)
+            vevent.bind(event)
+            vevent.borrowed = names[event]
+            self.vevents.append(vevent)
+            followed.append(vevent)
+            if own[twins[event.recorded_on]].saw_collective:
+                self.watchdog.watch(vevent)
+
+    def follow_retarget(self, copies: dict) -> None:
+        for ride in self._rides.values():
+            for vevent in ride.events:
+                if vevent.borrowed is not None:
+                    copy = copies.get(vevent.physical)
+                    if copy is not None:
+                        vevent.bind(copy)
+
+    def ride(self, step, batch, label: str):
+        held = VirtualBuffer(_RIDE_SCRATCH, BufferKind.ACTIVATION,
+                             batch.nbytes, label)
+        self.vbuffers[held.vid] = held
+        self._bind_buffer(held)
+        minibatch = self.log.current_minibatch
+        ride = _Ride(step, minibatch, self._followed)
+        self._followed = []
+        self._rides[minibatch] = ride
+        self._held[held.vid] = ride
+        self.log.append_lazy(LazyRecords(partial(self._ride_records, ride)))
+        return held, ride.events[-1]
+
+    def _ride_records(self, ride: _Ride) -> list[ApiRecord]:
+        records = list(self._expand(ride))
+        if ride.optimizer:
+            records += self._expand_optimizer(ride)
+        return records
+
+    def _log_only(self, ride: _Ride, phase: Phase, build):
+        """Run *build* with calls logged only; returns the records."""
+        saved = (self.log, self.phase, self._last_phase_stream)
+        capture = _Capture(self.log, ride.minibatch)
+        self.log, self.phase = capture, phase
+        self._expanding = ride
+        try:
+            build()
+        finally:
+            self.log, self.phase, self._last_phase_stream = saved
+            self._expanding = None
+        return capture.records
+
+    def _expand(self, ride: _Ride) -> list[ApiRecord]:
+        """The ride's forward/backward records (built once)."""
+        if ride.records is None:
+            self._expanding_events = iter(ride.events)
+
+            def build():
+                ride.step_bufs = ride.step.expand()
+
+            ride.records = self._log_only(ride, Phase.FORWARD_BACKWARD, build)
+            if not ride.freed:
+                for vbuf in ride.step_bufs:
+                    self.vbuffers[vbuf.vid] = vbuf
+        return ride.records
+
+    def _expand_optimizer(self, ride: _Ride) -> list[ApiRecord]:
+        def build():
+            ride.step.expand_optimizer()
+            self._launch_marker(ride.minibatch)
+
+        return self._log_only(ride, Phase.OPTIMIZER, build)
+
+    def _ride_frees(self, ride: _Ride, phase: Phase) -> list[ApiRecord]:
+        self._expand(ride)
+        self.log.total_logged += len(ride.step_bufs)
+        for vbuf in ride.step_bufs:
+            vbuf.freed = True
+        return [ApiRecord("free", args=(vbuf,), phase=phase,
+                          minibatch=ride.minibatch)
+                for vbuf in ride.step_bufs]
 
     # -- streams / events -----------------------------------------------------------------
 
@@ -157,6 +351,11 @@ class DeviceProxyApi(DeviceApi):
         return vstream
 
     def create_event(self, name_hint: str = "") -> VirtualEvent:
+        if self._expanding is not None:
+            vevent = next(self._expanding_events)
+            self.log.append(ApiRecord("create_event", args=(vevent,),
+                                      phase=self.phase, produced=vevent))
+            return vevent
         vevent = VirtualEvent(name_hint)
         self.vevents.append(vevent)
         self.log.append(ApiRecord("create_event", args=(vevent,),
@@ -172,6 +371,8 @@ class DeviceProxyApi(DeviceApi):
         if not self._replaying:
             self.log.append(ApiRecord("event_record", args=(vevent, vstream),
                                       phase=self.phase))
+            if self._expanding is not None:
+                return
         try:
             self.ctx.event_record(vevent.physical, vstream.physical)
         except CudaApiError as exc:
@@ -184,6 +385,8 @@ class DeviceProxyApi(DeviceApi):
         if not self._replaying:
             self.log.append(ApiRecord("stream_wait_event",
                                       args=(vstream, vevent), phase=self.phase))
+            if self._expanding is not None:
+                return
         try:
             self.ctx.stream_wait_event(vstream.physical, vevent.physical)
         except CudaApiError as exc:
@@ -210,10 +413,12 @@ class DeviceProxyApi(DeviceApi):
         # Cross-rank-stable checkpoint identity (the paper's hash of
         # allocation call-stack + sequence count + size, Section 4.3).
         vbuf.allocation_tag = f"{label}/{seq}/{nbytes}"
-        self.vbuffers[vbuf.vid] = vbuf
         self.log.append(ApiRecord(
             "malloc", args=(vbuf,), phase=self.phase,
             initial_contents=snapshot_contents(vbuf.array), produced=vbuf))
+        if self._expanding is not None:
+            return vbuf
+        self.vbuffers[vbuf.vid] = vbuf
         self._bind_buffer(vbuf)
         return vbuf
 
@@ -228,6 +433,10 @@ class DeviceProxyApi(DeviceApi):
             self._note_error(exc)
 
     def free(self, vbuf: VirtualBuffer) -> None:
+        ride = self._held.pop(vbuf.vid, None)
+        if ride is not None:
+            self._free_ride(ride, vbuf)
+            return
         if not self._replaying:
             self.log.append(ApiRecord("free", args=(vbuf,), phase=self.phase))
         if vbuf.physical is not None:
@@ -236,6 +445,21 @@ class DeviceProxyApi(DeviceApi):
         vbuf.unbind()
         self.vbuffers.pop(vbuf.vid, None)
 
+    def _free_ride(self, ride: _Ride, held: VirtualBuffer) -> None:
+        """Free a ride's stand-in and, as logged calls, its own buffers."""
+        if held.physical is not None:
+            self.ctx.free(held.physical)
+        held.freed = True
+        held.unbind()
+        self.vbuffers.pop(held.vid, None)
+        ride.freed = True
+        if ride.records is not None:
+            for vbuf in ride.step_bufs:
+                self.free(vbuf)
+        else:
+            self.log.append_lazy(LazyRecords(
+                partial(self._ride_frees, ride, self.phase)))
+
     def launch_kernel(self, vstream: VirtualStream, name: str,
                       duration: float, thunk=None):
         self._last_phase_stream = vstream
@@ -243,6 +467,8 @@ class DeviceProxyApi(DeviceApi):
             self.log.append(ApiRecord("launch_kernel",
                                       args=(vstream, name, duration, thunk),
                                       phase=self.phase))
+            if self._expanding is not None:
+                return None
         try:
             return self.ctx.launch_kernel(vstream.physical, name, duration,
                                           thunk)
@@ -269,6 +495,8 @@ class DeviceProxyApi(DeviceApi):
         if not self._replaying:
             self.log.append(ApiRecord("memcpy_h2d", args=(host, vbuf, vstream),
                                       phase=self.phase))
+            if self._expanding is not None:
+                return None
         try:
             return self.ctx.memcpy_h2d_async(vbuf.physical, host,
                                              vstream.physical)
@@ -289,13 +517,15 @@ class DeviceProxyApi(DeviceApi):
             lambda: self._live_comm(comm).init_rank(self.rank))
 
     def _collective(self, method: str, comm: NcclCommunicator, args: tuple,
-                    vstream: VirtualStream, call) -> None:
+                    vstream: VirtualStream, call):
         vstream.saw_collective = True
         if not self._replaying:
             self.log.append(ApiRecord(method, args=(comm, *args, vstream),
                                       phase=self.phase))
+            if self._expanding is not None:
+                return None
         try:
-            call(self._live_comm(comm))
+            return call(self._live_comm(comm))
         except CudaApiError as exc:
             self._note_error(exc)
         except NcclError:
@@ -307,41 +537,41 @@ class DeviceProxyApi(DeviceApi):
                     self.rank)
 
     def all_reduce(self, comm, vbuf, stream, op: ReduceOp = ReduceOp.SUM):
-        self._collective(
+        return self._collective(
             "all_reduce", comm, (vbuf, op), stream,
             lambda c: c.all_reduce(self.rank, vbuf, stream.physical, op))
 
     def all_reduce_batch(self, comm, vbufs, stream, op: ReduceOp = ReduceOp.SUM):
         vbufs = tuple(vbufs)
-        self._collective(
+        return self._collective(
             "all_reduce_batch", comm, (vbufs, op), stream,
             lambda c: c.all_reduce_batch(self.rank, list(vbufs),
                                          stream.physical, op))
 
     def broadcast(self, comm, vbuf, root: int, stream):
-        self._collective(
+        return self._collective(
             "broadcast", comm, (vbuf, root), stream,
             lambda c: c.broadcast(self.rank, vbuf, root, stream.physical))
 
     def all_gather(self, comm, send, recv, stream):
-        self._collective(
+        return self._collective(
             "all_gather", comm, (send, recv), stream,
             lambda c: c.all_gather(self.rank, send, recv, stream.physical))
 
     def reduce_scatter(self, comm, send, recv, stream,
                        op: ReduceOp = ReduceOp.SUM):
-        self._collective(
+        return self._collective(
             "reduce_scatter", comm, (send, recv, op), stream,
             lambda c: c.reduce_scatter(self.rank, send, recv, stream.physical,
                                        op))
 
     def send(self, comm, vbuf, dst: int, stream):
-        self._collective(
+        return self._collective(
             "send", comm, (vbuf, dst), stream,
             lambda c: c.send(self.rank, vbuf, dst, stream.physical))
 
     def recv(self, comm, vbuf, src: int, stream):
-        self._collective(
+        return self._collective(
             "recv", comm, (vbuf, src), stream,
             lambda c: c.recv(self.rank, vbuf, src, stream.physical))
 
@@ -386,6 +616,7 @@ class DeviceProxyApi(DeviceApi):
 
     def device_synchronize(self) -> Generator:
         def wait():
+            self.ctx.observed()
             markers = [v.physical.sync_marker() for v in self.vstreams
                        if v.bound and not v.physical.destroyed
                        and not v.physical.aborted]
@@ -408,6 +639,7 @@ class DeviceProxyApi(DeviceApi):
             vstream._physical = None
         for vevent in self.vevents:
             vevent._physical = None
+            vevent.borrowed = None
         for vbuf in self.vbuffers.values():
             vbuf.unbind()
 
@@ -482,6 +714,10 @@ class DeviceProxyApi(DeviceApi):
         issued = 0
         records = (list(self.log.previous_records) if include_previous
                    else []) + list(self.log.records)
+        for minibatch, ride in self._rides.items():
+            if (minibatch == self.log.current_minibatch
+                    or include_previous):
+                ride.step.replayed = True
         self._replaying = True
         try:
             for record in records:
@@ -510,11 +746,15 @@ class DeviceProxyApi(DeviceApi):
                 vstream.bind(self.ctx.create_stream(vstream.name_hint))
         elif method == "create_event":
             vevent = record.produced
-            if not vevent.bound:
+            if vevent.borrowed is not None:
+                # Still the replica's event: this rank's own copy.
+                vevent.bind(CudaEvent(self.env, name=vevent.borrowed,
+                                      hint=vevent.name_hint))
+            elif not vevent.bound:
                 vevent.bind(self.ctx.create_event(vevent.name_hint))
         elif method == "launch_kernel":
             vstream, name, duration, thunk = record.args
-            self.launch_kernel(vstream, name, duration, thunk)
+            self.launch_kernel(vstream, name, duration, _private(thunk))
         elif method == "event_record":
             vevent, vstream = record.args
             self.event_record(vevent, vstream)
@@ -570,13 +810,7 @@ class DeviceProxyApi(DeviceApi):
     def _should_validate(self, iteration: int) -> bool:
         if self._replaying or self.coordinator.in_recovery:
             return False
-        if iteration == self.config.validation_start_iteration:
-            return True
-        interval = self.config.validation_interval
-        return (interval > 0
-                and iteration > self.config.validation_start_iteration
-                and (iteration - self.config.validation_start_iteration)
-                % interval == 0)
+        return self.validates(iteration)
 
     def _run_validation(self) -> None:
         """Enqueue the checksum/replay/compare sequence on the device.
@@ -639,3 +873,8 @@ class DeviceProxyApi(DeviceApi):
                                checksum_after)
         finally:
             self._replaying = False
+
+
+def _private(thunk):
+    """What a re-executed kernel runs: a group-math kernel's private math."""
+    return thunk.private if type(thunk) is GroupThunk else thunk

@@ -5,13 +5,19 @@ the log is cleared at the start of each minibatch.  During recovery the
 log is re-issued to bring the device back to the point where the error
 happened; during validation it is re-executed in place to prove the log
 captures every input the device computation depends on.
+
+A rank that rides a data-parallel replica's timeline instead of issuing
+its own calls (:mod:`repro.framework.dedup` followers) logs one
+:class:`LazyRecords` entry per ridden batch.  Reading the log
+(``records`` / ``previous_records``) expands each entry, in place, into
+the records the rank's own calls would have logged.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -72,19 +78,37 @@ class ApiRecord:
         return f"<ApiRecord {self.method} mb{self.minibatch} {self.phase.value}>"
 
 
+@dataclass(slots=True)
+class LazyRecords:
+    """Log entry standing for records built only when the log is read."""
+
+    #: Returns the records, each with its phase and minibatch set.
+    expand: Callable[[], list[ApiRecord]]
+
+
+def _expanded(records: list) -> list:
+    """Expand *records*' :class:`LazyRecords` entries in place."""
+    if any(type(record) is LazyRecords for record in records):
+        records[:] = [item for record in records
+                      for item in (record.expand()
+                                   if type(record) is LazyRecords
+                                   else (record,))]
+    return records
+
+
 class ReplayLog:
     """Per-minibatch API log plus the persistent creation log."""
 
     def __init__(self) -> None:
-        #: Cleared at every minibatch start.
-        self.records: list[ApiRecord] = []
+        #: Replaced at every minibatch start.
+        self._records: list = []
         #: The previous minibatch's records, retained until the next
-        #: clear.  Needed when a failure freezes a rank whose device had
-        #: not yet executed the previous iteration's (already enqueued)
-        #: optimizer step: recovery re-executes those optimizer records
-        #: from the retained averaged gradients to reach the version the
-        #: CPU already advanced to.
-        self.previous_records: list[ApiRecord] = []
+        #: minibatch start.  Needed when a failure freezes a rank whose
+        #: device had not yet executed the previous iteration's (already
+        #: enqueued) optimizer step: recovery re-executes those optimizer
+        #: records from the retained averaged gradients to reach the
+        #: version the CPU already advanced to.
+        self._previous: list = []
         #: GPU objects (streams/events/communicator inits) created outside
         #: any minibatch — usually during job setup; replayed after reset
         #: to recreate handles ("recorded ... usually at the start of
@@ -93,9 +117,18 @@ class ReplayLog:
         self.current_minibatch: int = -1
         self.total_logged = 0
 
+    @property
+    def records(self) -> list[ApiRecord]:
+        """The current minibatch's records."""
+        return _expanded(self._records)
+
+    @property
+    def previous_records(self) -> list[ApiRecord]:
+        return _expanded(self._previous)
+
     def begin_minibatch(self, iteration: int) -> None:
-        self.previous_records = list(self.records)
-        self.records.clear()
+        self._previous = self._records
+        self._records = []
         self.current_minibatch = iteration
 
     @property
@@ -106,9 +139,13 @@ class ReplayLog:
         record.minibatch = self.current_minibatch
         self.total_logged += 1
         if self.in_minibatch:
-            self.records.append(record)
+            self._records.append(record)
         else:
             self.creation_records.append(record)
+
+    def append_lazy(self, entry: LazyRecords) -> None:
+        """Log *entry*; its records count as logged once expanded."""
+        self._records.append(entry)
 
     def __len__(self) -> int:
         return len(self.records)

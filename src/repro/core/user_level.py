@@ -53,10 +53,10 @@ class UserLevelInterceptApi(DeviceApi):
         if stream.saw_collective:
             self.client.watch(event)
 
-    def follow_records(self, events) -> None:
+    def follow(self, batch, names: dict, twins: dict) -> None:
         # The events this rank would have recorded are the leader's,
         # watched exactly as if recorded here.
-        for event in events:
+        for event in batch.events:
             if event.recorded_on.saw_collective:
                 self.client.watch(event)
 

@@ -9,7 +9,9 @@ remapped to the new physical object underneath.
 For buffers, the *numpy array* plays the role of the stable virtual
 address: the engine's layer parameters alias these arrays, so a rebound
 physical buffer must adopt the same array object, with restored contents
-written in place.
+written in place.  Replica deduplication may point a handle at another
+array (a shared replica arena, or a private copy when a member leaves
+it); the bound physical buffer follows.
 """
 
 from __future__ import annotations
@@ -45,6 +47,12 @@ class VirtualBuffer:
     @property
     def array(self) -> np.ndarray:
         return self._array
+
+    @array.setter
+    def array(self, array: np.ndarray) -> None:
+        self._array = array
+        if self._physical is not None:
+            self._physical.array = array
 
     @property
     def nbytes(self) -> int:
@@ -108,6 +116,9 @@ class VirtualEvent:
         self.vid = next(_vids)
         self.name_hint = name_hint
         self._physical: Optional[CudaEvent] = None
+        #: While bound to a replica's event (a rank riding another's
+        #: timeline), the name this rank's own event would carry.
+        self.borrowed: Optional[str] = None
 
     @property
     def physical(self) -> CudaEvent:
@@ -121,6 +132,7 @@ class VirtualEvent:
 
     def bind(self, physical: CudaEvent) -> None:
         self._physical = physical
+        self.borrowed = None
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<VirtualEvent v{self.vid} {self.name_hint}>"

@@ -80,13 +80,15 @@ class CudaContext:
 
     # -- streams & events ------------------------------------------------------------
 
-    def _observed(self) -> None:
+    def observed(self) -> None:
+        """Something other than the owner's training step observes this
+        context's streams or memory: riders materialise first."""
         hook = self.follow_hook
         if hook is not None:
             hook()
 
     def create_stream(self, name_hint: str = "") -> CudaStream:
-        self._observed()
+        self.observed()
         name = f"ctx{self.context_id}:{name_hint or 'stream'}{len(self.streams)}"
         stream = CudaStream(self.env, self.gpu, name=name, tracer=self.tracer)
         self.streams.append(stream)
@@ -146,13 +148,13 @@ class CudaContext:
             yield completion
 
     def stream_synchronize(self, stream: Optional[CudaStream] = None) -> Generator:
-        self._observed()
+        self.observed()
         self._guard()
         stream = stream or self.default_stream
         yield stream.sync_marker()
 
     def device_synchronize(self) -> Generator:
-        self._observed()
+        self.observed()
         self._guard()
         markers = [s.sync_marker() for s in self.streams
                    if not s.destroyed and not s.aborted]
@@ -235,7 +237,7 @@ class CudaContext:
         fresh stream, exactly like the paper's side-stream ``cudaMemcpy``
         fix in Section 3.2.
         """
-        self._observed()
+        self.observed()
         if not self.gpu.is_accessible:
             raise CudaApiError(CudaError.DEVICE_LOST,
                                f"{self.gpu.gpu_id} memory inaccessible")
@@ -244,7 +246,7 @@ class CudaContext:
     # -- teardown / reset ---------------------------------------------------------------
 
     def abort_all_streams(self, error: CudaError = CudaError.STICKY) -> None:
-        self._observed()
+        self.observed()
         for stream in self.streams:
             if not stream.destroyed:
                 stream.abort(error)

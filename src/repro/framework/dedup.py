@@ -49,6 +49,17 @@ resumes at once; group math resumes from the first iteration no member
 has enqueued yet, because it must be uniform across the group within an
 iteration.
 
+Transparent recovery (the paper's Section 4) recovers in place instead:
+its coordinator dissolves every arena (:meth:`~ReplicaArena.dissolve`) when
+it triggers, so reset, replica copy, rollback and replay all run on private
+state.  A group-math kernel carries its private math too
+(:class:`GroupThunk`); replay re-executes that, into gradient buffers
+given back to each member first.  Recovery leaves every member at the
+same version, bitwise, and :meth:`~ReplicaArena.reshare` then re-seats
+the arena the way a restore does.  A rider's replay log holds one entry
+per ridden batch, expanded into its own records only when read (see
+:mod:`repro.core.replay_log`).
+
 The contract is bitwise equivalence: losses, simulated clocks, and
 logical event counts match dedup-off exactly, including mid-iteration
 failure settlement.  The switch is :data:`repro.flags.dedup`
@@ -77,23 +88,17 @@ except ImportError:  # pragma: no cover - older numpy layouts
 def attach_job(job) -> list["ReplicaArena"]:
     """Share replica arenas across *job*'s data-parallel groups.
 
-    No-op (returns ``[]``) when dedup is disabled, when any rank's API
-    keeps a per-rank replay log (``keeps_replay_log``: the transparent
-    family's device proxy logs the very device calls the memo elides and
-    replays them rank by rank, so those logs must stay materialised), or
-    when no group has two or more members (pure model-parallel or
-    fully-sharded jobs have no redundancy to exploit).  Interception
-    layers without a replay log — the user-level JIT shim, which only
-    registers collective-ordered events with its watchdog — share arenas
-    like the plain passthrough API.
+    No-op (returns ``[]``) when dedup is disabled or when no group has two
+    or more members (pure model-parallel or fully-sharded jobs have no
+    redundancy to exploit).  Every device API shares: the passthrough,
+    the user-level JIT shim and the transparent family's device proxy,
+    whose replay log a rider fills lazily.
 
     Group math additionally requires pure DDP without stochastic ops:
     dropout draws a per-rank RNG stream, so replicas stop being bitwise
     copies of one another below the all-reduce.
     """
     if not flags.dedup:
-        return []
-    if any(api.keeps_replay_log for api in job.apis):
         return []
     arenas = []
     for ranks, group_math in job.dedup_groups():
@@ -114,6 +119,35 @@ def _copy_opt_state(state: dict) -> dict:
         else:
             out[key] = value
     return out
+
+
+class GroupThunk:
+    """A group-math kernel's thunk, plus the private math it stands for.
+
+    Called, it runs the group's memoised math.  A kernel that runs again
+    after its arena dissolved, on a replay of the log it was issued
+    into, runs ``private`` instead: the member's own math into its own
+    buffers.
+    """
+
+    __slots__ = ("group", "private")
+
+    def __init__(self, group, private):
+        self.group = group
+        self.private = private
+
+    def __call__(self) -> None:
+        self.group()
+
+
+def _zero_views(arrays: dict) -> dict:
+    """Zero arrays shaped like *arrays*, all views of one buffer per dtype."""
+    flats: dict = {}
+    for array in arrays.values():
+        flats[array.dtype] = max(flats.get(array.dtype, 0), array.size)
+    flats = {dtype: np.zeros(size, dtype) for dtype, size in flats.items()}
+    return {name: flats[array.dtype][:array.size].reshape(array.shape)
+            for name, array in arrays.items()}
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -233,11 +267,13 @@ class _Follower:
     """Per-member follow state: the batches it rides and its CPU."""
 
     __slots__ = ("engine", "rank", "rides", "cpu", "wakeups", "twins",
-                 "event_names")
+                 "event_names", "physical")
 
     def __init__(self, engine):
         self.engine = engine
         self.rank = engine.api.rank
+        #: The engine's compute and comm CUDA streams (see ``_hook``).
+        self.physical = ()
         self.rides: list[FollowBatch] = []
         self.cpu = None
         #: Own stream -> event dispatched in place of the wakeup its
@@ -250,7 +286,7 @@ class _Follower:
         self.event_names: dict = {}
 
     def streams(self) -> tuple:
-        return (self.engine.compute_stream, self.engine.comm_stream)
+        return self.physical
 
 
 #: Shape of an idle, empty stream.
@@ -304,6 +340,17 @@ class ReplicaArena:
         self.grad_arrays = {name: np.zeros_like(array)
                             for name, array in self.params.items()
                             } if group_math else None
+        #: Zero arrays the members allocate their gradient buffers with
+        #: (what a private allocation holds) before :meth:`share_grads`
+        #: points them at ``grad_arrays``: views of one zero buffer, never
+        #: written.
+        self.grad_zeros = _zero_views(self.params) if group_math else None
+        #: (iteration, buffers) aliasing ``grad_arrays``, newest two.
+        self._grad_views: list[tuple[int, dict]] = []
+        #: Recent iterations some member enqueued on group math.
+        self._group_iterations: set[int] = set()
+        #: Set by :meth:`dissolve` until :meth:`reshare`.
+        self.dissolved = False
         #: iteration -> memoised group-math results; two iterations are
         #: kept live (the CPU runs at most one iteration ahead of the
         #: device — the all-reduce rendezvous is a per-iteration barrier).
@@ -320,20 +367,32 @@ class ReplicaArena:
             if member > 0:
                 self._bind_member(engine)
             engine.optimizer = MemberOptimizer(self, member)
-        #: Any epoch transition on a member's GPU (failure, driver reset)
-        #: is the copy-on-write trigger; see :meth:`detach`.
-        self._epoch_hooks = [
-            (engine.api.ctx.gpu, lambda m=member: self._device_epoch(m))
-            for member, engine in enumerate(self.engines)]
-        for gpu, hook in self._epoch_hooks:
-            gpu.on_epoch.append(hook)
         #: Follower state per member, riders, and open batches by
         #: iteration (group-math mode only: see "Followers" below).
         self._followers = [_Follower(engine) for engine in self.engines]
         self._riding: list[_Follower] = []
         self._batches: dict[int, FollowBatch] = {}
+        self._epoch_hooks: list = []
+        self._hook()
+
+    def _hook(self) -> None:
+        """Hook the members' current GPUs and contexts.
+
+        Any epoch transition on a member's GPU (failure, driver reset) is
+        the copy-on-write trigger; anything observing a member's streams
+        materialises riders first (group-math mode).
+        """
+        self._epoch_hooks = [
+            (engine.api.ctx.gpu, lambda m=member: self._device_epoch(m))
+            for member, engine in enumerate(self.engines)]
+        for gpu, hook in self._epoch_hooks:
+            gpu.on_epoch.append(hook)
         if self.group_math:
-            for engine in self.engines:
+            for follower in self._followers:
+                engine = follower.engine
+                physical = engine.api.physical
+                follower.physical = (physical(engine.compute_stream),
+                                     physical(engine.comm_stream))
                 ctx = engine.api.ctx
                 ctx.follow_hook = self.materialize_all
                 for stream in ctx.streams:
@@ -380,11 +439,19 @@ class ReplicaArena:
         it writes the *reduced* gradient into the shared arena, so mixing
         it with private members in one all-reduce would average the wrong
         values.  After a re-seat it therefore resumes only from the first
-        iteration no member had enqueued yet.
+        iteration no member had enqueued yet, and a dissolved arena
+        finishes on group math only what some member enqueued on it
+        before the dissolve.
         """
         self._enqueued = max(self._enqueued, iteration + 1)
-        return (self.group_math and self.active[member]
-                and iteration >= self._math_from)
+        if self.dissolved:
+            return iteration in self._group_iterations
+        shares = (self.group_math and self.active[member]
+                  and iteration >= self._math_from)
+        if shares:
+            self._group_iterations.add(iteration)
+            self._group_iterations.discard(iteration - 3)
+        return shares
 
     def member_steps(self, member: int) -> int:
         return self.witnessed[member]
@@ -493,6 +560,8 @@ class ReplicaArena:
         self.witnessed = [self.steps_applied] * len(self.engines)
         self._undo = None
         self._memo.clear()
+        self._group_iterations.clear()
+        self.dissolved = False
         leader.optimizer = MemberOptimizer(self, 0)
         self.active[0] = True
         self.dedup_epoch += 1
@@ -568,6 +637,55 @@ class ReplicaArena:
         self.dedup_epoch += 1
         return True
 
+    # -- in-place recovery (transparent family) ------------------------------
+
+    def dissolve(self) -> None:
+        """Make every member private until :meth:`reshare`.
+
+        Every rider materialises and every member diverges, as a device
+        epoch diverges one.  Work some member enqueued on group math
+        finishes on it (see :meth:`shares_math`); the rest runs privately.
+        """
+        self.materialize_all()
+        for member in range(len(self.engines)):
+            self.diverge(member)
+        self.dissolved = True
+
+    def release_grads(self) -> None:
+        """Give every gradient buffer aliasing the arena a private array.
+
+        Called once a dissolved arena's enqueued work is aborted, before
+        its members' logs replay: a replayed group-math kernel runs its
+        :class:`GroupThunk`'s private math, and it and the replayed
+        all-reduce must write per-member values.
+        """
+        for _, buffers in self._grad_views:
+            for buf in buffers.values():
+                buf.array = np.zeros_like(buf.array)
+        self._grad_views.clear()
+
+    def reshare(self) -> None:
+        """Re-share once in-place recovery left every member bitwise equal.
+
+        Members may have moved to new contexts or GPUs (proxy restart,
+        migration), so the arena re-hooks before re-seating on member 0.
+        """
+        self.detach()
+        self._hook()
+        self._reseat()
+
+    def share_grads(self, iteration: int, buffers: dict) -> None:
+        """Point a member's gradient buffers for *iteration* at the arena.
+
+        The buffers were allocated with ``grad_zeros``, so the allocation
+        looks like a private one.
+        """
+        for name, buf in buffers.items():
+            buf.array = self.grad_arrays[name]
+        views = self._grad_views
+        views.append((iteration, buffers))
+        views[:] = [view for view in views if view[0] >= iteration - 1]
+
     # -- followers (group math) ---------------------------------------------
     #
     # Under group math every member's iteration is the same op timeline
@@ -590,6 +708,9 @@ class ReplicaArena:
         again.
         """
         follower = self._followers[engine._dedup_member]
+        if self.dissolved:
+            self._materialize(follower)
+            return None
         batch = self._batches.get(iteration)
         if batch is None:
             self._materialize(follower)
@@ -621,12 +742,12 @@ class ReplicaArena:
         return None
 
     @staticmethod
-    def _may_follow(engine) -> bool:
+    def _may_follow(follower: _Follower) -> bool:
         """Unpoisoned, healthy streams and an idle PCIe link."""
-        ctx = engine.api.ctx
+        ctx = follower.engine.api.ctx
         if ctx.poisoned:
             return False
-        for stream in (engine.compute_stream, engine.comm_stream):
+        for stream in follower.streams():
             if (stream.aborted or stream.error is not None
                     or not stream._gpu_ok()):
                 return False
@@ -637,20 +758,21 @@ class ReplicaArena:
               lr: float) -> FollowBatch:
         engine = follower.engine
         batch = FollowBatch(follower, iteration, lr, engine.api.env.now)
-        batch.followable = self._may_follow(engine)
+        batch.followable = self._may_follow(follower)
         if batch.followable:
             streams = follower.streams()
             batch.pending = frozenset(op.batch for stream in streams
                                       for op in stream._queue)
             batch.shape = tuple(_shape(stream) for stream in streams)
             batch.saw = tuple(stream.saw_collective for stream in streams)
-            batch.seq = engine.comm.next_seq(follower.rank)
+            batch.seq = engine.api.live_comm(engine.comm).next_seq(
+                follower.rank)
         return batch
 
     def _can_join(self, follower: _Follower, batch: FollowBatch) -> bool:
         engine = follower.engine
         if (not batch.followable or batch.time != engine.api.env.now
-                or not self._may_follow(engine)):
+                or not self._may_follow(follower)):
             return False
         for stream in batch.leader.streams():
             if stream.aborted or not stream._gpu_ok():
@@ -658,7 +780,8 @@ class ReplicaArena:
         streams = follower.streams()
         if tuple(stream.saw_collective for stream in streams) != batch.saw:
             return False
-        if engine.comm.next_seq(follower.rank) != batch.seq:
+        if engine.api.live_comm(engine.comm).next_seq(follower.rank) \
+                != batch.seq:
             return False
         riding = [ridden for ridden in follower.rides if ridden.remaining]
         if riding:
@@ -692,16 +815,21 @@ class ReplicaArena:
             wakeup = follower.wakeups[streams[stream]] = env.event()
             wakeup.succeed()
         if batch.collectives:
-            engine.comm.follow(follower.rank, batch.collectives,
-                               batch.leader.rank, engine.comm_stream._gpu_ok)
-            engine.comm_stream.saw_collective = True
-        if batch.events:
-            engine.api.follow_records(batch.events)
+            comm_stream = follower.streams()[1]
+            engine.api.live_comm(engine.comm).follow(
+                follower.rank, batch.collectives, batch.leader.rank,
+                comm_stream._gpu_ok)
+            comm_stream.saw_collective = True
+        engine.api.follow(batch, names, streams)
 
     def materialize_all(self) -> None:
         """Materialise every rider of this arena (see ``follow_hook``)."""
         for follower in list(self._riding):
             self._materialize(follower)
+
+    def materialize(self, engine) -> None:
+        """Materialise *engine* before it enqueues work privately."""
+        self._materialize(self._followers[engine._dedup_member])
 
     def _materialize(self, follower: _Follower) -> None:
         rides = follower.rides
@@ -805,6 +933,18 @@ class ReplicaArena:
         src = (memo[("fwd", index - 1)][0] if index > 0
                else memo["batch"][0])
         memo[key] = block.forward(src)
+
+    def ridden_loss(self, iteration: int, member: int, head,
+                    n_blocks: int) -> Optional[float]:
+        """A rider's loss from the memo, or None once the memo lost it.
+
+        The memo keeps the iteration unless a re-seat dropped it; the
+        rider then ran the iteration privately, on a replay.
+        """
+        memo = self._memo.get(iteration)
+        if memo is None or "head_probs" not in memo:
+            return None
+        return self.group_head_loss(iteration, member, head, n_blocks)
 
     def group_head_loss(self, iteration: int, member: int, head,
                         n_blocks: int) -> float:

@@ -2,6 +2,9 @@
 
 ``sweep``
     Seeded fuzz sweep across strategies; exits non-zero on any failure.
+    Each check prints its verdict, then the run's final simulated clock
+    and its exact goodput-ledger buckets, so two sweeps' outputs differ
+    whenever their timing does.
 ``replay``
     Re-run one JSON schedule under one strategy (the shrinker's repro
     command lands here).
@@ -14,7 +17,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.oracle.oracle import DEFAULT_ITERATIONS, RecoveryOracle
+from repro.obs.ledger import BUCKETS
+from repro.oracle.oracle import DEFAULT_ITERATIONS, RecoveryOracle, Verdict
 from repro.oracle.schedule import (NETWORK_SHAPES, SHAPES, STORAGE_SHAPES,
                                    FailureSchedule)
 from repro.oracle.shrinker import shrink
@@ -60,6 +64,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def progress_line(verdict: Verdict) -> str:
+    """A sweep check's verdict, final clock and exact ledger buckets."""
+    ledger = verdict.ledger
+    if ledger is None:
+        return verdict.describe()
+    buckets = " ".join(f"{name}={ledger.buckets[name]}" for name in BUCKETS)
+    return (f"{verdict.describe()}\n    clock={ledger.wall_time!r} "
+            f"{buckets}")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     oracle = RecoveryOracle(iterations=args.iterations)
@@ -68,7 +82,7 @@ def main(argv=None) -> int:
         report = oracle.sweep(
             args.seed, args.count, strategies=args.strategies,
             shapes=args.shapes, include_storage=args.include_storage,
-            progress=lambda v: print(v.describe()))
+            progress=lambda verdict: print(progress_line(verdict)))
         print()
         for line in report.summary_lines():
             print(line)

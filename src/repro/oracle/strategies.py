@@ -19,7 +19,8 @@ included), recovery notes, device proxies, checkpoint-GC observations and
 per-generation resume points.
 
 ``MUTATIONS`` deliberately breaks a strategy (e.g. skipping the RNG
-rewind before replay) so tests can prove the oracle catches real bugs.
+rewind before replay, or copying a replica's state one ulp off) so tests
+can prove the oracle catches real bugs.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from repro.core import JitConfig, SwiftJitSystem, TransparentJitSystem
 from repro.failures.injector import FailureInjector
@@ -163,18 +166,42 @@ def _skip_validation(target, job=None) -> None:
         ram.get_validated = ram.get
 
 
+def _perturb_replica_copy(system, job) -> None:
+    """Break the replica copy: the copied state lands one ulp off.
+
+    After :meth:`RecoveryCoordinator._copy_from_replica` (Section 4.2.2's
+    third reset path) one parameter of the receiving rank is nudged to
+    the next float.  The rank no longer holds its replicas' version, so
+    the loss stream drifts; with replica dedup on, the re-share after
+    recovery must refuse that rank rather than paper over the bug by
+    re-sharing the group's canonical state.
+    """
+    coordinator = system.coordinator
+    copy_from_replica = coordinator._copy_from_replica
+
+    def perturbed(proxy, target):
+        yield from copy_from_replica(proxy, target)
+        buffers = job.engines[proxy.rank].param_buffers
+        array = next(iter(buffers.values())).array
+        array.flat[0] = np.nextafter(array.flat[0], np.inf)
+
+    coordinator._copy_from_replica = perturbed
+
+
 #: name -> callable(target, job), applied after the system/runner is
 #: built.  ``target`` is the transparent-family system or the managed
 #: runner; ``job`` is only available for the transparent family.
 MUTATIONS: dict[str, Callable] = {
     "skip_rng_rewind": _skip_rng_rewind,
     "skip_validation": _skip_validation,
+    "perturb_replica_copy": _perturb_replica_copy,
 }
 
 #: Strategies each mutation can be applied to.
 MUTATION_FAMILIES: dict[str, tuple[str, ...]] = {
     "skip_rng_rewind": TRANSPARENT_FAMILY,
     "skip_validation": STRATEGIES,
+    "perturb_replica_copy": TRANSPARENT_FAMILY,
 }
 
 

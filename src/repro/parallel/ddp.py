@@ -11,6 +11,7 @@ watches for hangs.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Generator, Optional
 
 import numpy as np
@@ -19,6 +20,7 @@ from repro import flags
 from repro.cuda.memory import BufferKind, HostBuffer
 from repro.framework.costmodel import TrainingCostModel
 from repro.framework.data import SyntheticDataset
+from repro.framework.dedup import GroupThunk
 from repro.framework.layers import MlpBlock, OutputHead
 from repro.framework.lr_scheduler import LrScheduler
 from repro.framework.models import ModelConfig, build_blocks
@@ -30,8 +32,53 @@ from repro.parallel.buffers import allocate_group
 from repro.parallel.deviceapi import DeviceApi
 
 
-#: Contents of a follower's stand-in allocation (never read).
-_FOLLOW_SCRATCH = np.zeros(1)
+def _grads_of(grad_buffers: dict) -> dict:
+    """The arrays *grad_buffers* point at."""
+    return {name: buf.array for name, buf in grad_buffers.items()}
+
+
+class RiddenStep:
+    """An iteration a rank rode on a replica's timeline.
+
+    ``expand`` enqueues the rank's own, private copy of the iteration
+    through its device API, for a layer that logs calls and builds the
+    log only when read.  A layer that then re-executes those calls marks
+    the step ``replayed``: the rank's own buffers, not the group's memo,
+    hold the iteration's loss and reduced gradient from then on.
+    """
+
+    __slots__ = ("engine", "iteration", "lr", "loss_buf", "grad_buffers",
+                 "replayed")
+
+    def __init__(self, engine: "DataParallelEngine", iteration: int,
+                 lr: float):
+        self.engine = engine
+        self.iteration = iteration
+        self.lr = lr
+        self.loss_buf = None
+        self.grad_buffers = None
+        self.replayed = False
+
+    def expand(self) -> list:
+        """Enqueue forward/backward privately; returns the step buffers."""
+        _, self.loss_buf, self.grad_buffers, step_bufs = \
+            self.engine._enqueue_iteration(self.iteration, False, None)
+        return step_bufs
+
+    def expand_optimizer(self) -> None:
+        """Enqueue the private optimizer kernel (after :meth:`expand`)."""
+        self.engine._launch_optimizer(self.lr, self.own_grads)
+
+    def own_grads(self) -> dict:
+        """The reduced gradient in this rank's own (expanded) buffers."""
+        return _grads_of(self.grad_buffers)
+
+    def grads(self) -> dict:
+        """The iteration's reduced gradient: the group's, until a replay
+        recomputed it in this rank's own buffers."""
+        if self.replayed:
+            return self.own_grads()
+        return self.engine._dedup_arena.grad_arrays
 
 
 class DataParallelEngine(BaseEngine):
@@ -120,20 +167,31 @@ class DataParallelEngine(BaseEngine):
         # Replica-dedup fast path: when every rank of the group shares the
         # canonical arena, model math is memoised once per group and each
         # thunk here degenerates to a lookup.  The decision is made per
-        # iteration at enqueue time; a rank that diverges mid-flight never
-        # executes its already-enqueued thunks (the GPU epoch bump hangs
-        # them), so the group memo can never observe a stale member.
+        # iteration at enqueue time; a rank that diverges mid-flight
+        # either never executes its already-enqueued thunks (a GPU epoch
+        # bump hangs them) or holds the group's version when it does (an
+        # in-place recovery's dissolve copies it), so the group memo can
+        # never observe a stale member.
         arena = self._dedup_arena
         member = self._dedup_member
+        # An iteration the device API re-executes for validation runs
+        # privately: its re-execution needs every rank's own gradients.
         group_math = (arena is not None
-                      and arena.shares_math(member, iteration))
+                      and arena.shares_math(member, iteration)
+                      and not api.validates(iteration))
         # Under group math the first member to get here leads the
         # iteration; a member in the same state rides the leader's
         # timeline instead of enqueueing copies of it (dedup "Followers").
-        batch = arena.enter(self, iteration, lr) if group_math else None
+        if group_math:
+            batch = arena.enter(self, iteration, lr)
+        else:
+            batch = None
+            if arena is not None:
+                arena.materialize(self)
         if batch is not None and batch.leader.engine is not self:
             return (yield from self._follow_step(iteration, lr, batch))
-        streams = (self.compute_stream, self.comm_stream)
+        streams = (api.physical(self.compute_stream),
+                   api.physical(self.comm_stream))
         for stream in streams:
             stream._batch = batch
         try:
@@ -148,9 +206,16 @@ class DataParallelEngine(BaseEngine):
         api.optimizer_step_begin(iteration)
         optimizer = (arena.enter_optimizer(self, batch, lr)
                      if batch is not None else None)
-        self._launch_optimizer(lr, {name: buf.array for name, buf
-                                    in grad_buffers.items()}, optimizer)
-        api.optimizer_step_end(iteration)
+        # The optimizer batch stays open over the interception layer's
+        # end-of-step hook, whose marker kernel joins it.
+        compute = api.physical(self.compute_stream)
+        compute._batch = optimizer
+        try:
+            self._launch_optimizer(lr, partial(_grads_of, grad_buffers),
+                                   optimizer)
+            api.optimizer_step_end(iteration)
+        finally:
+            compute._batch = None
 
         self.loss_history.append(loss)
         # Step buffers stay alive until the (asynchronous) optimizer has
@@ -163,6 +228,8 @@ class DataParallelEngine(BaseEngine):
     def _enqueue_iteration(self, iteration: int, group_math: bool, batch):
         """Enqueue forward, backward and all-reduces up to ``bwd_done``.
 
+        Under group math every kernel runs the group's memoised math and
+        carries this rank's private math for a replay (``GroupThunk``).
         A leader (*batch* not None) also notes in *batch* what riders
         need: its events, collectives and allocated bytes.
         """
@@ -178,6 +245,9 @@ class DataParallelEngine(BaseEngine):
         step_state: dict = {}
         step_bufs = []
 
+        def thunk(group, private):
+            return GroupThunk(group, private) if group_math else private
+
         # Input upload.
         input_bytes = max(1, self.cost.activation_bytes_per_layer())
         host_x = HostBuffer(x, logical_nbytes=input_bytes, label="host_input")
@@ -189,27 +259,23 @@ class DataParallelEngine(BaseEngine):
         # Forward passes.
         fwd_time = self.cost.layer_forward_time(gpu)
         for i, block in enumerate(self.blocks):
-            if group_math:
-                def fwd_thunk(i=i, block=block):
-                    arena.group_forward(iteration, i, block)
-            else:
-                def fwd_thunk(i=i, block=block):
-                    src = step_state.get(("act", i - 1))
-                    if src is None:
-                        src = x_buf.array
-                    out, cache = block.forward(src)
-                    if self.dropout > 0.0:
-                        mask = self.rng.dropout_mask(out.shape, self.dropout)
-                        step_state[("mask", i)] = mask
-                        out = out * mask
-                    step_state[("act", i)] = out
-                    step_state[("cache", i)] = cache
+            def fwd_thunk(i=i, block=block):
+                src = step_state.get(("act", i - 1))
+                if src is None:
+                    src = x_buf.array
+                out, cache = block.forward(src)
+                if self.dropout > 0.0:
+                    mask = self.rng.dropout_mask(out.shape, self.dropout)
+                    step_state[("mask", i)] = mask
+                    out = out * mask
+                step_state[("act", i)] = out
+                step_state[("cache", i)] = cache
 
             if group_math:
                 # Activation buffer contents are never touched (the memo
-                # carries the real activations); one cached scratch array
-                # backs every layer's buffer, keeping only the allocation
-                # events and memory accounting.
+                # or ``step_state`` carries the real activations); one
+                # cached scratch array backs every layer's buffer, keeping
+                # only the allocation events and memory accounting.
                 scratch = self._act_scratch
                 if scratch is None or scratch.shape != x.shape:
                     scratch = self._act_scratch = np.zeros_like(x)
@@ -220,34 +286,38 @@ class DataParallelEngine(BaseEngine):
                                      1, self.cost.activation_bytes_per_layer()),
                                  label=f"act{i}#{iteration}")
             step_bufs.append(act_buf)
-            api.launch_kernel(self.compute_stream, f"fwd{i}", fwd_time, fwd_thunk)
+            api.launch_kernel(self.compute_stream, f"fwd{i}", fwd_time, thunk(
+                lambda i=i, block=block: arena.group_forward(iteration, i,
+                                                             block),
+                fwd_thunk))
 
         loss_buf = api.malloc(np.zeros(1), BufferKind.ACTIVATION,
                               logical_nbytes=4, label=f"loss#{iteration}")
         step_bufs.append(loss_buf)
 
-        if group_math:
-            def head_fwd_thunk():
-                loss_buf.array[0] = arena.group_head_loss(
-                    iteration, member, self.head, len(self.blocks))
-        else:
-            def head_fwd_thunk():
-                src = step_state[("act", len(self.blocks) - 1)]
-                loss, cache = OutputHead.forward(src, self.head, labels)
-                step_state["head_cache"] = cache
-                loss_buf.array[0] = loss
+        def head_fwd_group():
+            loss_buf.array[0] = arena.group_head_loss(
+                iteration, member, self.head, len(self.blocks))
+
+        def head_fwd_thunk():
+            src = step_state[("act", len(self.blocks) - 1)]
+            loss, cache = OutputHead.forward(src, self.head, labels)
+            step_state["head_cache"] = cache
+            loss_buf.array[0] = loss
 
         api.launch_kernel(self.compute_stream, "fwd_head",
-                          self.cost.head_forward_time(gpu), head_fwd_thunk)
+                          self.cost.head_forward_time(gpu),
+                          thunk(head_fwd_group, head_fwd_thunk))
 
         # Gradient buffers, allocated per minibatch so reset/replay recreates
         # them (Section 4.2 frees everything that is not params/optimizer).
         # Under group math every rank adopts the arena's shared gradient
         # arrays — same buffer lifecycle and memory accounting, one
         # allocation's worth of real memory, and the all-reduce becomes an
-        # object-identity no-op.
+        # object-identity no-op.  They are allocated with zero arrays, as
+        # private ones are, and only then aliased.
         if group_math:
-            grad_arrays = arena.grad_arrays
+            grad_arrays = arena.grad_zeros
         else:
             grad_arrays: ParamDict = {}
             for i, block in enumerate(self.blocks):
@@ -259,6 +329,8 @@ class DataParallelEngine(BaseEngine):
                                       self.cost.gradient_bytes_local,
                                       BufferKind.GRADIENT,
                                       prefix=f"grad#{iteration}:")
+        if group_math:
+            arena.share_grads(iteration, grad_buffers)
         step_bufs.extend(grad_buffers.values())
 
         # Backward: head first, then blocks in reverse, overlapping each
@@ -286,42 +358,39 @@ class DataParallelEngine(BaseEngine):
             api.event_record(done, self.comm_stream)
             ar_done_events.append(done)
             if batch is not None:
-                batch.events += (ready, done)
+                batch.events += (api.physical(ready), api.physical(done))
                 batch.collectives += [op.rendezvous for op in ops]
 
-        if group_math:
-            def head_bwd_thunk():
-                arena.group_head_backward(iteration, self.head,
-                                          len(self.blocks))
-        else:
-            def head_bwd_thunk():
-                dx, grads = OutputHead.backward(step_state["head_cache"],
-                                                self.head)
-                step_state[("dy", len(self.blocks) - 1)] = dx
-                grad_buffers["head.w"].array[...] = grads["w"]
-                grad_buffers["head.b"].array[...] = grads["b"]
+        def head_bwd_thunk():
+            dx, grads = OutputHead.backward(step_state["head_cache"],
+                                            self.head)
+            step_state[("dy", len(self.blocks) - 1)] = dx
+            grad_buffers["head.w"].array[...] = grads["w"]
+            grad_buffers["head.b"].array[...] = grads["b"]
 
         api.launch_kernel(self.compute_stream, "bwd_head",
-                          self.cost.head_backward_time(gpu), head_bwd_thunk)
+                          self.cost.head_backward_time(gpu), thunk(
+                              lambda: arena.group_head_backward(
+                                  iteration, self.head, len(self.blocks)),
+                              head_bwd_thunk))
         sync_layer_grads(["head.w", "head.b"], "head")
 
         bwd_time = self.cost.layer_backward_time(gpu)
         for i in reversed(range(len(self.blocks))):
-            if group_math:
-                def bwd_thunk(i=i, block=self.blocks[i]):
-                    arena.group_block_backward(iteration, i, block)
-            else:
-                def bwd_thunk(i=i, block=self.blocks[i]):
-                    dy = step_state[("dy", i)]
-                    if self.dropout > 0.0:
-                        dy = dy * step_state[("mask", i)]
-                    cache = step_state[("cache", i)]
-                    dx, grads = block.backward_full(dy, cache)
-                    step_state[("dy", i - 1)] = dx
-                    for name, grad in grads.items():
-                        grad_buffers[f"layer{i}.{name}"].array[...] = grad
+            def bwd_thunk(i=i, block=self.blocks[i]):
+                dy = step_state[("dy", i)]
+                if self.dropout > 0.0:
+                    dy = dy * step_state[("mask", i)]
+                cache = step_state[("cache", i)]
+                dx, grads = block.backward_full(dy, cache)
+                step_state[("dy", i - 1)] = dx
+                for name, grad in grads.items():
+                    grad_buffers[f"layer{i}.{name}"].array[...] = grad
 
-            api.launch_kernel(self.compute_stream, f"bwd{i}", bwd_time, bwd_thunk)
+            api.launch_kernel(self.compute_stream, f"bwd{i}", bwd_time, thunk(
+                lambda i=i, block=self.blocks[i]: arena.group_block_backward(
+                    iteration, i, block),
+                bwd_thunk))
             sync_layer_grads([f"layer{i}.{name}"
                               for name in self.blocks[i].names()], f"layer{i}")
 
@@ -335,46 +404,49 @@ class DataParallelEngine(BaseEngine):
         bwd_done = api.create_event(f"bwd_done#{iteration}")
         api.event_record(bwd_done, self.compute_stream)
         if batch is not None:
-            batch.events.append(bwd_done)
-            batch.bwd_done = bwd_done
+            batch.bwd_done = api.physical(bwd_done)
+            batch.events.append(batch.bwd_done)
             batch.nbytes = sum(buf.logical_nbytes for buf in step_bufs)
         return bwd_done, loss_buf, grad_buffers, step_bufs
 
-    def _launch_optimizer(self, lr: float, grads, batch) -> None:
-        """Enqueue the optimizer kernel; a leader's also steps its riders."""
+    def _launch_optimizer(self, lr: float, grads, batch=None) -> None:
+        """Enqueue the optimizer kernel; a leader's also steps its riders.
+
+        *grads* returns the gradient arrays to step on when the kernel
+        runs: they change identity when recovery gives a group-math
+        iteration's buffers back to each member.
+        """
         def opt_thunk():
-            self.optimizer.step(grads, lr=lr)
+            reduced = grads()
+            self.optimizer.step(reduced, lr=lr)
             if batch is not None:
                 for rider in batch.riders:
-                    rider.engine.optimizer.step(grads, lr=lr)
+                    rider.engine.optimizer.step(reduced, lr=lr)
 
-        stream = self.compute_stream
-        stream._batch = batch
-        try:
-            self.api.launch_kernel(stream, "optimizer",
-                                   self.cost.optimizer_step_time(self.gpu_spec),
-                                   opt_thunk)
-        finally:
-            stream._batch = None
+        self.api.launch_kernel(self.compute_stream, "optimizer",
+                               self.cost.optimizer_step_time(self.gpu_spec),
+                               opt_thunk)
 
     def _follow_step(self, iteration: int, lr: float, batch) -> Generator:
         """CPU side of an iteration ridden on *batch* (see ``train_step``).
 
         The device memory the private copies would hold is one allocation
         of the same logical size; the CPU blocks on the leader's
-        ``bwd_done`` and takes its loss from the shared memo.
+        ``bwd_done`` and takes its loss from the shared memo, or from its
+        own buffers once a replay re-executed the iteration privately.
         """
         api = self.api
         arena = self._dedup_arena
-        held = api.malloc(_FOLLOW_SCRATCH, BufferKind.ACTIVATION,
-                          logical_nbytes=batch.nbytes,
-                          label=f"follow#{iteration}")
-        yield from api.event_synchronize(batch.bwd_done)
-        loss = arena.group_head_loss(iteration, self._dedup_member,
-                                     self.head, len(self.blocks))
+        step = RiddenStep(self, iteration, lr)
+        held, done = api.ride(step, batch, f"follow#{iteration}")
+        yield from api.event_synchronize(done)
+        loss = arena.ridden_loss(iteration, self._dedup_member,
+                                 self.head, len(self.blocks))
+        if loss is None:
+            loss = float(step.loss_buf.array[0])
         api.optimizer_step_begin(iteration)
         if arena.enter_optimizer(self, batch, lr) is None:
-            self._launch_optimizer(lr, arena.grad_arrays, None)
+            self._launch_optimizer(lr, step.grads)
         api.optimizer_step_end(iteration)
         self.loss_history.append(loss)
         self._deferred_frees.append([held])
@@ -388,6 +460,8 @@ class DataParallelEngine(BaseEngine):
         n_blocks = len(self.blocks)
         if name == "optimizer":
             return lambda: self.optimizer.step(arena.grad_arrays, lr=batch.lr)
+        if name.startswith("opt_done_marker#"):
+            return self.api.step_completed
         if name == "fwd_head":
             return lambda: arena.group_head_loss(
                 iteration, self._dedup_member, self.head, n_blocks)

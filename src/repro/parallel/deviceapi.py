@@ -32,14 +32,12 @@ from repro.nccl.communicator import NcclCommunicator
 from repro.nccl.rendezvous import ReduceOp
 
 
+#: Contents of a riding rank's stand-in allocation (never read).
+_RIDE_SCRATCH = np.zeros(1)
+
+
 class DeviceApi:
     """Passthrough device API bound to one rank's CUDA context."""
-
-    #: True for layers that log every call into a per-rank replay log and
-    #: re-execute it rank by rank (the transparent family's device proxy).
-    #: Replica dedup elides exactly those calls, so
-    #: :func:`repro.framework.dedup.attach_job` leaves such jobs private.
-    keeps_replay_log = False
 
     def __init__(self, ctx: CudaContext, rank: int):
         self.ctx = ctx
@@ -83,17 +81,47 @@ class DeviceApi:
         (transparent JIT; no-op without interception)."""
         pass
 
+    def validates(self, iteration: int) -> bool:
+        """Does this layer re-execute minibatch *iteration* on the device
+        before its optimizer step (replay-log validation)?"""
+        return False
+
+    # -- handles ------------------------------------------------------------------
+
+    def physical(self, handle):
+        """The CUDA stream or event behind *handle* (itself here)."""
+        return handle
+
+    def live_comm(self, comm: NcclCommunicator) -> NcclCommunicator:
+        """The communicator generation *comm*'s collectives reach."""
+        return comm
+
     # -- replica followers (see repro.framework.dedup) ---------------------------
 
-    def follow_records(self, events) -> None:
-        """The leader's *events*, recorded for this rank's engine too.
+    def follow(self, batch, names: dict, twins: dict) -> None:
+        """This rank rides *batch*, a replica's timeline, from now on.
 
-        Called when this rank follows a replica's timeline instead of
-        recording its own copies; the passthrough has nothing to note.
+        Called instead of issuing the rank's own copies of the batch's
+        calls.  *names* maps each of the batch's events to the name this
+        rank's own copy carries, *twins* each of the leader's streams to
+        this rank's stream of the same role.  The passthrough has nothing
+        to note.
         """
 
     def follow_retarget(self, copies: dict) -> None:
         """Replace followed leader events by this rank's *copies*."""
+
+    def ride(self, step, batch, label: str):
+        """Stand-in allocation for an iteration this rank rides on *batch*.
+
+        *step* can re-enqueue the iteration as this rank's own calls
+        (``step.expand()``); only a layer that logs calls needs that.
+        Returns the buffer to free when the iteration's buffers would be,
+        and the event to wait on for the end of its backward pass.
+        """
+        held = self.malloc(_RIDE_SCRATCH, BufferKind.ACTIVATION,
+                           logical_nbytes=batch.nbytes, label=label)
+        return held, batch.bwd_done
 
     # -- streams & events -------------------------------------------------------------
 

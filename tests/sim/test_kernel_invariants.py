@@ -766,22 +766,18 @@ def _oracle_grid(on, monkeypatch):
     from repro.framework import dedup
     from repro.oracle import (FailurePoint, FailureSchedule, RecoveryOracle,
                               STRATEGIES)
-    from repro.oracle.strategies import TRANSPARENT_FAMILY
     from tests.oracle.test_timing_edges import (BACK_TO_BACK_70002,
                                                 DURING_RECOVERY_2020003,
                                                 SINGLE_2110000)
 
-    # One schedule over all six strategies, then the timing-edge schedules,
-    # each at the horizon that exposed it, over the strategies dedup can
-    # reach (the transparent family never dedups, so re-running it there
-    # would compare a run with itself).
-    managed = tuple(s for s in STRATEGIES if s not in TRANSPARENT_FAMILY)
+    # One schedule, then the timing-edge schedules, each at the horizon
+    # that exposed it, all over the six strategies.
     schedules = [
         (FailureSchedule(points=(FailurePoint(2, "GPU_HARD", 1, offset=0.4),)),
          8, STRATEGIES),
-        (SINGLE_2110000, 16, managed),
-        (DURING_RECOVERY_2020003, 20, managed),
-        (BACK_TO_BACK_70002, 16, managed),
+        (SINGLE_2110000, 16, STRATEGIES),
+        (DURING_RECOVERY_2020003, 20, STRATEGIES),
+        (BACK_TO_BACK_70002, 16, STRATEGIES),
     ]
     # Arenas attached to the jobs each strategy's runs build (goldens
     # excluded: they are plain failure-free jobs), and the runs themselves.
@@ -820,23 +816,18 @@ def _oracle_grid(on, monkeypatch):
 
 
 def test_oracle_grid_identical_with_dedup_on_and_off(monkeypatch):
-    """Dedup is armed for every strategy whose device API keeps no replay
-    log — the user-level shim and the plain API of periodic, adaptive and
-    gemini — and off for the transparent family's device proxy.  Across
-    the timing-edge schedules every verdict passes and every outcome, loss
-    stream and golden is identical whichever way the dedup switch points."""
-    from repro.oracle.strategies import TRANSPARENT_FAMILY
-
+    """Dedup is armed for every strategy: the user-level shim, the plain
+    API of periodic, adaptive and gemini, and the transparent family's
+    device proxy.  Across the timing-edge schedules every verdict passes
+    and every outcome, loss stream and golden is identical whichever way
+    the dedup switch points."""
     on = _oracle_grid(True, monkeypatch)
     off = _oracle_grid(False, monkeypatch)
     assert on[0] == off[0]
     assert on[1] == off[1]
     for strategy, counts in on[2].items():
         assert counts, strategy
-        if strategy in TRANSPARENT_FAMILY:
-            assert set(counts) == {0}, strategy
-        else:
-            assert 0 not in counts, (strategy, counts)
+        assert 0 not in counts, (strategy, counts)
     assert all(set(counts) == {0} for counts in off[2].values())
 
 
