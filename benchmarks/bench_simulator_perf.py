@@ -128,6 +128,45 @@ def run_fsdp_training(iterations: int = 4) -> Environment:
     return job.env
 
 
+class JobBuilds:
+    """What :func:`run_job_builds` returns.  ``events_processed`` counts
+    the device buffers the builds allocated: deterministic, like an
+    event count, and what ``run_perf_baseline.py --check`` pins."""
+
+    def __init__(self, buffers: dict[str, int]):
+        #: job -> device buffers one build of it allocates.
+        self.buffers = buffers
+        self.events_processed = sum(buffers.values())
+
+
+def run_job_builds() -> JobBuilds:
+    """Build the GPT2-S DDP, 3D and hybrid-FSDP jobs once each.
+
+    The cost a restarted generation pays before its first minibatch:
+    hardware, contexts, communicators, and every rank's engine with its
+    parameter and moment buffers.  After the first round each build is a
+    template hit (initial weights, byte shares and optimizer layout come
+    from the per-process templates) with dedup's replica members born
+    bound; the GPT2-S DDP build allocates 456 buffers (4 ranks x 38
+    parameters and 76 Adam moments).
+    """
+    layouts = {
+        "ddp": (1, ParallelLayout(dp=4), "ddp"),
+        "3d": (1, ParallelLayout(dp=2, pp=2, tp=2), "3d"),
+        "fsdp": (2, ParallelLayout(dp=16), "fsdp"),
+    }
+    buffers = {}
+    for name, (nodes, layout, engine) in layouts.items():
+        spec = WorkloadSpec(name=f"PERFBUILD-{name}", model="GPT2-S",
+                            node_spec=V100_NODE, num_nodes=nodes,
+                            layout=layout, engine=engine, framework="bench",
+                            minibatch_time=0.05)
+        job = TrainingJob(spec)
+        buffers[name] = sum(len(ctx.buffers) for ctx in job.contexts)
+    assert buffers["ddp"] == 456, buffers
+    return JobBuilds(buffers)
+
+
 def run_checkpoint_store(epochs: int = 40, ranks: int = 4) -> Environment:
     """Checkpoint-store path: atomic manifest writes, validated planning,
     bit-rot quarantine and retention GC.
@@ -204,6 +243,7 @@ PERF_SCENARIOS = {
     "bench_3d_training_throughput": run_3d_training,
     "bench_fsdp_training_throughput": run_fsdp_training,
     "bench_checkpoint_store_throughput": run_checkpoint_store,
+    "bench_job_build_throughput": run_job_builds,
 }
 
 
@@ -248,3 +288,9 @@ def bench_checkpoint_store_throughput(benchmark):
     """Atomic manifest writes + validated resume planning + retention GC."""
     env = benchmark(run_checkpoint_store)
     assert env.events_processed > 0
+
+
+def bench_job_build_throughput(benchmark):
+    """GPT2-S DDP, 3D and hybrid-FSDP job builds (template hits)."""
+    builds = benchmark(run_job_builds)
+    assert builds.events_processed > 0

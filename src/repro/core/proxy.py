@@ -422,6 +422,12 @@ class DeviceProxyApi(DeviceApi):
         self._bind_buffer(vbuf)
         return vbuf
 
+    def malloc_group(self, arrays: dict, kind: BufferKind, shares: dict,
+                     prefix: str = "") -> dict:
+        # Each allocation is logged and tagged on its own.
+        return {name: self.malloc(array, kind, shares[name], prefix + name)
+                for name, array in arrays.items()}
+
     def _bind_buffer(self, vbuf: VirtualBuffer) -> None:
         try:
             physical = self.ctx.malloc(vbuf.array, vbuf.kind,

@@ -178,6 +178,35 @@ class CudaContext:
         self.buffers[buf.buffer_id] = buf
         return buf
 
+    def malloc_group(self, arrays: dict[str, np.ndarray], kind: BufferKind,
+                     shares: dict[str, int], prefix: str = "") -> dict:
+        """:meth:`malloc` each of *arrays* (name -> array) in order.
+
+        *shares* holds each buffer's logical size; labels are *prefix* +
+        name.  Returns name -> buffer.  One guard and one accounting step
+        serve the group; a group that would run out of memory allocates
+        buffer by buffer, so it fails exactly where those mallocs would.
+        """
+        health = self.gpu._health
+        if (self._sticky_error is not None
+                or (health is not GpuHealth.HEALTHY
+                    and health is not GpuHealth.DRIVER_CORRUPT)):
+            self._guard()
+        gpu = self.gpu
+        total = sum(shares.values())
+        if total > gpu.free_bytes:
+            return {name: self.malloc(array, kind, shares[name],
+                                      prefix + name)
+                    for name, array in arrays.items()}
+        buffers = {}
+        live = self.buffers
+        for name, array in arrays.items():
+            buf = buffers[name] = DeviceBuffer(gpu, array, kind, shares[name],
+                                               prefix + name)
+            live[buf.buffer_id] = buf
+        gpu.allocate(total)
+        return buffers
+
     def free(self, buf: DeviceBuffer) -> None:
         if buf.freed:
             return

@@ -85,6 +85,28 @@ except ImportError:  # pragma: no cover - older numpy layouts
     _einsum = np.einsum
 
 
+def _shared_groups(job) -> list[tuple[list[int], bool]]:
+    """*job*'s replica groups that share an arena: none with dedup off."""
+    if not flags.dedup:
+        return []
+    return [(ranks, group_math) for ranks, group_math in job.dedup_groups()
+            if len(ranks) >= 2]
+
+
+def replica_leaders(job) -> dict[int, int]:
+    """member rank -> leader rank for every member *job* builds bound.
+
+    Read before the job builds its engines: each replica group's lowest
+    rank (``dedup_groups`` lists ranks ascending; the arena's member 0)
+    builds private state, and every other
+    member is born bound to the leader's arrays (no parameters, moments
+    or optimizer of its own), so :func:`attach_job` has nothing to throw
+    away.
+    """
+    return {rank: ranks[0] for ranks, _ in _shared_groups(job)
+            for rank in ranks[1:]}
+
+
 def attach_job(job) -> list["ReplicaArena"]:
     """Share replica arenas across *job*'s data-parallel groups.
 
@@ -92,21 +114,16 @@ def attach_job(job) -> list["ReplicaArena"]:
     or more members (pure model-parallel or fully-sharded jobs have no
     redundancy to exploit).  Every device API shares: the passthrough,
     the user-level JIT shim and the transparent family's device proxy,
-    whose replay log a rider fills lazily.
+    whose replay log a rider fills lazily.  The job built its members
+    bound already (:func:`replica_leaders`).
 
     Group math additionally requires pure DDP without stochastic ops:
     dropout draws a per-rank RNG stream, so replicas stop being bitwise
     copies of one another below the all-reduce.
     """
-    if not flags.dedup:
-        return []
-    arenas = []
-    for ranks, group_math in job.dedup_groups():
-        if len(ranks) < 2:
-            continue
-        engines = [job.engines[rank] for rank in ranks]
-        arenas.append(ReplicaArena(engines, group_math=group_math))
-    return arenas
+    return [ReplicaArena([job.engines[rank] for rank in ranks],
+                         group_math=group_math)
+            for ranks, group_math in _shared_groups(job)]
 
 
 def _copy_opt_state(state: dict) -> dict:
@@ -312,11 +329,19 @@ def _shape(stream):
 
 
 class ReplicaArena:
-    """One canonical parameter/gradient/moment arena for a DP group."""
+    """One canonical parameter/gradient/moment arena for a DP group.
+
+    Member 0 (the leader) owns the canonical arrays and optimizer; every
+    other member must be born bound to them: built over the leader's
+    arrays with no optimizer of its own (``leader=`` on the engines).
+    """
 
     def __init__(self, engines: list, group_math: bool = False):
         if len(engines) < 2:
             raise ValueError("a replica arena needs at least two members")
+        if any(engine.optimizer is not None for engine in engines[1:]):
+            raise ValueError("replica arena members must be born bound "
+                             "to the leader's arrays")
         self.engines = list(engines)
         self.group_math = bool(group_math)
         #: Bumped on every diverge, re-seat and readmit, so observers can
@@ -337,7 +362,7 @@ class ReplicaArena:
         #: Shared gradient arena (group-math mode): reused every
         #: iteration, always holding the *reduced* gradient by the time
         #: any optimizer kernel reads it.
-        self.grad_arrays = {name: np.zeros_like(array)
+        self.grad_arrays = {name: np.zeros(array.shape)
                             for name, array in self.params.items()
                             } if group_math else None
         #: Zero arrays the members allocate their gradient buffers with
@@ -364,8 +389,6 @@ class ReplicaArena:
         for member, engine in enumerate(self.engines):
             engine._dedup_arena = self
             engine._dedup_member = member
-            if member > 0:
-                self._bind_member(engine)
             engine.optimizer = MemberOptimizer(self, member)
         #: Follower state per member, riders, and open batches by
         #: iteration (group-math mode only: see "Followers" below).
@@ -906,18 +929,6 @@ class ReplicaArena:
                 del self._memo[old]
         return memo
 
-    def member_shard(self, iteration: int, member: int, dataset):
-        """This member's row-slice of the memoised global minibatch."""
-        memo = self._step_memo(iteration)
-        batch = memo.get("batch")
-        if batch is None:
-            batch = memo["batch"] = dataset.global_minibatch(iteration)
-        x, y = batch
-        world = len(self.engines)
-        per_rank = x.shape[0] // world
-        lo = member * per_rank
-        return x[lo:lo + per_rank], y[lo:lo + per_rank]
-
     def group_forward(self, iteration: int, index: int, block) -> None:
         """Forward for layer *index*, computed once on the full batch.
 
@@ -930,8 +941,13 @@ class ReplicaArena:
         key = ("fwd", index)
         if key in memo:
             return
-        src = (memo[("fwd", index - 1)][0] if index > 0
-               else memo["batch"][0])
+        if index > 0:
+            src = memo[("fwd", index - 1)][0]
+        else:
+            # The members' shards are row-slices of this one batch.
+            memo["batch"] = self.engines[0].dataset.global_minibatch(
+                iteration)
+            src = memo["batch"][0]
         memo[key] = block.forward(src)
 
     def ridden_loss(self, iteration: int, member: int, head,

@@ -4,11 +4,15 @@ A :class:`ModelConfig` carries the *logical* scale (parameter count, which
 drives checkpoint sizes and kernel FLOPs) and the *semantic* dimensions
 (the small numpy model that is actually trained).  ``build_blocks``
 materialises the semantic parameters, deterministically, for any tensor /
-pipeline shard.
+pipeline shard: private copies of the read-only :class:`ModelShard`
+each process draws once per (model, seed, layer range, tp coords), so a
+restarted job generation rebuilds its ranks at the cost of a copy.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,8 +78,14 @@ def build_blocks(config: ModelConfig, seed: int,
     All shards are sliced out of the same deterministic full model (one
     ``Philox`` stream per layer), so any (pp, tp) decomposition trains the
     same underlying network.  The head belongs to the last layer range.
+    The arrays are private, writable copies of :func:`model_shard`'s.
     """
-    start, stop = layer_range if layer_range is not None else (0, config.n_layers)
+    return model_shard(config, seed, layer_range, tp_rank,
+                       tp_world).instantiate()
+
+
+def _draw_blocks(config: ModelConfig, seed: int, start: int, stop: int,
+                 tp_rank: int, tp_world: int):
     blocks = []
     for layer in range(start, stop):
         rng = np.random.Generator(np.random.Philox(key=seed, counter=layer))
@@ -93,6 +103,63 @@ def build_blocks(config: ModelConfig, seed: int,
                                                    counter=config.n_layers + 1))
         head = OutputHead.init_params(rng, config.d_model, config.n_classes)
     return blocks, head
+
+
+class ModelShard:
+    """A shard's initial weights, drawn once per process.
+
+    Every array here is read-only.  A job's engine takes private copies
+    (:meth:`instantiate`); a replica born bound to its group's canonical
+    arrays takes none.  ``shares`` memoises the logical-byte split of
+    each buffer group an engine registers over the shard.
+    """
+
+    def __init__(self, blocks: list, head: OutputHeadParams | None):
+        from repro.parallel.buffers import GroupShares
+
+        self.blocks = tuple(blocks)
+        self.head = head
+        for array in self.arrays():
+            array.flags.writeable = False
+        self.shares = GroupShares()
+
+    def instantiate(self) -> tuple[list, OutputHeadParams | None]:
+        """Fresh block objects over private, writable copies."""
+        blocks = [_private(block) for block in self.blocks]
+        head = _private(self.head) if self.head is not None else None
+        return blocks, head
+
+    def arrays(self) -> list[np.ndarray]:
+        """The read-only arrays, block by block, then the head's."""
+        units = list(self.blocks) + ([self.head] if self.head is not None
+                                     else [])
+        return [getattr(unit, name) for unit in units for name in unit.names()]
+
+
+def _private(params):
+    return dataclasses.replace(params, **{
+        name: getattr(params, name).copy() for name in params.names()})
+
+
+def bound_blocks(blocks: list, head: OutputHeadParams | None):
+    """Fresh block objects over the *same* arrays as *blocks* / *head*.
+
+    A replica born bound to its group's canonical arrays needs block
+    objects of its own: diverging rebinds their attributes, which must
+    not move the leader's.
+    """
+    return ([dataclasses.replace(block) for block in blocks],
+            dataclasses.replace(head) if head is not None else None)
+
+
+@functools.lru_cache(maxsize=128)
+def model_shard(config: ModelConfig, seed: int,
+                layer_range: tuple[int, int] | None = None,
+                tp_rank: int = 0, tp_world: int = 1) -> ModelShard:
+    """The per-process :class:`ModelShard` for these arguments."""
+    start, stop = layer_range if layer_range is not None else (0, config.n_layers)
+    blocks, head = _draw_blocks(config, seed, start, stop, tp_rank, tp_world)
+    return ModelShard(blocks, head)
 
 
 def _mk(name: str, billions: float, n_layers: int, **kwargs) -> ModelConfig:

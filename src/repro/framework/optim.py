@@ -8,6 +8,8 @@ checkpoint must capture besides the parameters themselves.
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -74,6 +76,20 @@ class Sgd(Optimizer):
             self.velocity[name][...] = value
 
 
+@functools.lru_cache(maxsize=256)
+def _flat_layout(shapes: tuple) -> tuple[dict, int]:
+    """name -> (slice, shape) of each parameter in a flat moment arena,
+    and the arena's size, for *shapes* ((name, shape) pairs): one layout
+    per parameter set per process, shared read-only by its optimizers."""
+    views: dict[str, tuple[slice, tuple[int, ...]]] = {}
+    total = 0
+    for name, shape in shapes:
+        size = math.prod(shape)
+        views[name] = (slice(total, total + size), shape)
+        total += size
+    return views, total
+
+
 class Adam(Optimizer):
     """Adam (Kingma & Ba) with bias correction."""
 
@@ -88,20 +104,16 @@ class Adam(Optimizer):
         # whole-arena ufuncs instead of ~14 tiny ufunc calls per parameter
         # — every op is elementwise, so values are bit-for-bit identical
         # to the per-param formulation.
-        self._views: dict[str, tuple[slice, tuple[int, ...]]] = {}
-        total = 0
-        for name, value in params.items():
-            size = value.size
-            self._views[name] = (slice(total, total + size), value.shape)
-            total += size
+        self._views, total = _flat_layout(
+            tuple([(name, value.shape) for name, value in params.items()]))
         self._flat_m = np.zeros(total)
         self._flat_v = np.zeros(total)
-        self._flat_s = np.empty(total)
-        self._flat_t = np.empty(total)
         self.m = self._view_dict(self._flat_m)
         self.v = self._view_dict(self._flat_v)
-        self._grad_s = self._view_dict(self._flat_s)
-        self._grad_t = self._view_dict(self._flat_t)
+        # Step scratch, made by the first step: many optimizers (a
+        # restarted generation's initial one, a replica's private copy
+        # before it re-shares) never step.
+        self._grad_s = self._grad_t = None
 
     def _view_dict(self, flat: np.ndarray) -> ParamDict:
         return {name: flat[idx].reshape(shape)
@@ -119,6 +131,11 @@ class Adam(Optimizer):
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1**self.step_count
         bias2 = 1.0 - b2**self.step_count
+        if self._grad_s is None:
+            self._flat_s = np.empty(self._flat_m.size)
+            self._flat_t = np.empty(self._flat_m.size)
+            self._grad_s = self._view_dict(self._flat_s)
+            self._grad_t = self._view_dict(self._flat_t)
         m, v, s, t = self._flat_m, self._flat_v, self._flat_s, self._flat_t
         for name in self.params:
             grad = grads[name]

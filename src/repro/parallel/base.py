@@ -16,7 +16,7 @@ from repro.framework.costmodel import TrainingCostModel
 from repro.framework.lr_scheduler import ConstantLr, LrScheduler
 from repro.framework.models import ModelConfig
 from repro.framework.optim import Optimizer, make_optimizer
-from repro.parallel.buffers import allocate_group
+from repro.parallel.buffers import GroupShares, allocate_group
 from repro.parallel.deviceapi import DeviceApi
 
 
@@ -120,22 +120,40 @@ class BaseEngine:
 
     # -- parameter plumbing ------------------------------------------------------------
 
-    def _register_params(self, named_arrays: dict[str, np.ndarray]) -> None:
-        """Allocate parameter buffers, the optimizer, and moment buffers."""
+    def _register_params(self, named_arrays: dict[str, np.ndarray],
+                         shares: GroupShares, leader=None) -> None:
+        """Allocate parameter buffers, the optimizer, and moment buffers.
+
+        *shares* memoises the groups' logical-byte splits (the engine's
+        model template owns it).  A replica born bound to *leader*, the
+        canonical member of its replica group, allocates its buffers over
+        the leader's parameter and moment arrays and builds no optimizer
+        of its own: :func:`repro.framework.dedup.attach_job` gives it a
+        member proxy over the group's.
+        """
+        self._shares = shares
+        total = self.cost.param_bytes_local
         self.param_buffers = allocate_group(
-            self.api, named_arrays, self.cost.param_bytes_local,
-            BufferKind.PARAM)
-        params = {name: buf.array for name, buf in self.param_buffers.items()}
-        self.optimizer = make_optimizer(self.optimizer_kind, params,
-                                        lr=self.base_lr)
+            self.api, named_arrays, total, BufferKind.PARAM,
+            shares=shares("params", named_arrays, total))
+        if leader is None:
+            params = {name: buf.array
+                      for name, buf in self.param_buffers.items()}
+            self.optimizer = make_optimizer(self.optimizer_kind, params,
+                                            lr=self.base_lr)
+            source = self.optimizer
+        else:
+            source = leader.optimizer
         moments = {}
         for attr in ("m", "v", "velocity"):
-            for name, array in getattr(self.optimizer, attr, {}).items():
+            for name, array in getattr(source, attr, {}).items():
                 moments[f"{attr}.{name}"] = array
         if moments:
+            total = self.cost.optimizer_bytes_local
             self.opt_buffers = allocate_group(
-                self.api, moments, self.cost.optimizer_bytes_local,
-                BufferKind.OPTIMIZER_STATE)
+                self.api, moments, total, BufferKind.OPTIMIZER_STATE,
+                shares=shares(("moments", self.optimizer_kind), moments,
+                              total))
 
     # -- checkpoint format ----------------------------------------------------------------
 

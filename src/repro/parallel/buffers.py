@@ -30,17 +30,38 @@ def distribute_logical_bytes(arrays: dict[str, np.ndarray],
     return shares
 
 
+class GroupShares:
+    """Memoised :func:`distribute_logical_bytes` for fixed-layout groups.
+
+    Keyed by the caller's name for a group (whose array names and sizes
+    it fixes) and the group's logical total.
+    """
+
+    __slots__ = ("_memo",)
+
+    def __init__(self):
+        self._memo: dict = {}
+
+    def __call__(self, group, arrays: dict[str, np.ndarray],
+                 total_bytes: int) -> dict[str, int]:
+        key = (group, total_bytes)
+        shares = self._memo.get(key)
+        if shares is None:
+            shares = self._memo[key] = distribute_logical_bytes(arrays,
+                                                                total_bytes)
+        return shares
+
+
 def allocate_group(api, arrays: dict[str, np.ndarray], total_bytes: int,
-                   kind: BufferKind, prefix: str = "") -> dict:
+                   kind: BufferKind, prefix: str = "",
+                   shares: Optional[dict[str, int]] = None) -> dict:
     """Allocate one DeviceBuffer per array; returns name -> buffer.
 
     The buffers wrap the arrays *without copying* (contiguous numpy arrays
     are adopted as-is), so optimizers mutating the arrays mutate GPU state.
+    *shares* is the group's logical-byte split when the caller already
+    knows it (see :class:`GroupShares`).
     """
-    shares = distribute_logical_bytes(arrays, total_bytes)
-    buffers = {}
-    for name, array in arrays.items():
-        label = f"{prefix}{name}" if prefix else name
-        buffers[name] = api.malloc(array, kind, logical_nbytes=shares[name],
-                                   label=label)
-    return buffers
+    if shares is None:
+        shares = distribute_logical_bytes(arrays, total_bytes)
+    return api.malloc_group(arrays, kind, shares, prefix)

@@ -23,7 +23,7 @@ from repro.framework.data import SyntheticDataset
 from repro.framework.dedup import GroupThunk
 from repro.framework.layers import MlpBlock, OutputHead
 from repro.framework.lr_scheduler import LrScheduler
-from repro.framework.models import ModelConfig, build_blocks
+from repro.framework.models import ModelConfig, bound_blocks, model_shard
 from repro.framework.optim import ParamDict
 from repro.nccl.communicator import NcclCommunicator
 from repro.nccl.rendezvous import ReduceOp
@@ -89,7 +89,8 @@ class DataParallelEngine(BaseEngine):
                  dataset: SyntheticDataset, dp_rank: int, dp_world: int,
                  seed: int = 0, optimizer_kind: str = "adam",
                  lr: float = 1e-2, scheduler: Optional[LrScheduler] = None,
-                 dropout: float = 0.0):
+                 dropout: float = 0.0,
+                 leader: Optional["DataParallelEngine"] = None):
         super().__init__(api, config, cost, optimizer_kind, lr, scheduler)
         if dp_world > 1 and comm is None:
             raise ValueError("dp_world > 1 requires a communicator")
@@ -107,14 +108,17 @@ class DataParallelEngine(BaseEngine):
             # minibatch resets (Section 3.2's "random number generator
             # state").
             api.register_rng(self.rng.get_state, self.rng.set_state)
-        self.blocks, self.head = build_blocks(config, seed)
+        shard = model_shard(config, seed)
+        # A replica born bound to its group's leader shares its arrays.
+        self.blocks, self.head = (shard.instantiate() if leader is None else
+                                  bound_blocks(leader.blocks, leader.head))
         named = {}
         for i, block in enumerate(self.blocks):
             for name, array in block.as_dict().items():
                 named[f"layer{i}.{name}"] = array
         named["head.w"] = self.head.w
         named["head.b"] = self.head.b
-        self._register_params(named)
+        self._register_params(named, shard.shares, leader)
 
     @property
     def is_checkpoint_writer(self) -> bool:
@@ -237,11 +241,7 @@ class DataParallelEngine(BaseEngine):
         gpu = self.gpu_spec
         arena = self._dedup_arena
         member = self._dedup_member
-        if group_math:
-            x, labels = arena.member_shard(iteration, member, self.dataset)
-        else:
-            x, labels = self.dataset.shard(iteration, self.dp_rank,
-                                           self.dp_world)
+        x, labels = self.dataset.shard(iteration, self.dp_rank, self.dp_world)
         step_state: dict = {}
         step_bufs = []
 
@@ -322,13 +322,15 @@ class DataParallelEngine(BaseEngine):
             grad_arrays: ParamDict = {}
             for i, block in enumerate(self.blocks):
                 for name, array in block.as_dict().items():
-                    grad_arrays[f"layer{i}.{name}"] = np.zeros_like(array)
-            grad_arrays["head.w"] = np.zeros_like(self.head.w)
-            grad_arrays["head.b"] = np.zeros_like(self.head.b)
-        grad_buffers = allocate_group(api, grad_arrays,
-                                      self.cost.gradient_bytes_local,
+                    grad_arrays[f"layer{i}.{name}"] = np.zeros(array.shape)
+            grad_arrays["head.w"] = np.zeros(self.head.w.shape)
+            grad_arrays["head.b"] = np.zeros(self.head.b.shape)
+        total = self.cost.gradient_bytes_local
+        grad_buffers = allocate_group(api, grad_arrays, total,
                                       BufferKind.GRADIENT,
-                                      prefix=f"grad#{iteration}:")
+                                      prefix=f"grad#{iteration}:",
+                                      shares=self._shares("grads", grad_arrays,
+                                                          total))
         if group_math:
             arena.share_grads(iteration, grad_buffers)
         step_bufs.extend(grad_buffers.values())

@@ -155,6 +155,12 @@ class DeviceApi:
                logical_nbytes: Optional[int] = None, label: str = ""):
         return self.ctx.malloc(array, kind, logical_nbytes, label)
 
+    def malloc_group(self, arrays: dict, kind: BufferKind, shares: dict,
+                     prefix: str = "") -> dict:
+        """:meth:`malloc` each of *arrays* under label *prefix* + name,
+        with the logical sizes in *shares*; returns name -> buffer."""
+        return self.ctx.malloc_group(arrays, kind, shares, prefix)
+
     def free(self, buf) -> None:
         self.ctx.free(buf)
 

@@ -16,6 +16,7 @@ JIT-checkpointing benefits" (Section 7).
 
 from __future__ import annotations
 
+import functools
 from typing import Generator, Optional
 
 import numpy as np
@@ -26,11 +27,11 @@ from repro.framework.costmodel import TrainingCostModel
 from repro.framework.data import SyntheticDataset
 from repro.framework.layers import MlpBlock, MlpBlockParams, OutputHead, OutputHeadParams
 from repro.framework.lr_scheduler import LrScheduler
-from repro.framework.models import ModelConfig, build_blocks
+from repro.framework.models import ModelConfig, ModelShard, model_shard
 from repro.nccl.communicator import NcclCommunicator
 from repro.nccl.rendezvous import ReduceOp
 from repro.parallel.base import BaseEngine
-from repro.parallel.buffers import allocate_group
+from repro.parallel.buffers import GroupShares
 from repro.parallel.deviceapi import DeviceApi
 
 
@@ -52,6 +53,44 @@ def pad_to(flat: np.ndarray, multiple: int) -> np.ndarray:
     return np.concatenate([flat, np.zeros(multiple - remainder)])
 
 
+class FsdpTemplate:
+    """A model's flattened, padded units for one shard-group size.
+
+    Drawn once per process (:func:`fsdp_template`); read-only like the
+    :class:`~repro.framework.models.ModelShard` it flattens.
+    """
+
+    def __init__(self, model: ModelShard, shard_world: int):
+        self.model = model
+        units = [block.arrays() for block in model.blocks]
+        units.append([model.head.w, model.head.b])
+        self.flats = []
+        for arrays in units:
+            flat = pad_to(flatten_arrays(arrays), shard_world)
+            flat.flags.writeable = False
+            self.flats.append(flat)
+        self.flat_sizes = [flat.size for flat in self.flats]
+        self.shard_world = shard_world
+        #: Logical-byte splits of the groups registered over the shards.
+        self.shares = GroupShares()
+
+    def shard(self, shard_rank: int) -> dict[str, np.ndarray]:
+        """Private copies of *shard_rank*'s slice of every unit."""
+        out = {}
+        for i, flat in enumerate(self.flats):
+            per = flat.size // self.shard_world
+            out[f"unit{i}"] = flat[shard_rank * per:
+                                   (shard_rank + 1) * per].copy()
+        return out
+
+
+@functools.lru_cache(maxsize=32)
+def fsdp_template(config: ModelConfig, seed: int,
+                  shard_world: int) -> FsdpTemplate:
+    """The per-process :class:`FsdpTemplate` for these arguments."""
+    return FsdpTemplate(model_shard(config, seed), shard_world)
+
+
 class FsdpEngine(BaseEngine):
     """One rank of an FSDP job.
 
@@ -68,7 +107,8 @@ class FsdpEngine(BaseEngine):
                  dataset: SyntheticDataset, seed: int = 0,
                  optimizer_kind: str = "adam", lr: float = 1e-2,
                  scheduler: Optional[LrScheduler] = None,
-                 world_comm: Optional[NcclCommunicator] = None):
+                 world_comm: Optional[NcclCommunicator] = None,
+                 leader: Optional["FsdpEngine"] = None):
         super().__init__(api, config, cost, optimizer_kind, lr, scheduler)
         #: World-spanning communicator for the global grad-norm
         #: all-reduce, gating optimizer entry all-or-none across shards.
@@ -83,23 +123,18 @@ class FsdpEngine(BaseEngine):
         self.seed = seed
         self.shard_id = f"fsdp-shard{shard_rank}"
 
-        # Build the full semantic model, flatten per layer, keep our slice.
-        blocks, head = build_blocks(config, seed)
-        self._layer_shapes: list[list[np.ndarray]] = []
-        self._full_blocks = blocks
-        self._head = head
-        shard_arrays: dict[str, np.ndarray] = {}
-        self._flat_sizes: list[int] = []
-        units: list[list[np.ndarray]] = [b.arrays() for b in blocks]
-        units.append([head.w, head.b])
-        for i, arrays in enumerate(units):
-            flat = pad_to(flatten_arrays(arrays), shard_world)
-            self._flat_sizes.append(flat.size)
-            per = flat.size // shard_world
-            shard_arrays[f"unit{i}"] = flat[shard_rank * per:
-                                            (shard_rank + 1) * per].copy()
-        self._units = units
-        self._register_params(shard_arrays)
+        # A private full semantic model is the all-gather workspace; the
+        # parameters are this rank's slice of each flattened unit.  A
+        # replica born bound to its group's leader shares the leader's.
+        template = fsdp_template(config, seed, shard_world)
+        self._full_blocks, self._head = template.model.instantiate()
+        self._units = [block.arrays() for block in self._full_blocks]
+        self._units.append([self._head.w, self._head.b])
+        self._flat_sizes = template.flat_sizes
+        shard_arrays = (template.shard(shard_rank) if leader is None else
+                        {name: buf.array
+                         for name, buf in leader.param_buffers.items()})
+        self._register_params(shard_arrays, template.shares, leader)
 
     @property
     def n_units(self) -> int:

@@ -27,7 +27,7 @@ from repro.framework.costmodel import TrainingCostModel
 from repro.framework.data import SyntheticDataset
 from repro.framework.layers import MlpBlock, OutputHead
 from repro.framework.lr_scheduler import LrScheduler
-from repro.framework.models import ModelConfig, build_blocks
+from repro.framework.models import ModelConfig, bound_blocks, model_shard
 from repro.nccl.communicator import NcclCommunicator
 from repro.nccl.rendezvous import ReduceOp
 from repro.parallel.base import BaseEngine
@@ -44,7 +44,8 @@ class ThreeDEngine(BaseEngine):
                  config: ModelConfig, cost: TrainingCostModel,
                  dataset: SyntheticDataset, n_microbatches: int = 2,
                  seed: int = 0, optimizer_kind: str = "adam",
-                 lr: float = 1e-2, scheduler: Optional[LrScheduler] = None):
+                 lr: float = 1e-2, scheduler: Optional[LrScheduler] = None,
+                 leader: Optional["ThreeDEngine"] = None):
         super().__init__(api, config, cost, optimizer_kind, lr, scheduler)
         self.layout = layout
         self.rank = rank
@@ -63,9 +64,11 @@ class ThreeDEngine(BaseEngine):
         self.seed = seed
         self.layer_lo, self.layer_hi = layout.layer_range(self.coords.pp,
                                                           config.n_layers)
-        self.blocks, self.head = build_blocks(
-            config, seed, layer_range=(self.layer_lo, self.layer_hi),
-            tp_rank=self.coords.tp, tp_world=layout.tp)
+        shard = model_shard(config, seed, (self.layer_lo, self.layer_hi),
+                            self.coords.tp, layout.tp)
+        # A replica born bound to its DP group's leader shares its arrays.
+        self.blocks, self.head = (shard.instantiate() if leader is None else
+                                  bound_blocks(leader.blocks, leader.head))
         self.is_first_stage = self.coords.pp == 0
         self.is_last_stage = self.coords.pp == layout.pp - 1
         self.shard_id = f"pp{self.coords.pp}-tp{self.coords.tp}"
@@ -76,7 +79,7 @@ class ThreeDEngine(BaseEngine):
         if self.head is not None:
             named["head.w"] = self.head.w
             named["head.b"] = self.head.b
-        self._register_params(named)
+        self._register_params(named, shard.shares, leader)
         self._tp_replicated_names = {
             f"layer{self.layer_lo + i}.{name}"
             for i, block in enumerate(self.blocks)
@@ -233,12 +236,14 @@ class ThreeDEngine(BaseEngine):
                                   head_fwd_time, head_thunk)
 
         # ---- gradient accumulators ----------------------------------------------
-        grad_arrays = {name: np.zeros_like(buf.array)
+        grad_arrays = {name: np.zeros(buf.array.shape)
                        for name, buf in self.param_buffers.items()}
-        grad_buffers = allocate_group(api, grad_arrays,
-                                      self.cost.gradient_bytes_local,
+        total = self.cost.gradient_bytes_local
+        grad_buffers = allocate_group(api, grad_arrays, total,
                                       BufferKind.GRADIENT,
-                                      prefix=f"grad#{iteration}:")
+                                      prefix=f"grad#{iteration}:",
+                                      shares=self._shares("grads", grad_arrays,
+                                                          total))
         step_bufs.extend(grad_buffers.values())
 
         def accumulate(name: str, value: np.ndarray) -> None:

@@ -64,11 +64,14 @@ class TrainingJob:
         self.rank_comms: list[dict[str, Optional[NcclCommunicator]]] = [
             {} for _ in range(world_size)
         ]
+        from repro.framework import dedup
+
+        #: member rank -> its replica group's leader rank: the ranks whose
+        #: engines are born bound to the leader's arrays.
+        self._leaders = dedup.replica_leaders(self)
         self.engines = self._build_engines()
         #: Replica arenas sharing params/grads/moments across DP groups
         #: (empty when dedup is off or no group has >= 2 members).
-        from repro.framework import dedup
-
         self.dedup_arenas = dedup.attach_job(self)
 
     # -- placement -----------------------------------------------------------------
@@ -133,6 +136,11 @@ class TrainingJob:
             raise ValueError(f"unknown engine kind {self.spec.engine!r}")
         return builder()
 
+    def _leader(self, rank: int, engines: list):
+        """The engine *rank* is born bound to, or None (private state)."""
+        leader = self._leaders.get(rank)
+        return None if leader is None else engines[leader]
+
     def _build_ddp(self) -> list[DataParallelEngine]:
         spec = self.spec
         world = spec.world_size
@@ -143,7 +151,8 @@ class TrainingJob:
             engines.append(DataParallelEngine(
                 self.apis[rank], comm, spec.config, self.cost, self.dataset,
                 dp_rank=rank, dp_world=world, seed=spec.seed,
-                optimizer_kind=spec.optimizer, dropout=spec.dropout))
+                optimizer_kind=spec.optimizer, dropout=spec.dropout,
+                leader=self._leader(rank, engines)))
         return engines
 
     def _build_3d(self) -> list[ThreeDEngine]:
@@ -175,7 +184,8 @@ class TrainingJob:
                 self.apis[rank], layout, rank, comms,
                 spec.config, self.cost, self.dataset,
                 n_microbatches=spec.n_microbatches, seed=spec.seed,
-                optimizer_kind=spec.optimizer))
+                optimizer_kind=spec.optimizer,
+                leader=self._leader(rank, engines)))
         return engines
 
     def _build_fsdp(self) -> list[FsdpEngine]:
@@ -211,7 +221,7 @@ class TrainingJob:
                 shard_world=shard_world, replica_comm=replica_comm,
                 config=spec.config, cost=self.cost, dataset=self.dataset,
                 seed=spec.seed, optimizer_kind=spec.optimizer,
-                world_comm=world_comm))
+                world_comm=world_comm, leader=self._leader(rank, engines)))
         return engines
 
     # -- replica deduplication ------------------------------------------------------------

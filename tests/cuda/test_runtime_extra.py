@@ -6,7 +6,7 @@ import pytest
 
 from repro.cuda import BufferKind, CudaApiError, CudaContext, CudaError
 from repro.cuda.memory import HostBuffer
-from repro.hardware import Cluster, ClusterSpec
+from repro.hardware import Cluster, ClusterSpec, GpuMemoryError
 from repro.sim import Environment
 
 
@@ -89,6 +89,27 @@ def test_context_destroy_frees_all_memory(ctx):
     assert ctx.gpu.allocated_bytes == 0
     with pytest.raises(CudaApiError):
         ctx.malloc(np.zeros(2), BufferKind.PARAM)
+
+
+def test_malloc_group_allocates_like_single_mallocs(ctx):
+    arrays = {"w": np.ones(3), "b": np.zeros(2)}
+    bufs = ctx.malloc_group(arrays, BufferKind.PARAM, {"w": 700, "b": 300},
+                            prefix="p:")
+    assert [(b.label, b.logical_nbytes) for b in bufs.values()] == [
+        ("p:w", 700), ("p:b", 300)]
+    assert bufs["w"].array is arrays["w"]
+    assert ctx.gpu.allocated_bytes == 1000
+    assert list(ctx.buffers.values()) == list(bufs.values())
+
+
+def test_malloc_group_out_of_memory_fails_where_mallocs_would(ctx):
+    free = ctx.gpu.free_bytes
+    with pytest.raises(GpuMemoryError):
+        ctx.malloc_group({"a": np.zeros(1), "b": np.zeros(1)},
+                         BufferKind.PARAM, {"a": free - 10, "b": 20})
+    # The first buffer fit and stays allocated, as with two mallocs.
+    assert ctx.gpu.allocated_bytes == free - 10
+    assert [b.label for b in ctx.buffers.values()] == ["a"]
 
 
 def test_wait_event_on_already_triggered_event_is_noop(ctx):
