@@ -12,8 +12,8 @@ pattern into infrastructure:
   over a ``ProcessPoolExecutor`` (results return through its pickle
   channel) and serves unchanged scenarios from a
   :class:`~repro.campaign.cache.ResultCache` for free;
-* :mod:`~repro.campaign.prefix` — optional prefix-fork scheduling that
-  simulates a grid's shared failure-free prefix once per group;
+* :mod:`~repro.campaign.prefix` — prefix-fork scheduling that simulates
+  a grid's shared failure-free prefix once per group;
 * :mod:`~repro.campaign.aggregate` — deterministic mean/p50/p99
   aggregation into the columns the paper tables need.
 

@@ -6,10 +6,10 @@ simulation prefix: everything before a scenario's first injected failure
 is a deterministic failure-free run of the same managed job.  From-scratch
 execution re-simulates that prefix once per scenario.
 
-This module simulates it once per *group*.  Scenarios are grouped by the
-configuration that shapes the failure-free trajectory
-(:func:`~repro.campaign.runner.prefix_key`), sorted by first-failure
-time, and executed as:
+This module simulates it once per *group*.  Every campaign scenario the
+runner's failure-free memo cannot answer joins the group of its
+:func:`~repro.campaign.runner.prefix_key`, a group of one included.  A
+group is sorted by first-failure time and executed as:
 
 1. the parent builds the managed runner and advances the event loop with
    :meth:`~repro.sim.Environment.run_until_before` up to (but excluding)
@@ -17,10 +17,13 @@ time, and executed as:
 2. it forks a copy-on-write child (:class:`repro.sim.snapshot.ForkBranch`)
    which arms that scenario's full failure schedule and runs the divergent
    tail to completion;
-3. the parent never simulates a failure.  Once the shared, failure-free
-   run completes before a scenario's first failure (or the scenario
-   draws none inside the horizon), it finishes the run and returns it as
-   a :class:`~repro.campaign.runner.FailureFree` entry: that scenario's
+3. the scenario with the latest first failure needs no fork: no later
+   scenario reuses the prefix, so the parent arms its schedule and runs
+   its tail itself (a lone scenario therefore never forks).  Once the
+   shared, failure-free run instead completes before a scenario's first
+   failure (or the scenario draws none inside the horizon), the parent
+   finishes the run and returns it as a
+   :class:`~repro.campaign.runner.FailureFree` entry: that scenario's
    row, and every later one's, *is* the run
    (:meth:`~repro.campaign.runner.FailureFree.row`).  The
    :class:`~repro.campaign.runner.CampaignRunner` keeps the entry and
@@ -47,14 +50,10 @@ from typing import Optional
 
 from repro.campaign.runner import (FailureFree, Reference, RunSummary,
                                    _build_managed_runner, _campaign_result,
-                                   _draw_schedule, _execute_campaign_scenario,
-                                   _first_failure, _reference_run,
+                                   _draw_schedule, _first_failure,
                                    _resolve_workload, prefix_key)
 from repro.campaign.spec import ScenarioSpec
 from repro.sim.snapshot import HAVE_FORK, ForkBranch
-
-#: Default cap on concurrently-running forked children per group.
-DEFAULT_MAX_LIVE = 4
 
 
 def group_by_prefix(specs: list[tuple[int, ScenarioSpec]]
@@ -66,23 +65,27 @@ def group_by_prefix(specs: list[tuple[int, ScenarioSpec]]
     return list(groups.values())
 
 
-def run_prefix_group(specs: list[ScenarioSpec],
-                     max_live: int = DEFAULT_MAX_LIVE,
-                     reference: Optional[Reference] = None
-                     ) -> tuple[list[dict], Optional[FailureFree]]:
+def run_prefix_group(specs: list[ScenarioSpec], max_live: int,
+                     reference: Reference
+                     ) -> tuple[list[Optional[dict]], Optional[FailureFree]]:
     """Run one prefix group: ``(results in *specs* order, failure-free)``.
 
-    *reference* is the group's failure-free reference run; it is computed
-    here when not given.  The group's failure-free managed run comes back
-    only when the parent finished it, because some scenario's failures
-    never fire before the run completes.  Falls back to from-scratch
-    execution (and no failure-free run) when ``os.fork`` is unavailable.
+    *reference* is the group's failure-free reference run; at most
+    *max_live* forked children run at once.  The group's failure-free
+    managed run comes back only when the parent finished it, because some
+    scenario's failures never fire before the run completes.  The first
+    scenario it answers gets the run's row; every later one gets
+    ``None``, for the caller to fill with :meth:`FailureFree.row` as it
+    does for memo rows.  Without ``os.fork``, each scenario runs as its
+    own group of one, which never forks.
     """
-    if reference is None:
-        reference = _reference_run(specs[0])
-    if not HAVE_FORK:
-        return ([_execute_campaign_scenario(spec, reference)
-                 for spec in specs], None)
+    if not HAVE_FORK and len(specs) > 1:
+        results, failure_free = [], None
+        for spec in specs:
+            (row,), entry = run_prefix_group([spec], max_live, reference)
+            results.append(row)
+            failure_free = failure_free or entry
+        return results, failure_free
 
     from repro.failures import FailureInjector
     from repro.sim import Environment
@@ -103,40 +106,42 @@ def run_prefix_group(specs: list[ScenarioSpec],
     first_failure = [_first_failure(events) for events in schedules]
     order = sorted(range(len(specs)), key=lambda i: (first_failure[i], i))
 
-    def child(index: int):
+    def tail(index: int, start: float):
         spec, events = specs[index], schedules[index]
-        child_start = time.perf_counter()
         FailureInjector(env, runner.manager.cluster).arm(events)
         report = env.run(until=proc)
         return _campaign_result(
             spec, RunSummary.of(report), reference,
             interval_iterations=interval_iterations,
-            events=env.events_processed,
-            wall=time.perf_counter() - child_start)
+            events=env.events_processed, wall=time.perf_counter() - start)
 
     results: list[Optional[dict]] = [None] * len(specs)
     live: list[tuple[int, ForkBranch]] = []
-    for index in order:
+    failure_free = None
+    for position, index in enumerate(order):
         # Never dispatches past the run's completion, so a finished run
         # keeps the event count and completion instant of an
         # uninterrupted failure-free run.
         env.run_until_before(first_failure[index], until=proc)
         if proc.triggered:
-            break  # No failure of this or any later scenario fires.
-        if len(live) >= max_live:
-            done_index, branch = live.pop(0)
-            results[done_index] = branch.result()
-        live.append((index, ForkBranch(lambda index=index: child(index))))
+            # No failure of this or any later scenario fires.
+            report = env.run(until=proc)
+            failure_free = FailureFree(
+                summary=RunSummary.of(report), events=env.events_processed,
+                interval_iterations=interval_iterations, completion=env.now)
+            first = min(order[position:])
+            results[first] = failure_free.row(
+                specs[first], reference, time.perf_counter() - group_start)
+            break
+        if position == len(order) - 1:
+            # No later scenario needs the prefix: the tail runs here.
+            results[index] = tail(index, group_start)
+        else:
+            if len(live) >= max_live:
+                done_index, branch = live.pop(0)
+                results[done_index] = branch.result()
+            live.append((index, ForkBranch(
+                lambda index=index: tail(index, time.perf_counter()))))
     for done_index, branch in live:
         results[done_index] = branch.result()
-
-    if not proc.triggered:
-        return results, None  # type: ignore[return-value]
-    report = env.run(until=proc)
-    failure_free = FailureFree(
-        summary=RunSummary.of(report), events=env.events_processed,
-        interval_iterations=interval_iterations, completion=env.now)
-    wall = time.perf_counter() - group_start
-    return [row if row is not None else failure_free.row(spec, reference,
-                                                         wall)
-            for spec, row in zip(specs, results)], failure_free
+    return results, failure_free

@@ -232,15 +232,13 @@ def _reference_run(spec: ScenarioSpec) -> Reference:
                      digest=_losses_digest(losses))
 
 
-def _execute_campaign_scenario(spec: ScenarioSpec,
-                               reference: Optional[Reference] = None) -> dict:
-    """One campaign scenario from scratch; computes *reference* if None."""
+def _execute_campaign_scenario(spec: ScenarioSpec) -> dict:
+    """One campaign scenario from scratch, its own reference included."""
     from repro.failures import FailureInjector
     from repro.sim import Environment
 
     start = time.perf_counter()
-    if reference is None:
-        reference = _reference_run(spec)
+    reference = _reference_run(spec)
     env = Environment()
     runner, interval_iterations = _build_managed_runner(
         spec, _resolve_workload(spec), env)
@@ -397,32 +395,21 @@ def execute_scenario(spec: ScenarioSpec) -> dict:
     return _execute_campaign_scenario(spec)
 
 
-def _execute_unit(items: list[tuple[int, ScenarioSpec]], is_group: bool,
-                  max_live: int, reference: Optional[Reference]
-                  ) -> tuple[list[tuple[int, dict]], Optional[FailureFree]]:
-    """Run one dispatch unit (a scenario or a prefix group).
-
-    *reference* is the unit's shared failure-free reference (campaign
-    scenarios; ``None`` for other kinds).  Returns ``(position, result)``
-    per scenario and the prefix group's failure-free run when the group
-    finished it (else ``None``); module-level so the pool can pickle it,
-    and the serial path calls it directly.
+def _execute_unit(items: list[tuple[int, ScenarioSpec]], max_live: int,
+                  reference: Optional[Reference]
+                  ) -> tuple[list[Optional[dict]], Optional[FailureFree]]:
+    """Run one dispatch unit: a prefix group with its shared *reference*
+    (:func:`~repro.campaign.prefix.run_prefix_group`, whose results it
+    returns), or a scenario of another kind (*reference* ``None``).
+    Module-level so the pool can pickle it; the serial path calls it
+    directly.
     """
-    specs = [spec for _pos, spec in items]
-    failure_free = None
-    if is_group:
-        from repro.campaign.prefix import run_prefix_group
+    specs = [spec for _position, spec in items]
+    if reference is None:
+        return [execute_scenario(spec) for spec in specs], None
+    from repro.campaign.prefix import run_prefix_group
 
-        results, failure_free = run_prefix_group(
-            specs, max_live=max_live, reference=reference)
-    elif reference is not None:
-        results = [_execute_campaign_scenario(spec, reference)
-                   for spec in specs]
-    else:
-        results = [execute_scenario(spec) for spec in specs]
-    return ([(position, result)
-             for (position, _spec), result in zip(items, results)],
-            failure_free)
+    return run_prefix_group(specs, max_live, reference)
 
 
 @dataclass
@@ -474,26 +461,31 @@ class CampaignRunner:
     the worker count, and outcomes are always reassembled in campaign
     order.
 
+    Campaign scenarios run in prefix groups (:mod:`repro.campaign.prefix`),
+    a group of one included: each group simulates its failure-free prefix
+    once and forks each failing tail but the last from a copy-on-write
+    snapshot, with at most *fork_max_live* children alive.  Rows are
+    byte-identical to from-scratch :func:`execute_scenario` (``perf``
+    aside); other kinds always run from scratch.  *prefix_fork* is
+    accepted only as ``True``, the one path there is.
+
     A runner pays for each failure-free run once over its lifetime, not
-    once per :meth:`run`: the reference per :func:`reference_key` and,
-    under prefix fork, the failure-free managed run per
-    :func:`prefix_key` (see :meth:`_execute`).
+    once per :meth:`run`: the reference per :func:`reference_key` and the
+    failure-free managed run per :func:`prefix_key` (see :meth:`_execute`).
     """
 
     def __init__(self, cache: Optional[ResultCache] = None,
                  workers: Optional[int] = None,
-                 prefix_fork: bool = False, fork_max_live: int = 4):
+                 prefix_fork: bool = True, fork_max_live: int = 4):
         import os
 
+        if not prefix_fork:
+            raise ValueError("CampaignRunner always forks prefix groups; "
+                             "execute_scenario(spec) runs one scenario "
+                             "from scratch")
         self.cache = cache
         self.workers = max(_MIN_WORKERS, workers if workers is not None
                            else (os.cpu_count() or 1))
-        #: Group campaign scenarios by failure-free prefix and fork each
-        #: scenario's divergent tail from a shared copy-on-write snapshot
-        #: (:mod:`repro.campaign.prefix`).  Metrics are byte-identical to
-        #: from-scratch execution; wall clock is substantially lower for
-        #: seed/rate sweeps.  Non-campaign kinds always run from scratch.
-        self.prefix_fork = prefix_fork
         self.fork_max_live = fork_max_live
         #: The failure-free memo: plain values keyed by everything that
         #: shapes each run, so no entry can go stale while the code that
@@ -546,74 +538,51 @@ class CampaignRunner:
             self._references[key] = _reference_run(spec)
         return self._references[key]
 
-    def _dispatch_units(self, specs: list[ScenarioSpec]
-                        ) -> tuple[list[tuple[int, FailureFree]],
-                                   list[tuple[list[tuple[int, ScenarioSpec]],
-                                              bool]]]:
-        """Partition scenarios into memo-served rows and dispatch units.
-
-        Returns ``(served, units)``.  *served* pairs each position the
-        failure-free memo answers with its entry; a unit is ``(items,
-        is_group)``.  With :attr:`prefix_fork`, the remaining campaign
-        scenarios sharing a prefix key become one multi-scenario group;
-        everything else (and singleton groups) runs from scratch.
-        """
-        if not self.prefix_fork:
-            return [], [([(position, spec)], False)
-                        for position, spec in enumerate(specs)]
-        from repro.campaign.prefix import group_by_prefix
-
-        served: list[tuple[int, FailureFree]] = []
-        groupable, others = [], []
-        for position, spec in enumerate(specs):
-            if spec.kind != KIND_CAMPAIGN:
-                others.append(([(position, spec)], False))
-                continue
-            entry = self._failure_free.get(prefix_key(spec))
-            if entry is not None and entry.serves(_draw_schedule(spec)):
-                served.append((position, entry))
-            else:
-                groupable.append((position, spec))
-        units = [(group, len(group) > 1)
-                 for group in group_by_prefix(groupable)]
-        return served, units + others
-
     def _execute(self, pending: list[tuple[int, ScenarioSpec]]
                  ) -> Iterator[tuple[int, dict, bool]]:
         """Yield ``(position, result, simulated)`` as scenarios finish
         (positions index into *pending*); inline for one worker or one
-        unit, else through a process pool.
+        dispatch unit, else through a process pool.
 
-        Failure-free work comes from the runner's memo.  The reference of
-        a campaign scenario (:func:`reference_key`) runs here, in the
-        calling process, the first time the runner needs it, and travels
-        with every unit that needs it (a unit's scenarios share one key:
-        prefix groups extend it).  Under prefix fork, a prefix group that
+        Each prefix key's campaign scenarios form one unit, a prefix
+        group; every other scenario is a unit of its own.  Failure-free
+        work comes from the runner's memo.  The reference of a campaign
+        scenario (:func:`reference_key`) runs here, in the calling
+        process, the first time the runner needs it, and travels with
+        every group that needs it (prefix keys extend it).  A group that
         finishes its failure-free run (some scenario's failures never
-        fire) fills the memo entry of its :func:`prefix_key`; from then
-        on, a scenario whose first failure that run never reaches is
-        answered here from the entry (``simulated`` false, no wall time).
-        A fully cached campaign neither reads nor fills the memo.
+        fire) fills the memo entry of its :func:`prefix_key`.  A scenario
+        whose first failure that run never reaches is then answered here
+        from the entry (``simulated`` false, no wall time), as is every
+        such scenario of the finishing group after the first, whose row
+        carries the run.  A fully cached campaign neither reads nor fills
+        the memo.
         """
-        specs = [spec for _index, spec in pending]
-        served, units = self._dispatch_units(specs)
-        for position, entry in served:
-            spec = specs[position]
-            yield position, entry.row(spec, self._reference(spec)), False
+        from repro.campaign.prefix import group_by_prefix
 
-        work = []
-        for items, is_group in units:
-            lead = items[0][1]
-            reference = (self._reference(lead)
-                         if lead.kind == KIND_CAMPAIGN else None)
-            work.append((items, is_group, self.fork_max_live, reference))
+        groupable, work = [], []
+        for position, (_index, spec) in enumerate(pending):
+            if spec.kind != KIND_CAMPAIGN:
+                work.append(([(position, spec)], self.fork_max_live, None))
+                continue
+            entry = self._failure_free.get(prefix_key(spec))
+            if entry is not None and entry.serves(_draw_schedule(spec)):
+                yield position, entry.row(spec, self._reference(spec)), False
+            else:
+                groupable.append((position, spec))
+        work += [(group, self.fork_max_live, self._reference(group[0][1]))
+                 for group in group_by_prefix(groupable)]
 
         def finished(args, rows, failure_free):
+            items, _max_live, reference = args
             if failure_free is not None:
-                self._failure_free.setdefault(prefix_key(args[0][0][1]),
+                self._failure_free.setdefault(prefix_key(items[0][1]),
                                               failure_free)
-            for position, result in rows:
-                yield position, result, True
+            for (position, spec), result in zip(items, rows):
+                if result is None:
+                    yield position, failure_free.row(spec, reference), False
+                else:
+                    yield position, result, True
 
         if self.workers == 1 or len(work) <= 1:
             for args in work:

@@ -11,9 +11,9 @@ scenario at its first-failure time; each child arms its own failure
 schedule and runs the divergent tail, returning its (small, picklable)
 result over a pipe.
 
-Unavailable on platforms without ``fork`` (the caller falls back to
-from-scratch execution; results are byte-identical either way, fork is
-purely a wall-clock optimisation).
+Unavailable on platforms without ``fork`` (prefix groups then run each
+scenario as a group of one, which never forks; results are
+byte-identical either way, fork is purely a wall-clock optimisation).
 """
 
 from __future__ import annotations

@@ -189,9 +189,9 @@ def report_perf(json_mode: bool = False) -> dict:
         runner = CampaignRunner(cache=ResultCache(cache_dir), workers=1)
         cold = runner.run(campaign)
         warm = runner.run(campaign)
-    # No result cache, prefix fork on: the second pass answers every
-    # scenario no failure reaches from the runner's failure-free memo.
-    memo_runner = CampaignRunner(workers=1, prefix_fork=True)
+    # No result cache: the second pass answers every scenario no failure
+    # reaches from the runner's failure-free memo.
+    memo_runner = CampaignRunner(workers=1)
     memo_runner.run(campaign)
     memo = memo_runner.run(campaign)
     data = {

@@ -284,9 +284,19 @@ def _strip_perf(result):
     return {key: value for key, value in result.items() if key != "perf"}
 
 
+def _set_have_fork(monkeypatch, have_fork):
+    """Run prefix groups with ``os.fork`` or as the platforms without it
+    do, each scenario a group of one."""
+    from repro.campaign import prefix
+
+    if have_fork and not prefix.HAVE_FORK:
+        pytest.skip("os.fork unavailable")
+    monkeypatch.setattr(prefix, "HAVE_FORK", have_fork)
+
+
 def test_prefix_fork_group_matches_from_scratch_byte_identically():
     from repro.campaign.prefix import group_by_prefix, run_prefix_group
-    from repro.campaign.runner import prefix_key
+    from repro.campaign.runner import _reference_run, prefix_key
     from repro.sim.snapshot import HAVE_FORK
 
     if not HAVE_FORK:
@@ -299,7 +309,10 @@ def test_prefix_fork_group_matches_from_scratch_byte_identically():
     groups = group_by_prefix(list(enumerate(specs)))
     assert [position for position, _ in groups[0]] == [0, 1, 2, 3]
 
-    forked = run_prefix_group(specs)[0]
+    reference = _reference_run(specs[0])
+    forked, failure_free = run_prefix_group(specs, 4, reference)
+    forked = [row or failure_free.row(spec, reference)
+              for spec, row in zip(specs, forked)]
     scratch = [execute_scenario(spec) for spec in specs]
     assert [canonical_json(_strip_perf(r)) for r in forked] == \
         [canonical_json(_strip_perf(r)) for r in scratch]
@@ -311,8 +324,9 @@ def test_prefix_fork_group_matches_from_scratch_byte_identically():
 def test_prefix_fork_skips_tails_no_failure_reaches(monkeypatch):
     """Seed 0 fails inside the job; seeds 3 and 5 draw failures inside the
     horizon but only after their job has finished, so their rows reuse
-    the shared run: one fork per prefix group.  Every path computes the
-    same rows and aggregate as from-scratch execution."""
+    the shared run: one fork per prefix group.  The run counts once, in
+    seed 3's row; seed 5's row is reused.  Serial and pooled runners
+    compute the same rows and aggregate as from-scratch execution."""
     from repro.campaign import prefix
     from repro.campaign.runner import (_build_managed_runner, _draw_schedule,
                                        _resolve_workload)
@@ -346,18 +360,23 @@ def test_prefix_fork_skips_tails_no_failure_reaches(monkeypatch):
 
     monkeypatch.setattr(prefix, "ForkBranch", CountingBranch)
     expected = [canonical_json(_strip_perf(row)) for row in scratch]
-    for prefix_fork in (False, True):
-        for workers in (1, 2):
-            del forks[:]
-            result = CampaignRunner(cache=None, workers=workers,
-                                    prefix_fork=prefix_fork).run(campaign)
-            if workers == 1:
-                # Pool workers fork in their own processes, uncounted here.
-                assert len(forks) == (2 if prefix_fork else 0)
-            assert [canonical_json(_strip_perf(row))
-                    for row in result.rows()] == expected
-            assert canonical_json(result.aggregate()) == \
-                canonical_json(aggregate_results(scratch))
+    for workers in (1, 2):
+        del forks[:]
+        result = CampaignRunner(cache=None, workers=workers).run(campaign)
+        if workers == 1:
+            # Pool workers fork in their own processes, uncounted here.
+            assert len(forks) == 2
+        assert [canonical_json(_strip_perf(row))
+                for row in result.rows()] == expected
+        assert canonical_json(result.aggregate()) == \
+            canonical_json(aggregate_results(scratch))
+        assert sorted(run.label for run in result.perf.runs) == sorted(
+            spec.scenario_id for spec in campaign.scenarios
+            if spec.seed != 5)
+        assert result.perf.reused == 2
+        for row in result.rows():
+            if row["scenario"]["seed"] == 5:
+                assert row["perf"]["wall_seconds"] == 0
 
 
 def test_prefix_key_separates_trajectory_shaping_config():
@@ -383,23 +402,19 @@ def test_prefix_key_separates_trajectory_shaping_config():
 
 
 def test_prefix_fork_runner_aggregate_is_byte_identical(tmp_path):
-    from repro.sim.snapshot import HAVE_FORK
-
-    if not HAVE_FORK:
-        pytest.skip("os.fork unavailable")
-
     campaign = small_campaign("prefix-runner")
-    plain = CampaignRunner(cache=None, workers=1).run(campaign)
-    forked = CampaignRunner(cache=None, workers=1,
-                            prefix_fork=True).run(campaign)
-    pooled = CampaignRunner(cache=None, workers=2,
-                            prefix_fork=True).run(campaign)
-    blobs = {canonical_json(run.aggregate())
-             for run in (plain, forked, pooled)}
-    assert len(blobs) == 1, "prefix-fork changed campaign results"
+    scratch = [execute_scenario(spec) for spec in campaign.scenarios]
+    forked = CampaignRunner(cache=None, workers=1).run(campaign)
+    pooled = CampaignRunner(cache=None, workers=2).run(campaign)
     for run in (forked, pooled):
+        _assert_rows_match(run, run.aggregate(), scratch)
         assert [o.spec.scenario_id for o in run.outcomes] == \
             [s.scenario_id for s in campaign.scenarios]
+
+
+def test_runner_rejects_prefix_fork_off():
+    with pytest.raises(ValueError, match="execute_scenario"):
+        CampaignRunner(prefix_fork=False)
 
 
 # -- shared reference runs -------------------------------------------------------------
@@ -457,15 +472,14 @@ def test_execute_scenario_computes_its_own_reference(reference_jobs):
     assert len(reference_jobs) == 2
 
 
-@pytest.mark.parametrize("prefix_fork", [False, True])
+@pytest.mark.parametrize("have_fork", [False, True])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_one_reference_run_per_reference_key(reference_jobs, scratch_rows,
-                                             prefix_fork, workers, tmp_path):
+                                             have_fork, workers, tmp_path,
+                                             monkeypatch):
     from repro.campaign.runner import prefix_key, reference_key
-    from repro.sim.snapshot import HAVE_FORK
 
-    if prefix_fork and not HAVE_FORK:
-        pytest.skip("os.fork unavailable")
+    _set_have_fork(monkeypatch, have_fork)
     campaign = reference_campaign()
     assert len(campaign) == 12
     assert len({prefix_key(spec) for spec in campaign.scenarios}) == 3
@@ -473,8 +487,7 @@ def test_one_reference_run_per_reference_key(reference_jobs, scratch_rows,
     assert len(keys) == 1
 
     cache = ResultCache(tmp_path / "cache")
-    runner = CampaignRunner(cache=cache, workers=workers,
-                            prefix_fork=prefix_fork)
+    runner = CampaignRunner(cache=cache, workers=workers)
     result = runner.run(campaign)
     assert len(reference_jobs) == len(keys)
     assert result.executed == 12
@@ -567,9 +580,14 @@ def test_campaign_runner_feeds_metrics_registry(tmp_path):
 
     scenarios = reg.get("repro_campaign_scenarios")
     assert scenarios is not None
-    # The counter tracks simulated runs; the warm pass is all cache hits.
+    # The counter tracks simulated runs, apart from the rows a group's
+    # failure-free run answers after the first; the warm pass is all
+    # cache hits.
     total = sum(child.exact for _, child in scenarios.children())
-    assert total == len(campaign)
+    reused = sum(child.exact for _, child in
+                 reg.get("repro_campaign_reused").children())
+    assert reused >= 1
+    assert total + reused == len(campaign)
     hits = sum(child.exact for _, child in
                reg.get("repro_campaign_cache_hits").children())
     assert hits == len(campaign)          # second run fully warm
@@ -594,7 +612,7 @@ def _dedup_rows(seeds, dedup):
     from repro import flags
 
     with flags.override(dedup=dedup):
-        runner = CampaignRunner(workers=1, prefix_fork=True, fork_max_live=1)
+        runner = CampaignRunner(workers=1, fork_max_live=1)
         result, _ = runner.run_aggregated(
             CampaignSpec.grid("dedup-eq", seeds=seeds, **FOLLOW_GRID))
     return [(row["scenario_id"], row["metrics"], row["perf"]["events"])
@@ -629,12 +647,8 @@ def _strata(seeds, ideal_time, grid=FOLLOW_GRID):
 
 def test_campaign_rows_identical_with_dedup_on_and_off():
     """user_jit and periodic over a failure-free seed and one seed per
-    failing stratum, prefix fork on: metrics (loss digest and wasted time
+    failing stratum: metrics (loss digest and wasted time
     included) and logical event counts match dedup off row by row."""
-    from repro.sim.snapshot import HAVE_FORK
-
-    if not HAVE_FORK:
-        pytest.skip("os.fork unavailable")
     seeds = [2, 0, 11, 4]
     off = _dedup_rows(seeds, False)
     assert _strata(seeds, off[0][1]["ideal_time"]) == [
@@ -645,10 +659,6 @@ def test_campaign_rows_identical_with_dedup_on_and_off():
 @pytest.mark.fuzz
 @pytest.mark.parametrize("first", [100, 200, 300])
 def test_campaign_rows_identical_with_dedup_on_and_off_fuzz(first):
-    from repro.sim.snapshot import HAVE_FORK
-
-    if not HAVE_FORK:
-        pytest.skip("os.fork unavailable")
     seeds = list(range(first, first + 30))
     off = _dedup_rows(seeds, False)
     assert "none" in _strata(seeds, off[0][1]["ideal_time"])
@@ -699,11 +709,11 @@ def test_network_transient_checkpoint_materialises_followers(monkeypatch):
 
 
 # -- the runner's failure-free memo -------------------------------------------------------
-# A runner keeps each reference run for its lifetime and, under prefix
-# fork, the failure-free managed run of every prefix group that finished
-# it because one of its scenarios draws no failure the job reaches.  A
+# A runner keeps each reference run for its lifetime and the failure-free
+# managed run of every prefix group that finished it because one of its
+# scenarios draws no failure the job reaches, a group of one included.  A
 # later campaign answers every such scenario from the memo; the others
-# still run in prefix groups, or from scratch when alone.
+# still run in prefix groups, whose last tail runs in the calling process.
 
 MEMO_GRID = dict(FOLLOW_GRID, target_iterations=6)
 
@@ -783,27 +793,26 @@ def _assert_rows_match(result, table, rows):
     assert canonical_json(table) == canonical_json(aggregate_results(rows))
 
 
-@pytest.mark.parametrize("prefix_fork", [False, True])
+@pytest.mark.parametrize("have_fork", [False, True])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_runner_memo_pays_each_failure_free_run_once(
-        memo_grids, reference_jobs, finished_runs, parent_arms,
-        prefix_fork, workers):
+        memo_grids, reference_jobs, finished_runs, parent_arms, monkeypatch,
+        have_fork, workers):
     """One runner over six consecutive grids: every row and aggregate is
     what from-scratch execution computes; the reference and each prefix
     key's failure-free run are simulated for the first grid only (its
     failure-free seed makes both groups finish the run); later grids
     answer their failure-free seeds from the memo, which leaves each
-    failing seed alone in its group, so it runs from scratch."""
+    failing seed alone in its group, so its tail runs in the calling
+    process.  Without ``os.fork`` every scenario is a group of one, and
+    the memo fills the same way."""
     from repro.campaign.runner import prefix_key
-    from repro.sim.snapshot import HAVE_FORK
 
-    if prefix_fork and not HAVE_FORK:
-        pytest.skip("os.fork unavailable")
+    _set_have_fork(monkeypatch, have_fork)
     grids, scratch = memo_grids
     assert len({prefix_key(spec) for grid in grids
                 for spec in grid.scenarios}) == 2
-    runner = CampaignRunner(workers=workers, prefix_fork=prefix_fork,
-                            fork_max_live=1)
+    runner = CampaignRunner(workers=workers, fork_max_live=1)
     reused = 0
     for index, (grid, rows) in enumerate(zip(grids, scratch)):
         armed = len(parent_arms)
@@ -815,19 +824,15 @@ def test_runner_memo_pays_each_failure_free_run_once(
             assert result.perf.reused == 0
         reused += result.perf.reused
         assert len(reference_jobs) == 1
-        assert finished_runs() == (2 if prefix_fork else 0)
-        if prefix_fork and workers == 1:
-            # First grid: each group forks its failing tail.  Later grids:
-            # each failing seed is a singleton, run here from scratch.
-            assert len(parent_arms) - armed == \
-                (0 if index == 0 else len(result.perf.runs))
-    if prefix_fork:
-        # Each later grid's failure-free seed, under both policies.
-        assert reused == 2 * (len(grids) - 1)
-    else:
-        assert reused == 0
+        assert finished_runs() == 2
         if workers == 1:
-            assert len(parent_arms) == sum(len(grid) for grid in grids)
+            # First grid: each group forks its failing tail, or arms it
+            # here as a group of one.  Later grids: each failing seed is
+            # a group of one, its tail run here.
+            assert len(parent_arms) - armed == (
+                len(result.perf.runs) if index else 0 if have_fork else 2)
+    # Each later grid's failure-free seed, under both policies.
+    assert reused == 2 * (len(grids) - 1)
 
 
 def test_first_failure_at_the_completion_instant_is_simulated(monkeypatch):
@@ -840,12 +845,9 @@ def test_first_failure_at_the_completion_instant_is_simulated(monkeypatch):
 
     from repro.campaign import prefix
     from repro.campaign import runner as runner_mod
-    from repro.sim.snapshot import HAVE_FORK
 
-    if not HAVE_FORK:
-        pytest.skip("os.fork unavailable")
     grid = dict(MEMO_GRID, policies=["user_jit"])
-    runner = CampaignRunner(workers=1, prefix_fork=True)
+    runner = CampaignRunner(workers=1)
     # Seeds 0-3 include one the job never reaches, so the group finishes
     # its failure-free run and the memo gets the entry.
     runner.run(CampaignSpec.grid("fill", seeds=[0, 1, 2, 3], **grid))
@@ -876,15 +878,72 @@ def test_first_failure_at_the_completion_instant_is_simulated(monkeypatch):
     assert result.perf.reused == 1
 
 
+def test_lone_failure_free_scenario_fills_the_memo(
+        memo_grids, reference_jobs, finished_runs, monkeypatch):
+    """A group of one whose failures never fire finishes the failure-free
+    run and fills the memo like any group; a later campaign's scenario
+    that the run answers is then served without any simulation."""
+    from repro.campaign import prefix
+
+    built = []
+    build = prefix._build_managed_runner
+    monkeypatch.setattr(prefix, "_build_managed_runner",
+                        lambda *args: built.append(args) or build(*args))
+    grids, scratch = memo_grids
+    quiet = [(spec, row) for grid, rows in zip(grids, scratch)
+             for spec, row in zip(grid.scenarios, rows)
+             if spec.policy == "user_jit" and not row["metrics"]["failures"]]
+    runner = CampaignRunner(workers=1)
+    for index, (spec, row) in enumerate(quiet[:2]):
+        result, table = runner.run_aggregated(
+            CampaignSpec(name=f"lone-{index}", scenarios=(spec,)))
+        _assert_rows_match(result, table, [row])
+        assert len(result.perf.runs) == 1 - index
+        assert result.perf.reused == index
+        assert len(built) == len(reference_jobs) == finished_runs() == 1
+
+
+def test_group_of_failing_scenarios_forks_all_but_the_last_tail(
+        memo_grids, parent_arms, finished_runs, monkeypatch):
+    """Three scenarios that all fail inside the job form one group: the
+    parent forks the two earliest tails and runs the latest itself, so it
+    arms one schedule.  That tail completes the run, but not failure
+    free, so the memo stays empty."""
+    from repro.campaign import prefix
+    from repro.campaign.runner import _draw_schedule
+
+    _set_have_fork(monkeypatch, True)
+    forks = []
+
+    class CountingBranch(prefix.ForkBranch):
+        def __init__(self, fn):
+            forks.append(fn)
+            super().__init__(fn)
+
+    monkeypatch.setattr(prefix, "ForkBranch", CountingBranch)
+    grids, scratch = memo_grids
+    failing = [(spec, row) for grid, rows in zip(grids, scratch)
+               for spec, row in zip(grid.scenarios, rows)
+               if spec.policy == "user_jit" and row["metrics"]["failures"]]
+    campaign = CampaignSpec(
+        name="failing", scenarios=tuple(spec for spec, _row in failing[:3]))
+    runner = CampaignRunner(workers=1)
+    result, table = runner.run_aggregated(campaign)
+    _assert_rows_match(result, table, [row for _spec, row in failing[:3]])
+    assert len(forks) == 2
+    latest = max(campaign.scenarios,
+                 key=lambda spec: _draw_schedule(spec)[0].time)
+    assert parent_arms == [_draw_schedule(latest)]
+    assert len(result.perf.runs) == 3
+    assert finished_runs() == 0
+    assert runner._failure_free == {}
+
+
 def test_periodic_failure_rates_never_share_a_memo_entry():
     """The periodic interval follows the failure rate, so each rate keeps
     its own failure-free run; serving one rate's rows from the other's
     would change their metrics."""
-    from repro.sim.snapshot import HAVE_FORK
-
-    if not HAVE_FORK:
-        pytest.skip("os.fork unavailable")
-    runner = CampaignRunner(workers=1, prefix_fork=True)
+    runner = CampaignRunner(workers=1)
     for rate in (1.0 / 25.0, 1.0 / 40.0, 1.0 / 25.0):
         campaign = CampaignSpec.grid(
             "periodic-rates", seeds=[0, 1, 2],
@@ -924,28 +983,26 @@ def test_reused_rows_are_reported_apart_from_runs():
     perf section."""
     from repro.obs import metrics
     from repro.obs.metrics import bridge
-    from repro.sim.snapshot import HAVE_FORK
     from repro.tools.report import report_perf
 
-    if not HAVE_FORK:
-        pytest.skip("os.fork unavailable")
     campaign = CampaignSpec.grid("reused", seeds=[0, 1, 2, 3],
                                  **dict(MEMO_GRID, policies=["user_jit"]))
-    runner = CampaignRunner(workers=1, prefix_fork=True)
+    runner = CampaignRunner(workers=1)
     reg = metrics.MetricsRegistry()
-    for _ in range(2):
-        warm = runner.run(campaign)
-        bridge.record_campaign_perf(reg, warm.perf, runner.workers)
-    assert warm.perf.reused >= 1
-    assert len(warm.perf.runs) + warm.perf.reused == len(campaign)
-    assert f" / {warm.perf.reused} reused / " in warm.perf.describe()
+    passes = [runner.run(campaign) for _ in range(2)]
+    for result in passes:
+        bridge.record_campaign_perf(reg, result.perf, runner.workers)
+        assert result.perf.reused >= 1
+        assert len(result.perf.runs) + result.perf.reused == len(campaign)
+        assert f" / {result.perf.reused} reused / " in result.perf.describe()
 
     def counted(name):
         return sum(child.exact for _, child in reg.get(name).children())
 
-    assert counted("repro_campaign_reused") == warm.perf.reused
+    assert counted("repro_campaign_reused") == \
+        sum(result.perf.reused for result in passes)
     assert counted("repro_campaign_scenarios") == \
-        len(campaign) + len(warm.perf.runs)
+        sum(len(result.perf.runs) for result in passes)
     memo = report_perf(json_mode=True)["campaign_memo"]
     assert memo["reused"] >= 1
     assert memo["executed"] + memo["reused"] == 3
@@ -955,12 +1012,8 @@ def test_reused_rows_are_reported_apart_from_runs():
 @pytest.mark.parametrize("first", [1000, 2000, 3000])
 def test_runner_memo_pays_each_failure_free_run_once_fuzz(first,
                                                           finished_runs):
-    from repro.sim.snapshot import HAVE_FORK
-
-    if not HAVE_FORK:
-        pytest.skip("os.fork unavailable")
     grids = _stratified_grids(first, 12)
-    runner = CampaignRunner(workers=1, prefix_fork=True, fork_max_live=1)
+    runner = CampaignRunner(workers=1, fork_max_live=1)
     for grid, rows in zip(grids, _scratch(grids)):
         _assert_rows_match(*runner.run_aggregated(grid), rows)
     assert finished_runs() == 2
