@@ -14,7 +14,7 @@ validation ("exact floating point match of training losses") relies on.
 """
 
 from repro.framework.layers import (
-    MlpBlock,
+    MlpBlockParams,
     OutputHead,
     gelu,
     softmax_cross_entropy,
@@ -37,7 +37,7 @@ __all__ = [
     "CosineLr",
     "LrScheduler",
     "MODEL_CONFIGS",
-    "MlpBlock",
+    "MlpBlockParams",
     "ModelConfig",
     "Optimizer",
     "OutputHead",

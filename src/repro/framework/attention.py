@@ -9,7 +9,8 @@ column-sharded by head), each rank runs attention for its heads locally,
 and the output projection is row-sharded producing partial sums that the
 TP all-reduce combines — after which the bias and residual are applied
 once.  Sharded math equals the unsharded computation up to float
-summation order, like :class:`~repro.framework.layers.MlpBlock`.
+summation order, like :class:`~repro.framework.layers.MlpBlockParams`,
+and backward takes the same member count ``k`` for data-parallel groups.
 
 Shapes are semantic-scale (a couple of tokens, a few heads); the cost
 model still charges logical transformer FLOPs.
@@ -20,6 +21,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from repro.framework.layers import members, per_member
+
+try:
+    # The C kernel np.einsum calls when ``optimize`` is off, minus its
+    # Python-level dispatch (~1us per call); bitwise-identical output.
+    from numpy._core.multiarray import c_einsum as einsum
+except ImportError:  # pragma: no cover - older numpy layouts
+    einsum = np.einsum
 
 
 def _softmax(scores: np.ndarray) -> np.ndarray:
@@ -107,9 +117,9 @@ class AttentionBlockParams:
         q = (tokens @ self.wq).reshape(batch, seq, heads, d_head)
         k = (tokens @ self.wk).reshape(batch, seq, heads, d_head)
         v = (tokens @ self.wv).reshape(batch, seq, heads, d_head)
-        scores = np.einsum("bshd,bthd->bhst", q, k) / np.sqrt(d_head)
+        scores = einsum("bshd,bthd->bhst", q, k) / np.sqrt(d_head)
         attn = _softmax(scores)
-        context = np.einsum("bhst,bthd->bshd", attn, v)
+        context = einsum("bhst,bthd->bshd", attn, v)
         context_flat = context.reshape(batch, seq, heads * d_head)
         partial = (context_flat @ self.wo).reshape(batch, -1)
         cache = {"x": x, "tokens": tokens, "q": q, "k": k, "v": v,
@@ -127,47 +137,50 @@ class AttentionBlockParams:
 
     # -- backward ----------------------------------------------------------------------
 
-    def backward(self, dy: np.ndarray,
-                 cache: dict) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    def backward(self, dy: np.ndarray, cache: dict,
+                 k: int = 1) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Backward through this shard; returns (dx_partial, grads).
 
         ``dy`` is the (TP-identical) gradient of the block output.  The
         returned ``dx_partial`` excludes the residual path, which the
-        caller adds once after the TP reduction.
+        caller adds once after the TP reduction.  Each gradient is stacked
+        over ``k`` members, as in
+        :meth:`~repro.framework.layers.MlpBlockParams.backward`.
         """
         batch = dy.shape[0]
         seq, heads, d_head = self.seq_len, self.n_heads_local, self.d_head
-        tokens = cache["tokens"]
-        q, k, v, attn = cache["q"], cache["k"], cache["v"], cache["attn"]
+        tokens4 = members(cache["tokens"], k)
+        q, keys, v, attn = cache["q"], cache["k"], cache["v"], cache["attn"]
         dy_tokens = dy.reshape(batch, seq, -1)
+        dy4 = members(dy_tokens, k)
         grads: dict[str, np.ndarray] = {}
 
-        grads["bo"] = dy_tokens.sum(axis=(0, 1))
-        context_flat = cache["context_flat"]
-        grads["wo"] = np.einsum("bse,bsf->ef", context_flat, dy_tokens)
+        grads["bo"] = dy4.sum(axis=(1, 2))
+        context4 = members(cache["context_flat"], k)
+        grads["wo"] = einsum("rbse,rbsf->ref", context4, dy4)
         dcontext = (dy_tokens @ self.wo.T).reshape(batch, seq, heads, d_head)
 
         # context = einsum('bhst,bthd->bshd', attn, v)
-        dattn = np.einsum("bshd,bthd->bhst", dcontext, v)
-        dv = np.einsum("bhst,bshd->bthd", attn, dcontext)
+        dattn = einsum("bshd,bthd->bhst", dcontext, v)
+        dv = einsum("bhst,bshd->bthd", attn, dcontext)
         # softmax backward over the last axis.
         dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
         dscores /= np.sqrt(d_head)
         # scores = einsum('bshd,bthd->bhst', q, k)
-        dq = np.einsum("bhst,bthd->bshd", dscores, k)
-        dk = np.einsum("bhst,bshd->bthd", dscores, q)
+        dq = einsum("bhst,bthd->bshd", dscores, keys)
+        dk = einsum("bhst,bshd->bthd", dscores, q)
 
         dq_flat = dq.reshape(batch, seq, -1)
         dk_flat = dk.reshape(batch, seq, -1)
         dv_flat = dv.reshape(batch, seq, -1)
-        grads["wq"] = np.einsum("bse,bsf->ef", tokens, dq_flat)
-        grads["wk"] = np.einsum("bse,bsf->ef", tokens, dk_flat)
-        grads["wv"] = np.einsum("bse,bsf->ef", tokens, dv_flat)
+        grads["wq"] = einsum("rbse,rbsf->ref", tokens4, members(dq_flat, k))
+        grads["wk"] = einsum("rbse,rbsf->ref", tokens4, members(dk_flat, k))
+        grads["wv"] = einsum("rbse,rbsf->ref", tokens4, members(dv_flat, k))
         dtokens = (dq_flat @ self.wq.T + dk_flat @ self.wk.T
                    + dv_flat @ self.wv.T)
-        return dtokens.reshape(batch, -1), grads
+        return dtokens.reshape(batch, -1), per_member(grads, k)
 
-    def backward_full(self, dy: np.ndarray,
-                      cache: dict) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        dx_partial, grads = self.backward(dy, cache)
+    def backward_full(self, dy: np.ndarray, cache: dict,
+                      k: int = 1) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        dx_partial, grads = self.backward(dy, cache, k)
         return dx_partial + dy, grads

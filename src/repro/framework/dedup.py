@@ -20,11 +20,15 @@ Three sharing levels:
   not yet executed still reports the pre-step state from
   ``state_dict()`` (the Section 3.3 i-vs-i+1 checkpoint case).
 * **Group math** (pure DDP, no dropout): forward/backward thunks memoise
-  full-batch computation; each rank's loss is its row-slice of the shared
-  result.  The reduced (mean) gradient is written straight into the shared
-  gradient arena, which turns the simulated all-reduce's data application
-  into an object-identity no-op (timing is untouched — the rendezvous
-  still pays every simulated nanosecond).
+  full-batch computation.  Each layer runs its own forward and backward
+  once on the group's full batch, the backward and the head with member
+  count ``k`` = the group size (:func:`repro.framework.layers.members`):
+  the head returns each rank's loss, and every parameter gradient comes
+  back stacked over a leading member axis, slice ``r`` bitwise rank
+  ``r``'s own.  Their mean is written straight into the shared gradient
+  arena, which turns the simulated all-reduce's data application into
+  an object-identity no-op (timing is untouched — the rendezvous still
+  pays every simulated nanosecond).
 * **Followers** (group math): the first member to enqueue an iteration
   leads it; members whose streams are in the leader's state ride its op
   timeline instead of enqueueing copies, and materialise their own
@@ -77,12 +81,7 @@ from repro.cuda.event import CudaEvent, EventState
 from repro.cuda.stream import (CollectiveKernelOp, KernelOp, MemcpyOp,
                                RecordEventOp, WaitEventOp)
 
-try:
-    # Same C kernel np.einsum dispatches to, minus its Python-level
-    # subscript parsing (~1us per call); bitwise-identical output.
-    from numpy._core.multiarray import c_einsum as _einsum
-except ImportError:  # pragma: no cover - older numpy layouts
-    _einsum = np.einsum
+from repro.framework.layers import OutputHead
 
 
 def _shared_groups(job) -> list[tuple[list[int], bool]]:
@@ -958,30 +957,21 @@ class ReplicaArena:
         rider then ran the iteration privately, on a replay.
         """
         memo = self._memo.get(iteration)
-        if memo is None or "head_probs" not in memo:
+        if memo is None or "head_losses" not in memo:
             return None
         return self.group_head_loss(iteration, member, head, n_blocks)
 
     def group_head_loss(self, iteration: int, member: int, head,
                         n_blocks: int) -> float:
-        """Member's shard loss from the shared full-batch softmax."""
+        """Member's shard loss from the head run once on the full batch."""
         memo = self._step_memo(iteration)
-        probs = memo.get("head_probs")
-        if probs is None:
+        losses = memo.get("head_losses")
+        if losses is None:
             src = memo[("fwd", n_blocks - 1)][0]
-            labels = memo["batch"][1]
-            logits = src @ head.w + head.b
-            shifted = logits - logits.max(axis=1, keepdims=True)
-            exp = np.exp(shifted)
-            probs = memo["head_probs"] = exp / exp.sum(axis=1, keepdims=True)
-            memo["head_src"] = src
-        labels = memo["batch"][1]
-        world = len(self.engines)
-        per_rank = probs.shape[0] // world
-        lo = member * per_rank
-        rows = np.arange(per_rank)
-        picked = probs[lo:lo + per_rank][rows, labels[lo:lo + per_rank]]
-        return float(-np.log(picked + 1e-30).mean())
+            losses, memo["head_cache"] = OutputHead.forward(
+                src, head, memo["batch"][1], k=len(self.engines))
+            memo["head_losses"] = losses
+        return float(losses[member])
 
     def group_head_backward(self, iteration: int, head,
                             n_blocks: int) -> None:
@@ -989,105 +979,33 @@ class ReplicaArena:
         memo = self._step_memo(iteration)
         if "head_bwd" in memo:
             return
-        probs, labels = memo["head_probs"], memo["batch"][1]
-        src = memo["head_src"]
-        world = len(self.engines)
-        batch = probs.shape[0]
-        per_rank = batch // world
-        # Replicates softmax_cross_entropy's gradient with the *per-shard*
-        # normalisation each rank applies to its own slice.
-        dlogits = probs.copy()
-        dlogits[np.arange(batch), labels] -= 1.0
-        dlogits /= per_rank
-        memo[("dy", n_blocks - 1)] = dlogits @ head.w.T
-        d3 = dlogits.reshape(world, per_rank, -1)
-        s3 = src.reshape(world, per_rank, -1)
-        self._reduce_into("head.w", np.matmul(s3.transpose(0, 2, 1), d3))
-        self._reduce_into("head.b", d3.sum(axis=1))
+        dx, grads = OutputHead.backward(memo["head_cache"], head,
+                                        k=len(self.engines))
+        memo[("dy", n_blocks - 1)] = dx
+        for name, member_grads in grads.items():
+            self._reduce_into(f"head.{name}", member_grads)
         memo["head_bwd"] = True
 
     def group_block_backward(self, iteration: int, index: int, block) -> None:
-        """Backward for layer *index* once, with batched per-member grads.
+        """Backward for layer *index* once, for the whole group.
 
-        The dx chain is computed on the full batch (row-wise bitwise with
-        per-shard backward); the per-parameter gradients — the only
-        reductions that cross the batch axis — are computed per member
-        via a batched leading axis and mean-reduced into the arena.
+        Runs the block's own ``backward_full`` on the full batch with
+        ``k`` = the group size: the dx chain covers every row (row-wise
+        bitwise with per-shard backward), and each parameter gradient
+        comes back stacked over a leading member axis whose slices are
+        bitwise each member's own; they are mean-reduced into the arena.
         """
         memo = self._step_memo(iteration)
         key = ("bwd", index)
         if key in memo:
             return
-        dy = memo[("dy", index)]
-        cache = memo[("fwd", index)][1]
-        if hasattr(block, "w1"):
-            dx = self._mlp_backward(index, block, dy, cache)
-        else:
-            dx = self._attention_backward(index, block, dy, cache)
+        dx, grads = block.backward_full(memo[("dy", index)],
+                                        memo[("fwd", index)][1],
+                                        k=len(self.engines))
+        for name, member_grads in grads.items():
+            self._reduce_into(f"layer{index}.{name}", member_grads)
         memo[("dy", index - 1)] = dx
         memo[key] = True
-
-    def _split(self, array: np.ndarray) -> np.ndarray:
-        """View ``(batch, ...)`` as ``(world, per_rank, ...)``."""
-        world = len(self.engines)
-        return array.reshape((world, array.shape[0] // world)
-                             + array.shape[1:])
-
-    def _mlp_backward(self, index: int, block, dy, cache) -> np.ndarray:
-        # Same float sequence as MlpBlockParams.backward_full on the full
-        # batch; weight grads use a batched member axis (verified bitwise
-        # against the per-slice matmuls).
-        from repro.framework.layers import gelu_grad
-
-        x, pre, h = cache["x"], cache["pre"], cache["h"]
-        dh = dy @ block.w2.T
-        dpre = dh * gelu_grad(pre)
-        dx = dpre @ block.w1.T
-        dx = dx + dy  # residual connection (backward_full)
-        h3, dy3 = self._split(h), self._split(dy)
-        x3, dpre3 = self._split(x), self._split(dpre)
-        self._reduce_into(f"layer{index}.w2",
-                          np.matmul(h3.transpose(0, 2, 1), dy3))
-        self._reduce_into(f"layer{index}.b2", dy3.sum(axis=1))
-        self._reduce_into(f"layer{index}.w1",
-                          np.matmul(x3.transpose(0, 2, 1), dpre3))
-        self._reduce_into(f"layer{index}.b1", dpre3.sum(axis=1))
-        return dx
-
-    def _attention_backward(self, index: int, block, dy, cache) -> np.ndarray:
-        # Mirrors AttentionBlockParams.backward_full: every op except the
-        # weight-grad einsums is per-sample, so the full-batch chain is
-        # row-wise bitwise; the weight grads get a batched member axis.
-        batch = dy.shape[0]
-        seq, heads = block.seq_len, block.n_heads_local
-        d_head = block.d_head
-        tokens, q, k, v = cache["tokens"], cache["q"], cache["k"], cache["v"]
-        attn, context_flat = cache["attn"], cache["context_flat"]
-        dy_tokens = dy.reshape(batch, seq, -1)
-        dcontext = (dy_tokens @ block.wo.T).reshape(batch, seq, heads, d_head)
-        dattn = _einsum("bshd,bthd->bhst", dcontext, v)
-        dv = _einsum("bhst,bshd->bthd", attn, dcontext)
-        dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-        dscores /= np.sqrt(d_head)
-        dq = _einsum("bhst,bthd->bshd", dscores, k)
-        dk = _einsum("bhst,bshd->bthd", dscores, q)
-        dq_flat = dq.reshape(batch, seq, -1)
-        dk_flat = dk.reshape(batch, seq, -1)
-        dv_flat = dv.reshape(batch, seq, -1)
-        t4, c4, y4 = self._split(tokens), self._split(context_flat), \
-            self._split(dy_tokens)
-        self._reduce_into(f"layer{index}.bo", y4.sum(axis=(1, 2)))
-        self._reduce_into(f"layer{index}.wo",
-                          _einsum("rbse,rbsf->ref", c4, y4))
-        self._reduce_into(f"layer{index}.wq",
-                          _einsum("rbse,rbsf->ref", t4, self._split(dq_flat)))
-        self._reduce_into(f"layer{index}.wk",
-                          _einsum("rbse,rbsf->ref", t4, self._split(dk_flat)))
-        self._reduce_into(f"layer{index}.wv",
-                          _einsum("rbse,rbsf->ref", t4, self._split(dv_flat)))
-        dtokens = dq_flat @ block.wq.T + dk_flat @ block.wk.T \
-            + dv_flat @ block.wv.T
-        return dtokens.reshape(batch, -1) + dy
 
     def _reduce_into(self, name: str, member_grads: np.ndarray) -> None:
         """Mean-reduce stacked per-member grads into the shared arena.

@@ -12,12 +12,17 @@ parallelism can split them exactly:
 With that split, TP-sharded math is numerically identical to the unsharded
 computation up to float summation order, which our parallel-engine tests
 pin down.
+
+Backward passes also split *data* parallelism exactly: given a member
+count ``k``, the weight- and bias-gradient reductions run over a leading
+member axis, so one call on a replica group's full batch returns every
+member's gradient, bitwise what each would compute from its row-shard
+(:mod:`repro.framework.dedup` relies on this).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -40,32 +45,53 @@ def gelu_grad(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + tanh_inner) + 0.5 * x * sech2 * d_inner
 
 
-def softmax_cross_entropy(logits: np.ndarray,
-                          labels: np.ndarray) -> tuple[float, np.ndarray]:
+def members(array: np.ndarray, k: int) -> np.ndarray:
+    """View ``(rows, ...)`` as ``(k, rows // k, ...)``: the member axis.
+
+    Member ``r`` of a ``k``-member batch owns rows ``r * rows // k`` up
+    to ``(r + 1) * rows // k``, the row-shard a data-parallel rank holds.
+    """
+    return array.reshape((k, array.shape[0] // k) + array.shape[1:])
+
+
+def per_member(grads: dict[str, np.ndarray],
+               k: int) -> dict[str, np.ndarray]:
+    """``k``-stacked gradients; with ``k == 1`` the one member's, unstacked."""
+    return grads if k > 1 else {name: grad[0] for name, grad in grads.items()}
+
+
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray,
+                          k: int = 1) -> tuple[float | np.ndarray, np.ndarray]:
     """Mean cross-entropy loss and gradient w.r.t. logits.
 
     The gradient is already divided by the batch size, so summing
     per-sample contributions across data-parallel shards and averaging
     (all-reduce MEAN over equal shards) reproduces the full-batch gradient.
+
+    With ``k`` members (see :func:`members`) the loss is one mean per
+    member, an array of ``k``, and the gradient is divided by the
+    per-member batch ``n // k``: each member's rows are what that member
+    would compute alone.  ``k == 1`` returns the loss as a float.
     """
     shifted = logits - logits.max(axis=1, keepdims=True)
     exp = np.exp(shifted)
     probs = exp / exp.sum(axis=1, keepdims=True)
-    n = logits.shape[0]
-    loss = float(-np.log(probs[np.arange(n), labels] + 1e-30).mean())
+    rows = np.arange(logits.shape[0])
+    nll = -np.log(probs[rows, labels] + 1e-30)
+    losses = members(nll, k).mean(axis=1)
     grad = probs.copy()
-    grad[np.arange(n), labels] -= 1.0
-    grad /= n
-    return loss, grad
+    grad[rows, labels] -= 1.0
+    grad /= logits.shape[0] // k
+    return (float(losses[0]) if k == 1 else losses), grad
 
 
 @dataclass
 class MlpBlockParams:
     """One (possibly TP-sharded) residual MLP block's parameters.
 
-    Exposes the same instance-method protocol as
-    :class:`~repro.framework.attention.AttentionBlockParams`, so engines
-    dispatch polymorphically over heterogeneous block stacks.
+    ``y = x + gelu(x W1 + b1) W2 + b2``.  Exposes the same instance-method
+    protocol as :class:`~repro.framework.attention.AttentionBlockParams`,
+    so engines dispatch polymorphically over heterogeneous block stacks.
     """
 
     w1: np.ndarray   # (D, H_local) column-parallel
@@ -86,32 +112,9 @@ class MlpBlockParams:
     def tp_replicated_param_names() -> tuple[str, ...]:
         return ("b2",)
 
-    # -- instance-method protocol (delegates to the MlpBlock functions) ----------
-
-    def forward_partial(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
-        return MlpBlock.forward_partial(x, self)
-
-    def finish_forward(self, x: np.ndarray, reduced: np.ndarray) -> np.ndarray:
-        return MlpBlock.finish_forward(x, reduced, self)
-
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
-        return MlpBlock.forward(x, self)
-
-    def backward(self, dy: np.ndarray,
-                 cache: dict) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        return MlpBlock.backward(dy, cache, self)
-
-    def backward_full(self, dy: np.ndarray,
-                      cache: dict) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-        return MlpBlock.backward_full(dy, cache, self)
-
-
-class MlpBlock:
-    """Residual MLP block: ``y = x + gelu(x W1 + b1) W2 + b2``."""
-
-    @staticmethod
-    def init_params(rng: np.random.Generator, d_model: int, hidden: int,
-                    tp_rank: int = 0, tp_world: int = 1) -> MlpBlockParams:
+    @classmethod
+    def init_params(cls, rng: np.random.Generator, d_model: int, hidden: int,
+                    tp_rank: int = 0, tp_world: int = 1) -> "MlpBlockParams":
         """Initialise the TP shard for (tp_rank, tp_world).
 
         The full weight matrices are drawn first and then sliced, so every
@@ -124,36 +127,31 @@ class MlpBlock:
         w2_full = rng.standard_normal((hidden, d_model)) * (1.0 / np.sqrt(hidden))
         b2 = np.zeros(d_model)
         shard = slice(tp_rank * hidden // tp_world, (tp_rank + 1) * hidden // tp_world)
-        return MlpBlockParams(w1=w1_full[:, shard].copy(), b1=b1_full[shard].copy(),
-                              w2=w2_full[shard, :].copy(), b2=b2)
+        return cls(w1=w1_full[:, shard].copy(), b1=b1_full[shard].copy(),
+                   w2=w2_full[shard, :].copy(), b2=b2)
 
-    @staticmethod
-    def forward_partial(x: np.ndarray, params: MlpBlockParams) -> tuple[np.ndarray, dict]:
+    def forward_partial(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
         """Compute this shard's partial output (before TP reduction).
 
         Returns the partial ``h @ W2`` (no bias, no residual) plus cache.
         """
-        pre = x @ params.w1 + params.b1
+        pre = x @ self.w1 + self.b1
         h = gelu(pre)
-        partial = h @ params.w2
+        partial = h @ self.w2
         cache = {"x": x, "pre": pre, "h": h}
         return partial, cache
 
-    @staticmethod
-    def finish_forward(x: np.ndarray, reduced: np.ndarray,
-                       params: MlpBlockParams) -> np.ndarray:
+    def finish_forward(self, x: np.ndarray, reduced: np.ndarray) -> np.ndarray:
         """Apply bias and residual after the partial outputs were summed."""
-        return reduced + params.b2 + x
+        return reduced + self.b2 + x
 
-    @staticmethod
-    def forward(x: np.ndarray, params: MlpBlockParams) -> tuple[np.ndarray, dict]:
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
         """Unsharded forward (tp_world == 1 fast path)."""
-        partial, cache = MlpBlock.forward_partial(x, params)
-        return MlpBlock.finish_forward(x, partial, params), cache
+        partial, cache = self.forward_partial(x)
+        return self.finish_forward(x, partial), cache
 
-    @staticmethod
-    def backward(dy: np.ndarray, cache: dict,
-                 params: MlpBlockParams) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    def backward(self, dy: np.ndarray, cache: dict,
+                 k: int = 1) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Backward through one shard.
 
         ``dy`` is the gradient of the block output (same for every TP rank,
@@ -161,25 +159,27 @@ class MlpBlock:
         ``dx`` — TP ranks must sum their ``dx`` contributions *excluding*
         the residual, which is added once by the caller — and parameter
         gradients.  For the unsharded path use :meth:`backward_full`.
+
+        ``dx`` covers every row; each gradient is stacked over ``k``
+        members, member ``r`` reducing only its own rows (:func:`members`).
         """
         h = cache["h"]
         pre = cache["pre"]
         x = cache["x"]
-        grads = {}
-        grads["w2"] = h.T @ dy
-        grads["b2"] = dy.sum(axis=0)
-        dh = dy @ params.w2.T
+        dh = dy @ self.w2.T
         dpre = dh * gelu_grad(pre)
-        grads["w1"] = x.T @ dpre
-        grads["b1"] = dpre.sum(axis=0)
-        dx_partial = dpre @ params.w1.T
-        return dx_partial, grads
+        dy3, dpre3 = members(dy, k), members(dpre, k)
+        grads = {"w2": np.matmul(members(h, k).transpose(0, 2, 1), dy3),
+                 "b2": dy3.sum(axis=1),
+                 "w1": np.matmul(members(x, k).transpose(0, 2, 1), dpre3),
+                 "b1": dpre3.sum(axis=1)}
+        dx_partial = dpre @ self.w1.T
+        return dx_partial, per_member(grads, k)
 
-    @staticmethod
-    def backward_full(dy: np.ndarray, cache: dict,
-                      params: MlpBlockParams) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    def backward_full(self, dy: np.ndarray, cache: dict,
+                      k: int = 1) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         """Unsharded backward: adds the residual path to dx."""
-        dx_partial, grads = MlpBlock.backward(dy, cache, params)
+        dx_partial, grads = self.backward(dy, cache, k)
         return dx_partial + dy, grads
 
 
@@ -205,17 +205,20 @@ class OutputHead:
         return OutputHeadParams(w=w, b=np.zeros(n_classes))
 
     @staticmethod
-    def forward(x: np.ndarray, params: OutputHeadParams,
-                labels: np.ndarray) -> tuple[float, dict]:
+    def forward(x: np.ndarray, params: OutputHeadParams, labels: np.ndarray,
+                k: int = 1) -> tuple[float | np.ndarray, dict]:
+        """Loss (one per member, see :func:`softmax_cross_entropy`) and cache."""
         logits = x @ params.w + params.b
-        loss, dlogits = softmax_cross_entropy(logits, labels)
+        loss, dlogits = softmax_cross_entropy(logits, labels, k)
         cache = {"x": x, "dlogits": dlogits}
         return loss, cache
 
     @staticmethod
-    def backward(cache: dict,
-                 params: OutputHeadParams) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    def backward(cache: dict, params: OutputHeadParams,
+                 k: int = 1) -> tuple[np.ndarray, dict[str, np.ndarray]]:
         x, dlogits = cache["x"], cache["dlogits"]
-        grads = {"w": x.T @ dlogits, "b": dlogits.sum(axis=0)}
+        d3 = members(dlogits, k)
+        grads = {"w": np.matmul(members(x, k).transpose(0, 2, 1), d3),
+                 "b": d3.sum(axis=1)}
         dx = dlogits @ params.w.T
-        return dx, grads
+        return dx, per_member(grads, k)

@@ -18,12 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.framework.attention import AttentionBlockParams
-from repro.framework.layers import (
-    MlpBlock,
-    MlpBlockParams,
-    OutputHead,
-    OutputHeadParams,
-)
+from repro.framework.layers import MlpBlockParams, OutputHead, OutputHeadParams
 
 BILLION = 1_000_000_000
 
@@ -94,7 +89,7 @@ def _draw_blocks(config: ModelConfig, seed: int, start: int, stop: int,
                 rng, config.d_model, config.n_heads, seq_len=config.seq_len,
                 tp_rank=tp_rank, tp_world=tp_world))
         else:
-            blocks.append(MlpBlock.init_params(
+            blocks.append(MlpBlockParams.init_params(
                 rng, config.d_model, config.hidden,
                 tp_rank=tp_rank, tp_world=tp_world))
     head = None

@@ -21,7 +21,7 @@ from repro.cuda.memory import BufferKind, HostBuffer
 from repro.framework.costmodel import TrainingCostModel
 from repro.framework.data import SyntheticDataset
 from repro.framework.dedup import GroupThunk
-from repro.framework.layers import MlpBlock, OutputHead
+from repro.framework.layers import OutputHead
 from repro.framework.lr_scheduler import LrScheduler
 from repro.framework.models import ModelConfig, bound_blocks, model_shard
 from repro.framework.optim import ParamDict

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.framework.layers import (
-    MlpBlock,
+    MlpBlockParams,
     OutputHead,
     gelu,
     gelu_grad,
@@ -58,16 +58,16 @@ def test_softmax_xent_loss_and_grad():
 
 
 def test_mlp_block_backward_matches_numeric():
-    params = MlpBlock.init_params(RNG, d_model=6, hidden=8)
+    params = MlpBlockParams.init_params(RNG, d_model=6, hidden=8)
     x = RNG.standard_normal((3, 6))
     dy = RNG.standard_normal((3, 6))
 
     def scalar_loss():
-        y, _ = MlpBlock.forward(x, params)
+        y, _ = params.forward(x)
         return float((y * dy).sum())
 
-    _, cache = MlpBlock.forward(x, params)
-    dx, grads = MlpBlock.backward_full(dy, cache, params)
+    _, cache = params.forward(x)
+    dx, grads = params.backward_full(dy, cache)
 
     np.testing.assert_allclose(dx, numerical_grad(scalar_loss, x), atol=1e-4)
     for name in ("w1", "b1", "w2", "b2"):
@@ -100,19 +100,20 @@ def test_tensor_parallel_forward_equals_unsharded(tp_world):
     rng_seed = 11
     d_model, hidden = 6, 8
     full_rng = np.random.Generator(np.random.Philox(key=rng_seed, counter=0))
-    full = MlpBlock.init_params(full_rng, d_model, hidden)
+    full = MlpBlockParams.init_params(full_rng, d_model, hidden)
     shards = []
     for tp_rank in range(tp_world):
         rng = np.random.Generator(np.random.Philox(key=rng_seed, counter=0))
-        shards.append(MlpBlock.init_params(rng, d_model, hidden,
-                                           tp_rank=tp_rank, tp_world=tp_world))
+        shards.append(MlpBlockParams.init_params(rng, d_model, hidden,
+                                                 tp_rank=tp_rank,
+                                                 tp_world=tp_world))
     x = RNG.standard_normal((4, d_model))
 
-    y_full, _ = MlpBlock.forward(x, full)
+    y_full, _ = full.forward(x)
 
-    partials = [MlpBlock.forward_partial(x, shard)[0] for shard in shards]
+    partials = [shard.forward_partial(x)[0] for shard in shards]
     reduced = np.sum(partials, axis=0)
-    y_tp = MlpBlock.finish_forward(x, reduced, shards[0])
+    y_tp = shards[0].finish_forward(x, reduced)
     np.testing.assert_allclose(y_tp, y_full, atol=1e-12)
 
 
@@ -121,20 +122,21 @@ def test_tensor_parallel_backward_equals_unsharded(tp_world):
     rng_seed = 13
     d_model, hidden = 6, 8
     full_rng = np.random.Generator(np.random.Philox(key=rng_seed, counter=0))
-    full = MlpBlock.init_params(full_rng, d_model, hidden)
+    full = MlpBlockParams.init_params(full_rng, d_model, hidden)
     shards = []
     for tp_rank in range(tp_world):
         rng = np.random.Generator(np.random.Philox(key=rng_seed, counter=0))
-        shards.append(MlpBlock.init_params(rng, d_model, hidden,
-                                           tp_rank=tp_rank, tp_world=tp_world))
+        shards.append(MlpBlockParams.init_params(rng, d_model, hidden,
+                                                 tp_rank=tp_rank,
+                                                 tp_world=tp_world))
     x = RNG.standard_normal((4, d_model))
     dy = RNG.standard_normal((4, d_model))
 
-    _, cache_full = MlpBlock.forward(x, full)
-    dx_full, grads_full = MlpBlock.backward_full(dy, cache_full, full)
+    _, cache_full = full.forward(x)
+    dx_full, grads_full = full.backward_full(dy, cache_full)
 
-    caches = [MlpBlock.forward_partial(x, s)[1] for s in shards]
-    results = [MlpBlock.backward(dy, c, s) for c, s in zip(caches, shards)]
+    caches = [s.forward_partial(x)[1] for s in shards]
+    results = [s.backward(dy, c) for c, s in zip(caches, shards)]
     dx_tp = np.sum([r[0] for r in results], axis=0) + dy  # + residual once
     np.testing.assert_allclose(dx_tp, dx_full, atol=1e-12)
 
@@ -149,8 +151,8 @@ def test_tensor_parallel_backward_equals_unsharded(tp_world):
 
 
 def test_init_is_deterministic():
-    a = MlpBlock.init_params(np.random.Generator(np.random.Philox(key=5, counter=0)), 4, 8)
-    b = MlpBlock.init_params(np.random.Generator(np.random.Philox(key=5, counter=0)), 4, 8)
+    a = MlpBlockParams.init_params(np.random.Generator(np.random.Philox(key=5, counter=0)), 4, 8)
+    b = MlpBlockParams.init_params(np.random.Generator(np.random.Philox(key=5, counter=0)), 4, 8)
     np.testing.assert_array_equal(a.w1, b.w1)
     np.testing.assert_array_equal(a.w2, b.w2)
 
@@ -158,4 +160,4 @@ def test_init_is_deterministic():
 def test_tp_requires_divisible_hidden():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        MlpBlock.init_params(rng, 4, hidden=9, tp_rank=0, tp_world=2)
+        MlpBlockParams.init_params(rng, 4, hidden=9, tp_rank=0, tp_world=2)
