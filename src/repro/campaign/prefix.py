@@ -144,4 +144,5 @@ def run_prefix_group(specs: list[ScenarioSpec], max_live: int,
                 lambda index=index: tail(index, time.perf_counter()))))
     for done_index, branch in live:
         results[done_index] = branch.result()
+    env.close()
     return results, failure_free

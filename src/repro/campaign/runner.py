@@ -228,6 +228,7 @@ class FailureFree:
 def _reference_run(spec: ScenarioSpec) -> Reference:
     job = TrainingJob(_resolve_workload(spec))
     losses = job.run_training(spec.target_iterations)[0]
+    job.env.close()
     return Reference(ideal_time=job.env.now, events=job.env.events_processed,
                      digest=_losses_digest(losses))
 
@@ -246,6 +247,7 @@ def _execute_campaign_scenario(spec: ScenarioSpec) -> dict:
     cluster = runner.manager.cluster
     FailureInjector(env, cluster).arm(_draw_schedule(spec, cluster))
     report = runner.execute()
+    env.close()
     wall = time.perf_counter() - start
     return _campaign_result(spec, RunSummary.of(report), reference,
                             interval_iterations=interval_iterations,

@@ -94,28 +94,33 @@ class RankWorker:
                                        time=self.env.now))
 
     def _run(self) -> Generator:
-        self.status = WorkerStatus.INITIALIZING
-        self.started_at = self.env.now
-        if not self.warm_start:
-            yield self.env.timeout(self.init_costs.total)
-        if self.restore_fn is not None:
-            yield from self.restore_fn(self)
         try:
-            yield from self.engine.setup()
-            self.status = WorkerStatus.RUNNING
-            self.running_at = self.env.now
+            self.status = WorkerStatus.INITIALIZING
+            self.started_at = self.env.now
+            if not self.warm_start:
+                yield self.env.timeout(self.init_costs.total)
+            if self.restore_fn is not None:
+                yield from self.restore_fn(self)
+            try:
+                yield from self.engine.setup()
+                self.status = WorkerStatus.RUNNING
+                self.running_at = self.env.now
+                self._notify()
+                while self.engine.iteration < self.target_iterations:
+                    if self.step_hook is not None:
+                        yield from self.step_hook(self)
+                    yield from self.engine.train_step()
+                yield from self.engine.finish()
+            except CudaApiError as exc:
+                # An uninstrumented script hits the device error and
+                # dies; the monitoring plane sees the non-zero exit.
+                self.status = WorkerStatus.CRASHED
+                self.crash_reason = str(exc)
+                self._notify(self.crash_reason)
+                return
+            self.status = WorkerStatus.DONE
             self._notify()
-            while self.engine.iteration < self.target_iterations:
-                if self.step_hook is not None:
-                    yield from self.step_hook(self)
-                yield from self.engine.train_step()
-            yield from self.engine.finish()
-        except CudaApiError as exc:
-            # An uninstrumented script hits the device error and dies; the
-            # monitoring plane sees the non-zero exit.
-            self.status = WorkerStatus.CRASHED
-            self.crash_reason = str(exc)
-            self._notify(self.crash_reason)
-            return
-        self.status = WorkerStatus.DONE
-        self._notify()
+        finally:
+            # The hooks are the runner's closures, and the runner keeps
+            # its current workers: a worker that stopped lets go of them.
+            self.restore_fn = self.step_hook = None

@@ -30,6 +30,7 @@ are bound to the replica's, and its watchdog watches those.
 
 from __future__ import annotations
 
+import weakref
 from functools import partial
 from typing import Generator, Optional
 
@@ -98,7 +99,8 @@ class DeviceProxyApi(DeviceApi):
                  coordinator, watchdog_timeout: Optional[float] = None):
         super().__init__(ctx, rank)
         self.config = config
-        self.coordinator = coordinator
+        #: Weak: the coordinator keeps every proxy it registers.
+        self.coordinator = weakref.proxy(coordinator)
         self.log = ReplayLog()
         self.phase = Phase.POST_OPTIMIZER
         self.current_minibatch = -1
@@ -238,6 +240,17 @@ class DeviceProxyApi(DeviceApi):
         return iteration == start or (
             interval > 0 and iteration > start
             and (iteration - start) % interval == 0)
+
+    def release(self) -> None:
+        """Drop the replay log and ride state once the run is over.
+
+        Their thunks and ridden steps call back into this proxy and its
+        rank's engine, which holds the proxy: kept, they make the job a
+        reference cycle.
+        """
+        self.log = ReplayLog()
+        self._rides.clear()
+        self._held.clear()
 
     # -- handles / replica followers ------------------------------------------------
 

@@ -21,6 +21,7 @@ Components, matching the paper's architecture:
 
 from __future__ import annotations
 
+import weakref
 from typing import Generator, Optional
 
 from repro.cluster.manager import JobManager, RunReport
@@ -88,11 +89,14 @@ class JitRankClient:
 
     # -- wiring ----------------------------------------------------------------------
 
+    # The job owns its APIs and engines, and each API owns its client:
+    # the client's views of them are weak, or the three form a cycle.
+
     def attach_api(self, api: DeviceApi) -> None:
-        self.api = api
+        self.api = weakref.proxy(api)
 
     def bind(self, engine) -> None:
-        self.engine = engine
+        self.engine = weakref.proxy(engine)
         self._watchdog = EventWatchdog(
             self.env, query=self.api.ctx.event_query, on_hang=self._on_hang,
             timeout=self.watchdog_timeout, poll_interval=self.config.watchdog_poll,

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from repro.cuda.errors import CudaError
 from repro.cuda.event import CudaEvent
-from repro.sim import Environment, Process
+from repro.sim import Environment, Process, weak_method
 
 
 @dataclass
@@ -31,8 +31,9 @@ class EventWatchdog:
                  on_hang: Callable[["EventWatchdog", WatchedEvent], None],
                  timeout: float, poll_interval: float, name: str = "watchdog"):
         self.env = env
-        self._query = query
-        self._on_hang = on_hang
+        # Usually the owner's bound methods: held weakly (see weak_method).
+        self._query = weak_method(query)
+        self._on_hang = weak_method(on_hang)
         self.timeout = timeout
         self.poll_interval = poll_interval
         self.name = name

@@ -40,7 +40,9 @@ class CudaEvent:
         self.state = EventState.CREATED
         self.destroyed = False
         #: Sim event that fires when the recorded occurrence triggers.
-        #: Recreated on every record so the event can be reused.
+        #: Recreated on every record so the event can be reused.  It
+        #: fires with ``None``: as its own completion's value, the event
+        #: would form a reference cycle with it.
         self._completion: Optional[Event] = None
         self.trigger_time: Optional[float] = None
         #: Stream the current recording sits on (for watchdog bookkeeping).
@@ -71,7 +73,7 @@ class CudaEvent:
         self.trigger_time = trigger_time
         done = self.env.event()
         done._ok = True
-        done._value = self
+        done._value = None
         done.callbacks = None
         self._completion = done
 
@@ -80,7 +82,7 @@ class CudaEvent:
         self.state = EventState.TRIGGERED
         self.trigger_time = self.env.now
         if self._completion is not None and not self._completion.triggered:
-            self._completion.succeed(self)
+            self._completion.succeed()
 
     def query(self) -> CudaError:
         """``cudaEventQuery``: non-blocking readiness check."""
@@ -98,7 +100,7 @@ class CudaEvent:
             # Never recorded: waiting on it completes immediately (CUDA
             # semantics for a fresh event).
             done = self.env.event(name=f"trigger:{self.name}")
-            done.succeed(self)
+            done.succeed()
             return done
         return self._completion
 

@@ -71,7 +71,8 @@ class StreamOp:
     ``sync_marker``), so allocating and dispatching a completion event per
     op would be pure overhead.  An op whose ``done`` was never observed
     credits one logical event on completion to keep ``events_processed``
-    comparable with the historical eager behaviour.
+    comparable with the historical eager behaviour.  ``done`` fires with
+    ``None``, not the op, so that the two are not a reference cycle.
 
     The hierarchy is ``__slots__``-only: thousands of ops churn per
     simulated iteration, and skipping the per-instance ``__dict__`` is a
@@ -399,7 +400,7 @@ class CudaStream:
             if done is None:
                 elided += 1
             elif not done.triggered:
-                done.succeed(op)
+                done.succeed()
             if trace:
                 self.tracer.record(end, self.name, "op_done",
                                    op=op.name, started=op.started_at)
@@ -616,7 +617,7 @@ class CudaStream:
         if done is None:
             env.credit_events(1)
         elif not done.triggered:
-            done.succeed(op)
+            done.succeed()
         if self.tracer.enabled:
             self.tracer.record(env.now, self.name, "op_done", op=op.name,
                                started=op.started_at)
@@ -675,7 +676,7 @@ class CudaStream:
             elif kind is RecordEventOp:
                 op.event.trigger()
                 if not op.completion.triggered:
-                    op.completion.succeed(op.event)
+                    op.completion.succeed()
             elif kind is CollectiveKernelOp:
                 if not self._gpu_ok():
                     yield from self._park()
@@ -723,7 +724,7 @@ class CudaStream:
             if done is None:
                 env.credit_events(1)
             elif not done.triggered:
-                done.succeed(op)
+                done.succeed()
             if batch is not None:
                 batch.remaining -= 1
                 if batch.riders:

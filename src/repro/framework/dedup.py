@@ -72,6 +72,8 @@ failure settlement.  The switch is :data:`repro.flags.dedup`
 
 from __future__ import annotations
 
+import weakref
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -82,6 +84,7 @@ from repro.cuda.stream import (CollectiveKernelOp, KernelOp, MemcpyOp,
                                RecordEventOp, WaitEventOp)
 
 from repro.framework.layers import OutputHead
+from repro.sim import weak_method
 
 
 def _shared_groups(job) -> list[tuple[list[int], bool]]:
@@ -184,7 +187,8 @@ class MemberOptimizer:
     """
 
     def __init__(self, arena: "ReplicaArena", member: int):
-        self._arena = arena
+        #: Weak, as the engines' view of their arena (see ``ReplicaArena``).
+        self._arena = weakref.proxy(arena)
         self._member = member
         #: After divergence the engine swaps in a real optimizer; calls
         #: still in flight on this proxy delegate to it.
@@ -385,8 +389,10 @@ class ReplicaArena:
         self._math_from = 0
         #: One past the newest iteration any member has enqueued.
         self._enqueued = 0
+        # The job owns its arenas; the engines' views of theirs are weak,
+        # as the arena holds the engines.
         for member, engine in enumerate(self.engines):
-            engine._dedup_arena = self
+            engine._dedup_arena = weakref.proxy(self)
             engine._dedup_member = member
             engine.optimizer = MemberOptimizer(self, member)
         #: Follower state per member, riders, and open batches by
@@ -395,6 +401,8 @@ class ReplicaArena:
         self._riding: list[_Follower] = []
         self._batches: dict[int, FollowBatch] = {}
         self._epoch_hooks: list = []
+        #: Member contexts and streams whose ``follow_hook`` is ours.
+        self._follow_hooked: list = []
         self._hook()
 
     def _hook(self) -> None:
@@ -402,13 +410,18 @@ class ReplicaArena:
 
         Any epoch transition on a member's GPU (failure, driver reset) is
         the copy-on-write trigger; anything observing a member's streams
-        materialises riders first (group-math mode).
+        materialises riders first (group-math mode).  The hooks hold the
+        arena weakly: it reaches the GPUs, contexts and streams through
+        its engines, and a job that ends without ``detach`` must not be
+        a reference cycle.
         """
+        device_epoch = weak_method(self._device_epoch)
         self._epoch_hooks = [
-            (engine.api.ctx.gpu, lambda m=member: self._device_epoch(m))
+            (engine.api.ctx.gpu, partial(device_epoch, member))
             for member, engine in enumerate(self.engines)]
         for gpu, hook in self._epoch_hooks:
             gpu.on_epoch.append(hook)
+        self._follow_hooked = []
         if self.group_math:
             for follower in self._followers:
                 engine = follower.engine
@@ -416,9 +429,10 @@ class ReplicaArena:
                 follower.physical = (physical(engine.compute_stream),
                                      physical(engine.comm_stream))
                 ctx = engine.api.ctx
-                ctx.follow_hook = self.materialize_all
-                for stream in ctx.streams:
-                    stream.follow_hook = self.materialize_all
+                self._follow_hooked += [ctx, *ctx.streams]
+            materialize_all = weak_method(self.materialize_all)
+            for hooked in self._follow_hooked:
+                hooked.follow_hook = materialize_all
 
     # -- membership --------------------------------------------------------
 
@@ -438,16 +452,23 @@ class ReplicaArena:
                     buf.array = array
 
     def detach(self) -> None:
-        """Unhook from the members' GPUs once the job is torn down.
+        """Unhook from the members' GPUs, contexts and streams once the
+        job is torn down.
 
         The hardware outlives the job: a restarted generation runs on the
         same GPUs, whose epoch transitions must no longer reach this
         arena, and whose hook lists would otherwise keep every torn-down
-        generation's arrays alive until the run ends.
+        generation's arrays alive until the run ends.  The contexts and
+        streams die with the job, but their hooks point back through the
+        arena at the engines that own them: left set, the whole job
+        graph would be a reference cycle.
         """
         for gpu, hook in self._epoch_hooks:
             gpu.on_epoch.remove(hook)
         self._epoch_hooks = []
+        for hooked in self._follow_hooked:
+            hooked.follow_hook = None
+        self._follow_hooked = []
 
     def member_active(self, member: int) -> bool:
         return self.active[member]

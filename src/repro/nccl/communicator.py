@@ -123,12 +123,15 @@ class NcclCommunicator:
         self._seq[rank] += 1
         instance = self._instances.get(seq)
         if instance is None:
+            # The communicator keeps its instances: their cost functions
+            # must not hold it (bind the model and size instead).
+            cost, nranks = self.cost, self.nranks
             duration_fn = {
-                "all_reduce": lambda n: self.cost.all_reduce(n, self.nranks),
-                "all_gather": lambda n: self.cost.all_gather(n, self.nranks),
-                "reduce_scatter": lambda n: self.cost.reduce_scatter(n, self.nranks),
-                "broadcast": lambda n: self.cost.broadcast(n, self.nranks),
-                "barrier": lambda n: self.cost.latency * 2 * max(1, self.nranks - 1),
+                "all_reduce": lambda n: cost.all_reduce(n, nranks),
+                "all_gather": lambda n: cost.all_gather(n, nranks),
+                "reduce_scatter": lambda n: cost.reduce_scatter(n, nranks),
+                "broadcast": lambda n: cost.broadcast(n, nranks),
+                "barrier": lambda n: cost.latency * 2 * max(1, nranks - 1),
             }[kind]
             instance = CollectiveInstance(
                 self.env, kind, frozenset(self.handles), duration_fn,
@@ -177,9 +180,10 @@ class NcclCommunicator:
         self._seq[rank] += 1
         instance = self._instances.get(seq)
         if instance is None:
+            cost, nranks = self.cost, self.nranks
             instance = BatchedCollectiveInstance(
                 self.env, "all_reduce", len(bufs), frozenset(self.handles),
-                duration_fn=lambda n: self.cost.all_reduce(n, self.nranks),
+                duration_fn=lambda n: cost.all_reduce(n, nranks),
                 fabric=self.fabric, node_names=self.node_names,
                 reduce_op=op,
                 name=f"{self.name}:all_reduce_batch[{len(bufs)}]"

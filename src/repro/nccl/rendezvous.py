@@ -72,6 +72,8 @@ class CollectiveInstance:
         self._fabric = fabric
         self._node_names = node_names or set()
         self._registrations: dict[int, _Registration] = {}
+        #: Fires with ``None`` (the instance as its value would be a
+        #: reference cycle) once the transfer completes.
         self._arrival: Optional[Event] = None
         #: rank -> simulated instant its kernel reached the stream head.
         self._arrived: dict[int, float] = {}
@@ -167,7 +169,7 @@ class CollectiveInstance:
         # process's init and exit events.
         self.env.credit_events(len(self.participants) + 1)
         if self._arrival is not None and not self._arrival.triggered:
-            self._arrival.succeed(self)
+            self._arrival.succeed()
 
     # -- data movement semantics ------------------------------------------------------
 
@@ -422,7 +424,7 @@ class BatchedCollectiveInstance:
         self.completed = True
         self.completion_time = self.env.now
         if self._arrival is not None and not self._arrival.triggered:
-            self._arrival.succeed(self)
+            self._arrival.succeed()
 
     # -- teardown -----------------------------------------------------------------------
 

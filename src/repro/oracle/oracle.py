@@ -126,8 +126,9 @@ class RecoveryOracle:
         variant = spec_variant(self.spec, strategy)
         key = variant.optimizer
         if key not in self._goldens:
-            self._goldens[key] = list(
-                TrainingJob(variant).run_training(self.iterations)[0])
+            job = TrainingJob(variant)
+            self._goldens[key] = list(job.run_training(self.iterations)[0])
+            job.env.close()
         return self._goldens[key]
 
     def golden_tracer(self, strategy: str) -> Tracer:
@@ -140,7 +141,9 @@ class RecoveryOracle:
         key = variant.optimizer
         if key not in self._golden_tracers:
             tracer = Tracer(enabled=True)
-            TrainingJob(variant, tracer=tracer).run_training(self.iterations)
+            job = TrainingJob(variant, tracer=tracer)
+            job.run_training(self.iterations)
+            job.env.close()
             self._golden_tracers[key] = tracer
         return self._golden_tracers[key]
 
@@ -167,6 +170,7 @@ class RecoveryOracle:
         dump = None
         if violations:
             dump = flight_dump(run.tracer, self.golden_tracer(strategy))
+        run.release()
         return Verdict(strategy=strategy, schedule=schedule,
                        outcome=outcome, violations=violations,
                        flight_dump=dump, ledger=ledger)

@@ -26,6 +26,7 @@ can prove the oracle catches real bugs.
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -35,7 +36,7 @@ from repro.core import JitConfig, SwiftJitSystem, TransparentJitSystem
 from repro.failures.injector import FailureInjector
 from repro.failures.types import FailureType
 from repro.oracle.schedule import FailureSchedule
-from repro.sim import Environment, Tracer
+from repro.sim import Environment, Tracer, weak_method
 from repro.storage import SharedObjectStore
 from repro.workloads.catalog import WorkloadSpec
 
@@ -86,6 +87,20 @@ class StrategyRun:
     #: (pristine) re-verification disagreed with the run's validator at a
     #: resume/read decision point.  Feeds ``resume_target_validates``.
     resume_audits: list = field(default_factory=list)
+    #: The run's environment (see ``release``).
+    env: Optional[Environment] = None
+
+    def release(self) -> None:
+        """End the run once the checks are done with it.
+
+        Closing the environment ends its idle processes, and the proxies
+        drop their replay logs: then nothing in the run's object graph is
+        a reference cycle, and it is freed by refcount with this run.
+        """
+        for proxy in self.proxies:
+            proxy.release()
+        if self.env is not None:
+            self.env.close()
 
 
 def spec_variant(spec: WorkloadSpec, strategy: str) -> WorkloadSpec:
@@ -213,12 +228,15 @@ def _audit_validator(validator, audits: list) -> None:
     module-level :func:`~repro.storage.validate.verify_payload`.  A
     decision the run's validator approved but the pristine check rejects
     is recorded — that is how a deliberately broken validator is caught
-    even though it controls the run's own quarantine path.
+    even though it controls the run's own quarantine path.  The wrappers
+    live on the instance, so they hold it (and the methods they wrap)
+    weakly: strong, they would make it a reference cycle.
     """
     from repro.storage.validate import verify_payload
 
-    orig_at_rest = validator.validate_at_rest
-    orig_read = validator.verify_read
+    orig_at_rest = weak_method(validator.validate_at_rest)
+    orig_read = weak_method(validator.verify_read)
+    validator = weakref.proxy(validator)
 
     def validate_at_rest(data_path, meta_path):
         result = orig_at_rest(data_path, meta_path)
@@ -245,10 +263,11 @@ def _audit_validator(validator, audits: list) -> None:
 
 
 def _audit_ram(ram, audits: list) -> None:
-    """Same pristine re-check for Gemini's buddy-RAM slots."""
+    """Same pristine re-check for Gemini's buddy-RAM slots (held weakly,
+    as in :func:`_audit_validator`)."""
     from repro.storage import value_digest
 
-    current = ram.get_validated
+    current = weak_method(ram.get_validated)
 
     def get_validated(node_name, key):
         entry = current(node_name, key)
@@ -285,7 +304,7 @@ def _run_transparent_family(strategy: str, spec: WorkloadSpec,
     run = StrategyRun(strategy=strategy, losses=[], outcome="ok",
                       rework_bound=rework_bound(strategy, schedule),
                       telemetry=system.telemetry, tracer=tracer,
-                      proxies=list(system.proxies), store=store)
+                      proxies=list(system.proxies), store=store, env=env)
     _audit_validator(system.coordinator.registry.validator, run.resume_audits)
     try:
         losses = system.run_training(job, iterations)
@@ -349,9 +368,11 @@ def _guard_garbage_collect(registry, gc_violations: list) -> None:
 
     "Live" is validator-aware: under corruption the protected point is
     the newest iteration every shard can restore *with integrity*, and
-    after GC every shard must still hold a valid checkpoint there.
+    after GC every shard must still hold a valid checkpoint there.  Held
+    weakly, as in :func:`_audit_validator`.
     """
-    original = registry.garbage_collect
+    original = weak_method(registry.garbage_collect)
+    registry = weakref.proxy(registry)
 
     def guarded(shard_ids, keep_iterations: int = 2, retention=None):
         live = registry.latest_valid_consistent_iteration(shard_ids)
@@ -369,8 +390,9 @@ def _guard_garbage_collect(registry, gc_violations: list) -> None:
 
 
 def _record_resume_points(runner, resume_points: dict) -> None:
-    """Note the iteration each generation actually resumed from."""
-    original = runner._make_restore_fn
+    """Note the iteration each generation actually resumed from (the
+    wrapped method held weakly, as in :func:`_audit_validator`)."""
+    original = weak_method(runner._make_restore_fn)
 
     def make_restore_fn(generation, rank, job):
         inner = original(generation, rank, job)
@@ -455,7 +477,7 @@ def _run_managed(strategy: str, spec: WorkloadSpec,
                       rework_bound=rework_bound(strategy, schedule),
                       telemetry=getattr(runner, "telemetry", None),
                       tracer=tracer, store=store,
-                      ram=getattr(runner, "ram", None))
+                      ram=getattr(runner, "ram", None), env=env)
     registry = getattr(runner, "registry", None)
     if registry is not None:
         _guard_garbage_collect(registry, run.gc_violations)

@@ -26,6 +26,7 @@ from repro.sim.core import (
     PRIORITY_URGENT,
     PRIORITY_NORMAL,
     PRIORITY_LOW,
+    weak_method,
 )
 from repro.sim.conditions import AllOf, AnyOf, Condition
 from repro.sim.resources import Mailbox, Resource
@@ -50,4 +51,5 @@ __all__ = [
     "TraceEvent",
     "TraceSpan",
     "Tracer",
+    "weak_method",
 ]

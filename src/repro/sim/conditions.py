@@ -46,10 +46,24 @@ class Condition(Event):
                 # while the condition was pending): nobody can observe this
                 # failure, so it must not crash the whole run.
                 self.defuse()
+            self._stop_listening()
             return
         self._count += 1
         if self._check():
             self.succeed(self._collect())
+            self._stop_listening()
+
+    def _stop_listening(self) -> None:
+        """Leave the sub-events that have not fired: the condition holds
+        them, so their callbacks must not hold it (a reference cycle that
+        would outlive the wait, e.g. a watchdog's poll tick)."""
+        on_sub = self._on_sub
+        for sub in self.events:
+            if sub.callbacks:
+                try:
+                    sub.callbacks.remove(on_sub)
+                except ValueError:
+                    pass
 
     def _check(self) -> bool:  # pragma: no cover - abstract
         raise NotImplementedError

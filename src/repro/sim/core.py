@@ -21,7 +21,9 @@ after touching it.
 from __future__ import annotations
 
 import sys
+import weakref
 from heapq import heappop, heappush
+from types import MethodType
 from typing import Any, Callable, Generator, Iterable, Optional
 
 PRIORITY_URGENT = 0
@@ -35,6 +37,35 @@ _PENDING = object()
 _TIMEOUT_POOL_LIMIT = 4096
 
 _getrefcount = sys.getrefcount
+
+
+def weak_method(callback: Callable) -> Callable:
+    """*callback*, holding its object weakly if it is a bound method.
+
+    For callbacks an object hands to something it owns (a watchdog's
+    hang handler, a hook on a stream): held strongly, they would make
+    owner and owned a reference cycle.  The owner must outlive the
+    callback's last call.
+    """
+    if not isinstance(callback, MethodType):
+        return callback
+    return _WeakMethod(callback)
+
+
+class _WeakMethod:
+    """A bound method that holds its object weakly (see ``weak_method``)."""
+
+    __slots__ = ("_method",)
+
+    def __init__(self, method: MethodType):
+        self._method = weakref.WeakMethod(method)
+
+    def __call__(self, *args, **kwargs):
+        return self._method()(*args, **kwargs)
+
+    @property
+    def __self__(self) -> Any:
+        return self._method().__self__
 
 
 class SimulationError(Exception):
@@ -179,6 +210,7 @@ class Process(Event):
         if not hasattr(generator, "throw"):
             raise SimulationError(f"process target must be a generator, got {generator!r}")
         self._generator = generator
+        env._live[self] = None
         self._target: Optional[Event] = None
         #: Cached bound method: one allocation per process instead of one
         #: per wait (``callbacks.append(self._resume)`` otherwise rebinds).
@@ -251,17 +283,18 @@ class Process(Event):
                     if event._ok:
                         next_target = generator.send(event._value)
                     else:
-                        event._defused = True
-                        next_target = generator.throw(event._value)
+                        next_target = _throw(generator, event)
                 except StopIteration as stop:
                     self._finish(ok=True, value=stop.value)
                     return
-                except ProcessKilled:
+                except ProcessKilled as killed:
+                    # Fresh from ``kill()``: forget the frames it unwound.
+                    killed.__traceback__ = None
                     generator.close()
                     self._finish(ok=True, value=None)
                     return
                 except BaseException as exc:
-                    self._finish(ok=False, value=exc)
+                    self._finish(ok=False, value=_detached(exc))
                     return
 
                 if not isinstance(next_target, Event):
@@ -290,6 +323,9 @@ class Process(Event):
 
     def _finish(self, ok: bool, value: Any) -> None:
         self._detach_from_target()
+        # The cached bound method is the process's reference to itself.
+        self._resume_cb = None
+        del self.env._live[self]
         if ok:
             self.succeed(value)
         else:
@@ -298,11 +334,66 @@ class Process(Event):
             self.env._schedule(self)
 
 
+def _throw(generator: Generator, event: Event) -> Any:
+    """Throw failed *event*'s exception into *generator*.
+
+    The exception outlives the throw on *event*, which may be shared by
+    several waiters (a collective's arrival, a failed child process).
+    A generator that handles it must not leave its own frames on the
+    exception's traceback: they reference the process, its owner and
+    often *event* itself, so they would keep the whole graph cyclic.
+    """
+    event._defused = True
+    thrown = event._value
+    frames = thrown.__traceback__
+    try:
+        target = generator.throw(thrown)
+    except StopIteration:
+        thrown.__traceback__ = frames
+        raise
+    thrown.__traceback__ = frames
+    return target
+
+
+_KERNEL_CODES = frozenset((Process._resume.__code__, _throw.__code__))
+
+
+def _detached(exc: BaseException) -> BaseException:
+    """*exc*, failing a process, without the kernel's frames.
+
+    The failed process keeps *exc* as its value, so the traceback must
+    not reach back to it: the kernel's own frames, which hold the
+    process, are dropped.  The frames the failure unwound stay, so the
+    traceback still prints from the process's generator down.
+    """
+    tb = exc.__traceback__
+    while tb is not None and tb.tb_frame.f_code in _KERNEL_CODES:
+        tb = tb.tb_next
+    exc.__traceback__ = tb
+    return exc
+
+
+def _escape(failed: list) -> None:
+    """Raise the exception of the one failed event in *failed* (emptied).
+
+    The exception stays that event's value, and its traceback keeps every
+    frame it passes through: if one of them still referenced the event,
+    the traceback would reach back to the exception, a cycle holding the
+    whole simulation.  So the callers hand the event over in a list and
+    null their other locals first, and this frame keeps nothing either.
+    """
+    failure = failed.pop()._value
+    try:
+        raise failure
+    finally:
+        del failure
+
+
 class Environment:
     """The simulation environment: clock plus ordered event queue."""
 
     __slots__ = ("_now", "_queue", "_seq", "_active_process", "_timeout_pool",
-                 "_processed", "_credited")
+                 "_processed", "_credited", "_live")
 
     def __init__(self) -> None:
         self._now: float = 0.0
@@ -314,6 +405,8 @@ class Environment:
         self._processed = 0
         #: Logical events the fast path elided (see ``credit_events``).
         self._credited = 0
+        #: Processes not yet finished (see ``close``).
+        self._live: dict[Process, None] = {}
 
     @property
     def now(self) -> float:
@@ -355,6 +448,7 @@ class Environment:
             if delay < 0:
                 raise SimulationError(f"negative timeout delay {delay}")
             timeout = pool.pop()
+            timeout.env = self
             timeout.callbacks = []
             timeout._value = value
             timeout._delay = delay
@@ -423,10 +517,18 @@ class Environment:
     # own argument are the only two references) it is returned to the free
     # list for ``timeout()`` to reuse.  A timeout that a condition, process
     # or user variable still holds keeps a higher refcount and is simply
-    # left for the garbage collector.
+    # freed with its last holder.  A pooled timeout drops its ``env`` (the
+    # pool would otherwise make the environment a reference cycle).
 
     def step(self) -> None:
         """Process the next event in the queue."""
+        failed = self._step()
+        if failed is not None:
+            failed, self = [failed], None
+            _escape(failed)
+
+    def _step(self) -> Optional[Event]:
+        """``step()``; returns (does not raise) an unhandled failure."""
         if not self._queue:
             raise SimulationError("step() on an empty queue")
         time, _priority, _seq, event = heappop(self._queue)
@@ -440,10 +542,11 @@ class Environment:
         if event._ok:
             if (type(event) is Timeout and _getrefcount(event) == 2
                     and len(self._timeout_pool) < _TIMEOUT_POOL_LIMIT):
-                event._value = None
+                event._value = event.env = None
                 self._timeout_pool.append(event)
         elif not event._defused:
-            raise event._value
+            return event
+        return None
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the queue drains, a deadline passes, or an event fires.
@@ -451,42 +554,60 @@ class Environment:
         Returns the value of *until* when it is an event, otherwise ``None``.
         """
         if isinstance(until, Event):
-            stop_event = until
-            # Same inlined dispatch body as the deadline loop below — this
-            # is the path every training/campaign driver runs.
-            queue = self._queue
-            pool = self._timeout_pool
-            processed = self._processed
-            try:
-                while stop_event._value is _PENDING:
-                    if not queue:
-                        raise SimulationError(
-                            f"deadlock: queue empty but {stop_event!r} never triggered")
-                    time, _priority, _seq, event = heappop(queue)
-                    self._now = time
-                    callbacks = event.callbacks
-                    event.callbacks = None
-                    for callback in callbacks:
-                        callback(event)
-                    processed += 1
-                    if event._ok:
-                        if (type(event) is Timeout and _getrefcount(event) == 2
-                                and len(pool) < _TIMEOUT_POOL_LIMIT):
-                            event._value = None
-                            pool.append(event)
-                    elif not event._defused:
-                        raise event._value
-            finally:
-                self._processed = processed
-            # Drain the trigger through its callbacks so value access is safe.
-            while not stop_event.processed and self._queue:
-                next_time = self._queue[0][0]
-                if next_time > self._now:
-                    break
-                self.step()
-            if not stop_event._ok and not stop_event._defused:
-                raise stop_event._value
-            return stop_event._value
+            failed = self._run_until_event(until)
+            if failed is None:
+                return until._value
+        else:
+            failed = self._run_until_time(until)
+            if failed is None:
+                return None
+        failed, self, until = [failed], None, None
+        _escape(failed)
+
+    def _run_until_event(self, stop_event: Event) -> Optional[Event]:
+        """``run(until=event)``; returns (does not raise) the failed event
+        that ends the run."""
+        # Same inlined dispatch body as the deadline loop below — this
+        # is the path every training/campaign driver runs.
+        queue = self._queue
+        pool = self._timeout_pool
+        processed = self._processed
+        try:
+            while stop_event._value is _PENDING:
+                if not queue:
+                    raise SimulationError(
+                        f"deadlock: queue empty but {stop_event!r} never triggered")
+                time, _priority, _seq, event = heappop(queue)
+                self._now = time
+                callbacks = event.callbacks
+                event.callbacks = None
+                for callback in callbacks:
+                    callback(event)
+                processed += 1
+                if event._ok:
+                    if (type(event) is Timeout and _getrefcount(event) == 2
+                            and len(pool) < _TIMEOUT_POOL_LIMIT):
+                        event._value = event.env = None
+                        pool.append(event)
+                elif not event._defused:
+                    return event
+        finally:
+            self._processed = processed
+        # Drain the trigger through its callbacks so value access is safe.
+        while not stop_event.processed and self._queue:
+            next_time = self._queue[0][0]
+            if next_time > self._now:
+                break
+            failed = self._step()
+            if failed is not None:
+                return failed
+        if not stop_event._ok and not stop_event._defused:
+            return stop_event
+        return None
+
+    def _run_until_time(self, until: Optional[float]) -> Optional[Event]:
+        """``run(until=time)``; returns (does not raise) an unhandled
+        failure."""
         deadline = float("inf") if until is None else float(until)
         # Inlined dispatch loop: identical semantics to step() minus the
         # impossible scheduled-in-the-past check (_schedule never rewinds).
@@ -505,10 +626,10 @@ class Environment:
                 if event._ok:
                     if (type(event) is Timeout and _getrefcount(event) == 2
                             and len(pool) < _TIMEOUT_POOL_LIMIT):
-                        event._value = None
+                        event._value = event.env = None
                         pool.append(event)
                 elif not event._defused:
-                    raise event._value
+                    return event
         finally:
             self._processed = processed
         if until is not None:
@@ -530,6 +651,12 @@ class Environment:
         triggers, exactly where ``run(until=until)`` would stop before
         draining it.
         """
+        failed = self._run_before(when, until)
+        if failed is not None:
+            failed, self, until = [failed], None, None
+            _escape(failed)
+
+    def _run_before(self, when: float, until: Event) -> Optional[Event]:
         queue = self._queue
         pool = self._timeout_pool
         processed = self._processed
@@ -546,12 +673,35 @@ class Environment:
                 if event._ok:
                     if (type(event) is Timeout and _getrefcount(event) == 2
                             and len(pool) < _TIMEOUT_POOL_LIMIT):
-                        event._value = None
+                        event._value = event.env = None
                         pool.append(event)
                 elif not event._defused:
-                    raise event._value
+                    return event
         finally:
             self._processed = processed
+        return None
+
+    def close(self) -> None:
+        """End the simulation; the environment cannot run again.
+
+        A finished run still has live processes (idle stream executors,
+        watchdog polls) waiting on events that will never fire, and each
+        is a reference cycle through its suspended generator's frame.
+        Closing their generators, and dropping every queued event, lets
+        the run's whole object graph go by refcount once its owner does.
+        A closed process reads as killed: it succeeded with ``None``.
+        """
+        while self._live:
+            process = next(iter(self._live))
+            process._detach_from_target()
+            process._resume_cb = None
+            del self._live[process]
+            process._ok = True
+            process._value = None
+            process.callbacks = None
+            process._generator.close()
+        self._queue.clear()
+        self._timeout_pool.clear()
 
     def peek(self) -> float:
         """Time of the next scheduled event (inf when the queue is empty)."""

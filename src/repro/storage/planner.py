@@ -27,6 +27,7 @@ point — the registry's GC consults the same validator.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -78,7 +79,8 @@ class ResumePlanner:
         if policy not in PLAN_POLICIES:
             raise ValueError(f"unknown plan policy {policy!r}; "
                              f"choose from {PLAN_POLICIES}")
-        self.registry = registry
+        #: Weak: the registry owns its planner.
+        self.registry = weakref.proxy(registry)
         self.policy = policy
         self.decisions: list[PlanDecision] = []
         #: Newest iteration a previous plan verified for a shard set.

@@ -46,14 +46,16 @@ class TrainingJob:
             tracer=self.tracer)
         world_size = spec.world_size
         self._gpu_slots = self._allocate_gpus(world_size)
-        self._api_factory = api_factory or (lambda ctx, rank: DeviceApi(ctx, rank))
+        # Used while building only: a factory is usually a bound method
+        # of whatever owns the job, so keeping it would make them a cycle.
+        api_factory = api_factory or (lambda ctx, rank: DeviceApi(ctx, rank))
         self.contexts: list[CudaContext] = []
         self.apis: list[DeviceApi] = []
         for rank in range(world_size):
             node, gpu = self._gpu_slots[rank]
             ctx = CudaContext(self.env, gpu, node, tracer=self.tracer)
             self.contexts.append(ctx)
-            self.apis.append(self._api_factory(ctx, rank))
+            self.apis.append(api_factory(ctx, rank))
         self.nccl_world = NcclWorld(self.env, fabric=self.cluster.fabric,
                                     tracer=self.tracer)
         self.cost = spec.cost_model()

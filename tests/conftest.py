@@ -1,5 +1,8 @@
 """Shared fixtures and helpers for the test suite."""
 
+import collections
+import gc
+
 import numpy as np
 import pytest
 
@@ -26,3 +29,34 @@ def make_job(**kwargs) -> TrainingJob:
 @pytest.fixture
 def small_ddp_job():
     return make_job(layout=ParallelLayout(dp=2))
+
+
+def repro_cyclic_garbage(scenario) -> collections.Counter:
+    """``repro`` objects that *scenario* leaves to the cyclic collector.
+
+    Runs ``scenario()`` with the collector off, so everything it drops
+    is freed by refcount or stays behind, then counts, by type, the
+    ``repro`` objects one full collection finds unreachable.
+    ``gc.DEBUG_SAVEALL`` is set only for that final collection: set
+    during the run, the collections it triggers would keep every piece
+    of garbage, whatever freed it.
+    """
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        scenario()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            gc.collect()
+        finally:
+            gc.set_debug(0)
+        found = collections.Counter(
+            f"{type(obj).__module__}.{type(obj).__qualname__}"
+            for obj in gc.garbage
+            if type(obj).__module__.startswith("repro"))
+    finally:
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    return found
