@@ -106,10 +106,11 @@ class CudaContext:
         records, and its copies of the events once it materialises, carry
         the names a private run would have given them.
         """
-        # Compose the ctx-qualified name only when someone will read it;
-        # the hint alone (or the event's lazy default) serves repr/debug.
+        # Compose the ctx-qualified name only when a per-op record will
+        # carry it; the hint alone (or the event's lazy default) serves
+        # repr/debug.
         name = (f"ctx{self.context_id}:{name_hint or 'ev'}{self._event_ordinal}"
-                if self.tracer.enabled else name_hint)
+                if self.tracer.ops else name_hint)
         self._event_ordinal += 1
         return name
 

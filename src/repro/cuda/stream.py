@@ -32,10 +32,10 @@ Ops enqueued while a stream has an open replica batch carry it
 (``op.batch``).  Its *riders* are data-parallel replicas that enqueue
 no copies of those ops (:mod:`repro.framework.dedup`): the stream
 arrives at collectives for them, credits each the logical events its
-copy would have dispatched and, when traced, writes the records its
-copy's stream would have written.  :meth:`CudaStream.adopt` hands a
-rider its own copies, in the leader's exact executor state, when it
-materialises.
+copy would have dispatched and, when its tracer takes per-op records,
+writes the records its copy's stream would have written.
+:meth:`CudaStream.adopt` hands a rider its own copies, in the leader's
+exact executor state, when it materialises.
 """
 
 from __future__ import annotations
@@ -377,7 +377,7 @@ class CudaStream:
         env = self.env
         elided = 0
         previous_end = start
-        trace = self.tracer.enabled
+        trace = self.tracer.ops
         queue = self._queue
         for index in range(count):
             op = chain[index]
@@ -618,7 +618,7 @@ class CudaStream:
             env.credit_events(1)
         elif not done.triggered:
             done.succeed()
-        if self.tracer.enabled:
+        if self.tracer.ops:
             self.tracer.record(env.now, self.name, "op_done", op=op.name,
                                started=op.started_at)
         return False
@@ -729,7 +729,7 @@ class CudaStream:
                 batch.remaining -= 1
                 if batch.riders:
                     env.credit_events(len(batch.riders) * _rider_events(op, kind))
-            if self.tracer.enabled:
+            if self.tracer.ops:
                 self.tracer.record(env.now, self.name, "op_done", op=op.name,
                                    started=op.started_at)
                 if batch is not None and batch.riders:

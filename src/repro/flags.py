@@ -12,11 +12,14 @@ instrumentation on or off) without changing any simulated result:
     Copy-on-write replica deduplication (:mod:`repro.framework.dedup`),
     bitwise-equivalent to per-rank math; read when a job is built.
 ``obs`` (``REPRO_OBS``)
-    The observability layer's iteration-span, storage and
-    collective-launch records.  Records are only taken when this is on
-    *and* the run's tracer is enabled; metric families are derived from
-    them after the run, so nothing is observed live.  Recovery episode
-    spans and failure records are taken either way.
+    The observability layer's observer-only records: the store's
+    ``store_write`` / ``store_read`` / ``store_commit`` /
+    ``store_quarantine`` and ``collective_launch``.  Records are only
+    taken when this is on *and* the run's tracer is enabled (for
+    ``collective_launch``, one that takes per-op records); metric
+    families are derived from them after the run, so nothing is
+    observed live.  What the oracle's verdict reads is taken either
+    way: iteration spans, recovery episode spans and failure records.
 
 All three default to on and are read once, at import, so campaign pool
 workers inherit them from the environment without plumbing.  Accepted

@@ -194,7 +194,7 @@ class CollectiveInstance:
 def _record_launch(instance) -> None:
     """Trace the rendezvous: each rank's wait from arrival to launch."""
     tracer = instance._tracer
-    if flags.obs and tracer is not None and tracer.enabled:
+    if flags.obs and tracer is not None and tracer.ops:
         now = instance.env.now
         tracer.record(now, instance.name, "collective_launch",
                       kind=instance.kind,

@@ -16,13 +16,13 @@ boundaries of `repro.cluster` into first-class diagnostics:
   the goodput ledger, campaign perf), sampled over the recorded
   timeline, with OpenMetrics/JSON export.
 
-Span, storage and collective-launch records are gated on
+Storage and collective-launch records are gated on
 :data:`repro.flags.obs` (process-global, ``REPRO_OBS=0`` to disable;
 scoped with ``flags.override(obs=...)``) *and* the run's tracer being
-enabled, so untraced runs pay nothing.  Recovery episodes and the
-injector's ``failure`` records are not gated: the ledger reads them
-either way.  Nothing here runs inside the simulation: every view is
-built after the run.
+enabled, so untraced runs pay nothing.  Iteration spans, recovery
+episodes and the injector's ``failure`` records are gated on the
+tracer alone: the ledger reads them either way.  Nothing here runs
+inside the simulation: every view is built after the run.
 """
 
 from repro.obs.ledger import (BUCKETS, GoodputLedger, build_strategy_ledger,

@@ -12,7 +12,8 @@ strategy and aggregates verdicts for reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from functools import cached_property, partial
+from typing import Callable, Optional, Sequence
 
 from repro.hardware.specs import V100_NODE
 from repro.obs import GoodputLedger, build_strategy_ledger, flight_dump
@@ -46,15 +47,26 @@ class Verdict:
     schedule: FailureSchedule
     outcome: str                       # "exact" | "violation" | "unrecoverable"
     violations: tuple[Violation, ...] = ()
-    #: Flight-recorder dump (timeline tail + failing-vs-golden diff);
-    #: captured only when the check failed.
-    flight_dump: Optional[str] = None
     #: Goodput ledger of the checked run (always built).
     ledger: Optional[GoodputLedger] = None
+    #: Builds :attr:`flight_dump` from this verdict; set only when the
+    #: check failed.
+    replay: Optional[Callable[["Verdict"], str]] = field(
+        default=None, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
         return self.outcome == "exact"
+
+    @cached_property
+    def flight_dump(self) -> Optional[str]:
+        """Flight-recorder dump (timeline tail + failing-vs-golden diff)
+        of a failed check, else None.
+
+        Built on first read, by a fully traced re-run of the check: the
+        check's own run takes no per-op records.
+        """
+        return None if self.replay is None else self.replay(self)
 
     def describe(self) -> str:
         head = f"{self.strategy:<12} {self.schedule.describe()}: {self.outcome}"
@@ -93,6 +105,12 @@ class SweepReport:
         return lines
 
 
+def _outcome(run: StrategyRun, violations: Sequence[Violation]) -> str:
+    if not violations:
+        return "exact"
+    return "unrecoverable" if run.outcome != "ok" else "violation"
+
+
 class RecoveryOracle:
     """Cross-strategy recovery-equivalence checker.
 
@@ -120,6 +138,8 @@ class RecoveryOracle:
         #: checked so far; every bucket of every ledger lands here.
         self.goodput_buckets: dict[str, object] = {b: 0 for b in BUCKETS}
         self._golden_tracers: dict[str, Tracer] = {}
+        #: True while :meth:`check` runs its schedule (see :meth:`run`).
+        self._checking = False
 
     def golden(self, strategy: str) -> list[float]:
         """Failure-free loss stream for *strategy*'s workload variant."""
@@ -148,11 +168,23 @@ class RecoveryOracle:
         return self._golden_tracers[key]
 
     def run(self, schedule: FailureSchedule, strategy: str) -> StrategyRun:
+        """Run *schedule* under *strategy*, fully traced (per-op records
+        included: Chrome export, metrics bridge, flight dump).
+
+        When :meth:`check` calls it, the run records only what the
+        verdict reads (``run_strategy(..., trace_ops=False)``); its
+        events, losses and clock are the same either way.
+        """
         return run_strategy(strategy, self.spec, schedule, self.iterations,
-                            mutations=self.mutations)
+                            mutations=self.mutations,
+                            trace_ops=not self._checking)
 
     def check(self, schedule: FailureSchedule, strategy: str) -> Verdict:
-        run = self.run(schedule, strategy)
+        self._checking = True
+        try:
+            run = self.run(schedule, strategy)
+        finally:
+            self._checking = False
         self.events_processed += run.events
         for holder in (run.store, run.ram):
             for key, count in getattr(holder, "stats", {}).items():
@@ -161,19 +193,38 @@ class RecoveryOracle:
         for bucket, amount in ledger.buckets.items():
             self.goodput_buckets[bucket] = self.goodput_buckets[bucket] + amount
         violations = tuple(check_all(run, self.golden(strategy)))
-        if not violations:
-            outcome = "exact"
-        elif run.outcome != "ok":
-            outcome = "unrecoverable"
-        else:
-            outcome = "violation"
-        dump = None
-        if violations:
-            dump = flight_dump(run.tracer, self.golden_tracer(strategy))
+        replay = (partial(self._replay_dump, events=run.events)
+                  if violations else None)
         run.release()
         return Verdict(strategy=strategy, schedule=schedule,
-                       outcome=outcome, violations=violations,
-                       flight_dump=dump, ledger=ledger)
+                       outcome=_outcome(run, violations),
+                       violations=violations, ledger=ledger, replay=replay)
+
+    def _replay_dump(self, verdict: Verdict, events: int) -> str:
+        """Flight dump of *verdict*'s check, from a fully traced re-run.
+
+        The re-run is judged like the check; if its outcome, violations,
+        event count (*events* is the check's) or ledger differ, the
+        dump's first line says which.
+        """
+        strategy = verdict.strategy
+        run = run_strategy(strategy, self.spec, verdict.schedule,
+                           self.iterations, mutations=self.mutations)
+        dump = flight_dump(run.tracer, self.golden_tracer(strategy))
+        # Judged in the check's order: the ledger closes open spans.
+        ledger = build_strategy_ledger(run, self.spec.world_size)
+        violations = tuple(check_all(run, self.golden(strategy)))
+        again = {"outcome": _outcome(run, violations),
+                 "violations": violations, "events": run.events,
+                 "ledger": ledger}
+        run.release()
+        then = {"outcome": verdict.outcome, "violations": verdict.violations,
+                "events": events, "ledger": verdict.ledger}
+        differ = [name for name in again if again[name] != then[name]]
+        if differ:
+            dump = (f"!!! the traced replay did not reproduce the check: "
+                    f"{', '.join(differ)} differ\n{dump}")
+        return dump
 
     def check_all(self, schedule: FailureSchedule) -> dict[str, Verdict]:
         return {strategy: self.check(schedule, strategy)

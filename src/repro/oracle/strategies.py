@@ -284,9 +284,9 @@ def _audit_ram(ram, audits: list) -> None:
 
 def _run_transparent_family(strategy: str, spec: WorkloadSpec,
                             schedule: FailureSchedule, iterations: int,
-                            mutations: Sequence[str]) -> StrategyRun:
+                            mutations: Sequence[str],
+                            tracer: Tracer) -> StrategyRun:
     env = Environment()
-    tracer = Tracer()
     store = SharedObjectStore(env, bandwidth=_STORE_BANDWIDTH)
     store.tracer = tracer
     cls = SwiftJitSystem if strategy == "swift" else TransparentJitSystem
@@ -464,9 +464,8 @@ def _arm_managed(env, runner, injector, spec, schedule: FailureSchedule):
 
 def _run_managed(strategy: str, spec: WorkloadSpec,
                  schedule: FailureSchedule, iterations: int,
-                 mutations: Sequence[str]) -> StrategyRun:
+                 mutations: Sequence[str], tracer: Tracer) -> StrategyRun:
     env = Environment()
-    tracer = Tracer()
     store = SharedObjectStore(env, bandwidth=_STORE_BANDWIDTH)
     store.tracer = tracer
     runner = _build_managed_runner(strategy, env, spec, store, iterations,
@@ -508,8 +507,17 @@ def _run_managed(strategy: str, spec: WorkloadSpec,
 
 def run_strategy(strategy: str, spec: WorkloadSpec,
                  schedule: FailureSchedule, iterations: int,
-                 mutations: Sequence[str] = ()) -> StrategyRun:
-    """Run *schedule* under *strategy* and collect oracle evidence."""
+                 mutations: Sequence[str] = (),
+                 trace_ops: bool = True) -> StrategyRun:
+    """Run *schedule* under *strategy* and collect oracle evidence.
+
+    The run is traced.  With *trace_ops* off its tracer keeps spans and
+    control records (recovery, injector, GPU, communicator lifecycle,
+    store) but takes no per-op records (see ``Tracer.ops``): everything
+    the invariants and the goodput ledger read, none of what only a
+    flight dump, a Chrome export or the metrics bridge reads.  Either
+    way the run is the same, event for event.
+    """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; "
                          f"choose from {STRATEGIES}")
@@ -523,7 +531,10 @@ def run_strategy(strategy: str, spec: WorkloadSpec,
                 f"mutation {name!r} does not apply to strategy {strategy!r} "
                 f"(families: {MUTATION_FAMILIES[name]})")
     variant = spec_variant(spec, strategy)
+    tracer = Tracer()
+    tracer.ops = trace_ops
     if strategy in TRANSPARENT_FAMILY:
         return _run_transparent_family(strategy, variant, schedule,
-                                       iterations, mutations)
-    return _run_managed(strategy, variant, schedule, iterations, mutations)
+                                       iterations, mutations, tracer)
+    return _run_managed(strategy, variant, schedule, iterations, mutations,
+                        tracer)

@@ -22,7 +22,6 @@ from typing import Generator, Optional
 
 import numpy as np
 
-from repro import flags
 from repro.cuda.errors import CudaError
 from repro.cuda.event import CudaEvent
 from repro.cuda.memory import BufferKind, DeviceBuffer, HostBuffer
@@ -52,13 +51,14 @@ class DeviceApi:
     # -- lifecycle hooks (iteration spans; otherwise no-ops) ----------------------
     #
     # The minibatch hooks run once per iteration per rank (cold path), so
-    # the observability span costs one flag check when tracing is off and
-    # one span record when it is on.  Subclasses overriding these hooks
-    # must call super() to keep the goodput ledger's iteration spans.
+    # the iteration span costs one check when tracing is off and one span
+    # record when it is on.  The goodput ledger classifies these spans,
+    # so ``repro.flags.obs`` does not gate them.  Subclasses overriding
+    # these hooks must call super() to keep them.
 
     def minibatch_begin(self, iteration: int) -> None:
         tracer = self.ctx.tracer
-        if flags.obs and tracer.enabled:
+        if tracer.enabled:
             self._iteration_span = tracer.begin_span(
                 self.ctx.env.now, f"rank{self.rank}", "iteration",
                 iteration=iteration)

@@ -89,6 +89,12 @@ class Tracer:
 
     def __init__(self, enabled: bool = True):
         self.enabled = enabled
+        #: Whether per-op records are taken too: each stream op's
+        #: ``op_done`` (a replica rider's included), ``macro_chain`` and
+        #: ``collective_launch``, plus the ctx-qualified event names they
+        #: carry.  On with the tracer; a caller that reads only spans
+        #: and control records clears it (see ``run_strategy``).
+        self.ops = enabled
         self._events: list[TraceEvent] = []
         self._spans: list[TraceSpan] = []
         self._open: dict[str, list[_OpenSpan]] = {}

@@ -1029,9 +1029,9 @@ def test_cold_start_and_stepped_arenas_never_reseat():
 # Observing a run must not change it.  One fuzzed schedule per strategy
 # runs with the obs switch off, on, and on with every run projected into
 # a metrics registry after it finishes (before the verdict); losses, the
-# final clock, the logical event count and the verdict outcome are
-# compared bit for bit.  Ledger buckets are not: with obs off no
-# iteration spans are recorded.
+# final clock, the logical event count, the verdict outcome and the
+# exact ledger buckets are compared bit for bit (the iteration spans the
+# ledger classifies are recorded whatever the obs switch says).
 
 
 def _obs_grid(obs, projected, seed=7, iterations=12):
@@ -1059,6 +1059,7 @@ def _obs_grid(obs, projected, seed=7, iterations=12):
                 "clock": run.wall_time.hex(),
                 "events_processed": run.events,
                 "outcome": verdict.outcome,
+                "buckets": dict(verdict.ledger.buckets),
             }
     return grid
 
