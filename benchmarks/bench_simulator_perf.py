@@ -47,11 +47,8 @@ def run_traced_ddp_training(iterations: int = 10) -> Environment:
     """The DDP scenario with full observability on: enabled tracer
     (iteration spans, macro-chain records, storage events) on top of the
     macro-event fast path.  The gap to ``run_ddp_training`` is the trace
-    overhead ``docs/performance.md`` quotes; the obs-disabled DDP bench
-    itself must not move (CI's perf-smoke job runs once with
-    ``REPRO_OBS=0`` to prove it).
+    overhead ``docs/performance.md`` quotes.
     """
-    from repro import flags
     from repro.sim import Tracer
 
     spec = WorkloadSpec(name="PERFTRACE", model="GPT2-S", node_spec=V100_NODE,
@@ -62,8 +59,7 @@ def run_traced_ddp_training(iterations: int = 10) -> Environment:
     job = TrainingJob(spec, tracer=tracer)
     losses = job.run_training(iterations)
     assert len(losses[0]) == iterations
-    if flags.obs:    # REPRO_OBS=0 runs measure the disabled fast path
-        assert tracer.spans, "observability on: iteration spans expected"
+    assert tracer.spans, "tracer on: iteration spans expected"
     return job.env
 
 
@@ -73,11 +69,8 @@ def run_metrics_ddp_training(iterations: int = 10) -> Environment:
     from the trace and sampled every 0.5 simulated seconds.  Projection
     schedules nothing, so the run dispatches exactly the events of
     ``run_traced_ddp_training``; the wall-clock gap to it is the
-    projection's cost, which ``docs/performance.md`` quotes.  With
-    ``REPRO_OBS=0`` the trace holds none of the records the families
-    are read from, so the registry stays empty.
+    projection's cost, which ``docs/performance.md`` quotes.
     """
-    from repro import flags
     from repro.obs import metrics
     from repro.obs.metrics import bridge
     from repro.sim import Tracer
@@ -93,9 +86,8 @@ def run_metrics_ddp_training(iterations: int = 10) -> Environment:
     store = bridge.record_trace(reg, tracer, "ddp", job.env.now)
     metrics.sample_registry(reg, store, job.env.now)
     assert len(losses[0]) == iterations
-    if flags.obs:    # REPRO_OBS=0 runs measure the disabled fast path
-        assert reg.collect(), "metrics on: registry families expected"
-        assert reg.timeseries is not None and len(reg.timeseries) > 0
+    assert reg.collect(), "metrics on: registry families expected"
+    assert reg.timeseries is not None and len(reg.timeseries) > 0
     return job.env
 
 

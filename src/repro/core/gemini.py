@@ -26,7 +26,7 @@ from repro.cluster.manager import JobManager, RunReport
 from repro.cluster.worker import InitCosts
 from repro.sim import Environment, Tracer
 from repro.storage.frozen import Framed, freeze
-from repro.storage.stores import _rot_leaf, match_fragment
+from repro.storage.stores import _rot_leaf, consume_trap, match_fragment
 from repro.workloads.catalog import WorkloadSpec
 
 
@@ -91,13 +91,6 @@ class PeerRamStore:
         self._rot_traps.append(fragment)
         return False
 
-    def _consume_trap(self, traps: list[str], key: str) -> bool:
-        for i, fragment in enumerate(traps):
-            if match_fragment(key, fragment):
-                del traps[i]
-                return True
-        return False
-
     def _rot(self, entry: _RamEntry, salt: int) -> None:
         entry.state, leaf = _rot_leaf(entry.state, salt)
         if leaf is not None:
@@ -107,12 +100,12 @@ class PeerRamStore:
 
     def put(self, node_name: str, key: str, iteration: int, state: dict,
             nbytes: int) -> bool:
-        if self._consume_trap(self._torn_traps, key):
+        if consume_trap(self._torn_traps, key):
             self.stats["writes_torn"] += 1
             return False  # the copy tore; the old slot (if any) survives
         frozen = freeze(state)
         entry = _RamEntry(iteration, frozen, nbytes, digest=frozen.digest())
-        if self._consume_trap(self._rot_traps, key):
+        if consume_trap(self._rot_traps, key):
             self._rot(entry, salt=iteration)
         self._slots[node_name][key] = entry
         self.stats["puts"] += 1

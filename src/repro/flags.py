@@ -1,7 +1,7 @@
 """Process-global switches, parsed from the environment in one place.
 
-Three switches select between two equivalent implementations (or turn
-instrumentation on or off) without changing any simulated result:
+Two switches select between two equivalent implementations without
+changing any simulated result:
 
 ``fast_path`` (``REPRO_FAST_PATH``)
     Macro-event coalescing in :mod:`repro.cuda.stream` and batched
@@ -11,17 +11,8 @@ instrumentation on or off) without changing any simulated result:
 ``dedup`` (``REPRO_DEDUP``)
     Copy-on-write replica deduplication (:mod:`repro.framework.dedup`),
     bitwise-equivalent to per-rank math; read when a job is built.
-``obs`` (``REPRO_OBS``)
-    The observability layer's observer-only records: the store's
-    ``store_write`` / ``store_read`` / ``store_commit`` /
-    ``store_quarantine`` and ``collective_launch``.  Records are only
-    taken when this is on *and* the run's tracer is enabled (for
-    ``collective_launch``, one that takes per-op records); metric
-    families are derived from them after the run, so nothing is
-    observed live.  What the oracle's verdict reads is taken either
-    way: iteration spans, recovery episode spans and failure records.
 
-All three default to on and are read once, at import, so campaign pool
+Both default to on and are read once, at import, so campaign pool
 workers inherit them from the environment without plumbing.  Accepted
 spellings are ``1/true/on/yes`` and ``0/false/off/no`` in any case;
 anything else raises :class:`ValueError` naming the variable.
@@ -60,9 +51,8 @@ def _parse_switch(variable: str) -> bool:
 
 fast_path = _parse_switch("REPRO_FAST_PATH")
 dedup = _parse_switch("REPRO_DEDUP")
-obs = _parse_switch("REPRO_OBS")
 
-_SWITCHES = ("fast_path", "dedup", "obs")
+_SWITCHES = ("fast_path", "dedup")
 
 
 @contextmanager

@@ -26,7 +26,6 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro import flags
 from repro.cuda.errors import CudaApiError, CudaError
 from repro.nccl.errors import NcclError, NcclOpMismatch
 from repro.sim import Environment, Event, Tracer
@@ -194,7 +193,7 @@ class CollectiveInstance:
 def _record_launch(instance) -> None:
     """Trace the rendezvous: each rank's wait from arrival to launch."""
     tracer = instance._tracer
-    if flags.obs and tracer is not None and tracer.ops:
+    if tracer is not None and tracer.ops:
         now = instance.env.now
         tracer.record(now, instance.name, "collective_launch",
                       kind=instance.kind,

@@ -16,13 +16,11 @@ boundaries of `repro.cluster` into first-class diagnostics:
   the goodput ledger, campaign perf), sampled over the recorded
   timeline, with OpenMetrics/JSON export.
 
-Storage and collective-launch records are gated on
-:data:`repro.flags.obs` (process-global, ``REPRO_OBS=0`` to disable;
-scoped with ``flags.override(obs=...)``) *and* the run's tracer being
-enabled, so untraced runs pay nothing.  Iteration spans, recovery
-episodes and the injector's ``failure`` records are gated on the
-tracer alone: the ledger reads them either way.  Nothing here runs
-inside the simulation: every view is built after the run.
+Every record is gated on the run's tracer alone: an enabled tracer
+takes spans, failure and storage records, and one with ``ops`` on also
+takes the per-op stream and ``collective_launch`` records, so untraced
+runs pay nothing.  Nothing here runs inside the simulation: every view
+is built after the run.
 """
 
 from repro.obs.ledger import (BUCKETS, GoodputLedger, build_strategy_ledger,

@@ -18,13 +18,11 @@ Layering (light to heavy):
 Typical use — the caller owns the registry and projects each finished
 run into it::
 
-    from repro import flags
     from repro.obs import metrics
     from repro.obs.metrics import bridge
 
     reg = metrics.MetricsRegistry(scrape_interval=0.5)
-    with flags.override(obs=True):
-        run = run_strategy("periodic", spec, schedule, iterations)
+    run = run_strategy("periodic", spec, schedule, iterations)
     bridge.record_run(reg, run, spec.world_size)
     print(metrics.openmetrics_text(reg))
 """

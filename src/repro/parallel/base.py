@@ -7,7 +7,7 @@ share code and file formats so they compose (Section 6.3).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Generator, Optional
 
 import numpy as np
 
@@ -307,3 +307,10 @@ class BaseEngine:
         """Drain the device after the last enqueued iteration."""
         yield from self.api.device_synchronize()
         self._flush_deferred_frees()
+
+    def train(self, num_iterations: int) -> Generator:
+        """Run *num_iterations* minibatches; returns the loss history."""
+        for _ in range(num_iterations):
+            yield from self.train_step()
+        yield from self.finish()
+        return list(self.loss_history)

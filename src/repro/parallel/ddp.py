@@ -475,10 +475,3 @@ class DataParallelEngine(BaseEngine):
         if name.startswith("fwd"):
             return lambda: arena.group_forward(iteration, index, block)
         return lambda: arena.group_block_backward(iteration, index, block)
-
-    def train(self, num_iterations: int) -> Generator:
-        """Run *num_iterations* minibatches; returns the loss history."""
-        for _ in range(num_iterations):
-            yield from self.train_step()
-        yield from self.finish()
-        return list(self.loss_history)

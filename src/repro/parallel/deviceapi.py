@@ -52,9 +52,8 @@ class DeviceApi:
     #
     # The minibatch hooks run once per iteration per rank (cold path), so
     # the iteration span costs one check when tracing is off and one span
-    # record when it is on.  The goodput ledger classifies these spans,
-    # so ``repro.flags.obs`` does not gate them.  Subclasses overriding
-    # these hooks must call super() to keep them.
+    # record when it is on; the goodput ledger classifies these spans.
+    # Subclasses overriding these hooks must call super() to keep them.
 
     def minibatch_begin(self, iteration: int) -> None:
         tracer = self.ctx.tracer

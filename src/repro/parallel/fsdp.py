@@ -342,9 +342,3 @@ class FsdpEngine(BaseEngine):
         api.minibatch_end(iteration)
         self.iteration = iteration + 1
         return loss
-
-    def train(self, num_iterations: int) -> Generator:
-        for _ in range(num_iterations):
-            yield from self.train_step()
-        yield from self.finish()
-        return list(self.loss_history)

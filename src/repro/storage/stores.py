@@ -44,7 +44,6 @@ from typing import Any, Generator, Optional
 
 import numpy as np
 
-from repro import flags
 from repro.sim import Environment, Resource, Tracer
 from repro.storage.frozen import Framed, freeze
 from repro.storage.objects import StoredObject
@@ -83,6 +82,15 @@ def match_fragment(path: str, fragment: str) -> bool:
         return True
     return (f"{fragment}/" in path or f"{fragment}." in path
             or path.endswith(fragment))
+
+
+def consume_trap(traps: list[str], path: str) -> bool:
+    """Pop the first armed trap in *traps* whose fragment selects *path*."""
+    for i, fragment in enumerate(traps):
+        if match_fragment(path, fragment):
+            del traps[i]
+            return True
+    return False
 
 
 def _flip_array_element(arr: np.ndarray, salt: int) -> bool:
@@ -216,7 +224,7 @@ class _BaseStore:
         obj = StoredObject(path, None, nbytes)
         self._objects[path] = obj   # visible immediately, but incomplete
         duration = self.transfer_time(nbytes)
-        torn = self._consume_trap(self._torn_traps, path)
+        torn = consume_trap(self._torn_traps, path)
         if torn:
             duration *= 0.5
         start = self.env.now
@@ -237,10 +245,10 @@ class _BaseStore:
         obj.install(staged)
         obj.created_at = self.env.now
         self.stats["writes_completed"] += 1
-        if flags.obs and self.tracer.enabled:
+        if self.tracer.enabled:
             self.tracer.record(self.env.now, self.name, "store_write",
                                path=path, nbytes=int(nbytes), started=start)
-        if self._consume_trap(self._rot_traps, path):
+        if consume_trap(self._rot_traps, path):
             self._rot(obj, salt=self.stats["writes_completed"])
 
     def read(self, path: str) -> Generator:
@@ -261,7 +269,7 @@ class _BaseStore:
             yield from self._resource.use(self.transfer_time(obj.nbytes))
         else:
             yield self.env.timeout(self.transfer_time(obj.nbytes))
-        if flags.obs and self.tracer.enabled:
+        if self.tracer.enabled:
             self.tracer.record(self.env.now, self.name, "store_read",
                                path=path, nbytes=int(obj.nbytes),
                                started=start)
@@ -280,7 +288,7 @@ class _BaseStore:
         obj.path = dst
         self._objects[dst] = obj
         self.stats["renames"] += 1
-        if flags.obs and self.tracer.enabled:
+        if self.tracer.enabled:
             self.tracer.record(self.env.now, self.name, "store_commit",
                                src=src, dst=dst)
 
@@ -341,13 +349,6 @@ class _BaseStore:
             obj.rotted = True
             self.stats["bit_rot_injected"] += 1
 
-    def _consume_trap(self, traps: list[str], path: str) -> bool:
-        for i, fragment in enumerate(traps):
-            if match_fragment(path, fragment):
-                del traps[i]
-                return True
-        return False
-
     # -- quarantine ----------------------------------------------------------------
 
     def quarantine(self, path: str) -> Optional[str]:
@@ -369,7 +370,7 @@ class _BaseStore:
         self._objects[qpath] = obj
         self.quarantine_log.append(qpath)
         self.stats["quarantined"] += 1
-        if flags.obs and self.tracer.enabled:
+        if self.tracer.enabled:
             self.tracer.record(self.env.now, self.name, "store_quarantine",
                                path=path, quarantine=qpath)
         return qpath

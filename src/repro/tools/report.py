@@ -385,7 +385,6 @@ def report_metrics(json_mode: bool = False, check: Optional[str] = None,
     (``--dashboard``), a regression baseline (``--write-baseline``), or
     compares against one (``--check``, nonzero exit on regression).
     """
-    from repro import flags
     from repro.obs import metrics
     from repro.obs.metrics import bridge
     from repro.obs.metrics.dashboard import (filter_snapshot, snapshot,
@@ -404,28 +403,27 @@ def report_metrics(json_mode: bool = False, check: Optional[str] = None,
         points=(FailurePoint(4, "GPU_HARD", 1, offset=0.3),))
     rows = []
     reg = metrics.MetricsRegistry(scrape_interval=0.5)
-    with flags.override(obs=True):
-        for strategy in oracle.strategies:
-            run = oracle.run(schedule, strategy)
-            bridge.record_run(reg, run, oracle.spec.world_size)
-            buckets = bridge.goodput_buckets_from_registry(reg, strategy)
-            total = sum(buckets.values())
-            rows.append({
-                "strategy": strategy,
-                "outcome": run.outcome,
-                "productive_fraction": (float(buckets["productive"] / total)
-                                        if total else 0.0),
-                "detection_seconds": float(bridge.phase_seconds_from_registry(
-                    reg, strategy, "detection")),
-                "restart_seconds": float(bridge.phase_seconds_from_registry(
-                    reg, strategy, "restart")),
-                "resume_seconds": float(bridge.phase_seconds_from_registry(
-                    reg, strategy, "resume")),
-                "events_dispatched": int(reg.counter(
-                    "repro_sim_events_dispatched",
-                    labelnames=("strategy",)).labels(
-                        strategy=strategy).value),
-            })
+    for strategy in oracle.strategies:
+        run = oracle.run(schedule, strategy)
+        bridge.record_run(reg, run, oracle.spec.world_size)
+        buckets = bridge.goodput_buckets_from_registry(reg, strategy)
+        total = sum(buckets.values())
+        rows.append({
+            "strategy": strategy,
+            "outcome": run.outcome,
+            "productive_fraction": (float(buckets["productive"] / total)
+                                    if total else 0.0),
+            "detection_seconds": float(bridge.phase_seconds_from_registry(
+                reg, strategy, "detection")),
+            "restart_seconds": float(bridge.phase_seconds_from_registry(
+                reg, strategy, "restart")),
+            "resume_seconds": float(bridge.phase_seconds_from_registry(
+                reg, strategy, "resume")),
+            "events_dispatched": int(reg.counter(
+                "repro_sim_events_dispatched",
+                labelnames=("strategy",)).labels(
+                    strategy=strategy).value),
+        })
     full = snapshot("all-strategies", reg)
     data: dict = {"rows": rows, "schedule": schedule.describe(),
                   "scrapes": (len(reg.timeseries) if reg.timeseries else 0)}

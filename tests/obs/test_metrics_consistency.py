@@ -19,7 +19,6 @@ from fractions import Fraction
 
 import pytest
 
-from repro import flags
 from repro.obs.ledger import build_strategy_ledger
 from repro.obs.metrics import MetricsRegistry, bridge
 from repro.obs.metrics.dashboard import counter_total, filter_snapshot, snapshot
@@ -46,8 +45,7 @@ def oracle():
 def strategy_run(request, oracle):
     strategy = request.param
     registry = MetricsRegistry(scrape_interval=1.0)
-    with flags.override(obs=True):
-        run = oracle.run(MULTI, strategy)
+    run = oracle.run(MULTI, strategy)
     bridge.record_run(registry, run, oracle.spec.world_size)
     return strategy, run, registry
 
@@ -104,8 +102,7 @@ def projected(request, oracle):
         patch.setattr(strategies_mod, "FailureInjector", Keeping)
         for _ in range(2):
             registry = MetricsRegistry(scrape_interval=1.0)
-            with flags.override(obs=True):
-                run = oracle.run(MULTI, strategy)
+            run = oracle.run(MULTI, strategy)
             bridge.record_run(registry, run, oracle.spec.world_size)
             registries.append(registry)
     return strategy, run, injectors[-1], registries

@@ -1,4 +1,4 @@
-"""Fast-path/slow-path trace equivalence and the zero-cost-off switch.
+"""Fast-path/slow-path trace equivalence and ops-off tracing.
 
 The macro-event fast path now runs even under an enabled tracer: chains
 back-fill per-op ``op_done`` records at settlement and emit one
@@ -99,27 +99,20 @@ def test_per_actor_op_order_is_preserved_under_chaining():
         assert times == sorted(times)
 
 
-def test_observability_off_skips_span_recording():
-    """The switch skips only observer-only records: the iteration spans
-    the goodput ledger classifies are recorded either way."""
-    with flags.override(obs=False):
-        assert not flags.obs
-        tracer = Tracer(enabled=True)
-        job = TrainingJob(make_spec(layout=ParallelLayout(dp=2)),
-                          tracer=tracer)
-        job.run_training(2)
-    assert len(tracer.filter_spans(name="iteration")) == 2 * 2
-    assert not tracer.filter(action="collective_launch")
-    # Point events (op_done etc.) still flow: the flag gates only the
-    # observability layer's extra recording, not the legacy tracer.
-    assert tracer.filter(action="op_done")
-
-
-def test_observability_flag_restores():
-    before = flags.obs
-    with flags.override(obs=not before):
-        assert flags.obs is (not before)
-    assert flags.obs is before
+def test_ops_off_tracer_keeps_spans_and_store_records():
+    """A tracer with ``ops`` off skips only the per-op records: the
+    iteration spans the goodput ledger classifies and the store records
+    are taken either way."""
+    spec = default_oracle_spec()
+    run = run_strategy("periodic", spec, FailureSchedule(()), 10,
+                       trace_ops=False)
+    tracer = run.tracer
+    assert len(tracer.filter_spans(name="iteration")) \
+        == 10 * spec.world_size
+    assert tracer.filter(action="store_write")
+    assert tracer.filter(action="store_commit")
+    for action in ("op_done", "macro_chain", "collective_launch"):
+        assert not tracer.filter(action=action), action
 
 
 # -- replica followers under tracing -----------------------------------------------

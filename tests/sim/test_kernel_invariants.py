@@ -1027,14 +1027,13 @@ def test_cold_start_and_stepped_arenas_never_reseat():
 
 # -- observability on/off equivalence ----------------------------------------------------
 # Observing a run must not change it.  One fuzzed schedule per strategy
-# runs with the obs switch off, on, and on with every run projected into
-# a metrics registry after it finishes (before the verdict); losses, the
+# runs traced, once as is and once with every run projected into a
+# metrics registry after it finishes (before the verdict); losses, the
 # final clock, the logical event count, the verdict outcome and the
-# exact ledger buckets are compared bit for bit (the iteration spans the
-# ledger classifies are recorded whatever the obs switch says).
+# exact ledger buckets are compared bit for bit.
 
 
-def _obs_grid(obs, projected, seed=7, iterations=12):
+def _obs_grid(projected, seed=7, iterations=12):
     from repro.obs.metrics import MetricsRegistry, bridge
     from repro.oracle import STRATEGIES, RecoveryOracle
 
@@ -1048,26 +1047,24 @@ def _obs_grid(obs, projected, seed=7, iterations=12):
             return self.last
 
     grid = {}
-    with flags.override(obs=obs):
-        oracle = Recording(iterations=iterations)
-        schedules = oracle.fuzzer(seed).schedules(len(STRATEGIES))
-        for strategy, schedule in zip(STRATEGIES, schedules):
-            verdict = oracle.check(schedule, strategy)
-            run = oracle.last
-            grid[strategy] = {
-                "losses": np.asarray(run.losses, dtype=np.float64).tobytes(),
-                "clock": run.wall_time.hex(),
-                "events_processed": run.events,
-                "outcome": verdict.outcome,
-                "buckets": dict(verdict.ledger.buckets),
-            }
+    oracle = Recording(iterations=iterations)
+    schedules = oracle.fuzzer(seed).schedules(len(STRATEGIES))
+    for strategy, schedule in zip(STRATEGIES, schedules):
+        verdict = oracle.check(schedule, strategy)
+        run = oracle.last
+        grid[strategy] = {
+            "losses": np.asarray(run.losses, dtype=np.float64).tobytes(),
+            "clock": run.wall_time.hex(),
+            "events_processed": run.events,
+            "outcome": verdict.outcome,
+            "buckets": dict(verdict.ledger.buckets),
+        }
     return grid
 
 
 @pytest.fixture(scope="module")
 def obs_grids():
-    return {mode: _obs_grid(*mode)
-            for mode in ((False, False), (True, False), (True, True))}
+    return {projected: _obs_grid(projected) for projected in (False, True)}
 
 
 def _without_events(grid):
@@ -1077,34 +1074,34 @@ def _without_events(grid):
 
 
 def test_obs_on_off_grid_is_bitwise_identical(obs_grids):
-    off = obs_grids[False, False]
-    assert all(row["outcome"] == "exact" for row in off.values()), off
-    assert obs_grids[True, False] == off
+    unprojected = obs_grids[False]
+    assert all(row["outcome"] == "exact"
+               for row in unprojected.values()), unprojected
+    assert obs_grids[True] == unprojected
 
 
 def test_metrics_registry_keeps_losses_clock_and_verdicts(obs_grids):
-    assert _without_events(obs_grids[True, True]) == \
-        _without_events(obs_grids[False, False])
+    assert _without_events(obs_grids[True]) == \
+        _without_events(obs_grids[False])
 
 
 def test_metrics_registry_keeps_events_processed(obs_grids):
-    collected = obs_grids[True, True]
+    collected = obs_grids[True]
     assert {strategy: row["events_processed"]
             for strategy, row in collected.items()} == \
         {strategy: row["events_processed"]
-         for strategy, row in obs_grids[False, False].items()}
+         for strategy, row in obs_grids[False].items()}
 
 
 @pytest.mark.fuzz
 @pytest.mark.parametrize("seed", [11, 23, 31, 43])
 def test_obs_on_off_grid_fuzz(seed):
-    """The obs on/off grid on more fuzzed schedules, at 20 iterations:
-    off, on and on with runs projected into a registry agree on every
-    field."""
-    off = _obs_grid(False, False, seed=seed, iterations=20)
-    assert all(row["outcome"] == "exact" for row in off.values()), off
-    assert _obs_grid(True, False, seed=seed, iterations=20) == off
-    assert _obs_grid(True, True, seed=seed, iterations=20) == off
+    """The grid on more fuzzed schedules, at 20 iterations: runs with and
+    without a registry projection agree on every field."""
+    unprojected = _obs_grid(False, seed=seed, iterations=20)
+    assert all(row["outcome"] == "exact"
+               for row in unprojected.values()), unprojected
+    assert _obs_grid(True, seed=seed, iterations=20) == unprojected
 
 
 def _traced_ddp(project, iterations=4):
@@ -1118,15 +1115,14 @@ def _traced_ddp(project, iterations=4):
                         num_nodes=1, layout=ParallelLayout(dp=4),
                         engine="ddp", framework="equivalence",
                         minibatch_time=0.05)
-    with flags.override(obs=True):
-        tracer = Tracer()
-        job = TrainingJob(spec, tracer=tracer)
-        losses = job.run_training(iterations)
-        if project:
-            reg = MetricsRegistry(scrape_interval=0.05)
-            bridge.record_trace(reg, tracer, "ddp", job.env.now)
-            launched = reg.get("repro_nccl_collectives_launched")
-            assert launched is not None and launched.children()
+    tracer = Tracer()
+    job = TrainingJob(spec, tracer=tracer)
+    losses = job.run_training(iterations)
+    if project:
+        reg = MetricsRegistry(scrape_interval=0.05)
+        bridge.record_trace(reg, tracer, "ddp", job.env.now)
+        launched = reg.get("repro_nccl_collectives_launched")
+        assert launched is not None and launched.children()
     return losses, job.env.now.hex(), job.env.events_processed
 
 

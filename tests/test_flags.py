@@ -11,8 +11,7 @@ from repro import flags
 
 _SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-_SWITCHES = {"REPRO_FAST_PATH": "fast_path", "REPRO_DEDUP": "dedup",
-             "REPRO_OBS": "obs"}
+_SWITCHES = {"REPRO_FAST_PATH": "fast_path", "REPRO_DEDUP": "dedup"}
 
 
 def _import_flags(variable: str, raw: str) -> subprocess.CompletedProcess:
@@ -43,13 +42,15 @@ def test_switch_spellings_and_junk_values(variable, raw, expected):
 
 
 def test_override_restores_on_error_and_rejects_unknown_switches():
-    before = (flags.fast_path, flags.dedup, flags.obs)
+    before = (flags.fast_path, flags.dedup)
     with pytest.raises(RuntimeError):
         with flags.override(fast_path=not before[0], dedup=not before[1]):
             assert (flags.fast_path, flags.dedup) == \
                 (not before[0], not before[1])
             raise RuntimeError("boom")
-    assert (flags.fast_path, flags.dedup, flags.obs) == before
-    with pytest.raises(TypeError, match="unknown switches"):
-        with flags.override(fastpath=False):
-            pass
+    assert (flags.fast_path, flags.dedup) == before
+    assert flags._SWITCHES == ("fast_path", "dedup")
+    for unknown in ({"fastpath": False}, {"obs": True}):
+        with pytest.raises(TypeError, match="unknown switches"):
+            with flags.override(**unknown):
+                pass
