@@ -45,7 +45,8 @@ from repro.core.replay_log import (
     restore_contents,
     snapshot_contents,
 )
-from repro.core.virtual_handles import VirtualBuffer, VirtualEvent, VirtualStream
+from repro.core.virtual_handles import (VirtualBuffer, VirtualEvent,
+                                        VirtualStream, checksum)
 from repro.core.watchdog import EventWatchdog, WatchedEvent
 from repro.cuda.errors import CudaApiError, CudaError
 from repro.cuda.event import CudaEvent
@@ -61,8 +62,8 @@ from repro.parallel.deviceapi import _RIDE_SCRATCH, DeviceApi
 class _Ride:
     """One iteration this rank rode on a replica's timeline."""
 
-    __slots__ = ("step", "minibatch", "events", "optimizer", "records",
-                 "step_bufs", "freed")
+    __slots__ = ("step", "minibatch", "events", "optimizer", "validation",
+                 "records", "step_bufs", "freed")
 
     def __init__(self, step, minibatch: int, events: list):
         #: The engine's handle on the iteration (``expand``, ``replayed``).
@@ -72,6 +73,8 @@ class _Ride:
         self.events = events
         #: Whether the rank rode the iteration's optimizer batch too.
         self.optimizer = False
+        #: The replica's validation the rank rode with it, if any.
+        self.validation = None
         #: Expanded forward/backward (and ridden optimizer) records.
         self.records: Optional[list] = None
         self.step_bufs: list = []
@@ -88,8 +91,26 @@ class _Capture:
 
     def append(self, record: ApiRecord) -> None:
         record.minibatch = self.minibatch
-        self.log.total_logged += 1
         self.records.append(record)
+
+
+class _GroupValidation:
+    """A leader's replay-log validation its replicas ride.
+
+    *check* compares the leader's checksums; the result is read once,
+    by the first of the leader's or a replica's last kernel to execute.
+    """
+
+    __slots__ = ("check", "ok")
+
+    def __init__(self, check):
+        self.check = check
+        self.ok = None
+
+    def deliver(self, proxy: "DeviceProxyApi") -> None:
+        if self.ok is None:
+            self.ok = self.check()
+        proxy.validation_results.append(self.ok)
 
 
 class DeviceProxyApi(DeviceApi):
@@ -135,8 +156,6 @@ class DeviceProxyApi(DeviceApi):
         self._expanding_events = None
         #: Handles for the events of the batch this rank just joined.
         self._followed: list = []
-        #: Set by a validation until the step after it executes.
-        self._validated = False
         #: minibatch -> ride, for the rides still in the log.
         self._rides: dict[int, _Ride] = {}
         #: Stand-in buffer id -> its ride.
@@ -191,9 +210,9 @@ class DeviceProxyApi(DeviceApi):
 
     def optimizer_step_begin(self, iteration: int) -> None:
         if self._should_validate(iteration):
-            self.coordinator.isolate_replicas(self.completed_steps)
-            self._validated = True
-            self._run_validation()
+            ride = self._rides.get(iteration)
+            if ride is None or ride.validation is None:
+                self._run_validation(iteration)
         self.phase = Phase.OPTIMIZER
 
     def optimizer_step_end(self, iteration: int) -> None:
@@ -223,9 +242,6 @@ class DeviceProxyApi(DeviceApi):
     def step_completed(self) -> None:
         """The device finished this rank's optimizer step."""
         self.completed_steps += 1
-        if self._validated:
-            self._validated = False
-            self.coordinator.validated_step_completed()
 
     def _step_completed_with(self, batch) -> None:
         # A leader's marker also steps the ranks riding its optimizer
@@ -233,13 +249,6 @@ class DeviceProxyApi(DeviceApi):
         self.step_completed()
         for rider in batch.riders:
             rider.engine.api.step_completed()
-
-    def validates(self, iteration: int) -> bool:
-        start = self.config.validation_start_iteration
-        interval = self.config.validation_interval
-        return iteration == start or (
-            interval > 0 and iteration > start
-            and (iteration - start) % interval == 0)
 
     def release(self) -> None:
         """Drop the replay log and ride state once the run is over.
@@ -261,15 +270,17 @@ class DeviceProxyApi(DeviceApi):
         return self._live_comm(comm)
 
     def follow(self, batch, names: dict, twins: dict) -> None:
-        if batch.bwd_done is None:
-            # The iteration's optimizer batch.
-            self._rides[batch.iteration].optimizer = True
-            return
         own = {vstream.physical: vstream for vstream in self.vstreams
                if vstream.bound}
         for leader, stream in twins.items():
             if leader.saw_collective:
                 own[stream].saw_collective = True
+        if batch.bwd_done is None:
+            # The iteration's optimizer batch, with any validation before it.
+            ride = self._rides[batch.iteration]
+            ride.optimizer = True
+            ride.validation = batch.validation
+            return
         followed = self._followed = []
         for event in batch.events:
             vevent = VirtualEvent(event.hint)
@@ -299,12 +310,17 @@ class DeviceProxyApi(DeviceApi):
         self._rides[minibatch] = ride
         self._held[held.vid] = ride
         self.log.append_lazy(LazyRecords(partial(self._ride_records, ride)))
+        # The calls the entry stands for count as logged now, as the
+        # replica's own calls of the iteration (none of them lazy) did.
+        self.log.total_logged += batch.leader.engine.api.log.entries
         return held, ride.events[-1]
 
     def _ride_records(self, ride: _Ride) -> list[ApiRecord]:
         records = list(self._expand(ride))
         if ride.optimizer:
-            records += self._expand_optimizer(ride)
+            optimizer = self._expand_optimizer(ride)
+            self.log.total_logged += len(optimizer)
+            records += optimizer
         return records
 
     def _log_only(self, ride: _Ride, phase: Phase, build):
@@ -635,10 +651,10 @@ class DeviceProxyApi(DeviceApi):
 
     def device_synchronize(self) -> Generator:
         def wait():
-            self.ctx.observed()
-            markers = [v.physical.sync_marker() for v in self.vstreams
-                       if v.bound and not v.physical.destroyed
-                       and not v.physical.aborted]
+            markers = self.ctx.sync_markers(
+                [v.physical for v in self.vstreams
+                 if v.bound and not v.physical.destroyed
+                 and not v.physical.aborted])
             if markers:
                 yield self.env.all_of(markers)
 
@@ -795,55 +811,88 @@ class DeviceProxyApi(DeviceApi):
             raise ValueError(f"cannot replay {method!r}")
 
     def _reissue_collective(self, record: ApiRecord,
-                            stream_override: Optional[VirtualStream] = None
-                            ) -> None:
-        """Re-dispatch a logged collective with the right argument order."""
+                            stream_override: Optional[VirtualStream] = None):
+        """Re-dispatch a logged collective with the right argument order;
+        returns its stream op, if it enqueued one."""
         method = record.method
         comm = record.args[0]
         vstream = stream_override or record.args[-1]
         middle = record.args[1:-1]
         if method == "all_reduce":
             vbuf, op = middle
-            self.all_reduce(comm, vbuf, vstream, op)
-        elif method == "all_reduce_batch":
+            return self.all_reduce(comm, vbuf, vstream, op)
+        if method == "all_reduce_batch":
             vbufs, op = middle
-            self.all_reduce_batch(comm, vbufs, vstream, op)
-        elif method == "broadcast":
+            return self.all_reduce_batch(comm, vbufs, vstream, op)
+        if method == "broadcast":
             vbuf, root = middle
-            self.broadcast(comm, vbuf, root, vstream)
-        elif method == "all_gather":
+            return self.broadcast(comm, vbuf, root, vstream)
+        if method == "all_gather":
             send_buf, recv_buf = middle
-            self.all_gather(comm, send_buf, recv_buf, vstream)
-        elif method == "reduce_scatter":
+            return self.all_gather(comm, send_buf, recv_buf, vstream)
+        if method == "reduce_scatter":
             send_buf, recv_buf, op = middle
-            self.reduce_scatter(comm, send_buf, recv_buf, vstream, op)
-        elif method == "send":
+            return self.reduce_scatter(comm, send_buf, recv_buf, vstream, op)
+        if method == "send":
             vbuf, dst = middle
-            self.send(comm, vbuf, dst, vstream)
-        else:  # recv
-            vbuf, src = middle
-            self.recv(comm, vbuf, src, vstream)
+            return self.send(comm, vbuf, dst, vstream)
+        vbuf, src = middle  # recv
+        return self.recv(comm, vbuf, src, vstream)
 
     # -- replay-log validation (Section 4.1) ------------------------------------------------
 
     def _should_validate(self, iteration: int) -> bool:
         if self._replaying or self.coordinator.in_recovery:
             return False
-        return self.validates(iteration)
+        start = self.config.validation_start_iteration
+        interval = self.config.validation_interval
+        return iteration == start or (
+            interval > 0 and iteration > start
+            and (iteration - start) % interval == 0)
 
-    def _run_validation(self) -> None:
+    def _run_validation(self, iteration: int) -> None:
         """Enqueue the checksum/replay/compare sequence on the device.
 
         Runs at the end of the backward pass, just before the optimizer
         step.  Deterministic math stands in for "configuring CUDA to use
         only deterministic operations".
+
+        A rank that shares a replica arena (:mod:`repro.framework.dedup`)
+        validates once for its whole group when it leads the iteration
+        and every other replica rides it: the re-executed kernels
+        recompute the group's math, and the replicas ride the sequence
+        in the optimizer batch it opens, each taking the result.
+        Otherwise it validates on its own math, its checksums reading
+        the parameters it holds even when a replica already stepped the
+        shared arrays.
         """
+        engine = self.coordinator.job.engines[self.rank]
+        arena, member = engine._dedup_arena, engine._dedup_member
+        group = arena is not None and arena.validates_group(member,
+                                                            iteration)
         stream = self._last_phase_stream or self._default_vstream()
+        batch = stream.physical._batch if group else None
+        ride = self._rides.get(iteration)
+        if ride is not None and not ride.step.replayed:
+            self._settle(ride)
+
+        # The minibatch's buffers, which the CPU frees once it has
+        # enqueued the next one, before the device validates.
+        buffers = list(self.vbuffers.values())
+
+        def checksums() -> dict[str, int]:
+            held = arena.member_arrays(member) if arena is not None else {}
+            return {vbuf.allocation_tag: checksum(held.get(id(vbuf),
+                                                           vbuf.array))
+                    for vbuf in buffers}
+
         snapshot: dict[str, int] = {}
 
         def checksum_before():
-            for vbuf in self.vbuffers.values():
-                snapshot[vbuf.allocation_tag] = vbuf.checksum()
+            snapshot.update(checksums())
+
+        def check() -> bool:
+            return checksums() == snapshot
 
         # Everything validation itself launches must stay OUT of the
         # replay log (it would otherwise re-execute its own bookkeeping —
@@ -871,27 +920,51 @@ class DeviceProxyApi(DeviceApi):
                                        reinit)
                 elif record.method == "launch_kernel":
                     _vstream, name, duration, thunk = record.args
+                    if type(thunk) is GroupThunk:
+                        thunk = (partial(arena.rerun, iteration, thunk.group)
+                                 if group else thunk.private)
                     self.launch_kernel(stream, f"validation:{name}",
                                        duration, thunk)
                 elif record.method in ("all_reduce", "all_reduce_batch",
                                        "broadcast", "all_gather",
                                        "reduce_scatter", "send", "recv"):
-                    self._reissue_collective(record, stream_override=stream)
+                    op = self._reissue_collective(record,
+                                                  stream_override=stream)
+                    if batch is not None and op is not None:
+                        batch.collectives.append(op.rendezvous)
                 elif record.method == "memcpy_h2d":
                     host, vbuf, _vstream = record.args
                     self.memcpy_h2d_async(vbuf, host, stream)
 
-            def checksum_after():
-                ok = all(self.vbuffers[vid].checksum()
-                         == snapshot.get(self.vbuffers[vid].allocation_tag)
-                         for vid in self.vbuffers
-                         if self.vbuffers[vid].allocation_tag in snapshot)
-                self.validation_results.append(ok)
+            if batch is None:
+                def checksum_after():
+                    self.validation_results.append(check())
+            else:
+                validation = batch.validation = _GroupValidation(check)
+
+                def checksum_after():
+                    validation.deliver(self)
+                    for rider in batch.riders:
+                        validation.deliver(rider.engine.api)
 
             self.launch_kernel(stream, "validation:checksum_after", 0.0,
                                checksum_after)
         finally:
             self._replaying = False
+
+    def _settle(self, ride: _Ride) -> None:
+        """Validate a ridden iteration on this rank's own buffers.
+
+        Its log entry expands into them, allocated and filled with what
+        riding computed; the iteration's gradient is read from them from
+        now on.
+        """
+        self._expand(ride)
+        for vbuf in ride.step_bufs:
+            if vbuf.physical is None:
+                self._bind_buffer(vbuf)
+        ride.step.settle()
+        ride.step.replayed = True
 
 
 def _private(thunk):

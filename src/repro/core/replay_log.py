@@ -16,7 +16,7 @@ the records the rank's own calls would have logged.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -64,7 +64,6 @@ class ApiRecord:
 
     method: str                     # e.g. "launch_kernel", "malloc"
     args: tuple = ()
-    kwargs: dict = field(default_factory=dict)
     phase: Phase = Phase.FORWARD_BACKWARD
     minibatch: int = -1
     #: malloc only: snapshot of the initial contents (deep copy, or a
@@ -121,6 +120,12 @@ class ReplayLog:
     def records(self) -> list[ApiRecord]:
         """The current minibatch's records."""
         return _expanded(self._records)
+
+    @property
+    def entries(self) -> int:
+        """How many entries the current minibatch logged, each lazy one
+        counted once (reading it expands nothing)."""
+        return len(self._records)
 
     @property
     def previous_records(self) -> list[ApiRecord]:

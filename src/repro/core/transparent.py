@@ -81,10 +81,6 @@ class RecoveryCoordinator:
         self._comm_map: dict[str, NcclCommunicator] = {}
         self.epoch = 0
         self.recoveries = 0
-        #: Parameter version every rank must reach before replica arenas
-        #: dissolved for a replay-log validation re-share (see
-        #: :meth:`isolate_replicas`).
-        self._reshare_at: Optional[int] = None
 
     # -- wiring ------------------------------------------------------------------------
 
@@ -113,7 +109,6 @@ class RecoveryCoordinator:
         if self.in_recovery:
             return
         self.in_recovery = True
-        self._reshare_at = None
         for arena in self.job.dedup_arenas:
             arena.dissolve()
         self._done_event = self.env.event(name=f"recovery-done:{self.recoveries}")
@@ -121,31 +116,6 @@ class RecoveryCoordinator:
                            reason=reason, rank=rank)
         self.env.process(self._recover(reason, rank),
                          name=f"recovery#{self.recoveries}")
-
-    # -- replica arenas around validation ------------------------------------------------
-
-    def isolate_replicas(self, version: int) -> None:
-        """Dissolve replica arenas for a replay-log validation.
-
-        Validation checksums every buffer of a rank before and after
-        re-executing its minibatch, so no replica may see another's
-        optimizer step meanwhile.  Every rank validates the same
-        iteration, at parameter *version*; the arenas re-share once every
-        rank has stepped past it.
-        """
-        if self._reshare_at is None and self.job.dedup_arenas:
-            for arena in self.job.dedup_arenas:
-                arena.dissolve()
-            self._reshare_at = version + 1
-
-    def validated_step_completed(self) -> None:
-        """A rank stepped past its validation; re-share once all have."""
-        target = self._reshare_at
-        if target is not None and all(p.completed_steps == target
-                                      for p in self.proxies):
-            self._reshare_at = None
-            for arena in self.job.dedup_arenas:
-                arena.reshare()
 
     # -- the episode -------------------------------------------------------------------------
 

@@ -28,6 +28,12 @@ from repro.cuda.stream import CudaStream
 _vids = itertools.count()
 
 
+def checksum(array: np.ndarray) -> int:
+    """Content checksum of *array* (replay-log validation)."""
+    view = np.ascontiguousarray(array)
+    return hash((view.shape, view.dtype.str, view.tobytes()))
+
+
 class VirtualBuffer:
     """Stable buffer handle; owns the semantic array across rebinds."""
 
@@ -73,8 +79,7 @@ class VirtualBuffer:
         self._physical = None
 
     def checksum(self) -> int:
-        view = np.ascontiguousarray(self._array)
-        return hash((view.shape, view.dtype.str, view.tobytes()))
+        return checksum(self._array)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         bound = "bound" if self._physical is not None else "unbound"

@@ -55,6 +55,10 @@ class CudaContext:
         #: memory out: replicas riding a shared timeline materialise
         #: first (set by :class:`repro.framework.dedup.ReplicaArena`).
         self.follow_hook = None
+        #: Enqueues the markers of a synchronize in place of
+        #: :meth:`CudaStream.sync_marker` (see :meth:`sync_markers`; set
+        #: with ``follow_hook``).
+        self.sync_hook = None
         #: The implicit stream every unqualified call lands on.
         self.default_stream = self.create_stream(name_hint="default")
 
@@ -148,17 +152,28 @@ class CudaContext:
         if not completion.triggered:
             yield completion
 
+    def sync_markers(self, streams: list[CudaStream]) -> list[Event]:
+        """Enqueue a sync marker on each of *streams*; their completions.
+
+        A replica riding another's timeline (:mod:`repro.framework.dedup`)
+        enqueues none on a stream whose own copies of the ridden ops would
+        still be queued: that marker completes when the last of those ops
+        executes on the replica's stream.
+        """
+        hook = self.sync_hook
+        if hook is not None:
+            return hook(streams)
+        return [stream.sync_marker() for stream in streams]
+
     def stream_synchronize(self, stream: Optional[CudaStream] = None) -> Generator:
-        self.observed()
         self._guard()
-        stream = stream or self.default_stream
-        yield stream.sync_marker()
+        marker, = self.sync_markers([stream or self.default_stream])
+        yield marker
 
     def device_synchronize(self) -> Generator:
-        self.observed()
         self._guard()
-        markers = [s.sync_marker() for s in self.streams
-                   if not s.destroyed and not s.aborted]
+        markers = self.sync_markers([s for s in self.streams
+                                     if not s.destroyed and not s.aborted])
         if markers:
             yield self.env.all_of(markers)
 

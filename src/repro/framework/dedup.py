@@ -34,7 +34,23 @@ Three sharing levels:
   timeline instead of enqueueing copies, and materialise their own
   streams, in the leader's exact state, before anything else observes
   them (:meth:`ReplicaArena.enter`).  In a traced run the leader's
-  streams also write each rider's trace records.
+  streams also write each rider's trace records.  Riders keep riding
+  through two more points:
+
+  - *Replay-log validation* (transparent family, the paper's Section
+    4.1): when every active member rides the validated iteration, its
+    leader re-executes the iteration once, recomputing the group's math
+    from the buffers the validation re-initialised, inside the optimizer
+    batch the riders ride; each rider takes the leader's result
+    (:meth:`ReplicaArena.validates_group`).  Otherwise every member
+    validates on its own math and gradients, its checksums reading the
+    parameters it holds (:meth:`ReplicaArena.member_arrays`).
+  - *Synchronize*: a rider's ``device_synchronize`` or
+    ``stream_synchronize`` completes when the last op of every batch it
+    rides has executed, where its own markers would have
+    (:meth:`ReplicaArena.sync_markers`); a synchronize ends only the
+    rides of the members riding ops still queued on the syncing member's
+    own streams.
 
 Sharing is *copy-on-write*: the moment a rank diverges — its GPU bumps
 its epoch (failure, driver reset), or state is loaded into it — the
@@ -80,6 +96,7 @@ import numpy as np
 
 from repro import flags
 from repro.cuda.event import CudaEvent, EventState
+from repro.cuda.runtime import CudaContext
 from repro.cuda.stream import (CollectiveKernelOp, KernelOp, MemcpyOp,
                                RecordEventOp, WaitEventOp)
 
@@ -250,7 +267,8 @@ class FollowBatch:
 
     __slots__ = ("leader", "iteration", "lr", "time", "riders", "remaining",
                  "woken", "events", "collectives", "nbytes", "bwd_done",
-                 "optimizer", "followable", "pending", "shape", "seq", "saw")
+                 "optimizer", "followable", "pending", "shape", "seq", "saw",
+                 "validation")
 
     def __init__(self, leader: "_Follower", iteration: int, lr: float,
                  time: float):
@@ -281,13 +299,15 @@ class FollowBatch:
         #: The leader's next collective sequence number at open time.
         self.seq = None
         self.saw = None
+        #: The leader's replay-log validation, when the batch carries one.
+        self.validation = None
 
 
 class _Follower:
     """Per-member follow state: the batches it rides and its CPU."""
 
     __slots__ = ("engine", "rank", "rides", "cpu", "wakeups", "twins",
-                 "event_names", "physical")
+                 "event_names", "physical", "syncs")
 
     def __init__(self, engine):
         self.engine = engine
@@ -304,6 +324,9 @@ class _Follower:
         #: Leader event of a ridden batch -> the name this member's own
         #: copy has (a traced run's records and materialised copies).
         self.event_names: dict = {}
+        #: Own stream -> sync marker a ridden synchronize has not enqueued
+        #: (see ``ReplicaArena.sync_markers``).
+        self.syncs: dict = {}
 
     def streams(self) -> tuple:
         return self.physical
@@ -389,6 +412,11 @@ class ReplicaArena:
         self._math_from = 0
         #: One past the newest iteration any member has enqueued.
         self._enqueued = 0
+        #: (iteration, batch whose leader validates it on group math, or
+        #: None) for the newest validated iteration.
+        self._validated: tuple = (None, None)
+        #: (member, memo) of the group validation running, if any.
+        self._rerun: tuple = (None, None)
         # The job owns its arenas; the engines' views of theirs are weak,
         # as the arena holds the engines.
         for member, engine in enumerate(self.engines):
@@ -410,7 +438,8 @@ class ReplicaArena:
 
         Any epoch transition on a member's GPU (failure, driver reset) is
         the copy-on-write trigger; anything observing a member's streams
-        materialises riders first (group-math mode).  The hooks hold the
+        materialises riders first, and its synchronizes go through
+        :meth:`sync_markers` (group-math mode).  The hooks hold the
         arena weakly: it reaches the GPUs, contexts and streams through
         its engines, and a job that ends without ``detach`` must not be
         a reference cycle.
@@ -433,6 +462,9 @@ class ReplicaArena:
             materialize_all = weak_method(self.materialize_all)
             for hooked in self._follow_hooked:
                 hooked.follow_hook = materialize_all
+            sync_markers = weak_method(self.sync_markers)
+            for member, engine in enumerate(self.engines):
+                engine.api.ctx.sync_hook = partial(sync_markers, member)
 
     # -- membership --------------------------------------------------------
 
@@ -468,6 +500,8 @@ class ReplicaArena:
         self._epoch_hooks = []
         for hooked in self._follow_hooked:
             hooked.follow_hook = None
+            if isinstance(hooked, CudaContext):
+                hooked.sync_hook = None
         self._follow_hooked = []
 
     def member_active(self, member: int) -> bool:
@@ -603,6 +637,7 @@ class ReplicaArena:
         self.witnessed = [self.steps_applied] * len(self.engines)
         self._undo = None
         self._memo.clear()
+        self._rerun = (None, None)
         self._group_iterations.clear()
         self.dissolved = False
         leader.optimizer = MemberOptimizer(self, 0)
@@ -695,16 +730,17 @@ class ReplicaArena:
         self.dissolved = True
 
     def release_grads(self) -> None:
-        """Give every gradient buffer aliasing the arena a private array.
+        """Give every gradient buffer aliasing the arena a private copy.
 
-        Called once a dissolved arena's enqueued work is aborted, before
-        its members' logs replay: a replayed group-math kernel runs its
-        :class:`GroupThunk`'s private math, and it and the replayed
+        Called before members re-execute group-math work privately: a
+        dissolved arena's logs replaying, or members validating on their
+        own math.  A re-executed group-math kernel runs its
+        :class:`GroupThunk`'s private math, and it and the re-executed
         all-reduce must write per-member values.
         """
         for _, buffers in self._grad_views:
             for buf in buffers.values():
-                buf.array = np.zeros_like(buf.array)
+                buf.array = buf.array.copy()
         self._grad_views.clear()
 
     def reshare(self) -> None:
@@ -729,6 +765,80 @@ class ReplicaArena:
         views.append((iteration, buffers))
         views[:] = [view for view in views if view[0] >= iteration - 1]
 
+    # -- replay-log validation (transparent family) ---------------------------
+    #
+    # Validation re-executes a rank's minibatch and checksums every buffer
+    # of the rank before and after.  When every active member rides the
+    # iteration, its leader validates once, on the group's math, and the
+    # riders ride that validation the way they ride a batch.  Otherwise
+    # every member validates on its own math and its own gradients.
+
+    def validates_group(self, member: int, iteration: int) -> bool:
+        """Does *member* validate *iteration* once for the whole group?
+
+        Decided when the first member validates the iteration: yes for
+        the leader of the iteration's batch if every other member rides
+        it and may follow.  The riders then join the optimizer batch the
+        leader opened, and the validation in it, at this same instant.
+        Otherwise nobody rides the validation (riders materialise) and
+        every gradient buffer gets a private copy.
+        """
+        if self._validated[0] != iteration:
+            batch = self._batches.get(iteration)
+            leader = self._followers[member]
+            shared = (batch is not None and batch.leader is leader
+                      and not self.dissolved and all(self.active)
+                      and iteration in self._group_iterations
+                      and all(follower is leader
+                              or (follower in batch.riders
+                                  and self._may_follow(follower))
+                              for follower in self._followers))
+            self._validated = (iteration, batch if shared else None)
+            if shared:
+                self._rerun = (member, {})
+            else:
+                self.materialize_all()
+                self.release_grads()
+        batch = self._validated[1]
+        return batch is not None and batch.leader.engine is self.engines[
+            member]
+
+    def rerun(self, iteration: int, group) -> None:
+        """Run *group*, a group-math kernel of *iteration*, on the group
+        validation's own memo: it recomputes the math from the buffers
+        the validation re-initialised instead of reading the iteration's."""
+        memo = self._memo.get(iteration)
+        self._memo[iteration] = self._rerun[1]
+        try:
+            group()
+        finally:
+            if memo is None:
+                del self._memo[iteration]
+            else:
+                self._memo[iteration] = memo
+
+    def member_arrays(self, member: int) -> dict:
+        """id(buffer) -> array, for each of *member*'s parameter and
+        moment buffers whose canonical arrays hold a step the member has
+        not witnessed: the pre-step array it still holds.
+
+        A validating member's checksums read these, so another member's
+        optimizer step never shows in them.
+        """
+        if not (self.active[member]
+                and self.witnessed[member] < self.steps_applied):
+            return {}
+        engine = self.engines[member]
+        arrays = {id(engine.param_buffers[name]): array
+                  for name, array in self._undo["params"].items()}
+        state = self._undo_opt_state()
+        for attr in ("m", "v", "velocity"):
+            for name, array in state.get(attr, {}).items():
+                buf = engine.opt_buffers.get(f"{attr}.{name}")
+                if buf is not None:
+                    arrays[id(buf)] = array
+        return arrays
+
     # -- followers (group math) ---------------------------------------------
     #
     # Under group math every member's iteration is the same op timeline
@@ -737,10 +847,11 @@ class ReplicaArena:
     # then *rides* the leader's batch instead of enqueueing copies.  The
     # leader's streams dispatch each op once, arrive at collectives for
     # riders and credit each rider the logical events its copy would have
-    # dispatched.  Before anything but a rider's own training step would
-    # observe its streams (see ``follow_hook``), it *materialises*: it
-    # gets its own copies of the ops still queued, in the exact state the
-    # leader's are in, and runs privately from then on.
+    # dispatched.  Before anything but a rider's own training step or
+    # synchronize would observe its streams (see ``follow_hook``), it
+    # *materialises*: it gets its own copies of the ops still queued, in
+    # the exact state the leader's are in, and runs privately from then
+    # on.
 
     def enter(self, engine, iteration: int, lr: float) -> Optional[FollowBatch]:
         """Lead or ride *iteration* for *engine*, or run it privately.
@@ -858,17 +969,98 @@ class ReplicaArena:
             wakeup = follower.wakeups[streams[stream]] = env.event()
             wakeup.succeed()
         if batch.collectives:
-            comm_stream = follower.streams()[1]
             engine.api.live_comm(engine.comm).follow(
                 follower.rank, batch.collectives, batch.leader.rank,
-                comm_stream._gpu_ok)
-            comm_stream.saw_collective = True
+                follower.streams()[1]._gpu_ok)
+        for source, stream in streams.items():
+            if source.saw_collective:
+                stream.saw_collective = True
         engine.api.follow(batch, names, streams)
 
     def materialize_all(self) -> None:
         """Materialise every rider of this arena (see ``follow_hook``)."""
         for follower in list(self._riding):
             self._materialize(follower)
+
+    def sync_markers(self, member: int, streams: list) -> list:
+        """Completions of a synchronize of *streams*, *member*'s own.
+
+        The markers queue on the member's streams only, behind the ops
+        of the batches it leads: the members riding ops of those still
+        queued materialise, and no member joins them any more, but to
+        ride a validation (see :meth:`validates_group`).  A member that
+        rides rides the synchronize too when it can (:meth:`_ride_sync`),
+        and materialises otherwise.
+        """
+        follower = self._followers[member]
+        markers = self._ride_sync(follower, streams)
+        if markers is not None:
+            return markers
+        self._materialize(follower)
+        for rider in list(self._riding):
+            if any(batch.remaining and batch.leader is follower
+                   for batch in rider.rides):
+                self._materialize(rider)
+        for batch in self._batches.values():
+            for led in (batch, batch.optimizer):
+                if (led is not None and led.leader is follower
+                        and led.validation is None):
+                    led.followable = False
+        return [stream.sync_marker() for stream in streams]
+
+    def _ride_sync(self, follower: _Follower, streams: list):
+        """The markers of a synchronize *follower* rides, or None.
+
+        Its own copies of the ridden ops would still be queued on the
+        streams of the same role as the leader's holding them: the marker
+        it would enqueue there completes when the last of those ops
+        executes on the leader's stream, and is enqueued behind the
+        copies if the follower materialises first.  Its other streams are
+        idle, as a private rank's would be, and take real markers.  A
+        traced run stays private: a rider's marker may join its copies'
+        macro chain, whose record the leader's stream writes.
+        """
+        ridden = {batch for batch in follower.rides if batch.remaining}
+        ctx = follower.engine.api.ctx
+        if not ridden or ctx.tracer.ops or ctx.poisoned:
+            return None
+        last = {}
+        for source, own in follower.twins.items():
+            if (own._queue or own._active_chain is not None
+                    or own._resume is not None or own.aborted
+                    or not own._gpu_ok() or source.aborted
+                    or not source._gpu_ok()):
+                return None
+            ops = [op for op in source._queue if op.batch in ridden]
+            if ops:
+                last[own] = ops[-1]
+        for stream in streams:
+            wakeup = follower.wakeups.get(stream)
+            if (stream not in last and wakeup is not None
+                    and wakeup.callbacks is not None):
+                # The stand-in for its wakeup is not dispatched yet, so a
+                # marker's enqueue would not wake it.
+                return None
+        synced = weak_method(self._synced)
+        markers = []
+        for stream in streams:
+            op = last.get(stream)
+            if op is None:
+                markers.append(stream.sync_marker())
+                continue
+            marker = follower.syncs[stream] = KernelOp("sync_marker", 0.0)
+            marker._env = stream.env
+            op.done.callbacks.append(partial(synced, follower, stream))
+            markers.append(marker.done)
+        return markers
+
+    @staticmethod
+    def _synced(follower: _Follower, stream, event) -> None:
+        """The last ridden op on *stream*'s twin executed: so would the
+        marker behind *follower*'s copy of it."""
+        marker = follower.syncs.pop(stream, None)
+        if marker is not None and event._ok:
+            marker.done.succeed()
 
     def materialize(self, engine) -> None:
         """Materialise *engine* before it enqueues work privately."""
@@ -882,12 +1074,17 @@ class ReplicaArena:
         wakeups, follower.wakeups = follower.wakeups, {}
         names, follower.event_names = follower.event_names, {}
         streams, follower.twins = follower.twins, {}
+        syncs, follower.syncs = follower.syncs, {}
         self._riding.remove(follower)
         for batch in rides:
             if follower in batch.riders:
                 batch.riders.remove(follower)
         pending = [batch for batch in rides if batch.remaining]
         if not pending:
+            # The ridden ops all executed; the markers behind their copies
+            # complete at this same instant.
+            for marker in syncs.values():
+                marker.done.succeed()
             return
         engine = follower.engine
         env = engine.api.env
@@ -904,10 +1101,14 @@ class ReplicaArena:
         ridden_batches = set(pending)
         for source, stream in streams.items():
             ridden = [op for op in source._queue if op.batch in ridden_batches]
+            marker = syncs.pop(stream, None)
             if ridden:
-                stream.adopt([self._copy_op(engine, op, copies)
-                              for op in ridden], source, ridden,
-                             wakeups.get(stream))
+                own = [self._copy_op(engine, op, copies) for op in ridden]
+                if marker is not None:
+                    own.append(marker)
+                stream.adopt(own, source, ridden, wakeups.get(stream))
+            elif marker is not None:
+                marker.done.succeed()
         cpu = follower.cpu
         if cpu is not None and cpu.is_alive:
             for event, copy in copies.items():
@@ -947,15 +1148,22 @@ class ReplicaArena:
             memo = self._memo[iteration] = {}
             for old in [it for it in self._memo if it < iteration - 1]:
                 del self._memo[old]
+            if self._validated[0] is not None \
+                    and self._validated[0] < iteration - 1:
+                self._rerun = (None, None)
         return memo
 
-    def group_forward(self, iteration: int, index: int, block) -> None:
+    def group_forward(self, iteration: int, index: int, block,
+                      inputs) -> None:
         """Forward for layer *index*, computed once on the full batch.
 
         Row ``r`` of every op in :mod:`repro.framework.layers` /
         :mod:`repro.framework.attention` depends only on row ``r`` of the
         input, so the row-slices of the shared activations are bitwise
-        what each rank would have computed from its shard.
+        what each rank would have computed from its shard.  A group
+        validation reads its leader's rows from *inputs*, the leader's
+        input buffer, which the validation re-initialised and re-uploaded
+        (a rider's kernel passes None: it never runs in a validation).
         """
         memo = self._step_memo(iteration)
         key = ("fwd", index)
@@ -965,9 +1173,15 @@ class ReplicaArena:
             src = memo[("fwd", index - 1)][0]
         else:
             # The members' shards are row-slices of this one batch.
-            memo["batch"] = self.engines[0].dataset.global_minibatch(
-                iteration)
-            src = memo["batch"][0]
+            x, y = self.engines[0].dataset.global_minibatch(iteration)
+            member, rerun = self._rerun
+            if memo is rerun:
+                rows = len(inputs.array)
+                start = self.engines[member].dp_rank * rows
+                x = x.copy()
+                x[start:start + rows] = inputs.array
+            memo["batch"] = x, y
+            src = x
         memo[key] = block.forward(src)
 
     def ridden_loss(self, iteration: int, member: int, head,

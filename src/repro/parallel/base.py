@@ -212,8 +212,8 @@ class BaseEngine:
         assembly can prefer a replica that got further.
         """
         if self._dedup_arena is not None:
-            # Observing any member's state ends every ride in its group.
-            self._dedup_arena.materialize_all()
+            # Observing a member's state ends its own ride.
+            self._dedup_arena.materialize(self)
         applied = self.applied_iteration
         history = list(self.loss_history)
         behind = self.iteration - applied

@@ -47,23 +47,43 @@ class RiddenStep:
     hold the iteration's loss and reduced gradient from then on.
     """
 
-    __slots__ = ("engine", "iteration", "lr", "loss_buf", "grad_buffers",
-                 "replayed")
+    __slots__ = ("engine", "iteration", "lr", "loss", "loss_buf",
+                 "grad_buffers", "input_buf", "replayed")
 
     def __init__(self, engine: "DataParallelEngine", iteration: int,
                  lr: float):
         self.engine = engine
         self.iteration = iteration
         self.lr = lr
+        #: The loss the rank took from the ridden iteration.
+        self.loss = None
         self.loss_buf = None
         self.grad_buffers = None
+        self.input_buf = None
         self.replayed = False
 
     def expand(self) -> list:
         """Enqueue forward/backward privately; returns the step buffers."""
         _, self.loss_buf, self.grad_buffers, step_bufs = \
             self.engine._enqueue_iteration(self.iteration, False, None)
+        self.input_buf = step_bufs[0]
         return step_bufs
+
+    def settle(self) -> None:
+        """Fill the expanded buffers with what riding the iteration
+        computed: the rank's input shard, its loss and the reduced
+        gradient.  A layer that re-executes the iteration into them and
+        compares (replay-log validation) finds them as a private run
+        left them; activations stay as allocated, as private ones do.
+        """
+        engine = self.engine
+        x, _ = engine.dataset.shard(self.iteration, engine.dp_rank,
+                                    engine.dp_world)
+        self.input_buf.array[...] = x
+        self.loss_buf.array[0] = self.loss
+        reduced = engine._dedup_arena.grad_arrays
+        for name, buf in self.grad_buffers.items():
+            buf.array[...] = reduced[name]
 
     def expand_optimizer(self) -> None:
         """Enqueue the private optimizer kernel (after :meth:`expand`)."""
@@ -178,11 +198,8 @@ class DataParallelEngine(BaseEngine):
         # never observe a stale member.
         arena = self._dedup_arena
         member = self._dedup_member
-        # An iteration the device API re-executes for validation runs
-        # privately: its re-execution needs every rank's own gradients.
         group_math = (arena is not None
-                      and arena.shares_math(member, iteration)
-                      and not api.validates(iteration))
+                      and arena.shares_math(member, iteration))
         # Under group math the first member to get here leads the
         # iteration; a member in the same state rides the leader's
         # timeline instead of enqueueing copies of it (dedup "Followers").
@@ -207,14 +224,15 @@ class DataParallelEngine(BaseEngine):
         yield from api.event_synchronize(bwd_done)
         loss = float(loss_buf.array[0])
 
-        api.optimizer_step_begin(iteration)
         optimizer = (arena.enter_optimizer(self, batch, lr)
                      if batch is not None else None)
         # The optimizer batch stays open over the interception layer's
-        # end-of-step hook, whose marker kernel joins it.
+        # hooks: a replay-log validation before the step and the marker
+        # kernel after it join it.
         compute = api.physical(self.compute_stream)
         compute._batch = optimizer
         try:
+            api.optimizer_step_begin(iteration)
             self._launch_optimizer(lr, partial(_grads_of, grad_buffers),
                                    optimizer)
             api.optimizer_step_end(iteration)
@@ -288,7 +306,7 @@ class DataParallelEngine(BaseEngine):
             step_bufs.append(act_buf)
             api.launch_kernel(self.compute_stream, f"fwd{i}", fwd_time, thunk(
                 lambda i=i, block=block: arena.group_forward(iteration, i,
-                                                             block),
+                                                             block, x_buf),
                 fwd_thunk))
 
         loss_buf = api.malloc(np.zeros(1), BufferKind.ACTIVATION,
@@ -446,8 +464,10 @@ class DataParallelEngine(BaseEngine):
                                  self.head, len(self.blocks))
         if loss is None:
             loss = float(step.loss_buf.array[0])
+        step.loss = loss
+        optimizer = arena.enter_optimizer(self, batch, lr)
         api.optimizer_step_begin(iteration)
-        if arena.enter_optimizer(self, batch, lr) is None:
+        if optimizer is None:
             self._launch_optimizer(lr, step.grads)
         api.optimizer_step_end(iteration)
         self.loss_history.append(loss)
@@ -460,6 +480,12 @@ class DataParallelEngine(BaseEngine):
         """This rank's thunk for a group-math kernel of a ridden *batch*."""
         arena, iteration = self._dedup_arena, batch.iteration
         n_blocks = len(self.blocks)
+        if name.startswith("validation:"):
+            # The leader's validation computes for the group; this rank's
+            # copy of its last kernel takes the result.
+            if name == "validation:checksum_after":
+                return partial(batch.validation.deliver, self.api)
+            return None
         if name == "optimizer":
             return lambda: self.optimizer.step(arena.grad_arrays, lr=batch.lr)
         if name.startswith("opt_done_marker#"):
@@ -473,5 +499,6 @@ class DataParallelEngine(BaseEngine):
         index = int(name[3:])
         block = self.blocks[index]
         if name.startswith("fwd"):
-            return lambda: arena.group_forward(iteration, index, block)
+            return lambda: arena.group_forward(iteration, index, block,
+                                               None)
         return lambda: arena.group_block_backward(iteration, index, block)

@@ -80,11 +80,6 @@ class DeviceApi:
         (transparent JIT; no-op without interception)."""
         pass
 
-    def validates(self, iteration: int) -> bool:
-        """Does this layer re-execute minibatch *iteration* on the device
-        before its optimizer step (replay-log validation)?"""
-        return False
-
     # -- handles ------------------------------------------------------------------
 
     def physical(self, handle):

@@ -5,9 +5,15 @@ followers like the restart-based strategies do.  Recovery dissolves every
 arena and runs on private state, and the arena re-shares once recovery
 has left every replica at the same version.  A rank that rides a
 replica's timeline logs one lazy entry per ridden iteration, expanded
-into its own records only when the log is read.  None of that may show:
-every observable must match a ``REPRO_DEDUP=0`` run bit for bit, on one
-schedule for each of recovery's reset branches.
+into its own records only when the log is read.  Replay-log validation
+rides too: when every replica rides the validated iteration, its leader
+re-executes it once, recomputing the group's math, and every replica
+takes the result.  None of that may show: every observable must match a
+``REPRO_DEDUP=0`` run bit for bit, on one schedule for each of
+recovery's reset branches, on failure-free runs validating early, late
+and periodically, and on failures landing in the validated iteration.
+A validation that re-executes a broken log fails with dedup on as it
+does with dedup off.
 """
 
 import dataclasses
@@ -20,8 +26,10 @@ from repro.core.proxy import DeviceProxyApi
 from repro.core.replay_log import ZeroFill
 from repro.core.virtual_handles import (VirtualBuffer, VirtualEvent,
                                         VirtualStream)
+from repro.core.config import JitConfig
 from repro.cuda.memory import HostBuffer
 from repro.framework import dedup
+from repro.framework.attention import AttentionBlockParams
 from repro.hardware.specs import A100_NODE
 from repro.oracle import FailurePoint, FailureSchedule, RecoveryOracle
 from repro.oracle.oracle import default_oracle_spec
@@ -60,18 +68,37 @@ BRANCHES = {
 }
 
 
-def _checked(strategy, spec, schedule, on, monkeypatch, mutations=()):
-    """Check *schedule*; returns the observables, the run, the arenas and
-    the resets recovery ran."""
+def _checked(strategy, spec, schedule, on, monkeypatch, mutations=(),
+             config=None):
+    """Check *schedule*, under *config* if given; returns the
+    observables, the run, the arenas, the rides, the resets recovery ran
+    and the counts of the checked run: layer backwards on private math
+    (one per layer of a private rank-iteration) and arena dissolves
+    outside recovery."""
     from repro.core import transparent
     from repro.hardware.gpu import GpuHealth
+    from repro.oracle import strategies
 
     arenas, rides, resets = [], [], []
+    counts = {"private_backwards": 0, "dissolves_outside_recovery": 0}
     attach, ride = dedup.attach_job, DeviceProxyApi.ride
     coordinator = transparent.RecoveryCoordinator
     local, replica = (coordinator._reset_rank_local,
                       coordinator._reset_rank_from_replica)
     hard = coordinator._hard_error_steps
+    backward, dissolve = (AttentionBlockParams.backward,
+                          dedup.ReplicaArena.dissolve)
+    checking = []
+
+    def counting_backward(block, dy, cache, k=1):
+        if checking and k == 1:
+            counts["private_backwards"] += 1
+        return backward(block, dy, cache, k)
+
+    def counting_dissolve(arena):
+        if not arena.engines[0].api.coordinator.in_recovery:
+            counts["dissolves_outside_recovery"] += 1
+        dissolve(arena)
 
     def recording_attach(job):
         attached = attach(job)
@@ -102,6 +129,10 @@ def _checked(strategy, spec, schedule, on, monkeypatch, mutations=()):
     monkeypatch.setattr(coordinator, "_reset_rank_from_replica",
                         reset_from_replica)
     monkeypatch.setattr(coordinator, "_hard_error_steps", hard_steps)
+    monkeypatch.setattr(AttentionBlockParams, "backward", counting_backward)
+    monkeypatch.setattr(dedup.ReplicaArena, "dissolve", counting_dissolve)
+    if config is not None:
+        monkeypatch.setattr(strategies, "JitConfig", lambda: config)
     try:
         with flags.override(dedup=on):
             oracle = RecoveryOracle(spec=spec, iterations=ITERATIONS,
@@ -110,7 +141,11 @@ def _checked(strategy, spec, schedule, on, monkeypatch, mutations=()):
             run_strategy = oracle.run
 
             def recording_run(schedule, strategy):
-                runs.append(run_strategy(schedule, strategy))
+                checking.append(True)
+                try:
+                    runs.append(run_strategy(schedule, strategy))
+                finally:
+                    checking.clear()
                 return runs[-1]
 
             oracle.run = recording_run
@@ -137,7 +172,7 @@ def _checked(strategy, spec, schedule, on, monkeypatch, mutations=()):
         "records": records,
         "ranks": ranks,
     }
-    return observed, run, arenas, rides, resets
+    return observed, run, arenas, rides, resets, counts
 
 
 @pytest.mark.parametrize("branch", list(BRANCHES))
@@ -150,9 +185,9 @@ def test_transparent_family_dedup_on_off_bitwise(strategy, branch,
     dedup off bit for bit.  With dedup on the job's arena rides
     followers and is shared again after recovery."""
     spec, schedule, branch_resets, rolled_back = BRANCHES[branch]
-    on, run, arenas, rides, resets = _checked(strategy, spec, schedule,
+    on, run, arenas, rides, resets, _ = _checked(strategy, spec, schedule,
                                               True, monkeypatch)
-    off, _, off_arenas, off_rides, off_resets = _checked(
+    off, _, off_arenas, off_rides, off_resets, _ = _checked(
         strategy, spec, schedule, False, monkeypatch)
     assert on["outcome"] == "exact", on["outcome"]
     assert on == off
@@ -170,6 +205,139 @@ def test_transparent_family_dedup_on_off_bitwise(strategy, branch,
     # Every member diverged and was re-shared at least once.
     assert all(arena.active)
     assert arena.dedup_epoch >= 2 * len(arena.engines)
+
+
+# -- validation rides ------------------------------------------------------------------
+
+#: Failure-free validation schedules: the first, a middle and the last
+#: iteration, and every third one from the default start.
+VALIDATIONS = {
+    "first": JitConfig(validation_start_iteration=0),
+    "middle": JitConfig(validation_start_iteration=5),
+    "last": JitConfig(validation_start_iteration=ITERATIONS - 1),
+    "every_third": JitConfig(validation_interval=3),
+}
+
+
+def _validated(config):
+    start, interval = (config.validation_start_iteration,
+                       config.validation_interval)
+    return [it for it in range(ITERATIONS) if it == start or (
+        interval and it > start and (it - start) % interval == 0)]
+
+
+@pytest.mark.parametrize("validation", list(VALIDATIONS))
+@pytest.mark.parametrize("strategy", ["transparent", "swift"])
+def test_validation_rides_bitwise_dedup_on_off(strategy, validation,
+                                               monkeypatch):
+    """A failure-free run validating early, late or periodically matches
+    dedup off bit for bit, every rank's validations pass, and with
+    dedup on no rank-iteration runs on private math and no arena
+    dissolves: each validated iteration is ridden like any other."""
+    config = VALIDATIONS[validation]
+    schedule = FailureSchedule(())
+    on, run, arenas, rides, _, counts = _checked(
+        strategy, None, schedule, True, monkeypatch, config=config)
+    off, *_ = _checked(strategy, None, schedule, False, monkeypatch,
+                       config=config)
+    assert on["outcome"] == "exact", on["outcome"]
+    assert on == off
+    passed = [True] * len(_validated(config))
+    assert passed and all(results == passed
+                          for _, results, _ in on["ranks"])
+    assert counts == {"private_backwards": 0,
+                      "dissolves_outside_recovery": 0}
+    arena, = arenas
+    riders = len(arena.engines) - 1
+    assert len(rides) == riders * ITERATIONS
+
+
+#: Failures landing in the validated iteration (the default, 5): in its
+#: forward/backward pass, so recovery replays it before it validates, and
+#: in its validation's re-execution, which recovery abandons and rolls
+#: back.
+IN_VALIDATED_ITERATION = {
+    "forward_backward": FailureSchedule(points=(
+        FailurePoint(5, "GPU_STICKY", 2, offset=0.5),)),
+    "re_execution": FailureSchedule(points=(
+        FailurePoint(5, "GPU_DRIVER_CORRUPT", 1, offset=1.3),)),
+}
+
+
+@pytest.mark.parametrize("where", list(IN_VALIDATED_ITERATION))
+@pytest.mark.parametrize("strategy", ["transparent", "swift"])
+def test_failure_in_validated_iteration_bitwise_dedup_on_off(
+        strategy, where, monkeypatch):
+    """Recovery from a failure in the validated iteration matches dedup
+    off bit for bit, and only recovery dissolves an arena."""
+    schedule = IN_VALIDATED_ITERATION[where]
+    on, run, _, _, _, counts = _checked(strategy, None, schedule, True,
+                                        monkeypatch)
+    off, *_ = _checked(strategy, None, schedule, False, monkeypatch)
+    assert on["outcome"] == "exact", on["outcome"]
+    assert on == off
+    assert run.telemetry.records, "recovery must have run"
+    assert counts["dissolves_outside_recovery"] == 0
+
+
+@pytest.mark.parametrize("strategy", ["transparent", "swift"])
+def test_validation_with_a_replica_that_cannot_ride(strategy, monkeypatch):
+    """A replica that cannot ride the validated iteration enqueues it
+    privately on the group's math.  Then every rank validates on its own
+    math and gradients, the riders on their expanded logs filled with
+    what riding computed, and the run still matches dedup off bit for
+    bit without dissolving the arena."""
+    validated = JitConfig().validation_start_iteration
+    can_join = dedup.ReplicaArena._can_join
+    refused = []
+
+    def refusing(arena, follower, batch):
+        if (batch.iteration == validated and batch.bwd_done is not None
+                and follower.rank == 3):
+            refused.append(follower.rank)
+            return False
+        return can_join(arena, follower, batch)
+
+    monkeypatch.setattr(dedup.ReplicaArena, "_can_join", refusing)
+    on, run, _, rides, _, counts = _checked(strategy, None,
+                                            FailureSchedule(()), True,
+                                            monkeypatch)
+    off, *_ = _checked(strategy, None, FailureSchedule(()), False,
+                       monkeypatch)
+    assert refused
+    assert (1, validated) in rides and (3, validated) not in rides
+    assert on["outcome"] == "exact", on["outcome"]
+    assert on == off
+    assert all(results == [True] for _, results, _ in on["ranks"])
+    assert counts["dissolves_outside_recovery"] == 0
+
+
+@pytest.mark.parametrize("on", [True, False], ids=["dedup_on", "dedup_off"])
+@pytest.mark.parametrize("strategy", ["transparent", "swift"])
+def test_validation_of_a_log_missing_its_input_upload_fails(strategy, on,
+                                                            monkeypatch):
+    """Riding is no rubber stamp: with the minibatch's host-to-device
+    input copy dropped from every rank's log, the re-executed iteration
+    computes from a zero input and every rank's validation fails.  The
+    optimizer then steps on the gradient recomputed from that input, so
+    training leaves the golden run."""
+    validated = JitConfig().validation_start_iteration
+    begin = DeviceProxyApi.optimizer_step_begin
+
+    def dropping_upload(proxy, iteration):
+        if iteration == validated:
+            records = proxy.log.records
+            records[:] = [record for record in records
+                          if record.method != "memcpy_h2d"]
+        begin(proxy, iteration)
+
+    monkeypatch.setattr(DeviceProxyApi, "optimizer_step_begin",
+                        dropping_upload)
+    observed, *_ = _checked(strategy, None, FailureSchedule(()), on,
+                            monkeypatch)
+    assert [results for _, results, _ in observed["ranks"]] \
+        == [[False]] * 4
+    assert observed["outcome"] == "violation"
 
 
 # -- rider logs ------------------------------------------------------------------------
@@ -298,9 +466,9 @@ def test_perturbed_replica_copy_is_caught_with_dedup_on_and_off(
     with the group's."""
     schedule = BRANCHES["sticky_replica_copy"][1]
     mutations = ("perturb_replica_copy",)
-    on, run, arenas, _, _ = _checked(strategy, None, schedule, True,
+    on, run, arenas, _, _, _ = _checked(strategy, None, schedule, True,
                                      monkeypatch, mutations)
-    off, _, _, _, _ = _checked(strategy, None, schedule, False,
+    off, _, _, _, _, _ = _checked(strategy, None, schedule, False,
                                monkeypatch, mutations)
     assert on["outcome"] == off["outcome"] == "violation"
     assert on["losses"] == off["losses"]
