@@ -228,7 +228,6 @@ class FailureFree:
 def _reference_run(spec: ScenarioSpec) -> Reference:
     job = TrainingJob(_resolve_workload(spec))
     losses = job.run_training(spec.target_iterations)[0]
-    job.env.close()
     return Reference(ideal_time=job.env.now, events=job.env.events_processed,
                      digest=_losses_digest(losses))
 
@@ -470,6 +469,13 @@ class CampaignRunner:
     byte-identical to from-scratch :func:`execute_scenario` (``perf``
     aside); other kinds always run from scratch.  *prefix_fork* is
     accepted only as ``True``, the one path there is.
+
+    *fork_max_live* bounds memory, not speed.  A forked tail shares the
+    parent's pages copy-on-write; only what it writes and allocates is
+    its own, about 9 MB for a GPT2-S tail next to the parent's ~44 MB.
+    Four live children thus add less than one more parent, while wall
+    time stops improving once the children cover the cores
+    (``docs/performance.md``, "Why ``fork_max_live`` is 4").
 
     A runner pays for each failure-free run once over its lifetime, not
     once per :meth:`run`: the reference per :func:`reference_key` and the

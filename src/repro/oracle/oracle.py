@@ -146,9 +146,8 @@ class RecoveryOracle:
         variant = spec_variant(self.spec, strategy)
         key = variant.optimizer
         if key not in self._goldens:
-            job = TrainingJob(variant)
-            self._goldens[key] = list(job.run_training(self.iterations)[0])
-            job.env.close()
+            self._goldens[key] = list(
+                TrainingJob(variant).run_training(self.iterations)[0])
         return self._goldens[key]
 
     def golden_tracer(self, strategy: str) -> Tracer:
@@ -161,9 +160,7 @@ class RecoveryOracle:
         key = variant.optimizer
         if key not in self._golden_tracers:
             tracer = Tracer(enabled=True)
-            job = TrainingJob(variant, tracer=tracer)
-            job.run_training(self.iterations)
-            job.env.close()
+            TrainingJob(variant, tracer=tracer).run_training(self.iterations)
             self._golden_tracers[key] = tracer
         return self._golden_tracers[key]
 

@@ -393,7 +393,7 @@ class Environment:
     """The simulation environment: clock plus ordered event queue."""
 
     __slots__ = ("_now", "_queue", "_seq", "_active_process", "_timeout_pool",
-                 "_processed", "_credited", "_live")
+                 "_processed", "_credited", "_live", "_closed")
 
     def __init__(self) -> None:
         self._now: float = 0.0
@@ -407,6 +407,8 @@ class Environment:
         self._credited = 0
         #: Processes not yet finished (see ``close``).
         self._live: dict[Process, None] = {}
+        #: Set by ``close``: the environment accepts no more work.
+        self._closed = False
 
     @property
     def now(self) -> float:
@@ -478,6 +480,8 @@ class Environment:
         return event
 
     def process(self, generator: Generator, name: str = "") -> Process:
+        if self._closed:
+            raise SimulationError("environment closed")
         return Process(self, generator, name=name)
 
     def any_of(self, events: Iterable[Event]) -> Event:
@@ -553,6 +557,8 @@ class Environment:
 
         Returns the value of *until* when it is an event, otherwise ``None``.
         """
+        if self._closed:
+            raise SimulationError("environment closed")
         if isinstance(until, Event):
             failed = self._run_until_event(until)
             if failed is None:
@@ -651,6 +657,8 @@ class Environment:
         triggers, exactly where ``run(until=until)`` would stop before
         draining it.
         """
+        if self._closed:
+            raise SimulationError("environment closed")
         failed = self._run_before(when, until)
         if failed is not None:
             failed, self, until = [failed], None, None
@@ -690,7 +698,10 @@ class Environment:
         Closing their generators, and dropping every queued event, lets
         the run's whole object graph go by refcount once its owner does.
         A closed process reads as killed: it succeeded with ``None``.
+        ``process``, ``run`` and ``run_until_before`` then raise
+        :class:`SimulationError`: the work would wait on ended processes.
         """
+        self._closed = True
         while self._live:
             process = next(iter(self._live))
             process._detach_from_target()

@@ -8,6 +8,7 @@ the paper's interception layers between engines and the device.
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Optional
 
 from repro.cuda.runtime import CudaContext
@@ -28,14 +29,27 @@ ApiFactory = Callable[[CudaContext, int], DeviceApi]
 
 
 class TrainingJob:
-    """Everything needed to run one Table 2 workload in simulation."""
+    """Everything needed to run one Table 2 workload in simulation.
+
+    Whoever creates an :class:`Environment` ends it.  A job built with
+    ``env=None`` created its own and closes it when dropped.  Nothing
+    refers back to a job, so that happens by refcount as soon as the
+    caller's last reference goes, and the whole simulation goes with it.
+    A job built on a caller's ``env`` (a restart generation, the
+    transparent system's job) leaves it to that caller; the owners of
+    such shared environments are ``StrategyRun.release``,
+    ``prefix.run_prefix_group`` and ``_execute_campaign_scenario``.
+    """
 
     def __init__(self, spec: WorkloadSpec, env: Optional[Environment] = None,
                  api_factory: Optional[ApiFactory] = None,
                  tracer: Optional[Tracer] = None, spare_nodes: int = 1,
                  cluster: Optional[Cluster] = None):
         self.spec = spec
-        self.env = env or Environment()
+        if env is None:
+            env = Environment()
+            weakref.finalize(self, env.close).atexit = False
+        self.env = env
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         #: Reusing a cluster lets a restarted job generation land on the
         #: same hardware minus any failed devices (scheduler behaviour).

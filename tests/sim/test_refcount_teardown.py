@@ -14,8 +14,9 @@ from repro.oracle import (STRATEGIES, FailurePoint, FailureSchedule,
                           RecoveryOracle, default_oracle_spec)
 from repro.oracle.strategies import run_strategy
 from repro.parallel.topology import ParallelLayout
-from repro.sim import AnyOf, Environment
-from tests.conftest import make_job, repro_cyclic_garbage
+from repro.sim import AnyOf, Environment, SimulationError
+from repro.workloads import TrainingJob
+from tests.conftest import make_job, make_spec, repro_cyclic_garbage
 
 #: ``repro`` type -> why a scenario may leave it cyclic.  Empty: none may.
 ALLOWED: dict[str, str] = {}
@@ -38,7 +39,68 @@ def assert_refcount_clean(scenario) -> None:
     assert not leaked, leaked
 
 
-# -- the four scenarios ------------------------------------------------------
+#: The three engines as the failure-free training bench lays them out.
+ENGINES = [
+    pytest.param(dict(engine="ddp", layout=ParallelLayout(dp=4)), id="ddp"),
+    pytest.param(dict(engine="3d", layout=ParallelLayout(dp=2, pp=2, tp=2)),
+                 id="3d"),
+    pytest.param(dict(engine="fsdp", layout=ParallelLayout(dp=16),
+                      num_nodes=2), id="fsdp-hybrid"),
+]
+
+
+# -- the scenarios ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("on", SWITCHES)
+@pytest.mark.parametrize("shape", ENGINES)
+def test_finished_job_dies_by_refcount(shape, on):
+    """A job that created its own environment closes it when dropped, so
+    nothing of a finished run waits for the cyclic collector."""
+    def scenario():
+        with flags.override(fast_path=on, dedup=on):
+            job = TrainingJob(make_spec(**shape))
+            job.run_training(2)
+            del job
+
+    assert_refcount_clean(scenario)
+
+
+def test_dropped_job_closes_the_environment_it_created():
+    job = make_job(layout=ParallelLayout(dp=2))
+    job.run_training(1)
+    env = job.env
+    del job
+    with pytest.raises(SimulationError, match="environment closed"):
+        env.run()
+
+
+def test_dropped_job_leaves_a_callers_environment_open():
+    env = Environment()
+    job = TrainingJob(make_spec(layout=ParallelLayout(dp=2)), env=env)
+    job.run_training(1)
+    del job
+
+    def later():
+        yield env.timeout(1.0)
+        return "ran"
+
+    start = env.now
+    assert env.run(until=env.process(later())) == "ran"
+    assert env.now == start + 1.0
+
+
+@pytest.mark.parametrize("on", SWITCHES)
+@pytest.mark.parametrize("shape", ENGINES)
+def test_held_job_engines_still_snapshot(shape, on):
+    """Engines snapshot after ``run_training`` while the job is held,
+    as a checkpoint bench's set-up does."""
+    with flags.override(fast_path=on, dedup=on):
+        job = TrainingJob(make_spec(**shape))
+        job.run_training(2)
+        snapshots = [engine.state_dict() for engine in job.engines]
+    assert len(snapshots) == job.spec.world_size
+    assert all(snapshot["iteration"] == 2 for snapshot in snapshots)
 
 
 @pytest.mark.parametrize("on", SWITCHES)
@@ -209,6 +271,34 @@ def test_close_ends_idle_processes():
         assert env.peek() == float("inf")
 
     assert_refcount_clean(scenario)
+
+
+def test_closed_environment_refuses_work():
+    env = Environment()
+    env.run(until=env.process(_idle(env)))
+    env.close()
+    with pytest.raises(SimulationError, match="environment closed"):
+        env.process(_idle(env))
+    with pytest.raises(SimulationError, match="environment closed"):
+        env.run()
+    with pytest.raises(SimulationError, match="environment closed"):
+        env.run(until=1.0)
+    with pytest.raises(SimulationError, match="environment closed"):
+        env.run_until_before(1.0, until=env.event())
+
+
+def test_closed_job_environment_fails_at_the_cause():
+    """Training again after ``close`` names the cause, rather than
+    deadlocking on the closed stream executors."""
+    job = make_job(layout=ParallelLayout(dp=2))
+    job.run_training(1)
+    job.env.close()
+    with pytest.raises(SimulationError, match="environment closed"):
+        job.run_training(1)
+
+
+def _idle(env: Environment):
+    yield env.timeout(1.0)
 
 
 def test_triggered_condition_stops_listening():
