@@ -16,7 +16,7 @@ from typing import Callable, Generator, Optional
 from repro.cluster.worker import InitCosts, RankWorker, WorkerStatus
 from repro.hardware.cluster import Cluster
 from repro.hardware.gpu import GpuHealth
-from repro.sim import AnyOf, Environment, Mailbox, Tracer
+from repro.sim import AnyOf, Environment, Mailbox
 from repro.workloads.builder import ApiFactory, TrainingJob
 from repro.workloads.catalog import WorkloadSpec
 
@@ -68,21 +68,18 @@ class JobManager:
                  cluster: Optional[Cluster] = None,
                  init_costs: Optional[InitCosts] = None,
                  progress_timeout: float = 60.0,
-                 tracer: Optional[Tracer] = None,
                  spare_nodes: int = 2):
         self.env = env
         self.spec = spec
         self.target_iterations = target_iterations
         self.init_costs = init_costs or InitCosts()
         self.progress_timeout = progress_timeout
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         from repro.hardware.cluster import ClusterSpec
 
         self.cluster = cluster or Cluster(
             env,
             ClusterSpec(node_spec=spec.node_spec, num_nodes=spec.num_nodes,
-                        spare_nodes=spare_nodes),
-            tracer=self.tracer)
+                        spare_nodes=spare_nodes))
         self.current_job: Optional[TrainingJob] = None
         self.current_workers: list[RankWorker] = []
         #: Control mailbox of the running generation; recovery libraries
@@ -131,7 +128,7 @@ class JobManager:
             api_factory = (make_api_factory(self.generation)
                            if make_api_factory else None)
             job = TrainingJob(self.spec, env=self.env, cluster=self.cluster,
-                              api_factory=api_factory, tracer=self.tracer)
+                              api_factory=api_factory)
             control = Mailbox(self.env, name="job-control")
             self.current_control = control
             workers = []

@@ -15,7 +15,6 @@ interval (quantified in ``benchmarks/bench_ablation_adaptive.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.analysis.model import optimal_checkpoint_frequency
 
@@ -78,8 +77,3 @@ class AdaptiveIntervalTuner:
         seconds_per_checkpoint = 1.0 / c_star
         iterations = seconds_per_checkpoint / self.minibatch_stats.mean
         return max(1, int(round(iterations)))
-
-    def interval_seconds(self) -> Optional[float]:
-        if not self.profiled:
-            return None
-        return self.interval_iterations() * self.minibatch_stats.mean

@@ -264,10 +264,6 @@ class CheckpointRegistry:
 
     # -- validated resume planning --------------------------------------------------------
 
-    def latest_valid_iteration(self, shard_id: str) -> Optional[int]:
-        """Newest iteration with a checkpoint that passes validation."""
-        return self.scan().latest_valid([shard_id])
-
     def latest_valid_consistent_iteration(
             self, shard_ids: Iterable[str]) -> Optional[int]:
         """Largest iteration every shard can restore *with integrity*."""

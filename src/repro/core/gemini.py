@@ -24,7 +24,7 @@ from typing import Any, Generator, Optional
 
 from repro.cluster.manager import JobManager, RunReport
 from repro.cluster.worker import InitCosts
-from repro.sim import Environment, Tracer
+from repro.sim import Environment
 from repro.storage.frozen import Framed, freeze
 from repro.storage.stores import _rot_leaf, consume_trap, match_fragment
 from repro.workloads.catalog import WorkloadSpec
@@ -198,13 +198,12 @@ class GeminiRunner:
                  target_iterations: int,
                  policy: Optional[GeminiPolicy] = None,
                  init_costs: Optional[InitCosts] = None,
-                 tracer: Optional[Tracer] = None,
                  progress_timeout: float = 30.0):
         self.env = env
         self.spec = spec
         self.policy = policy or GeminiPolicy()
         self.manager = JobManager(env, spec, target_iterations,
-                                  init_costs=init_costs, tracer=tracer,
+                                  init_costs=init_costs,
                                   progress_timeout=progress_timeout)
         self.ram = PeerRamStore(env)
         for node in self.manager.cluster.nodes + self.manager.cluster._spares:

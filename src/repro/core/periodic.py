@@ -26,7 +26,7 @@ from repro.cluster.worker import InitCosts
 from repro.core.checkpoints import CheckpointKey, CheckpointRegistry
 from repro.core.config import JitConfig
 from repro.core.telemetry import RecoveryTelemetry
-from repro.sim import Environment, Tracer
+from repro.sim import Environment
 from repro.storage.stores import SharedObjectStore, TornWriteError
 from repro.storage.validate import CorruptCheckpointError
 from repro.workloads.catalog import WorkloadSpec
@@ -161,7 +161,6 @@ class PeriodicRunner:
                  policy: PeriodicPolicy,
                  config: Optional[JitConfig] = None,
                  init_costs: Optional[InitCosts] = None,
-                 tracer: Optional[Tracer] = None,
                  progress_timeout: float = 30.0,
                  make_tuner=None):
         self.env = env
@@ -172,9 +171,9 @@ class PeriodicRunner:
         self.make_tuner = make_tuner
         self.config = config or JitConfig()
         self.registry = CheckpointRegistry(store, self.config.job_id)
-        self.telemetry = RecoveryTelemetry(env, tracer)
+        self.telemetry = RecoveryTelemetry(env)
         self.manager = JobManager(env, spec, target_iterations,
-                                  init_costs=init_costs, tracer=tracer,
+                                  init_costs=init_costs,
                                   progress_timeout=progress_timeout)
         self.checkpointers: list[PeriodicCheckpointer] = []
         self._resume_iteration: Optional[int] = None

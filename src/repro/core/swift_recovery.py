@@ -19,7 +19,6 @@ from __future__ import annotations
 from repro.core.config import JitConfig
 from repro.core.swift import rollback_one_version, supports_undo
 from repro.core.transparent import RecoveryCoordinator, TransparentJitSystem
-from repro.cuda.runtime import CudaContext
 from repro.framework.optim import OPTIMIZER_KINDS
 
 
@@ -57,8 +56,8 @@ class SwiftRecoveryCoordinator(RecoveryCoordinator):
             rollback_one_version(self.job.engines[proxy.rank].optimizer)
             proxy.completed_steps = target - 1
             self.rollbacks += 1
-            self.tracer.record(self.env.now, "recovery", "swift_rollback",
-                               rank=proxy.rank, to_version=target - 1)
+            self.env.tracer.record(self.env.now, "recovery", "swift_rollback",
+                                   rank=proxy.rank, to_version=target - 1)
         return target - 1
 
 
@@ -70,16 +69,14 @@ class SwiftJitSystem(TransparentJitSystem):
     applicability restriction.
     """
 
-    def __init__(self, env, spec, store=None, config: JitConfig = None,
-                 tracer=None):
+    def __init__(self, env, spec, store=None, config: JitConfig = None):
         factory = OPTIMIZER_KINDS.get(spec.optimizer)
         if factory is None or not hasattr(factory, "undo_last_step"):
             raise ValueError(
                 f"SwiftJitSystem needs an invertible optimizer; workload "
                 f"{spec.name!r} uses {spec.optimizer!r}")
-        super().__init__(env, spec, store=store, config=config, tracer=tracer)
+        super().__init__(env, spec, store=store, config=config)
         old = self.coordinator
         self.coordinator = SwiftRecoveryCoordinator(
             env, old.config, self.telemetry, criu=old.criu,
-            registry=old.registry, tracer=self.tracer,
-            settle_time=old.settle_time)
+            registry=old.registry, settle_time=old.settle_time)

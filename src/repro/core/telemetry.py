@@ -5,8 +5,10 @@ Every recovery (user-level or transparent) is one episode on a
 ``hard``, ``user_level``, ...) with one nested span per phase, so the
 paper's step breakdown (Table 7) is read off the same timeline as every
 observability view.  :class:`RecoveryRecord` is the episode's handle.
-Episodes go to the run's tracer when it is enabled, else to an enabled
-one of the telemetry's own, so untraced runs measure the same numbers.
+A run's tracer is its environment's (``env.tracer``; an untraced run is
+``Environment()``).  Episodes go to it when it is enabled, else to an
+enabled one of the telemetry's own, so untraced runs measure the same
+numbers.
 Each episode has an actor of its own (``recovery/rank<r>#<n>``), so
 closing one never closes another's spans, and all its spans carry
 ``episode=n``.
@@ -109,10 +111,6 @@ class CampaignPerf:
         self.runs.append(SimThroughput(label, events, wall_seconds))
 
     @property
-    def total_events(self) -> int:
-        return sum(run.events for run in self.runs)
-
-    @property
     def cache_hit_rate(self) -> float:
         total = self.cache_hits + self.cache_misses
         return self.cache_hits / total if total else 0.0
@@ -136,10 +134,9 @@ class RecoveryTelemetry:
     """Records one system's recovery episodes as tracer spans (episodes
     are numbered per telemetry: one telemetry per tracer)."""
 
-    def __init__(self, env: Environment, tracer: Optional[Tracer] = None):
+    def __init__(self, env: Environment):
         self.env = env
-        self.tracer = (tracer if tracer is not None and tracer.enabled
-                       else Tracer())
+        self.tracer = env.tracer if env.tracer.enabled else Tracer()
         self.records: list[RecoveryRecord] = []
 
     def start(self, kind: str, rank: Optional[int] = None) -> RecoveryRecord:

@@ -41,11 +41,10 @@ from repro.core.config import JitConfig
 from repro.core.proxy import DeviceProxyApi
 from repro.core.telemetry import RecoveryTelemetry
 from repro.core.watchdog import EventWatchdog
-from repro.cuda.errors import CudaError
 from repro.cuda.runtime import CudaContext
 from repro.hardware.gpu import Gpu, GpuHealth
 from repro.nccl.communicator import NcclCommunicator
-from repro.sim import Environment, Event, Tracer
+from repro.sim import Environment, Event
 from repro.storage.manifest import manifest_path, write_with_manifest
 from repro.storage.stores import SharedObjectStore, TornWriteError
 from repro.workloads.builder import TrainingJob
@@ -59,7 +58,6 @@ class RecoveryCoordinator:
                  telemetry: RecoveryTelemetry,
                  criu: Optional[CriuManager] = None,
                  registry: Optional[CheckpointRegistry] = None,
-                 tracer: Optional[Tracer] = None,
                  settle_time: Optional[float] = None):
         self.env = env
         self.config = config
@@ -71,7 +69,6 @@ class RecoveryCoordinator:
         self.settle_time = settle_time or config.recovery_settle_time
         self.criu = criu
         self.registry = registry
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.proxies: list[DeviceProxyApi] = []
         self.job: Optional[TrainingJob] = None
         self.in_recovery = False
@@ -112,8 +109,8 @@ class RecoveryCoordinator:
         for arena in self.job.dedup_arenas:
             arena.dissolve()
         self._done_event = self.env.event(name=f"recovery-done:{self.recoveries}")
-        self.tracer.record(self.env.now, "recovery", "trigger",
-                           reason=reason, rank=rank)
+        self.env.tracer.record(self.env.now, "recovery", "trigger",
+                               reason=reason, rank=rank)
         self.env.process(self._recover(reason, rank),
                          name=f"recovery#{self.recoveries}")
 
@@ -200,7 +197,7 @@ class RecoveryCoordinator:
         self.in_recovery = False
         self.telemetry.finish(record)
         self._done_event.succeed()
-        self.tracer.record(self.env.now, "recovery", "done", kind=kind)
+        self.env.tracer.record(self.env.now, "recovery", "done", kind=kind)
 
     def _quiesce(self) -> Generator:
         """Wait until every rank's worker CPU has parked.
@@ -293,7 +290,7 @@ class RecoveryCoordinator:
         node = self.job.cluster.node_of(gpu)
         if gpu.health is not GpuHealth.HEALTHY:
             gpu.reset_driver()
-        new_ctx = CudaContext(self.env, gpu, node, tracer=self.tracer)
+        new_ctx = CudaContext(self.env, gpu, node)
         proxy.restart_proxy(new_ctx)
 
     def _find_replica(self, proxy: DeviceProxyApi,
@@ -377,7 +374,7 @@ class RecoveryCoordinator:
         span = self.telemetry.begin(record, "migrate")
         for proxy in hard_ranks:
             gpu, node = self._allocate_replacement_gpu()
-            new_ctx = CudaContext(self.env, gpu, node, tracer=self.tracer)
+            new_ctx = CudaContext(self.env, gpu, node)
             proxy.restart_proxy(new_ctx)
         # Surviving ranks whose GPU carries recoverable driver/sticky state
         # (a transient failure overlapped this hard error) get the same
@@ -522,18 +519,15 @@ class TransparentJitSystem:
 
     def __init__(self, env: Environment, spec: WorkloadSpec,
                  store: Optional[SharedObjectStore] = None,
-                 config: Optional[JitConfig] = None,
-                 tracer: Optional[Tracer] = None):
+                 config: Optional[JitConfig] = None):
         self.env = env
         self.spec = spec
         self.config = config or JitConfig()
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
-        self.telemetry = RecoveryTelemetry(env, self.tracer)
+        self.telemetry = RecoveryTelemetry(env)
         registry = CheckpointRegistry(store, self.config.job_id) if store else None
         criu = CriuManager(env, store) if store else None
         self.coordinator = RecoveryCoordinator(
             env, self.config, self.telemetry, criu=criu, registry=registry,
-            tracer=self.tracer,
             settle_time=max(self.config.recovery_settle_time,
                             1.5 * spec.minibatch_time))
         self.watchdog_timeout = max(self.config.watchdog_timeout,
@@ -545,8 +539,7 @@ class TransparentJitSystem:
 
     def build_job(self, **kwargs) -> TrainingJob:
         job = TrainingJob(self.spec, env=self.env,
-                          api_factory=self.api_factory,
-                          tracer=self.tracer, **kwargs)
+                          api_factory=self.api_factory, **kwargs)
         self.coordinator.attach_job(job)
         return job
 

@@ -31,10 +31,9 @@ from repro.core.config import JitConfig
 from repro.core.telemetry import RecoveryTelemetry
 from repro.core.watchdog import EventWatchdog, WatchedEvent
 from repro.cuda.errors import CudaApiError
-from repro.cuda.memory import BufferKind
 from repro.cuda.runtime import CudaContext
 from repro.parallel.deviceapi import DeviceApi
-from repro.sim import AnyOf, Environment, Tracer
+from repro.sim import AnyOf, Environment
 from repro.storage.stores import SharedObjectStore, TornWriteError
 from repro.storage.validate import CorruptCheckpointError
 from repro.workloads.catalog import WorkloadSpec
@@ -237,7 +236,6 @@ class UserLevelJitRunner:
                  store: SharedObjectStore, target_iterations: int,
                  config: Optional[JitConfig] = None,
                  init_costs: Optional[InitCosts] = None,
-                 tracer: Optional[Tracer] = None,
                  progress_timeout: float = 60.0,
                  periodic_policy=None):
         self.env = env
@@ -249,9 +247,9 @@ class UserLevelJitRunner:
         #: catastrophes that wipe every replica of a shard.
         self.periodic_policy = periodic_policy
         self.registry = CheckpointRegistry(store, self.config.job_id)
-        self.telemetry = RecoveryTelemetry(env, tracer)
+        self.telemetry = RecoveryTelemetry(env)
         self.manager = JobManager(env, spec, target_iterations,
-                                  init_costs=init_costs, tracer=tracer,
+                                  init_costs=init_costs,
                                   progress_timeout=progress_timeout)
         self.coordinator = JitCoordinator(env, self.registry, self.config)
         self.clients: dict[int, JitRankClient] = {}

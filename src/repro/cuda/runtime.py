@@ -30,7 +30,7 @@ from repro.cuda.stream import (
 )
 from repro.hardware.gpu import Gpu, GpuHealth
 from repro.hardware.node import Node
-from repro.sim import Environment, Event, Tracer
+from repro.sim import Environment, Event
 
 _context_ids = itertools.count()
 
@@ -38,13 +38,13 @@ _context_ids = itertools.count()
 class CudaContext:
     """Simulated CUDA context bound to one GPU on one node."""
 
-    def __init__(self, env: Environment, gpu: Gpu, node: Node,
-                 tracer: Optional[Tracer] = None):
+    def __init__(self, env: Environment, gpu: Gpu, node: Node):
         self.env = env
         self.gpu = gpu
         self.node = node
         self.context_id = next(_context_ids)
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
+        #: ``env.tracer``, bound once: event naming reads it per event.
+        self.tracer = env.tracer
         self.streams: list[CudaStream] = []
         #: Events created so far: the ordinal in traced event names.
         self._event_ordinal = 0
@@ -94,7 +94,7 @@ class CudaContext:
     def create_stream(self, name_hint: str = "") -> CudaStream:
         self.observed()
         name = f"ctx{self.context_id}:{name_hint or 'stream'}{len(self.streams)}"
-        stream = CudaStream(self.env, self.gpu, name=name, tracer=self.tracer)
+        stream = CudaStream(self.env, self.gpu, name=name)
         self.streams.append(stream)
         return stream
 

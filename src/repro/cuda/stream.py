@@ -42,13 +42,13 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from repro import flags
 from repro.cuda.errors import CudaApiError, CudaError
 from repro.cuda.event import CudaEvent
 from repro.hardware.gpu import Gpu, GpuHealth
-from repro.sim import Environment, Event, Process, Resource, Tracer
+from repro.sim import Environment, Event, Process, Resource
 from repro.sim.core import _PENDING as _EVENT_PENDING
 from repro.sim.core import Timeout
 
@@ -197,13 +197,13 @@ def _rider_events(op: StreamOp, kind: type) -> int:
 class CudaStream:
     """One stream: a FIFO of :class:`StreamOp` driven by an executor."""
 
-    def __init__(self, env: Environment, gpu: Gpu, name: str = "",
-                 tracer: Optional[Tracer] = None):
+    def __init__(self, env: Environment, gpu: Gpu, name: str = ""):
         self.env = env
         self.gpu = gpu
         self.stream_id = next(_stream_ids)
         self.name = name or f"stream{self.stream_id}"
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
+        #: ``env.tracer``, bound once: the executor reads it per op.
+        self.tracer = env.tracer
         self._queue: deque[StreamOp] = deque()
         self._wakeup: Optional[Event] = None
         self._creation_epoch = gpu.epoch

@@ -2,23 +2,21 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.failures.types import FailureEvent, FailureType
 from repro.hardware.cluster import Cluster
 from repro.hardware.gpu import GpuHealth
 from repro.hardware.network import LinkHealth
-from repro.sim import Environment, Tracer
+from repro.sim import Environment
 
 
 class FailureInjector:
     """Drives a schedule of :class:`FailureEvent`s against a cluster."""
 
-    def __init__(self, env: Environment, cluster: Cluster,
-                 tracer: Optional[Tracer] = None):
+    def __init__(self, env: Environment, cluster: Cluster):
         self.env = env
         self.cluster = cluster
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.injected: list[FailureEvent] = []
         #: Events whose target left the cluster before they fired (e.g.
         #: the node was swapped out for a spare after an earlier failure).
@@ -91,8 +89,8 @@ class FailureInjector:
                 and event.duration):
             yield self.env.timeout(event.duration)
             self.cluster.fabric.uplink(event.target).repair()
-            self.tracer.record(self.env.now, "injector", "link_recovered",
-                               target=event.target)
+            self.env.tracer.record(self.env.now, "injector", "link_recovered",
+                                   target=event.target)
 
     def apply(self, event: FailureEvent) -> None:
         """Apply a failure immediately (used directly by targeted tests).
@@ -105,8 +103,8 @@ class FailureInjector:
             self._apply(event)
         except KeyError:
             self.skipped.append(event)
-            self.tracer.record(self.env.now, "injector", "skipped_failure",
-                               target=event.target)
+            self.env.tracer.record(self.env.now, "injector", "skipped_failure",
+                                   target=event.target)
 
     def _apply(self, event: FailureEvent) -> None:
         kind = event.failure_type
@@ -139,5 +137,5 @@ class FailureInjector:
         else:  # pragma: no cover
             raise ValueError(f"unhandled failure type {kind}")
         self.injected.append(event)
-        self.tracer.record(self.env.now, "injector", "failure",
-                           kind=kind.value, target=event.target)
+        self.env.tracer.record(self.env.now, "injector", "failure",
+                               kind=kind.value, target=event.target)

@@ -211,9 +211,6 @@ class MemberOptimizer:
         #: still in flight on this proxy delegate to it.
         self._materialized = None
 
-    def _real(self):
-        return self._materialized
-
     @property
     def step_count(self) -> int:
         if self._materialized is not None:

@@ -7,13 +7,12 @@ error forces migration (Section 4.3 of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.hardware.gpu import Gpu
 from repro.hardware.network import Fabric
 from repro.hardware.node import Node
 from repro.hardware.specs import INFINIBAND_HDR, InterconnectSpec, NodeSpec, V100_NODE
-from repro.sim import Environment, Tracer
+from repro.sim import Environment
 
 
 @dataclass
@@ -29,12 +28,10 @@ class ClusterSpec:
 class Cluster:
     """All hardware for one simulation: nodes, spares, and the fabric."""
 
-    def __init__(self, env: Environment, spec: ClusterSpec,
-                 tracer: Optional[Tracer] = None):
+    def __init__(self, env: Environment, spec: ClusterSpec):
         self.env = env
         self.spec = spec
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
-        self.fabric = Fabric(env, spec.interconnect, self.tracer)
+        self.fabric = Fabric(env, spec.interconnect)
         self.nodes: list[Node] = []
         self._spares: list[Node] = []
         for i in range(spec.num_nodes):
@@ -44,7 +41,7 @@ class Cluster:
 
     def _make_node(self, name: str) -> Node:
         uplink = self.fabric.register_node(name)
-        return Node(self.env, self.spec.node_spec, name, uplink, self.tracer)
+        return Node(self.env, self.spec.node_spec, name, uplink)
 
     # -- lookups ---------------------------------------------------------------
 
@@ -78,6 +75,6 @@ class Cluster:
         replacement = self._spares.pop(0)
         index = self.nodes.index(failed)
         self.nodes[index] = replacement
-        self.tracer.record(self.env.now, "cluster", "replace_node",
-                           failed=failed.name, replacement=replacement.name)
+        self.env.tracer.record(self.env.now, "cluster", "replace_node",
+                               failed=failed.name, replacement=replacement.name)
         return replacement

@@ -16,10 +16,9 @@ Health states mirror the failure classes of the paper (Sections 1 and 4):
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
 from repro.hardware.specs import GpuSpec
-from repro.sim import Environment, Tracer
+from repro.sim import Environment
 
 
 class GpuHealth(enum.Enum):
@@ -36,12 +35,10 @@ class GpuMemoryError(Exception):
 class Gpu:
     """One simulated GPU device."""
 
-    def __init__(self, env: Environment, spec: GpuSpec, gpu_id: str,
-                 tracer: Optional[Tracer] = None):
+    def __init__(self, env: Environment, spec: GpuSpec, gpu_id: str):
         self.env = env
         self.spec = spec
         self.gpu_id = gpu_id
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self._health = GpuHealth.HEALTHY
         self._allocated_bytes = 0
         #: Bumped on every health transition; the CUDA runtime uses it to
@@ -84,7 +81,8 @@ class Gpu:
         self.epoch_times.append(self.env.now)
         for callback in self.on_epoch:
             callback()
-        self.tracer.record(self.env.now, self.gpu_id, "gpu_fail", health=health.value)
+        self.env.tracer.record(self.env.now, self.gpu_id, "gpu_fail",
+                               health=health.value)
 
     def reset_driver(self) -> None:
         """Clear recoverable driver state (device proxy restart).
@@ -101,7 +99,7 @@ class Gpu:
         for callback in self.on_epoch:
             callback()
         self._allocated_bytes = 0
-        self.tracer.record(self.env.now, self.gpu_id, "gpu_reset")
+        self.env.tracer.record(self.env.now, self.gpu_id, "gpu_reset")
 
     # -- memory ---------------------------------------------------------------
 

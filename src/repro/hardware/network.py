@@ -11,10 +11,10 @@ The fabric answers two questions for the NCCL layer:
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.hardware.specs import InterconnectSpec
-from repro.sim import Environment, Tracer
+from repro.sim import Environment
 
 
 class LinkHealth(enum.Enum):
@@ -28,12 +28,10 @@ class LinkHealth(enum.Enum):
 class Link:
     """One inter-node link (we model the node uplink, not per-cable detail)."""
 
-    def __init__(self, env: Environment, name: str, spec: InterconnectSpec,
-                 tracer: Optional[Tracer] = None):
+    def __init__(self, env: Environment, name: str, spec: InterconnectSpec):
         self.env = env
         self.name = name
         self.spec = spec
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self._health = LinkHealth.UP
 
     @property
@@ -48,26 +46,25 @@ class Link:
         if health is LinkHealth.UP:
             raise ValueError("use repair() to bring a link up")
         self._health = health
-        self.tracer.record(self.env.now, self.name, "link_fail", health=health.value)
+        self.env.tracer.record(self.env.now, self.name, "link_fail",
+                               health=health.value)
 
     def repair(self) -> None:
         self._health = LinkHealth.UP
-        self.tracer.record(self.env.now, self.name, "link_repair")
+        self.env.tracer.record(self.env.now, self.name, "link_repair")
 
 
 class Fabric:
     """Topology-aware bandwidth and health lookups between GPUs."""
 
-    def __init__(self, env: Environment, interconnect: InterconnectSpec,
-                 tracer: Optional[Tracer] = None):
+    def __init__(self, env: Environment, interconnect: InterconnectSpec):
         self.env = env
         self.interconnect = interconnect
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         #: node name -> uplink Link
         self._uplinks: dict[str, Link] = {}
 
     def register_node(self, node_name: str) -> Link:
-        link = Link(self.env, f"uplink:{node_name}", self.interconnect, self.tracer)
+        link = Link(self.env, f"uplink:{node_name}", self.interconnect)
         self._uplinks[node_name] = link
         return link
 

@@ -2,12 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.hardware.gpu import Gpu
 from repro.hardware.network import Link
 from repro.hardware.specs import NodeSpec
-from repro.sim import Environment, Resource, Tracer
+from repro.sim import Environment, Resource
 
 
 class Node:
@@ -20,14 +18,13 @@ class Node:
     """
 
     def __init__(self, env: Environment, spec: NodeSpec, name: str,
-                 uplink: Link, tracer: Optional[Tracer] = None):
+                 uplink: Link):
         self.env = env
         self.spec = spec
         self.name = name
         self.uplink = uplink
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.gpus: list[Gpu] = [
-            Gpu(env, spec.gpu, gpu_id=f"{name}/gpu{i}", tracer=self.tracer)
+            Gpu(env, spec.gpu, gpu_id=f"{name}/gpu{i}")
             for i in range(spec.gpus_per_node)
         ]
         self._pcie = {gpu.gpu_id: Resource(env, capacity=1, name=f"pcie:{gpu.gpu_id}")
@@ -38,10 +35,6 @@ class Node:
     def pcie_for(self, gpu: Gpu) -> Resource:
         return self._pcie[gpu.gpu_id]
 
-    @property
-    def healthy_gpus(self) -> list[Gpu]:
-        return [gpu for gpu in self.gpus if gpu.is_usable]
-
     def kill(self) -> None:
         """Whole-host failure (rare per the paper, but supported)."""
         self.alive = False
@@ -49,13 +42,7 @@ class Node:
 
         for gpu in self.gpus:
             gpu.fail(GpuHealth.DEAD)
-        self.tracer.record(self.env.now, self.name, "node_kill")
-
-    def disk_write_time(self, nbytes: int) -> float:
-        return nbytes / self.spec.disk_bandwidth
-
-    def tmpfs_write_time(self, nbytes: int) -> float:
-        return nbytes / self.spec.tmpfs_bandwidth
+        self.env.tracer.record(self.env.now, self.name, "node_kill")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Node {self.name} {self.spec.name} x{len(self.gpus)}>"

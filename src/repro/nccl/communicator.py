@@ -18,7 +18,7 @@ from repro.nccl.cost import CollectiveCostModel
 from repro.nccl.errors import NcclError, NcclOpMismatch
 from repro.nccl.rendezvous import (BatchedCollectiveInstance,
                                    CollectiveInstance, ReduceOp)
-from repro.sim import Environment, Event, Tracer
+from repro.sim import Environment
 
 _comm_ids = itertools.count()
 
@@ -42,8 +42,7 @@ class NcclCommunicator:
     """A group of ranks issuing matched collective calls."""
 
     def __init__(self, env: Environment, name: str, handles: list[RankHandle],
-                 cost: CollectiveCostModel, fabric=None,
-                 tracer: Optional[Tracer] = None):
+                 cost: CollectiveCostModel, fabric=None):
         self.env = env
         self.comm_id = next(_comm_ids)
         self.name = name or f"comm{self.comm_id}"
@@ -52,7 +51,6 @@ class NcclCommunicator:
             raise NcclError("duplicate ranks in communicator")
         self.cost = cost
         self.fabric = fabric
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.generation = 0
         self.aborted = False
         self._seq: dict[int, int] = {rank: 0 for rank in self.handles}
@@ -108,11 +106,10 @@ class NcclCommunicator:
                 self.env, "init", frozenset(self.handles),
                 duration_fn=lambda _nbytes, d=duration: d,
                 fabric=self.fabric, node_names=self.node_names,
-                name=f"{self.name}:init:g{self.generation}",
-                tracer=self.tracer)
+                name=f"{self.name}:init:g{self.generation}")
         yield self._init_instance.arrive(rank)
         self._initialized = True
-        self.tracer.record(self.env.now, self.name, "comm_init_done", rank=rank)
+        self.env.tracer.record(self.env.now, self.name, "comm_init_done", rank=rank)
 
     # -- collective sequencing --------------------------------------------------------
 
@@ -137,8 +134,7 @@ class NcclCommunicator:
                 self.env, kind, frozenset(self.handles), duration_fn,
                 fabric=self.fabric, node_names=self.node_names,
                 reduce_op=reduce_op,
-                name=f"{self.name}:{kind}#{seq}:g{self.generation}",
-                tracer=self.tracer)
+                name=f"{self.name}:{kind}#{seq}:g{self.generation}")
             self._instances[seq] = instance
         elif instance.kind != kind:
             raise NcclOpMismatch(
@@ -187,8 +183,7 @@ class NcclCommunicator:
                 fabric=self.fabric, node_names=self.node_names,
                 reduce_op=op,
                 name=f"{self.name}:all_reduce_batch[{len(bufs)}]"
-                     f"#{seq}:g{self.generation}",
-                tracer=self.tracer)
+                     f"#{seq}:g{self.generation}")
             self._instances[seq] = instance
         expected = f"all_reduce_batch[{len(bufs)}]"
         if instance.kind != expected:
@@ -263,8 +258,7 @@ class NcclCommunicator:
                 self.env, "send_recv", frozenset({src, dst}),
                 duration_fn=self.cost.send_recv,
                 fabric=self.fabric, node_names={src_node, dst_node},
-                name=f"{self.name}:p2p:{src}->{dst}#{seq}:g{self.generation}",
-                tracer=self.tracer)
+                name=f"{self.name}:p2p:{src}->{dst}#{seq}:g{self.generation}")
             self._p2p_instances[instance_key] = instance
         return instance
 
@@ -306,23 +300,20 @@ class NcclCommunicator:
         self.aborted = True
         for instance in self.outstanding_instances():
             instance.abort(reason)
-        self.tracer.record(self.env.now, self.name, "comm_abort", reason=reason)
+        self.env.tracer.record(self.env.now, self.name, "comm_abort", reason=reason)
 
 
 class NcclWorld:
     """Registry of all communicators in a job (for recovery teardown/re-init)."""
 
-    def __init__(self, env: Environment, fabric=None,
-                 tracer: Optional[Tracer] = None):
+    def __init__(self, env: Environment, fabric=None):
         self.env = env
         self.fabric = fabric
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.communicators: list[NcclCommunicator] = []
 
     def create_communicator(self, name: str, handles: list[RankHandle],
                             cost: CollectiveCostModel) -> NcclCommunicator:
-        comm = NcclCommunicator(self.env, name, handles, cost,
-                                fabric=self.fabric, tracer=self.tracer)
+        comm = NcclCommunicator(self.env, name, handles, cost, fabric=self.fabric)
         self.communicators.append(comm)
         return comm
 
@@ -332,7 +323,7 @@ class NcclWorld:
         comm.abort("recreate")
         new_handles = handles or list(comm.handles.values())
         successor = NcclCommunicator(self.env, comm.name, new_handles, comm.cost,
-                                     fabric=self.fabric, tracer=self.tracer)
+                                     fabric=self.fabric)
         successor.generation = comm.generation + 1
         try:
             index = self.communicators.index(comm)

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.cuda.errors import CudaApiError, CudaError
 from repro.nccl.errors import NcclError, NcclOpMismatch
-from repro.sim import Environment, Event, Tracer
+from repro.sim import Environment, Event
 
 
 class ReduceOp(enum.Enum):
@@ -60,8 +60,7 @@ class CollectiveInstance:
 
     def __init__(self, env: Environment, kind: str, participants: frozenset[int],
                  duration_fn, fabric=None, node_names: Optional[set[str]] = None,
-                 reduce_op: ReduceOp = ReduceOp.SUM, name: str = "",
-                 tracer: Optional[Tracer] = None):
+                 reduce_op: ReduceOp = ReduceOp.SUM, name: str = ""):
         self.env = env
         self.kind = kind
         self.participants = participants
@@ -76,7 +75,6 @@ class CollectiveInstance:
         self._arrival: Optional[Event] = None
         #: rank -> simulated instant its kernel reached the stream head.
         self._arrived: dict[int, float] = {}
-        self._tracer = tracer
         self._launched = False
         self._duration = 0.0
         self.completed = False
@@ -192,8 +190,8 @@ class CollectiveInstance:
 
 def _record_launch(instance) -> None:
     """Trace the rendezvous: each rank's wait from arrival to launch."""
-    tracer = instance._tracer
-    if tracer is not None and tracer.ops:
+    tracer = instance.env.tracer
+    if tracer.ops:
         now = instance.env.now
         tracer.record(now, instance.name, "collective_launch",
                       kind=instance.kind,
@@ -298,8 +296,7 @@ class BatchedCollectiveInstance:
     def __init__(self, env: Environment, kind: str, segments: int,
                  participants: frozenset[int], duration_fn, fabric=None,
                  node_names: Optional[set[str]] = None,
-                 reduce_op: ReduceOp = ReduceOp.SUM, name: str = "",
-                 tracer: Optional[Tracer] = None):
+                 reduce_op: ReduceOp = ReduceOp.SUM, name: str = ""):
         self.env = env
         self.base_kind = kind
         #: Composite kind, compared across ranks for mismatch detection —
@@ -319,7 +316,6 @@ class BatchedCollectiveInstance:
         self._arrival: Optional[Event] = None
         #: rank -> simulated instant its kernel reached the stream head.
         self._arrived: dict[int, float] = {}
-        self._tracer = tracer
         self._launched = False
         self._process = None
         self.completed = False

@@ -282,17 +282,14 @@ def _audit_ram(ram, audits: list) -> None:
 # -- transparent family ---------------------------------------------------------------
 
 
-def _run_transparent_family(strategy: str, spec: WorkloadSpec,
+def _run_transparent_family(strategy: str, env: Environment, spec: WorkloadSpec,
                             schedule: FailureSchedule, iterations: int,
-                            mutations: Sequence[str],
-                            tracer: Tracer) -> StrategyRun:
-    env = Environment()
+                            mutations: Sequence[str]) -> StrategyRun:
     store = SharedObjectStore(env, bandwidth=_STORE_BANDWIDTH)
-    store.tracer = tracer
     cls = SwiftJitSystem if strategy == "swift" else TransparentJitSystem
-    system = cls(env, spec, store=store, config=JitConfig(), tracer=tracer)
+    system = cls(env, spec, store=store, config=JitConfig())
     job = system.build_job()
-    injector = FailureInjector(env, job.cluster, tracer=tracer)
+    injector = FailureInjector(env, job.cluster)
     injector.attach_store(store)
     minibatch = spec.minibatch_time
     for point in schedule.points:
@@ -303,7 +300,7 @@ def _run_transparent_family(strategy: str, spec: WorkloadSpec,
         MUTATIONS[name](system, job)
     run = StrategyRun(strategy=strategy, losses=[], outcome="ok",
                       rework_bound=rework_bound(strategy, schedule),
-                      telemetry=system.telemetry, tracer=tracer,
+                      telemetry=system.telemetry, tracer=env.tracer,
                       proxies=list(system.proxies), store=store, env=env)
     _audit_validator(system.coordinator.registry.validator, run.resume_audits)
     try:
@@ -314,7 +311,7 @@ def _run_transparent_family(strategy: str, spec: WorkloadSpec,
         _finish(run, env)
         # Close anything the abort left open (recovery episodes included)
         # so report paths see finished spans with aborted marks.
-        tracer.close_open_spans(env.now)
+        env.tracer.close_open_spans(env.now)
         return run
     run.losses = list(losses[0])
     run.completed = True
@@ -332,8 +329,7 @@ def _finish(run: StrategyRun, env: Environment) -> None:
 # -- managed family (restart-based runners) -------------------------------------------
 
 
-def _build_managed_runner(strategy: str, env, spec, store, iterations,
-                          tracer):
+def _build_managed_runner(strategy: str, env, spec, store, iterations):
     from repro.core import (AdaptiveIntervalTuner, GeminiPolicy, GeminiRunner,
                             PeriodicPolicy, PeriodicRunner, UserLevelJitRunner)
     from repro.core.periodic import CheckpointMode
@@ -343,11 +339,11 @@ def _build_managed_runner(strategy: str, env, spec, store, iterations,
     progress_timeout = max(30.0, 4.0 * spec.minibatch_time)
     if strategy == "user_level":
         return UserLevelJitRunner(env, spec, store, iterations,
-                                  config=JitConfig(), tracer=tracer,
+                                  config=JitConfig(),
                                   progress_timeout=progress_timeout)
     if strategy == "gemini":
         return GeminiRunner(env, spec, iterations, GeminiPolicy(),
-                            tracer=tracer, progress_timeout=progress_timeout)
+                            progress_timeout=progress_timeout)
     interval = max(2, iterations // 4)
     make_tuner = None
     if strategy == "adaptive":
@@ -358,8 +354,7 @@ def _build_managed_runner(strategy: str, env, spec, store, iterations,
                                          initial_interval=interval)
     return PeriodicRunner(env, spec, store, iterations,
                           PeriodicPolicy(CheckpointMode.PC_MEM, interval),
-                          config=JitConfig(), tracer=tracer,
-                          progress_timeout=progress_timeout,
+                          config=JitConfig(), progress_timeout=progress_timeout,
                           make_tuner=make_tuner)
 
 
@@ -462,20 +457,17 @@ def _arm_managed(env, runner, injector, spec, schedule: FailureSchedule):
     env.process(armer(), name="oracle-armer")
 
 
-def _run_managed(strategy: str, spec: WorkloadSpec,
+def _run_managed(strategy: str, env: Environment, spec: WorkloadSpec,
                  schedule: FailureSchedule, iterations: int,
-                 mutations: Sequence[str], tracer: Tracer) -> StrategyRun:
-    env = Environment()
+                 mutations: Sequence[str]) -> StrategyRun:
     store = SharedObjectStore(env, bandwidth=_STORE_BANDWIDTH)
-    store.tracer = tracer
-    runner = _build_managed_runner(strategy, env, spec, store, iterations,
-                                   tracer)
+    runner = _build_managed_runner(strategy, env, spec, store, iterations)
     for name in mutations:
         MUTATIONS[name](runner)
     run = StrategyRun(strategy=strategy, losses=[], outcome="ok",
                       rework_bound=rework_bound(strategy, schedule),
                       telemetry=getattr(runner, "telemetry", None),
-                      tracer=tracer, store=store,
+                      tracer=env.tracer, store=store,
                       ram=getattr(runner, "ram", None), env=env)
     registry = getattr(runner, "registry", None)
     if registry is not None:
@@ -484,7 +476,7 @@ def _run_managed(strategy: str, spec: WorkloadSpec,
     if run.ram is not None:
         _audit_ram(run.ram, run.resume_audits)
     _record_resume_points(runner, run.resume_points)
-    injector = FailureInjector(env, runner.manager.cluster, tracer=tracer)
+    injector = FailureInjector(env, runner.manager.cluster)
     injector.attach_store(store)
     if run.ram is not None:
         injector.attach_store(run.ram)
@@ -498,7 +490,7 @@ def _run_managed(strategy: str, spec: WorkloadSpec,
         run.outcome = "unrecoverable"
         run.detail = (report.generations[-1].detail
                       if report.generations else "did not complete")
-        tracer.close_open_spans(env.now)
+        env.tracer.close_open_spans(env.now)
     return run
 
 
@@ -533,8 +525,7 @@ def run_strategy(strategy: str, spec: WorkloadSpec,
     variant = spec_variant(spec, strategy)
     tracer = Tracer()
     tracer.ops = trace_ops
-    if strategy in TRANSPARENT_FAMILY:
-        return _run_transparent_family(strategy, variant, schedule,
-                                       iterations, mutations, tracer)
-    return _run_managed(strategy, variant, schedule, iterations, mutations,
-                        tracer)
+    run = (_run_transparent_family if strategy in TRANSPARENT_FAMILY
+           else _run_managed)
+    return run(strategy, Environment(tracer), variant, schedule, iterations,
+               mutations)

@@ -26,6 +26,8 @@ from heapq import heappop, heappush
 from types import MethodType
 from typing import Any, Callable, Generator, Iterable, Optional
 
+from repro.sim.trace import Tracer
+
 PRIORITY_URGENT = 0
 PRIORITY_NORMAL = 1
 PRIORITY_LOW = 2
@@ -390,12 +392,19 @@ def _escape(failed: list) -> None:
 
 
 class Environment:
-    """The simulation environment: clock plus ordered event queue."""
+    """The simulation environment: clock, ordered event queue and tracer.
+
+    ``Environment(tracer)`` runs a traced simulation: every component built
+    on the environment records into ``env.tracer``, and nothing else
+    decides what a run records.  ``Environment()`` is an untraced run; its
+    tracer is a disabled :class:`~repro.sim.trace.Tracer`.
+    """
 
     __slots__ = ("_now", "_queue", "_seq", "_active_process", "_timeout_pool",
-                 "_processed", "_credited", "_live", "_closed")
+                 "_processed", "_credited", "_live", "_closed", "tracer")
 
-    def __init__(self) -> None:
+    def __init__(self, tracer: Optional[Tracer] = None) -> None:
+        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self._now: float = 0.0
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0

@@ -124,8 +124,3 @@ class ResumePlanner:
                                 rejected=rejected)
         self.decisions.append(decision)
         return decision
-
-    def replacement_key(self, shard_id: str, iteration: int):
-        """Another valid replica of *shard_id* at *iteration* (read-time
-        corruption fallback), or None."""
-        return self.registry.valid_checkpoint_at(shard_id, iteration)

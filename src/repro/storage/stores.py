@@ -44,7 +44,7 @@ from typing import Any, Generator, Optional
 
 import numpy as np
 
-from repro.sim import Environment, Resource, Tracer
+from repro.sim import Environment, Resource
 from repro.storage.frozen import Framed, freeze
 from repro.storage.objects import StoredObject
 
@@ -175,9 +175,6 @@ class _BaseStore:
         self.bandwidth = bandwidth
         self.latency = latency
         self.name = name
-        #: Observability sink for commit/read spans; callers running a
-        #: traced simulation attach their run tracer here.
-        self.tracer: Tracer = Tracer(enabled=False)
         self._objects: dict[str, StoredObject] = {}
         #: Serialisation point for stores that cannot absorb parallel
         #: writers (local disk); None means writes proceed in parallel.
@@ -245,9 +242,9 @@ class _BaseStore:
         obj.install(staged)
         obj.created_at = self.env.now
         self.stats["writes_completed"] += 1
-        if self.tracer.enabled:
-            self.tracer.record(self.env.now, self.name, "store_write",
-                               path=path, nbytes=int(nbytes), started=start)
+        if self.env.tracer.enabled:
+            self.env.tracer.record(self.env.now, self.name, "store_write",
+                                   path=path, nbytes=int(nbytes), started=start)
         if consume_trap(self._rot_traps, path):
             self._rot(obj, salt=self.stats["writes_completed"])
 
@@ -269,10 +266,9 @@ class _BaseStore:
             yield from self._resource.use(self.transfer_time(obj.nbytes))
         else:
             yield self.env.timeout(self.transfer_time(obj.nbytes))
-        if self.tracer.enabled:
-            self.tracer.record(self.env.now, self.name, "store_read",
-                               path=path, nbytes=int(obj.nbytes),
-                               started=start)
+        if self.env.tracer.enabled:
+            self.env.tracer.record(self.env.now, self.name, "store_read",
+                                   path=path, nbytes=int(obj.nbytes), started=start)
         return obj.payload
 
     def rename(self, src: str, dst: str) -> None:
@@ -288,9 +284,9 @@ class _BaseStore:
         obj.path = dst
         self._objects[dst] = obj
         self.stats["renames"] += 1
-        if self.tracer.enabled:
-            self.tracer.record(self.env.now, self.name, "store_commit",
-                               src=src, dst=dst)
+        if self.env.tracer.enabled:
+            self.env.tracer.record(self.env.now, self.name, "store_commit",
+                                   src=src, dst=dst)
 
     # -- metadata ------------------------------------------------------------------
 
@@ -370,9 +366,9 @@ class _BaseStore:
         self._objects[qpath] = obj
         self.quarantine_log.append(qpath)
         self.stats["quarantined"] += 1
-        if self.tracer.enabled:
-            self.tracer.record(self.env.now, self.name, "store_quarantine",
-                               path=path, quarantine=qpath)
+        if self.env.tracer.enabled:
+            self.env.tracer.record(self.env.now, self.name, "store_quarantine",
+                                   path=path, quarantine=qpath)
         return qpath
 
     def _guard_quarantine(self, path: str, action: str) -> bool:

@@ -39,6 +39,10 @@ class TrainingJob:
     transparent system's job) leaves it to that caller; the owners of
     such shared environments are ``StrategyRun.release``,
     ``prefix.run_prefix_group`` and ``_execute_campaign_scenario``.
+
+    The job records into ``env.tracer``.  ``tracer=`` is shorthand for
+    the environment the job creates itself, ``Environment(tracer)``; a
+    job given both ``env`` and ``tracer`` raises :class:`ValueError`.
     """
 
     def __init__(self, spec: WorkloadSpec, env: Optional[Environment] = None,
@@ -47,17 +51,18 @@ class TrainingJob:
                  cluster: Optional[Cluster] = None):
         self.spec = spec
         if env is None:
-            env = Environment()
+            env = Environment(tracer)
             weakref.finalize(self, env.close).atexit = False
+        elif tracer is not None:
+            raise ValueError("a job on a caller's env records into env.tracer; "
+                             "pass tracer= only without env=")
         self.env = env
-        self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         #: Reusing a cluster lets a restarted job generation land on the
         #: same hardware minus any failed devices (scheduler behaviour).
         self.cluster = cluster or Cluster(
             self.env,
             ClusterSpec(node_spec=spec.node_spec, num_nodes=spec.num_nodes,
-                        spare_nodes=spare_nodes),
-            tracer=self.tracer)
+                        spare_nodes=spare_nodes))
         world_size = spec.world_size
         self._gpu_slots = self._allocate_gpus(world_size)
         # Used while building only: a factory is usually a bound method
@@ -67,11 +72,10 @@ class TrainingJob:
         self.apis: list[DeviceApi] = []
         for rank in range(world_size):
             node, gpu = self._gpu_slots[rank]
-            ctx = CudaContext(self.env, gpu, node, tracer=self.tracer)
+            ctx = CudaContext(self.env, gpu, node)
             self.contexts.append(ctx)
             self.apis.append(api_factory(ctx, rank))
-        self.nccl_world = NcclWorld(self.env, fabric=self.cluster.fabric,
-                                    tracer=self.tracer)
+        self.nccl_world = NcclWorld(self.env, fabric=self.cluster.fabric)
         self.cost = spec.cost_model()
         self.dataset = SyntheticDataset(
             seed=spec.seed, n_features=spec.config.d_model,
@@ -113,9 +117,6 @@ class TrainingJob:
                     f"{self.spec.name}: cannot place {world_size} ranks on "
                     f"{len(slots)} healthy GPUs and no spares remain")
             self.cluster.replace_node(broken)
-
-    def _placement(self, rank: int) -> tuple[Node, Gpu]:
-        return self._gpu_slots[rank]
 
     def node_names_of(self, ranks: list[int]) -> set[str]:
         return {self.contexts[r].node.name for r in ranks}

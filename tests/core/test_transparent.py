@@ -26,10 +26,10 @@ def plain_losses(spec, iters=ITERS):
 
 
 def run_transparent(spec, failures, iters=ITERS, config=None, tracer=None):
-    env = Environment()
+    env = Environment(tracer)
     store = SharedObjectStore(env, bandwidth=1.5e9)
     system = TransparentJitSystem(env, spec, store=store,
-                                  config=config or JitConfig(), tracer=tracer)
+                                  config=config or JitConfig())
     job = system.build_job()
     injector = FailureInjector(env, job.cluster)
     injector.arm(failures)
@@ -155,8 +155,8 @@ def test_hard_error_migrates_to_replacement_gpu():
 
 
 def test_recovery_records_match_with_tracing_on_and_off():
-    """Episodes land on the system's tracer when it is enabled and on the
-    telemetry's own tracer when it is not; breakdowns and recovery times
+    """Episodes land on the environment's tracer when it is enabled and on
+    the telemetry's own tracer when it is not; breakdowns and recovery times
     are the same bits either way."""
     spec = ddp_spec()
     failure = FailureEvent(2.0, FailureType.GPU_HARD, "node0/gpu1")
@@ -164,8 +164,8 @@ def test_recovery_records_match_with_tracing_on_and_off():
     traced, _, traced_losses = run_transparent(spec, [failure], tracer=tracer)
     plain, _, plain_losses_ = run_transparent(spec, [failure])
     assert traced.telemetry.tracer is tracer
-    assert plain.telemetry.tracer is not plain.tracer
-    assert not plain.tracer.enabled and plain.telemetry.tracer.enabled
+    assert plain.telemetry.tracer is not plain.env.tracer
+    assert not plain.env.tracer.enabled and plain.telemetry.tracer.enabled
     assert traced_losses == plain_losses_
     assert [r.kind for r in traced.telemetry.records] == \
         [r.kind for r in plain.telemetry.records]

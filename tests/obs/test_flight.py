@@ -41,11 +41,11 @@ def test_diff_pinpoints_divergence():
 
 
 def test_timeline_merges_spans_and_telemetry():
-    env = Environment()
     tracer = Tracer(enabled=True)
+    env = Environment(tracer)
     handle = tracer.begin_span(0.5, "rank0", "iteration", iteration=0)
     tracer.end_span(handle, 1.5)
-    telemetry = RecoveryTelemetry(env, tracer)
+    telemetry = RecoveryTelemetry(env)
     assert telemetry.tracer is tracer
     record = telemetry.start("hard", rank=0)
     telemetry.finish(record)
@@ -57,9 +57,9 @@ def test_timeline_merges_spans_and_telemetry():
 
 
 def test_open_records_render_without_crashing():
-    env = Environment()
     tracer = Tracer(enabled=True)
-    telemetry = RecoveryTelemetry(env, tracer)
+    env = Environment(tracer)
+    telemetry = RecoveryTelemetry(env)
     record = telemetry.start("hard", rank=1)
     telemetry.begin(record, "replay")        # never ended: run aborted
     tracer.begin_span(0.0, "rank1", "iteration", iteration=3)
@@ -73,9 +73,9 @@ def test_open_records_render_without_crashing():
 
 
 def test_telemetry_close_open_marks_aborted():
-    env = Environment()
     tracer = Tracer(enabled=True)
-    telemetry = RecoveryTelemetry(env, tracer)
+    env = Environment(tracer)
+    telemetry = RecoveryTelemetry(env)
     record = telemetry.start("hard", rank=0)
     telemetry.begin(record, "replay")
     (phase, episode) = tracer.close_open_spans(5.0)
