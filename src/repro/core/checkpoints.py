@@ -259,6 +259,25 @@ class CheckpointRegistry:
             raise CorruptCheckpointError(data_path, result.detail)
         return state.value
 
+    def read_valid_replica(self, key: CheckpointKey) -> Generator:
+        """Validated read of *key*, falling back to replicas on corruption.
+
+        Rot may race the restore plan: a read that fails validation
+        quarantines that replica, and the next valid checkpoint of the
+        same shard at the same iteration is read instead.  Raises
+        :class:`RuntimeError` once no valid replica is left.
+        """
+        shard_id, iteration = key.shard_id, key.iteration
+        while True:
+            try:
+                return (yield from self.read_validated(key))
+            except CorruptCheckpointError:
+                key = self.valid_checkpoint_at(shard_id, iteration)
+                if key is None:
+                    raise RuntimeError(
+                        f"no valid checkpoint left for {shard_id} "
+                        f"at iteration {iteration}")
+
     def shard_has_checkpoint(self, shard_id: str) -> bool:
         return self.jit_get_checkpoint_path(shard_id) is not None
 

@@ -28,7 +28,6 @@ from repro.core.config import JitConfig
 from repro.core.telemetry import RecoveryTelemetry
 from repro.sim import Environment
 from repro.storage.stores import SharedObjectStore, TornWriteError
-from repro.storage.validate import CorruptCheckpointError
 from repro.workloads.catalog import WorkloadSpec
 
 
@@ -200,17 +199,7 @@ class PeriodicRunner:
                                                     self._resume_iteration)
             if key is None:
                 return
-            state = None
-            while state is None:
-                try:
-                    state = yield from self.registry.read_validated(key)
-                except CorruptCheckpointError:
-                    key = self.registry.valid_checkpoint_at(
-                        engine.shard_id, self._resume_iteration)
-                    if key is None:
-                        raise RuntimeError(
-                            f"no valid checkpoint left for {engine.shard_id} "
-                            f"at iteration {self._resume_iteration}")
+            state = yield from self.registry.read_valid_replica(key)
             engine.load_state_dict(state)
             ctx = engine.api.ctx
             yield from ctx.node.pcie_for(ctx.gpu).use(

@@ -35,7 +35,6 @@ from repro.cuda.runtime import CudaContext
 from repro.parallel.deviceapi import DeviceApi
 from repro.sim import AnyOf, Environment
 from repro.storage.stores import SharedObjectStore, TornWriteError
-from repro.storage.validate import CorruptCheckpointError
 from repro.workloads.catalog import WorkloadSpec
 
 
@@ -301,19 +300,7 @@ class UserLevelJitRunner:
                 return
             record = self.telemetry.start("user_level_restore", rank=rank)
             span = self.telemetry.begin(record, "restore")
-            state = None
-            while state is None:
-                try:
-                    state = yield from self.registry.read_validated(key)
-                except CorruptCheckpointError:
-                    # Rot raced the plan; the bad replica is quarantined —
-                    # fall back to another valid one at the same iteration.
-                    key = self.registry.valid_checkpoint_at(
-                        engine.shard_id, self._resume_iteration)
-                    if key is None:
-                        raise RuntimeError(
-                            f"no valid checkpoint left for {engine.shard_id} "
-                            f"at iteration {self._resume_iteration}")
+            state = yield from self.registry.read_valid_replica(key)
             engine.load_state_dict(state)
             # Upload parameters + optimizer state back to the GPU.
             ctx = engine.api.ctx

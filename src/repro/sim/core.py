@@ -10,8 +10,9 @@ therefore trades a little readability for speed:
 * :class:`Timeout` objects are recycled through a per-environment free list
   (a dispatched timeout with no remaining references is reused by the next
   ``env.timeout()`` call instead of being reallocated),
-* the schedule/dispatch path is inlined in :meth:`Environment.run` rather
-  than bouncing through ``step()`` per event.
+* dispatch is one inlined loop, ``Environment._dispatch``, that both
+  :meth:`Environment.run` and :meth:`Environment.run_until_before` call
+  rather than bouncing through a per-event method.
 
 ``benchmarks/bench_simulator_perf.py`` measures this file; run
 ``benchmarks/run_perf_baseline.py`` to refresh ``BENCH_simulator.json``
@@ -20,6 +21,7 @@ after touching it.
 
 from __future__ import annotations
 
+import math
 import sys
 import weakref
 from heapq import heappop, heappush
@@ -195,6 +197,10 @@ class Timeout(Event):
     @property
     def delay(self) -> float:
         return self._delay
+
+
+#: The stop event of ``run(until=t)`` and ``run()``: never processed.
+_NEVER = Event(None, name="never")
 
 
 class Process(Event):
@@ -409,7 +415,7 @@ class Environment:
         self._queue: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._active_process: Optional[Process] = None
-        #: Recycled Timeout instances (see ``timeout()`` / ``run()``).
+        #: Recycled Timeout instances (see ``timeout()`` / ``_dispatch()``).
         self._timeout_pool: list[Timeout] = []
         self._processed = 0
         #: Logical events the fast path elided (see ``credit_events``).
@@ -442,8 +448,8 @@ class Environment:
     def credit_events(self, count: int) -> None:
         """Account for *count* logical events elided by the fast path.
 
-        Kept separate from ``_processed`` because ``run()`` caches that
-        counter in a local during its inlined dispatch loop; credits
+        Kept separate from ``_processed`` because ``_dispatch`` caches
+        that counter in a local during its inlined loop; credits
         accumulated by callbacks would be clobbered on writeback.
         """
         self._credited += count
@@ -505,11 +511,10 @@ class Environment:
 
     # -- scheduling ---------------------------------------------------------
 
-    def _schedule(self, event: Event, priority: int = PRIORITY_NORMAL,
-                  delay: float = 0.0) -> None:
+    def _schedule(self, event: Event, priority: int = PRIORITY_NORMAL) -> None:
         seq = self._seq + 1
         self._seq = seq
-        heappush(self._queue, (self._now + delay, priority, seq, event))
+        heappush(self._queue, (self._now, priority, seq, event))
 
     def _schedule_interrupt(self, process: Process, exc: BaseException) -> None:
         """Deliver *exc* to *process* as an urgent synthetic event."""
@@ -533,126 +538,40 @@ class Environment:
     # freed with its last holder.  A pooled timeout drops its ``env`` (the
     # pool would otherwise make the environment a reference cycle).
 
-    def step(self) -> None:
-        """Process the next event in the queue."""
-        failed = self._step()
-        if failed is not None:
-            failed, self = [failed], None
-            _escape(failed)
-
-    def _step(self) -> Optional[Event]:
-        """``step()``; returns (does not raise) an unhandled failure."""
-        if not self._queue:
-            raise SimulationError("step() on an empty queue")
-        time, _priority, _seq, event = heappop(self._queue)
-        if time < self._now:
-            raise SimulationError("event scheduled in the past")
-        self._now = time
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-        self._processed += 1
-        if event._ok:
-            if (type(event) is Timeout and _getrefcount(event) == 2
-                    and len(self._timeout_pool) < _TIMEOUT_POOL_LIMIT):
-                event._value = event.env = None
-                self._timeout_pool.append(event)
-        elif not event._defused:
-            return event
-        return None
-
     def run(self, until: Optional[float | Event] = None) -> Any:
-        """Run until the queue drains, a deadline passes, or an event fires.
+        """Run until the queue drains, a deadline passes, or *until* is
+        processed.
 
-        Returns the value of *until* when it is an event, otherwise ``None``.
+        ``run(until=event)`` dispatches events until *event* is processed
+        (its callbacks have run) and returns its value; an event born
+        triggered, like a timeout, is first waited for.  ``run(until=t)``
+        dispatches every event due at or before *t* and then advances the
+        clock to *t*; ``run()`` drains the queue.  Both return ``None``.
         """
         if self._closed:
             raise SimulationError("environment closed")
         if isinstance(until, Event):
-            failed = self._run_until_event(until)
+            failed = self._dispatch(math.inf, until)
             if failed is None:
-                return until._value
+                if until.callbacks is not None:
+                    raise SimulationError(
+                        f"deadlock: queue empty but {until!r} never processed")
+                if until._ok or until._defused:
+                    return until._value
+                failed = until
         else:
-            failed = self._run_until_time(until)
+            deadline = math.inf if until is None else float(until)
+            failed = self._dispatch(deadline, _NEVER)
             if failed is None:
+                if until is not None:
+                    self._now = max(self._now, deadline)
                 return None
         failed, self, until = [failed], None, None
         _escape(failed)
 
-    def _run_until_event(self, stop_event: Event) -> Optional[Event]:
-        """``run(until=event)``; returns (does not raise) the failed event
-        that ends the run."""
-        # Same inlined dispatch body as the deadline loop below — this
-        # is the path every training/campaign driver runs.
-        queue = self._queue
-        pool = self._timeout_pool
-        processed = self._processed
-        try:
-            while stop_event._value is _PENDING:
-                if not queue:
-                    raise SimulationError(
-                        f"deadlock: queue empty but {stop_event!r} never triggered")
-                time, _priority, _seq, event = heappop(queue)
-                self._now = time
-                callbacks = event.callbacks
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-                processed += 1
-                if event._ok:
-                    if (type(event) is Timeout and _getrefcount(event) == 2
-                            and len(pool) < _TIMEOUT_POOL_LIMIT):
-                        event._value = event.env = None
-                        pool.append(event)
-                elif not event._defused:
-                    return event
-        finally:
-            self._processed = processed
-        # Drain the trigger through its callbacks so value access is safe.
-        while not stop_event.processed and self._queue:
-            next_time = self._queue[0][0]
-            if next_time > self._now:
-                break
-            failed = self._step()
-            if failed is not None:
-                return failed
-        if not stop_event._ok and not stop_event._defused:
-            return stop_event
-        return None
-
-    def _run_until_time(self, until: Optional[float]) -> Optional[Event]:
-        """``run(until=time)``; returns (does not raise) an unhandled
-        failure."""
-        deadline = float("inf") if until is None else float(until)
-        # Inlined dispatch loop: identical semantics to step() minus the
-        # impossible scheduled-in-the-past check (_schedule never rewinds).
-        queue = self._queue
-        pool = self._timeout_pool
-        processed = self._processed
-        try:
-            while queue and queue[0][0] <= deadline:
-                time, _priority, _seq, event = heappop(queue)
-                self._now = time
-                callbacks = event.callbacks
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-                processed += 1
-                if event._ok:
-                    if (type(event) is Timeout and _getrefcount(event) == 2
-                            and len(pool) < _TIMEOUT_POOL_LIMIT):
-                        event._value = event.env = None
-                        pool.append(event)
-                elif not event._defused:
-                    return event
-        finally:
-            self._processed = processed
-        if until is not None:
-            self._now = max(self._now, deadline)
-        return None
-
     def run_until_before(self, when: float, until: Event) -> None:
-        """Dispatch every event scheduled strictly before *when*.
+        """Dispatch every event scheduled strictly before *when*, until
+        *until* is processed.
 
         Unlike ``run(until=t)`` this never advances the clock to *when*:
         ``now`` is left at the last dispatched event's timestamp, so work
@@ -662,24 +581,31 @@ class Environment:
         the failure-free prefix shared by a scenario group, then fork a
         child per scenario to arm its schedule and run the divergent tail.
 
-        Dispatch also stops as soon as *until* (the run's process)
-        triggers, exactly where ``run(until=until)`` would stop before
-        draining it.
+        Dispatch stops once *until* (the run's process) is processed,
+        exactly where ``run(until=until)`` stops.
         """
         if self._closed:
             raise SimulationError("environment closed")
-        failed = self._run_before(when, until)
+        # For float times, ``t < when`` exactly when
+        # ``t <= nextafter(when, -inf)``.
+        failed = self._dispatch(math.nextafter(when, -math.inf), until)
         if failed is not None:
             failed, self, until = [failed], None, None
             _escape(failed)
 
-    def _run_before(self, when: float, until: Event) -> Optional[Event]:
+    def _dispatch(self, deadline: float, stop: Event) -> Optional[Event]:
+        """Dispatch events in queue order while the next one is due at or
+        before *deadline* and *stop* is not yet processed.
+
+        The one event loop of the kernel, behind ``run`` and
+        ``run_until_before``.  Returns (does not raise) the first failed
+        event nothing defused; the callers raise it via ``_escape``.
+        """
         queue = self._queue
         pool = self._timeout_pool
         processed = self._processed
         try:
-            while (queue and queue[0][0] < when
-                   and until._value is _PENDING):
+            while queue and queue[0][0] <= deadline and stop.callbacks is not None:
                 time, _priority, _seq, event = heappop(queue)
                 self._now = time
                 callbacks = event.callbacks

@@ -127,3 +127,21 @@ def test_jobs_are_namespaced(setup):
     other = CheckpointRegistry(store, "jobY")
     write(env, registry, CheckpointKey("jit", 0, "full", 0, iteration=3))
     assert other.jit_get_checkpoint_path("full") is None
+
+
+def test_read_valid_replica_falls_back_past_rot(setup):
+    env, store, registry = setup
+    replicas = [CheckpointKey("jit", 0, "full", rank, iteration=5)
+                for rank in (0, 1)]
+    for key in replicas:
+        write(env, registry, key, state={"params": [1.0], "rank": key.rank})
+
+    def restore(key):
+        return (yield from registry.read_valid_replica(key))
+
+    assert store.inject_bit_rot("full/rank0/data")
+    assert env.run(until=env.process(restore(replicas[0])))["rank"] == 1
+    assert store.inject_bit_rot("full/rank1/data")
+    with pytest.raises(RuntimeError, match="no valid checkpoint left for "
+                                           "full at iteration 5"):
+        env.run(until=env.process(restore(replicas[1])))

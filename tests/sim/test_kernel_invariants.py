@@ -6,6 +6,9 @@ events fire FIFO, interrupts never double-resume a process, and recycled
 timeouts never leak values between waits.
 """
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.sim import (
@@ -15,6 +18,9 @@ from repro.sim import (
     SimulationError,
     Timeout,
 )
+
+_KERNEL_SOURCE = (Path(__file__).resolve().parents[2]
+                  / "src" / "repro" / "sim" / "core.py")
 
 
 # -- FIFO ordering ---------------------------------------------------------------------
@@ -198,6 +204,19 @@ def test_pooled_timeout_still_validates_negative_delay():
         env.timeout(-1.0)
 
 
+def test_nothing_is_scheduled_into_the_past():
+    """The dispatch loop has no "scheduled in the past" check: these guards
+    are why it needs none.  The pooled ``timeout`` path is pinned above."""
+    env = Environment()
+    assert not env._timeout_pool  # the fresh path
+    with pytest.raises(SimulationError, match="negative timeout delay"):
+        env.timeout(-0.5)
+    env.run(until=2.0)
+    with pytest.raises(SimulationError, match="in the past"):
+        env.timeout_at(1.0)
+    assert env.timeout_at(env.now).triggered
+
+
 # -- lazy names / slots ----------------------------------------------------------------
 
 
@@ -247,38 +266,115 @@ def test_events_processed_counter_tracks_dispatch():
     assert env.events_processed == 12
 
 
+@pytest.mark.parametrize(
+    "make_stop", [lambda env: env.timeout(5.0, value="v"),
+                  lambda env: env.timeout_at(5.0, value="v")],
+    ids=["timeout", "timeout_at"])
+def test_run_until_an_event_born_triggered_waits_for_its_dispatch(make_stop):
+    """A timeout is triggered at construction; ``run(until=)`` still runs
+    until it is processed, not until it is triggered."""
+    env = Environment()
+    stop = make_stop(env)
+    assert env.run(until=stop) == "v"
+    assert stop.processed
+    assert (env.now, env.events_processed) == (5.0, 1)
+
+
+def _job_with_background(period: float):
+    """A four-tick job beside a background process ticking every *period*,
+    which keeps the queue non-empty after the job completes."""
+    env = Environment()
+    ticks = []
+
+    def job():
+        for _ in range(4):
+            yield env.timeout(1.0)
+        return "done"
+
+    def background():
+        while True:
+            yield env.timeout(period)
+            ticks.append(env.now)
+
+    env.process(background())
+    return env, env.process(job()), ticks
+
+
 @pytest.mark.parametrize("when", [2.5, 4.0, 6.0, float("inf")])
 def test_run_until_before_stops_where_run_until_stops(when):
-    """``run_until_before(when, until=proc)`` dispatches nothing at or past
-    *when* and nothing after *proc* triggers, so draining with
-    ``run(until=proc)`` afterwards lands on an uninterrupted run's clock
-    and event count, although a background process keeps ticking."""
+    """``run(until=proc)`` stops on *proc*'s dispatch, whether run directly
+    or after ``run_until_before(when, until=proc)``, which dispatches
+    nothing at or past *when* and nothing after *proc*: both land on the
+    clock and event count at which an uninterrupted run dispatches *proc*,
+    although a background process keeps ticking.
 
-    def build():
-        env = Environment()
+    The job completes at 4.0, where a background tick ties with it: at
+    period 0.5 the tick dispatches between the job's last timeout and its
+    completion event, at period 1.0 before the job's last timeout.
+    """
+    for period in (0.5, 1.0):
+        env, proc, ticks = _job_with_background(period)
+        at_completion = []
+        # Background init and ticks, then the job's init, 4 timeouts and
+        # completion.
+        proc.callbacks.append(
+            lambda _: at_completion.append((env.now, 1 + len(ticks) + 6)))
+        env.run(until=8.0)
+        expected = at_completion[0]
+        assert expected[0] == 4.0
 
-        def job():
-            for _ in range(4):
-                yield env.timeout(1.0)
-            return "done"
+        env, proc, _ = _job_with_background(period)
+        assert env.run(until=proc) == "done"
+        assert (env.now, env.events_processed) == expected
 
-        def background():
-            while True:
-                yield env.timeout(0.5)
+        env, proc, _ = _job_with_background(period)
+        env.run_until_before(when, until=proc)
+        assert proc.processed is (when > 4.0)
+        assert env.now < when
+        assert env.run(until=proc) == "done"
+        assert (env.now, env.events_processed) == expected
 
-        env.process(background())
-        return env, env.process(job())
 
-    env, proc = build()
-    assert env.run(until=proc) == "done"
-    expected = (env.now, env.events_processed)
+def _heappop_callers(source: str) -> set[str]:
+    """Names of the functions in *source* that reference ``heappop``."""
+    callers = set()
 
-    env, proc = build()
-    env.run_until_before(when, until=proc)
-    assert proc.triggered is (when > 4.0)
-    assert env.now < when
-    assert env.run(until=proc) == "done"
-    assert (env.now, env.events_processed) == expected
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if ((isinstance(child, ast.Name) and child.id == "heappop")
+                    or (isinstance(child, ast.Attribute)
+                        and child.attr == "heappop")):
+                callers.add(scope or "<module>")
+            visit(child, scope)
+
+    visit(ast.parse(source), "")
+    return callers
+
+
+def test_kernel_has_one_dispatch_loop():
+    """Structural guard: events leave the queue in one function only, so
+    every way of running a simulation dispatches through the same loop."""
+    callers = _heappop_callers(_KERNEL_SOURCE.read_text())
+    assert callers == {"Environment._dispatch"}
+
+
+def test_dispatch_guard_sees_every_caller():
+    source = (
+        "from heapq import heappop\n"
+        "import heapq\n"
+        "class Environment:\n"
+        "    def run(self):\n"
+        "        heappop(self._queue)\n"
+        "    def step(self):\n"
+        "        pop = heapq.heappop\n"
+        "        def inner():\n"
+        "            heappop([])\n")
+    assert _heappop_callers(source) == {
+        "Environment.run", "Environment.step", "Environment.step.inner"}
 
 
 # -- orphaned conditions ---------------------------------------------------------------
