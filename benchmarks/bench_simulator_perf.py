@@ -63,34 +63,6 @@ def run_traced_ddp_training(iterations: int = 10) -> Environment:
     return job.env
 
 
-def run_metrics_ddp_training(iterations: int = 10) -> Environment:
-    """The traced DDP scenario projected into a metrics registry: after
-    the run, the storage, failure and rendezvous families are projected
-    from the trace and sampled every 0.5 simulated seconds.  Projection
-    schedules nothing, so the run dispatches exactly the events of
-    ``run_traced_ddp_training``; the wall-clock gap to it is the
-    projection's cost, which ``docs/performance.md`` quotes.
-    """
-    from repro.obs import metrics
-    from repro.obs.metrics import bridge
-    from repro.sim import Tracer
-
-    spec = WorkloadSpec(name="PERFMETRICS", model="GPT2-S",
-                        node_spec=V100_NODE, num_nodes=1,
-                        layout=ParallelLayout(dp=4), engine="ddp",
-                        framework="bench", minibatch_time=0.05)
-    tracer = Tracer(enabled=True)
-    job = TrainingJob(spec, tracer=tracer)
-    losses = job.run_training(iterations)
-    reg = metrics.MetricsRegistry(scrape_interval=0.5)
-    store = bridge.record_trace(reg, tracer, "ddp", job.env.now)
-    metrics.sample_registry(reg, store, job.env.now)
-    assert len(losses[0]) == iterations
-    assert reg.collect(), "metrics on: registry families expected"
-    assert reg.timeseries is not None and len(reg.timeseries) > 0
-    return job.env
-
-
 def run_3d_training(iterations: int = 6) -> Environment:
     """Full stack: 8-rank 3D with microbatching (heavier op mix)."""
     spec = WorkloadSpec(name="PERF3D", model="GPT2-S", node_spec=V100_NODE,
@@ -231,7 +203,6 @@ PERF_SCENARIOS = {
     "bench_event_loop_throughput": run_event_loop,
     "bench_ddp_training_throughput": run_ddp_training,
     "bench_trace_overhead_throughput": run_traced_ddp_training,
-    "bench_metrics_overhead_throughput": run_metrics_ddp_training,
     "bench_3d_training_throughput": run_3d_training,
     "bench_fsdp_training_throughput": run_fsdp_training,
     "bench_checkpoint_store_throughput": run_checkpoint_store,
@@ -255,13 +226,6 @@ def bench_trace_overhead_throughput(benchmark):
     """DDP with the tracer enabled: spans + macro-chain trace records."""
     env = benchmark(run_traced_ddp_training)
     assert env.events_processed > 0
-
-
-def bench_metrics_overhead_throughput(benchmark):
-    """Traced DDP with metrics projected from its trace after the run."""
-    env = benchmark(run_metrics_ddp_training)
-    # Collecting never schedules anything: same events as the traced run.
-    assert env.events_processed == run_traced_ddp_training().events_processed
 
 
 def bench_3d_training_throughput(benchmark):

@@ -60,10 +60,6 @@ BENCH_THRESHOLDS = {
     # Same workload as the DDP bench plus live span/trace recording; the
     # extra python-level work makes wall clock a bit noisier still.
     "bench_trace_overhead_throughput": 0.30,
-    # Trace bench plus the post-run projection of its trace into the
-    # registry; the extra work is python dict/Fraction bookkeeping with
-    # the same noise floor.
-    "bench_metrics_overhead_throughput": 0.30,
     "bench_3d_training_throughput": 0.30,
     "bench_fsdp_training_throughput": 0.30,
     # Real sha256 digesting of payloads (manifest writes and validated

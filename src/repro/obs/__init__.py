@@ -10,11 +10,10 @@ boundaries of `repro.cluster` into first-class diagnostics:
   restart / idle, with a bitwise accounting identity;
 * :mod:`repro.obs.chrome` — Chrome trace-event JSON export (Perfetto);
 * :mod:`repro.obs.flight` — bounded flight-recorder ring + failing-vs-
-  golden timeline diff, dumped by the oracle on invariant failures;
-* :mod:`repro.obs.metrics` — Prometheus-style Counter/Gauge/Histogram
-  families that a caller projects finished runs into (trace records,
-  the goodput ledger, campaign perf), sampled over the recorded
-  timeline, with OpenMetrics/JSON export.
+  golden timeline diff, dumped by the oracle on invariant failures.
+
+The ledger is the time account (badput by source); the Chrome export
+shows every record the account and the invariants are built from.
 
 Every record is gated on the run's tracer alone: an enabled tracer
 takes spans, failure and storage records, and one with ``ops`` on also
@@ -29,7 +28,6 @@ from repro.obs.chrome import (chrome_trace, chrome_trace_events,
                               write_chrome_trace)
 from repro.obs.flight import (DEFAULT_CAPACITY, FlightRecorder,
                               default_capacity, flight_dump, timeline_diff)
-from repro.obs import metrics
 
 __all__ = [
     "BUCKETS",
@@ -42,7 +40,6 @@ __all__ = [
     "default_capacity",
     "flight_dump",
     "merge_buckets",
-    "metrics",
     "timeline_diff",
     "write_chrome_trace",
 ]

@@ -38,16 +38,22 @@ the hot path):
   device-API minibatch hooks);
 * recovery episode spans and their phase spans (transparent family and
   user-level checkpoints, recorded by
-  :class:`~repro.core.telemetry.RecoveryTelemetry` whether or not the
-  ``obs`` switch is on) — ``replay`` phases are rework, every other
-  phase is restart, the unphased remainder is detection;
+  :class:`~repro.core.telemetry.RecoveryTelemetry`) — ``replay`` phases
+  are rework, every other phase is restart, the unphased remainder is
+  detection;
 * the failure injector's trace events (detection onset);
 * :class:`~repro.cluster.manager.GenerationRecord` boundaries (managed
-  restarts).
+  restarts: ``restart`` runs from the old generation's end to the
+  rank's first iteration in the new one, so restart-based strategies
+  have no separate restart→resume gap; in-place recovery resumes the
+  blocked minibatch and has none by design).
 
 Stronger classifications clip weaker ones: a recovery episode overlaps
 the iteration it interrupted (the blocked CPU finishes the minibatch
 *after* recovery), and the episode wins the overlap.
+
+The ledger is the run's time account; the Chrome trace
+(:mod:`repro.obs.chrome`) shows the records it is built from.
 """
 
 from __future__ import annotations
@@ -140,18 +146,15 @@ def merge_buckets(ledgers: Iterable[GoodputLedger]) -> dict[str, Fraction]:
 
 
 class _Segment:
-    __slots__ = ("start", "end", "priority", "order", "bucket", "kind")
+    __slots__ = ("start", "end", "priority", "order", "bucket")
 
     def __init__(self, start: float, end: float, priority: int, order: int,
-                 bucket: str, kind: Optional[str] = None):
+                 bucket: str):
         self.start = start
         self.end = end
         self.priority = priority
         self.order = order
         self.bucket = bucket
-        #: Failure-type attribution (injector event kind / recovery episode
-        #: kind) for the metrics bridge; ``None`` for iteration segments.
-        self.kind = kind
 
 
 class _Counter:
@@ -232,12 +235,11 @@ def _recovery_segments(episodes: list[tuple],
     for episode, phases in episodes:
         segments.append(_Segment(episode.start, episode.end,
                                  _P_RECOVERY_EPISODE, order.next(),
-                                 "detection", kind=episode.name))
+                                 "detection"))
         for phase in phases:
             bucket = ("rework" if phase.name in _REWORK_PHASES else "restart")
             segments.append(_Segment(phase.start, phase.end,
-                                     _P_RECOVERY_PHASE, order.next(), bucket,
-                                     kind=episode.name))
+                                     _P_RECOVERY_PHASE, order.next(), bucket))
     return segments
 
 
@@ -263,8 +265,7 @@ def _detection_segments(run, episodes: list[tuple], wall: float,
         if end is None or end <= onset:
             continue        # absorbed failure (e.g. transient link blip)
         segments.append(_Segment(onset, end, _P_DETECTION, order.next(),
-                                 "detection",
-                                 kind=event.detail.get("kind")))
+                                 "detection"))
     return segments
 
 
@@ -280,17 +281,12 @@ def _restart_segments(run, ranks: int, wall: float, order: _Counter,
     generations = list(getattr(run, "generations", ()) or ())
     if len(generations) < 2:
         return segments
-    failures = run.tracer.filter(actor="injector", action="failure")
     for index in range(1, len(generations)):
         prev_end = generations[index - 1].end_time
         gen = generations[index]
         if prev_end is None:
             prev_end = gen.start_time
         gen_end = gen.end_time if gen.end_time is not None else wall
-        # The failure this restart recovers from: the last one injected
-        # before the new generation came up (metrics-bridge attribution).
-        kind = next((e.detail.get("kind") for e in reversed(failures)
-                     if e.time <= gen.start_time), None)
         for rank in range(ranks):
             spans = spans_by_rank.get(f"rank{rank}", [])
             first = next((s.start for s in spans
@@ -299,34 +295,14 @@ def _restart_segments(run, ranks: int, wall: float, order: _Counter,
             if end <= prev_end:
                 continue
             segments[rank].append(_Segment(prev_end, end, _P_RESTART,
-                                           order.next(), "restart",
-                                           kind=kind))
+                                           order.next(), "restart"))
     return segments
 
 
-class ClassifiedInterval:
-    """One partition cell of a rank's timeline: who won it, and why."""
-
-    __slots__ = ("start", "end", "bucket", "kind", "segment_id")
-
-    def __init__(self, start: Fraction, end: Fraction, bucket: str,
-                 kind: Optional[str], segment_id: int):
-        self.start = start
-        self.end = end
-        self.bucket = bucket
-        self.kind = kind
-        #: Winning segment's insertion order (0 for idle gaps) — intervals
-        #: sharing a ``segment_id`` are fragments of one clipped segment.
-        self.segment_id = segment_id
-
-    @property
-    def length(self) -> Fraction:
-        return self.end - self.start
-
-
 def _partition_rank(segments: list[_Segment],
-                    wall: float) -> list[ClassifiedInterval]:
-    """Partition [0, wall] by strongest covering segment; gaps are idle.
+                    wall: float) -> list[tuple[Fraction, Fraction, str]]:
+    """Partition [0, wall] into ``(start, end, bucket)`` intervals by
+    strongest covering segment; gaps are idle.
 
     Clipping, sorting and the covering tests run on the floats the
     segments already are: ``Fraction(x)`` is exact for a float and keeps
@@ -349,122 +325,27 @@ def _partition_rank(segments: list[_Segment],
     clipped.sort(key=lambda item: (item[2].priority, -item[2].order))
     boundaries = sorted(points)
     exact = [Fraction(point) for point in boundaries]
-    intervals: list[ClassifiedInterval] = []
+    intervals: list[tuple[Fraction, Fraction, str]] = []
     for index in range(len(boundaries) - 1):
         left, right = boundaries[index], boundaries[index + 1]
         for start, end, seg in clipped:
             if start <= left and end >= right:
-                intervals.append(ClassifiedInterval(
-                    exact[index], exact[index + 1], seg.bucket, seg.kind,
-                    seg.order))
+                bucket = seg.bucket
                 break
         else:
-            intervals.append(ClassifiedInterval(exact[index], exact[index + 1],
-                                                "idle", None, 0))
+            bucket = "idle"
+        intervals.append((exact[index], exact[index + 1], bucket))
     return intervals
 
 
-@dataclass(frozen=True)
-class ResumeGap:
-    """Episode end → the rank is back inside an iteration (Table 7's
-    restart→resume phase).  Zero for in-place (transparent-family)
-    recovery, where the blocked minibatch simply continues."""
+def build_strategy_ledger(run, ranks: int,
+                          wall_time: Optional[float] = None) -> GoodputLedger:
+    """Classify a :class:`~repro.oracle.strategies.StrategyRun` into buckets.
 
-    kind: Optional[str]
-    rank: int
-    start: float
-    seconds: Fraction
-
-
-@dataclass
-class RunClassification:
-    """The ledger's intermediate representation, exposed for the metrics
-    bridge: per-rank classified intervals plus per-episode resume gaps.
-
-    ``rank_buckets`` sums each rank's intervals;
-    :func:`build_strategy_ledger` totals them, so anything derived from
-    ``rank_intervals`` (the bridge's goodput counters and phase
-    histograms) reconciles with the ledger **bitwise by construction** —
-    same partition, same Fractions, not a parallel re-implementation.
-    """
-
-    strategy: str
-    ranks: int
-    wall_time: float
-    rank_intervals: dict[int, list[ClassifiedInterval]]
-    resume_gaps: list[ResumeGap]
-
-    @property
-    def rank_buckets(self) -> dict[int, dict[str, Fraction]]:
-        out: dict[int, dict[str, Fraction]] = {}
-        for rank, intervals in self.rank_intervals.items():
-            buckets = {name: Fraction(0) for name in BUCKETS}
-            for interval in intervals:
-                buckets[interval.bucket] += interval.length
-            out[rank] = buckets
-        return out
-
-    def totals(self) -> dict[str, Fraction]:
-        totals = {name: Fraction(0) for name in BUCKETS}
-        for buckets in self.rank_buckets.values():
-            for name in BUCKETS:
-                totals[name] += buckets[name]
-        return totals
-
-
-def _next_iteration_gap(spans: list, at: float, wall: float) -> Fraction:
-    """Seconds from *at* until the rank *starts* its next iteration.
-
-    Spans already running at *at* do not count: the iteration a recovery
-    interrupted stays open across the whole episode (its blocked CPU only
-    finishes the minibatch afterwards), so "covered by a span" holds for
-    every episode end and would make each gap vacuously zero.  Resuming
-    means beginning the next iteration, so only spans starting at or
-    after *at* qualify; a rank that never iterates again gaps to the
-    wall.
-    """
-    for span in spans:
-        if span.start >= at:
-            return Fraction(span.start) - Fraction(at)
-    return Fraction(wall) - Fraction(at) if wall > at else Fraction(0)
-
-
-def _resume_gaps(run, episodes: list[tuple], ranks: int, wall: float,
-                 spans_by_rank: dict[str, list]) -> list[ResumeGap]:
-    """Per-episode, per-rank restart→resume gaps (never clipped: this is
-    the one Table 7 phase the bucket partition has no dedicated bucket
-    for — the time lands in idle/productive — so it is measured from the
-    same episode sources instead)."""
-    gaps: list[ResumeGap] = []
-    for episode, _ in episodes:
-        for rank in range(ranks):
-            spans = spans_by_rank.get(f"rank{rank}", [])
-            gaps.append(ResumeGap(episode.name, rank, episode.end,
-                                  _next_iteration_gap(spans, episode.end,
-                                                      wall)))
-    generations = list(getattr(run, "generations", ()) or ())
-    if len(generations) >= 2:
-        failures = run.tracer.filter(actor="injector", action="failure")
-        for gen in generations[1:]:
-            kind = next((e.detail.get("kind") for e in reversed(failures)
-                         if e.time <= gen.start_time), None)
-            for rank in range(ranks):
-                spans = spans_by_rank.get(f"rank{rank}", [])
-                gaps.append(ResumeGap(kind, rank, gen.start_time,
-                                      _next_iteration_gap(spans,
-                                                          gen.start_time,
-                                                          wall)))
-    return gaps
-
-
-def classify_run(run, ranks: int,
-                 wall_time: Optional[float] = None) -> RunClassification:
-    """Classify a strategy run into per-rank labelled intervals.
-
-    This is the single source both :func:`build_strategy_ledger` and the
-    metrics bridge (:mod:`repro.obs.metrics.bridge`) consume: the ledger
-    sums interval lengths per bucket, the bridge additionally reads each
-    interval's failure-kind attribution and segment identity.
+    *ranks* is the workload's world size; *wall_time* defaults to the
+    run's recorded ``wall_time`` (``env.now`` when the run ended).  Open
+    trace spans (a run that aborted mid-recovery) are closed at the wall
+    with ``aborted`` marks before classification.
     """
     wall = wall_time if wall_time is not None else getattr(run, "wall_time", 0.0)
     run.tracer.close_open_spans(wall)
@@ -479,28 +360,12 @@ def classify_run(run, ranks: int,
     restart_by_rank = _restart_segments(run, ranks, wall, order, spans_by_rank)
     iteration_by_rank = _iteration_segments(spans_by_rank, order)
 
-    rank_intervals: dict[int, list[ClassifiedInterval]] = {}
+    buckets = {name: Fraction(0) for name in BUCKETS}
     for rank in range(ranks):
         segments = list(shared)
         segments += restart_by_rank.get(rank, [])
         segments += iteration_by_rank.get(f"rank{rank}", [])
-        rank_intervals[rank] = _partition_rank(segments, wall)
-    return RunClassification(
-        strategy=run.strategy, ranks=ranks, wall_time=wall,
-        rank_intervals=rank_intervals,
-        resume_gaps=_resume_gaps(run, episodes, ranks, wall, spans_by_rank))
-
-
-def build_strategy_ledger(run, ranks: int,
-                          wall_time: Optional[float] = None) -> GoodputLedger:
-    """Classify a :class:`~repro.oracle.strategies.StrategyRun` into buckets.
-
-    *ranks* is the workload's world size; *wall_time* defaults to the
-    run's recorded ``wall_time`` (``env.now`` when the run ended).  Open
-    trace spans (a run that aborted mid-recovery) are closed at the wall
-    with ``aborted`` marks before classification.
-    """
-    classification = classify_run(run, ranks, wall_time=wall_time)
-    return GoodputLedger(strategy=run.strategy, ranks=ranks,
-                         wall_time=classification.wall_time,
-                         buckets=classification.totals())
+        for start, end, bucket in _partition_rank(segments, wall):
+            buckets[bucket] += end - start
+    return GoodputLedger(strategy=run.strategy, ranks=ranks, wall_time=wall,
+                         buckets=buckets)

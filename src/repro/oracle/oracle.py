@@ -166,7 +166,7 @@ class RecoveryOracle:
 
     def run(self, schedule: FailureSchedule, strategy: str) -> StrategyRun:
         """Run *schedule* under *strategy*, fully traced (per-op records
-        included: Chrome export, metrics bridge, flight dump).
+        included: Chrome export, flight dump).
 
         When :meth:`check` calls it, the run records only what the
         verdict reads (``run_strategy(..., trace_ops=False)``); its

@@ -507,8 +507,8 @@ def run_strategy(strategy: str, spec: WorkloadSpec,
     control records (recovery, injector, GPU, communicator lifecycle,
     store) but takes no per-op records (see ``Tracer.ops``): everything
     the invariants and the goodput ledger read, none of what only a
-    flight dump, a Chrome export or the metrics bridge reads.  Either
-    way the run is the same, event for event.
+    flight dump or a Chrome export reads.  Either way the run is the
+    same, event for event.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; "

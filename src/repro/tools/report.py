@@ -19,14 +19,16 @@ simulation-backed tables (4-7) live in ``benchmarks/`` because they
 execute failures end to end.
 
 Every section accepts ``--json``: sections then print nothing and the
-tool emits one JSON object keyed by section name.
+tool emits one JSON object keyed by section name.  The tool exits 1
+when the oracle or storage section finds a failing check or the goodput
+section an imbalanced ledger (that section's result then carries
+``check_failed``), and 2 on an unknown section.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
@@ -249,7 +251,10 @@ def report_oracle(json_mode: bool = False) -> dict:
                   else f"{total_failures} FAILING CHECKS")
         print(f"\n{total_checks} checks across {len(STRATEGIES)} strategies: "
               f"{status}")
-    return {"rows": rows, "checks": total_checks, "failures": total_failures}
+    data = {"rows": rows, "checks": total_checks, "failures": total_failures}
+    if total_failures:
+        data["check_failed"] = True
+    return data
 
 
 def report_storage(json_mode: bool = False) -> dict:
@@ -290,7 +295,10 @@ def report_storage(json_mode: bool = False) -> dict:
               f"{storage.get('bit_rot_injected', 0)} bit-rot flips; "
               f"{storage.get('quarantined', 0)} objects quarantined — "
               f"{status}")
-    return {"rows": rows, "failures": total_failures, "storage": storage}
+    data = {"rows": rows, "failures": total_failures, "storage": storage}
+    if total_failures:
+        data["check_failed"] = True
+    return data
 
 
 def report_goodput(json_mode: bool = False) -> dict:
@@ -333,7 +341,10 @@ def report_goodput(json_mode: bool = False) -> dict:
         status = ("every ledger balanced bitwise" if imbalanced == 0
                   else f"{imbalanced} IMBALANCED LEDGERS")
         print(f"\n{len(rows)} runs: {status}")
-    return {"rows": rows, "imbalanced": imbalanced}
+    data = {"rows": rows, "imbalanced": imbalanced}
+    if imbalanced:
+        data["check_failed"] = True
+    return data
 
 
 def report_trace(json_mode: bool = False,
@@ -363,146 +374,6 @@ def report_trace(json_mode: bool = False,
     return data
 
 
-#: Baseline-check tolerances: productive fraction may drop this much
-#: (absolute), phase latencies may grow this much (relative) before the
-#: check fails.  Phase totals are exact Fractions upstream, so the
-#: slack is for genuine behaviour drift, not float noise.
-METRICS_PRODUCTIVE_TOLERANCE = 0.01
-METRICS_LATENCY_TOLERANCE = 0.05
-
-
-def report_metrics(json_mode: bool = False, check: Optional[str] = None,
-                   write_baseline: Optional[str] = None,
-                   dashboard: Optional[str] = None,
-                   metrics_out: Optional[str] = None) -> dict:
-    """Metrics pipeline end to end: registry, sampled series, phase analytics.
-
-    Runs the recovery-bearing oracle scenario under every strategy,
-    projects each finished run into one registry, then reports the
-    Table-7 phase latencies (failure→detection, detection→restart,
-    restart→resume) and the ledger-reconciled goodput split per strategy.  Optionally writes
-    an OpenMetrics export (``--metrics-out``), a static HTML dashboard
-    (``--dashboard``), a regression baseline (``--write-baseline``), or
-    compares against one (``--check``, nonzero exit on regression).
-    """
-    from repro.obs import metrics
-    from repro.obs.metrics import bridge
-    from repro.obs.metrics.dashboard import (filter_snapshot, snapshot,
-                                             write_dashboard)
-    from repro.obs.metrics.export import write_openmetrics
-    from repro.oracle.oracle import RecoveryOracle
-    from repro.oracle.schedule import FailurePoint, FailureSchedule
-
-    # CI hands artifact paths inside not-yet-existing directories.
-    for path in (metrics_out, dashboard, write_baseline):
-        if path and os.path.dirname(path):
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-
-    oracle = RecoveryOracle(iterations=10)
-    schedule = FailureSchedule(
-        points=(FailurePoint(4, "GPU_HARD", 1, offset=0.3),))
-    rows = []
-    reg = metrics.MetricsRegistry(scrape_interval=0.5)
-    for strategy in oracle.strategies:
-        run = oracle.run(schedule, strategy)
-        bridge.record_run(reg, run, oracle.spec.world_size)
-        buckets = bridge.goodput_buckets_from_registry(reg, strategy)
-        total = sum(buckets.values())
-        rows.append({
-            "strategy": strategy,
-            "outcome": run.outcome,
-            "productive_fraction": (float(buckets["productive"] / total)
-                                    if total else 0.0),
-            "detection_seconds": float(bridge.phase_seconds_from_registry(
-                reg, strategy, "detection")),
-            "restart_seconds": float(bridge.phase_seconds_from_registry(
-                reg, strategy, "restart")),
-            "resume_seconds": float(bridge.phase_seconds_from_registry(
-                reg, strategy, "resume")),
-            "events_dispatched": int(reg.counter(
-                "repro_sim_events_dispatched",
-                labelnames=("strategy",)).labels(
-                    strategy=strategy).value),
-        })
-    full = snapshot("all-strategies", reg)
-    data: dict = {"rows": rows, "schedule": schedule.describe(),
-                  "scrapes": (len(reg.timeseries) if reg.timeseries else 0)}
-    if metrics_out:
-        write_openmetrics(metrics_out, reg)
-        data["metrics_out"] = metrics_out
-    if dashboard:
-        slices = [filter_snapshot(row["strategy"], full, "strategy",
-                                  row["strategy"]) for row in rows]
-        write_dashboard(dashboard, slices,
-                        title=f"repro strategies — {schedule.describe()}")
-        data["dashboard"] = dashboard
-    if write_baseline:
-        baseline = {"strategies": {
-            row["strategy"]: {
-                "productive_fraction": row["productive_fraction"],
-                "detection_seconds": row["detection_seconds"],
-                "restart_seconds": row["restart_seconds"],
-            } for row in rows}}
-        with open(write_baseline, "w", encoding="utf-8") as handle:
-            json.dump(baseline, handle, indent=2, sort_keys=True)
-        data["baseline_written"] = write_baseline
-    if check:
-        with open(check, encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        regressions = []
-        current = {row["strategy"]: row for row in rows}
-        for strategy, expect in sorted(baseline["strategies"].items()):
-            row = current.get(strategy)
-            if row is None:
-                regressions.append(f"{strategy}: missing from this run")
-                continue
-            floor = (expect["productive_fraction"]
-                     - METRICS_PRODUCTIVE_TOLERANCE)
-            if row["productive_fraction"] < floor:
-                regressions.append(
-                    f"{strategy}: productive fraction "
-                    f"{row['productive_fraction']:.4f} < baseline "
-                    f"{expect['productive_fraction']:.4f} - "
-                    f"{METRICS_PRODUCTIVE_TOLERANCE}")
-            for phase in ("detection_seconds", "restart_seconds"):
-                ceiling = (expect[phase]
-                           * (1 + METRICS_LATENCY_TOLERANCE) + 1e-6)
-                if row[phase] > ceiling:
-                    regressions.append(
-                        f"{strategy}: {phase} {row[phase]:.4f} > baseline "
-                        f"{expect[phase]:.4f} "
-                        f"+{100 * METRICS_LATENCY_TOLERANCE:.0f}%")
-        data["regressions"] = regressions
-        data["check_failed"] = bool(regressions)
-    if not json_mode:
-        print("\nMetrics pipeline — phase latencies and goodput split per "
-              "strategy (registry ↔ ledger bitwise)")
-        _rule()
-        print(f"{'Strategy':<12} {'outcome':>8} {'productive':>11} "
-              f"{'detect s':>9} {'restart s':>10} {'resume s':>9} "
-              f"{'events':>9}")
-        for row in rows:
-            print(f"{row['strategy']:<12} {row['outcome']:>8} "
-                  f"{100 * row['productive_fraction']:>10.2f}% "
-                  f"{row['detection_seconds']:>9.3f} "
-                  f"{row['restart_seconds']:>10.3f} "
-                  f"{row['resume_seconds']:>9.3f} "
-                  f"{row['events_dispatched']:>9}")
-        print(f"\n{data['scrapes']} time series sampled at 0.5 s sim "
-              f"cadence; schedule {schedule.describe()}")
-        for key in ("metrics_out", "dashboard", "baseline_written"):
-            if key in data:
-                print(f"wrote {key.replace('_', ' ')}: {data[key]}")
-        if check:
-            if data["check_failed"]:
-                print(f"BASELINE CHECK FAILED vs {check}:")
-                for regression in data["regressions"]:
-                    print(f"  {regression}")
-            else:
-                print(f"baseline check vs {check}: ok")
-    return data
-
-
 SECTIONS = {
     "table3": report_table3,
     "table8": report_table8,
@@ -512,7 +383,6 @@ SECTIONS = {
     "oracle": report_oracle,
     "storage": report_storage,
     "goodput": report_goodput,
-    "metrics": report_metrics,
     "trace": report_trace,
 }
 
@@ -534,16 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="run_trace.json",
                         help="output path for the trace section "
                              "(default: %(default)s)")
-    metrics = parser.add_argument_group("metrics section")
-    metrics.add_argument("--metrics-out", default=None, metavar="PATH",
-                         help="write an OpenMetrics text export")
-    metrics.add_argument("--dashboard", default=None, metavar="PATH",
-                         help="write the static HTML strategy dashboard")
-    metrics.add_argument("--write-baseline", default=None, metavar="PATH",
-                         help="write a goodput/latency baseline JSON")
-    metrics.add_argument("--check", default=None, metavar="PATH",
-                         help="compare against a baseline JSON; exit "
-                              "nonzero on regression")
     return parser
 
 
@@ -557,22 +417,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     payload = {}
     for section in chosen:
-        if section == "trace":
-            kwargs = {"out": args.out}
-        elif section == "metrics":
-            kwargs = {"check": args.check,
-                      "write_baseline": args.write_baseline,
-                      "dashboard": args.dashboard,
-                      "metrics_out": args.metrics_out}
-        else:
-            kwargs = {}
+        kwargs = {"out": args.out} if section == "trace" else {}
         payload[section] = SECTIONS[section](json_mode=args.as_json, **kwargs)
     if args.as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print()
-    if any(isinstance(result, dict) and result.get("check_failed")
-           for result in payload.values()):
+    if any(result.get("check_failed") for result in payload.values()):
         return 1
     return 0
 

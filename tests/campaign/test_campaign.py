@@ -564,37 +564,22 @@ def test_oracle_scenario_include_storage_changes_hash():
     assert base.content_hash() != storage.content_hash()
 
 
-def test_campaign_runner_feeds_metrics_registry(tmp_path):
-    """Projecting each campaign run's perf into a registry lands its perf
-    counters (cache hits/misses, scenario count) and utilization gauges."""
-    from repro.obs import metrics
-    from repro.obs.metrics import bridge
-
-    campaign = small_campaign("metrics")
+def test_campaign_perf_counts_runs_reuse_and_warm_hits(tmp_path):
+    """Each pass's perf counts simulated runs apart from the rows a
+    group's failure-free run answers after the first; the warm pass is
+    all cache hits."""
+    campaign = small_campaign("perf")
     cache = ResultCache(tmp_path / "cache")
-    reg = metrics.MetricsRegistry()
-    for _ in range(2):
-        runner = CampaignRunner(cache=cache, workers=1)
-        result = runner.run(campaign)
-        bridge.record_campaign_perf(reg, result.perf, runner.workers)
+    passes = [CampaignRunner(cache=cache, workers=1).run(campaign)
+              for _ in range(2)]
 
-    scenarios = reg.get("repro_campaign_scenarios")
-    assert scenarios is not None
-    # The counter tracks simulated runs, apart from the rows a group's
-    # failure-free run answers after the first; the warm pass is all
-    # cache hits.
-    total = sum(child.exact for _, child in scenarios.children())
-    reused = sum(child.exact for _, child in
-                 reg.get("repro_campaign_reused").children())
+    runs = sum(len(result.perf.runs) for result in passes)
+    reused = sum(result.perf.reused for result in passes)
     assert reused >= 1
-    assert total + reused == len(campaign)
-    hits = sum(child.exact for _, child in
-               reg.get("repro_campaign_cache_hits").children())
-    assert hits == len(campaign)          # second run fully warm
-    hit_rate = reg.get("repro_campaign_cache_hit_rate").value
-    assert hit_rate == 1.0                # gauge shows the latest run
-    utilization = reg.get("repro_campaign_worker_utilization").value
-    assert 0.0 <= utilization <= 1.0
+    assert runs + reused == len(campaign)
+    warm = passes[-1].perf
+    assert warm.cache_hits == len(campaign)
+    assert warm.cache_hit_rate == 1.0
 
 
 # -- replica dedup on/off -----------------------------------------------------------------
@@ -979,30 +964,16 @@ def test_launch_topology_draw_matches_the_managed_cluster(workload):
 
 def test_reused_rows_are_reported_apart_from_runs():
     """Memo-served rows ran no simulation: they count as ``reused``, not
-    as ``runs``, in ``describe()``, the metrics rollup and the report's
-    perf section."""
-    from repro.obs import metrics
-    from repro.obs.metrics import bridge
+    as ``runs``, in ``describe()`` and the report's perf section."""
     from repro.tools.report import report_perf
 
     campaign = CampaignSpec.grid("reused", seeds=[0, 1, 2, 3],
                                  **dict(MEMO_GRID, policies=["user_jit"]))
     runner = CampaignRunner(workers=1)
-    reg = metrics.MetricsRegistry()
-    passes = [runner.run(campaign) for _ in range(2)]
-    for result in passes:
-        bridge.record_campaign_perf(reg, result.perf, runner.workers)
+    for result in [runner.run(campaign) for _ in range(2)]:
         assert result.perf.reused >= 1
         assert len(result.perf.runs) + result.perf.reused == len(campaign)
         assert f" / {result.perf.reused} reused / " in result.perf.describe()
-
-    def counted(name):
-        return sum(child.exact for _, child in reg.get(name).children())
-
-    assert counted("repro_campaign_reused") == \
-        sum(result.perf.reused for result in passes)
-    assert counted("repro_campaign_scenarios") == \
-        sum(len(result.perf.runs) for result in passes)
     memo = report_perf(json_mode=True)["campaign_memo"]
     assert memo["reused"] >= 1
     assert memo["executed"] + memo["reused"] == 3

@@ -9,6 +9,10 @@ the only addition.
 Replica followers run under tracing too: a leader's streams write each
 rider's records, so a traced run records the same multiset with dedup
 on as with it off.
+
+The records the Chrome export shows are held to the simulator's own
+counters: store records to the store's ``stats``, failure records to
+the injector, and each ``collective_launch`` to its participants.
 """
 
 import re
@@ -20,8 +24,9 @@ import pytest
 from repro import flags
 from repro.cuda.runtime import CudaContext
 from repro.framework.dedup import ReplicaArena
-from repro.oracle import RecoveryOracle, default_oracle_spec
-from repro.oracle.schedule import FailureSchedule
+from repro.oracle import STRATEGIES, RecoveryOracle, default_oracle_spec
+from repro.oracle import strategies as strategies_mod
+from repro.oracle.schedule import FailurePoint, FailureSchedule
 from repro.oracle.strategies import run_strategy
 from repro.parallel.topology import ParallelLayout
 from repro.sim import Tracer
@@ -191,3 +196,56 @@ def test_traced_followers_record_what_private_ranks_record(strategy, draw,
         for iteration, rank in joins:
             riders[iteration].add(rank)
         assert all(len(ranks) >= 2 for ranks in riders.values()), riders
+
+
+# -- trace records against the simulator's own counters ----------------------------
+
+#: A hard failure mid-run plus a sticky one two iterations later on
+#: another rank (``test_ledger.py``'s ``multi`` schedule): detection,
+#: restart, rework and storage traffic for every strategy family.
+MULTI = FailureSchedule(points=(
+    FailurePoint(4, "GPU_HARD", 1, offset=0.3),
+    FailurePoint(6, "GPU_STICKY", 2, offset=0.8),))
+
+
+@pytest.fixture(scope="module", params=sorted(STRATEGIES))
+def multi_run(request):
+    """One fully traced run on ``MULTI``, with its failure injector kept."""
+    injectors = []
+
+    class Keeping(strategies_mod.FailureInjector):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            injectors.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(strategies_mod, "FailureInjector", Keeping)
+        run = RecoveryOracle(iterations=12).run(MULTI, request.param)
+    return run, injectors[-1]
+
+
+def test_store_records_match_store_stats(multi_run):
+    run, _ = multi_run
+    stats = run.store.stats     # gemini keeps its checkpoints in peer RAM
+    for action, stat in (("store_write", "writes_completed"),
+                         ("store_commit", "renames"),
+                         ("store_quarantine", "quarantined")):
+        assert len(run.tracer.filter(action=action)) == stats[stat], action
+
+
+def test_failure_records_match_injector(multi_run):
+    run, injector = multi_run
+    assert len(injector.injected) == len(MULTI.points)
+    assert len(run.tracer.filter(actor="injector", action="failure")) \
+        == len(injector.injected)
+
+
+def test_every_collective_launch_carries_one_wait_per_rank(multi_run):
+    run, _ = multi_run
+    launches = run.tracer.filter(action="collective_launch")
+    assert launches
+    world = default_oracle_spec().world_size
+    for event in launches:
+        waits = event.detail["waits"]
+        assert sorted(waits) == list(range(world)), event
+        assert all(wait >= 0 for wait in waits.values()), event

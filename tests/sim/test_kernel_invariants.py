@@ -1123,23 +1123,22 @@ def test_cold_start_and_stepped_arenas_never_reseat():
 
 # -- observability on/off equivalence ----------------------------------------------------
 # Observing a run must not change it.  One fuzzed schedule per strategy
-# runs traced, once as is and once with every run projected into a
-# metrics registry after it finishes (before the verdict); losses, the
+# runs traced, once as is and once with every run's Chrome export and
+# flight dump taken after it finishes (before the verdict); losses, the
 # final clock, the logical event count, the verdict outcome and the
 # exact ledger buckets are compared bit for bit.
 
 
 def _obs_grid(projected, seed=7, iterations=12):
-    from repro.obs.metrics import MetricsRegistry, bridge
+    from repro.obs import chrome_trace_events, flight_dump
     from repro.oracle import STRATEGIES, RecoveryOracle
-
-    registry = MetricsRegistry()
 
     class Recording(RecoveryOracle):
         def run(self, schedule, strategy):
             self.last = super().run(schedule, strategy)
             if projected:
-                bridge.record_run(registry, self.last, self.spec.world_size)
+                assert chrome_trace_events(self.last.tracer)
+                assert flight_dump(self.last.tracer)
             return self.last
 
     grid = {}
@@ -1158,42 +1157,18 @@ def _obs_grid(projected, seed=7, iterations=12):
     return grid
 
 
-@pytest.fixture(scope="module")
-def obs_grids():
-    return {projected: _obs_grid(projected) for projected in (False, True)}
-
-
-def _without_events(grid):
-    return {strategy: {field: value for field, value in row.items()
-                       if field != "events_processed"}
-            for strategy, row in grid.items()}
-
-
-def test_obs_on_off_grid_is_bitwise_identical(obs_grids):
-    unprojected = obs_grids[False]
+def test_obs_on_off_grid_is_bitwise_identical():
+    unprojected = _obs_grid(False)
     assert all(row["outcome"] == "exact"
                for row in unprojected.values()), unprojected
-    assert obs_grids[True] == unprojected
-
-
-def test_metrics_registry_keeps_losses_clock_and_verdicts(obs_grids):
-    assert _without_events(obs_grids[True]) == \
-        _without_events(obs_grids[False])
-
-
-def test_metrics_registry_keeps_events_processed(obs_grids):
-    collected = obs_grids[True]
-    assert {strategy: row["events_processed"]
-            for strategy, row in collected.items()} == \
-        {strategy: row["events_processed"]
-         for strategy, row in obs_grids[False].items()}
+    assert _obs_grid(True) == unprojected
 
 
 @pytest.mark.fuzz
 @pytest.mark.parametrize("seed", [11, 23, 31, 43])
 def test_obs_on_off_grid_fuzz(seed):
     """The grid on more fuzzed schedules, at 20 iterations: runs with and
-    without a registry projection agree on every field."""
+    without their exports taken agree on every field."""
     unprojected = _obs_grid(False, seed=seed, iterations=20)
     assert all(row["outcome"] == "exact"
                for row in unprojected.values()), unprojected
@@ -1202,7 +1177,7 @@ def test_obs_on_off_grid_fuzz(seed):
 
 def _traced_ddp(project, iterations=4):
     from repro.hardware.specs import V100_NODE
-    from repro.obs.metrics import MetricsRegistry, bridge
+    from repro.obs import chrome_trace_events, flight_dump
     from repro.parallel.topology import ParallelLayout
     from repro.sim import Tracer
     from repro.workloads import TrainingJob, WorkloadSpec
@@ -1215,15 +1190,15 @@ def _traced_ddp(project, iterations=4):
     job = TrainingJob(spec, tracer=tracer)
     losses = job.run_training(iterations)
     if project:
-        reg = MetricsRegistry(scrape_interval=0.05)
-        bridge.record_trace(reg, tracer, "ddp", job.env.now)
-        launched = reg.get("repro_nccl_collectives_launched")
-        assert launched is not None and launched.children()
+        export = chrome_trace_events(tracer)
+        assert any(event["ph"] == "i" and event["name"] == "collective_launch"
+                   for event in export)
+        assert flight_dump(tracer)
     return losses, job.env.now.hex(), job.env.events_processed
 
 
-def test_traced_job_under_collecting_registry_is_unchanged():
-    """A traced DDP job whose trace is projected into a registry
+def test_traced_job_under_trace_export_is_unchanged():
+    """A traced DDP job whose Chrome export and flight dump are taken
     dispatches the same events and ends with the same losses and clock
-    as one that is not projected."""
+    as one that is not exported."""
     assert _traced_ddp(True) == _traced_ddp(False)
