@@ -734,7 +734,11 @@ class DeviceProxyApi(DeviceApi):
 
     def replay(self, skip_optimizer: bool = False,
                include_previous: bool = False) -> int:
-        """Re-issue the logged device APIs; returns records issued.
+        """Re-issue the logged device APIs; returns the calls issued.
+
+        A batched all-reduce counts as the all-reduces it fuses, which is
+        what the unbatched path logs: recovery charges replay per call,
+        and must charge the same with the fast path on and off.
 
         ``include_previous`` prepends the *previous* minibatch's records:
         used when recovery rolled parameters back one version because no
@@ -759,7 +763,8 @@ class DeviceProxyApi(DeviceApi):
                 if skip_optimizer and record.phase is Phase.OPTIMIZER:
                     continue
                 self._reissue(record)
-                issued += 1
+                issued += (len(record.args[1])
+                           if record.method == "all_reduce_batch" else 1)
         finally:
             self._replaying = False
         return issued

@@ -41,6 +41,7 @@ exact executor state, when it materialises.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from typing import Callable, Optional
 
@@ -288,9 +289,15 @@ class CudaStream:
             # remainder so both paths fail the exact same set of ops.
             chain, start, ends = self._active_chain
             self._active_chain = None
-            cutoff = min(self.env.now, self._epoch_cutoff(start))
-            count = self._settled_count(chain, start, ends, cutoff)
+            now = self.env.now
+            failed_at = self._epoch_cutoff(start)
+            count = self._settled_count(chain, start, ends, min(now, failed_at))
             self._complete_chain(chain, start, ends, count)
+            self.env.credit_events(self._timeouts_through(start, ends, count) - 1)
+            if failed_at <= now and count < len(chain) and ends[count] <= now:
+                # The one-event-per-op executor has parked already, when
+                # the op in flight at the failure ended.
+                self.tracer.record(ends[count], self.name, "stream_hang")
         exc = CudaApiError(error, f"{self.name} aborted for recovery")
         while self._queue:
             op = self._queue.popleft()
@@ -305,9 +312,13 @@ class CudaStream:
 
     # -- executor ----------------------------------------------------------------
 
-    def _park(self):
-        """Block forever: the stream has hung (failed GPU / poisoned op)."""
-        self.tracer.record(self.env.now, self.name, "stream_hang")
+    def _park(self, since: Optional[float] = None):
+        """Block forever: the stream has hung (failed GPU / poisoned op).
+
+        *since* is when the hang began, if before now (see `_run_chain`).
+        """
+        self.tracer.record(self.env.now if since is None else since,
+                           self.name, "stream_hang")
         yield self.env.event(name=f"park:{self.name}")
 
     def _gpu_ok(self) -> bool:
@@ -317,6 +328,15 @@ class CudaStream:
         health = gpu._health
         return ((health is GpuHealth.HEALTHY or health is GpuHealth.DRIVER_CORRUPT)
                 and gpu.epoch == self._creation_epoch)
+
+    def gpu_failed_at(self) -> float:
+        """When `_gpu_ok` turned false: the GPU's first epoch transition
+        since this stream was created (``-inf`` if it never was usable).
+        """
+        gpu = self.gpu
+        if gpu.epoch > self._creation_epoch:
+            return gpu.epoch_times[self._creation_epoch]
+        return -math.inf
 
     # -- macro chains ----------------------------------------------------------
 
@@ -370,6 +390,19 @@ class CudaStream:
                 break
             count += 1
         return count
+
+    @staticmethod
+    def _timeouts_through(start: float, ends: list[float], count: int) -> int:
+        """Timeouts the one-event-per-op path dispatches for the first
+        *count* chain ops and the op then in flight, whose timeout fires
+        too; the chain itself dispatches one."""
+        timeouts = 0
+        previous = start
+        for end in ends[:count + 1]:
+            if end > previous:
+                timeouts += 1
+            previous = end
+        return timeouts
 
     def _complete_chain(self, chain: list[StreamOp], start: float,
                         ends: list[float], count: int) -> None:
@@ -467,18 +500,13 @@ class CudaStream:
         # prefix that finished before the first epoch transition, then hang.
         cutoff = self._epoch_cutoff(start)
         count = self._settled_count(chain, start, ends, cutoff)
-        settled_timed = sum(1 for index in range(count) if ends[index] >
-                            (ends[index - 1] if index else start))
-        # Off path: one timeout per completed timed op, plus the in-flight
-        # op's timeout still fires (the executor wakes, sees the failure
-        # and parks).  The chain dispatched one.
-        in_flight_timed = (count < len(chain)
-                           and ends[count] > (ends[count - 1] if count else start))
-        credit = settled_timed + (1 if in_flight_timed else 0) - 1
+        credit = self._timeouts_through(start, ends, count) - 1
         if credit > 0:
             env.credit_events(credit)
         self._complete_chain(chain, start, ends, count)
-        yield from self._park()
+        # The one-event-per-op executor wakes when the op in flight at the
+        # failure ends, sees the failure and parks: before the chain's end.
+        yield from self._park(ends[count] if count < len(chain) else None)
 
     # -- replica timelines ---------------------------------------------------------
 

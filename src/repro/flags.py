@@ -4,10 +4,11 @@ Two switches select between two equivalent implementations without
 changing any simulated result:
 
 ``fast_path`` (``REPRO_FAST_PATH``)
-    Macro-event coalescing in :mod:`repro.cuda.stream` and batched
-    collective rendezvous in the engines.  Simulated timestamps, loss
-    streams and recovery behaviour are identical either way; only the
-    number of real heap dispatches changes.
+    Macro-event coalescing in :mod:`repro.cuda.stream`, batched
+    collective rendezvous in the engines, and one sleep per single-node
+    batch in :mod:`repro.nccl.rendezvous`.  Simulated timestamps, loss
+    streams, trace control records and recovery behaviour are identical
+    either way; only the number of real heap dispatches changes.
 ``dedup`` (``REPRO_DEDUP``)
     Copy-on-write replica deduplication (:mod:`repro.framework.dedup`),
     bitwise-equivalent to per-rank math; read when a job is built.

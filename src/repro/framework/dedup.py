@@ -968,7 +968,7 @@ class ReplicaArena:
         if batch.collectives:
             engine.api.live_comm(engine.comm).follow(
                 follower.rank, batch.collectives, batch.leader.rank,
-                follower.streams()[1]._gpu_ok)
+                follower.streams()[1])
         for source, stream in streams.items():
             if source.saw_collective:
                 stream.saw_collective = True
@@ -1245,9 +1245,10 @@ class ReplicaArena:
         ``member_grads`` is the contiguous ``(world, ...)`` batch whose
         slices are bitwise each rank's gradient; its ``mean(axis=0)``
         walks the same float sequence as the simulated all-reduce's
-        ``np.stack([...]).mean(axis=0)``, so the collective's subsequent
-        data application is an exact identity (and is skipped via the
-        object-identity fast path in :mod:`repro.nccl.rendezvous`).
+        reduction (bitwise ``np.stack([...]).mean(axis=0)``), so the
+        collective's subsequent data application is an exact identity
+        (and is skipped via the object-identity fast path in
+        :mod:`repro.nccl.rendezvous`).
         """
         # add.reduce + in-place divide is bitwise np.mean (same umath sum
         # then true_divide) with about half the Python dispatch overhead.

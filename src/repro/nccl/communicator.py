@@ -23,6 +23,33 @@ from repro.sim import Environment
 _comm_ids = itertools.count()
 
 
+def _duration_fns(cost: CollectiveCostModel, nranks: int) -> dict:
+    """Per-kind transfer time as a function of payload bytes.
+
+    Binds the model and the group size, not the communicator: completed
+    instances may outlive it.
+    """
+    return {
+        "all_reduce": lambda n: cost.all_reduce(n, nranks),
+        "all_gather": lambda n: cost.all_gather(n, nranks),
+        "reduce_scatter": lambda n: cost.reduce_scatter(n, nranks),
+        "broadcast": lambda n: cost.broadcast(n, nranks),
+        "barrier": lambda n: cost.latency * 2 * max(1, nranks - 1),
+    }
+
+
+def _prune(instances: dict, floor: int) -> None:
+    """Drop completed instances below sequence *floor*, oldest first.
+
+    Instances are inserted in sequence order, so the oldest is first.
+    """
+    while instances:
+        seq = next(iter(instances))
+        if seq >= floor or not instances[seq].completed:
+            return
+        del instances[seq]
+
+
 class RankHandle:
     """One rank's membership in a communicator."""
 
@@ -53,13 +80,20 @@ class NcclCommunicator:
         self.fabric = fabric
         self.generation = 0
         self.aborted = False
+        self._participants = frozenset(self.handles)
+        self._node_names = frozenset(h.node_name for h in handles)
+        self._duration_fns = _duration_fns(cost, len(handles))
         self._seq: dict[int, int] = {rank: 0 for rank in self.handles}
+        #: seq -> instance, until it completed and every rank issued past
+        #: it (see `_prune`).
         self._instances: dict[int, CollectiveInstance] = {}
         #: Independent per-side sequence counters: the sender's nth send to
         #: a peer pairs with the receiver's nth recv from that peer.
         self._p2p_send_seq: dict[tuple[int, int], int] = {}
         self._p2p_recv_seq: dict[tuple[int, int], int] = {}
-        self._p2p_instances: dict[tuple[int, int, int], CollectiveInstance] = {}
+        #: (src, dst) -> seq -> instance, pruned like `_instances`.
+        self._p2p_instances: dict[tuple[int, int],
+                                  dict[int, CollectiveInstance]] = {}
         self._init_instance: Optional[CollectiveInstance] = None
         self._initialized = False
 
@@ -74,8 +108,8 @@ class NcclCommunicator:
         return sorted(self.handles)
 
     @property
-    def node_names(self) -> set[str]:
-        return {h.node_name for h in self.handles.values()}
+    def node_names(self) -> frozenset[str]:
+        return self._node_names
 
     @property
     def nnodes(self) -> int:
@@ -103,15 +137,20 @@ class NcclCommunicator:
         if self._init_instance is None or self._init_instance.aborted:
             duration = self.cost.init(self.nranks, self.nnodes)
             self._init_instance = CollectiveInstance(
-                self.env, "init", frozenset(self.handles),
+                self.env, "init", self._participants,
                 duration_fn=lambda _nbytes, d=duration: d,
-                fabric=self.fabric, node_names=self.node_names,
+                fabric=self.fabric, node_names=self._node_names,
                 name=f"{self.name}:init:g{self.generation}")
         yield self._init_instance.arrive(rank)
         self._initialized = True
         self.env.tracer.record(self.env.now, self.name, "comm_init_done", rank=rank)
 
     # -- collective sequencing --------------------------------------------------------
+
+    def _new_instance(self, seq: int, instance) -> None:
+        """Store *instance* at *seq*, dropping those every rank is done with."""
+        _prune(self._instances, min(self._seq.values()))
+        self._instances[seq] = instance
 
     def _instance_for(self, rank: int, kind: str,
                       reduce_op: ReduceOp = ReduceOp.SUM) -> CollectiveInstance:
@@ -120,22 +159,12 @@ class NcclCommunicator:
         self._seq[rank] += 1
         instance = self._instances.get(seq)
         if instance is None:
-            # The communicator keeps its instances: their cost functions
-            # must not hold it (bind the model and size instead).
-            cost, nranks = self.cost, self.nranks
-            duration_fn = {
-                "all_reduce": lambda n: cost.all_reduce(n, nranks),
-                "all_gather": lambda n: cost.all_gather(n, nranks),
-                "reduce_scatter": lambda n: cost.reduce_scatter(n, nranks),
-                "broadcast": lambda n: cost.broadcast(n, nranks),
-                "barrier": lambda n: cost.latency * 2 * max(1, nranks - 1),
-            }[kind]
             instance = CollectiveInstance(
-                self.env, kind, frozenset(self.handles), duration_fn,
-                fabric=self.fabric, node_names=self.node_names,
+                self.env, kind, self._participants, self._duration_fns[kind],
+                fabric=self.fabric, node_names=self._node_names,
                 reduce_op=reduce_op,
                 name=f"{self.name}:{kind}#{seq}:g{self.generation}")
-            self._instances[seq] = instance
+            self._new_instance(seq, instance)
         elif instance.kind != kind:
             raise NcclOpMismatch(
                 f"{self.name} seq {seq}: rank {rank} issued {kind}, "
@@ -176,15 +205,14 @@ class NcclCommunicator:
         self._seq[rank] += 1
         instance = self._instances.get(seq)
         if instance is None:
-            cost, nranks = self.cost, self.nranks
             instance = BatchedCollectiveInstance(
-                self.env, "all_reduce", len(bufs), frozenset(self.handles),
-                duration_fn=lambda n: cost.all_reduce(n, nranks),
-                fabric=self.fabric, node_names=self.node_names,
+                self.env, "all_reduce", len(bufs), self._participants,
+                duration_fn=self._duration_fns["all_reduce"],
+                fabric=self.fabric, node_names=self._node_names,
                 reduce_op=op,
                 name=f"{self.name}:all_reduce_batch[{len(bufs)}]"
                      f"#{seq}:g{self.generation}")
-            self._instances[seq] = instance
+            self._new_instance(seq, instance)
         expected = f"all_reduce_batch[{len(bufs)}]"
         if instance.kind != expected:
             raise NcclOpMismatch(
@@ -192,7 +220,7 @@ class NcclCommunicator:
                 f"others issued {instance.kind}")
         instance.register_batch(
             rank, [(buf.array, buf.array, buf.logical_nbytes) for buf in bufs],
-            ok_fn=stream._gpu_ok)
+            stream=stream)
         return self._enqueue(rank, instance, stream)
 
     def broadcast(self, rank: int, buf: DeviceBuffer, root: int,
@@ -227,13 +255,14 @@ class NcclCommunicator:
         return self._seq[rank]
 
     def follow(self, rank: int, instances: list, leader: int,
-               ok_fn=None) -> None:
+               stream=None) -> None:
         """Issue *rank*'s copies of collectives *leader* already issued.
 
         A replica whose buffers are the leader's (replica dedup's shared
         gradient arena) registers the leader's payloads and consumes the
         same sequence numbers, without enqueueing kernels: the leader's
         stream arrives for it (see :mod:`repro.framework.dedup`).
+        *stream* is the replica's own stream, gating batched segments.
         """
         self._check_alive()
         seq = self._seq[rank]
@@ -242,24 +271,27 @@ class NcclCommunicator:
                 raise NcclOpMismatch(
                     f"{self.name} seq {seq + offset}: rank {rank} follows "
                     f"rank {leader} out of sequence")
-            instance.register_like(rank, leader, ok_fn)
+            instance.register_like(rank, leader, stream)
         self._seq[rank] = seq + len(instances)
 
     # -- point to point -----------------------------------------------------------------
 
     def _p2p_instance(self, src: int, dst: int, seq: int) -> CollectiveInstance:
         self._check_alive()
-        instance_key = (src, dst, seq)
-        instance = self._p2p_instances.get(instance_key)
+        pair = (src, dst)
+        instances = self._p2p_instances.setdefault(pair, {})
+        instance = instances.get(seq)
         if instance is None:
             src_node = self.handles[src].node_name
             dst_node = self.handles[dst].node_name
             instance = CollectiveInstance(
-                self.env, "send_recv", frozenset({src, dst}),
+                self.env, "send_recv", frozenset(pair),
                 duration_fn=self.cost.send_recv,
                 fabric=self.fabric, node_names={src_node, dst_node},
                 name=f"{self.name}:p2p:{src}->{dst}#{seq}:g{self.generation}")
-            self._p2p_instances[instance_key] = instance
+            _prune(instances, min(self._p2p_send_seq.get(pair, 0),
+                                  self._p2p_recv_seq.get(pair, 0)))
+            instances[seq] = instance
         return instance
 
     def send(self, rank: int, buf: DeviceBuffer, dst: int,
@@ -287,7 +319,8 @@ class NcclCommunicator:
     def outstanding_instances(self) -> list[CollectiveInstance]:
         pending = [i for i in self._instances.values()
                    if not i.completed and not i.aborted]
-        pending += [i for i in self._p2p_instances.values()
+        pending += [i for instances in self._p2p_instances.values()
+                    for i in instances.values()
                     if not i.completed and not i.aborted]
         if self._init_instance is not None and not self._init_instance.completed:
             pending.append(self._init_instance)

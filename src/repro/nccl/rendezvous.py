@@ -9,23 +9,26 @@ hang-on-failure behaviour the watchdog relies on.
 
 :class:`BatchedCollectiveInstance` fuses a run of back-to-back same-kind
 collectives (e.g. one layer group's bucketed all-reduces) into a single
-rendezvous: each rank registers the whole run up front and arrives once,
-and one transfer process walks the segments in order, paying each
-segment's duration and applying its data movement at the exact simulated
-time the one-instance-per-bucket path would have.  Between segments it
-re-evaluates each rank's GPU gate — the check the unbatched path performs
-when a rank's stream executor dispatches the next collective kernel — so
-failure, hang and ``abort(reason="recovery")`` behaviour is unchanged.
+rendezvous: each rank registers the whole run up front and arrives once.
+On one node, under ``flags.fast_path``, the transfer sleeps once until the
+last segment's end and then applies every segment in order; a GPU failure
+or an abort inside the batch settles exactly the prefix of segments the
+one-instance-per-bucket path would have applied.  A batch spanning nodes
+walks its segments one ``timeout`` each instead, because a link flap
+makes a segment pay its time again.  Either way the clock, the applied
+data and ``events_processed`` match the unbatched path bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
 import numpy as np
 
+from repro import flags
 from repro.cuda.errors import CudaApiError, CudaError
 from repro.nccl.errors import NcclError, NcclOpMismatch
 from repro.sim import Environment, Event
@@ -45,7 +48,87 @@ class _Registration:
     root: Optional[int] = None
 
 
-class CollectiveInstance:
+class _Rendezvous:
+    """What both instance kinds share: the arrival barrier and the path."""
+
+    _POLL_INTERVAL = 0.05  # seconds between fabric-health polls
+
+    def __init__(self, env: Environment, kind: str,
+                 participants: frozenset[int], duration_fn, fabric,
+                 node_names: Optional[set[str]], reduce_op: ReduceOp,
+                 name: str):
+        self.env = env
+        self.kind = kind
+        self.participants = participants
+        self.reduce_op = reduce_op
+        self.name = name
+        self._duration_fn = duration_fn
+        self._fabric = fabric
+        self._node_names = node_names or set()
+        #: A single-node group talks over NVLink only: its path never
+        #: goes down (see :meth:`Fabric.path_is_up`).
+        self._always_up = fabric is None or len(self._node_names) <= 1
+        #: Fires with ``None`` (the instance as its value would be a
+        #: reference cycle) once the transfer completes.
+        self._arrival: Optional[Event] = None
+        #: rank -> simulated instant its kernel reached the stream head.
+        self._arrived: dict[int, float] = {}
+        self._launched = False
+        self.completed = False
+        self.aborted = False
+        self.completion_time: Optional[float] = None
+
+    # -- device side ------------------------------------------------------------
+
+    def arrive(self, rank: int) -> Event:
+        """Rank's kernel reached stream head; all ranks share one event."""
+        if rank not in self.participants:
+            raise NcclError(f"rank {rank} not in {sorted(self.participants)}")
+        if self.aborted:
+            failed = self.env.event(name=f"aborted:{self.name}:{rank}")
+            failed.fail(CudaApiError(CudaError.STICKY, f"{self.name} aborted"))
+            failed.defuse()
+            return failed
+        if self._arrival is None:
+            self._arrival = self.env.event(name=f"collective:{self.name}")
+        arrived = self._arrived
+        arrived[rank] = self.env.now
+        if len(arrived) == len(self.participants) and not self._launched:
+            self._launched = True
+            _record_launch(self)
+            self._launch()
+        return self._arrival
+
+    def _launch(self) -> None:
+        raise NotImplementedError
+
+    @property
+    def missing_ranks(self) -> set[int]:
+        return set(self.participants) - self._arrived.keys()
+
+    def _path_is_up(self) -> bool:
+        return self._always_up or self._fabric.path_is_up(self._node_names)
+
+    def _complete(self) -> None:
+        self.completed = True
+        self.completion_time = self.env.now
+        if self._arrival is not None and not self._arrival.triggered:
+            self._arrival.succeed()
+
+    # -- teardown -----------------------------------------------------------------------
+
+    def abort(self, reason: str = "recovery") -> None:
+        """Fail every blocked rank (used when recovery tears comms down)."""
+        if self.completed or self.aborted:
+            return
+        self.aborted = True
+        if self._arrival is not None and not self._arrival.triggered:
+            self._arrival.fail(CudaApiError(
+                CudaError.STICKY, f"{self.name} aborted: {reason}"))
+            self._arrival.defuse()
+
+
+class CollectiveInstance(_Rendezvous):
     """One in-flight collective across all ranks of a communicator.
 
     The transfer is driven by timeout callbacks rather than a dedicated
@@ -56,30 +139,13 @@ class CollectiveInstance:
     process-per-transfer behaviour.
     """
 
-    _POLL_INTERVAL = 0.05  # seconds between fabric-health polls
-
     def __init__(self, env: Environment, kind: str, participants: frozenset[int],
                  duration_fn, fabric=None, node_names: Optional[set[str]] = None,
                  reduce_op: ReduceOp = ReduceOp.SUM, name: str = ""):
-        self.env = env
-        self.kind = kind
-        self.participants = participants
-        self.reduce_op = reduce_op
-        self.name = name or kind
-        self._duration_fn = duration_fn
-        self._fabric = fabric
-        self._node_names = node_names or set()
+        super().__init__(env, kind, participants, duration_fn, fabric,
+                         node_names, reduce_op, name or kind)
         self._registrations: dict[int, _Registration] = {}
-        #: Fires with ``None`` (the instance as its value would be a
-        #: reference cycle) once the transfer completes.
-        self._arrival: Optional[Event] = None
-        #: rank -> simulated instant its kernel reached the stream head.
-        self._arrived: dict[int, float] = {}
-        self._launched = False
         self._duration = 0.0
-        self.completed = False
-        self.aborted = False
-        self.completion_time: Optional[float] = None
 
     # -- CPU side -------------------------------------------------------------
 
@@ -92,42 +158,18 @@ class CollectiveInstance:
             raise NcclOpMismatch(f"rank {rank} registered twice for {self.name}")
         self._registrations[rank] = _Registration(send, recv, nbytes, root)
 
-    def register_like(self, rank: int, leader: int, ok_fn=None) -> None:
+    def register_like(self, rank: int, leader: int, stream=None) -> None:
         """Register *rank* with *leader*'s payload (a bitwise replica)."""
         reg = self._registrations[leader]
         self.register(rank, reg.send, reg.recv, reg.nbytes, reg.root)
 
-    # -- device side ------------------------------------------------------------
-
-    def arrive(self, rank: int) -> Event:
-        """Rank's kernel reached stream head; all ranks share one event."""
-        if self.aborted:
-            failed = self.env.event(name=f"aborted:{self.name}:{rank}")
-            failed.fail(CudaApiError(CudaError.STICKY, f"{self.name} aborted"))
-            failed.defuse()
-            return failed
-        if self._arrival is None:
-            self._arrival = self.env.event(name=f"collective:{self.name}")
-        self._arrived[rank] = self.env.now
-        if self._arrived.keys() == self.participants and not self._launched:
-            self._launched = True
-            _record_launch(self)
-            total_nbytes = max((r.nbytes for r in self._registrations.values()),
-                               default=0)
-            self._duration = self._duration_fn(total_nbytes)
-            self._advance(None)
-        return self._arrival
-
-    @property
-    def missing_ranks(self) -> set[int]:
-        return set(self.participants) - self._arrived.keys()
-
     # -- transfer -----------------------------------------------------------------
 
-    def _path_is_up(self) -> bool:
-        if self._fabric is None:
-            return True
-        return self._fabric.path_is_up(self._node_names)
+    def _launch(self) -> None:
+        total_nbytes = max((r.nbytes for r in self._registrations.values()),
+                           default=0)
+        self._duration = self._duration_fn(total_nbytes)
+        self._advance(None)
 
     def _advance(self, _event) -> None:
         """Poll until the fabric path is up, then pay the transfer time.
@@ -158,34 +200,14 @@ class CollectiveInstance:
         self._finish_transfer()
 
     def _finish_transfer(self) -> None:
-        self._apply()
-        self.completed = True
-        self.completion_time = self.env.now
+        _apply_collective(self.kind, self.reduce_op, self._registrations,
+                          self.participants)
+        _release(self._registrations)
         # Parity with the process-per-transfer path: one arrival event per
         # rank (the shared event dispatches once) plus the transfer
         # process's init and exit events.
         self.env.credit_events(len(self.participants) + 1)
-        if self._arrival is not None and not self._arrival.triggered:
-            self._arrival.succeed()
-
-    # -- data movement semantics ------------------------------------------------------
-
-    def _apply(self) -> None:
-        _apply_collective(self.kind, self.reduce_op, self._registrations,
-                          self.participants)
-        _release(self._registrations)
-
-    # -- teardown -----------------------------------------------------------------------
-
-    def abort(self, reason: str = "recovery") -> None:
-        """Fail every blocked rank (used when recovery tears comms down)."""
-        if self.completed or self.aborted:
-            return
-        self.aborted = True
-        if self._arrival is not None and not self._arrival.triggered:
-            self._arrival.fail(CudaApiError(
-                CudaError.STICKY, f"{self.name} aborted: {reason}"))
-            self._arrival.defuse()
+        self._complete()
 
 
 def _record_launch(instance) -> None:
@@ -200,18 +222,52 @@ def _record_launch(instance) -> None:
 
 
 def _release(regs: dict[int, _Registration]) -> None:
-    """Drop applied payloads: the communicator keeps every instance."""
+    """Drop applied payloads: a completed instance outlives its transfer."""
     for reg in regs.values():
         reg.send = reg.recv = None
+
+
+def _reduce(arrays: list[np.ndarray], reduce_op: ReduceOp) -> np.ndarray:
+    """Reduce one payload per rank, in rank order, into a new array.
+
+    Bitwise equal to ``np.stack(arrays).sum/mean/max(axis=0)``.  Reducing
+    axis 0 of the stack adds row after row into one accumulator, which the
+    loop below does without copying every payload into the stack first.
+    A one-element payload is the exception: its stacked column is reduced
+    pairwise from eight ranks on, so it keeps the stacked form, as does
+    MAX.
+    """
+    first = arrays[0]
+    if reduce_op is ReduceOp.MAX or first.size == 1 or len(arrays) == 1:
+        stacked = np.stack(arrays)
+        if reduce_op is ReduceOp.SUM:
+            return stacked.sum(axis=0)
+        if reduce_op is ReduceOp.MEAN:
+            return stacked.mean(axis=0)
+        return stacked.max(axis=0)
+    shape = first.shape
+    if any(array.shape != shape for array in arrays):
+        # The stack would refuse these; the accumulator would broadcast.
+        raise NcclOpMismatch(f"payload shapes disagree: "
+                             f"{sorted({array.shape for array in arrays})}")
+    acc = first + arrays[1]
+    for array in arrays[2:]:
+        acc += array
+    # The stacked reduction adds onto the identity +0.0: an element that
+    # is -0.0 on every rank reduces to +0.0, every other one unchanged.
+    acc += 0.0
+    if reduce_op is ReduceOp.MEAN:
+        acc /= len(arrays)
+    return acc
 
 
 def _apply_collective(kind: str, reduce_op: ReduceOp,
                       regs: dict[int, _Registration],
                       participants: frozenset[int]) -> None:
     """Numpy semantics of one collective over its registrations."""
-    ranks = sorted(participants)
     if kind in ("barrier", "init"):
         return
+    ranks = sorted(participants)
     if kind == "all_reduce":
         # Replica-dedup identity fast path: when every rank registered the
         # *same* ndarray (a shared gradient arena already holding the
@@ -224,13 +280,7 @@ def _apply_collective(kind: str, reduce_op: ReduceOp,
                 and all(regs[r].send is first and regs[r].recv is first
                         for r in ranks)):
             return
-        stacked = np.stack([regs[r].send for r in ranks])
-        if reduce_op is ReduceOp.SUM:
-            reduced = stacked.sum(axis=0)
-        elif reduce_op is ReduceOp.MEAN:
-            reduced = stacked.mean(axis=0)
-        else:
-            reduced = stacked.max(axis=0)
+        reduced = _reduce([regs[r].send for r in ranks], reduce_op)
         for r in ranks:
             regs[r].recv[...] = reduced
     elif kind == "broadcast":
@@ -246,14 +296,14 @@ def _apply_collective(kind: str, reduce_op: ReduceOp,
         for r in ranks:
             regs[r].recv.reshape(-1)[...] = gathered
     elif kind == "reduce_scatter":
-        stacked = np.stack([np.ravel(regs[r].send) for r in ranks])
-        if reduce_op is ReduceOp.MEAN:
-            reduced = stacked.mean(axis=0)
-        else:
-            reduced = stacked.sum(axis=0)
-        chunks = np.split(reduced, len(ranks))
+        op = ReduceOp.MEAN if reduce_op is ReduceOp.MEAN else ReduceOp.SUM
+        reduced = _reduce([np.ravel(regs[r].send) for r in ranks], op)
+        chunk, remainder = divmod(reduced.size, len(ranks))
+        if remainder:
+            raise NcclOpMismatch(f"reduce_scatter of {reduced.size} elements "
+                                 f"over {len(ranks)} ranks")
         for i, r in enumerate(ranks):
-            regs[r].recv.reshape(-1)[...] = chunks[i]
+            regs[r].recv.reshape(-1)[...] = reduced[i * chunk:(i + 1) * chunk]
     elif kind == "send_recv":
         sender = next(r for r in ranks if regs[r].send is not None)
         receiver = next(r for r in ranks if regs[r].recv is not None)
@@ -262,77 +312,70 @@ def _apply_collective(kind: str, reduce_op: ReduceOp,
         raise NcclError(f"unknown collective kind {kind!r}")
 
 
-class BatchedCollectiveInstance:
+class BatchedCollectiveInstance(_Rendezvous):
     """A run of back-to-back same-kind collectives fused into one rendezvous.
 
     Equivalence with N separate :class:`CollectiveInstance`\\ s issued on the
-    same stream:
+    same stream (which run back to back, since every rank's next
+    collective kernel is dispatched the instant the previous one
+    completes):
 
-    * **Timing** — the transfer pays one ``timeout`` per segment, so the
-      simulated clock accumulates the exact same floats in the same order
-      as the per-instance transfers (which also run back to back, since
-      every rank's next collective kernel is dispatched the instant the
-      previous one completes).
-    * **Failure** — before launching segment *s* (s > 0) the transfer
-      re-evaluates each rank's GPU gate, captured at registration time as
-      the owning stream's health check.  A failed gate stalls the batch
-      forever: in the unbatched path that rank's executor parks instead of
-      arriving, so segment *s* never launches and every other rank hangs —
-      the same observable state the watchdog reacts to.  Segments that
-      finished before the failure have already applied, as their
-      per-instance transfers would have.
-    * **Abort** — ``abort(reason="recovery")`` kills the transfer and fails
-      the shared arrival event, waking every blocked executor with the same
-      sticky CUDA error the unbatched instances raise.
+    * **Timing** — segment *s* ends at the float the per-instance
+      transfers reach by adding each duration to the clock in turn.  On
+      one node (under ``flags.fast_path``) the transfer computes those
+      ends with the same additions and sleeps once, until the last; across
+      nodes it pays one ``timeout`` per segment, polling the fabric.
+    * **Failure** — segment *s* (s > 0) launches only if every rank's
+      stream still had a healthy GPU when segment *s - 1* ended: in the
+      unbatched path a failed rank's executor parks instead of arriving,
+      so segment *s* never launches and every other rank hangs — the same
+      observable state the watchdog reacts to.  The batch stalls there
+      (``stalled_at``); the segments before it have applied.  The single
+      sleep settles this at its end from the streams' GPU epoch times, a
+      failure exactly at a boundary counting as before it (the failure's
+      timer was armed before the transfer's).
+    * **Abort** — ``abort(reason="recovery")`` settles the segments that
+      ended by now, kills the transfer and fails the shared arrival event,
+      waking every blocked executor with the same sticky CUDA error the
+      unbatched instances raise.
 
-    On success the batch credits the simulator with the events the
-    per-instance path would have dispatched (arrivals, transfer-process
-    init/exit, per-op completion events), keeping ``events_processed``
+    The batch credits the simulator with the events the per-instance path
+    would have dispatched (arrivals, transfer-process init/exit, per-op
+    completion events, per-segment timeouts), keeping ``events_processed``
     identical to the unbatched path.
     """
-
-    _POLL_INTERVAL = CollectiveInstance._POLL_INTERVAL
 
     def __init__(self, env: Environment, kind: str, segments: int,
                  participants: frozenset[int], duration_fn, fabric=None,
                  node_names: Optional[set[str]] = None,
                  reduce_op: ReduceOp = ReduceOp.SUM, name: str = ""):
-        self.env = env
-        self.base_kind = kind
         #: Composite kind, compared across ranks for mismatch detection —
         #: a rank batching a different segment count is a collective
         #: mismatch just like issuing a different op.
-        self.kind = f"{kind}_batch[{segments}]"
+        batch_kind = f"{kind}_batch[{segments}]"
+        super().__init__(env, batch_kind, participants, duration_fn, fabric,
+                         node_names, reduce_op, name or batch_kind)
+        self.base_kind = kind
         self.segments = segments
-        self.participants = participants
-        self.reduce_op = reduce_op
-        self.name = name or self.kind
-        self._duration_fn = duration_fn
-        self._fabric = fabric
-        self._node_names = node_names or set()
         self._segment_regs: list[dict[int, _Registration]] = [
             {} for _ in range(segments)]
-        self._ok_fns: dict[int, Any] = {}
-        self._arrival: Optional[Event] = None
-        #: rank -> simulated instant its kernel reached the stream head.
-        self._arrived: dict[int, float] = {}
-        self._launched = False
+        #: rank -> the stream whose GPU gates each segment's launch.
+        self._gates: dict[int, Any] = {}
         self._process = None
-        self.completed = False
-        self.aborted = False
-        self.completion_time: Optional[float] = None
+        #: (start, segment ends) while the single sleep is in progress.
+        self._sleep: Optional[tuple[float, list[float]]] = None
         self.stalled_at: Optional[int] = None
 
     # -- CPU side -------------------------------------------------------------
 
     def register_batch(self, rank: int,
                        payloads: list[tuple[Any, Any, int]],
-                       ok_fn=None) -> None:
+                       stream=None) -> None:
         """Register *rank*'s (send, recv, nbytes) for every segment.
 
-        *ok_fn* is the gate the unbatched path would evaluate when this
-        rank's stream executor dispatches each segment's kernel (the
-        stream's GPU-health check).
+        *stream* is the stream whose GPU-health check the unbatched path
+        evaluates when it dispatches each segment's kernel; None never
+        fails.
         """
         if rank not in self.participants:
             raise NcclError(f"rank {rank} not in {sorted(self.participants)}")
@@ -340,63 +383,64 @@ class BatchedCollectiveInstance:
             raise NcclOpMismatch(
                 f"{self.name}: rank {rank} batched {len(payloads)} segments, "
                 f"expected {self.segments}")
-        if rank in self._ok_fns:
+        if rank in self._gates:
             raise NcclOpMismatch(f"rank {rank} registered twice for {self.name}")
-        self._ok_fns[rank] = ok_fn if ok_fn is not None else (lambda: True)
+        self._gates[rank] = stream
         for index, (send, recv, nbytes) in enumerate(payloads):
             self._segment_regs[index][rank] = _Registration(send, recv, nbytes)
 
-    def register_like(self, rank: int, leader: int, ok_fn=None) -> None:
+    def register_like(self, rank: int, leader: int, stream=None) -> None:
         """Register *rank* with *leader*'s payloads (a bitwise replica).
 
-        *ok_fn* is the replica's own stream gate, as in
-        :meth:`register_batch`.
+        *stream* is the replica's own gate, as in :meth:`register_batch`.
         """
         self.register_batch(
             rank, [(regs[leader].send, regs[leader].recv, regs[leader].nbytes)
-                   for regs in self._segment_regs], ok_fn=ok_fn)
-
-    # -- device side ------------------------------------------------------------
-
-    def arrive(self, rank: int) -> Event:
-        """Rank's batch kernel reached stream head; all ranks share one event."""
-        if self.aborted:
-            failed = self.env.event(name=f"aborted:{self.name}:{rank}")
-            failed.fail(CudaApiError(CudaError.STICKY, f"{self.name} aborted"))
-            failed.defuse()
-            return failed
-        if self._arrival is None:
-            self._arrival = self.env.event(name=f"collective:{self.name}")
-        self._arrived[rank] = self.env.now
-        if self._arrived.keys() == self.participants and not self._launched:
-            self._launched = True
-            _record_launch(self)
-            self._process = self.env.process(self._transfer(),
-                                             name=f"xfer:{self.name}")
-        return self._arrival
-
-    @property
-    def missing_ranks(self) -> set[int]:
-        return set(self.participants) - self._arrived.keys()
+                   for regs in self._segment_regs], stream=stream)
 
     # -- transfer -----------------------------------------------------------------
 
-    def _path_is_up(self) -> bool:
-        if self._fabric is None:
-            return True
-        return self._fabric.path_is_up(self._node_names)
+    def _launch(self) -> None:
+        transfer = (self._transfer_once() if flags.fast_path and self._always_up
+                    else self._transfer_each())
+        self._process = self.env.process(transfer, name=f"xfer:{self.name}")
 
-    def _transfer(self):
+    def _segment_duration(self, regs: dict[int, _Registration]) -> float:
+        return self._duration_fn(max((r.nbytes for r in regs.values()),
+                                     default=0))
+
+    def _gates_ok(self) -> bool:
+        return all(stream is None or stream._gpu_ok()
+                   for stream in self._gates.values())
+
+    def _segment_credit(self, index: int) -> int:
+        """Events segment *index* of the unbatched path dispatches that
+        the batch does not, besides its timeout.
+
+        Per segment: n arrivals, a transfer-process init and exit, and n
+        per-op completion credits (2n + 2).  The batch's own once-per-run
+        dispatches (init, exit, shared arrival, n op completions) are
+        netted against the first segment.
+        """
         n = len(self.participants)
+        return n - 1 if index == 0 else 2 * n + 2
+
+    def _apply_segment(self, index: int) -> None:
+        regs = self._segment_regs[index]
+        _apply_collective(self.base_kind, self.reduce_op, regs,
+                          self.participants)
+        _release(regs)
+
+    def _transfer_each(self):
+        """One ``timeout`` per segment, re-checking the gates and the path."""
         for index, regs in enumerate(self._segment_regs):
-            if index > 0 and not all(fn() for fn in self._ok_fns.values()):
+            if index > 0 and not self._gates_ok():
                 # A rank's GPU failed between segments: unbatched, that
                 # rank never arrives for this segment, which therefore
                 # never launches; everyone hangs until recovery aborts us.
                 self.stalled_at = index
                 yield self.env.event(name=f"stall:{self.name}")
-            nbytes = max((r.nbytes for r in regs.values()), default=0)
-            duration = self._duration_fn(nbytes)
+            duration = self._segment_duration(regs)
             while True:
                 while not self._path_is_up():
                     yield self.env.timeout(self._POLL_INTERVAL)
@@ -406,31 +450,83 @@ class BatchedCollectiveInstance:
                     break
             if self.aborted:
                 return
-            _apply_collective(self.base_kind, self.reduce_op, regs,
-                              self.participants)
-            _release(regs)
-            # Events the per-instance path dispatches that the batch does
-            # not: per segment, n arrivals, a transfer-process init and
-            # exit, and n per-op completion credits (2n + 3 with the
-            # timeout the batch *does* pay).  The batch's own once-per-run
-            # dispatches (init, exit, shared arrival, n op completions)
-            # are netted against the first segment.
-            self.env.credit_events(n - 1 if index == 0 else 2 * n + 2)
-        self.completed = True
-        self.completion_time = self.env.now
-        if self._arrival is not None and not self._arrival.triggered:
-            self._arrival.succeed()
+            self._apply_segment(index)
+            self.env.credit_events(self._segment_credit(index))
+        self._complete()
+
+    def _transfer_once(self):
+        """One sleep until the last segment's end, then settle."""
+        env = self.env
+        start = finish = env.now
+        ends = []
+        for regs in self._segment_regs:
+            duration = self._segment_duration(regs)
+            if duration > 0:
+                # One addition per segment, as the clock advances in the
+                # unbatched path: a summed duration rounds differently.
+                finish = finish + duration
+            ends.append(finish)
+        self._sleep = (start, ends)
+        if finish > start:
+            yield env.timeout_at(finish)
+        if self._settle(aborting=False):
+            self._complete()
+        else:
+            yield env.event(name=f"stall:{self.name}")
+
+    def _gate_cutoff(self) -> float:
+        """When the first gate failed (inf while every gate holds)."""
+        cutoff = math.inf
+        for stream in self._gates.values():
+            if stream is not None and not stream._gpu_ok():
+                cutoff = min(cutoff, stream.gpu_failed_at())
+        return cutoff
+
+    def _settle(self, aborting: bool) -> bool:
+        """Apply what the per-segment transfer would have applied by now.
+
+        Segment 0 launches with the batch; segment *s* > 0 launches if
+        every gate held strictly before segment *s - 1* ended; a launched
+        segment that ended by now has applied (when *aborting*, one ending
+        at this very instant is still in flight), and the first segment
+        not launched stalls the batch.  Credits the timeouts and
+        per-segment events the unbatched path dispatches beyond this
+        transfer's one sleep.  Returns True when every segment applied.
+        """
+        start, ends = self._sleep
+        self._sleep = None
+        now = self.env.now
+        cutoff = self._gate_cutoff()
+        count = timeouts = 0
+        previous = start
+        for end in ends:
+            if count and previous >= cutoff:
+                self.stalled_at = count
+                break
+            if end > now or (aborting and end == now):
+                timeouts += 1  # in flight: its timeout would still fire
+                break
+            if end > previous:
+                timeouts += 1
+            self._apply_segment(count)
+            count += 1
+            previous = end
+        credit = timeouts - (1 if ends[-1] > start else 0)
+        credit += sum(self._segment_credit(index) for index in range(count))
+        self.env.credit_events(credit)
+        return count == len(ends)
 
     # -- teardown -----------------------------------------------------------------------
 
     def abort(self, reason: str = "recovery") -> None:
-        """Fail every blocked rank (used when recovery tears comms down)."""
+        """Fail every blocked rank (used when recovery tears comms down).
+
+        A transfer in its single sleep first settles what applied by now.
+        """
         if self.completed or self.aborted:
             return
-        self.aborted = True
+        if self._sleep is not None:
+            self._settle(aborting=True)
         if self._process is not None and self._process.is_alive:
             self._process.kill()
-        if self._arrival is not None and not self._arrival.triggered:
-            self._arrival.fail(CudaApiError(
-                CudaError.STICKY, f"{self.name} aborted: {reason}"))
-            self._arrival.defuse()
+        super().abort(reason)

@@ -24,6 +24,7 @@ import pytest
 from repro import flags
 from repro.cuda.runtime import CudaContext
 from repro.framework.dedup import ReplicaArena
+from repro.obs import build_strategy_ledger
 from repro.oracle import STRATEGIES, RecoveryOracle, default_oracle_spec
 from repro.oracle import strategies as strategies_mod
 from repro.oracle.schedule import FailurePoint, FailureSchedule
@@ -196,6 +197,36 @@ def test_traced_followers_record_what_private_ranks_record(strategy, draw,
         for iteration, rank in joins:
             riders[iteration].add(rank)
         assert all(len(ranks) >= 2 for ranks in riders.values()), riders
+
+
+# -- recovery under the fast path ---------------------------------------------------
+
+#: Rank 3's GPU dies inside a forward kernel that a macro chain covers:
+#: the fast path used to record the hang at the chain's end, and to
+#: charge replay one call per batched all-reduce instead of one per bucket.
+_MID_CHAIN = FailureSchedule(points=(
+    FailurePoint(7, "GPU_HARD", 3, offset=1.30),))
+
+
+def _control_records(strategy: str, fast: bool):
+    """Control records (context ids stripped) and the goodput buckets."""
+    spec = default_oracle_spec()
+    with flags.override(fast_path=fast):
+        run = run_strategy(strategy, spec, _MID_CHAIN, 20, trace_ops=False)
+    ledger = build_strategy_ledger(run, spec.world_size)
+    records = [_CTX.sub("ctx", str(item))
+               for item in run.tracer.events + run.tracer.spans]
+    return records, ledger.buckets
+
+
+@pytest.mark.parametrize("strategy", ["transparent", "swift"])
+def test_fast_path_recovers_with_the_same_records_and_buckets(strategy):
+    fast_records, fast_buckets = _control_records(strategy, True)
+    slow_records, slow_buckets = _control_records(strategy, False)
+    assert fast_records == slow_records
+    assert fast_buckets == slow_buckets
+    hang = next(r for r in fast_records if "stream_hang" in r)
+    assert hang.startswith("[    1.841099]")
 
 
 # -- trace records against the simulator's own counters ----------------------------

@@ -7,6 +7,7 @@ timeouts never leak values between waits.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -476,12 +477,13 @@ def test_fast_path_losses_clock_and_event_counts_identical(
     assert fast_env.events_processed == slow_env.events_processed
 
 
-def _mid_chain_failure_run(fast):
+def _mid_chain_failure_run(fast, abort_at=None):
     from repro.cuda import CudaContext
     from repro.hardware import Cluster, ClusterSpec, GpuHealth
+    from repro.sim import Tracer
 
     with flags.override(fast_path=fast):
-        env = Environment()
+        env = Environment(Tracer(enabled=True))
         cluster = Cluster(env, ClusterSpec(num_nodes=1))
         node = cluster.nodes[0]
         ctx = CudaContext(env, node.gpus[0], node)
@@ -495,22 +497,131 @@ def _mid_chain_failure_run(fast):
             yield env.timeout(0.35)
             node.gpus[0].fail(GpuHealth.DEAD)
 
+        def aborter():
+            yield env.timeout(abort_at)
+            stream.abort()
+
         env.process(failer())
+        if abort_at is not None:
+            env.process(aborter())
         env.run(until=50)
-        return executed, env.now, env.events_processed
+        records = [(event.time, event.action) for event in env.tracer
+                   if event.action in ("stream_hang", "stream_abort")]
+        return executed, env.now, env.events_processed, records
+
+
+def _assert_mid_chain_runs_match(abort_at):
+    fast_executed, fast_now, fast_events, fast_records = \
+        _mid_chain_failure_run(True, abort_at)
+    slow_executed, slow_now, slow_events, slow_records = \
+        _mid_chain_failure_run(False, abort_at)
+    # Kernels end at 0.1/0.2/0.3/...; the GPU dies at 0.35, mid-k3.
+    assert slow_executed == [0, 1, 2]
+    assert fast_executed == slow_executed
+    assert fast_now == slow_now
+    assert fast_events == slow_events
+    # The hang is recorded when k3, in flight at the failure, ends.
+    assert fast_records == slow_records
+    assert slow_records[0] == (0.1 + 0.1 + 0.1 + 0.1, "stream_hang")
+    return slow_records
 
 
 def test_failure_mid_macro_chain_settles_exactly_like_eager():
     """A GPU death inside a coalesced chain's window must execute exactly
     the thunks of kernels that finished before the failure - no more, no
     less - just as per-kernel dispatch would."""
-    fast_executed, fast_now, fast_events = _mid_chain_failure_run(True)
-    slow_executed, slow_now, slow_events = _mid_chain_failure_run(False)
-    # Kernels end at 0.1/0.2/0.3/...; the GPU dies at 0.35, mid-k3.
-    assert slow_executed == [0, 1, 2]
-    assert fast_executed == slow_executed
-    assert fast_now == slow_now
-    assert fast_events == slow_events
+    assert len(_assert_mid_chain_runs_match(abort_at=None)) == 1
+
+
+def test_abort_after_mid_chain_failure_settles_exactly_like_eager():
+    """A stream aborted after its GPU died but before the chain's end
+    settles the same prefix, credits the same events and records the
+    same hang as per-kernel dispatch."""
+    records = _assert_mid_chain_runs_match(abort_at=0.45)
+    assert [action for _, action in records] == ["stream_hang", "stream_abort"]
+
+
+_BATCH_SIZES = (3, 40, 7, 100, 11)
+
+
+def _batch_ends(comm) -> list[float]:
+    """Segment end times of a batch launched at 0, as the clock adds them."""
+    ends, finish = [], 0.0
+    for size in _BATCH_SIZES:
+        finish = finish + comm._duration_fns["all_reduce"](8 * size)
+        ends.append(finish)
+    return ends
+
+
+def _mid_batch_run(fast, fail_at=None, abort_at=None):
+    """Four ranks all-reduce a five-segment batch; rank 2's GPU may die at
+    ``fail_at(ends)`` and the communicator be aborted at ``abort_at(ends)``."""
+    from repro.cuda import BufferKind, CudaContext
+    from repro.hardware import Cluster, ClusterSpec, GpuHealth
+    from repro.nccl import CollectiveCostModel, NcclWorld, RankHandle, ReduceOp
+
+    with flags.override(fast_path=fast):
+        env = Environment()
+        cluster = Cluster(env, ClusterSpec(num_nodes=1))
+        node = cluster.nodes[0]
+        contexts = [CudaContext(env, node.gpus[rank], node) for rank in range(4)]
+        comm = NcclWorld(env, fabric=cluster.fabric).create_communicator(
+            "dp", [RankHandle(rank, ctx) for rank, ctx in enumerate(contexts)],
+            CollectiveCostModel(bandwidth=1e6, latency=1e-6))
+        bufs = [[ctx.malloc(np.arange(size) * (rank + 1) / 7.0,
+                            BufferKind.GRADIENT) for size in _BATCH_SIZES]
+                for rank, ctx in enumerate(contexts)]
+        ends = _batch_ends(comm)
+
+        def at(when, action):
+            yield env.timeout(when)
+            action()
+
+        if fail_at is not None:
+            env.process(at(fail_at(ends),
+                           lambda: node.gpus[2].fail(GpuHealth.DEAD)))
+        if abort_at is not None:
+            env.process(at(abort_at(ends), comm.abort))
+        ops = [comm.all_reduce_batch(rank, bufs[rank], ctx.create_stream(),
+                                     op=ReduceOp.MEAN)
+               for rank, ctx in enumerate(contexts)]
+        env.run(until=1.0)
+        instance = ops[0].rendezvous
+        data = [buf.array.tobytes() for rank_bufs in bufs for buf in rank_bufs]
+        return (data, instance.stalled_at, instance.completed, env.now,
+                env.events_processed)
+
+
+def _before(when):
+    return math.nextafter(when, -math.inf)
+
+
+def _after(when):
+    return math.nextafter(when, math.inf)
+
+
+@pytest.mark.parametrize("fail_at,abort_at,stalled_at,completed", [
+    (None, None, None, True),
+    (lambda ends: _before(ends[1]), None, 2, False),
+    (lambda ends: ends[1], None, 2, False),
+    (lambda ends: _after(ends[1]), None, 3, False),
+    (lambda ends: 0.0, None, 1, False),
+    (None, lambda ends: (ends[1] + ends[2]) / 2, None, False),
+    (None, lambda ends: ends[2], None, False),
+    (lambda ends: _after(ends[0]), lambda ends: ends[3], 2, False),
+], ids=["clean", "fail-before-boundary", "fail-at-boundary",
+        "fail-after-boundary", "fail-at-launch", "abort-mid-segment",
+        "abort-at-boundary", "fail-then-abort"])
+def test_failure_mid_batch_settles_exactly_like_each_segment(
+        fail_at, abort_at, stalled_at, completed):
+    """A GPU death or an abort inside a batched all-reduce's single sleep
+    applies exactly the segments, and credits exactly the events, of the
+    per-segment transfer the fast path replaces."""
+    fast = _mid_batch_run(True, fail_at, abort_at)
+    slow = _mid_batch_run(False, fail_at, abort_at)
+    assert fast == slow
+    _, fast_stalled, fast_completed, _, _ = fast
+    assert (fast_stalled, fast_completed) == (stalled_at, completed)
 
 
 def test_oracle_grid_exact_for_all_strategies_fast_on_and_off():
