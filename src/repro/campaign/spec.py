@@ -36,17 +36,21 @@ def _source_fingerprint() -> str:
 
 
 def code_fingerprint() -> str:
-    """Package version + package source hash + fast-path state.
+    """Package version + package source hash + both switches' state.
 
     Folded into every :meth:`ScenarioSpec.content_hash`, so editing any
     module of the ``repro`` package — the simulator kernel, a recovery
     strategy, the checkpoint store, the training math — or toggling
-    ``REPRO_FAST_PATH`` starts campaigns from a cold cache instead of
-    serving results recorded by different code.  The source hash is
-    computed once per process; the fast-path bit is read per call
-    because tests flip it at runtime (:func:`repro.flags.override`).
+    ``REPRO_DEDUP`` or ``REPRO_FAST_PATH`` starts campaigns from a cold
+    cache instead of serving results recorded by different code: each
+    switch claims bitwise equivalence, and a cache that crossed it would
+    hide a broken one.  The source hash is computed once per process;
+    the switches are read per call because tests flip them at runtime
+    (:func:`repro.flags.override`).
     """
-    return _source_fingerprint() + ("+fast" if flags.fast_path else "+slow")
+    return (_source_fingerprint()
+            + ("+dedup" if flags.dedup else "+nodedup")
+            + ("+fast" if flags.fast_path else "+slow"))
 
 
 #: Default failure mix for campaign scenarios: the recoverable single-GPU

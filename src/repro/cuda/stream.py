@@ -301,7 +301,7 @@ class CudaStream:
         exc = CudaApiError(error, f"{self.name} aborted for recovery")
         while self._queue:
             op = self._queue.popleft()
-            _fail_defused(op.done, exc)
+            self._fail_op(op, exc)
             if isinstance(op, RecordEventOp):
                 _fail_defused(op.completion, exc)
         self.tracer.record(self.env.now, self.name, "stream_abort", error=error.value)
@@ -621,10 +621,11 @@ class CudaStream:
                 yield (arrival if arrival is not None
                        else rendezvous.arrive(op.rank))
             except CudaApiError as exc:
-                self._collective_failed(op, exc)
-                return True
+                if rendezvous.parked_since(op.rank) is None:
+                    self._collective_failed(op, exc)
+                    return True
             if not self._gpu_ok():
-                yield from self._park()
+                yield from self._park(rendezvous.parked_since(op.rank))
             if op.thunk is not None:
                 op.thunk()
         else:
@@ -660,9 +661,19 @@ class CudaStream:
         if hook is not None:
             hook()
         self.error = self.error or exc.code
-        _fail_defused(op.done, exc)
+        self._fail_op(op, exc)
         self._queue.popleft()
         self.abort(exc.code)
+
+    def _fail_op(self, op: StreamOp, exc: CudaApiError) -> None:
+        """Fail *op*'s completion.  A batched collective's op stands for
+        one op per segment: it credits the failures of those its rank did
+        not complete beyond itself."""
+        _fail_defused(op.done, exc)
+        if type(op) is CollectiveKernelOp:
+            extra = op.rendezvous.unfinished_ops(op.rank) - 1
+            if extra:
+                self.env.credit_events(extra)
 
     # -- main loop ---------------------------------------------------------------
 
@@ -709,19 +720,19 @@ class CudaStream:
                 if not self._gpu_ok():
                     yield from self._park()
                 rendezvous = op.rendezvous
-                if batch is not None:
-                    # A rider's copy reaches the head of its stream at this
-                    # same instant: it arrives with the leader.
-                    for rider in batch.riders:
-                        rendezvous.arrive(rider.rank)
-                arrival = rendezvous.arrive(op.rank)
+                # A rider's copy reaches the head of its stream at this
+                # same instant: it arrives with the leader.
+                arrival = rendezvous.arrive(
+                    op.rank, batch.riders if batch is not None else ())
                 try:
                     yield arrival
                 except CudaApiError as exc:
-                    self._collective_failed(op, exc)
-                    return
+                    # A rank that parked inside a stalled batch hangs on.
+                    if rendezvous.parked_since(op.rank) is None:
+                        self._collective_failed(op, exc)
+                        return
                 if not self._gpu_ok():
-                    yield from self._park()
+                    yield from self._park(rendezvous.parked_since(op.rank))
                 if op.thunk is not None:
                     op.thunk()
             else:  # KernelOp / MemcpyOp

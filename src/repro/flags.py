@@ -4,11 +4,15 @@ Two switches select between two equivalent implementations without
 changing any simulated result:
 
 ``fast_path`` (``REPRO_FAST_PATH``)
-    Macro-event coalescing in :mod:`repro.cuda.stream`, batched
-    collective rendezvous in the engines, and one sleep per single-node
-    batch in :mod:`repro.nccl.rendezvous`.  Simulated timestamps, loss
-    streams, trace control records and recovery behaviour are identical
-    either way; only the number of real heap dispatches changes.
+    Macro-event coalescing in :mod:`repro.cuda.stream`, and batched
+    collective rendezvous in the engines: one
+    :class:`~repro.nccl.rendezvous.BatchedCollectiveInstance` per layer
+    group instead of one all-reduce per bucket, whose transfer arms one
+    timeout on a single node and registers a replica group once.
+    Simulated timestamps, loss streams, trace control records, recovery
+    behaviour and the logical event count (``events_processed``) are
+    identical either way; only the number of real heap dispatches
+    changes.
 ``dedup`` (``REPRO_DEDUP``)
     Copy-on-write replica deduplication (:mod:`repro.framework.dedup`),
     bitwise-equivalent to per-rank math; read when a job is built.

@@ -23,17 +23,31 @@ from repro.sim import Environment
 _comm_ids = itertools.count()
 
 
+def _memoised(duration_fn):
+    """*duration_fn*, remembering the time of each payload size it saw."""
+    memo: dict[int, float] = {}
+
+    def duration(nbytes: int) -> float:
+        try:
+            return memo[nbytes]
+        except KeyError:
+            value = memo[nbytes] = duration_fn(nbytes)
+            return value
+
+    return duration
+
+
 def _duration_fns(cost: CollectiveCostModel, nranks: int) -> dict:
-    """Per-kind transfer time as a function of payload bytes.
+    """Per-kind transfer time as a function of payload bytes, memoised.
 
     Binds the model and the group size, not the communicator: completed
     instances may outlive it.
     """
     return {
-        "all_reduce": lambda n: cost.all_reduce(n, nranks),
-        "all_gather": lambda n: cost.all_gather(n, nranks),
-        "reduce_scatter": lambda n: cost.reduce_scatter(n, nranks),
-        "broadcast": lambda n: cost.broadcast(n, nranks),
+        "all_reduce": _memoised(lambda n: cost.all_reduce(n, nranks)),
+        "all_gather": _memoised(lambda n: cost.all_gather(n, nranks)),
+        "reduce_scatter": _memoised(lambda n: cost.reduce_scatter(n, nranks)),
+        "broadcast": _memoised(lambda n: cost.broadcast(n, nranks)),
         "barrier": lambda n: cost.latency * 2 * max(1, nranks - 1),
     }
 
@@ -206,7 +220,7 @@ class NcclCommunicator:
         instance = self._instances.get(seq)
         if instance is None:
             instance = BatchedCollectiveInstance(
-                self.env, "all_reduce", len(bufs), self._participants,
+                self.env, len(bufs), self._participants,
                 duration_fn=self._duration_fns["all_reduce"],
                 fabric=self.fabric, node_names=self._node_names,
                 reduce_op=op,
@@ -218,9 +232,9 @@ class NcclCommunicator:
             raise NcclOpMismatch(
                 f"{self.name} seq {seq}: rank {rank} issued {expected}, "
                 f"others issued {instance.kind}")
-        instance.register_batch(
-            rank, [(buf.array, buf.array, buf.logical_nbytes) for buf in bufs],
-            stream=stream)
+        instance.register_batch(rank, [buf.array for buf in bufs],
+                                [buf.logical_nbytes for buf in bufs],
+                                stream=stream)
         return self._enqueue(rank, instance, stream)
 
     def broadcast(self, rank: int, buf: DeviceBuffer, root: int,

@@ -9,26 +9,30 @@ hang-on-failure behaviour the watchdog relies on.
 
 :class:`BatchedCollectiveInstance` fuses a run of back-to-back same-kind
 collectives (e.g. one layer group's bucketed all-reduces) into a single
-rendezvous: each rank registers the whole run up front and arrives once.
-On one node, under ``flags.fast_path``, the transfer sleeps once until the
-last segment's end and then applies every segment in order; a GPU failure
-or an abort inside the batch settles exactly the prefix of segments the
-one-instance-per-bucket path would have applied.  A batch spanning nodes
-walks its segments one ``timeout`` each instead, because a link flap
-makes a segment pay its time again.  Either way the clock, the applied
-data and ``events_processed`` match the unbatched path bit for bit.
+rendezvous: each rank registers the whole run up front, or registers as a
+replica of another rank's payloads, and arrives once.  Like a single
+collective's, its transfer is driven by timeout callbacks, not by a
+simulator process.  On one node it arms one timeout, at the last
+segment's end, and then applies every segment in order; a GPU failure or
+an abort inside the batch settles exactly the prefix of segments the
+one-instance-per-bucket path would have applied.  Across nodes a chain of
+callbacks pays one segment at a time instead, because a link flap makes
+a segment pay its time again.  Either way the clock, the applied data
+and ``events_processed`` match the unbatched path bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import operator
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any, Optional
 
 import numpy as np
 
-from repro import flags
 from repro.cuda.errors import CudaApiError, CudaError
 from repro.nccl.errors import NcclError, NcclOpMismatch
 from repro.sim import Environment, Event
@@ -80,8 +84,26 @@ class _Rendezvous:
 
     # -- device side ------------------------------------------------------------
 
-    def arrive(self, rank: int) -> Event:
-        """Rank's kernel reached stream head; all ranks share one event."""
+    def arrive(self, rank: int, riders=()) -> Event:
+        """Rank's kernel reached stream head; all ranks share one event.
+
+        *riders* are replicas whose copies of the kernel are enqueued
+        nowhere (see :mod:`repro.framework.dedup`): their copies reach
+        their streams' heads at this same instant, and they arrive just
+        before *rank*.
+        """
+        if riders:
+            if self.aborted:
+                for rider in riders:
+                    self.arrive(rider.rank)
+            else:
+                participants, arrived = self.participants, self._arrived
+                now = self.env.now
+                for rider in riders:
+                    if rider.rank not in participants:
+                        raise NcclError(f"rank {rider.rank} not in "
+                                        f"{sorted(participants)}")
+                    arrived[rider.rank] = now
         if rank not in self.participants:
             raise NcclError(f"rank {rank} not in {sorted(self.participants)}")
         if self.aborted:
@@ -108,6 +130,17 @@ class _Rendezvous:
 
     def _path_is_up(self) -> bool:
         return self._always_up or self._fabric.path_is_up(self._node_names)
+
+    def unfinished_ops(self, rank: int) -> int:
+        """How many one-collective stream ops *rank*'s op here stands for
+        that have not completed: what fails with it (see
+        :meth:`BatchedCollectiveInstance.unfinished_ops`)."""
+        return 1
+
+    def parked_since(self, rank: int) -> Optional[float]:
+        """When *rank*'s executor parked inside this instance, if it did
+        (see :meth:`BatchedCollectiveInstance.parked_since`)."""
+        return None
 
     def _complete(self) -> None:
         self.completed = True
@@ -160,7 +193,10 @@ class CollectiveInstance(_Rendezvous):
 
     def register_like(self, rank: int, leader: int, stream=None) -> None:
         """Register *rank* with *leader*'s payload (a bitwise replica)."""
-        reg = self._registrations[leader]
+        reg = self._registrations.get(leader)
+        if reg is None:
+            raise NcclOpMismatch(f"{self.name}: rank {rank} follows rank "
+                                 f"{leader}, which has not registered")
         self.register(rank, reg.send, reg.recv, reg.nbytes, reg.root)
 
     # -- transfer -----------------------------------------------------------------
@@ -313,7 +349,7 @@ def _apply_collective(kind: str, reduce_op: ReduceOp,
 
 
 class BatchedCollectiveInstance(_Rendezvous):
-    """A run of back-to-back same-kind collectives fused into one rendezvous.
+    """A run of back-to-back in-place all-reduces fused into one rendezvous.
 
     Equivalence with N separate :class:`CollectiveInstance`\\ s issued on the
     same stream (which run back to back, since every rank's next
@@ -322,157 +358,177 @@ class BatchedCollectiveInstance(_Rendezvous):
 
     * **Timing** — segment *s* ends at the float the per-instance
       transfers reach by adding each duration to the clock in turn.  On
-      one node (under ``flags.fast_path``) the transfer computes those
-      ends with the same additions and sleeps once, until the last; across
-      nodes it pays one ``timeout`` per segment, polling the fabric.
+      one node the batch computes those ends with the same additions at
+      launch and arms one timeout, for the last; across nodes a chain of
+      timeout callbacks pays one segment after another, polling the
+      fabric, because a link flap makes a segment pay its time again.
+    * **Registration** — a replica (:meth:`register_like`) records only
+      whose arrays it shares.  When every rank registered the same array
+      for each segment (replica dedup's shared gradient arena, already
+      holding the reduced value), the batch applies nothing; otherwise
+      each segment's registrations are built as it applies.
     * **Failure** — segment *s* (s > 0) launches only if every rank's
       stream still had a healthy GPU when segment *s - 1* ended: in the
       unbatched path a failed rank's executor parks instead of arriving,
       so segment *s* never launches and every other rank hangs — the same
       observable state the watchdog reacts to.  The batch stalls there
       (``stalled_at``); the segments before it have applied.  The single
-      sleep settles this at its end from the streams' GPU epoch times, a
+      timeout settles this at its end from the streams' GPU epoch times, a
       failure exactly at a boundary counting as before it (the failure's
       timer was armed before the transfer's).
     * **Abort** — ``abort(reason="recovery")`` settles the segments that
-      ended by now, kills the transfer and fails the shared arrival event,
-      waking every blocked executor with the same sticky CUDA error the
-      unbatched instances raise.
-
-    The batch credits the simulator with the events the per-instance path
-    would have dispatched (arrivals, transfer-process init/exit, per-op
-    completion events, per-segment timeouts), keeping ``events_processed``
-    identical to the unbatched path.
+      ended by now and fails the shared arrival event, waking every
+      blocked executor with the same sticky CUDA error the unbatched
+      instances raise.  An executor that, unbatched, parked after the
+      last applied segment hangs on instead (:meth:`parked_since`).
+    * **Events** — the batch credits what the unbatched path dispatches
+      and it does not.  Per applied segment: n arrivals, a transfer's init
+      and exit, n op completions, and its timeouts beyond the batch's
+      own; the ranks that park after a stall's last segment complete no
+      op.  When a rank's batched op fails, its stream credits the ops of
+      the segments that rank did not complete (:meth:`unfinished_ops`).
+      ``events_processed`` thus equals the unbatched path's whether the
+      batch completes, stalls or is aborted.
     """
 
-    def __init__(self, env: Environment, kind: str, segments: int,
+    def __init__(self, env: Environment, segments: int,
                  participants: frozenset[int], duration_fn, fabric=None,
                  node_names: Optional[set[str]] = None,
                  reduce_op: ReduceOp = ReduceOp.SUM, name: str = ""):
         #: Composite kind, compared across ranks for mismatch detection —
         #: a rank batching a different segment count is a collective
         #: mismatch just like issuing a different op.
-        batch_kind = f"{kind}_batch[{segments}]"
+        batch_kind = f"all_reduce_batch[{segments}]"
         super().__init__(env, batch_kind, participants, duration_fn, fabric,
                          node_names, reduce_op, name or batch_kind)
-        self.base_kind = kind
         self.segments = segments
-        self._segment_regs: list[dict[int, _Registration]] = [
-            {} for _ in range(segments)]
+        #: rank -> (each segment's array, their logical sizes), for each
+        #: rank that registered its own arrays (None once the batch is done).
+        self._payloads: dict[int, Optional[tuple[list, list[int]]]] = {}
+        #: rank -> the rank whose arrays it registered as a replica.
+        self._likes: dict[int, int] = {}
         #: rank -> the stream whose GPU gates each segment's launch.
         self._gates: dict[int, Any] = {}
-        self._process = None
-        #: (start, segment ends) while the single sleep is in progress.
-        self._sleep: Optional[tuple[float, list[float]]] = None
+        #: Whether no segment needs applying (decided at the first apply).
+        self._identity: Optional[bool] = None
+        self._durations: list[float] = []
+        #: Segment end times: all of them from launch on one node, each
+        #: as it is reached across nodes.
+        self._ends: list[float] = []
+        #: Launch time while the single timeout is pending (one node).
+        self._sleep_start: Optional[float] = None
+        self._applied = 0
         self.stalled_at: Optional[int] = None
+        #: Ranks whose executor parks after the last segment applied
+        #: before the stall.
+        self._parked = 0
 
     # -- CPU side -------------------------------------------------------------
 
-    def register_batch(self, rank: int,
-                       payloads: list[tuple[Any, Any, int]],
+    def _check_new(self, rank: int) -> None:
+        if rank not in self.participants:
+            raise NcclError(f"rank {rank} not in {sorted(self.participants)}")
+        if rank in self._gates:
+            raise NcclOpMismatch(f"rank {rank} registered twice for {self.name}")
+
+    def register_batch(self, rank: int, arrays: list, nbytes: list[int],
                        stream=None) -> None:
-        """Register *rank*'s (send, recv, nbytes) for every segment.
+        """Register *rank*'s in-place array and logical size per segment.
 
         *stream* is the stream whose GPU-health check the unbatched path
         evaluates when it dispatches each segment's kernel; None never
         fails.
         """
-        if rank not in self.participants:
-            raise NcclError(f"rank {rank} not in {sorted(self.participants)}")
-        if len(payloads) != self.segments:
+        self._check_new(rank)
+        if len(arrays) != self.segments:
             raise NcclOpMismatch(
-                f"{self.name}: rank {rank} batched {len(payloads)} segments, "
+                f"{self.name}: rank {rank} batched {len(arrays)} segments, "
                 f"expected {self.segments}")
-        if rank in self._gates:
-            raise NcclOpMismatch(f"rank {rank} registered twice for {self.name}")
         self._gates[rank] = stream
-        for index, (send, recv, nbytes) in enumerate(payloads):
-            self._segment_regs[index][rank] = _Registration(send, recv, nbytes)
+        self._payloads[rank] = (arrays, nbytes)
 
     def register_like(self, rank: int, leader: int, stream=None) -> None:
-        """Register *rank* with *leader*'s payloads (a bitwise replica).
+        """Register *rank* with *leader*'s arrays (a bitwise replica).
 
         *stream* is the replica's own gate, as in :meth:`register_batch`.
         """
-        self.register_batch(
-            rank, [(regs[leader].send, regs[leader].recv, regs[leader].nbytes)
-                   for regs in self._segment_regs], stream=stream)
+        leader = self._likes.get(leader, leader)
+        if leader not in self._payloads:
+            raise NcclOpMismatch(f"{self.name}: rank {rank} follows rank "
+                                 f"{leader}, which has not registered")
+        self._check_new(rank)
+        self._gates[rank] = stream
+        self._likes[rank] = leader
 
     # -- transfer -----------------------------------------------------------------
 
     def _launch(self) -> None:
-        transfer = (self._transfer_once() if flags.fast_path and self._always_up
-                    else self._transfer_each())
-        self._process = self.env.process(transfer, name=f"xfer:{self.name}")
+        payloads = iter(self._payloads.values())
+        nbytes = next(payloads)[1]
+        for _, other in payloads:
+            if other != nbytes:
+                nbytes = list(map(max, nbytes, other))
+        duration_fn = self._duration_fn
+        durations = self._durations = [duration_fn(n) for n in nbytes]
+        if not self._always_up:
+            self._next_segment()
+            return
+        env = self.env
+        start = self._sleep_start = env.now
+        # One addition per segment, as the clock advances in the unbatched
+        # path: a summed duration rounds differently.
+        ends = self._ends = list(accumulate(durations, initial=start))
+        del ends[0]
+        if ends[-1] > start:
+            env.timeout_at(ends[-1]).callbacks.append(self._wake)
+        else:
+            self._settle(aborting=False)
 
-    def _segment_duration(self, regs: dict[int, _Registration]) -> float:
-        return self._duration_fn(max((r.nbytes for r in regs.values()),
-                                     default=0))
+    def _wake(self, _event) -> None:
+        if not self.aborted:
+            self._settle(aborting=False)
+
+    def _next_segment(self) -> None:
+        """Across nodes: launch the next segment, or stall, or finish."""
+        index = self._applied
+        if index == self.segments:
+            self._finish()
+        elif index and not self._gates_ok():
+            # A rank's GPU failed between segments: unbatched, that rank
+            # never arrives for this segment, which therefore never
+            # launches; everyone hangs until recovery aborts us.
+            self._stall(index)
+        else:
+            self._poll(None)
+
+    def _poll(self, _event) -> None:
+        """Wait until the fabric path is up, then pay the segment's time."""
+        if self.aborted:
+            return
+        if not self._path_is_up():
+            self.env.timeout(self._POLL_INTERVAL).callbacks.append(self._poll)
+            return
+        duration = self._durations[self._applied]
+        if duration > 0:
+            self.env.timeout(duration).callbacks.append(self._paid)
+            return
+        self._paid(None)
+
+    def _paid(self, _event) -> None:
+        if self.aborted:
+            return
+        if not self._path_is_up():
+            # The link went down mid-transfer: the segment's payload is
+            # lost and its whole time is paid again once the path returns.
+            self._poll(None)
+            return
+        self._ends.append(self.env.now)
+        self._apply_through(self._applied + 1)
+        self._next_segment()
 
     def _gates_ok(self) -> bool:
         return all(stream is None or stream._gpu_ok()
                    for stream in self._gates.values())
-
-    def _segment_credit(self, index: int) -> int:
-        """Events segment *index* of the unbatched path dispatches that
-        the batch does not, besides its timeout.
-
-        Per segment: n arrivals, a transfer-process init and exit, and n
-        per-op completion credits (2n + 2).  The batch's own once-per-run
-        dispatches (init, exit, shared arrival, n op completions) are
-        netted against the first segment.
-        """
-        n = len(self.participants)
-        return n - 1 if index == 0 else 2 * n + 2
-
-    def _apply_segment(self, index: int) -> None:
-        regs = self._segment_regs[index]
-        _apply_collective(self.base_kind, self.reduce_op, regs,
-                          self.participants)
-        _release(regs)
-
-    def _transfer_each(self):
-        """One ``timeout`` per segment, re-checking the gates and the path."""
-        for index, regs in enumerate(self._segment_regs):
-            if index > 0 and not self._gates_ok():
-                # A rank's GPU failed between segments: unbatched, that
-                # rank never arrives for this segment, which therefore
-                # never launches; everyone hangs until recovery aborts us.
-                self.stalled_at = index
-                yield self.env.event(name=f"stall:{self.name}")
-            duration = self._segment_duration(regs)
-            while True:
-                while not self._path_is_up():
-                    yield self.env.timeout(self._POLL_INTERVAL)
-                if duration > 0:
-                    yield self.env.timeout(duration)
-                if self._path_is_up():
-                    break
-            if self.aborted:
-                return
-            self._apply_segment(index)
-            self.env.credit_events(self._segment_credit(index))
-        self._complete()
-
-    def _transfer_once(self):
-        """One sleep until the last segment's end, then settle."""
-        env = self.env
-        start = finish = env.now
-        ends = []
-        for regs in self._segment_regs:
-            duration = self._segment_duration(regs)
-            if duration > 0:
-                # One addition per segment, as the clock advances in the
-                # unbatched path: a summed duration rounds differently.
-                finish = finish + duration
-            ends.append(finish)
-        self._sleep = (start, ends)
-        if finish > start:
-            yield env.timeout_at(finish)
-        if self._settle(aborting=False):
-            self._complete()
-        else:
-            yield env.event(name=f"stall:{self.name}")
 
     def _gate_cutoff(self) -> float:
         """When the first gate failed (inf while every gate holds)."""
@@ -482,51 +538,128 @@ class BatchedCollectiveInstance(_Rendezvous):
                 cutoff = min(cutoff, stream.gpu_failed_at())
         return cutoff
 
-    def _settle(self, aborting: bool) -> bool:
-        """Apply what the per-segment transfer would have applied by now.
+    @staticmethod
+    def _failed_by(stream, when: float) -> bool:
+        return (stream is not None and not stream._gpu_ok()
+                and stream.gpu_failed_at() <= when)
+
+    def _progress(self, aborting: bool) -> tuple[int, bool]:
+        """(segments applied by now, whether the batch stalled), one node.
 
         Segment 0 launches with the batch; segment *s* > 0 launches if
         every gate held strictly before segment *s - 1* ended; a launched
         segment that ended by now has applied (when *aborting*, one ending
         at this very instant is still in flight), and the first segment
-        not launched stalls the batch.  Credits the timeouts and
-        per-segment events the unbatched path dispatches beyond this
-        transfer's one sleep.  Returns True when every segment applied.
+        not launched stalls the batch.
         """
-        start, ends = self._sleep
-        self._sleep = None
-        now = self.env.now
-        cutoff = self._gate_cutoff()
-        count = timeouts = 0
-        previous = start
-        for end in ends:
-            if count and previous >= cutoff:
-                self.stalled_at = count
-                break
-            if end > now or (aborting and end == now):
-                timeouts += 1  # in flight: its timeout would still fire
-                break
-            if end > previous:
-                timeouts += 1
-            self._apply_segment(count)
-            count += 1
-            previous = end
-        credit = timeouts - (1 if ends[-1] > start else 0)
-        credit += sum(self._segment_credit(index) for index in range(count))
-        self.env.credit_events(credit)
-        return count == len(ends)
+        ends = self._ends
+        ended = (bisect_left if aborting else bisect_right)(ends, self.env.now)
+        unlaunched = bisect_left(ends, self._gate_cutoff()) + 1
+        applied = min(ended, unlaunched)
+        return applied, applied == unlaunched < self.segments
+
+    def _settle(self, aborting: bool) -> None:
+        """Apply what the per-segment transfers would have applied by now,
+        crediting their timeouts beyond this transfer's one."""
+        start, self._sleep_start = self._sleep_start, None
+        applied, stalled = self._progress(aborting)
+        # Unbatched, an in-flight segment's timeout still fires.
+        launched = applied + (not stalled and applied < self.segments)
+        timeouts = launched - self._durations[:launched].count(0.0)
+        self.env.credit_events(timeouts - (self._ends[-1] > start))
+        self._apply_through(applied)
+        if stalled:
+            self._stall(applied)
+        elif applied == self.segments:
+            self._finish()
+
+    def _apply_through(self, stop: int) -> None:
+        """Apply the segments before *stop* that have not applied yet.
+
+        Credits what each dispatches unbatched: n arrivals, its transfer's
+        init and exit, and n op completions.
+        """
+        first = self._applied
+        if self._identity is None:
+            self._identity = self._is_identity()
+        if not self._identity:
+            for index in range(first, stop):
+                self._apply_segment(index)
+        self._applied = stop
+        self.env.credit_events((stop - first) * (2 * len(self.participants) + 2))
+
+    def _is_identity(self) -> bool:
+        """Whether every rank registered the same array for each segment
+        (see :func:`_apply_collective`)."""
+        payloads = iter(self._payloads.values())
+        arrays = next(payloads)[0]
+        return all(all(map(operator.is_, arrays, other))
+                   for other, _ in payloads)
+
+    def _apply_segment(self, index: int) -> None:
+        regs = {rank: _Registration(arrays[index], arrays[index], nbytes[index])
+                for rank, (arrays, nbytes) in self._payloads.items()}
+        regs.update((rank, regs[leader]) for rank, leader in self._likes.items())
+        _apply_collective("all_reduce", self.reduce_op, regs, self.participants)
+
+    def _stall(self, index: int) -> None:
+        self.stalled_at = index
+        when = self._ends[index - 1]
+        self._parked = sum(self._failed_by(stream, when)
+                           for stream in self._gates.values())
+        self.env.credit_events(-self._parked)
+
+    def _finish(self) -> None:
+        # The shared arrival and every rank's op completion dispatch for
+        # real: they stand for the last segment's.
+        self.env.credit_events(-(len(self.participants) + 1))
+        self._release()
+        self._complete()
+
+    def _release(self) -> None:
+        """Drop the payloads: a finished batch outlives its transfer."""
+        self._payloads = dict.fromkeys(self._payloads)
+
+    def _applied_now(self) -> int:
+        if self._sleep_start is not None:
+            return self._progress(aborting=True)[0]
+        return self._applied
+
+    def parked_since(self, rank: int) -> Optional[float]:
+        """When *rank*'s executor parked, unbatched: at the end of the last
+        segment applied, if its GPU had failed by then.  Its batched op
+        then hangs on when the batch is aborted, as its own would."""
+        applied = self._applied_now()
+        if applied:
+            when = self._ends[applied - 1]
+            if self._failed_by(self._gates.get(rank), when):
+                return when
+        return None
+
+    def unfinished_ops(self, rank: int) -> int:
+        """How many of *rank*'s unbatched ops fail with its batched op.
+
+        Unbatched, *rank*'s stream queues one op per segment: those of the
+        segments not applied fail, and so does the last applied one's if
+        the rank parked after it.
+        """
+        return (self.segments - self._applied_now()
+                + (self.parked_since(rank) is not None))
 
     # -- teardown -----------------------------------------------------------------------
 
     def abort(self, reason: str = "recovery") -> None:
         """Fail every blocked rank (used when recovery tears comms down).
 
-        A transfer in its single sleep first settles what applied by now.
+        A transfer in its single timeout first settles what applied by now.
         """
         if self.completed or self.aborted:
             return
-        if self._sleep is not None:
+        if self._sleep_start is not None:
             self._settle(aborting=True)
-        if self._process is not None and self._process.is_alive:
-            self._process.kill()
+        if self.stalled_at is not None and self._parked == len(self.participants):
+            # Every rank parked: unbatched, none arrives for the stalled
+            # segment, so no arrival event of it fails.
+            self.env.credit_events(-1)
+        self._release()
         super().abort(reason)

@@ -2,9 +2,10 @@
 
 ``sweep``
     Seeded fuzz sweep across strategies; exits non-zero on any failure.
-    Each check prints its verdict, then the run's final simulated clock
-    and its exact goodput-ledger buckets, so two sweeps' outputs differ
-    whenever their timing does.
+    Each check prints its verdict, then the run's final simulated clock,
+    its exact goodput-ledger buckets and its logical event count, so two
+    sweeps' outputs differ whenever their timing or their event
+    accounting does.
 ``replay``
     Re-run one JSON schedule under one strategy (the shrinker's repro
     command lands here).
@@ -65,13 +66,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def progress_line(verdict: Verdict) -> str:
-    """A sweep check's verdict, final clock and exact ledger buckets."""
+    """A sweep check's verdict, final clock, exact ledger buckets and
+    logical event count."""
     ledger = verdict.ledger
     if ledger is None:
         return verdict.describe()
     buckets = " ".join(f"{name}={ledger.buckets[name]}" for name in BUCKETS)
     return (f"{verdict.describe()}\n    clock={ledger.wall_time!r} "
-            f"{buckets}")
+            f"{buckets} events={verdict.events}")
 
 
 def main(argv=None) -> int:

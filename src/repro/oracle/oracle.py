@@ -12,7 +12,7 @@ strategy and aggregates verdicts for reporting.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 from repro.hardware.specs import V100_NODE
@@ -49,6 +49,8 @@ class Verdict:
     violations: tuple[Violation, ...] = ()
     #: Goodput ledger of the checked run (always built).
     ledger: Optional[GoodputLedger] = None
+    #: Logical simulator events of the checked run.
+    events: Optional[int] = None
     #: Builds :attr:`flight_dump` from this verdict; set only when the
     #: check failed.
     replay: Optional[Callable[["Verdict"], str]] = field(
@@ -190,19 +192,18 @@ class RecoveryOracle:
         for bucket, amount in ledger.buckets.items():
             self.goodput_buckets[bucket] = self.goodput_buckets[bucket] + amount
         violations = tuple(check_all(run, self.golden(strategy)))
-        replay = (partial(self._replay_dump, events=run.events)
-                  if violations else None)
+        replay = self._replay_dump if violations else None
         run.release()
         return Verdict(strategy=strategy, schedule=schedule,
                        outcome=_outcome(run, violations),
-                       violations=violations, ledger=ledger, replay=replay)
+                       violations=violations, ledger=ledger,
+                       events=run.events, replay=replay)
 
-    def _replay_dump(self, verdict: Verdict, events: int) -> str:
+    def _replay_dump(self, verdict: Verdict) -> str:
         """Flight dump of *verdict*'s check, from a fully traced re-run.
 
         The re-run is judged like the check; if its outcome, violations,
-        event count (*events* is the check's) or ledger differ, the
-        dump's first line says which.
+        event count or ledger differ, the dump's first line says which.
         """
         strategy = verdict.strategy
         run = run_strategy(strategy, self.spec, verdict.schedule,
@@ -216,7 +217,7 @@ class RecoveryOracle:
                  "ledger": ledger}
         run.release()
         then = {"outcome": verdict.outcome, "violations": verdict.violations,
-                "events": events, "ledger": verdict.ledger}
+                "events": verdict.events, "ledger": verdict.ledger}
         differ = [name for name in again if again[name] != then[name]]
         if differ:
             dump = (f"!!! the traced replay did not reproduce the check: "

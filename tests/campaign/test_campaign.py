@@ -231,14 +231,18 @@ def test_content_hash_covers_code_fingerprint(monkeypatch):
     assert spec.content_hash() != base
 
 
-def test_content_hash_covers_fastpath_toggle(monkeypatch):
+@pytest.mark.parametrize("switch", ["fast_path", "dedup"])
+def test_content_hash_covers_each_switch(switch):
+    """Either switch claims bitwise equivalence; the cache must never
+    serve a result across it, so flipping it changes every hash."""
     from repro import flags
 
     spec = ScenarioSpec(seed=5)
-    monkeypatch.setattr(flags, "fast_path", True)
-    fast = spec.content_hash()
-    monkeypatch.setattr(flags, "fast_path", False)
-    assert spec.content_hash() != fast
+    with flags.override(**{switch: True}):
+        on = spec.content_hash()
+    with flags.override(**{switch: False}):
+        off = spec.content_hash()
+    assert on != off
 
 
 def test_source_edit_outside_kernel_misses_cache(tmp_path, monkeypatch):

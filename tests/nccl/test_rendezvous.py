@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cuda import BufferKind, CudaApiError
-from repro.nccl import NcclError, ReduceOp
+from repro.nccl import NcclError, NcclOpMismatch, ReduceOp
 from repro.nccl.rendezvous import _reduce
 from repro.parallel.topology import ParallelLayout
 from repro.workloads import TrainingJob
@@ -163,3 +163,78 @@ def test_abort_fails_every_pending_instance():
     env.run(until=3.0)
     assert len(errors) == 1
     assert streams[0].aborted      # its blocked executor woke with an error
+
+
+# -- batched rendezvous ----------------------------------------------------------------
+
+
+def _batch_bufs(contexts, sizes=(3, 17, 5), seed=0):
+    rng = np.random.default_rng(seed)
+    return [[ctx.malloc(rng.standard_normal(size) * 10.0 ** rng.uniform(-4, 4),
+                        BufferKind.GRADIENT) for size in sizes]
+            for ctx in contexts]
+
+
+@pytest.mark.parametrize("num_nodes", [1, 2])
+def test_batched_all_reduce_creates_no_process(monkeypatch, num_nodes):
+    """Timeout callbacks drive a batch's transfer, on one node and across
+    two: launching it starts no simulator process."""
+    from repro.sim import Environment
+
+    env, _, contexts, _, comm = make_world(4, num_nodes)
+    streams = [ctx.create_stream() for ctx in contexts]
+    bufs = _batch_bufs(contexts)
+    started = []
+    process = Environment.process
+
+    def spy(self, generator, name=""):
+        started.append(name)
+        return process(self, generator, name)
+
+    monkeypatch.setattr(Environment, "process", spy)
+    ops = [comm.all_reduce_batch(r, bufs[r], streams[r]) for r in range(4)]
+    env.run(until=1.0)
+    assert ops[0].rendezvous.completed
+    assert started == []
+
+
+def _mixed_batch(like: bool):
+    """Ranks 1 and 2 hold rank 0's payloads: registered as its replicas
+    when *like*, else as their own copies.  Rank 3 registers its own."""
+    env, _, contexts, _, comm = make_world(4)
+    streams = [ctx.create_stream() for ctx in contexts]
+    bufs = _batch_bufs(contexts)
+    for r in (1, 2):
+        for mine, leader in zip(bufs[r], bufs[0]):
+            mine.array[...] = leader.array
+    batch = comm.all_reduce_batch(0, bufs[0], streams[0],
+                                  op=ReduceOp.MEAN).rendezvous
+    if like:
+        for r in (1, 2):
+            comm.follow(r, [batch], leader=0, stream=streams[r])
+            batch.arrive(r)
+    else:
+        for r in (1, 2):
+            comm.all_reduce_batch(r, bufs[r], streams[r], op=ReduceOp.MEAN)
+    comm.all_reduce_batch(3, bufs[3], streams[3], op=ReduceOp.MEAN)
+    env.run(until=1.0)
+    assert batch.completed
+    return [[buf.array.tobytes() for buf in bufs[r]] for r in (0, 3)], env.now
+
+
+def test_replicas_registered_like_their_leader_reduce_like_own_payloads():
+    """Two ranks registered as replicas of the leader and one with its own
+    payloads reduce bitwise as if every rank had registered its own."""
+    assert _mixed_batch(like=True) == _mixed_batch(like=False)
+
+
+def test_register_like_needs_a_registered_leader():
+    env, _, contexts, _, comm = make_world(3)
+    streams = [ctx.create_stream() for ctx in contexts]
+    bufs = _batch_bufs(contexts)
+    batch = comm.all_reduce_batch(0, bufs[0], streams[0]).rendezvous
+    with pytest.raises(NcclOpMismatch):
+        batch.register_like(2, leader=1)
+    single = comm.all_reduce(0, bufs[0][0], streams[0]).rendezvous
+    with pytest.raises(NcclOpMismatch):
+        single.register_like(2, leader=1)

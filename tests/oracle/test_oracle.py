@@ -124,6 +124,15 @@ def test_cli_replay_round_trip(capsys):
     assert "exact" in out
 
 
+def test_sweep_progress_line_reports_logical_events():
+    from repro.oracle.__main__ import progress_line
+
+    oracle = RecoveryOracle(iterations=ITERS)
+    verdict = oracle.check(SINGLE, "transparent")
+    assert verdict.events == oracle.events_processed > 0
+    assert progress_line(verdict).endswith(f" events={verdict.events}")
+
+
 def test_campaign_oracle_scenario_executes():
     from repro.campaign.runner import execute_scenario
     from repro.campaign.spec import KIND_ORACLE, ORACLE_WORKLOAD, ScenarioSpec

@@ -553,43 +553,65 @@ def _batch_ends(comm) -> list[float]:
     return ends
 
 
-def _mid_batch_run(fast, fail_at=None, abort_at=None):
-    """Four ranks all-reduce a five-segment batch; rank 2's GPU may die at
-    ``fail_at(ends)`` and the communicator be aborted at ``abort_at(ends)``."""
+def _mid_batch_run(batched, fail_at=None, abort_at=None, num_nodes=1,
+                   link_down_at=None, link_up_at=None, fail_ranks=(2,)):
+    """Four ranks all-reduce five buckets, as one batch or one all-reduce
+    each.  The GPUs of *fail_ranks* may die at ``fail_at(ends)``, the
+    communicator be aborted at ``abort_at(ends)``, and (across two nodes)
+    node 1's uplink go down at ``link_down_at(ends)`` and come back at
+    ``link_up_at(ends)``; ``ends`` are the segment ends of an undisturbed
+    batch."""
     from repro.cuda import BufferKind, CudaContext
-    from repro.hardware import Cluster, ClusterSpec, GpuHealth
+    from repro.hardware import Cluster, ClusterSpec, GpuHealth, LinkHealth
     from repro.nccl import CollectiveCostModel, NcclWorld, RankHandle, ReduceOp
 
-    with flags.override(fast_path=fast):
-        env = Environment()
-        cluster = Cluster(env, ClusterSpec(num_nodes=1))
-        node = cluster.nodes[0]
-        contexts = [CudaContext(env, node.gpus[rank], node) for rank in range(4)]
-        comm = NcclWorld(env, fabric=cluster.fabric).create_communicator(
-            "dp", [RankHandle(rank, ctx) for rank, ctx in enumerate(contexts)],
-            CollectiveCostModel(bandwidth=1e6, latency=1e-6))
-        bufs = [[ctx.malloc(np.arange(size) * (rank + 1) / 7.0,
-                            BufferKind.GRADIENT) for size in _BATCH_SIZES]
-                for rank, ctx in enumerate(contexts)]
-        ends = _batch_ends(comm)
+    env = Environment()
+    cluster = Cluster(env, ClusterSpec(num_nodes=num_nodes))
+    nodes = cluster.nodes
+    gpus = [nodes[rank % num_nodes].gpus[rank // num_nodes]
+            for rank in range(4)]
+    contexts = [CudaContext(env, gpu, nodes[rank % num_nodes])
+                for rank, gpu in enumerate(gpus)]
+    comm = NcclWorld(env, fabric=cluster.fabric).create_communicator(
+        "dp", [RankHandle(rank, ctx) for rank, ctx in enumerate(contexts)],
+        CollectiveCostModel(bandwidth=1e6, latency=1e-6))
+    bufs = [[ctx.malloc(np.arange(size) * (rank + 1) / 7.0,
+                        BufferKind.GRADIENT) for size in _BATCH_SIZES]
+            for rank, ctx in enumerate(contexts)]
+    ends = _batch_ends(comm)
 
-        def at(when, action):
-            yield env.timeout(when)
-            action()
+    def at(when, action):
+        yield env.timeout(when)
+        action()
 
-        if fail_at is not None:
-            env.process(at(fail_at(ends),
-                           lambda: node.gpus[2].fail(GpuHealth.DEAD)))
-        if abort_at is not None:
-            env.process(at(abort_at(ends), comm.abort))
+    def fail():
+        for rank in fail_ranks:
+            gpus[rank].fail(GpuHealth.DEAD)
+
+    uplink = cluster.fabric.uplink(nodes[-1].name)
+    for when, action in ((fail_at, fail),
+                         (abort_at, comm.abort),
+                         (link_down_at, lambda: uplink.fail(LinkHealth.DOWN)),
+                         (link_up_at, uplink.repair)):
+        if when is not None:
+            env.process(at(when(ends), action))
+    if batched:
         ops = [comm.all_reduce_batch(rank, bufs[rank], ctx.create_stream(),
                                      op=ReduceOp.MEAN)
                for rank, ctx in enumerate(contexts)]
-        env.run(until=1.0)
-        instance = ops[0].rendezvous
-        data = [buf.array.tobytes() for rank_bufs in bufs for buf in rank_bufs]
-        return (data, instance.stalled_at, instance.completed, env.now,
-                env.events_processed)
+    else:
+        streams = [ctx.create_stream() for ctx in contexts]
+        ops = [[comm.all_reduce(rank, buf, streams[rank], op=ReduceOp.MEAN)
+                for buf in bufs[rank]][-1] for rank in range(4)]
+    env.run(until=1.0)
+    data = [buf.array.tobytes() for rank_bufs in bufs for buf in rank_bufs]
+    # When each rank's last bucket landed (None if it never did).
+    landed = [op.finished_at for op in ops]
+    observed = (data, landed, env.now, env.events_processed)
+    if not batched:
+        return observed
+    instance = ops[0].rendezvous
+    return observed, (instance.stalled_at, instance.completed)
 
 
 def _before(when):
@@ -614,14 +636,93 @@ def _after(when):
         "abort-at-boundary", "fail-then-abort"])
 def test_failure_mid_batch_settles_exactly_like_each_segment(
         fail_at, abort_at, stalled_at, completed):
-    """A GPU death or an abort inside a batched all-reduce's single sleep
-    applies exactly the segments, and credits exactly the events, of the
-    per-segment transfer the fast path replaces."""
-    fast = _mid_batch_run(True, fail_at, abort_at)
-    slow = _mid_batch_run(False, fail_at, abort_at)
+    """A GPU death or an abort inside a batched all-reduce's single
+    timeout applies exactly the segments, reaches exactly the clock and
+    counts exactly the logical events of the unbatched all-reduces the
+    batch replaces."""
+    batched, state = _mid_batch_run(True, fail_at, abort_at)
+    assert batched == _mid_batch_run(False, fail_at, abort_at)
+    assert state == (stalled_at, completed)
+
+
+@pytest.mark.parametrize("num_nodes", [1, 2])
+def test_every_gpu_dying_mid_batch_counts_like_each_segment(num_nodes):
+    """Every rank parks after the segment in flight (a node crash), so
+    unbatched no rank arrives for the next segment and no arrival event
+    of it fails at the abort; the batch counts the same."""
+    kwargs = dict(fail_at=lambda ends: (ends[0] + ends[1]) / 2,
+                  abort_at=lambda ends: ends[3], num_nodes=num_nodes,
+                  fail_ranks=range(4))
+    batched, state = _mid_batch_run(True, **kwargs)
+    assert batched == _mid_batch_run(False, **kwargs)
+    assert state == (2, False)
+
+
+@pytest.mark.parametrize("link_down_at,link_up_at,fail_at,abort_at,state", [
+    (None, None, None, None, (None, True)),
+    (lambda ends: (ends[0] + ends[1]) / 2, lambda ends: ends[1] + 0.12,
+     None, None, (None, True)),
+    (lambda ends: (ends[0] + ends[1]) / 2, None,
+     None, lambda ends: ends[1] + 0.07, (None, False)),
+    (lambda ends: 0.0, lambda ends: 0.2, None, None, (None, True)),
+    (lambda ends: (ends[0] + ends[1]) / 2, lambda ends: ends[1] + 0.12,
+     lambda ends: ends[1] + 0.01, lambda ends: 0.5, (2, False)),
+], ids=["clean", "flap-mid-segment", "abort-while-polling",
+        "down-at-launch", "flap-then-fail-then-abort"])
+def test_two_node_batch_pays_a_flapped_segment_again_like_each_segment(
+        link_down_at, link_up_at, fail_at, abort_at, state):
+    """Across nodes the batch pays one segment after another, polling the
+    fabric: a segment whose uplink goes down mid-transfer is paid again
+    once the link is back, and an abort while the transfer polls a downed
+    link stops it.  Data, clock and logical events equal the unbatched
+    all-reduces'."""
+    kwargs = dict(fail_at=fail_at, abort_at=abort_at, num_nodes=2,
+                  link_down_at=link_down_at, link_up_at=link_up_at)
+    batched, batch_state = _mid_batch_run(True, **kwargs)
+    assert batched == _mid_batch_run(False, **kwargs)
+    assert batch_state == state
+
+
+def _stalled_ddp_run(fast, dedup, fail_at):
+    """dp=4 DDP whose rank 3 GPU dies at *fail_at*; runs to t=3."""
+    from repro.hardware import GpuHealth
+    from repro.oracle import default_oracle_spec
+    from repro.workloads import TrainingJob
+
+    with flags.override(fast_path=fast, dedup=dedup):
+        job = TrainingJob(default_oracle_spec())
+        env = job.env
+
+        def worker(engine):
+            yield from engine.setup()
+            yield from engine.train(2)
+
+        def failer():
+            yield env.timeout(fail_at)
+            job.engines[3].api.ctx.gpu.fail(GpuHealth.DEAD)
+
+        for engine in job.engines:
+            env.process(worker(engine))
+        env.process(failer())
+        env.run(until=3.0)
+        stalled = [instance.stalled_at
+                   for comm in job.nccl_world.communicators
+                   for instance in comm._instances.values()
+                   if getattr(instance, "stalled_at", None) is not None]
+        losses = [list(engine.loss_history) for engine in job.engines]
+        return (losses, env.now, env.events_processed), stalled
+
+
+@pytest.mark.parametrize("dedup", [True, False], ids=["dedup", "no-dedup"])
+@pytest.mark.parametrize("fail_at", [1.414, 1.450])
+def test_stalled_ddp_batch_counts_the_unbatched_events(fail_at, dedup):
+    """A GPU death inside a DDP layer group's batched all-reduce stalls
+    the batch; losses, clock and logical events equal the fast-off run's,
+    whose all-reduces are unbatched."""
+    fast, stalled = _stalled_ddp_run(True, dedup, fail_at)
+    assert stalled, "the failure must land inside a batch"
+    slow, _ = _stalled_ddp_run(False, dedup, fail_at)
     assert fast == slow
-    _, fast_stalled, fast_completed, _, _ = fast
-    assert (fast_stalled, fast_completed) == (stalled_at, completed)
 
 
 def test_oracle_grid_exact_for_all_strategies_fast_on_and_off():
@@ -633,16 +734,21 @@ def test_oracle_grid_exact_for_all_strategies_fast_on_and_off():
 
     schedule = FailureSchedule(points=(
         FailurePoint(2, "GPU_HARD", 1, offset=0.4),))
-    goldens = {}
+    goldens, events = {}, {}
     for fast in (True, False):
         with flags.override(fast_path=fast):
             oracle = RecoveryOracle(iterations=8)
+            events[fast] = {}
             for strategy in STRATEGIES:
                 verdict = oracle.check(schedule, strategy)
                 assert verdict.passed, (fast, verdict.describe())
+                events[fast][strategy] = verdict.events
             goldens[fast] = {strategy: oracle.golden(strategy)
                              for strategy in STRATEGIES}
     assert goldens[True] == goldens[False]
+    # Batched all-reduces torn down by recovery count the events of the
+    # unbatched ones they replace.
+    assert events[True] == events[False]
 
 
 # -- replica-dedup bitwise equivalence -------------------------------------------------
