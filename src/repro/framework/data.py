@@ -10,9 +10,11 @@ frozen linear teacher), so training loss genuinely decreases and loss
 curves are meaningful for the semantics-preservation experiments.
 
 Being pure, both are shared rather than recomputed: the teacher is drawn
-once per process for each (seed, features, classes), and a dataset keeps
-its newest global minibatch, so every rank of a job slices the one batch
-the iteration draws.  Both come back read-only.
+once per process for each (seed, features, classes), and each global
+minibatch once per process for each (seed, features, classes, global
+batch, iteration), so every rank of a job, and every restarted generation,
+oracle check and campaign scenario of the same workload, slices the one
+batch the iteration drew.  Both come back read-only.
 """
 
 from __future__ import annotations
@@ -30,6 +32,19 @@ def _teacher(seed: int, n_features: int, n_classes: int) -> np.ndarray:
     return teacher
 
 
+# 256 batches cover every iteration the oracle's and campaigns' runs
+# repeat, at ~2.2 KB each for the catalog's width and batch (16 x 16).
+@functools.lru_cache(maxsize=256)
+def _minibatch(seed: int, n_features: int, n_classes: int, global_batch: int,
+               iteration: int) -> tuple[np.ndarray, np.ndarray]:
+    rng = np.random.Generator(np.random.Philox(key=seed, counter=iteration))
+    x = rng.standard_normal((global_batch, n_features))
+    y = np.argmax(x @ _teacher(seed, n_features, n_classes), axis=1)
+    x.flags.writeable = False
+    y.flags.writeable = False
+    return x, y
+
+
 class SyntheticDataset:
     """Classification batches: ``x ~ N(0,1)``, ``y = argmax(x @ T)``."""
 
@@ -40,29 +55,22 @@ class SyntheticDataset:
         self.n_classes = n_classes
         self.global_batch = global_batch
         self._teacher = _teacher(seed, n_features, n_classes)
-        #: (iteration, x, y) of the newest batch drawn.
-        self._newest: tuple = (None, None, None)
 
     def global_minibatch(self, iteration: int) -> tuple[np.ndarray, np.ndarray]:
         """The full (un-sharded) batch for *iteration*, read-only."""
-        newest, x, y = self._newest
-        if newest == iteration:
-            return x, y
-        rng = np.random.Generator(np.random.Philox(key=self.seed,
-                                                   counter=iteration))
-        x = rng.standard_normal((self.global_batch, self.n_features))
-        y = np.argmax(x @ self._teacher, axis=1)
-        x.flags.writeable = False
-        y.flags.writeable = False
-        self._newest = (iteration, x, y)
-        return x, y
+        return _minibatch(self.seed, self.n_features, self.n_classes,
+                          self.global_batch, iteration)
+
+    def check_shards(self, dp_world: int) -> None:
+        """Raise ValueError unless *dp_world* ranks split the batch evenly."""
+        if self.global_batch % dp_world:
+            raise ValueError(
+                f"global batch {self.global_batch} not divisible by dp={dp_world}")
 
     def shard(self, iteration: int, dp_rank: int,
               dp_world: int) -> tuple[np.ndarray, np.ndarray]:
         """This data-parallel rank's equal slice of the global batch."""
-        if self.global_batch % dp_world:
-            raise ValueError(
-                f"global batch {self.global_batch} not divisible by dp={dp_world}")
+        self.check_shards(dp_world)
         x, y = self.global_minibatch(iteration)
         per_rank = self.global_batch // dp_world
         lo = dp_rank * per_rank

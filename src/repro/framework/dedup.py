@@ -10,7 +10,7 @@ a DP group reference one canonical parameter/gradient/moment arena, and
 the replicated numpy math executes once per group instead of once per
 rank.
 
-Three sharing levels:
+Four sharing levels:
 
 * **Arena sharing** (all engines): parameters and optimizer moments are
   one canonical allocation; the optimizer step — whose inputs are bitwise
@@ -51,6 +51,19 @@ Three sharing levels:
     (:meth:`ReplicaArena.sync_markers`); a synchronize ends only the
     rides of the members riding ops still queued on the syncing member's
     own streams.
+* **Served math** (group math, process-wide): exact recovery re-executes
+  the failure-free trajectory, so restarted generations, oracle checks
+  and campaign scenarios meet the same weights with the same minibatch
+  again and again.  An iteration's first forward kernel digests the
+  group's shape, parameters and batch (:meth:`ReplicaArena.math_digest`);
+  an iteration whose digest a completed one had takes that iteration's
+  member losses and reduced gradients from a process-wide memo
+  (:data:`SERVED`) instead of recomputing them.  Its kernels still
+  run at the same instants; only their numpy work disappears.  Only
+  whole iterations are published, when the last backward completes, and
+  a state one ulp off digests differently.  A validation rerun always
+  recomputes (the paper's Section 4.1 check must re-execute), and so
+  does an arena dissolved for in-place recovery.
 
 Sharing is *copy-on-write*: the moment a rank diverges — its GPU bumps
 its epoch (failure, driver reset), or state is loaded into it — the
@@ -88,7 +101,10 @@ failure settlement.  The switch is :data:`repro.flags.dedup`
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import weakref
+from collections import OrderedDict
 from functools import partial
 from typing import Optional
 
@@ -190,6 +206,64 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Bitwise equality; ``np.array_equal`` equates 0.0 with -0.0."""
     return (a.dtype == b.dtype and a.shape == b.shape
             and a.tobytes() == b.tobytes())
+
+
+#: Bytes of completed group-math iterations :data:`SERVED` keeps.  An
+#: oracle checks every schedule against two golden trajectories (Adam, and
+#: Swift's invertible SGD) of 20 iterations by default; at GPT2-S an
+#: iteration is ~44 KB (5,480 float64 gradients), so those 40 take
+#: ~1.75 MB.  2 MiB holds them with a few iterations to spare, and bounds
+#: what the memo adds to a process's peak memory.
+SERVED_BYTES = 2 << 20
+
+
+class ServedMath:
+    """Completed group-math iterations by content digest, least recently
+    used first out once they hold more than *limit* bytes.
+
+    An entry is ``(losses, grads)``: the member losses and every reduced
+    gradient by arena name, all read-only copies of what the group's math
+    computed.
+    """
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        self.nbytes = 0
+        self._entries: OrderedDict[bytes, tuple] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, digest: bytes) -> Optional[tuple]:
+        entry = self._entries.get(digest)
+        if entry is not None:
+            self._entries.move_to_end(digest)
+        return entry
+
+    def put(self, digest: bytes, losses: np.ndarray, grads: dict) -> None:
+        if digest in self._entries:
+            self._entries.move_to_end(digest)
+            return
+        for array in (losses, *grads.values()):
+            array.flags.writeable = False
+        self._entries[digest] = (losses, grads)
+        self.nbytes += _entry_bytes(losses, grads)
+        while self.nbytes > self.limit:
+            _, (old_losses, old_grads) = self._entries.popitem(last=False)
+            self.nbytes -= _entry_bytes(old_losses, old_grads)
+
+    def _clear(self) -> None:
+        """Forget every entry (tests start from a cold memo)."""
+        self._entries.clear()
+        self.nbytes = 0
+
+
+def _entry_bytes(losses: np.ndarray, grads: dict) -> int:
+    return losses.nbytes + sum(grad.nbytes for grad in grads.values())
+
+
+#: The process's served group math (see "Served math" above).
+SERVED = ServedMath(SERVED_BYTES)
 
 
 class MemberOptimizer:
@@ -393,6 +467,9 @@ class ReplicaArena:
         #: points them at ``grad_arrays``: views of one zero buffer, never
         #: written.
         self.grad_zeros = _zero_views(self.params) if group_math else None
+        #: What the group's math is besides its parameters' values and
+        #: batch (see :meth:`math_digest`).
+        self._signature = self._math_signature() if group_math else None
         #: (iteration, buffers) aliasing ``grad_arrays``, newest two.
         self._grad_views: list[tuple[int, dict]] = []
         #: Recent iterations some member enqueued on group math.
@@ -1150,6 +1227,31 @@ class ReplicaArena:
                 self._rerun = (None, None)
         return memo
 
+    def _math_signature(self) -> bytes:
+        """Parameter names, shapes and dtypes, each block's kind and
+        static fields, and the member count: built once per arena."""
+        engine = self.engines[0]
+        blocks = []
+        for block in engine.blocks:
+            arrays = set(block.names())
+            blocks.append((type(block).__name__, tuple(
+                (field.name, getattr(block, field.name))
+                for field in dataclasses.fields(block)
+                if field.name not in arrays)))
+        params = tuple((name, array.shape, array.dtype.str)
+                       for name, array in self.params.items())
+        return repr((params, tuple(blocks), len(self.engines))).encode()
+
+    def math_digest(self, x: np.ndarray, y: np.ndarray) -> bytes:
+        """Content key of an iteration's group math: its signature, every
+        canonical parameter's bytes, and the batch *x* with labels *y*."""
+        digest = hashlib.sha256(self._signature)
+        for array in self.params.values():
+            digest.update(array)
+        digest.update(x)
+        digest.update(y)
+        return digest.digest()
+
     def group_forward(self, iteration: int, index: int, block,
                       inputs) -> None:
         """Forward for layer *index*, computed once on the full batch.
@@ -1161,10 +1263,15 @@ class ReplicaArena:
         validation reads its leader's rows from *inputs*, the leader's
         input buffer, which the validation re-initialised and re-uploaded
         (a rider's kernel passes None: it never runs in a validation).
+
+        Layer 0 digests the iteration, when its kernel runs and the
+        parameters hold the previous step; a digest :data:`SERVED` holds
+        serves the whole iteration, and every other digest's math is
+        published once its last backward completes.
         """
         memo = self._step_memo(iteration)
         key = ("fwd", index)
-        if key in memo:
+        if key in memo or "served" in memo:
             return
         if index > 0:
             src = memo[("fwd", index - 1)][0]
@@ -1177,6 +1284,16 @@ class ReplicaArena:
                 start = self.engines[member].dp_rank * rows
                 x = x.copy()
                 x[start:start + rows] = inputs.array
+            elif not self.dissolved:
+                # A dissolved arena's members hold private state that
+                # recovery may be rewriting: its math is neither served
+                # nor published (see ``group_block_backward``).
+                digest = self.math_digest(x, y)
+                served = SERVED.get(digest)
+                if served is not None:
+                    memo["served"] = served
+                    return
+                memo["digest"], memo["grads"] = digest, {}
             memo["batch"] = x, y
             src = x
         memo[key] = block.forward(src)
@@ -1199,9 +1316,13 @@ class ReplicaArena:
         memo = self._step_memo(iteration)
         losses = memo.get("head_losses")
         if losses is None:
-            src = memo[("fwd", n_blocks - 1)][0]
-            losses, memo["head_cache"] = OutputHead.forward(
-                src, head, memo["batch"][1], k=len(self.engines))
+            served = memo.get("served")
+            if served is not None:
+                losses = served[0]
+            else:
+                src = memo[("fwd", n_blocks - 1)][0]
+                losses, memo["head_cache"] = OutputHead.forward(
+                    src, head, memo["batch"][1], k=len(self.engines))
             memo["head_losses"] = losses
         return float(losses[member])
 
@@ -1211,11 +1332,12 @@ class ReplicaArena:
         memo = self._step_memo(iteration)
         if "head_bwd" in memo:
             return
-        dx, grads = OutputHead.backward(memo["head_cache"], head,
-                                        k=len(self.engines))
-        memo[("dy", n_blocks - 1)] = dx
-        for name, member_grads in grads.items():
-            self._reduce_into(f"head.{name}", member_grads)
+        if not self._serve(memo, "head.", head.names()):
+            dx, grads = OutputHead.backward(memo["head_cache"], head,
+                                            k=len(self.engines))
+            memo[("dy", n_blocks - 1)] = dx
+            for name, member_grads in grads.items():
+                self._reduce_into(memo, f"head.{name}", member_grads)
         memo["head_bwd"] = True
 
     def group_block_backward(self, iteration: int, index: int, block) -> None:
@@ -1226,20 +1348,38 @@ class ReplicaArena:
         bitwise with per-shard backward), and each parameter gradient
         comes back stacked over a leading member axis whose slices are
         bitwise each member's own; they are mean-reduced into the arena.
+        Layer 0 completes the iteration, which is then published.
         """
         memo = self._step_memo(iteration)
         key = ("bwd", index)
         if key in memo:
             return
+        if self._serve(memo, f"layer{index}.", block.names()):
+            memo[key] = True
+            return
         dx, grads = block.backward_full(memo[("dy", index)],
                                         memo[("fwd", index)][1],
                                         k=len(self.engines))
         for name, member_grads in grads.items():
-            self._reduce_into(f"layer{index}.{name}", member_grads)
+            self._reduce_into(memo, f"layer{index}.{name}", member_grads)
         memo[("dy", index - 1)] = dx
         memo[key] = True
+        if index == 0 and "digest" in memo and not self.dissolved:
+            SERVED.put(memo["digest"], memo["head_losses"].copy(),
+                       memo["grads"])
 
-    def _reduce_into(self, name: str, member_grads: np.ndarray) -> None:
+    def _serve(self, memo: dict, prefix: str, names: list) -> bool:
+        """Copy a served iteration's reduced gradients of *names* into the
+        arena, keeping the arrays every member's buffers alias."""
+        served = memo.get("served")
+        if served is None:
+            return False
+        for name in names:
+            np.copyto(self.grad_arrays[prefix + name], served[1][prefix + name])
+        return True
+
+    def _reduce_into(self, memo: dict, name: str,
+                     member_grads: np.ndarray) -> None:
         """Mean-reduce stacked per-member grads into the shared arena.
 
         ``member_grads`` is the contiguous ``(world, ...)`` batch whose
@@ -1248,10 +1388,14 @@ class ReplicaArena:
         reduction (bitwise ``np.stack([...]).mean(axis=0)``), so the
         collective's subsequent data application is an exact identity
         (and is skipped via the object-identity fast path in
-        :mod:`repro.nccl.rendezvous`).
+        :mod:`repro.nccl.rendezvous`).  A digested iteration keeps a copy
+        to publish.
         """
         # add.reduce + in-place divide is bitwise np.mean (same umath sum
         # then true_divide) with about half the Python dispatch overhead.
         out = self.grad_arrays[name]
         np.add.reduce(member_grads, axis=0, out=out)
         out /= member_grads.shape[0]
+        grads = memo.get("grads")
+        if grads is not None:
+            grads[name] = out.copy()

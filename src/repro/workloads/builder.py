@@ -84,6 +84,10 @@ class TrainingJob:
         self.rank_comms: list[dict[str, Optional[NcclCommunicator]]] = [
             {} for _ in range(world_size)
         ]
+        # Checked before any engine exists, as a sharding engine would on
+        # its first iteration: a job that cannot shard must not build.
+        self.dataset.check_shards(spec.layout.dp if spec.engine == "3d"
+                                  else world_size)
         from repro.framework import dedup
 
         #: member rank -> its replica group's leader rank: the ranks whose

@@ -157,6 +157,23 @@ def test_microbatches_split_shard():
     np.testing.assert_array_equal(np.concatenate([x for x, _ in micro]), x_shard)
 
 
+def test_minibatch_drawn_once_per_process():
+    """Datasets with equal arguments return the identical, read-only
+    arrays: a restarted generation or an oracle check reuses the batch
+    the first job drew instead of redrawing it."""
+    first = SyntheticDataset(seed=3, n_features=8, n_classes=4, global_batch=8)
+    second = SyntheticDataset(seed=3, n_features=8, n_classes=4,
+                              global_batch=8)
+    for iteration in (0, 5):
+        x, y = first.global_minibatch(iteration)
+        again_x, again_y = second.global_minibatch(iteration)
+        assert again_x is x and again_y is y
+        assert not x.flags.writeable and not y.flags.writeable
+    assert first.global_minibatch(0)[0] is not first.global_minibatch(5)[0]
+    other = SyntheticDataset(seed=4, n_features=8, n_classes=4, global_batch=8)
+    assert other.global_minibatch(0)[0] is not first.global_minibatch(0)[0]
+
+
 def test_labels_follow_frozen_teacher():
     ds = SyntheticDataset(seed=9, n_features=8, n_classes=4, global_batch=8)
     x, y = ds.global_minibatch(0)

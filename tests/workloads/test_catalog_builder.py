@@ -69,6 +69,28 @@ def test_builder_rejects_oversized_jobs():
         TrainingJob(spec, spare_nodes=0)
 
 
+@pytest.mark.parametrize("dedup_on", [True, False], ids=["dedup", "private"])
+def test_builder_rejects_an_indivisible_global_batch(dedup_on, monkeypatch):
+    """dp=12 cannot split 16 samples: the job refuses to build, with or
+    without replica arenas, before any engine or simulation exists."""
+    from repro import flags
+    from repro.parallel.ddp import DataParallelEngine
+    from repro.sim import Environment
+
+    built = []
+    monkeypatch.setattr(DataParallelEngine, "__init__",
+                        lambda *args, **kwargs: built.append(args))
+    env = Environment()
+    spec = make_spec(layout=ParallelLayout(dp=12), num_nodes=2,
+                     global_batch=16)
+    with flags.override(dedup=dedup_on):
+        with pytest.raises(ValueError,
+                           match="global batch 16 not divisible by dp=12"):
+            TrainingJob(spec, env=env)
+    assert not built
+    assert env.events_processed == 0 and env.now == 0
+
+
 def test_builder_places_node_major():
     spec = make_spec(layout=ParallelLayout(dp=12), num_nodes=2,
                      global_batch=24)
