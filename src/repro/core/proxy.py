@@ -62,8 +62,8 @@ from repro.parallel.deviceapi import _RIDE_SCRATCH, DeviceApi
 class _Ride:
     """One iteration this rank rode on a replica's timeline."""
 
-    __slots__ = ("step", "minibatch", "events", "optimizer", "validation",
-                 "records", "step_bufs", "freed")
+    __slots__ = ("step", "minibatch", "events", "optimizer", "records",
+                 "step_bufs", "freed")
 
     def __init__(self, step, minibatch: int, events: list):
         #: The engine's handle on the iteration (``expand``, ``replayed``).
@@ -73,8 +73,6 @@ class _Ride:
         self.events = events
         #: Whether the rank rode the iteration's optimizer batch too.
         self.optimizer = False
-        #: The replica's validation the rank rode with it, if any.
-        self.validation = None
         #: Expanded forward/backward (and ridden optimizer) records.
         self.records: Optional[list] = None
         self.step_bufs: list = []
@@ -92,25 +90,6 @@ class _Capture:
     def append(self, record: ApiRecord) -> None:
         record.minibatch = self.minibatch
         self.records.append(record)
-
-
-class _GroupValidation:
-    """A leader's replay-log validation its replicas ride.
-
-    *check* compares the leader's checksums; the result is read once,
-    by the first of the leader's or a replica's last kernel to execute.
-    """
-
-    __slots__ = ("check", "ok")
-
-    def __init__(self, check):
-        self.check = check
-        self.ok = None
-
-    def deliver(self, proxy: "DeviceProxyApi") -> None:
-        if self.ok is None:
-            self.ok = self.check()
-        proxy.validation_results.append(self.ok)
 
 
 class DeviceProxyApi(DeviceApi):
@@ -210,9 +189,7 @@ class DeviceProxyApi(DeviceApi):
 
     def optimizer_step_begin(self, iteration: int) -> None:
         if self._should_validate(iteration):
-            ride = self._rides.get(iteration)
-            if ride is None or ride.validation is None:
-                self._run_validation(iteration)
+            self._run_validation(iteration)
         self.phase = Phase.OPTIMIZER
 
     def optimizer_step_end(self, iteration: int) -> None:
@@ -276,10 +253,8 @@ class DeviceProxyApi(DeviceApi):
             if leader.saw_collective:
                 own[stream].saw_collective = True
         if batch.bwd_done is None:
-            # The iteration's optimizer batch, with any validation before it.
-            ride = self._rides[batch.iteration]
-            ride.optimizer = True
-            ride.validation = batch.validation
+            # The iteration's optimizer batch.
+            self._rides[batch.iteration].optimizer = True
             return
         followed = self._followed = []
         for event in batch.events:
@@ -862,21 +837,19 @@ class DeviceProxyApi(DeviceApi):
         step.  Deterministic math stands in for "configuring CUDA to use
         only deterministic operations".
 
-        A rank that shares a replica arena (:mod:`repro.framework.dedup`)
-        validates once for its whole group when it leads the iteration
-        and every other replica rides it: the re-executed kernels
-        recompute the group's math, and the replicas ride the sequence
-        in the optimizer batch it opens, each taking the result.
-        Otherwise it validates on its own math, its checksums reading
-        the parameters it holds even when a replica already stepped the
-        shared arrays.
+        Every rank validates on its own math and gradients.  A rank that
+        shares a replica arena (:mod:`repro.framework.dedup`) first has
+        the arena end the iteration's rides and sharing of gradients
+        (:meth:`~repro.framework.dedup.ReplicaArena.validates`).  A rank
+        that rode the iteration settles its expanded log, and its
+        checksums read the parameters it holds even when a replica
+        already stepped the shared arrays.
         """
         engine = self.coordinator.job.engines[self.rank]
         arena, member = engine._dedup_arena, engine._dedup_member
-        group = arena is not None and arena.validates_group(member,
-                                                            iteration)
+        if arena is not None:
+            arena.validates(iteration)
         stream = self._last_phase_stream or self._default_vstream()
-        batch = stream.physical._batch if group else None
         ride = self._rides.get(iteration)
         if ride is not None and not ride.step.replayed:
             self._settle(ride)
@@ -896,8 +869,8 @@ class DeviceProxyApi(DeviceApi):
         def checksum_before():
             snapshot.update(checksums())
 
-        def check() -> bool:
-            return checksums() == snapshot
+        def checksum_after():
+            self.validation_results.append(checksums() == snapshot)
 
         # Everything validation itself launches must stay OUT of the
         # replay log (it would otherwise re-execute its own bookkeeping —
@@ -925,33 +898,15 @@ class DeviceProxyApi(DeviceApi):
                                        reinit)
                 elif record.method == "launch_kernel":
                     _vstream, name, duration, thunk = record.args
-                    if type(thunk) is GroupThunk:
-                        thunk = (partial(arena.rerun, iteration, thunk.group)
-                                 if group else thunk.private)
                     self.launch_kernel(stream, f"validation:{name}",
-                                       duration, thunk)
+                                       duration, _private(thunk))
                 elif record.method in ("all_reduce", "all_reduce_batch",
                                        "broadcast", "all_gather",
                                        "reduce_scatter", "send", "recv"):
-                    op = self._reissue_collective(record,
-                                                  stream_override=stream)
-                    if batch is not None and op is not None:
-                        batch.collectives.append(op.rendezvous)
+                    self._reissue_collective(record, stream_override=stream)
                 elif record.method == "memcpy_h2d":
                     host, vbuf, _vstream = record.args
                     self.memcpy_h2d_async(vbuf, host, stream)
-
-            if batch is None:
-                def checksum_after():
-                    self.validation_results.append(check())
-            else:
-                validation = batch.validation = _GroupValidation(check)
-
-                def checksum_after():
-                    validation.deliver(self)
-                    for rider in batch.riders:
-                        validation.deliver(rider.engine.api)
-
             self.launch_kernel(stream, "validation:checksum_after", 0.0,
                                checksum_after)
         finally:

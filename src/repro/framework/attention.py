@@ -106,23 +106,26 @@ class AttentionBlockParams:
 
     # -- forward -------------------------------------------------------------------
 
-    def forward_partial(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
+    def forward_partial(self, x: np.ndarray,
+                        k: int = 1) -> tuple[np.ndarray, dict]:
         """This shard's partial output (pre-bias, pre-residual).
 
         ``x`` is ``(B, D)``; internally ``(B, S, E)``, attention over S.
+        Every product is already one BLAS call per sample, so a member
+        count ``k`` changes nothing.
         """
         batch = x.shape[0]
         seq, heads, d_head = self.seq_len, self.n_heads_local, self.d_head
         tokens = x.reshape(batch, seq, -1)
         q = (tokens @ self.wq).reshape(batch, seq, heads, d_head)
-        k = (tokens @ self.wk).reshape(batch, seq, heads, d_head)
+        keys = (tokens @ self.wk).reshape(batch, seq, heads, d_head)
         v = (tokens @ self.wv).reshape(batch, seq, heads, d_head)
-        scores = einsum("bshd,bthd->bhst", q, k) / np.sqrt(d_head)
+        scores = einsum("bshd,bthd->bhst", q, keys) / np.sqrt(d_head)
         attn = _softmax(scores)
         context = einsum("bhst,bthd->bshd", attn, v)
         context_flat = context.reshape(batch, seq, heads * d_head)
         partial = (context_flat @ self.wo).reshape(batch, -1)
-        cache = {"x": x, "tokens": tokens, "q": q, "k": k, "v": v,
+        cache = {"x": x, "tokens": tokens, "q": q, "k": keys, "v": v,
                  "attn": attn, "context_flat": context_flat}
         return partial, cache
 
@@ -131,8 +134,8 @@ class AttentionBlockParams:
         with_bias = reduced.reshape(batch, self.seq_len, -1) + self.bo
         return with_bias.reshape(batch, -1) + x
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
-        partial, cache = self.forward_partial(x)
+    def forward(self, x: np.ndarray, k: int = 1) -> tuple[np.ndarray, dict]:
+        partial, cache = self.forward_partial(x, k)
         return self.finish_forward(x, partial), cache
 
     # -- backward ----------------------------------------------------------------------

@@ -21,11 +21,11 @@ Four sharing levels:
   ``state_dict()`` (the Section 3.3 i-vs-i+1 checkpoint case).
 * **Group math** (pure DDP, no dropout): forward/backward thunks memoise
   full-batch computation.  Each layer runs its own forward and backward
-  once on the group's full batch, the backward and the head with member
-  count ``k`` = the group size (:func:`repro.framework.layers.members`):
-  the head returns each rank's loss, and every parameter gradient comes
-  back stacked over a leading member axis, slice ``r`` bitwise rank
-  ``r``'s own.  Their mean is written straight into the shared gradient
+  once on the group's full batch with member count ``k`` = the group
+  size (:func:`repro.framework.layers.members`): every 2-D product is
+  one BLAS call per member's rows, the head returns each rank's loss,
+  and every parameter gradient comes back stacked over a leading member
+  axis, slice ``r`` bitwise rank ``r``'s own.  Their mean is written straight into the shared gradient
   arena, which turns the simulated all-reduce's data application into
   an object-identity no-op (timing is untouched — the rendezvous still
   pays every simulated nanosecond).
@@ -35,22 +35,18 @@ Four sharing levels:
   streams, in the leader's exact state, before anything else observes
   them (:meth:`ReplicaArena.enter`).  In a traced run the leader's
   streams also write each rider's trace records.  Riders keep riding
-  through two more points:
-
-  - *Replay-log validation* (transparent family, the paper's Section
-    4.1): when every active member rides the validated iteration, its
-    leader re-executes the iteration once, recomputing the group's math
-    from the buffers the validation re-initialised, inside the optimizer
-    batch the riders ride; each rider takes the leader's result
-    (:meth:`ReplicaArena.validates_group`).  Otherwise every member
-    validates on its own math and gradients, its checksums reading the
-    parameters it holds (:meth:`ReplicaArena.member_arrays`).
-  - *Synchronize*: a rider's ``device_synchronize`` or
-    ``stream_synchronize`` completes when the last op of every batch it
-    rides has executed, where its own markers would have
-    (:meth:`ReplicaArena.sync_markers`); a synchronize ends only the
-    rides of the members riding ops still queued on the syncing member's
-    own streams.
+  through a synchronize: a rider's ``device_synchronize`` or
+  ``stream_synchronize`` completes when the last op of every batch it
+  rides has executed, where its own markers would have
+  (:meth:`ReplicaArena.sync_markers`); a synchronize ends only the rides
+  of the members riding ops still queued on the syncing member's own
+  streams.  Replay-log validation (transparent family, the paper's
+  Section 4.1) ends every ride instead: the first member to validate an
+  iteration materialises every rider and gives every gradient buffer a
+  private copy (:meth:`ReplicaArena.validates`).  Each member then
+  re-executes the iteration on its own math and gradients, a rider on
+  its expanded log filled with what riding computed, its checksums
+  reading the parameters it holds (:meth:`ReplicaArena.member_arrays`).
 * **Served math** (group math, process-wide): exact recovery re-executes
   the failure-free trajectory, so restarted generations, oracle checks
   and campaign scenarios meet the same weights with the same minibatch
@@ -61,9 +57,9 @@ Four sharing levels:
   (:data:`SERVED`) instead of recomputing them.  Its kernels still
   run at the same instants; only their numpy work disappears.  Only
   whole iterations are published, when the last backward completes, and
-  a state one ulp off digests differently.  A validation rerun always
-  recomputes (the paper's Section 4.1 check must re-execute), and so
-  does an arena dissolved for in-place recovery.
+  a state one ulp off digests differently.  An arena dissolved for
+  in-place recovery always recomputes, and a validation never reads the
+  memo: it re-executes each member's private math.
 
 Sharing is *copy-on-write*: the moment a rank diverges — its GPU bumps
 its epoch (failure, driver reset), or state is loaded into it — the
@@ -338,8 +334,7 @@ class FollowBatch:
 
     __slots__ = ("leader", "iteration", "lr", "time", "riders", "remaining",
                  "woken", "events", "collectives", "nbytes", "bwd_done",
-                 "optimizer", "followable", "pending", "shape", "seq", "saw",
-                 "validation")
+                 "optimizer", "followable", "pending", "shape", "seq", "saw")
 
     def __init__(self, leader: "_Follower", iteration: int, lr: float,
                  time: float):
@@ -370,8 +365,6 @@ class FollowBatch:
         #: The leader's next collective sequence number at open time.
         self.seq = None
         self.saw = None
-        #: The leader's replay-log validation, when the batch carries one.
-        self.validation = None
 
 
 class _Follower:
@@ -486,11 +479,8 @@ class ReplicaArena:
         self._math_from = 0
         #: One past the newest iteration any member has enqueued.
         self._enqueued = 0
-        #: (iteration, batch whose leader validates it on group math, or
-        #: None) for the newest validated iteration.
-        self._validated: tuple = (None, None)
-        #: (member, memo) of the group validation running, if any.
-        self._rerun: tuple = (None, None)
+        #: The newest iteration some member validated.
+        self._validated: Optional[int] = None
         # The job owns its arenas; the engines' views of theirs are weak,
         # as the arena holds the engines.
         for member, engine in enumerate(self.engines):
@@ -711,7 +701,6 @@ class ReplicaArena:
         self.witnessed = [self.steps_applied] * len(self.engines)
         self._undo = None
         self._memo.clear()
-        self._rerun = (None, None)
         self._group_iterations.clear()
         self.dissolved = False
         leader.optimizer = MemberOptimizer(self, 0)
@@ -840,56 +829,20 @@ class ReplicaArena:
         views[:] = [view for view in views if view[0] >= iteration - 1]
 
     # -- replay-log validation (transparent family) ---------------------------
-    #
-    # Validation re-executes a rank's minibatch and checksums every buffer
-    # of the rank before and after.  When every active member rides the
-    # iteration, its leader validates once, on the group's math, and the
-    # riders ride that validation the way they ride a batch.  Otherwise
-    # every member validates on its own math and its own gradients.
 
-    def validates_group(self, member: int, iteration: int) -> bool:
-        """Does *member* validate *iteration* once for the whole group?
+    def validates(self, iteration: int) -> None:
+        """Make the group ready for its members to validate *iteration*
+        on their own math and gradients.
 
-        Decided when the first member validates the iteration: yes for
-        the leader of the iteration's batch if every other member rides
-        it and may follow.  The riders then join the optimizer batch the
-        leader opened, and the validation in it, at this same instant.
-        Otherwise nobody rides the validation (riders materialise) and
-        every gradient buffer gets a private copy.
+        Once per iteration, when the first member validates it: every
+        rider materialises and every gradient buffer gets a private copy.
+        The guard matters: by the time a later member validates, the
+        next iteration's buffers may already share the arena again.
         """
-        if self._validated[0] != iteration:
-            batch = self._batches.get(iteration)
-            leader = self._followers[member]
-            shared = (batch is not None and batch.leader is leader
-                      and not self.dissolved and all(self.active)
-                      and iteration in self._group_iterations
-                      and all(follower is leader
-                              or (follower in batch.riders
-                                  and self._may_follow(follower))
-                              for follower in self._followers))
-            self._validated = (iteration, batch if shared else None)
-            if shared:
-                self._rerun = (member, {})
-            else:
-                self.materialize_all()
-                self.release_grads()
-        batch = self._validated[1]
-        return batch is not None and batch.leader.engine is self.engines[
-            member]
-
-    def rerun(self, iteration: int, group) -> None:
-        """Run *group*, a group-math kernel of *iteration*, on the group
-        validation's own memo: it recomputes the math from the buffers
-        the validation re-initialised instead of reading the iteration's."""
-        memo = self._memo.get(iteration)
-        self._memo[iteration] = self._rerun[1]
-        try:
-            group()
-        finally:
-            if memo is None:
-                del self._memo[iteration]
-            else:
-                self._memo[iteration] = memo
+        if self._validated != iteration:
+            self._validated = iteration
+            self.materialize_all()
+            self.release_grads()
 
     def member_arrays(self, member: int) -> dict:
         """id(buffer) -> array, for each of *member*'s parameter and
@@ -1061,10 +1014,9 @@ class ReplicaArena:
 
         The markers queue on the member's streams only, behind the ops
         of the batches it leads: the members riding ops of those still
-        queued materialise, and no member joins them any more, but to
-        ride a validation (see :meth:`validates_group`).  A member that
-        rides rides the synchronize too when it can (:meth:`_ride_sync`),
-        and materialises otherwise.
+        queued materialise, and no member joins them any more.  A member
+        that rides rides the synchronize too when it can
+        (:meth:`_ride_sync`), and materialises otherwise.
         """
         follower = self._followers[member]
         markers = self._ride_sync(follower, streams)
@@ -1077,8 +1029,7 @@ class ReplicaArena:
                 self._materialize(rider)
         for batch in self._batches.values():
             for led in (batch, batch.optimizer):
-                if (led is not None and led.leader is follower
-                        and led.validation is None):
+                if led is not None and led.leader is follower:
                     led.followable = False
         return [stream.sync_marker() for stream in streams]
 
@@ -1222,9 +1173,6 @@ class ReplicaArena:
             memo = self._memo[iteration] = {}
             for old in [it for it in self._memo if it < iteration - 1]:
                 del self._memo[old]
-            if self._validated[0] is not None \
-                    and self._validated[0] < iteration - 1:
-                self._rerun = (None, None)
         return memo
 
     def _math_signature(self) -> bytes:
@@ -1252,17 +1200,16 @@ class ReplicaArena:
         digest.update(y)
         return digest.digest()
 
-    def group_forward(self, iteration: int, index: int, block,
-                      inputs) -> None:
+    def group_forward(self, iteration: int, index: int, block) -> None:
         """Forward for layer *index*, computed once on the full batch.
 
-        Row ``r`` of every op in :mod:`repro.framework.layers` /
-        :mod:`repro.framework.attention` depends only on row ``r`` of the
-        input, so the row-slices of the shared activations are bitwise
-        what each rank would have computed from its shard.  A group
-        validation reads its leader's rows from *inputs*, the leader's
-        input buffer, which the validation re-initialised and re-uploaded
-        (a rider's kernel passes None: it never runs in a validation).
+        The block runs with member count ``k`` = the group size: every
+        2-D product is one BLAS call per member's rows
+        (:func:`repro.framework.layers.member_matmul`), and every other op
+        in :mod:`repro.framework.layers` / :mod:`repro.framework.attention`
+        works row by row or sample by sample, so the row-slices of the
+        shared activations are bitwise what each rank would have computed
+        from its shard.
 
         Layer 0 digests the iteration, when its kernel runs and the
         parameters hold the previous step; a digest :data:`SERVED` holds
@@ -1278,13 +1225,7 @@ class ReplicaArena:
         else:
             # The members' shards are row-slices of this one batch.
             x, y = self.engines[0].dataset.global_minibatch(iteration)
-            member, rerun = self._rerun
-            if memo is rerun:
-                rows = len(inputs.array)
-                start = self.engines[member].dp_rank * rows
-                x = x.copy()
-                x[start:start + rows] = inputs.array
-            elif not self.dissolved:
+            if not self.dissolved:
                 # A dissolved arena's members hold private state that
                 # recovery may be rewriting: its math is neither served
                 # nor published (see ``group_block_backward``).
@@ -1296,7 +1237,7 @@ class ReplicaArena:
                 memo["digest"], memo["grads"] = digest, {}
             memo["batch"] = x, y
             src = x
-        memo[key] = block.forward(src)
+        memo[key] = block.forward(src, k=len(self.engines))
 
     def ridden_loss(self, iteration: int, member: int, head,
                     n_blocks: int) -> Optional[float]:

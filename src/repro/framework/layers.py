@@ -13,11 +13,16 @@ With that split, TP-sharded math is numerically identical to the unsharded
 computation up to float summation order, which our parallel-engine tests
 pin down.
 
-Backward passes also split *data* parallelism exactly: given a member
-count ``k``, the weight- and bias-gradient reductions run over a leading
-member axis, so one call on a replica group's full batch returns every
-member's gradient, bitwise what each would compute from its row-shard
-(:mod:`repro.framework.dedup` relies on this).
+Forward and backward passes also split *data* parallelism exactly:
+given a member count ``k``, every 2-D product is one BLAS call per
+member's rows (:func:`member_matmul`) and the weight- and bias-gradient
+reductions run over a leading member axis, so one call on a replica
+group's full batch returns every member's activations, loss and
+gradient, bitwise what each would compute from its row-shard
+(:mod:`repro.framework.dedup` relies on this).  A product over the whole
+batch would not do: BLAS gives no row-independent bits across row
+counts (a one-row product takes the gemv path, and at some shapes a
+narrow output differs even at two rows).
 """
 
 from __future__ import annotations
@@ -52,6 +57,14 @@ def members(array: np.ndarray, k: int) -> np.ndarray:
     to ``(r + 1) * rows // k``, the row-shard a data-parallel rank holds.
     """
     return array.reshape((k, array.shape[0] // k) + array.shape[1:])
+
+
+def member_matmul(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """``a @ b`` for 2-D *a*, one BLAS call per member's rows of *a*.
+
+    Each member's rows multiply exactly as its row-shard alone would.
+    """
+    return np.matmul(members(a, k), b).reshape(a.shape[0], b.shape[1])
 
 
 def per_member(grads: dict[str, np.ndarray],
@@ -130,14 +143,16 @@ class MlpBlockParams:
         return cls(w1=w1_full[:, shard].copy(), b1=b1_full[shard].copy(),
                    w2=w2_full[shard, :].copy(), b2=b2)
 
-    def forward_partial(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
+    def forward_partial(self, x: np.ndarray,
+                        k: int = 1) -> tuple[np.ndarray, dict]:
         """Compute this shard's partial output (before TP reduction).
 
         Returns the partial ``h @ W2`` (no bias, no residual) plus cache.
+        With ``k`` members each member's rows are its own (:func:`members`).
         """
-        pre = x @ self.w1 + self.b1
+        pre = member_matmul(x, self.w1, k) + self.b1
         h = gelu(pre)
-        partial = h @ self.w2
+        partial = member_matmul(h, self.w2, k)
         cache = {"x": x, "pre": pre, "h": h}
         return partial, cache
 
@@ -145,9 +160,9 @@ class MlpBlockParams:
         """Apply bias and residual after the partial outputs were summed."""
         return reduced + self.b2 + x
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, dict]:
+    def forward(self, x: np.ndarray, k: int = 1) -> tuple[np.ndarray, dict]:
         """Unsharded forward (tp_world == 1 fast path)."""
-        partial, cache = self.forward_partial(x)
+        partial, cache = self.forward_partial(x, k)
         return self.finish_forward(x, partial), cache
 
     def backward(self, dy: np.ndarray, cache: dict,
@@ -166,14 +181,14 @@ class MlpBlockParams:
         h = cache["h"]
         pre = cache["pre"]
         x = cache["x"]
-        dh = dy @ self.w2.T
+        dh = member_matmul(dy, self.w2.T, k)
         dpre = dh * gelu_grad(pre)
         dy3, dpre3 = members(dy, k), members(dpre, k)
         grads = {"w2": np.matmul(members(h, k).transpose(0, 2, 1), dy3),
                  "b2": dy3.sum(axis=1),
                  "w1": np.matmul(members(x, k).transpose(0, 2, 1), dpre3),
                  "b1": dpre3.sum(axis=1)}
-        dx_partial = dpre @ self.w1.T
+        dx_partial = member_matmul(dpre, self.w1.T, k)
         return dx_partial, per_member(grads, k)
 
     def backward_full(self, dy: np.ndarray, cache: dict,
@@ -208,7 +223,7 @@ class OutputHead:
     def forward(x: np.ndarray, params: OutputHeadParams, labels: np.ndarray,
                 k: int = 1) -> tuple[float | np.ndarray, dict]:
         """Loss (one per member, see :func:`softmax_cross_entropy`) and cache."""
-        logits = x @ params.w + params.b
+        logits = member_matmul(x, params.w, k) + params.b
         loss, dlogits = softmax_cross_entropy(logits, labels, k)
         cache = {"x": x, "dlogits": dlogits}
         return loss, cache
@@ -220,5 +235,5 @@ class OutputHead:
         d3 = members(dlogits, k)
         grads = {"w": np.matmul(members(x, k).transpose(0, 2, 1), d3),
                  "b": d3.sum(axis=1)}
-        dx = dlogits @ params.w.T
+        dx = member_matmul(dlogits, params.w.T, k)
         return dx, per_member(grads, k)

@@ -302,7 +302,7 @@ class DataParallelEngine(BaseEngine):
             step_bufs.append(act_buf)
             api.launch_kernel(self.compute_stream, f"fwd{i}", fwd_time, thunk(
                 lambda i=i, block=block: arena.group_forward(iteration, i,
-                                                             block, x_buf),
+                                                             block),
                 fwd_thunk))
 
         loss_buf = api.malloc(np.zeros(1), BufferKind.ACTIVATION,
@@ -476,12 +476,6 @@ class DataParallelEngine(BaseEngine):
         """This rank's thunk for a group-math kernel of a ridden *batch*."""
         arena, iteration = self._dedup_arena, batch.iteration
         n_blocks = len(self.blocks)
-        if name.startswith("validation:"):
-            # The leader's validation computes for the group; this rank's
-            # copy of its last kernel takes the result.
-            if name == "validation:checksum_after":
-                return partial(batch.validation.deliver, self.api)
-            return None
         if name == "optimizer":
             return lambda: self.optimizer.step(arena.grad_arrays, lr=batch.lr)
         if name.startswith("opt_done_marker#"):
@@ -495,6 +489,5 @@ class DataParallelEngine(BaseEngine):
         index = int(name[3:])
         block = self.blocks[index]
         if name.startswith("fwd"):
-            return lambda: arena.group_forward(iteration, index, block,
-                                               None)
+            return lambda: arena.group_forward(iteration, index, block)
         return lambda: arena.group_block_backward(iteration, index, block)

@@ -6,12 +6,12 @@ arena and runs on private state, and the arena re-shares once recovery
 has left every replica at the same version.  A rank that rides a
 replica's timeline logs one lazy entry per ridden iteration, expanded
 into its own records only when the log is read.  Replay-log validation
-rides too: when every replica rides the validated iteration, its leader
-re-executes it once, recomputing the group's math, and every replica
-takes the result.  None of that may show: every observable must match a
-``REPRO_DEDUP=0`` run bit for bit, on one schedule for each of
-recovery's reset branches, on failure-free runs validating early, late
-and periodically, and on failures landing in the validated iteration.
+does not ride: every replica re-executes the validated iteration on its
+own math and gradients, a rider on its expanded log.  None of that may
+show: every observable must match a ``REPRO_DEDUP=0`` run bit for bit,
+on one schedule for each of recovery's reset branches, on failure-free
+runs validating early, late and periodically, and on failures landing
+in the validated iteration.
 A validation that re-executes a broken log fails with dedup on as it
 does with dedup off.
 """
@@ -72,9 +72,9 @@ def _checked(strategy, spec, schedule, on, monkeypatch, mutations=(),
              config=None):
     """Check *schedule*, under *config* if given; returns the
     observables, the run, the arenas, the rides, the resets recovery ran
-    and the counts of the checked run: layer backwards on private math
-    (one per layer of a private rank-iteration) and arena dissolves
-    outside recovery."""
+    and the counts of the checked run: attention-block backwards on
+    private math (one per attention block of a private rank-iteration)
+    and arena dissolves outside recovery."""
     from repro.core import transparent
     from repro.hardware.gpu import GpuHealth
     from repro.oracle import strategies
@@ -207,7 +207,7 @@ def test_transparent_family_dedup_on_off_bitwise(strategy, branch,
     assert arena.dedup_epoch >= 2 * len(arena.engines)
 
 
-# -- validation rides ------------------------------------------------------------------
+# -- validation ------------------------------------------------------------------------
 
 #: Failure-free validation schedules: the first, a middle and the last
 #: iteration, and every third one from the default start.
@@ -228,12 +228,12 @@ def _validated(config):
 
 @pytest.mark.parametrize("validation", list(VALIDATIONS))
 @pytest.mark.parametrize("strategy", ["transparent", "swift"])
-def test_validation_rides_bitwise_dedup_on_off(strategy, validation,
-                                               monkeypatch):
+def test_validation_bitwise_dedup_on_off(strategy, validation, monkeypatch):
     """A failure-free run validating early, late or periodically matches
-    dedup off bit for bit, every rank's validations pass, and with
-    dedup on no rank-iteration runs on private math and no arena
-    dissolves: each validated iteration is ridden like any other."""
+    dedup off bit for bit and every rank's validations pass.  With dedup
+    on every member re-executes each validated iteration on its own
+    math, no arena dissolves, and the riders ride every iteration but
+    the one behind a validation."""
     config = VALIDATIONS[validation]
     schedule = FailureSchedule(())
     on, run, arenas, rides, _, counts = _checked(
@@ -242,14 +242,22 @@ def test_validation_rides_bitwise_dedup_on_off(strategy, validation,
                        config=config)
     assert on["outcome"] == "exact", on["outcome"]
     assert on == off
-    passed = [True] * len(_validated(config))
+    validated = _validated(config)
+    passed = [True] * len(validated)
     assert passed and all(results == passed
                           for _, results, _ in on["ranks"])
-    assert counts == {"private_backwards": 0,
-                      "dissolves_outside_recovery": 0}
     arena, = arenas
-    riders = len(arena.engines) - 1
-    assert len(rides) == riders * ITERATIONS
+    attention = sum(isinstance(block, AttentionBlockParams)
+                    for block in arena.engines[0].blocks)
+    assert counts == {
+        "private_backwards": len(arena.engines) * attention * len(validated),
+        "dissolves_outside_recovery": 0}
+    # The iteration enqueued behind a validation runs privately: the
+    # validation's collectives are still queued on every member's streams.
+    behind = {it + 1 for it in validated}
+    assert sorted(rides) == [(rank, it)
+                             for rank in range(1, len(arena.engines))
+                             for it in range(ITERATIONS) if it not in behind]
 
 
 #: Failures landing in the validated iteration (the default, 5): in its
@@ -283,7 +291,7 @@ def test_failure_in_validated_iteration_bitwise_dedup_on_off(
 @pytest.mark.parametrize("strategy", ["transparent", "swift"])
 def test_validation_with_a_replica_that_cannot_ride(strategy, monkeypatch):
     """A replica that cannot ride the validated iteration enqueues it
-    privately on the group's math.  Then every rank validates on its own
+    privately on the group's math.  Every rank still validates on its own
     math and gradients, the riders on their expanded logs filled with
     what riding computed, and the run still matches dedup off bit for
     bit without dissolving the arena."""
@@ -338,6 +346,17 @@ def test_validation_of_a_log_missing_its_input_upload_fails(strategy, on,
     assert [results for _, results, _ in observed["ranks"]] \
         == [[False]] * 4
     assert observed["outcome"] == "violation"
+
+
+def test_transparent_is_exact_with_one_sample_per_rank():
+    """Group math with one-row shards recovers to the failure-free loss:
+    each member's products are its own BLAS calls, as a private rank's."""
+    spec = dataclasses.replace(default_oracle_spec(), global_batch=4)
+    schedule = FailureSchedule(points=(
+        FailurePoint(3, "GPU_STICKY", 1, offset=0.5),))
+    verdict = RecoveryOracle(spec, iterations=6).check(schedule,
+                                                       "transparent")
+    assert verdict.outcome == "exact", verdict.describe()
 
 
 # -- rider logs ------------------------------------------------------------------------

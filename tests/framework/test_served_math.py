@@ -7,8 +7,8 @@ iteration whose parameters, batch and group shape digest like a
 completed one takes that iteration's member losses and reduced gradients
 (:data:`repro.framework.dedup.SERVED`).  Nothing observable may change:
 losses, clocks, events and gradient bytes match a cold run bit for bit,
-any input one ulp off recomputes, and a validation rerun always
-recomputes.
+any input one ulp off recomputes, and a validation always recomputes,
+on each member's own math.
 """
 
 import dataclasses
@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.proxy import DeviceProxyApi
 from repro.framework import dedup
 from repro.framework.attention import AttentionBlockParams
 from repro.framework.layers import MlpBlockParams
@@ -44,9 +45,9 @@ def forwards(monkeypatch):
     """Every block forward of the test: layer math nothing served."""
     calls = []
     for kind in (AttentionBlockParams, MlpBlockParams):
-        def counting(block, x, forward=kind.forward):
+        def counting(block, x, k=1, forward=kind.forward):
             calls.append(block)
-            return forward(block, x)
+            return forward(block, x, k)
 
         monkeypatch.setattr(kind, "forward", counting)
     return calls
@@ -152,26 +153,41 @@ def test_published_iterations_are_read_only(cold_memo):
                 array[...] = 0.0
 
 
-def test_validation_rerun_recomputes_on_a_warm_memo(cold_memo, forwards,
-                                                     monkeypatch):
+def test_validation_recomputes_on_a_warm_memo(cold_memo, monkeypatch):
     """Transparent recovery's validation (default: iteration 5) re-executes
-    its iteration's math even though every iteration is served."""
+    every member's math privately even though every iteration is served:
+    the only block forwards of a warm check are the validation's."""
     oracle = RecoveryOracle(iterations=8)
     oracle.golden("transparent")
-    during = {}
-    rerun = dedup.ReplicaArena.rerun
+    launch = DeviceProxyApi.launch_kernel
+    validating = []
 
-    def spying(arena, iteration, group):
-        before = len(forwards)
-        rerun(arena, iteration, group)
-        during[iteration] = during.get(iteration, 0) + len(forwards) - before
+    def marking(proxy, vstream, name, duration, thunk=None):
+        if name.startswith("validation:") and thunk is not None:
+            def marked(thunk=thunk):
+                validating.append(proxy.rank)
+                try:
+                    thunk()
+                finally:
+                    validating.pop()
 
-    monkeypatch.setattr(dedup.ReplicaArena, "rerun", spying)
-    forwards.clear()
+            return launch(proxy, vstream, name, duration, marked)
+        return launch(proxy, vstream, name, duration, thunk)
+
+    monkeypatch.setattr(DeviceProxyApi, "launch_kernel", marking)
+    during = []
+    for kind in (AttentionBlockParams, MlpBlockParams):
+        def spying(block, x, k=1, forward=kind.forward):
+            during.append((tuple(validating), k))
+            return forward(block, x, k)
+
+        monkeypatch.setattr(kind, "forward", spying)
     verdict = oracle.check(FailureSchedule(()), "transparent")
     assert verdict.outcome == "exact"
-    assert during == {5: N_LAYERS}
-    assert len(forwards) == N_LAYERS
+    # Each rank's forwards, one per layer, on its own rows (k == 1).
+    assert sorted(during) == sorted(((rank,), 1)
+                                    for rank in range(oracle.spec.layout.dp)
+                                    for _ in range(N_LAYERS))
 
 
 # -- the bound -------------------------------------------------------------------------

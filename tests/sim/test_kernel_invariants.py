@@ -11,6 +11,8 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     AnyOf,
@@ -761,7 +763,7 @@ def test_oracle_grid_exact_for_all_strategies_fast_on_and_off():
 
 def _dedup_train(on, engine, layout, iterations, num_nodes=1,
                  fail_member=None, fail_at=None, horizon=None,
-                 fail_kind="dead"):
+                 fail_kind="dead", global_batch=16, dropout=0.0):
     from repro.hardware import GpuHealth
     from repro.hardware.specs import V100_NODE
     from repro.parallel.topology import ParallelLayout
@@ -771,7 +773,8 @@ def _dedup_train(on, engine, layout, iterations, num_nodes=1,
         spec = WorkloadSpec(name="DEDUPEQ", model="GPT2-S",
                             node_spec=V100_NODE, num_nodes=num_nodes,
                             layout=ParallelLayout(**layout), engine=engine,
-                            framework="equivalence", minibatch_time=0.05)
+                            framework="equivalence", minibatch_time=0.05,
+                            global_batch=global_batch, dropout=dropout)
         job = TrainingJob(spec)
         env = job.env
 
@@ -846,6 +849,66 @@ def test_dedup_mid_iteration_failure_stays_bitwise(
                       fail_member=member, fail_at=0.07, horizon=1.0)
     off = _dedup_train(False, engine, layout, 6, num_nodes,
                        fail_member=member, fail_at=0.07, horizon=1.0)
+    _assert_bitwise_equal(on, off)
+
+
+#: (dp, nodes, global batch): one sample per rank, on one node and on two,
+#: and a 64-replica group over eight nodes with two samples per rank.
+SMALL_SHARDS_AND_WIDE_GROUPS = [(4, 1, 4), (16, 2, 16), (64, 8, 128)]
+
+
+@pytest.mark.parametrize("dp,num_nodes,global_batch",
+                         SMALL_SHARDS_AND_WIDE_GROUPS)
+def test_dedup_bitwise_with_small_shards_and_wide_groups(dp, num_nodes,
+                                                        global_batch):
+    """Group math stays bitwise the per-rank math where a whole-batch
+    product would not: one-row shards, and groups of 64 replicas."""
+    on = _dedup_train(True, "ddp", {"dp": dp}, 2, num_nodes,
+                      global_batch=global_batch)
+    off = _dedup_train(False, "ddp", {"dp": dp}, 2, num_nodes,
+                       global_batch=global_batch)
+    _assert_bitwise_equal(on, off)
+
+
+@st.composite
+def _dedup_shapes(draw):
+    """(engine, layout, nodes, global batch, dropout) that fit on up to
+    eight 8-GPU nodes, with 2-64 data-parallel ranks and one to three
+    samples per rank (per pipeline microbatch, under 3D)."""
+    engine = draw(st.sampled_from(["ddp", "3d", "fsdp"]))
+    per_rank = draw(st.integers(min_value=1, max_value=3))
+    dropout = draw(st.sampled_from([0.0, 0.1]))
+    if engine == "fsdp":
+        # Hybrid sharding: one shard group per node, replicated across.
+        num_nodes = draw(st.integers(min_value=1, max_value=8))
+        layout = {"dp": 8 * num_nodes}
+        shards = 8 * num_nodes
+    else:
+        model = ({"pp": 1, "tp": 1} if engine == "ddp" else
+                 {"pp": draw(st.sampled_from([1, 2])),
+                  "tp": draw(st.sampled_from([1, 2]))})
+        per_replica = model["pp"] * model["tp"]
+        dp = draw(st.integers(min_value=2, max_value=64 // per_replica))
+        least = -(-dp * per_replica // 8)
+        num_nodes = draw(st.integers(min_value=least, max_value=8))
+        layout = {"dp": dp, **model}
+        # A 3D rank splits its shard into two pipeline microbatches.
+        shards = dp if engine == "ddp" else 2 * dp
+    return engine, layout, num_nodes, per_rank * shards, dropout
+
+
+@pytest.mark.fuzz
+@settings(max_examples=40, deadline=None)
+@given(shape=_dedup_shapes())
+def test_dedup_on_off_shape_property(shape):
+    """Dedup on matches dedup off in losses, clock, logical events and
+    final parameters at every data-parallel shape: 2-64 ranks, one to
+    three samples per rank, one to eight nodes, each engine, with and
+    without dropout."""
+    engine, layout, num_nodes, global_batch, dropout = shape
+    on, off = (_dedup_train(dedup, engine, layout, 2, num_nodes,
+                            global_batch=global_batch, dropout=dropout)
+               for dedup in (True, False))
     _assert_bitwise_equal(on, off)
 
 
