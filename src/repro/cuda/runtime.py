@@ -51,14 +51,11 @@ class CudaContext:
         self.buffers: dict[int, DeviceBuffer] = {}
         self._sticky_error: Optional[CudaError] = None
         #: Called before a caller other than the owner's training step
-        #: observes or tears down this context's streams, or copies its
-        #: memory out: replicas riding a shared timeline materialise
-        #: first (set by :class:`repro.framework.dedup.ReplicaArena`).
+        #: observes, synchronizes or tears down this context's streams,
+        #: or copies its memory out: replicas riding a shared timeline
+        #: materialise first (set by
+        #: :class:`repro.framework.dedup.ReplicaArena`).
         self.follow_hook = None
-        #: Enqueues the markers of a synchronize in place of
-        #: :meth:`CudaStream.sync_marker` (see :meth:`sync_markers`; set
-        #: with ``follow_hook``).
-        self.sync_hook = None
         #: The implicit stream every unqualified call lands on.
         self.default_stream = self.create_stream(name_hint="default")
 
@@ -155,14 +152,11 @@ class CudaContext:
     def sync_markers(self, streams: list[CudaStream]) -> list[Event]:
         """Enqueue a sync marker on each of *streams*; their completions.
 
-        A replica riding another's timeline (:mod:`repro.framework.dedup`)
-        enqueues none on a stream whose own copies of the ridden ops would
-        still be queued: that marker completes when the last of those ops
-        executes on the replica's stream.
+        A synchronize observes the streams: replicas riding a shared
+        timeline (:mod:`repro.framework.dedup`) materialise first, so
+        each marker queues behind the syncing replica's own ops.
         """
-        hook = self.sync_hook
-        if hook is not None:
-            return hook(streams)
+        self.observed()
         return [stream.sync_marker() for stream in streams]
 
     def stream_synchronize(self, stream: Optional[CudaStream] = None) -> Generator:

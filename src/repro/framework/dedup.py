@@ -34,19 +34,17 @@ Four sharing levels:
   timeline instead of enqueueing copies, and materialise their own
   streams, in the leader's exact state, before anything else observes
   them (:meth:`ReplicaArena.enter`).  In a traced run the leader's
-  streams also write each rider's trace records.  Riders keep riding
-  through a synchronize: a rider's ``device_synchronize`` or
-  ``stream_synchronize`` completes when the last op of every batch it
-  rides has executed, where its own markers would have
-  (:meth:`ReplicaArena.sync_markers`); a synchronize ends only the rides
-  of the members riding ops still queued on the syncing member's own
-  streams.  Replay-log validation (transparent family, the paper's
-  Section 4.1) ends every ride instead: the first member to validate an
-  iteration materialises every rider and gives every gradient buffer a
-  private copy (:meth:`ReplicaArena.validates`).  Each member then
-  re-executes the iteration on its own math and gradients, a rider on
-  its expanded log filled with what riding computed, its checksums
-  reading the parameters it holds (:meth:`ReplicaArena.member_arrays`).
+  streams also write each rider's trace records.  A synchronize on any
+  member's context observes its streams like any other observation
+  (``CudaContext.observed``), so it ends every ride in the arena first;
+  ``state_dict()`` ends only its own member's ride.  Replay-log
+  validation (transparent family, the paper's Section 4.1) ends every
+  ride too: the first member to validate an iteration materialises
+  every rider and gives every gradient buffer a private copy
+  (:meth:`ReplicaArena.validates`).  Each member then re-executes the
+  iteration on its own math and gradients, a rider on its expanded log
+  filled with what riding computed, its checksums reading the
+  parameters it holds (:meth:`ReplicaArena.member_arrays`).
 * **Served math** (group math, process-wide): exact recovery re-executes
   the failure-free trajectory, so restarted generations, oracle checks
   and campaign scenarios meet the same weights with the same minibatch
@@ -108,7 +106,6 @@ import numpy as np
 
 from repro import flags
 from repro.cuda.event import CudaEvent, EventState
-from repro.cuda.runtime import CudaContext
 from repro.cuda.stream import (CollectiveKernelOp, KernelOp, MemcpyOp,
                                RecordEventOp, WaitEventOp)
 
@@ -371,7 +368,7 @@ class _Follower:
     """Per-member follow state: the batches it rides and its CPU."""
 
     __slots__ = ("engine", "rank", "rides", "cpu", "wakeups", "twins",
-                 "event_names", "physical", "syncs")
+                 "event_names", "physical")
 
     def __init__(self, engine):
         self.engine = engine
@@ -388,12 +385,6 @@ class _Follower:
         #: Leader event of a ridden batch -> the name this member's own
         #: copy has (a traced run's records and materialised copies).
         self.event_names: dict = {}
-        #: Own stream -> sync marker a ridden synchronize has not enqueued
-        #: (see ``ReplicaArena.sync_markers``).
-        self.syncs: dict = {}
-
-    def streams(self) -> tuple:
-        return self.physical
 
 
 #: Shape of an idle, empty stream.
@@ -501,12 +492,11 @@ class ReplicaArena:
         """Hook the members' current GPUs and contexts.
 
         Any epoch transition on a member's GPU (failure, driver reset) is
-        the copy-on-write trigger; anything observing a member's streams
-        materialises riders first, and its synchronizes go through
-        :meth:`sync_markers` (group-math mode).  The hooks hold the
-        arena weakly: it reaches the GPUs, contexts and streams through
-        its engines, and a job that ends without ``detach`` must not be
-        a reference cycle.
+        the copy-on-write trigger; anything observing a member's streams,
+        a synchronize included, materialises every rider first
+        (group-math mode).  The hooks hold the arena weakly: it reaches
+        the GPUs, contexts and streams through its engines, and a job
+        that ends without ``detach`` must not be a reference cycle.
         """
         device_epoch = weak_method(self._device_epoch)
         self._epoch_hooks = [
@@ -526,9 +516,6 @@ class ReplicaArena:
             materialize_all = weak_method(self.materialize_all)
             for hooked in self._follow_hooked:
                 hooked.follow_hook = materialize_all
-            sync_markers = weak_method(self.sync_markers)
-            for member, engine in enumerate(self.engines):
-                engine.api.ctx.sync_hook = partial(sync_markers, member)
 
     # -- membership --------------------------------------------------------
 
@@ -564,8 +551,6 @@ class ReplicaArena:
         self._epoch_hooks = []
         for hooked in self._follow_hooked:
             hooked.follow_hook = None
-            if isinstance(hooked, CudaContext):
-                hooked.sync_hook = None
         self._follow_hooked = []
 
     def member_active(self, member: int) -> bool:
@@ -874,11 +859,10 @@ class ReplicaArena:
     # then *rides* the leader's batch instead of enqueueing copies.  The
     # leader's streams dispatch each op once, arrive at collectives for
     # riders and credit each rider the logical events its copy would have
-    # dispatched.  Before anything but a rider's own training step or
-    # synchronize would observe its streams (see ``follow_hook``), it
-    # *materialises*: it gets its own copies of the ops still queued, in
-    # the exact state the leader's are in, and runs privately from then
-    # on.
+    # dispatched.  Before anything but a rider's own training step would
+    # observe its streams (see ``follow_hook``), it *materialises*: it
+    # gets its own copies of the ops still queued, in the exact state the
+    # leader's are in, and runs privately from then on.
 
     def enter(self, engine, iteration: int, lr: float) -> Optional[FollowBatch]:
         """Lead or ride *iteration* for *engine*, or run it privately.
@@ -928,7 +912,7 @@ class ReplicaArena:
         ctx = follower.engine.api.ctx
         if ctx.poisoned:
             return False
-        for stream in follower.streams():
+        for stream in follower.physical:
             if (stream.aborted or stream.error is not None
                     or not stream._gpu_ok()):
                 return False
@@ -941,7 +925,7 @@ class ReplicaArena:
         batch = FollowBatch(follower, iteration, lr, engine.api.env.now)
         batch.followable = self._may_follow(follower)
         if batch.followable:
-            streams = follower.streams()
+            streams = follower.physical
             batch.pending = frozenset(op.batch for stream in streams
                                       for op in stream._queue)
             batch.shape = tuple(_shape(stream) for stream in streams)
@@ -955,10 +939,10 @@ class ReplicaArena:
         if (not batch.followable or batch.time != engine.api.env.now
                 or not self._may_follow(follower)):
             return False
-        for stream in batch.leader.streams():
+        for stream in batch.leader.physical:
             if stream.aborted or not stream._gpu_ok():
                 return False
-        streams = follower.streams()
+        streams = follower.physical
         if tuple(stream.saw_collective for stream in streams) != batch.saw:
             return False
         if engine.api.live_comm(engine.comm).next_seq(follower.rank) \
@@ -990,15 +974,15 @@ class ReplicaArena:
         follower.cpu = env.active_process
         # A private enqueue would wake the same streams, dispatching their
         # wakeups behind everything already scheduled at this instant.
-        streams = follower.twins = dict(zip(batch.leader.streams(),
-                                            follower.streams()))
+        streams = follower.twins = dict(zip(batch.leader.physical,
+                                            follower.physical))
         for stream in batch.woken:
             wakeup = follower.wakeups[streams[stream]] = env.event()
             wakeup.succeed()
         if batch.collectives:
             engine.api.live_comm(engine.comm).follow(
                 follower.rank, batch.collectives, batch.leader.rank,
-                follower.streams()[1])
+                follower.physical[1])
         for source, stream in streams.items():
             if source.saw_collective:
                 stream.saw_collective = True
@@ -1008,84 +992,6 @@ class ReplicaArena:
         """Materialise every rider of this arena (see ``follow_hook``)."""
         for follower in list(self._riding):
             self._materialize(follower)
-
-    def sync_markers(self, member: int, streams: list) -> list:
-        """Completions of a synchronize of *streams*, *member*'s own.
-
-        The markers queue on the member's streams only, behind the ops
-        of the batches it leads: the members riding ops of those still
-        queued materialise, and no member joins them any more.  A member
-        that rides rides the synchronize too when it can
-        (:meth:`_ride_sync`), and materialises otherwise.
-        """
-        follower = self._followers[member]
-        markers = self._ride_sync(follower, streams)
-        if markers is not None:
-            return markers
-        self._materialize(follower)
-        for rider in list(self._riding):
-            if any(batch.remaining and batch.leader is follower
-                   for batch in rider.rides):
-                self._materialize(rider)
-        for batch in self._batches.values():
-            for led in (batch, batch.optimizer):
-                if led is not None and led.leader is follower:
-                    led.followable = False
-        return [stream.sync_marker() for stream in streams]
-
-    def _ride_sync(self, follower: _Follower, streams: list):
-        """The markers of a synchronize *follower* rides, or None.
-
-        Its own copies of the ridden ops would still be queued on the
-        streams of the same role as the leader's holding them: the marker
-        it would enqueue there completes when the last of those ops
-        executes on the leader's stream, and is enqueued behind the
-        copies if the follower materialises first.  Its other streams are
-        idle, as a private rank's would be, and take real markers.  A
-        traced run stays private: a rider's marker may join its copies'
-        macro chain, whose record the leader's stream writes.
-        """
-        ridden = {batch for batch in follower.rides if batch.remaining}
-        ctx = follower.engine.api.ctx
-        if not ridden or ctx.tracer.ops or ctx.poisoned:
-            return None
-        last = {}
-        for source, own in follower.twins.items():
-            if (own._queue or own._active_chain is not None
-                    or own._resume is not None or own.aborted
-                    or not own._gpu_ok() or source.aborted
-                    or not source._gpu_ok()):
-                return None
-            ops = [op for op in source._queue if op.batch in ridden]
-            if ops:
-                last[own] = ops[-1]
-        for stream in streams:
-            wakeup = follower.wakeups.get(stream)
-            if (stream not in last and wakeup is not None
-                    and wakeup.callbacks is not None):
-                # The stand-in for its wakeup is not dispatched yet, so a
-                # marker's enqueue would not wake it.
-                return None
-        synced = weak_method(self._synced)
-        markers = []
-        for stream in streams:
-            op = last.get(stream)
-            if op is None:
-                markers.append(stream.sync_marker())
-                continue
-            marker = follower.syncs[stream] = KernelOp("sync_marker", 0.0)
-            marker._env = stream.env
-            op.done.callbacks.append(partial(synced, follower, stream))
-            markers.append(marker.done)
-        return markers
-
-    @staticmethod
-    def _synced(follower: _Follower, stream, event) -> None:
-        """The last ridden op on *stream*'s twin executed: so would the
-        marker behind *follower*'s copy of it."""
-        marker = follower.syncs.pop(stream, None)
-        if marker is not None and event._ok:
-            marker.done.succeed()
 
     def materialize(self, engine) -> None:
         """Materialise *engine* before it enqueues work privately."""
@@ -1099,17 +1005,12 @@ class ReplicaArena:
         wakeups, follower.wakeups = follower.wakeups, {}
         names, follower.event_names = follower.event_names, {}
         streams, follower.twins = follower.twins, {}
-        syncs, follower.syncs = follower.syncs, {}
         self._riding.remove(follower)
         for batch in rides:
             if follower in batch.riders:
                 batch.riders.remove(follower)
         pending = [batch for batch in rides if batch.remaining]
         if not pending:
-            # The ridden ops all executed; the markers behind their copies
-            # complete at this same instant.
-            for marker in syncs.values():
-                marker.done.succeed()
             return
         engine = follower.engine
         env = engine.api.env
@@ -1126,14 +1027,9 @@ class ReplicaArena:
         ridden_batches = set(pending)
         for source, stream in streams.items():
             ridden = [op for op in source._queue if op.batch in ridden_batches]
-            marker = syncs.pop(stream, None)
             if ridden:
                 own = [self._copy_op(engine, op, copies) for op in ridden]
-                if marker is not None:
-                    own.append(marker)
                 stream.adopt(own, source, ridden, wakeups.get(stream))
-            elif marker is not None:
-                marker.done.succeed()
         cpu = follower.cpu
         if cpu is not None and cpu.is_alive:
             for event, copy in copies.items():
