@@ -8,9 +8,11 @@ captures every input the device computation depends on.
 
 A rank that rides a data-parallel replica's timeline instead of issuing
 its own calls (:mod:`repro.framework.dedup` followers) logs one
-:class:`LazyRecords` entry per ridden batch.  Reading the log
-(``records`` / ``previous_records``) expands each entry, in place, into
-the records the rank's own calls would have logged.
+:class:`LazyRecords` entry per ridden batch, and one for the frees of a
+ridden batch's buffers.  Each counts the calls it stands for as logged
+when it is appended.  Reading the log (``records`` /
+``previous_records``) expands each entry, in place, into the records the
+rank's own calls would have logged.
 """
 
 from __future__ import annotations
@@ -148,9 +150,12 @@ class ReplayLog:
         else:
             self.creation_records.append(record)
 
-    def append_lazy(self, entry: LazyRecords) -> None:
-        """Log *entry*; its records count as logged once expanded."""
-        self._records.append(entry)
+    def append_lazy(self, expand: Callable[[], list[ApiRecord]],
+                    calls: int) -> None:
+        """Log an entry that *expand* builds into *calls* records when
+        the log is read; they count as logged now."""
+        self._records.append(LazyRecords(expand))
+        self.total_logged += calls
 
     def __len__(self) -> int:
         return len(self.records)

@@ -20,8 +20,8 @@ from repro.obs import GoodputLedger, build_strategy_ledger, flight_dump
 from repro.obs.ledger import BUCKETS
 from repro.oracle.invariants import Violation, check_all
 from repro.oracle.schedule import FailureSchedule, ScheduleFuzzer
-from repro.oracle.strategies import (STRATEGIES, StrategyRun, run_strategy,
-                                     spec_variant)
+from repro.oracle.strategies import (STRATEGIES, StrategyRun, final_state,
+                                     run_strategy, spec_variant)
 from repro.parallel.topology import ParallelLayout
 from repro.sim import Tracer
 from repro.workloads import TrainingJob, WorkloadSpec
@@ -116,9 +116,10 @@ def _outcome(run: StrategyRun, violations: Sequence[Violation]) -> str:
 class RecoveryOracle:
     """Cross-strategy recovery-equivalence checker.
 
-    Golden loss streams are memoized per workload *variant* (Swift runs
-    under the invertible optimizer, so it gets its own golden), making
-    repeated checks — the shrinker's inner loop — cheap.
+    Golden loss streams and final states are memoized per workload
+    *variant* (Swift runs under the invertible optimizer, so it gets its
+    own golden), making repeated checks — the shrinker's inner loop —
+    cheap.
     """
 
     def __init__(self, spec: Optional[WorkloadSpec] = None,
@@ -129,7 +130,7 @@ class RecoveryOracle:
         self.iterations = iterations
         self.strategies = tuple(strategies)
         self.mutations = tuple(mutations)
-        self._goldens: dict[str, list[float]] = {}
+        self._goldens: dict[str, tuple[list[float], list[dict]]] = {}
         #: Simulator events dispatched by runs checked so far (perf
         #: telemetry; golden reference runs are not counted).
         self.events_processed = 0
@@ -145,11 +146,21 @@ class RecoveryOracle:
 
     def golden(self, strategy: str) -> list[float]:
         """Failure-free loss stream for *strategy*'s workload variant."""
+        return self._golden(strategy)[0]
+
+    def golden_state(self, strategy: str) -> list[dict]:
+        """Each rank's final state (``strategies.final_state``) in the
+        same failure-free run."""
+        return self._golden(strategy)[1]
+
+    def _golden(self, strategy: str) -> tuple[list[float], list[dict]]:
         variant = spec_variant(self.spec, strategy)
         key = variant.optimizer
         if key not in self._goldens:
-            self._goldens[key] = list(
-                TrainingJob(variant).run_training(self.iterations)[0])
+            job = TrainingJob(variant)
+            losses = job.run_training(self.iterations)[0]
+            self._goldens[key] = (list(losses), [final_state(engine)
+                                                 for engine in job.engines])
         return self._goldens[key]
 
     def golden_tracer(self, strategy: str) -> Tracer:
@@ -191,7 +202,8 @@ class RecoveryOracle:
         ledger = build_strategy_ledger(run, self.spec.world_size)
         for bucket, amount in ledger.buckets.items():
             self.goodput_buckets[bucket] = self.goodput_buckets[bucket] + amount
-        violations = tuple(check_all(run, self.golden(strategy)))
+        violations = tuple(check_all(run, self.golden(strategy),
+                                     self.golden_state(strategy)))
         replay = self._replay_dump if violations else None
         run.release()
         return Verdict(strategy=strategy, schedule=schedule,
@@ -211,7 +223,8 @@ class RecoveryOracle:
         dump = flight_dump(run.tracer, self.golden_tracer(strategy))
         # Judged in the check's order: the ledger closes open spans.
         ledger = build_strategy_ledger(run, self.spec.world_size)
-        violations = tuple(check_all(run, self.golden(strategy)))
+        violations = tuple(check_all(run, self.golden(strategy),
+                                     self.golden_state(strategy)))
         again = {"outcome": _outcome(run, violations),
                  "violations": violations, "events": run.events,
                  "ledger": ledger}

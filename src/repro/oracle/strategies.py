@@ -14,9 +14,9 @@ The oracle compares six strategies through one interface:
 Each adapter arms the schedule's failure points at their target
 iterations (offsets scaled by the workload's minibatch time), runs to
 completion, and returns a :class:`StrategyRun` carrying everything the
-invariant checkers need: the loss stream, the trace (recovery episodes
-included), recovery notes, device proxies, checkpoint-GC observations and
-per-generation resume points.
+invariant checkers need: the loss stream, each rank's final training
+state, the trace (recovery episodes included), recovery notes, device
+proxies, checkpoint-GC observations and per-generation resume points.
 
 ``MUTATIONS`` deliberately breaks a strategy (e.g. skipping the RNG
 rewind before replay, or copying a replica's state one ulp off) so tests
@@ -89,6 +89,8 @@ class StrategyRun:
     resume_audits: list = field(default_factory=list)
     #: The run's environment (see ``release``).
     env: Optional[Environment] = None
+    #: Each rank's :func:`final_state` once the run completed.
+    final_state: list = field(default_factory=list)
 
     def release(self) -> None:
         """End the run once the checks are done with it.
@@ -101,6 +103,26 @@ class StrategyRun:
             proxy.release()
         if self.env is not None:
             self.env.close()
+
+
+def final_state(engine) -> dict:
+    """*engine*'s training state at the end of a run, tensor by tensor:
+    its parameters, optimizer moments and scalars (step count and
+    learning rate among them), scheduler, live RNG state and data cursor
+    (the next iteration it reads)."""
+    state = engine.state_dict()
+    tensors = {f"param {name}": array
+               for name, array in state["params"].items()}
+    for key, value in state["optimizer"].items():
+        if isinstance(value, dict):
+            tensors.update((f"optimizer {key}.{name}", array)
+                           for name, array in value.items())
+        else:
+            tensors[f"optimizer {key}"] = value
+    tensors["scheduler"] = state["scheduler"]
+    tensors["rng"] = None if engine.rng is None else engine.rng.get_state()
+    tensors["data cursor"] = engine.iteration
+    return tensors
 
 
 def spec_variant(spec: WorkloadSpec, strategy: str) -> WorkloadSpec:
@@ -315,6 +337,7 @@ def _run_transparent_family(strategy: str, env: Environment, spec: WorkloadSpec,
         return run
     run.losses = list(losses[0])
     run.completed = True
+    run.final_state = [final_state(engine) for engine in job.engines]
     _finish(run, env)
     return run
 
@@ -491,6 +514,9 @@ def _run_managed(strategy: str, env: Environment, spec: WorkloadSpec,
         run.detail = (report.generations[-1].detail
                       if report.generations else "did not complete")
         env.tracer.close_open_spans(env.now)
+    else:
+        run.final_state = [final_state(engine)
+                           for engine in runner.manager.current_job.engines]
     return run
 
 

@@ -40,15 +40,18 @@ def _grads_of(grad_buffers: dict) -> dict:
 class RiddenStep:
     """An iteration a rank rode on a replica's timeline.
 
-    ``expand`` enqueues the rank's own, private copy of the iteration
-    through its device API, for a layer that logs calls and builds the
-    log only when read.  A layer that then re-executes those calls marks
-    the step ``replayed``: the rank's own buffers, not the group's memo,
-    hold the iteration's loss and reduced gradient from then on.
+    The rank issued none of the iteration's calls.  ``expand`` enqueues
+    its own, private copy of them through its device API, for a layer
+    that logs calls and builds the log only when read; such a layer keeps
+    its record of the ride here too (``held`` to ``step_bufs``).  A layer
+    that then re-executes those calls marks the step ``replayed``: the
+    rank's own buffers, not the group's memo, hold the iteration's loss
+    and reduced gradient from then on.
     """
 
     __slots__ = ("engine", "iteration", "lr", "loss", "loss_buf",
-                 "grad_buffers", "input_buf", "replayed")
+                 "grad_buffers", "replayed", "held", "nbufs", "events",
+                 "optimizer", "records", "step_bufs")
 
     def __init__(self, engine: "DataParallelEngine", iteration: int,
                  lr: float):
@@ -59,15 +62,24 @@ class RiddenStep:
         self.loss = None
         self.loss_buf = None
         self.grad_buffers = None
-        self.input_buf = None
         self.replayed = False
+        #: The allocation standing in for the iteration's buffers, and
+        #: how many buffers it stands for.
+        self.held = None
+        self.nbufs = 0
+        #: The rank's handles for the ridden batch's events, in order.
+        self.events = None
+        #: Whether the rank rode the iteration's optimizer batch too.
+        self.optimizer = False
+        #: The forward/backward records ``expand`` logged, once it ran,
+        #: and the buffers they allocate.
+        self.records = None
+        self.step_bufs = []
 
-    def expand(self) -> list:
-        """Enqueue forward/backward privately; returns the step buffers."""
-        _, self.loss_buf, self.grad_buffers, step_bufs = \
+    def expand(self) -> None:
+        """Enqueue forward/backward privately."""
+        _, self.loss_buf, self.grad_buffers, self.step_bufs = \
             self.engine._enqueue_iteration(self.iteration, False, None)
-        self.input_buf = step_bufs[0]
-        return step_bufs
 
     def settle(self) -> None:
         """Fill the expanded buffers with what riding the iteration
@@ -79,14 +91,14 @@ class RiddenStep:
         engine = self.engine
         x, _ = engine.dataset.shard(self.iteration, engine.dp_rank,
                                     engine.dp_world)
-        self.input_buf.array[...] = x
+        self.step_bufs[0].array[...] = x
         self.loss_buf.array[0] = self.loss
         reduced = engine._dedup_arena.grad_arrays
         for name, buf in self.grad_buffers.items():
             buf.array[...] = reduced[name]
 
     def expand_optimizer(self) -> None:
-        """Enqueue the private optimizer kernel (after :meth:`expand`)."""
+        """Enqueue the private optimizer kernel."""
         self.engine._launch_optimizer(self.lr, self.own_grads)
 
     def own_grads(self) -> dict:
@@ -423,6 +435,7 @@ class DataParallelEngine(BaseEngine):
             batch.bwd_done = api.physical(bwd_done)
             batch.events.append(batch.bwd_done)
             batch.nbytes = sum(buf.logical_nbytes for buf in step_bufs)
+            batch.nbufs = len(step_bufs)
         return bwd_done, loss_buf, grad_buffers, step_bufs
 
     def _launch_optimizer(self, lr: float, grads, batch=None) -> None:
@@ -454,7 +467,7 @@ class DataParallelEngine(BaseEngine):
         api = self.api
         arena = self._dedup_arena
         step = RiddenStep(self, iteration, lr)
-        held, done = api.ride(step, batch, f"follow#{iteration}")
+        held, done = api.ride(step, batch)
         yield from api.event_synchronize(done)
         loss = arena.ridden_loss(iteration, self._dedup_member,
                                  self.head, len(self.blocks))

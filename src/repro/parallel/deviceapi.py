@@ -105,16 +105,19 @@ class DeviceApi:
     def follow_retarget(self, copies: dict) -> None:
         """Replace followed leader events by this rank's *copies*."""
 
-    def ride(self, step, batch, label: str):
-        """Stand-in allocation for an iteration this rank rides on *batch*.
+    def ride(self, step, batch):
+        """This rank rides *step*'s iteration on *batch*, which ``follow``
+        just joined.
 
-        *step* can re-enqueue the iteration as this rank's own calls
-        (``step.expand()``); only a layer that logs calls needs that.
-        Returns the buffer to free when the iteration's buffers would be,
-        and the event to wait on for the end of its backward pass.
+        *step* (:class:`~repro.parallel.ddp.RiddenStep`) can re-enqueue
+        the iteration as this rank's own calls; only a layer that logs
+        calls needs that.  Returns what to free when the iteration's
+        buffers would be, here one allocation of their logical size, and
+        the event to wait on for the end of its backward pass.
         """
         held = self.malloc(_RIDE_SCRATCH, BufferKind.ACTIVATION,
-                           logical_nbytes=batch.nbytes, label=label)
+                           logical_nbytes=batch.nbytes,
+                           label=f"follow#{step.iteration}")
         return held, batch.bwd_done
 
     # -- streams & events -------------------------------------------------------------

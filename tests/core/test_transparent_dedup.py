@@ -106,9 +106,9 @@ def _checked(strategy, spec, schedule, on, monkeypatch, mutations=(),
             arenas.extend(attached)
         return attached
 
-    def recording_ride(proxy, step, batch, label):
+    def recording_ride(proxy, step, batch):
         rides.append((proxy.rank, step.iteration))
-        return ride(proxy, step, batch, label)
+        return ride(proxy, step, batch)
 
     def reset_local(self, proxy, base):
         healthy = proxy.ctx.gpu.health is GpuHealth.HEALTHY
@@ -393,35 +393,39 @@ def _signature(record):
 
 
 def _logged(schedule, on, monkeypatch):
-    """Each rank's log at every minibatch boundary and at each replay."""
+    """Each rank's log at every minibatch boundary and at each replay,
+    after the calls it counts as logged so far, read before the log."""
     logs: dict[int, list] = {}
     rides = []
     begin, end = DeviceProxyApi.minibatch_begin, DeviceProxyApi.minibatch_end
     replay, ride = DeviceProxyApi.replay, DeviceProxyApi.ride
 
-    def snapshot(proxy, when, records):
+    def snapshot(proxy, when, read):
+        logged = proxy.log.total_logged
         logs.setdefault(proxy.rank, []).append(
-            (when, [_signature(record) for record in records]))
+            (when, logged, [_signature(record) for record in read()]))
 
     def minibatch_begin(proxy, iteration):
-        snapshot(proxy, ("begin", iteration), proxy.log.records)
+        snapshot(proxy, ("begin", iteration), lambda: proxy.log.records)
         begin(proxy, iteration)
 
     def minibatch_end(proxy, iteration):
         end(proxy, iteration)
-        snapshot(proxy, ("end", iteration), proxy.log.records)
+        snapshot(proxy, ("end", iteration), lambda: proxy.log.records)
 
     def recording_replay(proxy, skip_optimizer=False,
                          include_previous=False):
-        records = ((list(proxy.log.previous_records) if include_previous
-                    else []) + list(proxy.log.records))
-        snapshot(proxy, ("replay", include_previous), records)
+        def read():
+            return ((list(proxy.log.previous_records) if include_previous
+                     else []) + list(proxy.log.records))
+
+        snapshot(proxy, ("replay", include_previous), read)
         return replay(proxy, skip_optimizer=skip_optimizer,
                       include_previous=include_previous)
 
-    def recording_ride(proxy, step, batch, label):
+    def recording_ride(proxy, step, batch):
         rides.append((proxy.rank, step.iteration))
-        return ride(proxy, step, batch, label)
+        return ride(proxy, step, batch)
 
     monkeypatch.setattr(DeviceProxyApi, "minibatch_begin", minibatch_begin)
     monkeypatch.setattr(DeviceProxyApi, "minibatch_end", minibatch_end)
@@ -444,7 +448,9 @@ def test_rider_logs_expand_to_the_private_log(branch, monkeypatch):
     riders' expanded entries included, equals the same rank's log with
     dedup off, record for record: method, phase, minibatch, kernel name
     and duration, buffer label, kind and logical bytes, stream role, host
-    inputs and zero-fill versus array snapshots."""
+    inputs and zero-fill versus array snapshots.  So does the count of
+    calls logged so far, taken before the log is read: a rider counts
+    every call it rode when it rides it, and reading moves nothing."""
     _, schedule, _, _ = BRANCHES[branch]
     on, rides = _logged(schedule, True, monkeypatch)
     off, no_rides = _logged(schedule, False, monkeypatch)
@@ -453,10 +459,12 @@ def test_rider_logs_expand_to_the_private_log(branch, monkeypatch):
     assert riders and 0 not in riders
     assert set(on) == set(off)
     for rank in on:
-        assert [when for when, _ in on[rank]] == \
-            [when for when, _ in off[rank]]
-        assert any(when[0] == "replay" for when, _ in on[rank])
-        for (when, mine), (_, private) in zip(on[rank], off[rank]):
+        assert [when for when, _, _ in on[rank]] == \
+            [when for when, _, _ in off[rank]]
+        assert any(when[0] == "replay" for when, _, _ in on[rank])
+        for (when, logged, mine), (_, private_logged, private) in zip(
+                on[rank], off[rank]):
+            assert logged == private_logged, (rank, when)
             assert mine == private, (rank, when)
 
 
@@ -465,7 +473,7 @@ def test_group_math_gradients_log_zero_fill(monkeypatch):
     which is non-zero when the next iteration allocates; their malloc
     records still hold a zero-fill marker, not a copy."""
     logs, _ = _logged(BRANCHES["sticky_replica_copy"][1], True, monkeypatch)
-    grads = [signature for when, records in logs[0] if when[0] == "end"
+    grads = [signature for when, _, records in logs[0] if when[0] == "end"
              for signature in records
              if signature[0] == "malloc" and signature[3][0][1].startswith(
                  "grad#")]

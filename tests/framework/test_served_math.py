@@ -225,20 +225,25 @@ def test_both_golden_trajectories_fit_the_memo(cold_memo):
 
 
 def test_perturbed_replica_copy_verdicts_on_a_warm_memo():
-    """A replica copy one ulp off reads ``violation`` when the failure
-    lands in iterations 0-6 of 8, whatever the memo serves.  Iteration 7
-    reads ``exact``: no later loss reads the final state."""
+    """A replica copy one ulp off reads ``violation`` wherever the failure
+    lands in 8 iterations, whatever the memo serves.  At iteration 7 no
+    later loss reads the perturbed state, so the final-state comparison
+    catches it, naming the first rank and tensor that differ."""
     oracle = RecoveryOracle(iterations=8, mutations=("perturb_replica_copy",))
     outcomes = {}
     for iteration in range(8):
         for offset in (0.3, 0.97):
             schedule = FailureSchedule(points=(FailurePoint(
                 iteration, "GPU_STICKY", 1, offset=offset),))
-            outcomes[iteration, offset] = oracle.check(
-                schedule, "transparent").outcome
-    assert outcomes == {(iteration, offset):
-                        "exact" if iteration == 7 else "violation"
-                        for iteration, offset in outcomes}
+            verdict = oracle.check(schedule, "transparent")
+            outcomes[iteration, offset] = verdict.outcome
+            if iteration == 7:
+                (violation,) = verdict.violations
+                # Rank 1's perturbed weights reach every rank's update
+                # through the iteration's all-reduced gradient.
+                assert violation.detail == ("final state diverges at "
+                                            "rank 0, param layer0.wo")
+    assert outcomes == {key: "violation" for key in outcomes}
 
 
 # -- cold and warm checks agree --------------------------------------------------------

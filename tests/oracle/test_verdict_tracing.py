@@ -53,7 +53,8 @@ def _observed(run, judgement):
 def _judged(oracle, run, strategy):
     """A fully traced *run* put through the check's own judgement."""
     ledger = build_strategy_ledger(run, oracle.spec.world_size)
-    violations = tuple(check_all(run, oracle.golden(strategy)))
+    violations = tuple(check_all(run, oracle.golden(strategy),
+                                 oracle.golden_state(strategy)))
     outcome = ("exact" if not violations
                else "unrecoverable" if run.outcome != "ok" else "violation")
     return outcome, violations, ledger
