@@ -2,7 +2,8 @@
 
 Pure functions implementing equations 1-8: optimal periodic checkpointing
 frequency, wasted GPU work under periodic and just-in-time checkpointing,
-wasted-time fractions, and the Section 5.1 dollar-cost estimates.
+wasted-time fractions, Table 8's rows, and the Section 5.1 dollar-cost
+estimates.
 """
 
 from repro.analysis.model import (
@@ -12,6 +13,7 @@ from repro.analysis.model import (
     jit_user_level_wasted_per_gpu,
     optimal_checkpoint_frequency,
     periodic_wasted_per_gpu,
+    table8_row,
     total_wasted_gpu_time,
     wasted_fraction,
 )
@@ -35,6 +37,7 @@ __all__ = [
     "jit_user_level_wasted_per_gpu",
     "optimal_checkpoint_frequency",
     "periodic_wasted_per_gpu",
+    "table8_row",
     "total_wasted_gpu_time",
     "wasted_fraction",
 ]

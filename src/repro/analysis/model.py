@@ -99,6 +99,30 @@ def wasted_fraction(wasted_per_gpu_time: float) -> float:
     return wasted_per_gpu_time / (1.0 + wasted_per_gpu_time)
 
 
+def table8_row(n_gpus: int, params: CostParameters) -> dict:
+    """One Table 8 row: ``c*`` and each strategy's ``w_f`` at N GPUs.
+
+    Returns ``{n, c_star_per_hr, periodic, user_jit, transparent}``, the
+    last three as fractions (equations 3 and 5-8).  Transparent JIT is
+    evaluated with ``r`` and ``o_jit`` zeroed: its CPU process survives,
+    so a failure costs no re-initialisation (Section 5.5).
+    """
+    transparent = CostParameters(params.checkpoint_overhead,
+                                 params.failure_rate, 0.0,
+                                 params.minibatch_time)
+    c_star = optimal_checkpoint_frequency(n_gpus, params.failure_rate,
+                                          params.checkpoint_overhead)
+    return {
+        "n": n_gpus,
+        "c_star_per_hr": c_star * 3600,
+        "periodic": wasted_fraction(periodic_wasted_per_gpu(n_gpus, params)),
+        "user_jit": wasted_fraction(
+            jit_user_level_wasted_per_gpu(n_gpus, params)),
+        "transparent": wasted_fraction(
+            jit_transparent_wasted_per_gpu(n_gpus, transparent)),
+    }
+
+
 def dollar_cost_per_month(n_gpus: int, failures_per_day: float,
                           lost_hours_per_failure: float,
                           dollars_per_gpu_hour: float = 4.0) -> float:

@@ -1,13 +1,14 @@
 """Parallel failure-campaign engine with deterministic result caching.
 
-The paper's evaluation (Tables 4-8, the Section 5 wasted-work model and
-the Poisson failure experiments) is built from many independent simulator
-runs over (workload x policy x seed) grids.  This package turns that
-pattern into infrastructure:
+The paper's Poisson failure experiments (Section 6, Tables 4-7) are built
+from many independent simulator runs over (workload x policy x seed)
+grids, each a training job run to completion under a seeded failure
+schedule.  This package runs those failure campaigns and nothing else
+(Table 8's closed-form cells are :func:`repro.analysis.table8_row`):
 
 * :class:`~repro.campaign.spec.ScenarioSpec` /
   :class:`~repro.campaign.spec.CampaignSpec` — a declarative, content-
-  hashable grid of scenarios;
+  hashable grid of failure-campaign scenarios;
 * :class:`~repro.campaign.runner.CampaignRunner` — fans scenarios out
   over a ``ProcessPoolExecutor`` (results return through its pickle
   channel) and serves unchanged scenarios from a

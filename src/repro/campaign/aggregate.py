@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 
-#: Metrics aggregated for campaign (simulation) scenarios.
+#: Metrics aggregated per (workload, policy) group.
 CAMPAIGN_METRICS = ("restarts", "wasted_time", "wasted_fraction", "goodput")
 
 
@@ -48,31 +48,15 @@ def summarize(values: list[float]) -> dict:
 
 
 def aggregate_results(rows: list[dict]) -> list[dict]:
-    """Aggregate scenario result dicts by (workload, policy), in order.
-
-    Analytic rows carry per-row closed-form numbers and pass through
-    unaggregated (one group per scenario keeps N visible).
-    """
-    groups: dict[tuple, dict] = {}
+    """Aggregate scenario result dicts by (workload, policy), in order."""
+    groups: dict[tuple, list[dict]] = {}
     for row in rows:
         scenario = row["scenario"]
-        if scenario["kind"] == "analytic":
-            key = (scenario["workload"], "analytic", scenario["n_gpus"])
-            groups.setdefault(key, {"rows": []})["rows"].append(row)
-            continue
         key = (scenario["workload"], scenario["policy"])
-        groups.setdefault(key, {"rows": []})["rows"].append(row)
+        groups.setdefault(key, []).append(row)
 
     out = []
-    for key, group in groups.items():
-        member_rows = group["rows"]
-        first = member_rows[0]["scenario"]
-        if first["kind"] == "analytic":
-            entry = {"workload": key[0], "policy": "analytic",
-                     "n_gpus": key[2], "scenarios": len(member_rows)}
-            entry.update(member_rows[0]["metrics"])
-            out.append(entry)
-            continue
+    for key, member_rows in groups.items():
         entry = {"workload": key[0], "policy": key[1],
                  "scenarios": len(member_rows),
                  "completed": all(r["metrics"]["completed"]

@@ -29,8 +29,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.campaign.cache import ResultCache
-from repro.campaign.spec import (KIND_ANALYTIC, KIND_CAMPAIGN, KIND_ORACLE,
-                                 ORACLE_WORKLOAD, CampaignSpec, ScenarioSpec)
+from repro.campaign.spec import CampaignSpec, ScenarioSpec
 from repro.core.telemetry import CampaignPerf
 from repro.workloads import TrainingJob
 
@@ -140,9 +139,6 @@ def reference_key(spec: ScenarioSpec) -> tuple:
     failure draw never touch it.  Scenarios with equal keys share one
     reference run per runner; :func:`prefix_key` extends this key.
     """
-    if spec.kind != KIND_CAMPAIGN:
-        raise ValueError(f"reference runs apply to campaign scenarios, "
-                         f"not {spec.kind!r}")
     return (spec.workload, spec.node, spec.minibatch_time,
             spec.target_iterations)
 
@@ -232,37 +228,17 @@ def _reference_run(spec: ScenarioSpec) -> Reference:
                      digest=_losses_digest(losses))
 
 
-def _execute_campaign_scenario(spec: ScenarioSpec) -> dict:
-    """One campaign scenario from scratch, its own reference included."""
-    from repro.failures import FailureInjector
-    from repro.sim import Environment
-
-    start = time.perf_counter()
-    reference = _reference_run(spec)
-    env = Environment()
-    runner, interval_iterations = _build_managed_runner(
-        spec, _resolve_workload(spec), env)
-
-    cluster = runner.manager.cluster
-    FailureInjector(env, cluster).arm(_draw_schedule(spec, cluster))
-    report = runner.execute()
-    env.close()
-    wall = time.perf_counter() - start
-    return _campaign_result(spec, RunSummary.of(report), reference,
-                            interval_iterations=interval_iterations,
-                            events=env.events_processed, wall=wall)
-
-
 def _campaign_result(spec: ScenarioSpec, run: RunSummary,
                      reference: Reference, *,
                      interval_iterations: Optional[int],
                      events: int, wall: float) -> dict:
     """Assemble one campaign scenario's result dict.
 
-    Shared by from-scratch execution above, prefix-fork children
-    (:mod:`repro.campaign.prefix`) and rows the runner serves from its
-    failure-free memo, so the ``metrics`` section — the only part
-    aggregation reads — is byte-identical between the schedulers.
+    Shared by from-scratch execution (:func:`execute_scenario`),
+    prefix-fork children (:mod:`repro.campaign.prefix`) and rows the
+    runner serves from its failure-free memo, so the ``metrics``
+    section — the only part aggregation reads — is byte-identical
+    between the schedulers.
     ``perf`` is wall-clock telemetry and legitimately differs; its event
     count is the managed run's *events* plus the reference's.
     """
@@ -294,123 +270,40 @@ def _campaign_result(spec: ScenarioSpec, run: RunSummary,
     }
 
 
-def _execute_analytic_scenario(spec: ScenarioSpec) -> dict:
-    """One Table 8 row: closed-form Section 5 wasted-time at N GPUs."""
-    from repro.analysis import (
-        CalibratedParameters,
-        CostParameters,
-        jit_transparent_wasted_per_gpu,
-        jit_user_level_wasted_per_gpu,
-        optimal_checkpoint_frequency,
-        periodic_wasted_per_gpu,
-        wasted_fraction,
-    )
-
-    workload = _resolve_workload(spec)
-    start = time.perf_counter()
-    params = CalibratedParameters.from_spec(workload).params
-    transparent_params = CostParameters(
-        checkpoint_overhead=params.checkpoint_overhead,
-        failure_rate=params.failure_rate,
-        fixed_recovery=0.0,     # CPU process survives: no re-init (Sec 5.5)
-        minibatch_time=params.minibatch_time)
-    n = spec.n_gpus
-    c_star = optimal_checkpoint_frequency(n, params.failure_rate,
-                                          params.checkpoint_overhead)
-    wall = time.perf_counter() - start
-    return {
-        "scenario": spec.config(),
-        "scenario_id": spec.scenario_id,
-        "metrics": {
-            "n": n,
-            "c_star_per_hr": c_star * 3600,
-            "periodic": wasted_fraction(periodic_wasted_per_gpu(n, params)),
-            "user_jit": wasted_fraction(
-                jit_user_level_wasted_per_gpu(n, params)),
-            "transparent": wasted_fraction(
-                jit_transparent_wasted_per_gpu(n, transparent_params)),
-        },
-        "perf": {"events": 0, "wall_seconds": wall, "events_per_sec": 0.0},
-    }
-
-
-def _execute_oracle_scenario(spec: ScenarioSpec) -> dict:
-    """Recovery-equivalence checks for one strategy (fuzzed or replayed)."""
-    from repro.oracle import FailureSchedule, RecoveryOracle, default_oracle_spec
-
-    if spec.workload == ORACLE_WORKLOAD:
-        workload = default_oracle_spec(
-            minibatch_time=spec.minibatch_time or 0.05)
-    else:
-        workload = _resolve_workload(spec)
-    start = time.perf_counter()
-    oracle = RecoveryOracle(spec=workload,
-                            iterations=spec.target_iterations)
-    if spec.schedule is not None:
-        schedules = [FailureSchedule.from_json(spec.schedule)]
-    else:
-        fuzzer = oracle.fuzzer(spec.seed, shapes=spec.shapes,
-                               include_storage=spec.include_storage)
-        schedules = list(fuzzer.schedules(spec.fuzz_count))
-    verdicts = [oracle.check(schedule, spec.strategy)
-                for schedule in schedules]
-    events = oracle.events_processed
-    wall = time.perf_counter() - start
-    failures = [v for v in verdicts if not v.passed]
-    # Goodput-bucket seconds summed across all checked runs.  Ledgers are
-    # deterministic functions of the (scenario, strategy) pair, so these
-    # aggregate byte-identically between serial and parallel campaigns.
-    goodput = {bucket: float(amount)
-               for bucket, amount in oracle.goodput_buckets.items()}
-    goodput["balanced"] = all(v.ledger is None or v.ledger.balanced
-                              for v in verdicts)
-    return {
-        "scenario": spec.config(),
-        "scenario_id": spec.scenario_id,
-        "metrics": {
-            "strategy": spec.strategy,
-            "checks": len(verdicts),
-            "failures": len(failures),
-            "passed": not failures,
-            "outcomes": [v.outcome for v in verdicts],
-            "violations": [str(violation) for v in failures
-                           for violation in v.violations],
-            "failing_schedules": [v.schedule.to_json() for v in failures],
-            "storage": dict(oracle.storage_stats),
-            "goodput": goodput,
-        },
-        "perf": {
-            "events": events,
-            "wall_seconds": wall,
-            "events_per_sec": events / wall if wall > 0 else 0.0,
-        },
-    }
-
-
 def execute_scenario(spec: ScenarioSpec) -> dict:
-    """Run one scenario to a plain-JSON result dict (picklable entry point)."""
-    if spec.kind == KIND_ANALYTIC:
-        return _execute_analytic_scenario(spec)
-    if spec.kind == KIND_ORACLE:
-        return _execute_oracle_scenario(spec)
-    return _execute_campaign_scenario(spec)
+    """Run one scenario from scratch, its own reference included, to a
+    plain-JSON result dict (picklable entry point)."""
+    from repro.failures import FailureInjector
+    from repro.sim import Environment
+
+    start = time.perf_counter()
+    reference = _reference_run(spec)
+    env = Environment()
+    runner, interval_iterations = _build_managed_runner(
+        spec, _resolve_workload(spec), env)
+
+    cluster = runner.manager.cluster
+    FailureInjector(env, cluster).arm(_draw_schedule(spec, cluster))
+    report = runner.execute()
+    env.close()
+    wall = time.perf_counter() - start
+    return _campaign_result(spec, RunSummary.of(report), reference,
+                            interval_iterations=interval_iterations,
+                            events=env.events_processed, wall=wall)
 
 
 def _execute_unit(items: list[tuple[int, ScenarioSpec]], max_live: int,
-                  reference: Optional[Reference]
+                  reference: Reference
                   ) -> tuple[list[Optional[dict]], Optional[FailureFree]]:
-    """Run one dispatch unit: a prefix group with its shared *reference*
+    """Run one prefix group with its shared *reference*
     (:func:`~repro.campaign.prefix.run_prefix_group`, whose results it
-    returns), or a scenario of another kind (*reference* ``None``).
-    Module-level so the pool can pickle it; the serial path calls it
-    directly.
+    returns).  Module-level so the pool can pickle it; the serial path
+    calls it directly.
     """
-    specs = [spec for _position, spec in items]
-    if reference is None:
-        return [execute_scenario(spec) for spec in specs], None
     from repro.campaign.prefix import run_prefix_group
 
-    return run_prefix_group(specs, max_live, reference)
+    return run_prefix_group([spec for _position, spec in items], max_live,
+                            reference)
 
 
 @dataclass
@@ -467,8 +360,8 @@ class CampaignRunner:
     once and forks each failing tail but the last from a copy-on-write
     snapshot, with at most *fork_max_live* children alive.  Rows are
     byte-identical to from-scratch :func:`execute_scenario` (``perf``
-    aside); other kinds always run from scratch.  *prefix_fork* is
-    accepted only as ``True``, the one path there is.
+    aside).  *prefix_fork* is accepted only as ``True``, the one path
+    there is.
 
     *fork_max_live* bounds memory, not speed.  A forked tail shares the
     parent's pages copy-on-write; only what it writes and allocates is
@@ -552,10 +445,9 @@ class CampaignRunner:
         (positions index into *pending*); inline for one worker or one
         dispatch unit, else through a process pool.
 
-        Each prefix key's campaign scenarios form one unit, a prefix
-        group; every other scenario is a unit of its own.  Failure-free
-        work comes from the runner's memo.  The reference of a campaign
-        scenario (:func:`reference_key`) runs here, in the calling
+        Each prefix key's scenarios form one unit, a prefix group.
+        Failure-free work comes from the runner's memo.  The reference
+        of a scenario (:func:`reference_key`) runs here, in the calling
         process, the first time the runner needs it, and travels with
         every group that needs it (prefix keys extend it).  A group that
         finishes its failure-free run (some scenario's failures never
@@ -568,18 +460,15 @@ class CampaignRunner:
         """
         from repro.campaign.prefix import group_by_prefix
 
-        groupable, work = [], []
+        groupable = []
         for position, (_index, spec) in enumerate(pending):
-            if spec.kind != KIND_CAMPAIGN:
-                work.append(([(position, spec)], self.fork_max_live, None))
-                continue
             entry = self._failure_free.get(prefix_key(spec))
             if entry is not None and entry.serves(_draw_schedule(spec)):
                 yield position, entry.row(spec, self._reference(spec)), False
             else:
                 groupable.append((position, spec))
-        work += [(group, self.fork_max_live, self._reference(group[0][1]))
-                 for group in group_by_prefix(groupable)]
+        work = [(group, self.fork_max_live, self._reference(group[0][1]))
+                for group in group_by_prefix(groupable)]
 
         def finished(args, rows, failure_free):
             items, _max_live, reference = args

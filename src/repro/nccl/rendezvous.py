@@ -124,10 +124,6 @@ class _Rendezvous:
     def _launch(self) -> None:
         raise NotImplementedError
 
-    @property
-    def missing_ranks(self) -> set[int]:
-        return set(self.participants) - self._arrived.keys()
-
     def _path_is_up(self) -> bool:
         return self._always_up or self._fabric.path_is_up(self._node_names)
 

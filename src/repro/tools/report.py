@@ -34,13 +34,9 @@ from typing import Optional
 
 from repro.analysis import (
     CalibratedParameters,
-    CostParameters,
     dollar_cost_per_month,
-    jit_transparent_wasted_per_gpu,
-    jit_user_level_wasted_per_gpu,
     optimal_checkpoint_frequency,
-    periodic_wasted_per_gpu,
-    wasted_fraction,
+    table8_row,
 )
 from repro.analysis.calibration import OPT_FAILURE_RATE_PER_GPU_PER_DAY
 from repro.analysis.mtbf import MtbfEstimate, recommend_strategy
@@ -87,20 +83,13 @@ def report_table8(json_mode: bool = False) -> dict:
     rows = []
     for name in ("BERT-L-PT", "BERT-B-FT", "GPT2-S", "GPT2-8B"):
         params = CalibratedParameters.from_spec(WORKLOADS[name]).params
-        transparent = CostParameters(params.checkpoint_overhead,
-                                     params.failure_rate, 0.0,
-                                     params.minibatch_time)
         for n in (4, 1024, 8192):
-            c_star = optimal_checkpoint_frequency(
-                n, params.failure_rate, params.checkpoint_overhead)
+            row = table8_row(n, params)
             rows.append({
-                "model": name, "n": n, "c_star_per_hr": c_star * 3600,
-                "periodic_pct": 100 * wasted_fraction(
-                    periodic_wasted_per_gpu(n, params)),
-                "user_jit_pct": 100 * wasted_fraction(
-                    jit_user_level_wasted_per_gpu(n, params)),
-                "transparent_pct": 100 * wasted_fraction(
-                    jit_transparent_wasted_per_gpu(n, transparent)),
+                "model": name, "n": n, "c_star_per_hr": row["c_star_per_hr"],
+                "periodic_pct": 100 * row["periodic"],
+                "user_jit_pct": 100 * row["user_jit"],
+                "transparent_pct": 100 * row["transparent"],
             })
     if not json_mode:
         print("\nTable 8 — wasted-GPU-time scaling (w_f at optimal periodic "
@@ -221,16 +210,42 @@ def report_perf(json_mode: bool = False) -> dict:
     return data
 
 
+def _oracle_rows(iterations: int, count: int,
+                 shapes: Optional[tuple[str, ...]] = None) -> list[dict]:
+    """One row per recovery strategy: a seed-7 fuzz sweep of *count*
+    schedules checked under that strategy alone."""
+    from repro.oracle import STRATEGIES, RecoveryOracle
+
+    rows = []
+    for strategy in STRATEGIES:
+        oracle = RecoveryOracle(iterations=iterations, strategies=(strategy,))
+        verdicts = oracle.sweep(seed=7, count=count, shapes=shapes).verdicts
+        failures = [v for v in verdicts if not v.passed]
+        # Goodput-bucket seconds summed across the strategy's runs.
+        goodput = {bucket: float(amount)
+                   for bucket, amount in oracle.goodput_buckets.items()}
+        goodput["balanced"] = all(v.ledger is None or v.ledger.balanced
+                                  for v in verdicts)
+        rows.append({
+            "strategy": strategy,
+            "checks": len(verdicts),
+            "failures": len(failures),
+            "passed": not failures,
+            "outcomes": [v.outcome for v in verdicts],
+            "violations": [str(violation) for v in failures
+                           for violation in v.violations],
+            "failing_schedules": [v.schedule.to_json() for v in failures],
+            "storage": dict(oracle.storage_stats),
+            "goodput": goodput,
+        })
+    return rows
+
+
 def report_oracle(json_mode: bool = False) -> dict:
     """Recovery-equivalence fuzz sweep across every recovery strategy."""
-    from repro.campaign import CampaignRunner, CampaignSpec
     from repro.oracle import STRATEGIES
 
-    campaign = CampaignSpec.oracle_grid(
-        "report-oracle", strategies=STRATEGIES, seeds=[7], fuzz_count=3,
-        target_iterations=16)
-    result = CampaignRunner(workers=1).run(campaign)
-    rows = [outcome.metrics for outcome in result.outcomes]
+    rows = _oracle_rows(iterations=16, count=3)
     total_checks = sum(m["checks"] for m in rows)
     total_failures = sum(m["failures"] for m in rows)
     if not json_mode:
@@ -259,19 +274,13 @@ def report_oracle(json_mode: bool = False) -> dict:
 
 def report_storage(json_mode: bool = False) -> dict:
     """Checkpoint-store corruption grid: torn writes and bit rot at rest."""
-    from repro.campaign import CampaignRunner, CampaignSpec
-    from repro.oracle import STRATEGIES
     from repro.oracle.schedule import STORAGE_SHAPES
 
-    campaign = CampaignSpec.oracle_grid(
-        "report-storage", strategies=STRATEGIES, seeds=[7], fuzz_count=2,
-        target_iterations=14, shapes=STORAGE_SHAPES)
-    result = CampaignRunner(workers=1).run(campaign)
-    rows = [outcome.metrics for outcome in result.outcomes]
+    rows = _oracle_rows(iterations=14, count=2, shapes=STORAGE_SHAPES)
     total_failures = sum(m["failures"] for m in rows)
     storage: dict[str, int] = {}
     for metrics in rows:
-        for key, count in metrics.get("storage", {}).items():
+        for key, count in metrics["storage"].items():
             storage[key] = storage.get(key, 0) + count
     if not json_mode:
         print("\nCheckpoint-store corruption — torn-write/bit-rot schedules, "
@@ -280,7 +289,7 @@ def report_storage(json_mode: bool = False) -> dict:
         print(f"{'Strategy':<12} {'checks':>7} {'failing':>8} {'torn':>6} "
               f"{'rotted':>7} {'quarantined':>12}")
         for metrics in rows:
-            stats = metrics.get("storage", {})
+            stats = metrics["storage"]
             print(f"{metrics['strategy']:<12} {metrics['checks']:>7} "
                   f"{metrics['failures']:>8} "
                   f"{stats.get('writes_torn', 0):>6} "

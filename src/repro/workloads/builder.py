@@ -38,7 +38,7 @@ class TrainingJob:
     A job built on a caller's ``env`` (a restart generation, the
     transparent system's job) leaves it to that caller; the owners of
     such shared environments are ``StrategyRun.release``,
-    ``prefix.run_prefix_group`` and ``_execute_campaign_scenario``.
+    ``prefix.run_prefix_group`` and ``campaign.runner.execute_scenario``.
 
     The job records into ``env.tracer``.  ``tracer=`` is shorthand for
     the environment the job creates itself, ``Environment(tracer)``; a

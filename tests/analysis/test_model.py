@@ -15,6 +15,7 @@ from repro.analysis import (
     jit_user_level_wasted_per_gpu,
     optimal_checkpoint_frequency,
     periodic_wasted_per_gpu,
+    table8_row,
     total_wasted_gpu_time,
     wasted_fraction,
 )
@@ -159,3 +160,13 @@ def test_calibration_scales_with_model_size():
     large = CalibratedParameters.from_spec(WORKLOADS["GPT2-18B"])
     assert (large.params.checkpoint_overhead
             > small.params.checkpoint_overhead)
+
+
+def test_table8_row_bert_at_1024_gpus():
+    """Table 8's BERT-L-PT row at N=1024: both JIT variants beat periodic
+    and transparent JIT beats user-level JIT."""
+    params = CalibratedParameters.from_spec(WORKLOADS["BERT-L-PT"]).params
+    row = table8_row(1024, params)
+    assert row["n"] == 1024
+    assert 0 < row["user_jit"] < row["periodic"]
+    assert row["transparent"] < row["user_jit"]

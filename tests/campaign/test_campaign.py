@@ -110,8 +110,6 @@ def test_scenario_validation():
         ScenarioSpec(workload="NOT-A-MODEL")
     with pytest.raises(ValueError):
         ScenarioSpec(policy="hope")
-    with pytest.raises(ValueError):
-        ScenarioSpec(kind="analytic")  # analytic requires n_gpus > 0
 
 
 # -- result cache ----------------------------------------------------------------------
@@ -159,7 +157,7 @@ def test_percentile_matches_linear_interpolation():
 def test_aggregate_results_groups_by_workload_and_policy():
     def row(policy, seed, restarts):
         return {
-            "scenario": {"kind": "campaign", "workload": "GPT2-S",
+            "scenario": {"workload": "GPT2-S",
                          "policy": policy, "seed": seed},
             "metrics": {"completed": True, "failures": 1,
                         "restarts": float(restarts), "wasted_time": 1.0,
@@ -190,18 +188,6 @@ def test_aggregate_results_groups_by_workload_and_policy():
 def test_canonical_json_is_key_order_independent():
     assert canonical_json({"b": 1, "a": [2, 3]}) == \
         canonical_json(json.loads('{"a": [2, 3], "b": 1}'))
-
-
-# -- analytic scenarios ----------------------------------------------------------------
-
-
-def test_analytic_scenario_executes_standalone():
-    spec = ScenarioSpec(kind="analytic", workload="BERT-L-PT", n_gpus=1024)
-    result = execute_scenario(spec)
-    metrics = result["metrics"]
-    assert metrics["n"] == 1024
-    assert 0 < metrics["user_jit"] < metrics["periodic"]
-    assert metrics["transparent"] < metrics["user_jit"]
 
 
 # -- aggregated runs -------------------------------------------------------------------
@@ -385,7 +371,6 @@ def test_prefix_fork_skips_tails_no_failure_reaches(monkeypatch):
 
 def test_prefix_key_separates_trajectory_shaping_config():
     from repro.campaign.runner import prefix_key
-    from repro.campaign.spec import KIND_ANALYTIC
 
     base = ScenarioSpec(seed=0, policy="user_jit")
     # Seeds and (for user_jit) failure rates shape only the tail.
@@ -400,9 +385,6 @@ def test_prefix_key_separates_trajectory_shaping_config():
     assert prefix_key(per_a) != prefix_key(per_b)
     assert prefix_key(base) != prefix_key(ScenarioSpec(seed=0,
                                                        policy="periodic"))
-    with pytest.raises(ValueError):
-        prefix_key(ScenarioSpec(seed=0, kind=KIND_ANALYTIC,
-                                failure_rate=1.0 / 30.0))
 
 
 def test_prefix_fork_runner_aggregate_is_byte_identical(tmp_path):
@@ -532,40 +514,6 @@ def test_reference_key_is_a_projection_of_prefix_key():
     assert all(len(keys) == 1 for keys in by_prefix.values())
     assert len({reference_key(spec) for spec in specs}) == 4
     assert len(by_prefix) == 4 * 3
-    with pytest.raises(ValueError):
-        reference_key(ScenarioSpec(kind="analytic", n_gpus=8))
-
-
-def test_oracle_scenario_storage_shapes():
-    from repro.campaign.runner import execute_scenario
-    from repro.campaign.spec import KIND_ORACLE, ORACLE_WORKLOAD, ScenarioSpec
-
-    spec = ScenarioSpec(kind=KIND_ORACLE, workload=ORACLE_WORKLOAD,
-                        strategy="user_level", seed=7, fuzz_count=2,
-                        target_iterations=12,
-                        shapes=("torn_write", "bit_rot"))
-    assert "torn_write,bit_rot" in spec.scenario_id
-    result = execute_scenario(spec)
-    assert result["metrics"]["passed"], result["metrics"]["violations"]
-    storage = result["metrics"]["storage"]
-    assert storage["writes_started"] > 0
-    assert storage["bit_rot_injected"] + storage["writes_torn"] >= 1
-
-    with pytest.raises(ValueError, match="unknown oracle shapes"):
-        ScenarioSpec(kind=KIND_ORACLE, workload=ORACLE_WORKLOAD,
-                     strategy="user_level", fuzz_count=1,
-                     shapes=("disk_on_fire",))
-
-
-def test_oracle_scenario_include_storage_changes_hash():
-    from repro.campaign.spec import KIND_ORACLE, ORACLE_WORKLOAD, ScenarioSpec
-
-    base = ScenarioSpec(kind=KIND_ORACLE, workload=ORACLE_WORKLOAD,
-                        strategy="periodic", fuzz_count=2)
-    storage = ScenarioSpec(kind=KIND_ORACLE, workload=ORACLE_WORKLOAD,
-                           strategy="periodic", fuzz_count=2,
-                           include_storage=True)
-    assert base.content_hash() != storage.content_hash()
 
 
 def test_campaign_perf_counts_runs_reuse_and_warm_hits(tmp_path):

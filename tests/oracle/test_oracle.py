@@ -133,33 +133,19 @@ def test_sweep_progress_line_reports_logical_events():
     assert progress_line(verdict).endswith(f" events={verdict.events}")
 
 
-def test_campaign_oracle_scenario_executes():
-    from repro.campaign.runner import execute_scenario
-    from repro.campaign.spec import KIND_ORACLE, ORACLE_WORKLOAD, ScenarioSpec
+def test_sweep_over_storage_shapes_stays_exact():
+    """A torn-write/bit-rot sweep under one strategy is exact and really
+    corrupts the store; an unknown shape is refused."""
+    oracle = RecoveryOracle(iterations=ITERS, strategies=("user_level",))
+    report = oracle.sweep(seed=7, count=2, shapes=("torn_write", "bit_rot"))
+    assert len(report.verdicts) == 2
+    assert report.passed, "\n".join(v.describe() for v in report.failures)
+    storage = oracle.storage_stats
+    assert storage["writes_started"] > 0
+    assert storage["bit_rot_injected"] + storage["writes_torn"] >= 1
 
-    spec = ScenarioSpec(kind=KIND_ORACLE, workload=ORACLE_WORKLOAD,
-                        strategy="transparent", seed=3,
-                        schedule=SINGLE.to_json(), fuzz_count=0,
-                        target_iterations=ITERS)
-    result = execute_scenario(spec)
-    assert result["metrics"]["passed"]
-    assert result["metrics"]["checks"] == 1
-    assert result["perf"]["events"] > 0
-    assert "oracle" in result["scenario_id"]
-
-
-def test_campaign_oracle_spec_validation():
-    from repro.campaign.spec import KIND_ORACLE, ORACLE_WORKLOAD, ScenarioSpec
-
-    with pytest.raises(ValueError, match="strategy"):
-        ScenarioSpec(kind=KIND_ORACLE, workload=ORACLE_WORKLOAD,
-                     strategy="warp_drive", fuzz_count=1)
-    with pytest.raises(ValueError, match="exactly one"):
-        ScenarioSpec(kind=KIND_ORACLE, workload=ORACLE_WORKLOAD,
-                     strategy="swift")
-    spec = ScenarioSpec(kind=KIND_ORACLE, workload=ORACLE_WORKLOAD,
-                        strategy="swift", fuzz_count=2)
-    assert spec.content_hash()  # picklable + hashable for the cache
+    with pytest.raises(ValueError, match="unknown shapes"):
+        oracle.sweep(seed=7, count=1, shapes=("disk_on_fire",))
 
 
 @pytest.mark.fuzz

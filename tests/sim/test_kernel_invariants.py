@@ -1136,7 +1136,7 @@ def test_gpu_failure_triggers_cow_divergence():
             assert np.array_equal(buf.array, canonical[name]), name
 
 
-def _oracle_grid(on, monkeypatch):
+def _oracle_verdicts(on, monkeypatch):
     """Verdict outcomes, loss streams and arena counts of every strategy on
     every grid schedule, with dedup *on* or off."""
     from repro.framework import dedup
@@ -1197,8 +1197,8 @@ def test_oracle_grid_identical_with_dedup_on_and_off(monkeypatch):
     device proxy.  Across the timing-edge schedules every verdict passes
     and every outcome, loss stream and golden is identical whichever way
     the dedup switch points."""
-    on = _oracle_grid(True, monkeypatch)
-    off = _oracle_grid(False, monkeypatch)
+    on = _oracle_verdicts(True, monkeypatch)
+    off = _oracle_verdicts(False, monkeypatch)
     assert on[0] == off[0]
     assert on[1] == off[1]
     for strategy, counts in on[2].items():

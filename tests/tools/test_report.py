@@ -1,33 +1,28 @@
 """``python -m repro.tools.report`` exits nonzero when a section fails."""
 
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
-import repro.campaign
 import repro.obs
 from repro.obs import BUCKETS, GoodputLedger
-from repro.oracle.oracle import RecoveryOracle
+from repro.oracle.invariants import Violation
+from repro.oracle.oracle import RecoveryOracle, Verdict
 from repro.tools import report
 
 
-class _OneFailingRunner:
-    """A campaign runner whose sweep reports one failing check."""
-
-    def __init__(self, **_kwargs):
-        pass
-
-    def run(self, _campaign):
-        row = {"strategy": "transparent", "checks": 2, "failures": 1,
-               "outcomes": ["exact", "violation"],
-               "violations": ["loss mismatch at iteration 3"],
-               "failing_schedules": ["GPU_HARD@it3"], "storage": {}}
-        return SimpleNamespace(outcomes=[SimpleNamespace(metrics=row)])
-
-
 def _one_failing_check(monkeypatch):
-    monkeypatch.setattr(repro.campaign, "CampaignRunner", _OneFailingRunner)
+    """The first oracle check of the section fails; every other passes."""
+    checked = []
+
+    def check(self, schedule, strategy):
+        checked.append(schedule)
+        if len(checked) > 1:
+            return Verdict(strategy, schedule, "exact")
+        return Verdict(strategy, schedule, "violation", violations=(
+            Violation("exactness", "loss mismatch at iteration 3"),))
+
+    monkeypatch.setattr(RecoveryOracle, "check", check)
 
 
 def _one_imbalanced_ledger(monkeypatch):
